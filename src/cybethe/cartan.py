@@ -234,9 +234,6 @@ class FoldedData:
     a_fold: CartanData
     orbits: tuple        # full orbits, one per representative
 
-    def rep_index(self, i):
-        return self.reps.index(i)
-
 
 def orbit_data(cartan, aut):
     """Fold the diagram; raises LinkingViolation when some L_i > 2."""

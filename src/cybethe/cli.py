@@ -18,7 +18,6 @@ from .frame import (canonical_lambda0, eigenvalues, is_critical_exact,
                     is_cyclotomic_tuple, is_generic, validate_lambda0,
                     weight_at_infinity)
 from .genengine import cyclotomic_generate, explore_population
-from .numerics import Tolerances, embed, grad_check, residuals
 from .typea import (apply_flow, beta, cyclotomic_population,
                     flow_vs_generation, frame_conditions_check, gram_matrix,
                     is_cyclotomically_self_dual, isotropy_check, kernel_basis,
@@ -214,6 +213,8 @@ def cmd_lambda0(args):
 
 
 def cmd_check_numeric(args):
+    # numpy is imported here so that only this command pays for it
+    from .numerics import Tolerances, embed, grad_check, residuals
     inst = _instance(args)
     y = _tuple(args, inst)
     overrides = {}
@@ -250,8 +251,16 @@ def _plain(obj):
     return str(obj)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become InputError, so they also get a JSON record."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cybethe",
         description="Exact cyclotomic Bethe critical points: folding, "
                     "generation, population catalogs, type-A flag theory, "
@@ -353,22 +362,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc),
-                         **exc.payload}}, None)
-        return 2
-    except InternalInvariantError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc),
-                         **exc.payload}}, None)
-        return 3
     except CybetheError as exc:
         _emit({"error": {"kind": type(exc).__name__, "message": str(exc),
                          **exc.payload}}, None)
-        return 2
+        return 3 if isinstance(exc, InternalInvariantError) else 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ function (Re log = log |.|), so logarithm branches never enter.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -102,13 +101,6 @@ def embed(y, tol=DEFAULT_TOL):
 def _site_data(inst):
     """[(z complex, weight)] for the extended configuration."""
     return [(complex(z), lam) for _, z, lam in extended_sites(inst)]
-
-
-def _pair_matrix(inst):
-    cartan = inst.cartan
-    n = cartan.n
-    alpha = [[Fraction(cartan.a[i][j]) for i in range(n)] for j in range(n)]
-    return alpha
 
 
 def _ip_weight_alpha(inst, lam, j):

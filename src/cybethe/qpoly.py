@@ -14,12 +14,14 @@ functions.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from math import lcm
 
 from . import linalg
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
-from .scalars import Cyc
+from .scalars import Cyc, cyclotomic_polynomial
 
 
 def _frac(e):
@@ -188,7 +190,10 @@ class QPoly:
         return all(self.terms[e] == other.terms[e] for e in self.terms)
 
     def __hash__(self):
-        return hash(frozenset((e, str(c)) for e, c in self.terms.items()))
+        # a constant compares equal to its coefficient, so it hashes as one
+        if not self.terms or set(self.terms) == {0}:
+            return hash(self.coeff(0))
+        return hash(frozenset(self.terms.items()))
 
     # calculus and evaluation -------------------------------------------
 
@@ -337,6 +342,112 @@ def _dense_gcd(a, b):
     return [c * inv for c in a]
 
 
+# --- modular coprimality certificate -----------------------------------
+#
+# f, g over Q(zeta_L) are coprime iff Res(f, g) != 0.  For a prime
+# p = 1 (mod L) and a root r of Phi_L mod p, zeta_L -> r is a ring map onto
+# F_p on coefficients whose denominators p does not divide.  When p also
+# divides neither leading image, it commutes with the resultant, so
+# gcd(f mod p, g mod p) = 1 proves Res(f, g) != 0.  Any other outcome proves
+# nothing, and the caller runs the exact Euclidean algorithm: only that path
+# ever answers "not coprime".  (Brown, JACM 18, 1971; von zur Gathen and
+# Gerhard, Modern Computer Algebra, ch. 6.)
+
+def _is_prime(n):
+    """Miller-Rabin with the prime bases up to 37, exact below 3.1e23."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _cert_field(L):
+    """(p, powers): the largest prime p = 1 (mod L) below 2^61 and the
+    powers r^j, j < L, of a root r of Phi_L mod p."""
+    p = ((1 << 61) - 2) // L * L + 1
+    while not _is_prime(p):
+        p -= L
+    phi = cyclotomic_polynomial(L)
+    for a in count(2):
+        # r is an L-th root of unity; it is primitive iff Phi_L(r) = 0
+        r = pow(a, (p - 1) // L, p)
+        value = 0
+        for c in reversed(phi):
+            value = (value * r + c) % p
+        if value == 0:
+            return p, tuple(pow(r, j, p) for j in range(L))
+
+
+def _image(coeffs, L, p, powers):
+    """Images in F_p of Q(zeta_L) coefficients; None if p divides a
+    denominator.  An order-m coefficient sum q_k w^k maps to
+    sum q_k r^(k L/m)."""
+    out = []
+    for c in coeffs:
+        step = L // c.order
+        acc = 0
+        for k, q in enumerate(c.vec):
+            if q:
+                if q.denominator % p == 0:
+                    return None
+                acc += (q.numerator * powers[k * step]
+                        * pow(q.denominator, -1, p))
+        out.append(acc % p)
+    return out
+
+
+def _fp_coprime(a, b, p):
+    """True iff gcd(a, b) = 1 in F_p[s]; both leading entries nonzero."""
+    while len(b) > 1:
+        n = len(b) - 1
+        inv = pow(b[-1], -1, p)
+        a = list(a)
+        for k in range(len(a) - 1 - n, -1, -1):
+            c = a[k + n] * inv % p
+            if c:
+                a[k:k + n] = [(x - c * y) % p for x, y in zip(a[k:k + n], b)]
+        a = a[:n]
+        while a and not a[-1]:
+            a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _certified_coprime(fc, gc=None):
+    """True when one prime proves the dense lists fc, gc coprime over
+    Q(zeta_L); gc defaults to the derivative of fc.  False proves nothing."""
+    L = lcm(*(c.order for c in fc), *(c.order for c in gc or ()))
+    p, powers = _cert_field(L)
+    a = _image(fc, L, p, powers)
+    if a is None or not a[-1]:
+        return False
+    if gc is None:
+        b = [k * x % p for k, x in enumerate(a)][1:]
+    else:
+        b = _image(gc, L, p, powers)
+        if b is None:
+            return False
+    if not b[-1]:
+        return False
+    return _fp_coprime(a, b, p)
+
+
 # --- public operations --------------------------------------------------
 
 def divide_exact(f, g):
@@ -370,8 +481,10 @@ def qgcd(f, g):
     glow, gc = g._dense(D)
     # common pure power of x
     shared = min(flow, glow)
-    core = _dense_gcd(fc, gc)
     lowpow = QPoly.x_power(shared) if shared else QPoly.one()
+    if _certified_coprime(fc, gc):
+        return lowpow
+    core = _dense_gcd(fc, gc)
     return (QPoly._from_dense(Fraction(0), core, D) * lowpow).monic()
 
 
@@ -381,7 +494,7 @@ def is_squarefree(f):
         return False
     D = f.denom
     _, fc = f._dense(D)
-    if len(fc) <= 1:
+    if len(fc) <= 1 or _certified_coprime(fc):
         return True
     dfc = [fc[k] * k for k in range(1, len(fc))]
     g = _dense_gcd(fc, dfc)

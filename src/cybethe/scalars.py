@@ -50,6 +50,21 @@ def _phi_deg(M):
     return len(cyclotomic_polynomial(M)) - 1
 
 
+@lru_cache(maxsize=None)
+def _traces(M):
+    """Tr(w^k) for k < deg Phi_M, the Ramanujan sums c_M(k).
+
+    w^k is a primitive n-th root of unity, n = M / gcd(k, M); the primitive
+    n-th roots sum to minus the subleading coefficient of Phi_n, and the
+    trace from Q(zeta_M) is [Q(zeta_M):Q(zeta_n)] times that sum.
+    """
+    out = []
+    for k in range(_phi_deg(M)):
+        n = M // gcd(k, M)
+        out.append(-cyclotomic_polynomial(n)[-2] * _phi_deg(M) // _phi_deg(n))
+    return tuple(out)
+
+
 def _reduce_mod_phi(coeffs, M):
     """Reduce a Fraction list modulo Phi_M, returning a tuple of length deg."""
     phi = cyclotomic_polynomial(M)
@@ -231,11 +246,10 @@ class Cyc:
         return a.vec == b.vec
 
     def __hash__(self):
-        # hash by value in the minimal congruent representation: rationals
-        # hash as rationals so promotion does not break hashing
-        if self.is_rational():
-            return hash(self.vec[0])
-        return hash((self.order, self.vec))
+        # Tr(a) / [Q(zeta_M):Q] does not change under promotion, so equal
+        # values hash equally across orders; a rational q hashes as q
+        trace = sum(q * t for q, t in zip(self.vec, _traces(self.order)) if q)
+        return hash(Fraction(trace, len(self.vec)))
 
     # output -----------------------------------------------------------
 

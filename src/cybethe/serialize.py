@@ -24,6 +24,24 @@ _TERM_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?(?:w(?:\^(\d+))?)?\s*$")
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InputError(f"zero denominator in {text!r}") from None
+    except (TypeError, ValueError):
+        raise InputError(f"not a rational number: {text!r}") from None
+
+
+def _field(doc, key):
+    """doc[key]; a missing key or a document that is no object is an
+    InputError."""
+    try:
+        return doc[key]
+    except (KeyError, TypeError):
+        raise InputError(f"document has no {key!r} entry") from None
+
+
 def scalar_str(value):
     if isinstance(value, Cyc):
         return str(value)
@@ -44,12 +62,12 @@ def parse_scalar(text, order=1):
         m = _TERM_RE.match(chunk)
         if not m or (m.group(2) is None and "w" not in chunk):
             if re.fullmatch(r"[+-]?\d+(/\d+)?", chunk):
-                total = total + Cyc.of(Fraction(chunk), order)
+                total = total + Cyc.of(_fraction(chunk), order)
                 parsed_any = True
                 continue
             raise InputError(f"cannot parse scalar term {chunk!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        coeff = _fraction(m.group(2)) if m.group(2) else Fraction(1)
         if "w" in chunk:
             power = int(m.group(3)) if m.group(3) else 1
             if order < 2:
@@ -74,9 +92,9 @@ def qpoly_doc(p):
 
 
 def qpoly_from_doc(doc, order=1):
-    d = int(doc["denom"])
+    d = int(_field(doc, "denom"))
     return QPoly({Fraction(int(k), d): parse_scalar(v, order)
-                  for k, v in doc["terms"].items()})
+                  for k, v in _field(doc, "terms").items()})
 
 
 # --- weights and cartan data ----------------------------------------------
@@ -86,7 +104,7 @@ def weight_doc(w):
 
 
 def weight_from_doc(doc):
-    return Weight([Fraction(p) for p in doc])
+    return Weight([_fraction(p) for p in doc])
 
 
 def cartan_doc(c):
@@ -98,8 +116,8 @@ def cartan_from_doc(doc):
         series, rank = doc[0], int(doc[1:])
         return CartanData.series(series, rank)
     if "series" in doc:
-        return CartanData.series(doc["series"], int(doc["rank"]))
-    return CartanData.from_matrix(doc["matrix"], doc.get("d"))
+        return CartanData.series(doc["series"], int(_field(doc, "rank")))
+    return CartanData.from_matrix(_field(doc, "matrix"), doc.get("d"))
 
 
 def perm_from_doc(doc, n):
@@ -141,8 +159,8 @@ def instance_doc(inst):
 
 def instance_from_doc(doc):
     from .frame import ProblemInstance
-    cartan = cartan_from_doc(doc["cartan"])
-    aut = perm_from_doc(doc["sigma"], cartan.n)
+    cartan = cartan_from_doc(_field(doc, "cartan"))
+    aut = perm_from_doc(_field(doc, "sigma"), cartan.n)
     M = int(doc.get("M", aut.order))
     if M != aut.order:
         raise InputError(f"declared M = {M} but sigma has order {aut.order}")
@@ -169,7 +187,8 @@ def tuple_doc(y):
 
 def tuple_from_doc(doc, order=1):
     from .frame import BetheTuple
-    return BetheTuple([qpoly_from_doc(p, order) for p in doc["polys"]])
+    return BetheTuple([qpoly_from_doc(p, order)
+                       for p in _field(doc, "polys")])
 
 
 def tuple_doc_json(y):

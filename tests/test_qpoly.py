@@ -4,12 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import poly
+from cybethe import qpoly
 from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
                             InexactDivision, NoSolution)
 from cybethe.qpoly import (QPoly, RatQP, divide_exact, divided_wronskian,
                            is_squarefree, log_derivative, proportional, qgcd,
                            wronskian, wronskian_ode_solve)
-from cybethe.scalars import Cyc
+from cybethe.scalars import Cyc, cyclotomic_polynomial
 
 
 def test_arithmetic_basics():
@@ -145,3 +146,149 @@ def test_ratqp():
     assert ld == RatQP(poly(2), poly(0, 1))
     d = RatQP(poly(0, 1)).derivative()
     assert d == RatQP(poly(1))
+
+
+# --- modular coprimality certificate ----------------------------------------
+
+def _dense(f):
+    return f._dense()[1]
+
+
+def _exact_gcd_degree(f, g):
+    """Degree of gcd(f, g) in s by the exact Euclidean reference path."""
+    return len(qpoly._dense_gcd(_dense(f), _dense(g))) - 1
+
+
+def _rand_scalar(rng, M):
+    w = Cyc.root_of_unity(M)
+    out = Cyc.of(F(rng.randint(-4, 4), rng.randint(1, 3)), M)
+    for k in range(1, len(out.vec)):
+        out = out + w ** k * F(rng.randint(-4, 4), rng.randint(1, 3))
+    return out
+
+
+def _rand_poly(rng, M, deg):
+    """Degree deg, with nonzero constant and leading coefficients."""
+    coeffs = [_rand_scalar(rng, M) for _ in range(deg + 1)]
+    for k in (0, deg):
+        coeffs[k] = coeffs[k] or Cyc.of(1, M)
+    return QPoly.from_coeffs(coeffs)
+
+
+def test_certificate_prime_and_root():
+    for L in (1, 2, 3, 8, 24):
+        p, powers = qpoly._cert_field(L)
+        assert (p - 1) % L == 0 and p < 2 ** 61 and qpoly._is_prime(p)
+        value = 0
+        for c in reversed(cyclotomic_polynomial(L)):
+            value = (value * powers[1 % L] + c) % p
+        assert value == 0
+    assert not qpoly._is_prime(2 ** 61 + 1) and qpoly._is_prime(2 ** 61 - 1)
+    assert [n for n in range(40) if qpoly._is_prime(n)] == \
+        [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def test_certificate_image_is_ring_map_across_orders():
+    # zeta_3 beside zeta_6 and zeta_4 beside zeta_8: each order-m value maps
+    # through r^(L/m), so sums and products commute with the image
+    L = 24
+    p, powers = qpoly._cert_field(L)
+    values = [Cyc.root_of_unity(3), Cyc.root_of_unity(6, 5),
+              Cyc.root_of_unity(4), Cyc.root_of_unity(8, 3) * F(2, 7) + F(1, 5),
+              Cyc.root_of_unity(12, 7) - 3, Cyc.of(F(-3, 2))]
+
+    def img(c):
+        return qpoly._image([c], L, p, powers)[0]
+
+    for a in values:
+        assert img(a.promote(L)) == img(a)
+        for b in values:
+            assert img(a * b) == img(a) * img(b) % p
+            assert img(a + b) == (img(a) + img(b)) % p
+
+
+@pytest.mark.parametrize("M", [1, 3, 8])
+def test_certificate_against_sympy(M):
+    sympy = pytest.importorskip("sympy")
+    if M == 1:
+        K, gen = sympy.QQ, sympy.QQ.one
+    else:
+        K = sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / M))
+        gen = K.from_sympy(sympy.exp(2 * sympy.pi * sympy.I / M))
+    x = sympy.symbols("x")
+
+    def to_sympy(f):
+        coeffs = []
+        for k in range(int(f.degree), -1, -1):
+            c = f.coeff(k).promote(M)
+            acc = K.zero
+            for j, q in enumerate(c.vec):
+                acc += K.convert(sympy.QQ(q.numerator, q.denominator)) \
+                    * gen ** j
+            coeffs.append(acc)
+        return sympy.Poly(coeffs, x, domain=K)
+
+    rng = random.Random(1000 + M)
+    for trial in range(12):
+        a = _rand_poly(rng, M, rng.randint(1, 3))
+        b = _rand_poly(rng, M, rng.randint(1, 3))
+        h = _rand_poly(rng, M, rng.randint(1, 2))
+        # coprime as drawn, a built common factor, and a repeated root
+        for f, g in ((a, b), (h * a, h * b), (h * h * a, b)):
+            want = to_sympy(f).gcd(to_sympy(g)).degree()
+            assert qgcd(f, g).degree == want
+            assert _exact_gcd_degree(f, g) == want
+            fs = to_sympy(f)
+            assert is_squarefree(f) == (fs.degree() < 2
+                                        or fs.discriminant() != 0)
+        assert qgcd(h * a, h * b).degree >= h.degree
+        assert not is_squarefree(h * h * a)
+
+
+def test_certificate_mixed_orders():
+    rng = random.Random(5)
+    z3, z6 = Cyc.root_of_unity(3), Cyc.root_of_unity(6)
+    i, z8 = Cyc.root_of_unity(4), Cyc.root_of_unity(8)
+    for _ in range(6):
+        f = QPoly.from_coeffs([z3 * rng.randint(1, 3), z6, 1, z3 - z6 + 2])
+        g = QPoly.from_coeffs([i + rng.randint(1, 3), z8 ** 3, F(1, 2), i])
+        h = QPoly.from_coeffs([z6 * F(rng.randint(1, 5), 2), z8, 1])
+        assert qgcd(f, g).degree == _exact_gcd_degree(f, g) == 0
+        built = qgcd(h * f, h * g)
+        assert built.degree == _exact_gcd_degree(h * f, h * g) >= 2
+        assert divide_exact(h * f, built) * built == h * f
+        assert is_squarefree(h * f)
+        assert not is_squarefree(h * h * g)
+
+
+def test_certificate_falls_back_when_the_prime_divides_input():
+    p, _ = qpoly._cert_field(1)
+    line = poly(-1, 1)
+    # leading coefficient divisible by p: the image loses degree
+    f = poly(1, 0, p)
+    assert not qpoly._certified_coprime(_dense(f), _dense(line))
+    assert qgcd(f, line).degree == 0
+    assert qgcd(line * poly(1, p), line * poly(2, 1)) == line
+    assert not qpoly._certified_coprime(_dense(poly(1, 2, p)))
+    assert is_squarefree(poly(1, 2, p))
+    assert not is_squarefree(poly(1, 2, 1).scale(p))
+    # a denominator divisible by p
+    f = poly(F(1, p), 1)
+    assert not qpoly._certified_coprime(_dense(f), _dense(line))
+    assert qgcd(f, line).degree == 0
+    assert qgcd(f * line, line * line) == line
+    # a common root mod p that is no common root over Q
+    g = poly(-1 - p, 1)
+    assert not qpoly._certified_coprime(_dense(line), _dense(g))
+    assert qgcd(line, g).degree == 0
+    # discriminant -4p: squarefree over Q, a double root mod p
+    f = poly(1 + p, -2, 1)
+    assert not qpoly._certified_coprime(_dense(f))
+    assert is_squarefree(f)
+    # the same in Q(zeta_3): p3 * zeta_3 maps to 0
+    p3, _ = qpoly._cert_field(3)
+    z3 = Cyc.root_of_unity(3)
+    f = QPoly.from_coeffs([1, z3, z3 * p3])
+    assert not qpoly._certified_coprime(_dense(f), _dense(line))
+    assert qgcd(f, line).degree == 0
+    assert qgcd(f * line, line).degree == 1

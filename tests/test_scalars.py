@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cybethe.qpoly import QPoly
 from cybethe.scalars import Cyc, cyclotomic_polynomial, primitive_root
 from cybethe.errors import InputError
 
@@ -52,6 +53,22 @@ def test_promotion_compatibility():
     assert w3.promote(12) == w12 ** 4
     # mixed arithmetic promotes automatically
     assert w3 * w12 ** 4 == (w3 * w3).promote(12)
+
+
+def test_hash_agrees_with_equality():
+    w3, i = Cyc.root_of_unity(3), Cyc.root_of_unity(4)
+    pairs = [(w3, w3.promote(6)), (i, i.promote(8)),
+             (2 * w3 - F(1, 3), (2 * w3 - F(1, 3)).promote(12)),
+             (Cyc.of(5), 5), (Cyc.of(F(-7, 3), 8), F(-7, 3))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+    assert len({w3, w3.promote(6), w3.promote(12)}) == 1
+    # quasi-polynomials hash their coefficients by value
+    p = QPoly({F(1, 2): w3, F(2): i})
+    q = QPoly({F(1, 2): w3.promote(6), F(2): i.promote(8)})
+    assert p == q and hash(p) == hash(q)
+    for c in (5, w3, Cyc.of(0)):
+        assert QPoly.constant(c) == c and hash(QPoly.constant(c)) == hash(c)
 
 
 def test_primitivity_guard():

@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import poly
+import cybethe
 from cybethe import cli, serialize
+from cybethe.errors import InputError
 from cybethe.frame import BetheTuple
 from cybethe.qpoly import QPoly
 from cybethe.scalars import Cyc
@@ -203,3 +209,55 @@ def test_cli_input_error(docs, capsys):
     assert rc == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["kind"] == "InputError"
+
+
+def _error_record(capsys):
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc["error"]) >= {"kind", "message"}
+    return doc["error"]
+
+
+def test_cli_instance_without_cartan(docs, capsys):
+    inst, tup, tmp_path = docs
+    bad = tmp_path / "no-cartan.json"
+    bad.write_text(json.dumps(
+        {k: v for k, v in A2_INSTANCE.items() if k != "cartan"}))
+    rc = cli.main(["verify", "--instance", str(bad), "--tuple", tup])
+    assert rc == 2
+    assert _error_record(capsys)["kind"] == "InputError"
+    for doc in ({"polys": [{"denom": 1}]}, {"tuples": []}, [1, 2]):
+        with pytest.raises(InputError):
+            serialize.tuple_from_doc(doc)
+
+
+def test_cli_zero_denominator(docs, capsys):
+    inst, tup, _ = docs
+    rc = cli.main(["generate", "--instance", inst, "--tuple", tup,
+                   "--direction", "1", "--c", "1/0"])
+    assert rc == 2
+    assert _error_record(capsys)["kind"] == "InputError"
+    for text in ("1/0", "2 + 3/0*w"):
+        with pytest.raises(InputError):
+            serialize.parse_scalar(text, 4)
+    with pytest.raises(InputError):
+        serialize.weight_from_doc(["1/2", "1/0"])
+
+
+def test_cli_usage_error_record(docs, capsys):
+    inst, tup, _ = docs
+    for argv in (["verify", "--instance", inst],
+                 ["generate", "--instance", inst, "--tuple", tup,
+                  "--direction", "1", "--c", "-1/2"],
+                 ["no-such-command"]):
+        assert cli.main(argv) == 2
+        assert _error_record(capsys)["kind"] == "InputError"
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(cybethe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, cybethe.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
