@@ -340,9 +340,9 @@ def inner_product(cartan, lam, mu):
     (lambda, mu) = sum_i <lambda, alpha_i^vee> d_i (A^{-1} mu)_i, which is
     the Gram matrix d_i (a^{-1})_{ij} of the fundamental weights.
     """
-    rhs = [Fraction(p) for p in mu.pairings]
-    rows = [[Fraction(x) for x in row] for row in cartan.a]
-    sol = linalg.solve(rows, rhs)
-    if sol is None or linalg.nullspace(rows):
+    inv = linalg.invert([[Fraction(x) for x in row] for row in cartan.a])
+    if inv is None:
         raise SingularCartan("inner product needs an invertible Cartan matrix")
-    return sum(Fraction(lam[i]) * cartan.d[i] * sol[i] for i in range(cartan.n))
+    n = cartan.n
+    return sum(Fraction(lam[i]) * cartan.d[i] * inv[i][j] * Fraction(mu[j])
+               for i in range(n) for j in range(n))

@@ -55,9 +55,13 @@ def _parse_samples(text, order):
 
 
 def cmd_fold(args):
-    cartan = serialize.cartan_from_doc(
-        args.cartan if not args.cartan.startswith("{")
-        else json.loads(args.cartan))
+    doc = args.cartan
+    if doc.startswith("{"):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"--cartan is not a JSON document: {exc}")
+    cartan = serialize.cartan_from_doc(doc)
     aut = serialize.perm_from_doc(args.sigma, cartan.n)
     fold = orbit_data(cartan, aut)
     doc = {
@@ -84,13 +88,9 @@ def cmd_verify(args):
     inst = _instance(args)
     y = _tuple(args, inst)
     ok_g, witness = is_generic(inst, y)
-    report = {"generic": ok_g, "witness": witness}
-    if ok_g:
-        crit, _ = is_critical_exact(inst, y)
-        report["critical"] = crit
-    else:
-        report["critical"] = False
-    report["cyclotomic"] = is_cyclotomic_tuple(inst, y)
+    report = {"generic": ok_g, "witness": witness,
+              "critical": ok_g and is_critical_exact(inst, y)[0],
+              "cyclotomic": is_cyclotomic_tuple(inst, y)}
     report["lambda_infinity"] = serialize.weight_doc(
         weight_at_infinity(inst, y))
     _emit(report, args.out)

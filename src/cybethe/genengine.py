@@ -19,8 +19,9 @@ monic-normalized before it enters step 2, which makes the A_2 family from
 the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
 
 `explore_population` runs a bounded, deterministic BFS over directions and
-parameters, re-verifying every node and checking the weight-at-infinity
-dichotomy along each edge.
+parameters.  Generation proves each emitted tuple generic and cyclotomic;
+the BFS adds the criticality check and the weight-at-infinity dichotomy
+along each edge, once per new node.
 """
 
 from dataclasses import dataclass, field
@@ -50,6 +51,44 @@ def _rhs_l1(inst, y, i, t):
     return QPoly.x_power(inst.gamma(i)) * interaction_product(inst, y, i, t=t)
 
 
+def _l1_base(inst, y, i, t):
+    """Solution of Wr(y_i, Y) = _rhs_l1 pinned to a zero coefficient at
+    x^deg y_i: the c-independent part of the family base + c y_i."""
+    base, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
+                                  ("coeff_zero", y[i].degree))
+    return base
+
+
+def _l2_bases(inst, y, i, t):
+    """c-independent part of the L = 2 step at i: the monic holomorphic
+    step-1 solution y_i_1 and the pinned step-2 base2.  The step-2
+    right-hand side x^(1+2 gamma) T_ibar y_i_1 prod_{j != i} y_j^(-a_ibar,j)
+    is x^(1+gamma) times the L = 1 one at ibar with y_i replaced by y_i_1,
+    as a_ibar,i = -1 and gamma is sigma-invariant."""
+    gamma = inst.gamma(i)
+    lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
+                                    ("holomorphic_at_zero", gamma + 1))
+    y_i_1 = QPoly({e - (gamma + 1): v for e, v in lifted.terms.items()})
+    if not y_i_1.is_polynomial():
+        raise NoSolution("step-1 component is not an ordinary polynomial")
+    y_i_1 = y_i_1.monic()
+    ibar = inst.aut(i)
+    polys = list(y)
+    polys[i] = y_i_1
+    base2, _ = wronskian_ode_solve(
+        y[ibar], QPoly.x_power(1 + gamma) * _rhs_l1(inst, polys, ibar, t),
+        ("coeff_zero", y[ibar].degree))
+    return y_i_1, base2
+
+
+def _representative(fold, i):
+    """L_i of the orbit representative i; InputError for any other index."""
+    if i not in fold.reps:
+        raise InputError(
+            f"direction {i + 1} is not an orbit representative")
+    return fold.linking[i]
+
+
 def elementary_generate_L1(inst, y, i, c, t=None):
     """One elementary generation step at node i (integral <L0, a_i^vee>).
 
@@ -62,8 +101,7 @@ def elementary_generate_L1(inst, y, i, c, t=None):
     gamma = inst.gamma(i)
     if gamma.denominator != 1 or gamma < 0:
         raise InputError(f"elementary L1 step needs <L0,a_{i}^vee> in Z>=0")
-    rhs = _rhs_l1(inst, y, i, t)
-    base, _ = wronskian_ode_solve(y[i], rhs, ("coeff_zero", y[i].degree))
+    base = _l1_base(inst, y, i, t)
     new = base + y[i].scale(c)
     if new.is_zero():
         raise ExceptionalParameter(c, f"component y_{i} degenerates to zero")
@@ -83,6 +121,17 @@ def _transport(poly, omega, k):
                   for e, c in poly.terms.items()})
 
 
+def _checked(inst, out, c, kind, t):
+    """Prove the generated tuple generic and cyclotomic, or raise."""
+    ok, witness = is_generic(inst, out, t=t)
+    if not ok:
+        raise ExceptionalParameter(c, witness)
+    if not is_cyclotomic_tuple(inst, out):
+        raise InternalInvariantError(
+            f"{kind} generation lost cyclotomic symmetry")
+    return out
+
+
 def cyclotomic_generate_L1(inst, fold, y, i, c, t=None):
     """Cyclotomic generation at an L=1 orbit representative.
 
@@ -90,13 +139,10 @@ def cyclotomic_generate_L1(inst, fold, y, i, c, t=None):
     returns (BetheTuple, GenerationStep).
     """
     t = t or frame_polys(inst)
-    if i not in fold.reps:
-        raise InputError(f"{i} is not an orbit representative")
-    if fold.linking[i] != 1:
+    if _representative(fold, i) != 1:
         raise InputError(f"node {i} has L = {fold.linking[i]}, expected 1")
     c = c if isinstance(c, Cyc) else Cyc.of(c)
-    rhs = _rhs_l1(inst, y, i, t)
-    base, _ = wronskian_ode_solve(y[i], rhs, ("coeff_zero", y[i].degree))
+    base = _l1_base(inst, y, i, t)
     member = base + y[i].scale(c)
     if member.is_zero():
         raise ExceptionalParameter(c, "generated component vanishes")
@@ -107,21 +153,12 @@ def cyclotomic_generate_L1(inst, fold, y, i, c, t=None):
         node = inst.aut.power(i, k)
         polys[node] = _transport(member, inst.omega, k)
     if m_i > 1:
-        node = inst.aut(i)
-        rhs_node = _rhs_l1(inst, y, node, t)
-        ind_base, _ = wronskian_ode_solve(y[node], rhs_node,
-                                          ("coeff_zero", y[node].degree))
+        ind_base = _l1_base(inst, y, inst.aut(i), t)
         if _transport(base, inst.omega, 1) != ind_base:
             raise InternalInvariantError(
                 "transported L1 component disagrees with an independent solve")
-    out = BetheTuple.monic_of(polys)
-    ok, witness = is_generic(inst, out, t=t)
-    if not ok:
-        raise ExceptionalParameter(c, witness)
-    if not is_cyclotomic_tuple(inst, out):
-        raise InternalInvariantError("L1 generation lost cyclotomic symmetry")
-    step = GenerationStep(direction=i, c=c, kind="L1")
-    return out, step
+    out = _checked(inst, BetheTuple.monic_of(polys), c, "L1", t)
+    return out, GenerationStep(direction=i, c=c, kind="L1")
 
 
 def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
@@ -142,59 +179,30 @@ def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
     if gamma.denominator != 2:
         raise InputError(f"<L0,a_{i}^vee> must be half-odd for an L=2 step")
 
-    # step 1: Wr(y_i, x^(gamma+1) Y) = x^gamma T_i prod_{j!=i} y_j^(-a_ij)
-    rhs1 = _rhs_l1(inst, y, i, t)
-    lifted, _ = wronskian_ode_solve(y[i], rhs1,
-                                    ("holomorphic_at_zero", gamma + 1))
-    y_i_1 = QPoly({e - (gamma + 1): v for e, v in lifted.terms.items()})
-    if not y_i_1.is_polynomial():
-        raise NoSolution("step-1 component is not an ordinary polynomial")
-    y_i_1 = y_i_1.monic()
-
-    # step 2: Wr(y_ibar, Y) = x^(1+2 gamma) T_ibar y^(i)_i prod y_j^(-a_ibar,j)
-    rhs2 = QPoly.x_power(1 + 2 * gamma) * t[ibar] * y_i_1
-    for j in range(inst.cartan.n):
-        if j in (i, ibar):
-            continue
-        power = -inst.cartan.a[ibar][j]
-        if power:
-            rhs2 = rhs2 * y[j] ** power
-    base2, _ = wronskian_ode_solve(y[ibar], rhs2,
-                                   ("coeff_zero", y[ibar].degree))
+    y_i_1, base2 = _l2_bases(inst, y, i, t)
     y_ibar_2 = base2 + y[ibar].scale(c)
     if y_ibar_2.is_zero():
         raise ExceptionalParameter(c, "middle step component vanishes")
 
-    # step 3: Wr(x^(gamma+1) y^(i)_i, Y) = x^gamma T_i y^(ibar,i) prod ...
-    f3 = QPoly.x_power(gamma + 1) * y_i_1
-    rhs3 = QPoly.x_power(gamma) * t[i] * y_ibar_2
-    for j in range(inst.cartan.n):
-        if j in (i, ibar):
-            continue
-        power = -inst.cartan.a[i][j]
-        if power:
-            rhs3 = rhs3 * y[j] ** power
-    y_i_3, _ = wronskian_ode_solve(f3, rhs3, ("holomorphic_at_zero", 0))
+    # step 3: Wr(x^(gamma+1) y_i_1, Y) = x^gamma T_i y_ibar_2 prod ..., the
+    # L = 1 right-hand side at i with y_ibar replaced by y_ibar_2
+    polys = list(y)
+    polys[ibar] = y_ibar_2
+    y_i_3, _ = wronskian_ode_solve(QPoly.x_power(gamma + 1) * y_i_1,
+                                   _rhs_l1(inst, polys, i, t),
+                                   ("holomorphic_at_zero", 0))
     if not y_i_3.is_polynomial():
         raise NoSolution("step-3 component is not an ordinary polynomial")
 
-    polys = list(y)
     polys[i] = y_i_3
-    polys[ibar] = y_ibar_2
-    out = BetheTuple.monic_of(polys)
-    ok, witness = is_generic(inst, out, t=t)
-    if not ok:
-        raise ExceptionalParameter(c, witness)
-    if not is_cyclotomic_tuple(inst, out):
-        raise InternalInvariantError("L2 generation lost cyclotomic symmetry")
-    step = GenerationStep(direction=i, c=c, kind="L2", intermediates=(
+    out = _checked(inst, BetheTuple.monic_of(polys), c, "L2", t)
+    return out, GenerationStep(direction=i, c=c, kind="L2", intermediates=(
         ("y_i_step1", y_i_1), ("y_ibar_step2", y_ibar_2),
         ("y_i_step3", y_i_3)))
-    return out, step
 
 
 def cyclotomic_generate(inst, fold, y, i, c, t=None):
-    if fold.linking[i] == 1:
+    if _representative(fold, i) == 1:
         return cyclotomic_generate_L1(inst, fold, y, i, c, t=t)
     return cyclotomic_generate_L2(inst, fold, y, i, c, t=t)
 
@@ -209,23 +217,10 @@ def generation_family(inst, fold, y, i, t=None):
     whole step.
     """
     t = t or frame_polys(inst)
-    if fold.linking[i] == 1:
-        rhs = _rhs_l1(inst, y, i, t)
-        base, _ = wronskian_ode_solve(y[i], rhs, ("coeff_zero", y[i].degree))
-        return i, base, y[i]
+    if _representative(fold, i) == 1:
+        return i, _l1_base(inst, y, i, t), y[i]
     ibar = inst.aut(i)
-    gamma = inst.gamma(i)
-    rhs1 = _rhs_l1(inst, y, i, t)
-    lifted, _ = wronskian_ode_solve(y[i], rhs1,
-                                    ("holomorphic_at_zero", gamma + 1))
-    y_i_1 = QPoly({e - (gamma + 1): v for e, v in lifted.terms.items()}).monic()
-    rhs2 = QPoly.x_power(1 + 2 * gamma) * t[ibar] * y_i_1
-    for j in range(inst.cartan.n):
-        if j not in (i, ibar) and inst.cartan.a[ibar][j]:
-            rhs2 = rhs2 * y[j] ** (-inst.cartan.a[ibar][j])
-    base2, _ = wronskian_ode_solve(y[ibar], rhs2,
-                                   ("coeff_zero", y[ibar].degree))
-    return ibar, base2, y[ibar]
+    return ibar, _l2_bases(inst, y, i, t)[1], y[ibar]
 
 
 @dataclass
@@ -239,8 +234,12 @@ class PopulationNode:
 
 
 class PopulationGraph:
+    """BFS nodes indexed by canonical tuple, and `skipped`: one (node id,
+    direction as in GenerationStep, c, reason) per exceptional sample."""
+
     def __init__(self):
         self.nodes = []
+        self.skipped = []
         self._index = {}
 
     def key(self, y):
@@ -257,14 +256,23 @@ class PopulationGraph:
         return len(self.nodes)
 
 
-def explore_population(inst, fold, seed, depth, samples, retry_budget=4):
+# exceptional samples tolerated per (node, direction) before moving on
+RETRY_BUDGET = 4
+
+
+def explore_population(inst, fold, seed, depth, samples):
     """Bounded BFS over cyclotomic generation directions and parameters.
 
-    Every emitted node is re-verified (generic, cyclotomic, critical) and
-    its weight at infinity checked against the dichotomy: equal to the
-    parent's or to its folded shifted reflection.  Deduplication is by the
-    canonical serialized monic tuple.
+    Generation proves every emitted tuple generic and cyclotomic; each new
+    node is then checked critical and its weight at infinity checked
+    against the dichotomy: equal to the parent's or to its folded shifted
+    reflection.  Deduplication is by the canonical serialized monic tuple.
     """
+    if depth < 0:
+        raise InputError(f"population depth must be >= 0, got {depth}")
+    samples = [s if isinstance(s, Cyc) else Cyc.of(s) for s in samples]
+    if not samples:
+        raise InputError("population needs at least one sample parameter")
     t = frame_polys(inst)
     ok, witness = is_generic(inst, seed, t=t)
     if not ok:
@@ -275,7 +283,6 @@ def explore_population(inst, fold, seed, depth, samples, retry_budget=4):
     if not crit:
         raise SeedInvalid("seed is not an exact critical point")
 
-    samples = [s if isinstance(s, Cyc) else Cyc.of(s) for s in samples]
     graph = PopulationGraph()
     root = PopulationNode(node_id=0, tuple_=seed, parent=None, step=None,
                           lambda_inf=weight_at_infinity(inst, seed),
@@ -287,14 +294,15 @@ def explore_population(inst, fold, seed, depth, samples, retry_budget=4):
         next_frontier = []
         for node in frontier:
             for i in fold.reps:
-                skipped = []
+                misses = 0
                 for c in samples:
                     try:
                         child, step = cyclotomic_generate(
                             inst, fold, node.tuple_, i, c, t=t)
                     except ExceptionalParameter as exc:
-                        skipped.append((c, exc.reason))
-                        if len(skipped) > retry_budget:
+                        graph.skipped.append((node.node_id, i, c, exc.reason))
+                        misses += 1
+                        if misses > RETRY_BUDGET:
                             break
                         continue
                     if graph.find(child) is not None:
@@ -312,9 +320,12 @@ def explore_population(inst, fold, seed, depth, samples, retry_budget=4):
 
 
 def _verify_node(inst, fold, parent, child, i, t):
-    ok_g, _ = is_generic(inst, child, t=t)
-    ok_cyc = is_cyclotomic_tuple(inst, child)
+    """Flags of a new node.  Generation has already proven it generic and
+    cyclotomic, so only criticality and the weight dichotomy are checked."""
     ok_cr, _ = is_critical_exact(inst, child, t=t)
+    if not ok_cr:
+        raise InternalInvariantError(
+            "generated node fails verification: not an exact critical point")
     linf = weight_at_infinity(inst, child)
     reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                parent.lambda_inf)
@@ -326,9 +337,5 @@ def _verify_node(inst, fold, parent, child, i, t):
         raise InternalInvariantError(
             f"weight at infinity {linf} is neither the parent's "
             f"{parent.lambda_inf} nor its folded reflection {reflected}")
-    if not (ok_g and ok_cyc and ok_cr):
-        raise InternalInvariantError(
-            f"generated node fails verification: generic={ok_g} "
-            f"cyclotomic={ok_cyc} critical={ok_cr}")
-    return {"generic": ok_g, "cyclotomic": ok_cyc, "critical": ok_cr,
+    return {"generic": True, "cyclotomic": True, "critical": True,
             "edge": edge}

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over Q or Q(zeta_M).
 
 Entries may be ints, Fractions, or Cyc scalars; Gaussian elimination only
-uses field operations, so everything stays exact.
+uses field operations, so everything stays exact.  Every public function
+reads the pivots of one reduction, `_rref`.
 """
 
 from fractions import Fraction
@@ -15,88 +16,76 @@ def _is_zero(x):
     return x == 0
 
 
+def _rref(rows, cols):
+    """Gauss-Jordan reduction pivoting on the first `cols` columns; later
+    columns (right-hand sides) ride along.  Returns (reduced rows, pivot
+    column of each leading row)."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if not _is_zero(m[i][c])),
+                     None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c] if not isinstance(m[r][c], Cyc) else m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not _is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def solve(matrix, rhs):
     """One solution of matrix @ x = rhs, or None if inconsistent.
 
     Free variables are set to zero.  `matrix` is a list of rows; it need
     not be square.
     """
-    m = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    rows = len(m)
-    cols = len(matrix[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not _is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c] if not isinstance(m[r][c], Cyc) else m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if not _is_zero(m[i][-1]):
-            return None
+    cols = len(matrix[0]) if matrix else 0
+    m, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], cols)
+    if any(not _is_zero(row[-1]) for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for row, c in enumerate(pivots):
-        x[c] = m[row][-1]
+    for row, c in zip(m, pivots):
+        x[c] = row[-1]
     return x
 
 
 def nullspace(matrix):
     """Basis of the kernel of `matrix` (list of coefficient vectors)."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    m = [list(row) for row in matrix]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if not _is_zero(m[i][c])), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c] if not isinstance(m[r][c], Cyc) else m[r][c].inverse()
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
+    cols = len(matrix[0]) if matrix else 0
+    m, pivots = _rref(matrix, cols)
     basis = []
-    free = [c for c in range(cols) if c not in pivots]
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
-        for row, pc in enumerate(pivots):
-            vec[pc] = -m[row][fc]
+        for row, pc in zip(m, pivots):
+            vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
 def rank(matrix):
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    return cols - len(nullspace(matrix)) if cols else 0
+    return len(_rref(matrix, len(matrix[0]) if matrix else 0)[1])
 
 
 def invert(matrix):
-    """Exact inverse of a square matrix, or None if singular."""
+    """Exact inverse of a square matrix, or None if singular.
+
+    One reduction of [A | I]; the right half is the inverse.
+    """
     n = len(matrix)
-    cols = []
-    for j in range(n):
-        e = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        x = solve(matrix, e)
-        if x is None:
-            return None
-        cols.append(x)
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    identity = [[Fraction(1) if i == j else Fraction(0) for j in range(n)]
+                for i in range(n)]
+    m, pivots = _rref([list(row) + e for row, e in zip(matrix, identity)], n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in m]

@@ -33,6 +33,14 @@ def _fraction(text):
         raise InputError(f"not a rational number: {text!r}") from None
 
 
+def _int(value, what):
+    """int(value) for an integer field of a document, else InputError."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
 def _field(doc, key):
     """doc[key]; a missing key or a document that is no object is an
     InputError."""
@@ -92,8 +100,10 @@ def qpoly_doc(p):
 
 
 def qpoly_from_doc(doc, order=1):
-    d = int(_field(doc, "denom"))
-    return QPoly({Fraction(int(k), d): parse_scalar(v, order)
+    d = _int(_field(doc, "denom"), "denom")
+    if d == 0:
+        raise InputError("denom must be nonzero")
+    return QPoly({Fraction(_int(k, "exponent key"), d): parse_scalar(v, order)
                   for k, v in _field(doc, "terms").items()})
 
 
@@ -113,11 +123,15 @@ def cartan_doc(c):
 
 def cartan_from_doc(doc):
     if isinstance(doc, str):
-        series, rank = doc[0], int(doc[1:])
-        return CartanData.series(series, rank)
+        return CartanData.series(doc[:1], _int(doc[1:], "series rank"))
     if "series" in doc:
-        return CartanData.series(doc["series"], int(_field(doc, "rank")))
-    return CartanData.from_matrix(_field(doc, "matrix"), doc.get("d"))
+        return CartanData.series(doc["series"],
+                                 _int(_field(doc, "rank"), "rank"))
+    rows = [[_int(x, "Cartan matrix entry") for x in row]
+            for row in _field(doc, "matrix")]
+    d = doc.get("d")
+    return CartanData.from_matrix(
+        rows, None if d is None else [_int(x, "symmetrizer") for x in d])
 
 
 def perm_from_doc(doc, n):
@@ -125,14 +139,14 @@ def perm_from_doc(doc, n):
     if isinstance(doc, str):
         perm = list(range(n))
         for cycle in re.findall(r"\(([^)]*)\)", doc):
-            nodes = [int(x) - 1 for x in re.split(r"[,\s]+", cycle.strip())
-                     if x]
+            nodes = [_int(x, "sigma node") - 1
+                     for x in re.split(r"[,\s]+", cycle.strip()) if x]
             if any(not 0 <= v < n for v in nodes):
                 raise InputError(f"cycle {cycle!r} out of range")
             for a, b in zip(nodes, nodes[1:] + nodes[:1]):
                 perm[a] = b
         return DiagramAut(tuple(perm))
-    images = [int(v) - 1 for v in doc]
+    images = [_int(v, "sigma image") - 1 for v in doc]
     if len(images) != n or sorted(images) != list(range(n)):
         raise InputError(
             f"sigma must be a 1-based permutation of 1..{n}, got {doc}")
@@ -161,10 +175,10 @@ def instance_from_doc(doc):
     from .frame import ProblemInstance
     cartan = cartan_from_doc(_field(doc, "cartan"))
     aut = perm_from_doc(_field(doc, "sigma"), cartan.n)
-    M = int(doc.get("M", aut.order))
+    M = _int(doc.get("M", aut.order), "M")
     if M != aut.order:
         raise InputError(f"declared M = {M} but sigma has order {aut.order}")
-    omega_power = int(doc.get("omega_power", 1))
+    omega_power = _int(doc.get("omega_power", 1), "omega_power")
     if "omega" in doc:
         omega = parse_scalar(doc["omega"], M)
     else:

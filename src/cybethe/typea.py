@@ -465,12 +465,9 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
     basis = list(adjusted if adjusted is not None else space.basis)
     size = len(basis)
     g = gram_matrix(space, basis)
-    for a in range(size):
-        for b in range(size):
-            if a + b <= size - 2 and not g[a][b].is_zero():
-                raise NotIsotropic(
-                    "witt_basis needs an isotropic flag basis: Gram entry "
-                    f"({a},{b}) = {g[a][b]} below the anti-diagonal")
+    if not isotropy_check(space, basis, gram=g):
+        raise NotIsotropic("witt_basis needs an isotropic flag basis: a Gram "
+                           "entry below the anti-diagonal is nonzero")
     vecs = [[Cyc.of(1) if i == j else Cyc.of(0) for j in range(size)]
             for i in range(size)]
 
@@ -503,19 +500,18 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
             acc = acc + b.scale(c)
         vectors.append(acc)
 
+    # B(vectors[i], vectors[j]) is the congruence entry(i, j): the
+    # rescaling reads it instead of rebuilding the Gram matrix, and only
+    # the final Gram matrix below is computed from scratch as the check
     mid = (size - 1) // 2 if size % 2 == 1 else None
     if reduce_constants:
         target = _b_pattern(space.frame.p, size)
-        gram_now = gram_matrix(space, vectors)
         for k in range(size // 2):
-            partner = size - 1 - k
-            cur = gram_now[k][partner]
+            cur = entry(k, size - 1 - k)
             vectors[k] = vectors[k].scale(Cyc.of(target[k]) / cur)
         # middle vector normalization needs a square root
         if mid is not None and quadratic_extension:
-            gram_now = gram_matrix(space, vectors)
-            b_mid = gram_now[mid][mid]
-            root = _cyclotomic_sqrt(b_mid)
+            root = _cyclotomic_sqrt(entry(mid, mid))
             vectors[mid] = vectors[mid].scale(root.inverse())
 
     gram_final = gram_matrix(space, vectors)
@@ -688,7 +684,7 @@ def flow_generator(space, witt, kind, k):
     return n_mat
 
 
-def apply_flow(space, witt, generator, c, verify=True):
+def apply_flow(space, witt, generator, c):
     """Apply exp(c * generator) to the Witt flag; returns (flag, tuple).
 
     The new flag is asserted isotropic and the Gram matrix asserted
@@ -720,13 +716,12 @@ def apply_flow(space, witt, generator, c, verify=True):
             if not exp[i][j].is_zero():
                 acc = acc + witt.vectors[j].scale(exp[i][j])
         new_vectors.append(acc)
-    if verify:
-        g_new = gram_matrix(space, new_vectors)
-        if g_new != [list(r) for r in witt.gram]:
-            raise InternalInvariantError(
-                f"flow {kind}_{k} does not preserve the bilinear form")
-        if not isotropy_check(space, new_vectors, gram=g_new):
-            raise InternalInvariantError("flow output flag is not isotropic")
+    g_new = gram_matrix(space, new_vectors)
+    if g_new != [list(r) for r in witt.gram]:
+        raise InternalInvariantError(
+            f"flow {kind}_{k} does not preserve the bilinear form")
+    if not isotropy_check(space, new_vectors, gram=g_new):
+        raise InternalInvariantError("flow output flag is not isotropic")
     flag = Flag(space=space, adjusted=tuple(new_vectors))
     return flag, beta(space, flag.adjusted)
 
@@ -905,19 +900,11 @@ def flow_vs_generation(inst, fold, seed, k, params):
         flow_tuple = BetheTuple.monic_of(tup)
         if rho is None:
             rho = _calibrate_rho(inst, fold, seed, k, c, flow_tuple)
-        gen_tuple, _ = cyclotomic_generate(inst, fold, seed,
-                                           _direction_of(inst, fold, k),
+        # X_k moves the orbit {k, R+1-k} (1-based), represented by k-1
+        gen_tuple, _ = cyclotomic_generate(inst, fold, seed, k - 1,
                                            (Cyc.of(1) / (rho * c)))
         matches.append(flow_tuple == gen_tuple)
     return {"rho": rho, "all_match": all(matches), "matches": matches}
-
-
-def _direction_of(inst, fold, k):
-    # X_k moves the orbit {k, R+1-k} (1-based); its representative is k-1
-    rep = k - 1
-    if rep not in fold.reps:
-        raise InputError(f"node {k} is not an orbit representative")
-    return rep
 
 
 def _calibrate_rho(inst, fold, seed, k, c, flow_tuple):
@@ -929,8 +916,7 @@ def _calibrate_rho(inst, fold, seed, k, c, flow_tuple):
     a linear system in (s, c~).  Then rho = 1/(c~ * c).
     """
     from .genengine import generation_family
-    direction = _direction_of(inst, fold, k)
-    idx, base, dir_poly = generation_family(inst, fold, seed, direction)
+    idx, base, dir_poly = generation_family(inst, fold, seed, k - 1)
     target = flow_tuple[idx]
     exps = _support([target, dir_poly, base])
     rows = [[target.coeff(e), -dir_poly.coeff(e)] for e in exps]

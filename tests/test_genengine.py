@@ -4,7 +4,7 @@ import pytest
 
 from conftest import poly
 from cybethe.cartan import Weight, folded_reflect, shifted_reflect
-from cybethe.errors import SeedInvalid
+from cybethe.errors import InputError, SeedInvalid
 from cybethe.frame import (BetheTuple, is_critical_exact,
                            is_cyclotomic_tuple, is_generic,
                            weight_at_infinity)
@@ -262,3 +262,39 @@ def test_degenerate_direction_keeps_weight(a2, a2_tuple):
     out0, _ = cyclotomic_generate(inst, fold, a2_tuple, 0, F(0))
     assert weight_at_infinity(inst, out0) == \
         folded_reflect(inst.cartan, inst.aut, fold, 0, linf)
+
+
+def test_explore_rejects_bad_bounds(a2, a2_tuple):
+    inst, fold = a2
+    with pytest.raises(InputError):
+        explore_population(inst, fold, a2_tuple, -1, [F(1)])
+    with pytest.raises(InputError):
+        explore_population(inst, fold, a2_tuple, 1, [])
+
+
+def test_explore_records_skipped(a2):
+    # c = 0 in the L = 2 direction of the trivial A_2 seed gives (x^3, x^3),
+    # which vanishes at the origin: exceptional, and kept on the graph
+    inst, fold = a2
+    graph = explore_population(inst, fold, BetheTuple.trivial(2), 1,
+                               [F(0), F(1)])
+    assert len(graph.nodes) == 2
+    assert len(graph.skipped) == 1
+    node_id, direction, c, reason = graph.skipped[0]
+    assert (node_id, direction, c) == (0, 0, 0)
+    assert "origin" in reason
+
+
+def test_generation_rejects_non_representatives(a2, a3, a2_tuple):
+    for (inst, fold), y in ((a2, a2_tuple), (a3, BetheTuple.trivial(3))):
+        for i in (-1, inst.cartan.n, inst.cartan.n + 5):
+            with pytest.raises(InputError):
+                cyclotomic_generate(inst, fold, y, i, F(1))
+    inst, fold = a2
+    with pytest.raises(InputError):
+        cyclotomic_generate(inst, fold, a2_tuple, 1, F(1))
+    with pytest.raises(InputError):
+        generation_family(inst, fold, a2_tuple, 1)
+    inst, fold = a3
+    with pytest.raises(InputError):
+        cyclotomic_generate(inst, fold, BetheTuple.trivial(3), 2, F(1))

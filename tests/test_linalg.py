@@ -1,0 +1,94 @@
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from cybethe import linalg
+from cybethe.scalars import Cyc
+
+
+def _random_matrix(rng, rows, cols, rank=None):
+    """Random rational matrix; with `rank`, a product of two thin factors."""
+    def entry():
+        return F(rng.randint(-6, 6), rng.randint(1, 4))
+    if rank is None:
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+    left = [[entry() for _ in range(rank)] for _ in range(rows)]
+    right = [[entry() for _ in range(cols)] for _ in range(rank)]
+    return [[sum((left[i][k] * right[k][j] for k in range(rank)), F(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+def _matvec(matrix, x):
+    return [sum((a * b for a, b in zip(row, x)), F(0)) for row in matrix]
+
+
+def _shapes():
+    rng = random.Random(11)
+    cases = []
+    for rows, cols in ((3, 3), (4, 4), (2, 5), (5, 2), (4, 3), (1, 1)):
+        cases.append(_random_matrix(rng, rows, cols))
+        low = max(0, min(rows, cols) - 1)
+        cases.append(_random_matrix(rng, rows, cols, rank=low))
+    cases.append([[F(0)] * 3 for _ in range(2)])
+    return cases
+
+
+@pytest.mark.parametrize("matrix", _shapes())
+def test_linalg_against_sympy(matrix):
+    sympy = pytest.importorskip("sympy")
+    ref = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                         for x in row] for row in matrix])
+    rng = random.Random(len(matrix) * 100 + len(matrix[0]))
+    rows, cols = len(matrix), len(matrix[0])
+
+    assert linalg.rank(matrix) == ref.rank()
+
+    kernel = linalg.nullspace(matrix)
+    assert len(kernel) == cols - ref.rank()
+    for vec in kernel:
+        assert _matvec(matrix, vec) == [0] * rows
+    if kernel:
+        span = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
+                              for x in vec] for vec in kernel]).T
+        assert span.rank() == len(kernel)
+
+    # consistent right-hand side: the image of a random vector
+    x0 = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
+    rhs = _matvec(matrix, x0)
+    x = linalg.solve(matrix, rhs)
+    assert x is not None and _matvec(matrix, x) == rhs
+
+    # a right-hand side outside the column space is inconsistent
+    if ref.rank() < rows:
+        probe = next(e for e in (
+            [F(int(i == k)) for i in range(rows)] for k in range(rows))
+            if ref.row_join(sympy.Matrix(e)).rank() > ref.rank())
+        assert linalg.solve(matrix, probe) is None
+
+    inverse = linalg.invert(matrix) if rows == cols else None
+    if rows == cols and ref.rank() == rows:
+        want = ref.inv()
+        assert [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                for row in inverse] == want.tolist()
+    elif rows == cols:
+        assert inverse is None
+
+
+def test_linalg_cyclotomic_entries():
+    w = Cyc.root_of_unity(3)
+    one, zero = Cyc.of(1), Cyc.of(0)
+    matrix = [[one, w], [w ** 2, 2 * one]]
+    # det = 2 - w^3 = 1
+    inverse = linalg.invert(matrix)
+    assert inverse == [[2 * one, -w], [-w ** 2, one]]
+    x = linalg.solve(matrix, [one + w, w])
+    assert [sum((a * b for a, b in zip(row, x)), zero)
+            for row in matrix] == [one + w, w]
+
+    singular = [[one, w], [w, w ** 2]]
+    assert linalg.rank(singular) == 1
+    assert linalg.invert(singular) is None
+    (vec,) = linalg.nullspace(singular)
+    assert vec[0] == -w and vec[1] == 1
+    assert linalg.solve(singular, [one, zero]) is None

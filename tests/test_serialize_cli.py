@@ -261,3 +261,60 @@ def test_cli_import_leaves_numpy_unloaded():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _with(doc, drop=(), **changes):
+    return {**{k: v for k, v in doc.items() if k not in drop}, **changes}
+
+
+_BAD_TUPLE = [{**A2_TUPLE["polys"][0], "denom": "x"}, A2_TUPLE["polys"][1]]
+_BAD_KEY = [{"denom": 1, "terms": {"a": "1"}}, A2_TUPLE["polys"][1]]
+
+
+@pytest.mark.parametrize("command, instance, tuple_", [
+    ("verify", A2_INSTANCE, {"polys": _BAD_TUPLE}),
+    ("verify", A2_INSTANCE, {"polys": _BAD_KEY}),
+    ("verify", _with(A2_INSTANCE, cartan={"series": "A", "rank": "two"}),
+     A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, M="two"), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, sigma="(1 x)"), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, drop=("omega",), omega_power="z"), A2_TUPLE),
+    ("fold", "A2x", None),
+    ("fold", json.dumps({"matrix": [[2, "a"], [-1, 2]]}), None),
+    ("fold", "{not json", None),
+])
+def test_cli_non_integer_document_fields(docs, capsys, command, instance,
+                                         tuple_):
+    _, _, tmp_path = docs
+    if command == "fold":
+        argv = ["fold", "--cartan", instance, "--sigma", "(1 2)"]
+    else:
+        inst, tup = tmp_path / "bad-instance.json", tmp_path / "bad-tuple.json"
+        inst.write_text(json.dumps(instance))
+        tup.write_text(json.dumps(tuple_))
+        argv = [command, "--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(argv) == 2
+    assert _error_record(capsys)["kind"] == "InputError"
+
+
+@pytest.mark.parametrize("extra", [
+    ["generate", "--direction", "0", "--c", "1"],
+    ["generate", "--direction", "2", "--c", "1"],
+    ["generate", "--direction", "9", "--c", "1"],
+    ["populate", "--depth", "-1"],
+    ["populate", "--samples="],
+    ["populate", "--samples=,"],
+])
+def test_cli_out_of_range_arguments(docs, capsys, extra):
+    inst, tup, _ = docs
+    argv = [extra[0], "--instance", inst, "--tuple", tup] + extra[1:]
+    assert cli.main(argv) == 2
+    assert _error_record(capsys)["kind"] == "InputError"
+
+
+def test_cli_populate_depth0_is_root_only(docs, capsys):
+    inst, tup, _ = docs
+    assert cli.main(["populate", "--instance", inst, "--tuple", tup,
+                     "--depth", "0"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [node["id"] for node in doc["nodes"]] == [0]

@@ -231,6 +231,43 @@ def test_witt_basis(a2, a2_tuple):
     assert wb.constants[size - 1] == Cyc.of(1)
 
 
+def _a5_space():
+    from cybethe.cartan import CartanData, DiagramAut
+    from cybethe.frame import ProblemInstance
+    inst = ProblemInstance(cartan=CartanData.series("A", 5),
+                           aut=DiagramAut((4, 3, 2, 1, 0)),
+                           omega=Cyc.root_of_unity(2),
+                           points=(), site_weights=(),
+                           lambda0=Weight([F(1, 2), 0, 0, 0, F(1, 2)]))
+    return kernel_basis(inst, BetheTuple.trivial(5))
+
+
+def test_witt_congruence_matches_gram(a2, a2_tuple):
+    # witt_basis rescales by values of the congruence V G V^T on the
+    # initial Gram matrix; they must equal the Gram matrix rebuilt from
+    # the vectors, and the rescaled basis must be what rescaling by the
+    # rebuilt Gram matrix gives
+    for space, flag in (_a5_space(), kernel_basis(a2[0], a2_tuple)):
+        basis = list(flag.adjusted)
+        size = len(basis)
+        g = gram_matrix(space, basis)
+        plain = witt_basis(space, adjusted=basis, reduce_constants=False)
+        for wb in (plain, witt_basis(space, adjusted=basis,
+                                     quadratic_extension=True)):
+            coeffs = [in_span(v, basis) for v in wb.vectors]
+            congruence = [[sum((Cyc.of(1) * va * g[a][b] * vb
+                                for a, va in enumerate(ci)
+                                for b, vb in enumerate(cj)), Cyc.of(0))
+                           for cj in coeffs] for ci in coeffs]
+            assert congruence == gram_matrix(space, list(wb.vectors))
+            assert congruence == [list(row) for row in wb.gram]
+        reduced = witt_basis(space, adjusted=basis)
+        for k in range(size // 2):
+            cur = plain.gram[k][size - 1 - k]
+            assert reduced.vectors[k] == \
+                plain.vectors[k].scale(reduced.constants[k] / cur)
+
+
 def test_witt_quadratic_extension(a2, a2_tuple):
     space, flag = a2_space(a2, a2_tuple)[0], None
     wb = witt_basis(space, quadratic_extension=True)
