@@ -8,6 +8,7 @@ their coroot pairings <lambda, alpha_i^vee>.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
@@ -78,6 +79,15 @@ class CartanData:
     @property
     def n(self):
         return len(self.a)
+
+    @cached_property
+    def weight_gram(self):
+        """Gram matrix d_i (a^{-1})_{ij} of the fundamental weights."""
+        inv = linalg.invert([[Fraction(x) for x in row] for row in self.a])
+        if inv is None:
+            raise SingularCartan("singular Cartan matrix has no weight form")
+        return tuple(tuple(self.d[i] * x for x in row)
+                     for i, row in enumerate(inv))
 
     @staticmethod
     def from_matrix(rows, d=None):
@@ -340,9 +350,7 @@ def inner_product(cartan, lam, mu):
     (lambda, mu) = sum_i <lambda, alpha_i^vee> d_i (A^{-1} mu)_i, which is
     the Gram matrix d_i (a^{-1})_{ij} of the fundamental weights.
     """
-    inv = linalg.invert([[Fraction(x) for x in row] for row in cartan.a])
-    if inv is None:
-        raise SingularCartan("inner product needs an invertible Cartan matrix")
+    gram = cartan.weight_gram
     n = cartan.n
-    return sum(Fraction(lam[i]) * cartan.d[i] * inv[i][j] * Fraction(mu[j])
+    return sum(Fraction(lam[i]) * gram[i][j] * Fraction(mu[j])
                for i in range(n) for j in range(n))

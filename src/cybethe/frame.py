@@ -333,10 +333,6 @@ def _typea_lambda0_violations(inst, p):
 # --- eigenvalues ---------------------------------------------------------
 
 
-def _alpha_weight(cartan, j):
-    return Weight.simple_root(cartan, j)
-
-
 def _log_deriv_at(poly, point):
     """y'(z)/y(z) as an exact scalar; the point must avoid the roots."""
     val = poly.eval_at(point)
@@ -372,10 +368,7 @@ def eigenvalues(inst, y, check_critical=True):
     zero (for M > 1).
     """
     cartan = inst.cartan
-    rows = [[Fraction(x) for x in row] for row in cartan.a]
-    from . import linalg as _la
-    if _la.nullspace(rows):
-        raise SingularCartan("eigenvalues need an invertible Cartan matrix")
+    cartan.weight_gram  # SingularCartan up front, before any other work
     warn_not_critical = False
     if check_critical:
         try:
@@ -387,7 +380,7 @@ def eigenvalues(inst, y, check_critical=True):
     def ip(lam, mu):
         return inner_product(cartan, lam, mu)
 
-    alpha = [_alpha_weight(cartan, j) for j in range(cartan.n)]
+    alpha = [Weight.simple_root(cartan, j) for j in range(cartan.n)]
     M, omega = inst.M, inst.omega
 
     cyc = []

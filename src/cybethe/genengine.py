@@ -12,23 +12,23 @@ survives:
   L_i = 2: the three-step sequence at the A_2 block (i, ibar = sigma i):
            a holomorphic solve for y_i^(i), a pinned-coefficient solve
            plus c y_ibar for the middle step, and a final holomorphic
-           solve that carries the parameter c through.
+           step that is linear in c, solved as two c-independent pieces.
 
 Parameter convention: the emitted tuples are monic; the step-1 result is
 monic-normalized before it enters step 2, which makes the A_2 family from
 the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
 
-`explore_population` runs a bounded, deterministic BFS over directions and
-parameters.  Generation proves each emitted tuple generic and cyclotomic;
-the BFS adds the criticality check and the weight-at-infinity dichotomy
-along each edge, once per new node.
+`explore_population` runs a bounded, deterministic BFS: one family per
+(node, direction), swept over the samples by arithmetic; each new tuple,
+after deduplication, gets one proof (criticality with its genericity
+precondition, then cyclotomy) and the weight-at-infinity dichotomy.
 """
 
 from dataclasses import dataclass, field
 
 from .cartan import Weight, folded_reflect
 from .errors import (ExceptionalParameter, InputError,
-                     InternalInvariantError, NoSolution, SeedInvalid,
+                     InternalInvariantError, NotGeneric, SeedInvalid,
                      UnsupportedType)
 from .frame import (BetheTuple, frame_polys, interaction_product,
                     is_critical_exact, is_cyclotomic_tuple, is_generic,
@@ -57,28 +57,6 @@ def _l1_base(inst, y, i, t):
     base, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
                                   ("coeff_zero", y[i].degree))
     return base
-
-
-def _l2_bases(inst, y, i, t):
-    """c-independent part of the L = 2 step at i: the monic holomorphic
-    step-1 solution y_i_1 and the pinned step-2 base2.  The step-2
-    right-hand side x^(1+2 gamma) T_ibar y_i_1 prod_{j != i} y_j^(-a_ibar,j)
-    is x^(1+gamma) times the L = 1 one at ibar with y_i replaced by y_i_1,
-    as a_ibar,i = -1 and gamma is sigma-invariant."""
-    gamma = inst.gamma(i)
-    lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
-                                    ("holomorphic_at_zero", gamma + 1))
-    y_i_1 = QPoly({e - (gamma + 1): v for e, v in lifted.terms.items()})
-    if not y_i_1.is_polynomial():
-        raise NoSolution("step-1 component is not an ordinary polynomial")
-    y_i_1 = y_i_1.monic()
-    ibar = inst.aut(i)
-    polys = list(y)
-    polys[i] = y_i_1
-    base2, _ = wronskian_ode_solve(
-        y[ibar], QPoly.x_power(1 + gamma) * _rhs_l1(inst, polys, ibar, t),
-        ("coeff_zero", y[ibar].degree))
-    return y_i_1, base2
 
 
 def _representative(fold, i):
@@ -113,23 +91,103 @@ def elementary_generate_L1(inst, y, i, c, t=None):
 
 
 def _transport(poly, omega, k):
-    """omega^(k deg) * poly(omega^-k x) for an ordinary polynomial."""
-    if poly.is_zero():
-        return poly
+    """omega^(k deg) * poly(omega^-k x) for a nonzero ordinary polynomial."""
     deg = poly.degree
     return QPoly({e: c * omega ** (int(k * (deg - e)))
                   for e, c in poly.terms.items()})
 
 
+def _family(inst, fold, y, i, t):
+    """Every solve of the generation family at node i, made once.
+
+    Returns (index, base, direction, member): the component at `index` of
+    each member is base + c * direction before monic normalization, and
+    member(c) gives (BetheTuple, GenerationStep) by arithmetic alone.
+    For L = 2, a_i,ibar = a_ibar,i = -1 makes the step-2 and step-3
+    right-hand sides L = 1 ones with one component replaced, and step 3
+    linear in y_ibar_2 = base2 + c y_ibar.  The step-3 pin at 0, in a class
+    disjoint from the support of x^(gamma+1) y_i_1, makes its solution
+    unique, so y_i_3 = s0 + c s1.
+    """
+    m_i = fold.orbit_len[i]
+    if fold.linking[i] == 1:
+        base = _l1_base(inst, y, i, t)
+        if m_i > 1 and _transport(base, inst.omega, 1) != \
+                _l1_base(inst, y, inst.aut(i), t):
+            raise InternalInvariantError(
+                "transported L1 component disagrees with an independent solve")
+
+        def member(c):
+            moved = base + y[i].scale(c)
+            if moved.is_zero():
+                raise ExceptionalParameter(c, "generated component vanishes")
+            polys = list(y)
+            for k in range(m_i):
+                polys[inst.aut.power(i, k)] = _transport(moved, inst.omega, k)
+            return BetheTuple.monic_of(polys), GenerationStep(
+                direction=i, c=c, kind="L1")
+        return i, base, y[i], member
+
+    if m_i != 2:
+        raise UnsupportedType("L=2 generation implemented for orbit length 2")
+    gamma = inst.gamma(i)
+    if gamma.denominator != 2:
+        raise InputError(f"<L0,a_{i}^vee> must be half-odd for an L=2 step")
+    # supported on gamma + 1 + Z>=0, so y_i_1 is an ordinary polynomial
+    lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
+                                    ("holomorphic_at_zero", gamma + 1))
+    y_i_1 = QPoly({e - (gamma + 1): v
+                   for e, v in lifted.terms.items()}).monic()
+    ibar = inst.aut(i)
+    rhs = _rhs_l1(inst, _replaced(y, i, y_i_1), ibar, t)
+    base2, _ = wronskian_ode_solve(y[ibar], QPoly.x_power(1 + gamma) * rhs,
+                                   ("coeff_zero", y[ibar].degree))
+    f = QPoly.x_power(gamma + 1) * y_i_1
+    s0, s1 = (wronskian_ode_solve(
+        f, _rhs_l1(inst, _replaced(y, ibar, p), i, t),
+        ("holomorphic_at_zero", 0))[0] for p in (base2, y[ibar]))
+
+    def member(c):
+        y_ibar_2 = base2 + y[ibar].scale(c)
+        if y_ibar_2.is_zero():
+            raise ExceptionalParameter(c, "middle step component vanishes")
+        y_i_3 = s0 + s1.scale(c)
+        polys = _replaced(y, ibar, y_ibar_2)
+        polys[i] = y_i_3
+        return BetheTuple.monic_of(polys), GenerationStep(
+            direction=i, c=c, kind="L2", intermediates=(
+                ("y_i_step1", y_i_1), ("y_ibar_step2", y_ibar_2),
+                ("y_i_step3", y_i_3)))
+    return ibar, base2, y[ibar], member
+
+
+def _replaced(y, j, p):
+    polys = list(y)
+    polys[j] = p
+    return polys
+
+
 def _checked(inst, out, c, kind, t):
-    """Prove the generated tuple generic and cyclotomic, or raise."""
-    ok, witness = is_generic(inst, out, t=t)
-    if not ok:
-        raise ExceptionalParameter(c, witness)
+    """The one proof of a generated tuple: generic, critical, cyclotomic."""
+    try:
+        critical, _ = is_critical_exact(inst, out, t=t)
+    except NotGeneric as exc:
+        raise ExceptionalParameter(c, str(exc)) from None
+    if not critical:
+        raise InternalInvariantError(
+            "generated node fails verification: not an exact critical point")
     if not is_cyclotomic_tuple(inst, out):
         raise InternalInvariantError(
             f"{kind} generation lost cyclotomic symmetry")
-    return out
+
+
+def _generate(inst, fold, y, i, c, t):
+    t = t or frame_polys(inst)
+    c = c if isinstance(c, Cyc) else Cyc.of(c)
+    *_, member = _family(inst, fold, y, i, t)
+    out, step = member(c)
+    _checked(inst, out, c, step.kind, t)
+    return out, step
 
 
 def cyclotomic_generate_L1(inst, fold, y, i, c, t=None):
@@ -138,27 +196,9 @@ def cyclotomic_generate_L1(inst, fold, y, i, c, t=None):
     One solve at the representative, then transport across the orbit;
     returns (BetheTuple, GenerationStep).
     """
-    t = t or frame_polys(inst)
     if _representative(fold, i) != 1:
         raise InputError(f"node {i} has L = {fold.linking[i]}, expected 1")
-    c = c if isinstance(c, Cyc) else Cyc.of(c)
-    base = _l1_base(inst, y, i, t)
-    member = base + y[i].scale(c)
-    if member.is_zero():
-        raise ExceptionalParameter(c, "generated component vanishes")
-
-    m_i = fold.orbit_len[i]
-    polys = list(y)
-    for k in range(m_i):
-        node = inst.aut.power(i, k)
-        polys[node] = _transport(member, inst.omega, k)
-    if m_i > 1:
-        ind_base = _l1_base(inst, y, inst.aut(i), t)
-        if _transport(base, inst.omega, 1) != ind_base:
-            raise InternalInvariantError(
-                "transported L1 component disagrees with an independent solve")
-    out = _checked(inst, BetheTuple.monic_of(polys), c, "L1", t)
-    return out, GenerationStep(direction=i, c=c, kind="L1")
+    return _generate(inst, fold, y, i, c, t)
 
 
 def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
@@ -168,43 +208,14 @@ def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
     holomorphic solve) on the A_2 block {i, ibar} and assembles the new
     tuple.  Only M_i = 2 occurs for finite and affine diagrams.
     """
-    t = t or frame_polys(inst)
     if fold.linking[i] != 2:
         raise InputError(f"node {i} has L = {fold.linking[i]}, expected 2")
-    if fold.orbit_len[i] != 2:
-        raise UnsupportedType("L=2 generation implemented for orbit length 2")
-    c = c if isinstance(c, Cyc) else Cyc.of(c)
-    ibar = inst.aut(i)
-    gamma = inst.gamma(i)
-    if gamma.denominator != 2:
-        raise InputError(f"<L0,a_{i}^vee> must be half-odd for an L=2 step")
-
-    y_i_1, base2 = _l2_bases(inst, y, i, t)
-    y_ibar_2 = base2 + y[ibar].scale(c)
-    if y_ibar_2.is_zero():
-        raise ExceptionalParameter(c, "middle step component vanishes")
-
-    # step 3: Wr(x^(gamma+1) y_i_1, Y) = x^gamma T_i y_ibar_2 prod ..., the
-    # L = 1 right-hand side at i with y_ibar replaced by y_ibar_2
-    polys = list(y)
-    polys[ibar] = y_ibar_2
-    y_i_3, _ = wronskian_ode_solve(QPoly.x_power(gamma + 1) * y_i_1,
-                                   _rhs_l1(inst, polys, i, t),
-                                   ("holomorphic_at_zero", 0))
-    if not y_i_3.is_polynomial():
-        raise NoSolution("step-3 component is not an ordinary polynomial")
-
-    polys[i] = y_i_3
-    out = _checked(inst, BetheTuple.monic_of(polys), c, "L2", t)
-    return out, GenerationStep(direction=i, c=c, kind="L2", intermediates=(
-        ("y_i_step1", y_i_1), ("y_ibar_step2", y_ibar_2),
-        ("y_i_step3", y_i_3)))
+    return _generate(inst, fold, y, i, c, t)
 
 
 def cyclotomic_generate(inst, fold, y, i, c, t=None):
-    if _representative(fold, i) == 1:
-        return cyclotomic_generate_L1(inst, fold, y, i, c, t=t)
-    return cyclotomic_generate_L2(inst, fold, y, i, c, t=t)
+    _representative(fold, i)
+    return _generate(inst, fold, y, i, c, t)
 
 
 def generation_family(inst, fold, y, i, t=None):
@@ -216,11 +227,8 @@ def generation_family(inst, fold, y, i, t=None):
     pair (the component at ibar), which fixes the parameterization of the
     whole step.
     """
-    t = t or frame_polys(inst)
-    if _representative(fold, i) == 1:
-        return i, _l1_base(inst, y, i, t), y[i]
-    ibar = inst.aut(i)
-    return ibar, _l2_bases(inst, y, i, t)[1], y[ibar]
+    _representative(fold, i)
+    return _family(inst, fold, y, i, t or frame_polys(inst))[:3]
 
 
 @dataclass
@@ -263,10 +271,10 @@ RETRY_BUDGET = 4
 def explore_population(inst, fold, seed, depth, samples):
     """Bounded BFS over cyclotomic generation directions and parameters.
 
-    Generation proves every emitted tuple generic and cyclotomic; each new
-    node is then checked critical and its weight at infinity checked
-    against the dichotomy: equal to the parent's or to its folded shifted
-    reflection.  Deduplication is by the canonical serialized monic tuple.
+    Each (node, direction) family is solved once and swept over the
+    samples.  After deduplication by the canonical serialized monic tuple,
+    a new member is proven and its weight at infinity checked against the
+    dichotomy: equal to the parent's or to its folded shifted reflection.
     """
     if depth < 0:
         raise InputError(f"population depth must be >= 0, got {depth}")
@@ -274,12 +282,12 @@ def explore_population(inst, fold, seed, depth, samples):
     if not samples:
         raise InputError("population needs at least one sample parameter")
     t = frame_polys(inst)
-    ok, witness = is_generic(inst, seed, t=t)
-    if not ok:
-        raise SeedInvalid(f"seed not generic: {witness}")
+    try:
+        crit, _ = is_critical_exact(inst, seed, t=t)
+    except NotGeneric as exc:
+        raise SeedInvalid(f"seed not generic: {exc}") from None
     if not is_cyclotomic_tuple(inst, seed):
         raise SeedInvalid("seed is not cyclotomic")
-    crit, _ = is_critical_exact(inst, seed, t=t)
     if not crit:
         raise SeedInvalid("seed is not an exact critical point")
 
@@ -294,48 +302,41 @@ def explore_population(inst, fold, seed, depth, samples):
         next_frontier = []
         for node in frontier:
             for i in fold.reps:
+                *_, member = _family(inst, fold, node.tuple_, i, t)
                 misses = 0
                 for c in samples:
                     try:
-                        child, step = cyclotomic_generate(
-                            inst, fold, node.tuple_, i, c, t=t)
+                        child, step = member(c)
+                        if graph.find(child) is not None:
+                            continue
+                        _checked(inst, child, c, step.kind, t)
                     except ExceptionalParameter as exc:
                         graph.skipped.append((node.node_id, i, c, exc.reason))
                         misses += 1
                         if misses > RETRY_BUDGET:
                             break
                         continue
-                    if graph.find(child) is not None:
-                        continue
-                    flags = _verify_node(inst, fold, node, child, i, t)
+                    linf = weight_at_infinity(inst, child)
                     new = PopulationNode(
                         node_id=len(graph.nodes), tuple_=child,
-                        parent=node.node_id, step=step,
-                        lambda_inf=weight_at_infinity(inst, child),
-                        flags=flags)
+                        parent=node.node_id, step=step, lambda_inf=linf,
+                        flags={"generic": True, "cyclotomic": True,
+                               "critical": True,
+                               "edge": _edge(inst, fold, node, linf, i)})
                     graph.add(new)
                     next_frontier.append(new)
         frontier = next_frontier
     return graph
 
 
-def _verify_node(inst, fold, parent, child, i, t):
-    """Flags of a new node.  Generation has already proven it generic and
-    cyclotomic, so only criticality and the weight dichotomy are checked."""
-    ok_cr, _ = is_critical_exact(inst, child, t=t)
-    if not ok_cr:
-        raise InternalInvariantError(
-            "generated node fails verification: not an exact critical point")
-    linf = weight_at_infinity(inst, child)
+def _edge(inst, fold, parent, linf, i):
+    """The weight-at-infinity dichotomy along an edge in direction i."""
     reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                parent.lambda_inf)
     if linf == parent.lambda_inf:
-        edge = "unchanged"
-    elif linf == reflected:
-        edge = "reflected"
-    else:
-        raise InternalInvariantError(
-            f"weight at infinity {linf} is neither the parent's "
-            f"{parent.lambda_inf} nor its folded reflection {reflected}")
-    return {"generic": True, "cyclotomic": True, "critical": True,
-            "edge": edge}
+        return "unchanged"
+    if linf == reflected:
+        return "reflected"
+    raise InternalInvariantError(
+        f"weight at infinity {linf} is neither the parent's "
+        f"{parent.lambda_inf} nor its folded reflection {reflected}")

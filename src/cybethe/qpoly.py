@@ -178,13 +178,16 @@ class QPoly:
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other):
-        if not isinstance(other, QPoly):
+        if isinstance(other, (Cyc, int, Fraction)):
             other = QPoly.constant(other)
+        elif not isinstance(other, QPoly):
+            return NotImplemented
         if set(self.terms) != set(other.terms):
             return False
         return all(self.terms[e] == other.terms[e] for e in self.terms)

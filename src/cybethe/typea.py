@@ -15,11 +15,10 @@ from fractions import Fraction
 from . import linalg
 from .cartan import Weight, dominant_shifted_rep, sigma_on_weight
 from .errors import (InputError, InternalInvariantError, NoSpecialBasis,
-                     NotDecomposable, NotInRootCone, NotIsotropic,
-                     NotSelfDual, UnsupportedType)
+                     NotDecomposable, NotGeneric, NotInRootCone,
+                     NotIsotropic, NotSelfDual, UnsupportedType)
 from .frame import (BetheTuple, frame_polys, is_critical_exact,
-                    is_cyclotomic_tuple, is_generic, t_tilde,
-                    weight_at_infinity)
+                    is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .genengine import cyclotomic_generate
 from .qpoly import (QPoly, RatQP, divided_wronskian, proportional,
                     wronskian_ode_solve)
@@ -847,10 +846,10 @@ def cyclotomic_population(inst, seed, sample_count=0, rng_seed=0):
         if not all(q.is_polynomial() for q in tup):
             continue
         y = BetheTuple.monic_of(tup)
-        ok, _ = is_generic(inst, y)
-        if not ok:
+        try:
+            crit, _ = is_critical_exact(inst, y)
+        except NotGeneric:
             continue
-        crit, _ = is_critical_exact(inst, y)
         cyc = is_cyclotomic_tuple(inst, y)
         if not (crit and cyc):
             raise InternalInvariantError(

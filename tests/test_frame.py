@@ -210,3 +210,32 @@ def test_instance_validation():
         ProblemInstance(cartan=cartan, aut=aut, omega=Cyc.root_of_unity(2),
                         points=(Cyc.of(1),), site_weights=(Weight([-1, 0]),),
                         lambda0=Weight([0, 0]))
+
+
+def test_eigenvalues_invert_the_cartan_matrix_at_most_once(monkeypatch):
+    from cybethe import linalg
+    calls = []
+    invert = linalg.invert
+
+    def counted(rows):
+        calls.append(1)
+        return invert(rows)
+
+    monkeypatch.setattr(linalg, "invert", counted)
+    inst = n1_instance()
+    eigenvalues(inst, BetheTuple.trivial(2))
+    assert len(calls) <= 1
+    eigenvalues(inst, BetheTuple.trivial(2))
+    assert len(calls) <= 1
+
+
+def test_eigenvalues_reject_singular_cartan_up_front():
+    # affine A_2^(1) is singular; no marked points and the trivial tuple
+    # leave no inner product to evaluate, yet the call must still fail
+    from cybethe.errors import SingularCartan
+    cartan = CartanData.affine_a(2)
+    inst = ProblemInstance(cartan=cartan, aut=DiagramAut.identity(3),
+                           omega=Cyc.of(1), points=(), site_weights=(),
+                           lambda0=Weight.zero(3))
+    with pytest.raises(SingularCartan):
+        eigenvalues(inst, BetheTuple.trivial(3), check_critical=False)

@@ -298,3 +298,73 @@ def test_generation_rejects_non_representatives(a2, a3, a2_tuple):
     inst, fold = a3
     with pytest.raises(InputError):
         cyclotomic_generate(inst, fold, BetheTuple.trivial(3), 2, F(1))
+
+
+def _single_rep_instance(kind):
+    """An instance whose fold has one representative of the given kind."""
+    from cybethe.cartan import CartanData, DiagramAut, orbit_data
+    from cybethe.frame import ProblemInstance
+    if kind == "L1, m_i = 1":   # A_1, M = 1
+        cartan, perm, lam0 = CartanData.series("A", 1), (0,), [0]
+    elif kind == "L1, m_i = 2":  # A_1 x A_1 with its two nodes swapped
+        cartan = CartanData.from_matrix([[2, 0], [0, 2]])
+        perm, lam0 = (1, 0), [0, 0]
+    else:                        # A_2 with its two nodes swapped
+        cartan, perm, lam0 = CartanData.series("A", 2), (1, 0), \
+            [F(1, 2), F(1, 2)]
+    aut = DiagramAut(perm)
+    inst = ProblemInstance(cartan=cartan, aut=aut,
+                           omega=Cyc.root_of_unity(aut.order), points=(),
+                           site_weights=(), lambda0=Weight(lam0))
+    fold = orbit_data(cartan, aut)
+    assert len(fold.reps) == 1
+    return inst, fold
+
+
+@pytest.mark.parametrize("kind, solves", [
+    ("L1, m_i = 1", 1), ("L1, m_i = 2", 2), ("L2", 4)])
+def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
+    # depth 1 from the trivial seed expands one (node, direction) pair, so
+    # the number of solves is that of one family, whatever the samples
+    from cybethe import genengine
+    inst, fold = _single_rep_instance(kind)
+    calls = []
+    solve = genengine.wronskian_ode_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(genengine, "wronskian_ode_solve", counted)
+    samples = [F(1), F(2), F(-1, 2)]
+    for k in range(1, len(samples) + 1):
+        calls.clear()
+        seed = BetheTuple.trivial(inst.cartan.n)
+        graph = explore_population(inst, fold, seed, 1, samples[:k])
+        assert len(graph.nodes) == 1 + k and not graph.skipped
+        assert len(calls) == solves, (kind, k)
+
+
+def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
+    # Wr(x^(gamma+1) y_i_1, y_i_3) = x^gamma T_i y_ibar_2, the L = 1
+    # right-hand side at i with y_ibar replaced by the middle-step component
+    from cybethe.frame import ProblemInstance, interaction_product
+    from cybethe.qpoly import wronskian
+    inst, fold = a2
+    nontrivial = ProblemInstance(
+        cartan=inst.cartan, aut=inst.aut, omega=inst.omega,
+        points=(Cyc.of(1),), site_weights=(Weight([1, 1]),),
+        lambda0=inst.lambda0)
+    cases = [(inst, a2_tuple, (F(0), F(1), F(-1, 2), F(3, 7))),
+             (nontrivial, BetheTuple.trivial(2), (F(1), F(-1, 2), F(3, 7)))]
+    for inst, seed, cs in cases:
+        gamma = inst.gamma(0)
+        for c in cs:
+            _, step = cyclotomic_generate_L2(inst, fold, seed, 0, c)
+            inter = dict(step.intermediates)
+            f = QPoly.x_power(gamma + 1) * inter["y_i_step1"]
+            rhs = QPoly.x_power(gamma) * interaction_product(
+                inst, [seed[0], inter["y_ibar_step2"]], 0)
+            assert wronskian([f, inter["y_i_step3"]]) == rhs, c
+            assert inter["y_ibar_step2"] == \
+                generation_family(inst, fold, seed, 0)[1] + seed[1].scale(c)

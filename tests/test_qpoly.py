@@ -292,3 +292,43 @@ def test_certificate_falls_back_when_the_prime_divides_input():
     assert not qpoly._certified_coprime(_dense(f), _dense(line))
     assert qgcd(f, line).degree == 0
     assert qgcd(f * line, line).degree == 1
+
+
+@pytest.mark.parametrize("value", [
+    poly(F(1, 2), -1, 3),
+    Cyc.root_of_unity(3) + F(2, 3),
+    Cyc.root_of_unity(8) * 2 - Cyc.root_of_unity(8, 3),
+], ids=["qpoly", "cyc3", "cyc8"])
+def test_power_squares_only_while_bits_remain(value, monkeypatch):
+    cls = type(value)
+    one = QPoly.one() if cls is QPoly else Cyc.of(1, value.order)
+    want = one
+    for n in range(6):
+        assert value ** n == want, n
+        want = want * value
+    calls = []
+    mul = cls.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(cls, "__mul__", counted)
+    for n, products in ((1, 1), (2, 2), (3, 3)):
+        calls.clear()
+        value ** n
+        assert len(calls) == products, n
+
+
+def test_equality_contract_with_foreign_operands():
+    p = QPoly.one()
+    assert not (p == None)  # noqa: E711
+    assert p != None  # noqa: E711
+    assert p != "x" and not (p == "x")
+    assert None not in [p] and "x" not in [p]
+    assert p in [1] and QPoly.constant(F(1, 2)) in [F(1, 2)]
+    w = Cyc.root_of_unity(3)
+    assert QPoly.constant(w) == w and QPoly.constant(w) != w + 1
+    for c in (3, F(-2, 5), w, Cyc.of(F(1, 3))):
+        assert hash(QPoly.constant(c)) == hash(c)
+    assert hash(QPoly.zero()) == hash(0)

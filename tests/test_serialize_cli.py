@@ -112,6 +112,34 @@ def test_cli_verify_red(docs, tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_verify_runs_one_genericity_pass(docs, tmp_path, monkeypatch,
+                                            capsys):
+    from cybethe import frame
+    calls = []
+    is_generic = frame.is_generic
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return is_generic(*args, **kwargs)
+
+    monkeypatch.setattr(frame, "is_generic", counted)
+    monkeypatch.setattr(cli, "is_generic", counted, raising=False)
+    inst, tup, _ = docs
+    shared = tmp_path / "shared.json"
+    shared.write_text(json.dumps({"polys": [
+        {"denom": 1, "terms": {"0": "-1", "1": "1"}},
+        {"denom": 1, "terms": {"0": "-1", "1": "1"}},
+    ]}))
+    for path, rc_want in ((tup, 0), (str(shared), 1)):
+        calls.clear()
+        assert cli.main(["verify", "--instance", inst, "--tuple", path]) \
+            == rc_want
+        assert len(calls) == 1
+        doc = json.loads(capsys.readouterr().out)
+    assert doc["generic"] is False and doc["critical"] is False
+    assert doc["witness"] == "y_0 shares a root with y_1"
+
+
 def test_cli_generate_and_populate_round_trip(docs, capsys):
     inst, tup, tmp = docs
     out = tmp / "gen.json"
