@@ -364,9 +364,27 @@ def build_parser():
     return parser
 
 
+# options whose value is an exact scalar or a comma-separated list of them
+_SCALAR_OPTIONS = ("--c", "--samples")
+
+
+def _join_scalar_values(argv):
+    """`--c -1/2` -> `--c=-1/2`: argparse takes a separate value that
+    starts with "-" and is not a plain number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _SCALAR_OPTIONS and arg[:1] == "-" \
+                and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_scalar_values(
+            sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except CybetheError as exc:
         _emit({"error": {"kind": type(exc).__name__, "message": str(exc),

@@ -180,11 +180,11 @@ def is_generic(inst, y, t=None):
         g = qgcd(yi, t[i])
         if g.degree != 0:
             return False, f"y_{i} shares a root with T_{i}"
-        for j, yj in enumerate(y):
-            if j != i and a[i][j] != 0:
-                g = qgcd(yi, yj)
-                if g.degree != 0:
-                    return False, f"y_{i} shares a root with y_{j}"
+        # j < i passed at step j (the zero pattern of a is symmetric), or
+        # y_j is a constant and shares no root
+        for j in range(i + 1, len(y)):
+            if a[i][j] != 0 and qgcd(yi, y[j]).degree != 0:
+                return False, f"y_{i} shares a root with y_{j}"
     return True, None
 
 

@@ -250,14 +250,12 @@ class PopulationGraph:
         self.skipped = []
         self._index = {}
 
-    def key(self, y):
-        return tuple_doc_json(y)
+    def find(self, key):
+        return self._index.get(key)
 
-    def find(self, y):
-        return self._index.get(self.key(y))
-
-    def add(self, node):
-        self._index[self.key(node.tuple_)] = node.node_id
+    def add(self, node, key):
+        """Index `node` under `key`, the canonical serialized tuple."""
+        self._index[key] = node.node_id
         self.nodes.append(node)
 
     def __len__(self):
@@ -296,7 +294,7 @@ def explore_population(inst, fold, seed, depth, samples):
                           lambda_inf=weight_at_infinity(inst, seed),
                           flags={"generic": True, "cyclotomic": True,
                                  "critical": True})
-    graph.add(root)
+    graph.add(root, tuple_doc_json(seed))
     frontier = [root]
     for _ in range(depth):
         next_frontier = []
@@ -307,7 +305,8 @@ def explore_population(inst, fold, seed, depth, samples):
                 for c in samples:
                     try:
                         child, step = member(c)
-                        if graph.find(child) is not None:
+                        key = tuple_doc_json(child)
+                        if graph.find(key) is not None:
                             continue
                         _checked(inst, child, c, step.kind, t)
                     except ExceptionalParameter as exc:
@@ -323,7 +322,7 @@ def explore_population(inst, fold, seed, depth, samples):
                         flags={"generic": True, "cyclotomic": True,
                                "critical": True,
                                "edge": _edge(inst, fold, node, linf, i)})
-                    graph.add(new)
+                    graph.add(new, key)
                     next_frontier.append(new)
         frontier = next_frontier
     return graph

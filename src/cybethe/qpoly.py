@@ -7,6 +7,18 @@ are nonnegative.  Division, gcd and squarefree tests work through the
 substitution x = s^D, which turns everything into ordinary dense
 polynomials over the coefficient field.
 
+Products use an integer layout, as FLINT's fmpq_poly does.  Each operand
+is converted once: exponents are scaled to integers by the common exponent
+denominator D, and coefficients become integer vectors in Q(zeta_L), L the
+lcm of the two operands' orders, over one common denominator per operand
+(plain ints when deg Phi_L = 1).  The product is an integer convolution,
+reduced modulo Phi_L once per output term; `Cyc` objects are built only for
+the result.  Orders are those of the per-term loop (one `Cyc` product and
+one `Cyc` sum per pair of terms): when each operand's coefficients share
+one order, every output coefficient has the lcm of the two.  In that loop
+the order of a sum is the lcm over the terms added since the sum last
+cancelled, so an operand that mixes orders still goes through the loop.
+
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
 behind every generation step: it finds Y with Wr(f, Y) = W by a bounded
 linear solve on the coefficient vector of Y, never by integrating rational
@@ -21,7 +33,7 @@ from math import lcm
 from . import linalg
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
-from .scalars import Cyc, cyclotomic_polynomial
+from .scalars import Cyc, _reduce_mod_phi, cyclotomic_polynomial
 
 
 def _frac(e):
@@ -150,6 +162,11 @@ class QPoly:
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return self.scale(other)
+        of, og = _shared_order(self), _shared_order(other)
+        if of and og:
+            return _int_product(self, other, lcm(of, og))
+        # mixed orders: the order of each sum is the lcm over the terms
+        # added since it last cancelled, so only this loop reproduces it
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -295,6 +312,76 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({self})"
+
+
+def _shared_order(p):
+    """The order of every coefficient of p; None if they differ or p = 0."""
+    orders = {c.order for c in p.terms.values()}
+    return orders.pop() if len(orders) == 1 else None
+
+
+def _int_layout(p, L, D):
+    """(den, [(k, v)]) with p = sum (v / den) x^(k / D): v is an int when
+    deg Phi_L = 1, else the nonzero (index, int) entries of the coefficient
+    in Q(zeta_L)."""
+    vecs = [c.vec if c.order == L or L <= 2 else c.promote(L).vec
+            for c in p.terms.values()]
+    den = lcm(*(q.denominator for v in vecs for q in v))
+    exps = [e.numerator * (D // e.denominator) for e in p.terms]
+    if L <= 2:
+        return den, [(k, v[0].numerator * (den // v[0].denominator))
+                     for k, v in zip(exps, vecs)]
+    return den, [(k, [(j, q.numerator * (den // q.denominator))
+                      for j, q in enumerate(v) if q])
+                 for k, v in zip(exps, vecs)]
+
+
+def _int_product(f, g, L):
+    """f * g for operands whose coefficients have one order each, L the
+    lcm of the two: integer convolution, one reduction per output term.
+
+    Pairs run in the order of the per-term loop and a sum that cancels is
+    dropped, as that loop drops it, so the terms come out in its order.
+    Over Q(zeta_L), L > 2, a cancelled sum is one whose image under
+    zeta_L -> r in F_p (`_cert_field`) is 0 and whose reduction is 0.
+    """
+    D = lcm(f.denom, g.denom)
+    fden, fl = _int_layout(f, L, D)
+    gden, gl = _int_layout(g, L, D)
+    den = fden * gden
+    acc = {}
+    if L <= 2:
+        for k1, a in fl:
+            for k2, b in gl:
+                k = k1 + k2
+                s = acc.get(k, 0) + a * b
+                if s:
+                    acc[k] = s
+                else:
+                    del acc[k]
+        return QPoly({Fraction(k, D): Cyc(L, (Fraction(s, den),))
+                      for k, s in acc.items()})
+    p, powers = _cert_field(L)
+    gi = [sum(x * powers[j] for j, x in b) % p for _, b in gl]
+    width = 2 * (len(cyclotomic_polynomial(L)) - 1) - 1
+    image = {}
+    for k1, a in fl:
+        ai = sum(x * powers[i] for i, x in a)
+        for (k2, b), bi in zip(gl, gi):
+            k = k1 + k2
+            s = acc.get(k)
+            if s is None:
+                s = acc[k] = [0] * width
+                image[k] = 0
+            for i, x in a:
+                for j, y in b:
+                    s[i + j] += x * y
+            image[k] = (image[k] + ai * bi) % p
+            if not image[k] and not any(_reduce_mod_phi(s, L)):
+                del acc[k], image[k]
+    return QPoly({Fraction(k, D): Cyc(L, tuple(
+        Fraction(x, den) for x in _reduce_mod_phi(s, L)))
+        for k, s in acc.items()})
 
 
 def proportional(f, g):

@@ -19,7 +19,7 @@ from .errors import (InputError, InternalInvariantError, NoSpecialBasis,
                      NotIsotropic, NotSelfDual, UnsupportedType)
 from .frame import (BetheTuple, frame_polys, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
-from .genengine import cyclotomic_generate
+from .genengine import _checked, _family, _representative
 from .qpoly import (QPoly, RatQP, divided_wronskian, proportional,
                     wronskian_ode_solve)
 from .scalars import Cyc
@@ -898,25 +898,27 @@ def flow_vs_generation(inst, fold, seed, k, params):
         _, tup = apply_flow(space, witt, ("X", k), -c)
         flow_tuple = BetheTuple.monic_of(tup)
         if rho is None:
-            rho = _calibrate_rho(inst, fold, seed, k, c, flow_tuple)
-        # X_k moves the orbit {k, R+1-k} (1-based), represented by k-1
-        gen_tuple, _ = cyclotomic_generate(inst, fold, seed, k - 1,
-                                           (Cyc.of(1) / (rho * c)))
+            # X_k moves the orbit {k, R+1-k} (1-based), represented by k-1;
+            # its generation family is solved once for every parameter
+            _representative(fold, k - 1)
+            t = frame_polys(inst)
+            idx, base, dir_poly, member = _family(inst, fold, seed, k - 1, t)
+            rho = _calibrate_rho(flow_tuple[idx], base, dir_poly, c)
+        gen_c = Cyc.of(1) / (rho * c)
+        gen_tuple, step = member(gen_c)
+        _checked(inst, gen_tuple, gen_c, step.kind, t)
         matches.append(flow_tuple == gen_tuple)
     return {"rho": rho, "all_match": all(matches), "matches": matches}
 
 
-def _calibrate_rho(inst, fold, seed, k, c, flow_tuple):
+def _calibrate_rho(target, base, dir_poly, c):
     """Exact scale rho with generate(1/(rho*c)) = flow(-c)-image.
 
     The moved generation component is base + c~ * dir before monic
-    normalization (`generation_family`); matching the flow component T at
-    the reference parameter means s*T = base + c~*dir for some scale s,
-    a linear system in (s, c~).  Then rho = 1/(c~ * c).
+    normalization (`generation_family`); matching the flow component
+    T = `target` at the reference parameter means s*T = base + c~*dir for
+    some scale s, a linear system in (s, c~).  Then rho = 1/(c~ * c).
     """
-    from .genengine import generation_family
-    idx, base, dir_poly = generation_family(inst, fold, seed, k - 1)
-    target = flow_tuple[idx]
     exps = _support([target, dir_poly, base])
     rows = [[target.coeff(e), -dir_poly.coeff(e)] for e in exps]
     sol = linalg.solve(rows, [base.coeff(e) for e in exps])

@@ -239,3 +239,60 @@ def test_eigenvalues_reject_singular_cartan_up_front():
                            lambda0=Weight.zero(3))
     with pytest.raises(SingularCartan):
         eigenvalues(inst, BetheTuple.trivial(3), check_critical=False)
+
+
+def _all_pairs_generic(inst, y):
+    """Genericity with every adjacent pair tested in both orders."""
+    from cybethe.qpoly import is_squarefree, qgcd
+    t = frame_polys(inst)
+    a = inst.cartan.a
+    for i, yi in enumerate(y):
+        if yi.degree == 0:
+            continue
+        if yi.coeff(0).is_zero():
+            return False, f"y_{i} vanishes at the origin"
+        if not is_squarefree(yi):
+            return False, f"y_{i} is not squarefree"
+        if qgcd(yi, t[i]).degree != 0:
+            return False, f"y_{i} shares a root with T_{i}"
+        for j, yj in enumerate(y):
+            if j != i and a[i][j] != 0 and qgcd(yi, yj).degree != 0:
+                return False, f"y_{i} shares a root with y_{j}"
+    return True, None
+
+
+def test_genericity_tests_each_adjacent_pair_once(a2, a2_tuple, a3,
+                                                  monkeypatch):
+    from cybethe import frame
+    calls = []
+    qgcd = frame.qgcd
+
+    def counted(f, g):
+        calls.append(1)
+        return qgcd(f, g)
+
+    monkeypatch.setattr(frame, "qgcd", counted)
+    inst, _ = a2
+    assert is_generic(inst, a2_tuple) == (True, None)
+    # T_0, T_1 and the one adjacent pair {0, 1}
+    assert len(calls) == 3
+    calls.clear()
+    inst, _ = a3
+    y = BetheTuple([poly(1, 1), poly(2, 0, 1), poly(-1, 1)])
+    assert is_generic(inst, y) == (True, None)
+    # T_0, T_1, T_2 and the adjacent pairs {0, 1}, {1, 2}
+    assert len(calls) == 5
+
+
+def test_genericity_witnesses_match_the_all_pairs_test(a3):
+    inst, _ = a3
+    rng = random.Random(5)
+    choices = [poly(1), poly(1, 1), poly(-1, 1), poly(2, 0, 1),
+               poly(-1, 0, 1), poly(0, 1), poly(1, 2, 1), poly(-2, 1)]
+    witnesses = set()
+    for _ in range(60):
+        y = BetheTuple([rng.choice(choices) for _ in range(3)])
+        assert is_generic(inst, y) == _all_pairs_generic(inst, y), y
+        witnesses.add(is_generic(inst, y)[1])
+    assert "y_0 shares a root with y_1" in witnesses
+    assert "y_1 shares a root with y_2" in witnesses

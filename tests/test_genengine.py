@@ -368,3 +368,32 @@ def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
             assert wronskian([f, inter["y_i_step3"]]) == rhs, c
             assert inter["y_ibar_step2"] == \
                 generation_family(inst, fold, seed, 0)[1] + seed[1].scale(c)
+
+
+def test_explore_serializes_each_member_once(a3, monkeypatch):
+    # one canonical key per family member plus the root's, with the
+    # duplicates among the members included
+    from cybethe import genengine
+    calls, members = [], []
+    tuple_doc_json, family = genengine.tuple_doc_json, genengine._family
+
+    def counted(y):
+        calls.append(1)
+        return tuple_doc_json(y)
+
+    def counted_family(*args):
+        *head, member = family(*args)
+
+        def counted_member(c):
+            out = member(c)
+            members.append(1)
+            return out
+        return (*head, counted_member)
+
+    monkeypatch.setattr(genengine, "tuple_doc_json", counted)
+    monkeypatch.setattr(genengine, "_family", counted_family)
+    inst, fold = a3
+    graph = explore_population(inst, fold, BetheTuple.trivial(3), 2,
+                               [F(1), F(2), F(-1)])
+    assert len(members) > len(graph.nodes) - 1
+    assert len(calls) == len(members) + 1

@@ -275,7 +275,7 @@ def test_cli_usage_error_record(docs, capsys):
     inst, tup, _ = docs
     for argv in (["verify", "--instance", inst],
                  ["generate", "--instance", inst, "--tuple", tup,
-                  "--direction", "1", "--c", "-1/2"],
+                  "--direction", "1", "--c"],
                  ["no-such-command"]):
         assert cli.main(argv) == 2
         assert _error_record(capsys)["kind"] == "InputError"
@@ -346,3 +346,19 @@ def test_cli_populate_depth0_is_root_only(docs, capsys):
                      "--depth", "0"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [node["id"] for node in doc["nodes"]] == [0]
+
+
+@pytest.mark.parametrize("extra", [
+    ["generate", "--direction", "1", "--c", "-1/2"],
+    ["populate", "--samples", "-1/2,2"],
+    ["typea", "flow", "--c", "-1,2"],
+])
+def test_cli_negative_scalar_as_separate_argument(docs, capsys, extra):
+    inst, tup, _ = docs
+    *head, option, value = extra
+    files = ["--instance", inst, "--tuple", tup]
+    assert cli.main(head + files + [option, value]) == 0
+    separate = capsys.readouterr().out
+    assert cli.main(head + files + [f"{option}={value}"]) == 0
+    assert capsys.readouterr().out == separate
+    assert json.loads(separate)

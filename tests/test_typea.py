@@ -560,3 +560,24 @@ def test_typea_pipeline_on_a3_population(a3):
         assert is_cyclotomically_self_dual(space)
         tup = beta(space, flag.adjusted)
         assert all(a == b for a, b in zip(tup, node.tuple_))
+
+
+@pytest.mark.parametrize("params", [
+    [F(1)], [F(1), F(-1, 2)], [F(1), F(2), F(1, 2), F(-1), F(3)]])
+def test_flow_vs_generation_solves_one_family(a2, a2_tuple, params,
+                                              monkeypatch):
+    # the L = 2 family of the A_2 seed takes four solves, and every
+    # parameter is a member of it
+    from cybethe import genengine, qpoly
+    calls = []
+    solve = qpoly.wronskian_ode_solve
+
+    def counted(*args):
+        calls.append(1)
+        return solve(*args)
+
+    monkeypatch.setattr(genengine, "wronskian_ode_solve", counted)
+    inst, fold = a2
+    res = flow_vs_generation(inst, fold, a2_tuple, 1, params)
+    assert res["all_match"] and len(res["matches"]) == len(params)
+    assert len(calls) == 4
