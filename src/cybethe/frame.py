@@ -28,7 +28,7 @@ from fractions import Fraction
 from .cartan import (CartanData, DiagramAut, Weight, inner_product,
                      sigma_on_weight)
 from .errors import (InexactDivision, InputError, NegativeExponent, NotGeneric,
-                     SingularCartan, UnsupportedType)
+                     UnsupportedType)
 from .qpoly import QPoly, divide_exact, is_squarefree, proportional, qgcd
 from .scalars import Cyc
 
@@ -448,23 +448,17 @@ def canonical_lambda0(rank, M=2):
     """L0(a_j^vee) = tr_n(sigma^-1 ad_{a_j^vee}) / (1 - omega) for type A.
 
     The involution is realized on sl_{rank+1} as sigma(X) = -J X^T J^{-1}
-    with J the anti-diagonal unit matrix with alternating signs.  For
-    M = 1 the sum is empty and the weight is zero.
+    with J the anti-diagonal unit matrix with alternating signs,
+    J[k][n-1-k] = (-1)^k, so sigma(X)[a][b] = -(-1)^(a+b) X[n-1-b][n-1-a].
+    For M = 1 the sum is empty and the weight is zero.
     """
+    if rank < 1:
+        raise InputError(f"type A needs rank >= 1, got {rank}")
     if M == 1:
         return Weight.zero(rank)
     if M != 2:
         raise UnsupportedType("canonical lambda0 implemented for M in {1, 2}")
     size = rank + 1
-    jmat = [[Fraction(0)] * size for _ in range(size)]
-    for k in range(size):
-        jmat[k][size - 1 - k] = Fraction((-1) ** k)
-    jinv = _mat_inv(jmat)
-
-    def sigma_mat(x):
-        xt = [[x[b][a] for b in range(size)] for a in range(size)]
-        return _mat_scale(_mat_mul(_mat_mul(jmat, xt), jinv), Fraction(-1))
-
     pairings = []
     for j in range(rank):
         h = [[Fraction(0)] * size for _ in range(size)]
@@ -478,30 +472,11 @@ def canonical_lambda0(rank, M=2):
                 factor = h[a][a] - h[b][b]
                 if not factor:
                     continue
-                e = [[Fraction(0)] * size for _ in range(size)]
-                e[a][b] = Fraction(1)
-                img = sigma_mat(e)
-                total += factor * img[a][b]
+                # sigma(E_ab)[a][b] = -(-1)^(a+b) iff a + b = n - 1, else 0
+                if a + b == size - 1:
+                    total -= factor * (-1) ** (a + b)
         pairings.append(total / 2)  # 1 - omega = 2 for omega = -1
     return Weight(pairings)
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
-def _mat_scale(a, c):
-    return [[x * c for x in row] for row in a]
-
-
-def _mat_inv(a):
-    from . import linalg as _la
-    inv = _la.invert([list(row) for row in a])
-    if inv is None:
-        raise SingularCartan("matrix not invertible")
-    return inv
 
 
 def hl_identity_check(cartan, aut, omega, lam):

@@ -20,9 +20,11 @@ the order of a sum is the lcm over the terms added since the sum last
 cancelled, so an operand that mixes orders still goes through the loop.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
-behind every generation step: it finds Y with Wr(f, Y) = W by a bounded
-linear solve on the coefficient vector of Y, never by integrating rational
-functions.
+behind every generation step: it finds Y with Wr(f, Y) = W by one
+back-substitution sweep down the exponents of Y, never by integrating
+rational functions.  The equations are triangular in the exponents; the
+one zero pivot belongs to the kernel direction Y = f, whose coefficient
+is set to zero.
 """
 
 from fractions import Fraction
@@ -30,7 +32,6 @@ from functools import lru_cache
 from itertools import count
 from math import lcm
 
-from . import linalg
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
 from .scalars import Cyc, _reduce_mod_phi, cyclotomic_polynomial
@@ -630,7 +631,7 @@ def divided_wronskian(fs, divisors):
 
 
 def wronskian_ode_solve(f, w_target, norm):
-    """Solve Wr(f, Y) = W for Y by a bounded-degree exact linear solve.
+    """Solve Wr(f, Y) = W for Y by one back-substitution sweep.
 
     `norm` selects the canonical member of the affine solution set
     Y_particular + span(f):
@@ -639,8 +640,18 @@ def wronskian_ode_solve(f, w_target, norm):
       ("holomorphic_at_zero", e0) -- Y supported on exponents e0 + Z>=0,
                                    a class disjoint from the support of f.
 
+    With d = deg f, Wr(f, x^e) = sum_a f_a (e - a) x^(a + e - 1), so the
+    coefficient of x^(d + e - 1) in Wr(f, Y) is f_d (e - d) y_e plus
+    f_a (d + e - 2a) y_(d + e - a) over a < d: only higher exponents of Y.
+    Walking the support from the top down fixes one y_e per equation; this
+    is (Y/f)' = W/f^2 read one coefficient at a time.  The one zero pivot,
+    e = d, is the kernel direction Y = f, and there y_d = 0.  The exact
+    check f Y' - f' Y = W then proves every equation the sweep did not use.
+    The "coeff_zero" walk starts at x^0, so it needs f to be a
+    quasi-polynomial; the holomorphic class never meets the zero pivot.
+
     Returns (particular, homogeneous) where homogeneous = f spans the
-    kernel.  Raises NoSolution when the linear system is inconsistent and
+    kernel.  Raises NoSolution when no Y solves the equation and
     AmbiguousNormalization when the rule does not pin a unique solution.
     """
     if f.is_zero():
@@ -650,44 +661,38 @@ def wronskian_ode_solve(f, w_target, norm):
         return QPoly.zero(), f
 
     D = lcm(f.denom, w_target.denom, pin.denominator)
-    hi = max(w_target.degree - f.degree + 1, f.degree)
+    d = f.degree
+    hi = max(w_target.degree - d + 1, d)
     if kind == "coeff_zero":
-        lo = Fraction(0)
-        support = []
-        e = lo
-        while e <= hi:
-            support.append(e)
-            e += Fraction(1, D)
+        if f.low_exponent < 0:
+            raise ValueError("the coeff_zero rule needs f without negative "
+                             "exponents")
+        support = [Fraction(k, D) for k in range(int(hi * D) + 1)]
     elif kind == "holomorphic_at_zero":
         f_classes = {e - e.__floor__() for e in f.terms}
         if (pin - pin.__floor__()) in f_classes:
             raise AmbiguousNormalization(
                 "holomorphic normalization needs a pinned exponent class "
                 "disjoint from the support of f")
-        support = []
-        e = pin
-        while e <= max(hi, pin):
-            support.append(e)
-            e += 1
+        support = [pin + k for k in range(int(max(hi, pin) - pin) + 1)]
     else:
         raise ValueError(f"unknown normalization rule {kind!r}")
 
-    # Wr(f, x^e) = sum_a f_a (e - a) x^(a + e - 1)
-    out_exps = sorted(set(
-        [a + e - 1 for a in f.terms for e in support] + list(w_target.terms)))
-    row_of = {e: i for i, e in enumerate(out_exps)}
-    matrix = [[Cyc.of(0)] * len(support) for _ in out_exps]
-    for j, e in enumerate(support):
+    # every y_e lies in the field of f, also when f_d has a smaller order
+    fd = f.terms[d].promote(f.field_order())
+    y = {}
+    for e in reversed(support):
+        if e == d:
+            continue  # y_d = 0: the kernel direction Y = f
+        acc = w_target.coeff(d + e - 1)
         for a, ca in f.terms.items():
-            fac = e - a
-            if fac:
-                matrix[row_of[a + e - 1]][j] = \
-                    matrix[row_of[a + e - 1]][j] + ca * fac
-    rhs = [w_target.coeff(e) for e in out_exps]
-    sol = linalg.solve(matrix, rhs)
-    if sol is None:
+            known = y.get(d + e - a)
+            if known is not None:
+                acc = acc - ca * (d + e - 2 * a) * known
+        y[e] = acc / (fd * (e - d))
+    particular = QPoly(dict(reversed(y.items())))
+    if f * particular.derivative() - f.derivative() * particular != w_target:
         raise NoSolution("Wr(f, Y) = W has no quasi-polynomial solution")
-    particular = QPoly({e: c for e, c in zip(support, sol)})
 
     if kind == "coeff_zero":
         fpin = f.coeff(pin)
@@ -696,10 +701,6 @@ def wronskian_ode_solve(f, w_target, norm):
                 f"f has zero coefficient at x^{pin}; cannot pin there")
         c = particular.coeff(pin) / fpin
         particular = particular - f.scale(c)
-    # verification is cheap and guards the exactness contract
-    check = f * particular.derivative() - f.derivative() * particular
-    if check != w_target:
-        raise NoSolution("linear solve produced an inexact Wronskian solution")
     return particular, f
 
 

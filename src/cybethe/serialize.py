@@ -135,17 +135,32 @@ def cartan_from_doc(doc):
 
 
 def perm_from_doc(doc, n):
-    """1-based image array or cycle notation like "(1 4)(2 3)"."""
+    """1-based image array, also as a JSON string like "[4, 3, 2, 1]", or
+    cycle notation like "(1 4)(2 3)"; "()" is the identity."""
+    if isinstance(doc, str) and doc.startswith("["):
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"sigma is not a JSON array: {exc}") from None
     if isinstance(doc, str):
-        perm = list(range(n))
+        if not re.fullmatch(r"\s*(\([^()]*\)\s*)*", doc):
+            raise InputError(f"sigma {doc!r} is neither cycles like "
+                             f"\"(1 4)(2 3)\" nor a JSON image array")
+        perm, seen = list(range(n)), set()
         for cycle in re.findall(r"\(([^)]*)\)", doc):
             nodes = [_int(x, "sigma node") - 1
                      for x in re.split(r"[,\s]+", cycle.strip()) if x]
             if any(not 0 <= v < n for v in nodes):
                 raise InputError(f"cycle {cycle!r} out of range")
+            if seen.intersection(nodes) or len(set(nodes)) < len(nodes):
+                raise InputError(f"sigma {doc!r} repeats a node")
+            seen.update(nodes)
             for a, b in zip(nodes, nodes[1:] + nodes[:1]):
                 perm[a] = b
         return DiagramAut(tuple(perm))
+    if not isinstance(doc, (list, tuple)):
+        raise InputError(
+            f"sigma must be cycles or an image array, got {doc!r}")
     images = [_int(v, "sigma image") - 1 for v in doc]
     if len(images) != n or sorted(images) != list(range(n)):
         raise InputError(

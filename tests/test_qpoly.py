@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from conftest import poly
-from cybethe import qpoly
+from cybethe import linalg, qpoly
 from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
                             InexactDivision, NoSolution)
 from cybethe.qpoly import (QPoly, RatQP, divide_exact, divided_wronskian,
@@ -106,6 +107,128 @@ def test_ode_solve_errors():
         # f has zero coefficient at the pinned exponent
         wronskian_ode_solve(poly(0, 1), poly(0, 0, 3), ("coeff_zero", 5))
 
+
+
+def _dense_ode_solve(f, w_target, norm):
+    """Reference: Wr(f, Y) = W as one dense linear system in the
+    coefficients of Y, Gauss-Jordan through `linalg.solve` (free variables
+    zero), then the pin and the exact check."""
+    if f.is_zero():
+        raise NoSolution("kernel function f must be nonzero")
+    kind, pin = norm[0], F(norm[1])
+    if w_target.is_zero():
+        return QPoly.zero(), f
+    D = lcm(f.denom, w_target.denom, pin.denominator)
+    hi = max(w_target.degree - f.degree + 1, f.degree)
+    if kind == "coeff_zero":
+        support = [F(k, D) for k in range(int(hi * D) + 1)]
+    else:
+        if pin - pin.__floor__() in {e - e.__floor__() for e in f.terms}:
+            raise AmbiguousNormalization("pinned class meets f")
+        support = [pin + k for k in range(int(max(hi, pin) - pin) + 1)]
+    out_exps = sorted({a + e - 1 for a in f.terms for e in support}
+                      | set(w_target.terms))
+    row_of = {e: i for i, e in enumerate(out_exps)}
+    matrix = [[Cyc.of(0)] * len(support) for _ in out_exps]
+    for j, e in enumerate(support):
+        for a, ca in f.terms.items():
+            if e - a:
+                row = matrix[row_of[a + e - 1]]
+                row[j] = row[j] + ca * (e - a)
+    sol = linalg.solve(matrix, [w_target.coeff(e) for e in out_exps])
+    if sol is None:
+        raise NoSolution("Wr(f, Y) = W has no quasi-polynomial solution")
+    particular = QPoly(dict(zip(support, sol)))
+    if kind == "coeff_zero":
+        fpin = f.coeff(pin)
+        if fpin.is_zero():
+            raise AmbiguousNormalization("f vanishes at the pin")
+        particular = particular - f.scale(particular.coeff(pin) / fpin)
+    assert f * particular.derivative() - f.derivative() * particular \
+        == w_target
+    return particular, f
+
+
+def _ode_outcome(solve, f, w, norm, orders=True):
+    """Error type, or the terms in order with each value and its order."""
+    try:
+        y, hom = solve(f, w, norm)
+    except (NoSolution, AmbiguousNormalization) as exc:
+        return type(exc).__name__
+    assert hom is f
+    if not orders:
+        return list(y.terms.items())
+    return [(e, c.order, c.vec) for e, c in y.terms.items()], str(y)
+
+
+def _ode_rand_poly(rng, M, terms, top):
+    """Up to `terms` terms over Q(zeta_M) on exponents in (1/2)Z."""
+    w = Cyc.root_of_unity(M)
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        c = Cyc.of(F(rng.randint(-3, 3), rng.choice((1, 2))), M)
+        if M > 1:
+            c = c + w * F(rng.randint(-3, 3), rng.choice((1, 2)))
+        out[F(rng.randint(0, top), 2)] = c or Cyc.of(1, M)
+    return QPoly(out)
+
+
+def test_ode_solve_matches_dense_reference():
+    """One field Q(zeta_M), M in {1, 3, 4}, per case: same error, or the
+    same terms, term order and coefficient orders.  Where f, Y and the
+    extra term of W each take their own field, the values still agree."""
+    rng = random.Random(2015)
+    seen = {}
+    for case in range(400):
+        mixed = case % 4 == 3
+        M = rng.choice((1, 3, 4))
+        fields = [rng.choice((1, 3, 4)) if mixed else M for _ in range(3)]
+        f = _ode_rand_poly(rng, fields[0], 3, 6)
+        w = wronskian([f, _ode_rand_poly(rng, fields[1], 3, 6)])
+        if rng.random() < 0.4:  # usually inconsistent
+            w = w + _ode_rand_poly(rng, fields[2], 1, 10)
+        if rng.random() < 0.5:
+            pin = rng.choice([*f.terms, F(rng.randint(0, 8), 2)])
+            norm = ("coeff_zero", pin)
+        else:
+            norm = ("holomorphic_at_zero", F(rng.randint(0, 5), 2))
+        want = _ode_outcome(_dense_ode_solve, f, w, norm, not mixed)
+        assert _ode_outcome(wronskian_ode_solve, f, w, norm, not mixed) \
+            == want, (f, w, norm)
+        kind = want if isinstance(want, str) else "solved"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert min(seen.get(k, 0) for k in ("solved", "NoSolution",
+                                        "AmbiguousNormalization")) >= 40
+
+
+def test_ode_solve_keeps_the_field_of_f():
+    # a rational leading coefficient of order 1 beside an order-2 term,
+    # as the L = 2 step meets on the A4 catalog
+    f = QPoly({F(3): Cyc.of(1), F(0): Cyc.of(-3, 2)})
+    w = QPoly({F(7, 2): Cyc.of(1), F(1, 2): Cyc.of(3, 2)})
+    norm = ("holomorphic_at_zero", F(3, 2))
+    got = _ode_outcome(wronskian_ode_solve, f, w, norm)
+    assert got == _ode_outcome(_dense_ode_solve, f, w, norm)
+    assert got[0] == [(F(3, 2), 2, (F(-2, 3),))]
+
+
+def test_ode_solve_checks_before_pinning():
+    # inconsistent W and a pin where f vanishes: the missing solution wins
+    with pytest.raises(NoSolution, match="no quasi-polynomial solution"):
+        wronskian_ode_solve(QPoly.x_power(2), QPoly.x_power(3),
+                            ("coeff_zero", 5))
+
+
+def test_ode_solve_coeff_zero_needs_quasi_f():
+    # the pinned walk starts at x^0, so a Laurent f is refused, not
+    # answered with a false NoSolution
+    f = QPoly({F(-1): 1, F(1): 1})
+    with pytest.raises(ValueError, match="negative exponents"):
+        wronskian_ode_solve(f, wronskian([f, QPoly.x_power(1)]),
+                            ("coeff_zero", 1))
+    y, _ = wronskian_ode_solve(f, wronskian([f, QPoly.x_power(F(1, 2))]),
+                               ("holomorphic_at_zero", F(1, 2)))
+    assert y == QPoly.x_power(F(1, 2))
 
 def test_substitute_and_negate():
     x = QPoly.x_power(1)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -310,6 +312,7 @@ _BAD_KEY = [{"denom": 1, "terms": {"a": "1"}}, A2_TUPLE["polys"][1]]
     ("fold", "A2x", None),
     ("fold", json.dumps({"matrix": [[2, "a"], [-1, 2]]}), None),
     ("fold", "{not json", None),
+    ("verify", _with(A2_INSTANCE, sigma=5), A2_TUPLE),
 ])
 def test_cli_non_integer_document_fields(docs, capsys, command, instance,
                                          tuple_):
@@ -332,10 +335,14 @@ def test_cli_non_integer_document_fields(docs, capsys, command, instance,
     ["populate", "--depth", "-1"],
     ["populate", "--samples="],
     ["populate", "--samples=,"],
+    ["lambda0", "--rank", "0"],
+    ["lambda0", "--rank", "-1"],
 ])
 def test_cli_out_of_range_arguments(docs, capsys, extra):
     inst, tup, _ = docs
-    argv = [extra[0], "--instance", inst, "--tuple", tup] + extra[1:]
+    files = [] if extra[0] == "lambda0" else ["--instance", inst,
+                                             "--tuple", tup]
+    argv = [extra[0]] + files + extra[1:]
     assert cli.main(argv) == 2
     assert _error_record(capsys)["kind"] == "InputError"
 
@@ -362,3 +369,40 @@ def test_cli_negative_scalar_as_separate_argument(docs, capsys, extra):
     assert cli.main(head + files + [f"{option}={value}"]) == 0
     assert capsys.readouterr().out == separate
     assert json.loads(separate)
+
+
+@pytest.mark.parametrize("sigma", [
+    "1 4 2 3", "(1 4)(2 3", "(1 4)(2 3)(1 4)", "[4, 3", "(1 2 1)",
+])
+def test_cli_fold_rejects_malformed_sigma(capsys, sigma):
+    assert cli.main(["fold", "--cartan", "A4", "--sigma", sigma]) == 2
+    assert _error_record(capsys)["kind"] == "InputError"
+
+
+def test_cli_fold_sigma_as_json_array(capsys):
+    assert cli.main(["fold", "--cartan", "A4", "--sigma", "(1 4)(2 3)"]) == 0
+    cycles = capsys.readouterr().out
+    assert cli.main(["fold", "--cartan", "A4", "--sigma", "[4,3,2,1]"]) == 0
+    assert capsys.readouterr().out == cycles
+
+
+def test_perm_identity_and_separators():
+    assert serialize.perm_from_doc("()", 3).perm == (0, 1, 2)
+    assert serialize.perm_from_doc("(1 4) (2,3)", 4).perm == (3, 2, 1, 0)
+
+
+def test_readme_quickstart(tmp_path, monkeypatch):
+    """Every command of the README's CLI quickstart exits 0 on its own
+    documents."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI quickstart.*?```sh\n(.*?)```", readme,
+                      re.S).group(1)
+    for name, body in re.findall(r"cat > (\S+) <<'EOF'\n(.*?)^EOF$", block,
+                                 re.S | re.M):
+        (tmp_path / name).write_text(body)
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cybethe ")]
+    assert len(commands) == 10
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
