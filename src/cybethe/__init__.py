@@ -18,7 +18,7 @@ from .genengine import (cyclotomic_generate, cyclotomic_generate_L1,
                         cyclotomic_generate_L2, elementary_generate_L1,
                         explore_population)
 from .qpoly import (QPoly, divide_exact, divided_wronskian, proportional,
-                    qgcd, wronskian, wronskian_ode_solve)
+                    qgcd, wronskian, wronskian_ode_solve, wronskian_table)
 from .scalars import Cyc
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -420,15 +420,9 @@ def _dense_divmod(num, den):
 
 
 def _dense_gcd(a, b):
-    a = [c for c in a]
-    b = [c for c in b]
-    while b and all(not c.is_zero() for c in [b[-1]]):
-        _, r = _dense_divmod(a, b)
-        a, b = b, r
-        while a and a[-1].is_zero():
-            a.pop()
-    if not a:
-        return [Cyc.of(1)]  # gcd(0,0) treated as 1 upstream; guarded by callers
+    """Monic gcd of dense lists whose last entries are nonzero."""
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
     inv = a[-1].inverse()
     return [c * inv for c in a]
 
@@ -592,33 +586,38 @@ def is_squarefree(f):
     return len(g) == 1
 
 
+def wronskian_table(fs):
+    """Wr of every subset of fs by bitmask (bit i for f_i), Wr() = 1.
+
+    Expanding along the last derivative row, Wr(S) is the sum over i in S
+    of (-1)^#{j in S : j > i} f_i^(|S|-1) Wr(S - {i}), so each minor is
+    built once, bottom-up: n (2^(n-1) - 1) products for n functions.
+    """
+    fs = list(fs)
+    derivs = [[f] for f in fs]
+    for row in derivs:
+        for _ in fs[1:]:
+            row.append(row[-1].derivative())
+    table = [QPoly.one()]
+    for mask in range(1, 1 << len(fs)):
+        members = [i for i in range(len(fs)) if mask >> i & 1]
+        size = len(members)
+        acc = QPoly.zero()
+        for pos, i in enumerate(members):
+            f, minor = derivs[i][size - 1], table[mask ^ (1 << i)]
+            if f and minor:
+                term = f * minor if size > 1 else f
+                acc = acc + (term if (size - pos) % 2 else -term)
+        table.append(acc)
+    return table
+
+
 def wronskian(fs):
-    """Wronskian determinant Wr(f_1, ..., f_n) by exact minor expansion."""
+    """Wronskian determinant Wr(f_1, ..., f_n) from `wronskian_table`."""
     fs = list(fs)
     if not fs:
         raise ValueError("wronskian of an empty list")
-    n = len(fs)
-    rows = []
-    for f in fs:
-        row = [f]
-        for _ in range(n - 1):
-            row.append(row[-1].derivative())
-        rows.append(row)
-    return _det(rows)
-
-
-def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = QPoly.zero()
-    for i in range(n):
-        if rows[i][0].is_zero():
-            continue
-        minor = [r[1:] for j, r in enumerate(rows) if j != i]
-        term = rows[i][0] * _det(minor)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    return wronskian_table(fs)[-1]
 
 
 def divided_wronskian(fs, divisors):

@@ -11,17 +11,20 @@ reduction, never numeric rank.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 from . import linalg
 from .cartan import Weight, dominant_shifted_rep, sigma_on_weight
-from .errors import (InputError, InternalInvariantError, NoSpecialBasis,
-                     NotDecomposable, NotGeneric, NotInRootCone,
-                     NotIsotropic, NotSelfDual, UnsupportedType)
+from .errors import (InexactDivision, InputError, InternalInvariantError,
+                     NoSpecialBasis, NotDecomposable, NotGeneric,
+                     NotInRootCone, NotIsotropic, NotSelfDual,
+                     UnsupportedType)
 from .frame import (BetheTuple, frame_polys, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .genengine import _checked, _family, _representative
-from .qpoly import (QPoly, RatQP, divided_wronskian, proportional,
-                    wronskian_ode_solve)
+from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
+                    wronskian, wronskian_ode_solve, wronskian_table)
 from .scalars import Cyc
 
 
@@ -153,11 +156,16 @@ def build_frame(inst, y):
 # --- divided Wronskians ----------------------------------------------------
 
 
+def _divided(frame, w, k):
+    """Wr+ of k functions from their Wronskian w."""
+    divisors = [t for j, t in enumerate(frame.ttilde[:k - 1])
+                for _ in range(k - 1 - j)]
+    return divide_exact(w, prod(divisors, start=QPoly.one()))
+
+
 def divided_wr(frame, fs):
     """Wr+(f_1..f_k) = Wr(f_1..f_k) / (T~_1^(k-1) T~_2^(k-2) ... T~_(k-1))."""
-    k = len(fs)
-    divisors = [frame.ttilde[j] for j in range(k - 1) for _ in range(k - 1 - j)]
-    return divided_wronskian(fs, divisors)
+    return _divided(frame, wronskian(fs), len(fs))
 
 
 def fundamental_operator(frame, y):
@@ -212,9 +220,10 @@ def kernel_basis(inst, y):
     adjusted = [y[0]]
     for k in range(1, r + 1):
         adjusted.append(component(0, k - 1).monic())
+    table = wronskian_table(adjusted[:r])
     for k in range(1, r + 1):
-        w = divided_wr(frame, adjusted[:k])
-        if not proportional(w, y[k - 1] if k <= r else QPoly.one()):
+        w = _divided(frame, table[(1 << k) - 1], k)
+        if not proportional(w, y[k - 1]):
             raise InternalInvariantError(
                 f"Wr+(u_1..u_{k}) is not proportional to y_{k}")
     basis = special_basis_from(frame, adjusted)
@@ -284,13 +293,25 @@ def in_span(target, polys):
 # --- duality and the bilinear form -------------------------------------------
 
 
+def _dual(frame, table):
+    """W_i = Wr+(u_1, ..., ^u_i, ..., u_n) from the Wronskian table of u."""
+    n = len(table).bit_length() - 1
+    return [_divided(frame, table[-1 - (1 << i)], n - 1) for i in range(n)]
+
+
+def _constant(frame, table):
+    """The constant Wr+(u_1..u_n) from the Wronskian table of a basis u."""
+    top = _divided(frame, table[-1], len(table).bit_length() - 1)
+    if top.is_zero() or top.degree != 0:
+        raise InternalInvariantError(
+            f"Wr+ of a basis must be a nonzero constant, got {top}")
+    return top.coeff(0)
+
+
 def dual_basis(space, basis=None, check_degrees=True):
     """W_i = Wr+(u_1, ..., ^u_i, ..., u_(R+1))."""
-    u = list(basis if basis is not None else space.basis)
-    out = []
-    for i in range(len(u)):
-        rest = u[:i] + u[i + 1:]
-        out.append(divided_wr(space.frame, rest))
+    table = wronskian_table(space.basis if basis is None else basis)
+    out = _dual(space.frame, table)
     if check_degrees and basis is None:
         for k, w in enumerate(out):
             if w.degree != space.frame.ddag[k]:
@@ -300,12 +321,8 @@ def dual_basis(space, basis=None, check_degrees=True):
 
 
 def wr_constant(space, basis=None):
-    u = list(basis if basis is not None else space.basis)
-    top = divided_wr(space.frame, u)
-    if top.is_zero() or top.degree != 0:
-        raise InternalInvariantError(
-            f"Wr+ of a basis must be a nonzero constant, got {top}")
-    return top.coeff(0)
+    table = wronskian_table(space.basis if basis is None else basis)
+    return _constant(space.frame, table)
 
 
 def is_cyclotomically_self_dual(space):
@@ -323,8 +340,9 @@ def gram_matrix(space, basis):
     Expands u_j(-x) = sum_k C_jk W_k; then B(u_i, u_j) equals
     C_ji (-1)^i Wr+(u_1..u_(R+1)) (0-based i).
     """
-    w = dual_basis(space, basis=basis)
-    const = wr_constant(space, basis=basis)
+    table = wronskian_table(basis)
+    w = _dual(space.frame, table)
+    const = _constant(space.frame, table)
     size = len(basis)
     cmat = []
     for j in range(size):
@@ -343,9 +361,9 @@ def gram_matrix(space, basis):
     return gram
 
 
-def bform(space, u, v, basis=None):
+def bform(space, u, v):
     """B(u, v) for arbitrary vectors of the space."""
-    basis = list(basis if basis is not None else space.basis)
+    basis = list(space.basis)
     cu = in_span(u, basis)
     cv = in_span(v, basis)
     if cu is None or cv is None:
@@ -363,7 +381,8 @@ def bform(space, u, v, basis=None):
 
 def beta(space, adjusted):
     """The tuple y_k = Wr+(u_1..u_k), k = 1..R, monic-normalized."""
-    return [divided_wr(space.frame, adjusted[:k]).monic()
+    table = wronskian_table(adjusted[:space.frame.r])
+    return [_divided(space.frame, table[(1 << k) - 1], k).monic()
             for k in range(1, space.frame.r + 1)]
 
 
@@ -621,10 +640,7 @@ def normalized_witt_basis(space):
                 if k not in (i, j):
                     dk *= d[i] - d[j]
         qs.append(u[k].scale(rational_sqrt(dk) / sc))
-    top = divided_wr(space.frame, qs)
-    if top.degree != 0:
-        raise InternalInvariantError("scaled basis Wronskian is not constant")
-    c0 = top.coeff(0)
+    c0 = wr_constant(space, basis=qs)
     if c0 == Cyc.of(-1):
         qs[0] = qs[0].scale(Cyc.of(-1))
     elif c0 != Cyc.of(1):
@@ -751,7 +767,6 @@ def frame_conditions_check(space):
     (iii) expansions at 0 carry only exponents >= 0 with, for each size, a
           witness with nonzero constant coefficient.
     """
-    from itertools import combinations
     report = {}
     try:
         basis = special_basis(space)
@@ -765,13 +780,13 @@ def frame_conditions_check(space):
     ok_iii = True
     detail_ii = []
     detail_iii = []
-    from .errors import InexactDivision
+    table = wronskian_table(space.basis)
     for k in range(1, size + 1):
         quotients = []
         for subset in combinations(range(size), k):
-            fs = [space.basis[i] for i in subset]
+            mask = sum(1 << i for i in subset)
             try:
-                q = divided_wr(space.frame, fs)
+                q = _divided(space.frame, table[mask], k)
             except InexactDivision as exc:
                 ok_ii = False
                 detail_ii.append(f"k={k} subset {subset}: {exc}")
@@ -786,7 +801,6 @@ def frame_conditions_check(space):
             ok_ii = False
             detail_ii.append(f"k={k}: all divided Wronskians vanish")
             continue
-        from .qpoly import qgcd
         g = nonzero[0]
         for q in nonzero[1:]:
             g = qgcd(g, q)

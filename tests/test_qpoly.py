@@ -10,7 +10,7 @@ from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
                             InexactDivision, NoSolution)
 from cybethe.qpoly import (QPoly, RatQP, divide_exact, divided_wronskian,
                            is_squarefree, log_derivative, proportional, qgcd,
-                           wronskian, wronskian_ode_solve)
+                           wronskian, wronskian_ode_solve, wronskian_table)
 from cybethe.scalars import Cyc, cyclotomic_polynomial
 
 
@@ -229,6 +229,77 @@ def test_ode_solve_coeff_zero_needs_quasi_f():
     y, _ = wronskian_ode_solve(f, wronskian([f, QPoly.x_power(F(1, 2))]),
                                ("holomorphic_at_zero", F(1, 2)))
     assert y == QPoly.x_power(F(1, 2))
+
+def _cofactor_wronskian(fs):
+    """Reference: Wr(fs) by cofactor expansion down the first column,
+    every minor recomputed."""
+    rows = []
+    for f in fs:
+        row = [f]
+        for _ in fs[1:]:
+            row.append(row[-1].derivative())
+        rows.append(row)
+    return _det(rows)
+
+
+def _det(rows):
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    acc = QPoly.zero()
+    for i in range(n):
+        if rows[i][0].is_zero():
+            continue
+        minor = [r[1:] for j, r in enumerate(rows) if j != i]
+        term = rows[i][0] * _det(minor)
+        acc = acc + (term if i % 2 == 0 else -term)
+    return acc
+
+
+def _wr_outcome(w, orders):
+    """The terms of w by exponent, with each coefficient's order when
+    `orders`, else the value alone."""
+    if not orders:
+        return w
+    return sorted((e, c.order, c.vec) for e, c in w.terms.items())
+
+
+def test_wronskian_table_matches_cofactor_reference():
+    """Every subset Wronskian of the table, and `wronskian`, agree with the
+    cofactor expansion: values and coefficient orders when the family lies
+    in one field Q(zeta_M), M in {1, 3, 4}, values when its members take
+    their own fields.  Families mix in a zero, a constant and a repeated
+    member (Wr = 0)."""
+    rng = random.Random(1503)
+    seen = {"zero": 0, "constant": 0, "repeat": 0, "mixed": 0, 5: 0}
+    for case in range(240):
+        n = case % 5 + 1
+        mixed = case % 3 == 2
+        M = rng.choice((1, 3, 4))
+        fs = [_ode_rand_poly(rng, rng.choice((1, 3, 4)) if mixed else M, 3, 6)
+              for _ in range(n)]
+        special = rng.choice(("zero", "constant", "repeat", None))
+        if special and n > 1:
+            k = rng.randrange(1, n)
+            fs[k] = {"zero": QPoly.zero(),
+                     "constant": QPoly.constant(fs[k].leading_coeff()),
+                     "repeat": fs[rng.randrange(k)]}[special]
+            seen[special] += 1
+        seen["mixed"] += mixed
+        seen[n] = seen.get(n, 0) + 1
+        table = wronskian_table(fs)
+        assert len(table) == 1 << n and table[0] == QPoly.one()
+        for mask in range(1, 1 << n):
+            subset = [f for i, f in enumerate(fs) if mask >> i & 1]
+            want = _wr_outcome(_cofactor_wronskian(subset), not mixed)
+            assert _wr_outcome(table[mask], not mixed) == want, (fs, mask)
+        assert _wr_outcome(wronskian(fs), not mixed) == want, fs
+        if special == "repeat" and n > 1:
+            assert wronskian(fs).is_zero()
+    assert min(seen.values()) >= 30, seen
+    with pytest.raises(ValueError):
+        wronskian([])
+
 
 def test_substitute_and_negate():
     x = QPoly.x_power(1)

@@ -1,10 +1,26 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cybethe.qpoly import QPoly
 from cybethe.scalars import Cyc, cyclotomic_polynomial, primitive_root
 from cybethe.errors import InputError
+from cybethe.serialize import parse_scalar, scalar_str
+
+ORDERS = (1, 2, 3, 4, 8, 12)
+# few small entries, so that independent draws are often equal
+ENTRIES = st.sampled_from([F(0), F(0), F(1), F(-1), F(2), F(-1, 2),
+                           F(3, 4)])
+
+
+@st.composite
+def cycs(draw, order=None):
+    order = order or draw(st.sampled_from(ORDERS))
+    size = len(cyclotomic_polynomial(order)) - 1
+    return Cyc(order, tuple(draw(st.lists(ENTRIES, min_size=size,
+                                          max_size=size))))
 
 
 def test_cyclotomic_polynomials():
@@ -88,3 +104,44 @@ def test_str_forms():
     s = str(w ** 2 * F(3, 2) - 1)
     assert "w^2" in s and "3/2" in s
     assert str(Cyc.of(F(-7, 2))) == "-7/2"
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_field_laws(order, data):
+    a, b, c = (data.draw(cycs(order)) for _ in range(3))
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a - a).is_zero() and a + Cyc.of(0, order) == a
+    if not a.is_zero():
+        assert a * a.inverse() == 1 and (b / a) * a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=cycs(), b=cycs())
+def test_mixed_order_commutativity(a, b):
+    assert a + b == b + a and a * b == b * a
+    assert (a * b).order == (b * a).order == (a + b).order
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=cycs(), b=cycs(), mult=st.sampled_from((1, 2, 3, 6)))
+def test_hash_follows_equality(a, b, mult):
+    up = a.promote(a.order * mult)
+    assert up == a and hash(up) == hash(a)
+    detour = a + b - b  # in the field of lcm(a.order, b.order)
+    assert detour == a and hash(detour) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+    if a.is_rational():
+        q = a.as_fraction()
+        assert a == q and hash(a) == hash(q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=cycs())
+def test_scalar_string_round_trip(a):
+    back = parse_scalar(scalar_str(a), a.order)
+    assert back == a and back.order == a.order
