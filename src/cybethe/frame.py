@@ -29,7 +29,8 @@ from .cartan import (CartanData, DiagramAut, Weight, inner_product,
                      sigma_on_weight)
 from .errors import (InexactDivision, InputError, NegativeExponent, NotGeneric,
                      UnsupportedType)
-from .qpoly import QPoly, divide_exact, is_squarefree, proportional, qgcd
+from .qpoly import (QPoly, _DenseOnce, divide_exact, is_squarefree,
+                    proportional, qgcd)
 from .scalars import Cyc
 
 
@@ -170,6 +171,8 @@ def is_generic(inst, y, t=None):
     """
     t = t or frame_polys(inst)
     a = inst.cartan.a
+    # every y_i meets several gcds: build each dense form once
+    y = [_DenseOnce(p) for p in y]
     for i, yi in enumerate(y):
         if yi.degree == 0:
             continue

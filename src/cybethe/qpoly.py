@@ -11,13 +11,15 @@ Products use an integer layout, as FLINT's fmpq_poly does.  Each operand
 is converted once: exponents are scaled to integers by the common exponent
 denominator D, and coefficients become integer vectors in Q(zeta_L), L the
 lcm of the two operands' orders, over one common denominator per operand
-(plain ints when deg Phi_L = 1).  The product is an integer convolution,
+(plain ints when deg Phi_L = 1), read straight from each `Cyc`'s own
+numerators and denominator.  The product is an integer convolution,
 reduced modulo Phi_L once per output term; `Cyc` objects are built only for
-the result.  Orders are those of the per-term loop (one `Cyc` product and
-one `Cyc` sum per pair of terms): when each operand's coefficients share
-one order, every output coefficient has the lcm of the two.  In that loop
-the order of a sum is the lcm over the terms added since the sum last
-cancelled, so an operand that mixes orders still goes through the loop.
+the result, from ints.  Orders are those of the per-term loop (one `Cyc`
+product and one `Cyc` sum per pair of terms): when each operand's
+coefficients share one order, every output coefficient has the lcm of the
+two.  In that loop the order of a sum is the lcm over the terms added since
+the sum last cancelled, so an operand that mixes orders still goes through
+the loop.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
 behind every generation step: it finds Y with Wr(f, Y) = W by one
@@ -34,7 +36,8 @@ from math import lcm
 
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
-from .scalars import Cyc, _reduce_mod_phi, cyclotomic_polynomial
+from .scalars import (ZERO, Cyc, _cyc, _reduce_mod_phi,
+                      cyclotomic_polynomial)
 
 
 def _frac(e):
@@ -103,7 +106,7 @@ class QPoly:
         return lcm(*(e.denominator for e in self.terms))
 
     def coeff(self, e):
-        return self.terms.get(_frac(e), Cyc.of(0))
+        return self.terms.get(_frac(e), ZERO)
 
     def leading_coeff(self):
         if not self.terms:
@@ -140,7 +143,7 @@ class QPoly:
             other = QPoly.constant(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Cyc.of(0)) + c
+            s = out.get(e, ZERO) + c
             if s.is_zero():
                 out.pop(e, None)
             else:
@@ -172,7 +175,7 @@ class QPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = e1 + e2
-                s = out.get(e, Cyc.of(0)) + c1 * c2
+                s = out.get(e, ZERO) + c1 * c2
                 if s.is_zero():
                     out.pop(e, None)
                 else:
@@ -226,7 +229,7 @@ class QPoly:
         if not self.is_polynomial():
             raise BranchUndefined("evaluation needs integer exponents >= 0")
         point = point if isinstance(point, Cyc) else Cyc.of(point)
-        acc = Cyc.of(0)
+        acc = ZERO
         for e, c in self.terms.items():
             acc = acc + c * point ** int(e)
         return acc
@@ -282,7 +285,7 @@ class QPoly:
         D = D or self.denom
         low = self.low_exponent
         size = int((self.degree - low) * D) + 1
-        coeffs = [Cyc.of(0)] * size
+        coeffs = [ZERO] * size
         for e, c in self.terms.items():
             coeffs[int((e - low) * D)] = c
         return low, coeffs
@@ -315,6 +318,24 @@ class QPoly:
         return f"QPoly({self})"
 
 
+class _DenseOnce(QPoly):
+    """p with its dense forms kept, one per exponent denominator D: a caller
+    that passes p to several gcds and squarefree tests wraps it for the
+    call, and each form is built once."""
+
+    __slots__ = ("forms",)
+
+    def __init__(self, p):
+        self.terms = p.terms
+        self.forms = {}
+
+    def _dense(self, D=None):
+        D = D or self.denom
+        if D not in self.forms:
+            self.forms[D] = QPoly._dense(self, D)
+        return self.forms[D]
+
+
 def _shared_order(p):
     """The order of every coefficient of p; None if they differ or p = 0."""
     orders = {c.order for c in p.terms.values()}
@@ -325,16 +346,16 @@ def _int_layout(p, L, D):
     """(den, [(k, v)]) with p = sum (v / den) x^(k / D): v is an int when
     deg Phi_L = 1, else the nonzero (index, int) entries of the coefficient
     in Q(zeta_L)."""
-    vecs = [c.vec if c.order == L or L <= 2 else c.promote(L).vec
-            for c in p.terms.values()]
-    den = lcm(*(q.denominator for v in vecs for q in v))
+    cs = [c if c.order == L or L <= 2 else c.promote(L)
+          for c in p.terms.values()]
+    den = lcm(*(c.den for c in cs))
     exps = [e.numerator * (D // e.denominator) for e in p.terms]
     if L <= 2:
-        return den, [(k, v[0].numerator * (den // v[0].denominator))
-                     for k, v in zip(exps, vecs)]
-    return den, [(k, [(j, q.numerator * (den // q.denominator))
-                      for j, q in enumerate(v) if q])
-                 for k, v in zip(exps, vecs)]
+        return den, [(k, c.num[0] * (den // c.den))
+                     for k, c in zip(exps, cs)]
+    return den, [(k, [(j, x * (den // c.den))
+                      for j, x in enumerate(c.num) if x])
+                 for k, c in zip(exps, cs)]
 
 
 def _int_product(f, g, L):
@@ -360,7 +381,7 @@ def _int_product(f, g, L):
                     acc[k] = s
                 else:
                     del acc[k]
-        return QPoly({Fraction(k, D): Cyc(L, (Fraction(s, den),))
+        return QPoly({Fraction(k, D): _cyc(L, (s,), den)
                       for k, s in acc.items()})
     p, powers = _cert_field(L)
     gi = [sum(x * powers[j] for j, x in b) % p for _, b in gl]
@@ -380,9 +401,8 @@ def _int_product(f, g, L):
             image[k] = (image[k] + ai * bi) % p
             if not image[k] and not any(_reduce_mod_phi(s, L)):
                 del acc[k], image[k]
-    return QPoly({Fraction(k, D): Cyc(L, tuple(
-        Fraction(x, den) for x in _reduce_mod_phi(s, L)))
-        for k, s in acc.items()})
+    return QPoly({Fraction(k, D): _cyc(L, _reduce_mod_phi(s, L), den)
+                  for k, s in acc.items()})
 
 
 def proportional(f, g):
@@ -407,7 +427,7 @@ def _dense_divmod(num, den):
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     inv_lead = den[-1].inverse()
-    q = [Cyc.of(0)] * max(0, len(num) - len(den) + 1)
+    q = [ZERO] * max(0, len(num) - len(den) + 1)
     for k in range(len(num) - len(den), -1, -1):
         c = num[k + dn] * inv_lead
         if not c.is_zero():
@@ -479,19 +499,15 @@ def _cert_field(L):
 
 def _image(coeffs, L, p, powers):
     """Images in F_p of Q(zeta_L) coefficients; None if p divides a
-    denominator.  An order-m coefficient sum q_k w^k maps to
-    sum q_k r^(k L/m)."""
+    denominator.  An order-m coefficient sum (n_k / den) w^k maps to
+    sum n_k r^(k L/m) / den."""
     out = []
     for c in coeffs:
+        if c.den % p == 0:
+            return None
         step = L // c.order
-        acc = 0
-        for k, q in enumerate(c.vec):
-            if q:
-                if q.denominator % p == 0:
-                    return None
-                acc += (q.numerator * powers[k * step]
-                        * pow(q.denominator, -1, p))
-        out.append(acc % p)
+        acc = sum(x * powers[k * step] for k, x in enumerate(c.num) if x)
+        out.append(acc * pow(c.den, -1, p) % p)
     return out
 
 

@@ -12,7 +12,6 @@ reduction, never numeric rank.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import prod
 
 from . import linalg
 from .cartan import Weight, dominant_shifted_rep, sigma_on_weight
@@ -156,16 +155,20 @@ def build_frame(inst, y):
 # --- divided Wronskians ----------------------------------------------------
 
 
-def _divided(frame, w, k):
-    """Wr+ of k functions from their Wronskian w."""
-    divisors = [t for j, t in enumerate(frame.ttilde[:k - 1])
-                for _ in range(k - 1 - j)]
-    return divide_exact(w, prod(divisors, start=QPoly.one()))
+def _divisors(frame, n):
+    """[D_0, ..., D_n], D_k = T~_1^(k-1) T~_2^(k-2) ... T~_(k-1): Wr+ of k
+    functions is their Wronskian over D_k.  Built once per table reader,
+    as D_k = D_(k-1) T~_1 ... T~_(k-1)."""
+    out, step = [QPoly.one(), QPoly.one()], QPoly.one()
+    for t in frame.ttilde[:n - 1]:
+        step = step * t
+        out.append(out[-1] * step)
+    return out[:n + 1]
 
 
 def divided_wr(frame, fs):
     """Wr+(f_1..f_k) = Wr(f_1..f_k) / (T~_1^(k-1) T~_2^(k-2) ... T~_(k-1))."""
-    return _divided(frame, wronskian(fs), len(fs))
+    return divide_exact(wronskian(fs), _divisors(frame, len(fs))[-1])
 
 
 def fundamental_operator(frame, y):
@@ -221,8 +224,9 @@ def kernel_basis(inst, y):
     for k in range(1, r + 1):
         adjusted.append(component(0, k - 1).monic())
     table = wronskian_table(adjusted[:r])
+    divisors = _divisors(frame, r)
     for k in range(1, r + 1):
-        w = _divided(frame, table[(1 << k) - 1], k)
+        w = divide_exact(table[(1 << k) - 1], divisors[k])
         if not proportional(w, y[k - 1]):
             raise InternalInvariantError(
                 f"Wr+(u_1..u_{k}) is not proportional to y_{k}")
@@ -293,15 +297,18 @@ def in_span(target, polys):
 # --- duality and the bilinear form -------------------------------------------
 
 
-def _dual(frame, table):
-    """W_i = Wr+(u_1, ..., ^u_i, ..., u_n) from the Wronskian table of u."""
-    n = len(table).bit_length() - 1
-    return [_divided(frame, table[-1 - (1 << i)], n - 1) for i in range(n)]
+def _dual(table, divisors):
+    """W_i = Wr+(u_1, ..., ^u_i, ..., u_n) from the Wronskian table of u
+    and `_divisors(frame, n)`."""
+    n = len(divisors) - 1
+    return [divide_exact(table[-1 - (1 << i)], divisors[n - 1])
+            for i in range(n)]
 
 
-def _constant(frame, table):
-    """The constant Wr+(u_1..u_n) from the Wronskian table of a basis u."""
-    top = _divided(frame, table[-1], len(table).bit_length() - 1)
+def _constant(table, divisors):
+    """The constant Wr+(u_1..u_n) from the Wronskian table of a basis u
+    and `_divisors(frame, n)`."""
+    top = divide_exact(table[-1], divisors[-1])
     if top.is_zero() or top.degree != 0:
         raise InternalInvariantError(
             f"Wr+ of a basis must be a nonzero constant, got {top}")
@@ -310,8 +317,8 @@ def _constant(frame, table):
 
 def dual_basis(space, basis=None, check_degrees=True):
     """W_i = Wr+(u_1, ..., ^u_i, ..., u_(R+1))."""
-    table = wronskian_table(space.basis if basis is None else basis)
-    out = _dual(space.frame, table)
+    fs = space.basis if basis is None else basis
+    out = _dual(wronskian_table(fs), _divisors(space.frame, len(fs)))
     if check_degrees and basis is None:
         for k, w in enumerate(out):
             if w.degree != space.frame.ddag[k]:
@@ -321,8 +328,8 @@ def dual_basis(space, basis=None, check_degrees=True):
 
 
 def wr_constant(space, basis=None):
-    table = wronskian_table(space.basis if basis is None else basis)
-    return _constant(space.frame, table)
+    fs = space.basis if basis is None else basis
+    return _constant(wronskian_table(fs), _divisors(space.frame, len(fs)))
 
 
 def is_cyclotomically_self_dual(space):
@@ -341,8 +348,9 @@ def gram_matrix(space, basis):
     C_ji (-1)^i Wr+(u_1..u_(R+1)) (0-based i).
     """
     table = wronskian_table(basis)
-    w = _dual(space.frame, table)
-    const = _constant(space.frame, table)
+    divisors = _divisors(space.frame, len(basis))
+    w = _dual(table, divisors)
+    const = _constant(table, divisors)
     size = len(basis)
     cmat = []
     for j in range(size):
@@ -381,9 +389,11 @@ def bform(space, u, v):
 
 def beta(space, adjusted):
     """The tuple y_k = Wr+(u_1..u_k), k = 1..R, monic-normalized."""
-    table = wronskian_table(adjusted[:space.frame.r])
-    return [_divided(space.frame, table[(1 << k) - 1], k).monic()
-            for k in range(1, space.frame.r + 1)]
+    r = space.frame.r
+    table = wronskian_table(adjusted[:r])
+    divisors = _divisors(space.frame, r)
+    return [divide_exact(table[(1 << k) - 1], divisors[k]).monic()
+            for k in range(1, r + 1)]
 
 
 def flag_type(space, adjusted):
@@ -781,12 +791,13 @@ def frame_conditions_check(space):
     detail_ii = []
     detail_iii = []
     table = wronskian_table(space.basis)
+    divisors = _divisors(space.frame, size)
     for k in range(1, size + 1):
         quotients = []
         for subset in combinations(range(size), k):
             mask = sum(1 << i for i in subset)
             try:
-                q = _divided(space.frame, table[mask], k)
+                q = divide_exact(table[mask], divisors[k])
             except InexactDivision as exc:
                 ok_ii = False
                 detail_ii.append(f"k={k} subset {subset}: {exc}")

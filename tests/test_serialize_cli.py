@@ -273,6 +273,22 @@ def test_cli_zero_denominator(docs, capsys):
         serialize.weight_from_doc(["1/2", "1/0"])
 
 
+def test_cli_zero_denominator_in_every_scalar_input(docs, capsys):
+    inst, tup, tmp_path = docs
+    bad = tmp_path / "zero-den-tuple.json"
+    bad.write_text(json.dumps({"polys": [
+        {"denom": 1, "terms": {"0": "1/0", "3": "1"}}, A2_TUPLE["polys"][1]]}))
+    for argv in (["generate", "--instance", inst, "--tuple", tup,
+                  "--direction", "1", "--c", "1/0"],
+                 ["populate", "--instance", inst, "--tuple", tup,
+                  "--samples", "1,1/0"],
+                 ["typea", "flow", "--instance", inst, "--tuple", tup,
+                  "--c", "1/0"],
+                 ["verify", "--instance", inst, "--tuple", str(bad)]):
+        assert cli.main(argv) == 2, argv
+        assert _error_record(capsys)["kind"] == "InputError"
+
+
 def test_cli_usage_error_record(docs, capsys):
     inst, tup, _ = docs
     for argv in (["verify", "--instance", inst],

@@ -581,3 +581,43 @@ def test_flow_vs_generation_solves_one_family(a2, a2_tuple, params,
     res = flow_vs_generation(inst, fold, a2_tuple, 1, params)
     assert res["all_match"] and len(res["matches"]) == len(params)
     assert len(calls) == 4
+
+
+def test_divisors_match_the_product_rule():
+    from types import SimpleNamespace
+    from cybethe.typea import _divisors
+    ttilde = (poly(1, 1), QPoly({F(1, 2): 2, F(0): -1}), poly(-3, 0, 1),
+              QPoly({F(-1, 2): Cyc.root_of_unity(4), F(1): 1}))
+    divisors = _divisors(SimpleNamespace(ttilde=ttilde), 5)
+    assert len(divisors) == 6
+    for k, got in enumerate(divisors):
+        want = QPoly.one()
+        for j in range(k - 1):
+            want = want * ttilde[j] ** (k - 1 - j)
+        assert got == want, k
+
+
+def test_each_table_reader_builds_its_divisors_once(a2, a2_tuple,
+                                                    monkeypatch):
+    from cybethe import typea
+    inst, _ = a2
+    space, flag = kernel_basis(inst, a2_tuple)
+    calls = []
+    build = typea._divisors
+
+    def counted(frame, n):
+        calls.append(n)
+        return build(frame, n)
+
+    monkeypatch.setattr(typea, "_divisors", counted)
+    basis = list(space.basis)
+    readers = {"frame_conditions_check": lambda: frame_conditions_check(space),
+               "dual_basis": lambda: dual_basis(space),
+               "wr_constant": lambda: wr_constant(space),
+               "gram_matrix": lambda: gram_matrix(space, basis),
+               "beta": lambda: beta(space, flag.adjusted),
+               "kernel_basis": lambda: kernel_basis(inst, a2_tuple)}
+    for name, read in readers.items():
+        calls.clear()
+        read()
+        assert calls == [2 if name in ("beta", "kernel_basis") else 3], name
