@@ -47,7 +47,11 @@ def _instance(args):
 
 
 def _tuple(args, inst):
-    return serialize.tuple_from_doc(_load_json(args.tuple), inst.M)
+    y = serialize.tuple_from_doc(_load_json(args.tuple), inst.M)
+    if len(y.polys) != inst.cartan.n:
+        raise InputError(f"the tuple has {len(y.polys)} components, but "
+                         f"the instance has rank {inst.cartan.n}")
+    return y
 
 
 def _parse_samples(text, order):

@@ -47,14 +47,31 @@ def solve(matrix, rhs):
     Free variables are set to zero.  `matrix` is a list of rows; it need
     not be square.
     """
+    return solve_many(matrix, [rhs])[0]
+
+
+def solve_many(matrix, rhss):
+    """`solve` for each right-hand side in rhss, from one reduction.
+
+    The right-hand sides ride along as extra columns.  Pivots read only
+    the matrix columns, and each extra column sees the same row
+    operations as alone, so every answer is exactly the one `solve` gives.
+    """
+    if not rhss:
+        return []
     cols = len(matrix[0]) if matrix else 0
-    m, pivots = _rref([list(row) + [b] for row, b in zip(matrix, rhs)], cols)
-    if any(not _is_zero(row[-1]) for row in m[len(pivots):]):
-        return None
-    x = [Fraction(0)] * cols
-    for row, c in zip(m, pivots):
-        x[c] = row[-1]
-    return x
+    m, pivots = _rref([list(row) + [b[i] for b in rhss]
+                       for i, row in enumerate(matrix)], cols)
+    out = []
+    for k in range(cols, cols + len(rhss)):
+        if any(not _is_zero(row[k]) for row in m[len(pivots):]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for row, c in zip(m, pivots):
+            x[c] = row[k]
+        out.append(x)
+    return out
 
 
 def nullspace(matrix):

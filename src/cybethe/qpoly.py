@@ -1,11 +1,14 @@
 """Exact quasi-polynomial algebra.
 
 A quasi-polynomial is a finite sum of terms c * x^e with exact cyclotomic
-coefficients c and exponents e in (1/D)Z.  Negative exponents are allowed
-in intermediate (Laurent) values; `is_quasi` reports whether all exponents
-are nonnegative.  Division, gcd and squarefree tests work through the
-substitution x = s^D, which turns everything into ordinary dense
-polynomials over the coefficient field.
+coefficients c and exponents e in (1/D)Z.  Each exponent key of `terms`
+has one canonical form, set by `_exp`: a plain int when e is integral,
+else a Fraction with denominator > 1.  An int and an equal Fraction hash
+and compare equal, so lookups may use either.  Negative exponents are
+allowed in intermediate (Laurent) values; `is_quasi` reports whether all
+exponents are nonnegative.  Division, gcd and squarefree tests work
+through the substitution x = s^D, which turns everything into ordinary
+dense polynomials over the coefficient field.
 
 Products use an integer layout, as FLINT's fmpq_poly does.  Each operand
 is converted once: exponents are scaled to integers by the common exponent
@@ -40,8 +43,18 @@ from .scalars import (ZERO, Cyc, _cyc, _reduce_mod_phi,
                       cyclotomic_polynomial)
 
 
-def _frac(e):
-    return e if isinstance(e, Fraction) else Fraction(e)
+def _exp(e):
+    """The canonical exponent key of e: an int when e is integral, else a
+    Fraction (denominator > 1).  Both compare and hash as the number e."""
+    if type(e) is int:
+        return e
+    e = e if isinstance(e, Fraction) else Fraction(e)
+    return e.numerator if e.denominator == 1 else e
+
+
+def _exp_of(k, D):
+    """The canonical exponent key of k / D for ints k and D > 0."""
+    return k // D if k % D == 0 else Fraction(k, D)
 
 
 class QPoly:
@@ -55,7 +68,7 @@ class QPoly:
             if not isinstance(c, Cyc):
                 c = Cyc.of(c)
             if not c.is_zero():
-                clean[_frac(e)] = c
+                clean[_exp(e)] = c
         self.terms = clean
 
     # construction -----------------------------------------------------
@@ -66,20 +79,20 @@ class QPoly:
 
     @staticmethod
     def one():
-        return QPoly({Fraction(0): 1})
+        return QPoly({0: 1})
 
     @staticmethod
     def x_power(e, coeff=1):
-        return QPoly({_frac(e): coeff})
+        return QPoly({_exp(e): coeff})
 
     @staticmethod
     def constant(c):
-        return QPoly({Fraction(0): c})
+        return QPoly({0: c})
 
     @staticmethod
     def from_coeffs(coeffs):
         """Ordinary polynomial from a low-to-high coefficient list."""
-        return QPoly({Fraction(k): c for k, c in enumerate(coeffs)})
+        return QPoly(dict(enumerate(coeffs)))
 
     # structure --------------------------------------------------------
 
@@ -106,7 +119,7 @@ class QPoly:
         return lcm(*(e.denominator for e in self.terms))
 
     def coeff(self, e):
-        return self.terms.get(_frac(e), ZERO)
+        return self.terms.get(e, ZERO)
 
     def leading_coeff(self):
         if not self.terms:
@@ -281,7 +294,7 @@ class QPoly:
     def _dense(self, D=None):
         """(offset, coeff list) with f = x^offset * sum coeffs[k] s^k, s = x^(1/D)."""
         if self.is_zero():
-            return Fraction(0), []
+            return 0, []
         D = D or self.denom
         low = self.low_exponent
         size = int((self.degree - low) * D) + 1
@@ -292,7 +305,8 @@ class QPoly:
 
     @staticmethod
     def _from_dense(low, coeffs, D):
-        return QPoly({low + Fraction(k, D): c for k, c in enumerate(coeffs)})
+        base = low.numerator * (D // low.denominator)
+        return QPoly({_exp_of(base + k, D): c for k, c in enumerate(coeffs)})
 
     def __str__(self):
         if not self.terms:
@@ -381,7 +395,7 @@ def _int_product(f, g, L):
                     acc[k] = s
                 else:
                     del acc[k]
-        return QPoly({Fraction(k, D): _cyc(L, (s,), den)
+        return QPoly({_exp_of(k, D): _cyc(L, (s,), den)
                       for k, s in acc.items()})
     p, powers = _cert_field(L)
     gi = [sum(x * powers[j] for j, x in b) % p for _, b in gl]
@@ -401,7 +415,7 @@ def _int_product(f, g, L):
             image[k] = (image[k] + ai * bi) % p
             if not image[k] and not any(_reduce_mod_phi(s, L)):
                 del acc[k], image[k]
-    return QPoly({Fraction(k, D): _cyc(L, _reduce_mod_phi(s, L), den)
+    return QPoly({_exp_of(k, D): _cyc(L, _reduce_mod_phi(s, L), den)
                   for k, s in acc.items()})
 
 
@@ -586,7 +600,7 @@ def qgcd(f, g):
     if _certified_coprime(fc, gc):
         return lowpow
     core = _dense_gcd(fc, gc)
-    return (QPoly._from_dense(Fraction(0), core, D) * lowpow).monic()
+    return (QPoly._from_dense(0, core, D) * lowpow).monic()
 
 
 def is_squarefree(f):
@@ -671,7 +685,7 @@ def wronskian_ode_solve(f, w_target, norm):
     """
     if f.is_zero():
         raise NoSolution("kernel function f must be nonzero")
-    kind, pin = norm[0], _frac(norm[1])
+    kind, pin = norm[0], _exp(norm[1])
     if w_target.is_zero():
         return QPoly.zero(), f
 
@@ -682,7 +696,7 @@ def wronskian_ode_solve(f, w_target, norm):
         if f.low_exponent < 0:
             raise ValueError("the coeff_zero rule needs f without negative "
                              "exponents")
-        support = [Fraction(k, D) for k in range(int(hi * D) + 1)]
+        support = [_exp_of(k, D) for k in range(int(hi * D) + 1)]
     elif kind == "holomorphic_at_zero":
         f_classes = {e - e.__floor__() for e in f.terms}
         if (pin - pin.__floor__()) in f_classes:

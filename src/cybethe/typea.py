@@ -281,17 +281,26 @@ def _support(polys):
     return exps
 
 
-def _vectors(polys, exps=None):
-    exps = exps if exps is not None else _support(polys)
-    return [[p.coeff(e) for e in exps] for p in polys], exps
-
-
 def in_span(target, polys):
     """Coefficients of target in span(polys), or None."""
-    exps = _support(list(polys) + [target])
-    rows, _ = _vectors(polys, exps)
-    cols = [[rows[j][i] for j in range(len(polys))] for i in range(len(exps))]
-    return linalg.solve(cols, [target.coeff(e) for e in exps])
+    return _span_coefficients([target], polys)[0]
+
+
+def _span_coefficients(targets, polys):
+    """`in_span` of each target, from one row reduction of the coefficient
+    matrix of polys with a right-hand side per target.  A target with a
+    term where every poly vanishes lies outside the span and takes no
+    column; the others meet the same rows as alone."""
+    exps = _support(polys)
+    known = set(exps)
+    inside = [k for k, t in enumerate(targets) if known.issuperset(t.terms)]
+    matrix = [[p.coeff(e) for p in polys] for e in exps]
+    out = [None] * len(targets)
+    solved = linalg.solve_many(
+        matrix, [[targets[k].coeff(e) for e in exps] for k in inside])
+    for k, coeffs in zip(inside, solved):
+        out[k] = coeffs
+    return out
 
 
 # --- duality and the bilinear form -------------------------------------------
@@ -335,10 +344,8 @@ def wr_constant(space, basis=None):
 def is_cyclotomically_self_dual(space):
     """v in K iff v(-x) in K+ = span(W_1..W_(R+1)), checked on a basis."""
     w = dual_basis(space, check_degrees=False)
-    for u in space.basis:
-        if in_span(u.negate_argument(), w) is None:
-            return False
-    return True
+    images = [u.negate_argument() for u in space.basis]
+    return all(c is not None for c in _span_coefficients(images, w))
 
 
 def gram_matrix(space, basis):
@@ -352,13 +359,10 @@ def gram_matrix(space, basis):
     w = _dual(table, divisors)
     const = _constant(table, divisors)
     size = len(basis)
-    cmat = []
-    for j in range(size):
-        coeffs = in_span(basis[j].negate_argument(), w)
-        if coeffs is None:
-            raise NotSelfDual(
-                "basis vector image under x -> -x leaves the dual space")
-        cmat.append(coeffs)
+    cmat = _span_coefficients([u.negate_argument() for u in basis], w)
+    if any(coeffs is None for coeffs in cmat):
+        raise NotSelfDual(
+            "basis vector image under x -> -x leaves the dual space")
     gram = [[None] * size for _ in range(size)]
     for i in range(size):
         sign = Cyc.of(1) if i % 2 == 0 else Cyc.of(-1)
@@ -372,8 +376,7 @@ def gram_matrix(space, basis):
 def bform(space, u, v):
     """B(u, v) for arbitrary vectors of the space."""
     basis = list(space.basis)
-    cu = in_span(u, basis)
-    cv = in_span(v, basis)
+    cu, cv = _span_coefficients([u, v], basis)
     if cu is None or cv is None:
         raise InputError("bform arguments must lie in the space")
     g = gram_matrix(space, basis)
@@ -423,8 +426,8 @@ def _rank_of(polys):
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         return 0
-    rows, _ = _vectors(polys)
-    return linalg.rank(rows)
+    exps = _support(polys)
+    return linalg.rank([[p.coeff(e) for e in exps] for p in polys])
 
 
 def eta_q(space, sp_flag, o_flag, q):

@@ -92,3 +92,58 @@ def test_linalg_cyclotomic_entries():
     (vec,) = linalg.nullspace(singular)
     assert vec[0] == -w and vec[1] == 1
     assert linalg.solve(singular, [one, zero]) is None
+
+
+def _solve_alone(matrix, rhs):
+    """Reference: one reduction of [matrix | rhs], as `solve` was written
+    before `solve_many`."""
+    cols = len(matrix[0]) if matrix else 0
+    m, pivots = linalg._rref([list(row) + [b] for row, b in zip(matrix, rhs)],
+                             cols)
+    if any(not linalg._is_zero(row[-1]) for row in m[len(pivots):]):
+        return None
+    x = [F(0)] * cols
+    for row, c in zip(m, pivots):
+        x[c] = row[-1]
+    return x
+
+
+def _exactly(x):
+    """A solution with each entry's type, and order and vector for Cyc."""
+    if x is None:
+        return None
+    return [(type(v), v.order, v.vec) if isinstance(v, Cyc) else (type(v), v)
+            for v in x]
+
+
+def test_solve_many_matches_one_solve_per_right_hand_side():
+    """Same answers, entry types and Cyc orders as one reduction per right
+    hand side, over Q and over mixed orders in Q(zeta_12), with consistent
+    and inconsistent right-hand sides, and none at all."""
+    rng = random.Random(12)
+    outcomes = {True: 0, False: 0}
+    units = [Cyc.of(1), Cyc.root_of_unity(3), Cyc.root_of_unity(4),
+             Cyc.root_of_unity(12, 5)]
+    for case in range(60):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        rank = rng.randint(0, min(rows, cols))
+        matrix = _random_matrix(rng, rows, cols, rank=rank)
+        if case % 2:
+            matrix = [[x * rng.choice(units) for x in row] for row in matrix]
+        rhss = []
+        for _ in range(rng.randint(0, 4)):
+            x0 = [F(rng.randint(-3, 3)) * rng.choice(units)
+                  for _ in range(cols)]
+            rhs = [sum((a * b for a, b in zip(row, x0)), Cyc.of(0))
+                   for row in matrix]
+            if rng.random() < 0.3:
+                rhs[rng.randrange(rows)] += rng.choice(units)
+            rhss.append(rhs)
+        got = linalg.solve_many(matrix, rhss)
+        assert [_exactly(x) for x in got] == \
+            [_exactly(_solve_alone(matrix, rhs)) for rhs in rhss]
+        for rhs, x in zip(rhss, got):
+            assert _exactly(linalg.solve(matrix, rhs)) == _exactly(x)
+            outcomes[x is None] += 1
+    assert min(outcomes.values()) >= 10, outcomes
+    assert linalg.solve_many([[F(1)]], []) == []

@@ -5,8 +5,12 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cybethe.qpoly import QPoly, divide_exact
+from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
+                            NoSolution)
+from cybethe.qpoly import (QPoly, divide_exact, qgcd, wronskian,
+                           wronskian_ode_solve, wronskian_table)
 from cybethe.scalars import Cyc, cyclotomic_polynomial
+from cybethe.serialize import qpoly_doc, qpoly_from_doc
 
 ORDERS = (1, 2, 3, 4, 8, 12)
 # small entries make sums cancel often, which is where orders can differ
@@ -107,3 +111,75 @@ def test_cyc_hash_and_eq_agree_across_promotion(a, b, k):
     assert (a == b) == (a.promote(a.order * b.order) == b)
     if a == b:
         assert hash(a) == hash(b)
+
+
+def _canonical_key(e):
+    """An int exactly when e is integral, else a Fraction with
+    denominator > 1."""
+    return type(e) is int or (type(e) is F and e.denominator > 1)
+
+
+def _canonical(p):
+    return all(_canonical_key(e) for e in p.terms) and (
+        p.is_zero() or _canonical_key(p.degree)
+        and _canonical_key(p.low_exponent))
+
+
+@settings(max_examples=150, deadline=None)
+@given(qpolys(), qpolys(), qpolys(mixed=False), qpolys(mixed=True),
+       qpolys(nonzero=True))
+def test_every_operation_keeps_exponent_keys_canonical(f, g, u, m, h):
+    results = [f, g, f + g, f - g, -f, f * g, u * u, u * h, m * m, m * h,
+               f.scale(Cyc.root_of_unity(3)), f.derivative(),
+               divide_exact(f * h, h), qgcd(f, h), qgcd(u * h, h)]
+    results += f.exponent_classes().values()
+    for p in (f, h):
+        for D in (p.denom, 6):
+            low, coeffs = p._dense(D)
+            assert _canonical_key(low)
+            back = QPoly._from_dense(low, coeffs, D)
+            assert back == p and list(back.terms) == sorted(p.terms)
+            results.append(back)
+    for p in (f, g):
+        try:
+            results.append(p.negate_argument())
+        except BranchUndefined:
+            assert any(e.denominator > 2 for e in p.terms)
+    results += wronskian_table([h, f, g])
+    w = wronskian([h, g])
+    norms = [("holomorphic_at_zero", F(k, 6)) for k in range(6)]
+    if h.low_exponent >= 0:
+        norms += [("coeff_zero", e) for e in h.terms]
+        norms.append(("coeff_zero", F(h.degree)))
+    for norm in norms:
+        try:
+            results += wronskian_ode_solve(h, w, norm)
+        except (AmbiguousNormalization, NoSolution):
+            pass
+    for p in results:
+        assert _canonical(p), p.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(qpolys(mixed=False))
+def test_documents_round_trip_keys_and_order(p):
+    back = qpoly_from_doc(qpoly_doc(p), p.field_order())
+    assert back == p
+    assert list(back.terms) == sorted(p.terms)
+    assert [type(e) for e in back.terms] == \
+        [type(e) for e in sorted(p.terms)]
+    again = qpoly_from_doc(qpoly_doc(back), back.field_order())
+    assert [(type(e), e) for e in again.terms] == \
+        [(type(e), e) for e in back.terms]
+
+
+def test_an_int_and_an_equal_fraction_are_one_key():
+    p, q = QPoly({F(3): 1}), QPoly({3: 1})
+    assert p == q and hash(p) == hash(q)
+    assert [type(e) for e in p.terms] == [int]
+    assert type(QPoly.x_power(F(4, 2)).degree) is int
+    assert type(QPoly.x_power(F(3, 2)).degree) is F
+    assert p.coeff(3) == p.coeff(F(3)) == p.coeff(3.0) == 1
+    assert QPoly({F(1, 2): 1}).coeff(F(2, 4)) == 1
+    five = QPoly.constant(5)
+    assert five == 5 and hash(five) == hash(Cyc.of(5))

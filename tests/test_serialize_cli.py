@@ -422,3 +422,37 @@ def test_readme_quickstart(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for line in commands:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+
+
+A4_INSTANCE = {
+    "cartan": {"series": "A", "rank": 4},
+    "sigma": "(1 4)(2 3)",
+    "M": 2,
+    "omega": "-1",
+    "points": [],
+    "site_weights": [],
+    "lambda0": ["0", "1/2", "1/2", "0"],
+}
+_ONE = {"denom": 1, "terms": {"0": "1"}}
+
+
+@pytest.mark.parametrize("polys", [[_ONE] * 2, [_ONE] * 5, []],
+                         ids=["short", "long", "empty"])
+@pytest.mark.parametrize("command", [
+    ["verify"],
+    ["generate", "--direction", "1", "--c", "1"],
+    ["populate", "--depth", "1"],
+    ["typea", "analyze"],
+    ["typea", "flow"],
+    ["eigenvalues"],
+    ["check-numeric"],
+], ids=lambda argv: argv[-1] if argv[0] == "typea" else argv[0])
+def test_cli_tuple_length_must_be_the_rank(tmp_path, capsys, command, polys):
+    inst, tup = tmp_path / "a4.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps(A4_INSTANCE))
+    tup.write_text(json.dumps({"polys": polys}))
+    argv = command + ["--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(argv) == 2
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError"
+    assert f"has {len(polys)} components" in error["message"]

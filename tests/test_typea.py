@@ -621,3 +621,70 @@ def test_each_table_reader_builds_its_divisors_once(a2, a2_tuple,
         calls.clear()
         read()
         assert calls == [2 if name in ("beta", "kernel_basis") else 3], name
+
+
+def _in_span_alone(target, polys):
+    """Reference: `in_span` as written before `_span_coefficients`, one
+    reduction over the support of polys and target together."""
+    from cybethe import linalg
+    exps = sorted({e for p in list(polys) + [target] for e in p.terms})
+    matrix = [[p.coeff(e) for p in polys] for e in exps]
+    return linalg.solve(matrix, [target.coeff(e) for e in exps])
+
+
+def _coefficients(x):
+    return x if x is None else [
+        (c.order, c.vec) if isinstance(c, Cyc) else c for c in x]
+
+
+def test_span_coefficients_match_one_reduction_per_target(a2, a2_tuple):
+    """Same coefficients and Cyc orders as one `in_span` reduction per
+    target, for images under x -> -x, combinations over Q(zeta_4) and
+    Q(zeta_3), and targets outside the span on and off its support."""
+    from cybethe.typea import _span_coefficients
+    rng = random.Random(9)
+    units = [Cyc.of(1), Cyc.root_of_unity(4), Cyc.root_of_unity(3, 2)]
+    mixed = [poly(0, 1, 1), poly(0, 0, 1, 1).scale(units[1]),
+             QPoly({F(1, 2): units[2], F(3): 1})]
+    cases = [(dual_basis(space, check_degrees=False),
+              [u.negate_argument() for u in space.basis])
+             for space, _ in (_a5_space(), kernel_basis(a2[0], a2_tuple))]
+    cases.append((mixed, [poly(0, 1), poly(0, 1, 0, -1)]))
+    outside = 0
+    for polys, targets in cases:
+        for _ in range(4):
+            acc = QPoly.zero()
+            for v in polys:
+                acc = acc + v.scale(rng.choice(units) * rng.randint(-2, 2))
+            targets.append(acc)
+        top = max(q.degree for q in polys)
+        targets += [targets[0] + QPoly.x_power(top + 1),
+                    targets[1] + QPoly.x_power(F(1, 3))]
+        got = _span_coefficients(targets, polys)
+        want = [_in_span_alone(t, polys) for t in targets]
+        assert [_coefficients(x) for x in got] == \
+            [_coefficients(x) for x in want]
+        assert [_coefficients(in_span(t, polys)) for t in targets] == \
+            [_coefficients(x) for x in want]
+        outside += sum(x is None for x in got)
+    # two off the support per case, and x on the support of `mixed`
+    # (x - x^3 lies in its span)
+    assert outside == 2 * len(cases) + 1
+
+
+def test_dual_basis_matrix_is_reduced_once(a2, a2_tuple, monkeypatch):
+    from cybethe import linalg
+    space, _ = a2_space(a2, a2_tuple)
+    calls = []
+    reduce_ = linalg._rref
+
+    def counted(rows, cols):
+        calls.append(cols)
+        return reduce_(rows, cols)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    assert is_cyclotomically_self_dual(space)
+    gram_matrix(space, list(space.basis))
+    bform(space, space.basis[0], space.basis[1])
+    # one reduction each, bform's two targets and its Gram matrix included
+    assert calls == [3, 3, 3, 3]
