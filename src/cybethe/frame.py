@@ -254,14 +254,22 @@ def is_cyclotomic_tuple(inst, y):
     return True
 
 
-def weight_at_infinity(inst, y):
-    """Lambda_inf = L0 + sum_s sum_k sigma^k Lambda_s - sum_j deg(y_j) alpha_j."""
+def big_lambda(inst):
+    """Lambda = L0 + sum_s sum_(k<M) sigma^k Lambda_s, the weight at the
+    origin plus the weights of all extended sites (for the flip that is
+    L0 + sum_s (Lambda_s + sigma Lambda_s))."""
     total = inst.lambda0
     for lam in inst.site_weights:
         cur = lam
         for _ in range(inst.M):
             total = total + cur
             cur = sigma_on_weight(inst.aut, cur)
+    return total
+
+
+def weight_at_infinity(inst, y):
+    """Lambda_inf = Lambda - sum_j deg(y_j) alpha_j, Lambda = `big_lambda`."""
+    total = big_lambda(inst)
     a = inst.cartan.a
     degs = [int(p.degree) for p in y]
     adjust = [sum(a[i][j] * degs[j] for j in range(inst.cartan.n))

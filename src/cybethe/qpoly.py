@@ -10,6 +10,12 @@ exponents are nonnegative.  Division, gcd and squarefree tests work
 through the substitution x = s^D, which turns everything into ordinary
 dense polynomials over the coefficient field.
 
+Every coefficient of a QPoly lies in one field Q(zeta_M): `__init__`
+promotes the nonzero coefficients to the lcm of their orders, and
+`field_order` is that M.  M records how the poly was computed, not the
+smallest field of its value: a product of polys over Q(zeta_4) and
+Q(zeta_3) lies in Q(zeta_12) even when its value is rational.
+
 Products use an integer layout, as FLINT's fmpq_poly does.  Each operand
 is converted once: exponents are scaled to integers by the common exponent
 denominator D, and coefficients become integer vectors in Q(zeta_L), L the
@@ -17,12 +23,7 @@ lcm of the two operands' orders, over one common denominator per operand
 (plain ints when deg Phi_L = 1), read straight from each `Cyc`'s own
 numerators and denominator.  The product is an integer convolution,
 reduced modulo Phi_L once per output term; `Cyc` objects are built only for
-the result, from ints.  Orders are those of the per-term loop (one `Cyc`
-product and one `Cyc` sum per pair of terms): when each operand's
-coefficients share one order, every output coefficient has the lcm of the
-two.  In that loop the order of a sum is the lcm over the terms added since
-the sum last cancelled, so an operand that mixes orders still goes through
-the loop.
+the result, from ints, and each has order L.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
 behind every generation step: it finds Y with Wr(f, Y) = W by one
@@ -58,17 +59,24 @@ def _exp_of(k, D):
 
 
 class QPoly:
-    """Immutable quasi-polynomial with exact coefficients."""
+    """Immutable quasi-polynomial with exact coefficients in one field."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         clean = {}
+        order, mixed = 0, False
         for e, c in terms.items():
             if not isinstance(c, Cyc):
                 c = Cyc.of(c)
             if not c.is_zero():
                 clean[_exp(e)] = c
+                if c.order != order:
+                    mixed = order != 0
+                    order = c.order
+        if mixed:
+            L = lcm(*(c.order for c in clean.values()))
+            clean = {e: c.promote(L) for e, c in clean.items()}
         self.terms = clean
 
     # construction -----------------------------------------------------
@@ -134,10 +142,10 @@ class QPoly:
         return all(e >= 0 and e.denominator == 1 for e in self.terms)
 
     def field_order(self):
-        order = 1
+        """The order M of the one field Q(zeta_M) of the coefficients."""
         for c in self.terms.values():
-            order = lcm(order, c.order)
-        return order
+            return c.order
+        return 1
 
     def exponent_classes(self):
         """Support split by exponent residue mod 1: {residue: QPoly}."""
@@ -179,21 +187,10 @@ class QPoly:
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return self.scale(other)
-        of, og = _shared_order(self), _shared_order(other)
-        if of and og:
-            return _int_product(self, other, lcm(of, og))
-        # mixed orders: the order of each sum is the lcm over the terms
-        # added since it last cancelled, so only this loop reproduces it
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return QPoly(out)
+        if not (self.terms and other.terms):
+            return QPoly.zero()
+        return _int_product(self, other,
+                            lcm(self.field_order(), other.field_order()))
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -350,18 +347,13 @@ class _DenseOnce(QPoly):
         return self.forms[D]
 
 
-def _shared_order(p):
-    """The order of every coefficient of p; None if they differ or p = 0."""
-    orders = {c.order for c in p.terms.values()}
-    return orders.pop() if len(orders) == 1 else None
-
-
 def _int_layout(p, L, D):
     """(den, [(k, v)]) with p = sum (v / den) x^(k / D): v is an int when
     deg Phi_L = 1, else the nonzero (index, int) entries of the coefficient
     in Q(zeta_L)."""
-    cs = [c if c.order == L or L <= 2 else c.promote(L)
-          for c in p.terms.values()]
+    cs = list(p.terms.values())
+    if L > 2 and p.field_order() != L:
+        cs = [c.promote(L) for c in cs]
     den = lcm(*(c.den for c in cs))
     exps = [e.numerator * (D // e.denominator) for e in p.terms]
     if L <= 2:
@@ -373,13 +365,14 @@ def _int_layout(p, L, D):
 
 
 def _int_product(f, g, L):
-    """f * g for operands whose coefficients have one order each, L the
-    lcm of the two: integer convolution, one reduction per output term.
+    """f * g for nonzero f, g, L the lcm of their field orders: integer
+    convolution, one reduction per output term.
 
-    Pairs run in the order of the per-term loop and a sum that cancels is
-    dropped, as that loop drops it, so the terms come out in its order.
-    Over Q(zeta_L), L > 2, a cancelled sum is one whose image under
-    zeta_L -> r in F_p (`_cert_field`) is 0 and whose reduction is 0.
+    Pairs run term by term, f outer, and a sum that cancels is dropped and
+    re-enters behind the terms met so far, so the term order is that of
+    one Cyc product and one Cyc sum per pair.  Over Q(zeta_L), L > 2, a
+    cancelled sum is one whose image under zeta_L -> r in F_p
+    (`_cert_field`) is 0 and whose reduction is 0.
     """
     D = lcm(f.denom, g.denom)
     fden, fl = _int_layout(f, L, D)
@@ -707,8 +700,7 @@ def wronskian_ode_solve(f, w_target, norm):
     else:
         raise ValueError(f"unknown normalization rule {kind!r}")
 
-    # every y_e lies in the field of f, also when f_d has a smaller order
-    fd = f.terms[d].promote(f.field_order())
+    fd = f.terms[d]
     y = {}
     for e in reversed(support):
         if e == d:

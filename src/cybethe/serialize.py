@@ -3,8 +3,11 @@
 All exact scalars travel as strings: rationals as "p/q", cyclotomic values
 in the field generator w as e.g. "2/3*w^2 - w + 1" (with the field order
 recorded once per document where it is not implied by the instance).
-Serialization is canonical: exponent keys sorted numerically, dict keys
-emitted in a fixed order, so equal values produce identical bytes.
+Serialization is canonical within one field: exponent keys sorted
+numerically, dict keys emitted in a fixed order, and a scalar printed in
+the generator w of its own field Q(zeta_M), so equal values of the same
+field order produce identical bytes.  The same value in another field
+prints differently: i is "w" in Q(zeta_4) and "w^3" in Q(zeta_12).
 """
 
 import json

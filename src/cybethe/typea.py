@@ -14,12 +14,12 @@ from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .cartan import Weight, dominant_shifted_rep, sigma_on_weight
+from .cartan import Weight, dominant_shifted_rep
 from .errors import (InexactDivision, InputError, InternalInvariantError,
                      NoSpecialBasis, NotDecomposable, NotGeneric,
                      NotInRootCone, NotIsotropic, NotSelfDual,
                      UnsupportedType)
-from .frame import (BetheTuple, frame_polys, is_critical_exact,
+from .frame import (BetheTuple, big_lambda, frame_polys, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .genengine import _checked, _family, _representative
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
@@ -87,18 +87,6 @@ def determine_p(inst):
         if mid.denominator == 1 and int(mid) % 2 == 1:
             return (r + 1) // 2
     return 0
-
-
-def big_lambda(inst):
-    """Lambda = Lambda_0 + sum over all extended sites of their weights
-    (for the flip that is Lambda_0 + sum_s (Lambda_s + sigma Lambda_s))."""
-    total = inst.lambda0
-    for lam in inst.site_weights:
-        cur = lam
-        for _ in range(inst.M):
-            total = total + cur
-            cur = sigma_on_weight(inst.aut, cur)
-    return total
 
 
 def exponents(cartan, lam, lam_inf_tilde):
@@ -569,7 +557,7 @@ def _cyclotomic_sqrt(value):
     """
     order = value.order
     for k in range(order):
-        candidate = value * Cyc.root_of_unity(order, k).inverse()
+        candidate = value * Cyc.root_of_unity(order, -k)
         if candidate.is_rational():
             q = candidate.as_fraction()
             if q == 0:
@@ -612,7 +600,7 @@ def _prime_sqrt(p):
     if p % 4 == 1:
         return gauss
     # gauss = i sqrt(p) for p = 3 mod 4
-    return gauss * Cyc.root_of_unity(4, 1).inverse()
+    return gauss * Cyc.root_of_unity(4, -1)
 
 
 def _factor(n):

@@ -1,21 +1,25 @@
-"""Byte pins of population catalogs.
+"""Byte pins of population catalogs and of the type-A CLI outputs.
 
 Generation, verification and deduplication may be reorganised, but the
 canonical catalog bytes may not change.  The A4 catalog is compared with
 the committed benchmark input; the A3 and D4 catalogs with sha256 digests
-recorded before the generation engine was restructured.
+recorded before the generation engine was restructured.  The outputs of
+the type-A commands on every tuple of the A4 catalog are pinned by one
+sha256 recorded before quasi-polynomials kept one coefficient field.
 """
 
 import hashlib
+import json
 from fractions import Fraction as F
 from pathlib import Path
 
-from cybethe import serialize
+from cybethe import cli, serialize
 from cybethe.cartan import orbit_data
 from cybethe.frame import BetheTuple
 from cybethe.genengine import explore_population
 
 ROOT = Path(__file__).resolve().parents[1]
+A4_CATALOG = ROOT / "perfbench" / "data" / "a4_depth2_catalog.json"
 SAMPLES = ("1", "2", "-1/2")
 
 A4_DOC = {
@@ -50,8 +54,7 @@ def _sha256(text):
 
 def test_a4_depth2_matches_committed_catalog():
     inst = serialize.instance_from_doc(A4_DOC)
-    committed = ROOT / "perfbench" / "data" / "a4_depth2_catalog.json"
-    assert _catalog(inst, 2) + "\n" == committed.read_text()
+    assert _catalog(inst, 2) + "\n" == A4_CATALOG.read_text()
 
 
 def test_a3_depth3_digest(a3):
@@ -65,3 +68,25 @@ def test_d4_depth2_digest():
     inst = serialize.instance_from_doc(D4_DOC)
     assert _sha256(_catalog(inst, 2)) == \
         "c8b82643122a4021261574da8c4e35d402d0e9e781d00252aacf9625cd59e32c"
+
+
+# A4 has no Y or Z block (p = 2, R = 4), so those flows pin the error path
+TYPEA_COMMANDS = (
+    ["typea", "analyze"], ["typea", "analyze", "--quadratic-extension"],
+    ["verify"], ["eigenvalues"],
+    *(["typea", "flow", "--generator", g, "--c", c]
+      for g in "XYZ" for c in ("1", "-1/2")))
+
+
+def test_typea_cli_outputs_digest(tmp_path, capsys):
+    instance, tuple_ = tmp_path / "instance.json", tmp_path / "tuple.json"
+    instance.write_text(json.dumps(A4_DOC))
+    digest = hashlib.sha256()
+    for node in json.loads(A4_CATALOG.read_text())["nodes"]:
+        tuple_.write_text(json.dumps(node["tuple"]))
+        for command in TYPEA_COMMANDS:
+            rc = cli.main(command + ["--instance", str(instance),
+                                     "--tuple", str(tuple_)])
+            digest.update(f"{rc}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == \
+        "8f91eba2468a74dc34bf24374b394c606d988085d58eb0bd072dbb0d237554ef"

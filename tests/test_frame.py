@@ -7,10 +7,11 @@ from conftest import poly
 from cybethe.cartan import (CartanData, DiagramAut, Weight, orbit_data,
                             sigma_on_weight)
 from cybethe.errors import InputError, NotGeneric
-from cybethe.frame import (BetheTuple, ProblemInstance, canonical_lambda0,
-                           eigenvalues, frame_polys, hl_identity_check,
-                           is_critical_exact, is_cyclotomic_tuple, is_generic,
-                           t_tilde, validate_lambda0, weight_at_infinity)
+from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
+                           canonical_lambda0, eigenvalues, frame_polys,
+                           hl_identity_check, is_critical_exact,
+                           is_cyclotomic_tuple, is_generic, t_tilde,
+                           validate_lambda0, weight_at_infinity)
 from cybethe.qpoly import QPoly, proportional
 from cybethe.scalars import Cyc
 
@@ -114,6 +115,15 @@ def test_weight_at_infinity(a2, a3, a2_tuple):
     assert is_cyclotomic_tuple(inst3, y)
     linf = weight_at_infinity(inst3, y)
     assert sigma_on_weight(inst3.aut, linf) == linf
+
+
+def test_big_lambda_is_the_weight_at_infinity_of_the_trivial_tuple(a2):
+    inst = n1_instance(lambda1=(1, 0))
+    # L0 + Lambda_1 + sigma Lambda_1 = (1/2, 1/2) + (1, 0) + (0, 1)
+    assert big_lambda(inst) == Weight([F(3, 2), F(3, 2)])
+    assert weight_at_infinity(inst, BetheTuple.trivial(2)) == \
+        big_lambda(inst)
+    assert big_lambda(a2[0]) == a2[0].lambda0
 
 
 def test_validate_lambda0(a3, a2):

@@ -149,15 +149,13 @@ def _dense_ode_solve(f, w_target, norm):
     return particular, f
 
 
-def _ode_outcome(solve, f, w, norm, orders=True):
+def _ode_outcome(solve, f, w, norm):
     """Error type, or the terms in order with each value and its order."""
     try:
         y, hom = solve(f, w, norm)
     except (NoSolution, AmbiguousNormalization) as exc:
         return type(exc).__name__
     assert hom is f
-    if not orders:
-        return list(y.terms.items())
     return [(e, c.order, c.vec) for e, c in y.terms.items()], str(y)
 
 
@@ -174,9 +172,9 @@ def _ode_rand_poly(rng, M, terms, top):
 
 
 def test_ode_solve_matches_dense_reference():
-    """One field Q(zeta_M), M in {1, 3, 4}, per case: same error, or the
-    same terms, term order and coefficient orders.  Where f, Y and the
-    extra term of W each take their own field, the values still agree."""
+    """Same error, or the same terms, term order, coefficient orders and
+    text, both for one field Q(zeta_M), M in {1, 3, 4}, per case and where
+    f, Y and the extra term of W each take their own field."""
     rng = random.Random(2015)
     seen = {}
     for case in range(400):
@@ -192,9 +190,9 @@ def test_ode_solve_matches_dense_reference():
             norm = ("coeff_zero", pin)
         else:
             norm = ("holomorphic_at_zero", F(rng.randint(0, 5), 2))
-        want = _ode_outcome(_dense_ode_solve, f, w, norm, not mixed)
-        assert _ode_outcome(wronskian_ode_solve, f, w, norm, not mixed) \
-            == want, (f, w, norm)
+        want = _ode_outcome(_dense_ode_solve, f, w, norm)
+        assert _ode_outcome(wronskian_ode_solve, f, w, norm) == want, \
+            (f, w, norm)
         kind = want if isinstance(want, str) else "solved"
         seen[kind] = seen.get(kind, 0) + 1
     assert min(seen.get(k, 0) for k in ("solved", "NoSolution",
@@ -210,6 +208,24 @@ def test_ode_solve_keeps_the_field_of_f():
     got = _ode_outcome(wronskian_ode_solve, f, w, norm)
     assert got == _ode_outcome(_dense_ode_solve, f, w, norm)
     assert got[0] == [(F(3, 2), 2, (F(-2, 3),))]
+
+
+def test_ode_sweep_and_dense_reference_print_alike():
+    # Y's coefficients have orders 3, 1 and 4; when they kept them, both
+    # solvers returned Y, but its constant term i + 2 printed as "w + 2"
+    # (order 4) from the dense solve and as "w^3 + 2" (order 12) from the
+    # sweep
+    i, w = Cyc.root_of_unity(4), Cyc.root_of_unity(3)
+    f = QPoly({2: 2 - i, F(3, 2): i - 3})
+    y = QPoly({2: w + 1, 1: Cyc.of(1), 0: i + 2})
+    norm = ("coeff_zero", F(3, 2))
+    target = wronskian([f, y])
+    sweep, _ = wronskian_ode_solve(f, target, norm)
+    dense, _ = _dense_ode_solve(f, target, norm)
+    assert str(sweep) == str(dense)
+    assert _ode_outcome(wronskian_ode_solve, f, target, norm) == \
+        _ode_outcome(_dense_ode_solve, f, target, norm)
+    assert {c.order for c in sweep.terms.values()} == {12}
 
 
 def test_ode_solve_checks_before_pinning():
@@ -256,20 +272,17 @@ def _det(rows):
     return acc
 
 
-def _wr_outcome(w, orders):
-    """The terms of w by exponent, with each coefficient's order when
-    `orders`, else the value alone."""
-    if not orders:
-        return w
+def _wr_outcome(w):
+    """The terms of w by exponent, with each coefficient's order."""
     return sorted((e, c.order, c.vec) for e, c in w.terms.items())
 
 
 def test_wronskian_table_matches_cofactor_reference():
     """Every subset Wronskian of the table, and `wronskian`, agree with the
-    cofactor expansion: values and coefficient orders when the family lies
-    in one field Q(zeta_M), M in {1, 3, 4}, values when its members take
-    their own fields.  Families mix in a zero, a constant and a repeated
-    member (Wr = 0)."""
+    cofactor expansion in values and coefficient orders, both when the
+    family lies in one field Q(zeta_M), M in {1, 3, 4}, and when its
+    members take their own fields.  Families mix in a zero, a constant and
+    a repeated member (Wr = 0)."""
     rng = random.Random(1503)
     seen = {"zero": 0, "constant": 0, "repeat": 0, "mixed": 0, 5: 0}
     for case in range(240):
@@ -291,9 +304,9 @@ def test_wronskian_table_matches_cofactor_reference():
         assert len(table) == 1 << n and table[0] == QPoly.one()
         for mask in range(1, 1 << n):
             subset = [f for i, f in enumerate(fs) if mask >> i & 1]
-            want = _wr_outcome(_cofactor_wronskian(subset), not mixed)
-            assert _wr_outcome(table[mask], not mixed) == want, (fs, mask)
-        assert _wr_outcome(wronskian(fs), not mixed) == want, fs
+            want = _wr_outcome(_cofactor_wronskian(subset))
+            assert _wr_outcome(table[mask]) == want, (fs, mask)
+        assert _wr_outcome(wronskian(fs)) == want, fs
         if special == "repeat" and n > 1:
             assert wronskian(fs).is_zero()
     assert min(seen.values()) >= 30, seen

@@ -1,6 +1,7 @@
 """Property tests of quasi-polynomial products against the per-term loop."""
 
 from fractions import Fraction as F
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,3 +184,49 @@ def test_an_int_and_an_equal_fraction_are_one_key():
     assert QPoly({F(1, 2): 1}).coeff(F(2, 4)) == 1
     five = QPoly.constant(5)
     assert five == 5 and hash(five) == hash(Cyc.of(5))
+
+
+@st.composite
+def mixed_terms(draw):
+    """A terms dict whose coefficients take their own orders, zeros too."""
+    denom = draw(st.sampled_from((1, 2)))
+    exps = draw(st.lists(st.integers(-2, 8), max_size=5, unique=True))
+    return {F(k, denom): draw(cycs()) for k in exps}
+
+
+def _one_field(p):
+    """Every coefficient of p has the order `field_order` reports."""
+    return all(c.order == p.field_order() for c in p.terms.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_terms(), mixed_terms(), mixed_terms())
+def test_every_operation_keeps_one_coefficient_field(ft, gt, ht):
+    f, g = QPoly(ft), QPoly(gt)
+    h = QPoly(ht) + QPoly({F(10): Cyc.of(1)})  # above every key of ht
+    for terms, p in ((ft, f), (gt, g)):
+        assert p.field_order() == lcm(*(c.order for c in terms.values()
+                                         if c))
+        assert all(p.coeff(e) == c for e, c in terms.items())
+    assert (f * g).field_order() == (lcm(f.field_order(), g.field_order())
+                                     if f and g else 1)
+    results = [f, g, h, f + g, f - g, -f, f * g, f * h, h * h,
+               f.scale(Cyc.root_of_unity(3)), f.scale(F(-1, 2)),
+               f.derivative(), divide_exact(f * h, h), qgcd(f, h)]
+    for p in (f, g):
+        try:
+            results.append(p.negate_argument())
+        except BranchUndefined:
+            assert any(e.denominator > 2 for e in p.terms)
+    results += wronskian_table([h, f, g])
+    w = wronskian([h, g])
+    norms = [("holomorphic_at_zero", F(k, 2)) for k in range(2)]
+    if h.low_exponent >= 0:
+        norms += [("coeff_zero", e) for e in h.terms]
+    for norm in norms:
+        try:
+            results += wronskian_ode_solve(h, w, norm)
+        except (AmbiguousNormalization, NoSolution):
+            pass
+    for p in results:
+        assert _one_field(p), p.terms

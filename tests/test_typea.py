@@ -18,7 +18,7 @@ from cybethe.typea import (QPSpace, apply_flow, available_generators,
                            frame_conditions_check, fundamental_operator,
                            apply_operator, gram_matrix,
                            is_cyclotomically_self_dual, isotropy_check,
-                           kernel_basis, rational_sqrt,
+                           kernel_basis, rational_sqrt, _cyclotomic_sqrt,
                            special_basis_from, normalized_witt_basis,
                            witt_basis, wr_constant, in_span)
 
@@ -291,6 +291,18 @@ def test_normalized_witt_identities(a2, a2_tuple):
     # every Witt basis is decomposable
     for v in tw.vectors:
         assert len(v.exponent_classes()) == 1
+
+
+def test_cyclotomic_sqrt_of_monomials_inverts_nothing(monkeypatch):
+    def no_inverse(self):
+        raise AssertionError("inverse called")
+    monkeypatch.setattr(Cyc, "inverse", no_inverse)
+    for order in (1, 2, 3, 4, 8):
+        for k in range(order):
+            for q in (F(1), F(-2), F(9, 4), F(-3, 7)):
+                value = Cyc.root_of_unity(order, k) * q
+                root = _cyclotomic_sqrt(value)
+                assert root * root == value, (order, k, q)
 
 
 def test_rational_sqrt():
