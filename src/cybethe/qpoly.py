@@ -10,6 +10,11 @@ exponents are nonnegative.  Division, gcd and squarefree tests work
 through the substitution x = s^D, which turns everything into ordinary
 dense polynomials over the coefficient field.
 
+`terms` lists its exponents in ascending order.  `__init__` is the one
+place that sets this order: it walks the keys sorted, so every
+constructor, sum and product inherits it, and `low_exponent` and `degree`
+are the first and last keys.
+
 Every coefficient of a QPoly lies in one field Q(zeta_M): `__init__`
 promotes the nonzero coefficients to the lcm of their orders, and
 `field_order` is that M.  M records how the poly was computed, not the
@@ -37,6 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import lcm
+from operator import itemgetter
 
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
@@ -59,14 +65,15 @@ def _exp_of(k, D):
 
 
 class QPoly:
-    """Immutable quasi-polynomial with exact coefficients in one field."""
+    """Immutable quasi-polynomial with ascending exponents and exact
+    coefficients in one field."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms):
         clean = {}
         order, mixed = 0, False
-        for e, c in terms.items():
+        for e, c in sorted(terms.items(), key=itemgetter(0)):
             if not isinstance(c, Cyc):
                 c = Cyc.of(c)
             if not c.is_zero():
@@ -113,11 +120,11 @@ class QPoly:
     @property
     def degree(self):
         """Maximal exponent; None for the zero quasi-polynomial."""
-        return max(self.terms) if self.terms else None
+        return next(reversed(self.terms), None)
 
     @property
     def low_exponent(self):
-        return min(self.terms) if self.terms else None
+        return next(iter(self.terms), None)
 
     @property
     def denom(self):
@@ -136,7 +143,7 @@ class QPoly:
 
     def is_quasi(self):
         """True iff all exponents are >= 0."""
-        return all(e >= 0 for e in self.terms)
+        return not self.terms or self.low_exponent >= 0
 
     def is_polynomial(self):
         return all(e >= 0 and e.denominator == 1 for e in self.terms)
@@ -309,8 +316,7 @@ class QPoly:
         if not self.terms:
             return "0"
         bits = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
+        for e, c in reversed(self.terms.items()):
             cs = str(c)
             needs_parens = ("+" in cs[1:] or "-" in cs[1:] or "w" in cs)
             if e == 0:
@@ -366,14 +372,8 @@ def _int_layout(p, L, D):
 
 def _int_product(f, g, L):
     """f * g for nonzero f, g, L the lcm of their field orders: integer
-    convolution, one reduction per output term.
-
-    Pairs run term by term, f outer, and a sum that cancels is dropped and
-    re-enters behind the terms met so far, so the term order is that of
-    one Cyc product and one Cyc sum per pair.  Over Q(zeta_L), L > 2, a
-    cancelled sum is one whose image under zeta_L -> r in F_p
-    (`_cert_field`) is 0 and whose reduction is 0.
-    """
+    convolution, one reduction per output term; `__init__` drops the terms
+    that cancel and sorts the rest."""
     D = lcm(f.denom, g.denom)
     fden, fl = _int_layout(f, L, D)
     gden, gl = _int_layout(g, L, D)
@@ -382,32 +382,18 @@ def _int_product(f, g, L):
     if L <= 2:
         for k1, a in fl:
             for k2, b in gl:
-                k = k1 + k2
-                s = acc.get(k, 0) + a * b
-                if s:
-                    acc[k] = s
-                else:
-                    del acc[k]
+                acc[k1 + k2] = acc.get(k1 + k2, 0) + a * b
         return QPoly({_exp_of(k, D): _cyc(L, (s,), den)
                       for k, s in acc.items()})
-    p, powers = _cert_field(L)
-    gi = [sum(x * powers[j] for j, x in b) % p for _, b in gl]
     width = 2 * (len(cyclotomic_polynomial(L)) - 1) - 1
-    image = {}
     for k1, a in fl:
-        ai = sum(x * powers[i] for i, x in a)
-        for (k2, b), bi in zip(gl, gi):
-            k = k1 + k2
-            s = acc.get(k)
+        for k2, b in gl:
+            s = acc.get(k1 + k2)
             if s is None:
-                s = acc[k] = [0] * width
-                image[k] = 0
+                s = acc[k1 + k2] = [0] * width
             for i, x in a:
                 for j, y in b:
                     s[i + j] += x * y
-            image[k] = (image[k] + ai * bi) % p
-            if not image[k] and not any(_reduce_mod_phi(s, L)):
-                del acc[k], image[k]
     return QPoly({_exp_of(k, D): _cyc(L, _reduce_mod_phi(s, L), den)
                   for k, s in acc.items()})
 
@@ -711,7 +697,7 @@ def wronskian_ode_solve(f, w_target, norm):
             if known is not None:
                 acc = acc - ca * (d + e - 2 * a) * known
         y[e] = acc / (fd * (e - d))
-    particular = QPoly(dict(reversed(y.items())))
+    particular = QPoly(y)
     if f * particular.derivative() - f.derivative() * particular != w_target:
         raise NoSolution("Wr(f, Y) = W has no quasi-polynomial solution")
 

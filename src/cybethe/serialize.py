@@ -27,21 +27,37 @@ _TERM_RE = re.compile(
     r"^\s*([+-]?)\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?(?:w(?:\^(\d+))?)?\s*$")
 
 
+def _typed(value, kind, what):
+    """value when it is an instance of kind, else InputError: a document
+    field must arrive as its JSON type."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what}, got {value!r}")
+    return value
+
+
 def _fraction(text):
     try:
-        return Fraction(text)
+        return Fraction(_typed(text, str, "an exact scalar must be a string"))
     except ZeroDivisionError:
         raise InputError(f"zero denominator in {text!r}") from None
-    except (TypeError, ValueError):
+    except ValueError:
         raise InputError(f"not a rational number: {text!r}") from None
 
 
 def _int(value, what):
-    """int(value) for an integer field of a document, else InputError."""
+    """An integer field of a document: a JSON integer, else InputError."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _int_text(text, what):
+    """The integer written in the string text, such as an exponent key,
+    else InputError."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise InputError(f"{what} must be an integer, got {value!r}") from None
+        return int(_typed(text, str, f"{what} must be an integer string"))
+    except ValueError:
+        raise InputError(f"{what} must be an integer, got {text!r}") from None
 
 
 def _field(doc, key):
@@ -61,7 +77,7 @@ def scalar_str(value):
 
 def parse_scalar(text, order=1):
     """Parse "p/q" or a polynomial in w into a Cyc of at least `order`."""
-    text = text.strip()
+    text = _typed(text, str, "an exact scalar must be a string").strip()
     if not text:
         raise InputError("empty scalar string")
     chunks = re.split(r"(?=[+-])(?![^(]*\))", text.replace(" ", ""))
@@ -97,8 +113,7 @@ def parse_scalar(text, order=1):
 def qpoly_doc(p):
     """{"denom": D, "terms": {"e*D": scalar string}} with sorted keys."""
     d = p.denom
-    terms = {str(int(e * d)): scalar_str(c)
-             for e, c in sorted(p.terms.items())}
+    terms = {str(int(e * d)): scalar_str(c) for e, c in p.terms.items()}
     return {"denom": d, "terms": terms}
 
 
@@ -106,8 +121,9 @@ def qpoly_from_doc(doc, order=1):
     d = _int(_field(doc, "denom"), "denom")
     if d == 0:
         raise InputError("denom must be nonzero")
-    return QPoly({Fraction(_int(k, "exponent key"), d): parse_scalar(v, order)
-                  for k, v in _field(doc, "terms").items()})
+    terms = _typed(_field(doc, "terms"), dict, "terms must be an object")
+    return QPoly({Fraction(_int_text(k, "exponent key"), d):
+                  parse_scalar(v, order) for k, v in terms.items()})
 
 
 # --- weights and cartan data ----------------------------------------------
@@ -126,7 +142,7 @@ def cartan_doc(c):
 
 def cartan_from_doc(doc):
     if isinstance(doc, str):
-        return CartanData.series(doc[:1], _int(doc[1:], "series rank"))
+        return CartanData.series(doc[:1], _int_text(doc[1:], "series rank"))
     if "series" in doc:
         return CartanData.series(doc["series"],
                                  _int(_field(doc, "rank"), "rank"))
@@ -151,7 +167,7 @@ def perm_from_doc(doc, n):
                              f"\"(1 4)(2 3)\" nor a JSON image array")
         perm, seen = list(range(n)), set()
         for cycle in re.findall(r"\(([^)]*)\)", doc):
-            nodes = [_int(x, "sigma node") - 1
+            nodes = [_int_text(x, "sigma node") - 1
                      for x in re.split(r"[,\s]+", cycle.strip()) if x]
             if any(not 0 <= v < n for v in nodes):
                 raise InputError(f"cycle {cycle!r} out of range")
@@ -219,8 +235,9 @@ def tuple_doc(y):
 
 def tuple_from_doc(doc, order=1):
     from .frame import BetheTuple
-    return BetheTuple([qpoly_from_doc(p, order)
-                       for p in _field(doc, "polys")])
+    polys = _field(doc, "polys")
+    return BetheTuple([qpoly_from_doc(p, order) for p in
+                       _typed(polys, (list, tuple), "polys must be an array")])
 
 
 def tuple_doc_json(y):

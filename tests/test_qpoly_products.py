@@ -81,19 +81,20 @@ def test_products_chain_like_the_per_term_loop(f, g, h):
 
 
 def test_cancelled_sum_drops_its_term_as_the_loop_does():
-    # in (1 + x - x^2)^2 the x^2 sum cancels at the pair (1, x), x^3
-    # enters next, and the pair (x^2, 1) refills x^2 behind it
+    # in (1 + x - x^2)^2 the x^2 sum cancels at the pair (x, x), x^3
+    # enters next, and the pair (x^2, 1) refills x^2; the terms stay in
+    # ascending order all the same
     for one in (Cyc.of(1), Cyc.of(1, 2), Cyc.root_of_unity(3),
                 Cyc.root_of_unity(8, 3)):
         f = QPoly({F(0): one, F(1): one, F(2): -one})
         assert _same(f * f, reference_product(f, f))
-        assert list((f * f).terms) == [0, 1, 3, 2, 4]
+        assert list((f * f).terms) == [0, 1, 2, 3, 4]
     # the same pattern where x^2 cancels only modulo Phi_3:
     # 1 * (1 + w) + w * w = 1 + w + w^2
     w = Cyc.root_of_unity(3)
     f = QPoly({F(0): Cyc.of(1, 3), F(1): w, F(2): 1 + w})
     assert _same(f * f, reference_product(f, f))
-    assert list((f * f).terms) == [0, 1, 3, 2, 4]
+    assert list((f * f).terms) == [0, 1, 2, 3, 4]
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,7 +122,9 @@ def _canonical_key(e):
 
 
 def _canonical(p):
+    """Canonical keys in ascending order."""
     return all(_canonical_key(e) for e in p.terms) and (
+        list(p.terms) == sorted(p.terms)) and (
         p.is_zero() or _canonical_key(p.degree)
         and _canonical_key(p.low_exponent))
 
@@ -130,7 +133,13 @@ def _canonical(p):
 @given(qpolys(), qpolys(), qpolys(mixed=False), qpolys(mixed=True),
        qpolys(nonzero=True))
 def test_every_operation_keeps_exponent_keys_canonical(f, g, u, m, h):
+    # exponents of f lie in [-3, 9]: these sums have disjoint supports
+    below, above = QPoly({F(-7, 2): 1}), QPoly.x_power(F(21, 2), 2)
+    doc = qpoly_doc(f)
+    doc["terms"] = dict(reversed(doc["terms"].items()))
     results = [f, g, f + g, f - g, -f, f * g, u * u, u * h, m * m, m * h,
+               f + below, above + f, below + above,
+               qpoly_from_doc(doc, f.field_order()),
                f.scale(Cyc.root_of_unity(3)), f.derivative(),
                divide_exact(f * h, h), qgcd(f, h), qgcd(u * h, h)]
     results += f.exponent_classes().values()

@@ -329,6 +329,13 @@ _BAD_KEY = [{"denom": 1, "terms": {"a": "1"}}, A2_TUPLE["polys"][1]]
     ("fold", json.dumps({"matrix": [[2, "a"], [-1, 2]]}), None),
     ("fold", "{not json", None),
     ("verify", _with(A2_INSTANCE, sigma=5), A2_TUPLE),
+    # a JSON float or string is no JSON integer, even when it reads as one
+    ("verify", _with(A2_INSTANCE, cartan={"series": "A", "rank": 2.9}),
+     A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, cartan={"series": "A", "rank": "2"}),
+     A2_TUPLE),
+    ("verify", A2_INSTANCE, {"polys": [{**A2_TUPLE["polys"][0], "denom": 1.0},
+                                       A2_TUPLE["polys"][1]]}),
 ])
 def test_cli_non_integer_document_fields(docs, capsys, command, instance,
                                          tuple_):
@@ -340,6 +347,34 @@ def test_cli_non_integer_document_fields(docs, capsys, command, instance,
         inst.write_text(json.dumps(instance))
         tup.write_text(json.dumps(tuple_))
         argv = [command, "--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(argv) == 2
+    assert _error_record(capsys)["kind"] == "InputError"
+
+
+def _tuple_with_terms(terms):
+    return {"polys": [{"denom": 1, "terms": terms}, A2_TUPLE["polys"][1]]}
+
+
+@pytest.mark.parametrize("command, instance, tuple_", [
+    ("verify", _with(A2_INSTANCE, omega=-1), A2_TUPLE),
+    ("verify", A2_INSTANCE, _tuple_with_terms({"0": -1, "3": "1"})),
+    ("verify", A2_INSTANCE, _tuple_with_terms({"0": "-1", "3": 1.5})),
+    ("validate", _with(A2_INSTANCE, lambda0=[0.1, 0.1]), None),
+    ("validate", _with(A2_INSTANCE, lambda0=[0.5, 0.5]), None),
+    ("validate", _with(A2_INSTANCE, lambda0=[1, 1]), None),
+    ("verify", A2_INSTANCE, {"polys": 5}),
+    ("verify", A2_INSTANCE, _tuple_with_terms(["1"])),
+])
+def test_cli_scalars_and_containers_keep_their_json_types(
+        docs, capsys, command, instance, tuple_):
+    _, _, tmp_path = docs
+    inst = tmp_path / "bad-instance.json"
+    inst.write_text(json.dumps(instance))
+    argv = [command, "--instance", str(inst)]
+    if tuple_ is not None:
+        tup = tmp_path / "bad-tuple.json"
+        tup.write_text(json.dumps(tuple_))
+        argv += ["--tuple", str(tup)]
     assert cli.main(argv) == 2
     assert _error_record(capsys)["kind"] == "InputError"
 
