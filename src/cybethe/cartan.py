@@ -292,6 +292,14 @@ def sigma_on_weight(aut, weight):
     return Weight([weight[aut.inverse(i)] for i in range(len(weight))])
 
 
+def weight_orbit(aut, weight):
+    """[sigma^k lambda for k < M], M the order of sigma."""
+    out = [weight]
+    for _ in range(aut.order - 1):
+        out.append(sigma_on_weight(aut, out[-1]))
+    return out
+
+
 def shifted_reflect(cartan, i, weight):
     """Shifted reflection s_i . lambda = s_i(lambda + rho) - rho."""
     shift = weight[i] + 1

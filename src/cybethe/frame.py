@@ -26,11 +26,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import (CartanData, DiagramAut, Weight, inner_product,
-                     sigma_on_weight)
+                     sigma_on_weight, weight_orbit)
 from .errors import (InexactDivision, InputError, NegativeExponent, NotGeneric,
                      UnsupportedType)
-from .qpoly import (QPoly, _DenseOnce, divide_exact, is_squarefree,
-                    proportional, qgcd)
+from .qpoly import QPoly, divide_exact, is_squarefree, proportional, qgcd
 from .scalars import Cyc
 
 
@@ -133,13 +132,13 @@ class BetheTuple:
 
 def frame_polys(inst):
     """T_i(x) = prod_s prod_k (x - omega^k z_s)^<sigma^k Lambda_s, alpha_i^vee>."""
+    orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
     out = {}
     for i in range(inst.cartan.n):
         acc = QPoly.one()
         for s, z in enumerate(inst.points):
-            lam = inst.site_weights[s]
-            for k in range(inst.M):
-                power = sigma_on_weight_power(inst.aut, lam, k)[i]
+            for k, lam in enumerate(orbits[s]):
+                power = lam[i]
                 if power < 0 or power.denominator != 1:
                     raise NegativeExponent(
                         f"<sigma^{k} Lambda_{s}, alpha_{i}^vee> = {power}")
@@ -149,13 +148,6 @@ def frame_polys(inst):
                     acc = acc * factor ** int(power)
         out[i] = acc
     return out
-
-
-def sigma_on_weight_power(aut, weight, k):
-    cur = weight
-    for _ in range(k % aut.order):
-        cur = sigma_on_weight(aut, cur)
-    return cur
 
 
 def t_tilde(inst, i, t=None):
@@ -171,8 +163,6 @@ def is_generic(inst, y, t=None):
     """
     t = t or frame_polys(inst)
     a = inst.cartan.a
-    # every y_i meets several gcds: build each dense form once
-    y = [_DenseOnce(p) for p in y]
     for i, yi in enumerate(y):
         if yi.degree == 0:
             continue
@@ -260,10 +250,8 @@ def big_lambda(inst):
     L0 + sum_s (Lambda_s + sigma Lambda_s))."""
     total = inst.lambda0
     for lam in inst.site_weights:
-        cur = lam
-        for _ in range(inst.M):
+        for cur in weight_orbit(inst.aut, lam):
             total = total + cur
-            cur = sigma_on_weight(inst.aut, cur)
     return total
 
 
@@ -355,14 +343,9 @@ def _log_deriv_at(poly, point):
 def extended_sites(inst):
     """The extended configuration: [(index, z, weight)] with the origin first."""
     sites = [(0, Cyc.of(0), inst.lambda0)]
-    idx = 1
-    for s, z in enumerate(inst.points):
-        lam = inst.site_weights[s]
-        cur = lam
-        for k in range(inst.M):
-            sites.append((idx, inst.omega ** k * z, cur))
-            idx += 1
-            cur = sigma_on_weight(inst.aut, cur)
+    for z, lam in zip(inst.points, inst.site_weights):
+        for k, cur in enumerate(weight_orbit(inst.aut, lam)):
+            sites.append((len(sites), inst.omega ** k * z, cur))
     return sites
 
 
@@ -393,6 +376,7 @@ def eigenvalues(inst, y, check_critical=True):
 
     alpha = [Weight.simple_root(cartan, j) for j in range(cartan.n)]
     M, omega = inst.M, inst.omega
+    orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
 
     cyc = []
     for i, zi in enumerate(inst.points):
@@ -401,25 +385,19 @@ def eigenvalues(inst, y, check_critical=True):
         for j, zj in enumerate(inst.points):
             if j == i:
                 continue
-            cur = inst.site_weights[j]
-            for s in range(M):
+            for s, cur in enumerate(orbits[j]):
                 acc = acc + Cyc.of(ip(lam_i, cur)) / (zi - omega ** s * zj)
-                cur = sigma_on_weight(inst.aut, cur)
         for c, yc in enumerate(y):
             if yc.degree == 0:
                 continue
-            cur_alpha = alpha[c]
-            for s in range(M):
+            for s, cur_alpha in enumerate(weight_orbit(inst.aut, alpha[c])):
                 u = omega ** (-s) * zi
                 term = Cyc.of(ip(lam_i, cur_alpha)) * omega ** (-s) \
                     * _log_deriv_at(yc, u)
                 acc = acc - term
-                cur_alpha = sigma_on_weight(inst.aut, cur_alpha)
         tail = Cyc.of(ip(lam_i, inst.lambda0))
-        cur = lam_i
         for s in range(1, M):
-            cur = sigma_on_weight(inst.aut, cur)
-            tail = tail + Cyc.of(ip(lam_i, cur)) / (1 - omega ** s)
+            tail = tail + Cyc.of(ip(lam_i, orbits[i][s])) / (1 - omega ** s)
         acc = acc + tail / zi
         cyc.append(acc)
 
@@ -492,13 +470,11 @@ def canonical_lambda0(rank, M=2):
 
 def hl_identity_check(cartan, aut, omega, lam):
     """Exact check of sum_k (l, s^k l)/(1 - w^k) = (1/2) sum_k (l, s^k l)."""
-    M = aut.order
+    orbit = weight_orbit(aut, lam)
     lhs = Cyc.of(0)
     rhs = Fraction(0)
-    cur = lam
-    for k in range(1, M):
-        cur = sigma_on_weight(aut, cur)
-        val = inner_product(cartan, lam, cur)
+    for k in range(1, len(orbit)):
+        val = inner_product(cartan, lam, orbit[k])
         lhs = lhs + Cyc.of(val) / (1 - omega ** k)
         rhs += val
     return lhs == Cyc.of(rhs / 2)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cartan import inner_product
+from .cartan import Weight, inner_product, weight_orbit
 from .errors import (BranchCollision, DivisionNearZero, IllConditioned,
                      NoConvergence, SingularJacobian)
-from .frame import extended_sites, sigma_on_weight_power
+from .frame import extended_sites
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def _poly_complex_coeffs(p):
     return out
 
 
-def _aberth_roots(coeffs, tol):
+def _aberth_roots(coeffs):
     """All roots of the polynomial given by low-to-high coefficients."""
     deg = len(coeffs) - 1
     if deg == 0:
@@ -88,7 +88,7 @@ def embed(y, tol=DEFAULT_TOL):
     for i, p in enumerate(y):
         coeffs = _poly_complex_coeffs(p)
         scale = max(abs(c) for c in coeffs)
-        for z in _aberth_roots(coeffs, tol):
+        for z in _aberth_roots(coeffs):
             val = sum(c * z ** k for k, c in enumerate(coeffs))
             if abs(val) > tol.root_residual * max(scale, 1.0):
                 raise IllConditioned(
@@ -104,8 +104,7 @@ def _site_data(inst):
 
 
 def _ip_weight_alpha(inst, lam, j):
-    from .cartan import Weight
-    alpha_j = Weight([inst.cartan.a[i][j] for i in range(inst.cartan.n)])
+    alpha_j = Weight.simple_root(inst.cartan, j)
     return float(inner_product(inst.cartan, lam, alpha_j))
 
 
@@ -143,7 +142,7 @@ def residual_norm(inst, point, tol=DEFAULT_TOL):
     return max(abs(r) for r in residuals(inst, point, tol))
 
 
-def _jacobian(inst, point, tol):
+def _jacobian(inst, point):
     m = len(point.roots)
     sites = _site_data(inst)
     jac = np.zeros((m, m), dtype=complex)
@@ -172,7 +171,7 @@ def newton_refine(inst, point, iters=None, tol=DEFAULT_TOL):
         if norm < tol.newton_tol:
             return cur, norm
         res = np.array(residuals(inst, cur, tol))
-        jac = _jacobian(inst, cur, tol)
+        jac = _jacobian(inst, cur)
         try:
             step = np.linalg.solve(jac, res)
         except np.linalg.LinAlgError as exc:
@@ -267,6 +266,7 @@ def eigenvalues_numeric(inst, point, tol=DEFAULT_TOL):
     """
     M = inst.M
     omega = complex(inst.omega)
+    orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
     out = []
     for i, zi_exact in enumerate(inst.points):
         zi = complex(zi_exact)
@@ -276,17 +276,14 @@ def eigenvalues_numeric(inst, point, tol=DEFAULT_TOL):
             if jdx == i:
                 continue
             zj = complex(zj_exact)
-            for s in range(M):
-                lam_s = sigma_on_weight_power(inst.aut,
-                                              inst.site_weights[jdx], s)
+            for s, lam_s in enumerate(orbits[jdx]):
                 acc += float(inner_product(inst.cartan, lam_i, lam_s)) \
                     / (zi - omega ** s * zj)
         for (tj, cj) in zip(point.roots, point.colours):
             acc -= _ip_weight_alpha(inst, lam_i, cj) / (zi - tj)
         tail = complex(float(inner_product(inst.cartan, lam_i, inst.lambda0)))
         for s in range(1, M):
-            cur = sigma_on_weight_power(inst.aut, lam_i, s)
-            tail += float(inner_product(inst.cartan, lam_i, cur)) \
+            tail += float(inner_product(inst.cartan, lam_i, orbits[i][s])) \
                 / (1 - omega ** s)
         acc += tail / zi
         out.append(acc)

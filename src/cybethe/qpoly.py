@@ -8,7 +8,9 @@ and compare equal, so lookups may use either.  Negative exponents are
 allowed in intermediate (Laurent) values; `is_quasi` reports whether all
 exponents are nonnegative.  Division, gcd and squarefree tests work
 through the substitution x = s^D, which turns everything into ordinary
-dense polynomials over the coefficient field.
+dense polynomials over the coefficient field.  A QPoly keeps its own dense
+forms: the first gcd or squarefree test over D builds the form for D, and
+later ones read it.
 
 `terms` lists its exponents in ascending order.  `__init__` is the one
 place that sets this order: it walks the keys sorted, so every
@@ -68,7 +70,7 @@ class QPoly:
     """Immutable quasi-polynomial with ascending exponents and exact
     coefficients in one field."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "forms")
 
     def __init__(self, terms):
         clean = {}
@@ -307,6 +309,16 @@ class QPoly:
             coeffs[int((e - low) * D)] = c
         return low, coeffs
 
+    def _dense_kept(self, D):
+        """`_dense(D)`, built on the first call for D and kept in `forms`."""
+        try:
+            forms = self.forms
+        except AttributeError:
+            forms = self.forms = {}
+        if D not in forms:
+            forms[D] = self._dense(D)
+        return forms[D]
+
     @staticmethod
     def _from_dense(low, coeffs, D):
         base = low.numerator * (D // low.denominator)
@@ -333,24 +345,6 @@ class QPoly:
 
     def __repr__(self):
         return f"QPoly({self})"
-
-
-class _DenseOnce(QPoly):
-    """p with its dense forms kept, one per exponent denominator D: a caller
-    that passes p to several gcds and squarefree tests wraps it for the
-    call, and each form is built once."""
-
-    __slots__ = ("forms",)
-
-    def __init__(self, p):
-        self.terms = p.terms
-        self.forms = {}
-
-    def _dense(self, D=None):
-        D = D or self.denom
-        if D not in self.forms:
-            self.forms[D] = QPoly._dense(self, D)
-        return self.forms[D]
 
 
 def _int_layout(p, L, D):
@@ -571,8 +565,8 @@ def qgcd(f, g):
     if g.is_zero():
         return f.monic()
     D = lcm(f.denom, g.denom)
-    flow, fc = f._dense(D)
-    glow, gc = g._dense(D)
+    flow, fc = f._dense_kept(D)
+    glow, gc = g._dense_kept(D)
     # common pure power of x
     shared = min(flow, glow)
     lowpow = QPoly.x_power(shared) if shared else QPoly.one()
@@ -586,8 +580,7 @@ def is_squarefree(f):
     """Squarefree test via gcd(f, f') on the dense representative."""
     if f.is_zero():
         return False
-    D = f.denom
-    _, fc = f._dense(D)
+    _, fc = f._dense_kept(f.denom)
     if len(fc) <= 1 or _certified_coprime(fc):
         return True
     dfc = [fc[k] * k for k in range(1, len(fc))]

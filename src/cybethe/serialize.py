@@ -82,16 +82,11 @@ def parse_scalar(text, order=1):
         raise InputError("empty scalar string")
     chunks = re.split(r"(?=[+-])(?![^(]*\))", text.replace(" ", ""))
     total = Cyc.of(0, order)
-    parsed_any = False
     for chunk in chunks:
         if not chunk:
             continue
         m = _TERM_RE.match(chunk)
         if not m or (m.group(2) is None and "w" not in chunk):
-            if re.fullmatch(r"[+-]?\d+(/\d+)?", chunk):
-                total = total + Cyc.of(_fraction(chunk), order)
-                parsed_any = True
-                continue
             raise InputError(f"cannot parse scalar term {chunk!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = _fraction(m.group(2)) if m.group(2) else Fraction(1)
@@ -102,9 +97,6 @@ def parse_scalar(text, order=1):
             total = total + Cyc.root_of_unity(order, power) * (sign * coeff)
         else:
             total = total + Cyc.of(sign * coeff, order)
-        parsed_any = True
-    if not parsed_any:
-        raise InputError(f"cannot parse scalar {text!r}")
     return total
 
 
@@ -133,7 +125,8 @@ def weight_doc(w):
 
 
 def weight_from_doc(doc):
-    return Weight([_fraction(p) for p in doc])
+    return Weight([_fraction(p) for p in
+                   _typed(doc, list, "a weight must be an array")])
 
 
 def cartan_doc(c):
@@ -217,9 +210,10 @@ def instance_from_doc(doc):
         omega = parse_scalar(doc["omega"], M)
     else:
         omega = Cyc.root_of_unity(M, omega_power)
-    points = tuple(parse_scalar(z, M) for z in doc.get("points", []))
-    site_weights = tuple(weight_from_doc(w)
-                         for w in doc.get("site_weights", []))
+    points = tuple(parse_scalar(z, M) for z in _typed(
+        doc.get("points", []), list, "points must be an array"))
+    site_weights = tuple(weight_from_doc(w) for w in _typed(
+        doc.get("site_weights", []), list, "site_weights must be an array"))
     lambda0 = weight_from_doc(doc["lambda0"]) if "lambda0" in doc \
         else Weight.zero(cartan.n)
     return ProblemInstance(cartan=cartan, aut=aut, omega=omega,

@@ -23,7 +23,7 @@ from .frame import (BetheTuple, big_lambda, frame_polys, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .genengine import _checked, _family, _representative
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
-                    wronskian, wronskian_ode_solve, wronskian_table)
+                    wronskian_ode_solve, wronskian_table)
 from .scalars import Cyc
 
 
@@ -145,8 +145,8 @@ def build_frame(inst, y):
 
 def _divisors(frame, n):
     """[D_0, ..., D_n], D_k = T~_1^(k-1) T~_2^(k-2) ... T~_(k-1): Wr+ of k
-    functions is their Wronskian over D_k.  Built once per table reader,
-    as D_k = D_(k-1) T~_1 ... T~_(k-1)."""
+    functions is their Wronskian over D_k.  Built once per `_wr_plus`, as
+    D_k = D_(k-1) T~_1 ... T~_(k-1)."""
     out, step = [QPoly.one(), QPoly.one()], QPoly.one()
     for t in frame.ttilde[:n - 1]:
         step = step * t
@@ -154,9 +154,20 @@ def _divisors(frame, n):
     return out[:n + 1]
 
 
+def _wr_plus(frame, fs):
+    """mask -> Wr+ of the subset of fs with bit i for f_i: the entry of one
+    `wronskian_table` of fs divided exactly by D_|S| of one `_divisors`."""
+    table = wronskian_table(fs)
+    divisors = _divisors(frame, len(fs))
+
+    def wr_plus(mask):
+        return divide_exact(table[mask], divisors[mask.bit_count()])
+    return wr_plus
+
+
 def divided_wr(frame, fs):
     """Wr+(f_1..f_k) = Wr(f_1..f_k) / (T~_1^(k-1) T~_2^(k-2) ... T~_(k-1))."""
-    return divide_exact(wronskian(fs), _divisors(frame, len(fs))[-1])
+    return _wr_plus(frame, fs)((1 << len(fs)) - 1)
 
 
 def fundamental_operator(frame, y):
@@ -211,11 +222,9 @@ def kernel_basis(inst, y):
     adjusted = [y[0]]
     for k in range(1, r + 1):
         adjusted.append(component(0, k - 1).monic())
-    table = wronskian_table(adjusted[:r])
-    divisors = _divisors(frame, r)
+    wr_plus = _wr_plus(frame, adjusted[:r])
     for k in range(1, r + 1):
-        w = divide_exact(table[(1 << k) - 1], divisors[k])
-        if not proportional(w, y[k - 1]):
+        if not proportional(wr_plus((1 << k) - 1), y[k - 1]):
             raise InternalInvariantError(
                 f"Wr+(u_1..u_{k}) is not proportional to y_{k}")
     basis = special_basis_from(frame, adjusted)
@@ -294,18 +303,14 @@ def _span_coefficients(targets, polys):
 # --- duality and the bilinear form -------------------------------------------
 
 
-def _dual(table, divisors):
-    """W_i = Wr+(u_1, ..., ^u_i, ..., u_n) from the Wronskian table of u
-    and `_divisors(frame, n)`."""
-    n = len(divisors) - 1
-    return [divide_exact(table[-1 - (1 << i)], divisors[n - 1])
-            for i in range(n)]
+def _dual(wr_plus, n):
+    """W_i = Wr+(u_1, ..., ^u_i, ..., u_n) from `_wr_plus` of u."""
+    return [wr_plus((1 << n) - 1 - (1 << i)) for i in range(n)]
 
 
-def _constant(table, divisors):
-    """The constant Wr+(u_1..u_n) from the Wronskian table of a basis u
-    and `_divisors(frame, n)`."""
-    top = divide_exact(table[-1], divisors[-1])
+def _constant(wr_plus, n):
+    """The constant Wr+(u_1..u_n) from `_wr_plus` of a basis u."""
+    top = wr_plus((1 << n) - 1)
     if top.is_zero() or top.degree != 0:
         raise InternalInvariantError(
             f"Wr+ of a basis must be a nonzero constant, got {top}")
@@ -315,7 +320,7 @@ def _constant(table, divisors):
 def dual_basis(space, basis=None, check_degrees=True):
     """W_i = Wr+(u_1, ..., ^u_i, ..., u_(R+1))."""
     fs = space.basis if basis is None else basis
-    out = _dual(wronskian_table(fs), _divisors(space.frame, len(fs)))
+    out = _dual(_wr_plus(space.frame, fs), len(fs))
     if check_degrees and basis is None:
         for k, w in enumerate(out):
             if w.degree != space.frame.ddag[k]:
@@ -326,7 +331,7 @@ def dual_basis(space, basis=None, check_degrees=True):
 
 def wr_constant(space, basis=None):
     fs = space.basis if basis is None else basis
-    return _constant(wronskian_table(fs), _divisors(space.frame, len(fs)))
+    return _constant(_wr_plus(space.frame, fs), len(fs))
 
 
 def is_cyclotomically_self_dual(space):
@@ -342,11 +347,10 @@ def gram_matrix(space, basis):
     Expands u_j(-x) = sum_k C_jk W_k; then B(u_i, u_j) equals
     C_ji (-1)^i Wr+(u_1..u_(R+1)) (0-based i).
     """
-    table = wronskian_table(basis)
-    divisors = _divisors(space.frame, len(basis))
-    w = _dual(table, divisors)
-    const = _constant(table, divisors)
     size = len(basis)
+    wr_plus = _wr_plus(space.frame, basis)
+    w = _dual(wr_plus, size)
+    const = _constant(wr_plus, size)
     cmat = _span_coefficients([u.negate_argument() for u in basis], w)
     if any(coeffs is None for coeffs in cmat):
         raise NotSelfDual(
@@ -381,10 +385,8 @@ def bform(space, u, v):
 def beta(space, adjusted):
     """The tuple y_k = Wr+(u_1..u_k), k = 1..R, monic-normalized."""
     r = space.frame.r
-    table = wronskian_table(adjusted[:r])
-    divisors = _divisors(space.frame, r)
-    return [divide_exact(table[(1 << k) - 1], divisors[k]).monic()
-            for k in range(1, r + 1)]
+    wr_plus = _wr_plus(space.frame, adjusted[:r])
+    return [wr_plus((1 << k) - 1).monic() for k in range(1, r + 1)]
 
 
 def flag_type(space, adjusted):
@@ -781,14 +783,12 @@ def frame_conditions_check(space):
     ok_iii = True
     detail_ii = []
     detail_iii = []
-    table = wronskian_table(space.basis)
-    divisors = _divisors(space.frame, size)
+    wr_plus = _wr_plus(space.frame, space.basis)
     for k in range(1, size + 1):
         quotients = []
         for subset in combinations(range(size), k):
-            mask = sum(1 << i for i in subset)
             try:
-                q = divide_exact(table[mask], divisors[k])
+                q = wr_plus(sum(1 << i for i in subset))
             except InexactDivision as exc:
                 ok_ii = False
                 detail_ii.append(f"k={k} subset {subset}: {exc}")

@@ -6,7 +6,7 @@ import pytest
 from cybethe.cartan import (CartanData, DiagramAut, Weight,
                             dominant_shifted_rep, folded_reflect,
                             inner_product, orbit_data, shifted_reflect,
-                            sigma_on_weight)
+                            sigma_on_weight, weight_orbit)
 from cybethe.errors import InputError, LinkingViolation, NonRegular
 
 
@@ -53,6 +53,28 @@ def test_aut_validation():
     cartan = CartanData.series("A", 3)
     with pytest.raises(InputError):
         DiagramAut((1, 0, 2)).validate_for(cartan)  # breaks the matrix
+
+
+D4 = CartanData.from_matrix([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                             [0, -1, 0, 2]])
+
+
+@pytest.mark.parametrize("cartan, aut", [
+    (CartanData.series("A", 4), DiagramAut((3, 2, 1, 0))),   # flip, M = 2
+    (D4, DiagramAut((2, 1, 3, 0))),                          # triality, M = 3
+])
+def test_weight_orbit_lists_the_sigma_powers(cartan, aut):
+    aut.validate_for(cartan)
+    lam = Weight([1, 2, F(1, 2), 3])
+    orbit = weight_orbit(aut, lam)
+    assert len(orbit) == aut.order
+    for k, entry in enumerate(orbit):
+        cur = lam
+        for _ in range(k):
+            cur = sigma_on_weight(aut, cur)
+        assert entry == cur
+    assert sigma_on_weight(aut, orbit[-1]) == orbit[0]
+    assert len(set(orbit)) == aut.order
 
 
 def test_sigma_on_weight():

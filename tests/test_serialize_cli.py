@@ -8,6 +8,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly
 import cybethe
@@ -50,6 +52,63 @@ def test_scalar_round_trip():
         s = serialize.scalar_str(v)
         back = serialize.parse_scalar(s, 8)
         assert back == v, (s, back)
+
+
+def _parse_scalar_reference(text, order=1):
+    """Reference: `parse_scalar` with the fallback pattern and the
+    `parsed_any` flag it had before they were found never to act."""
+    text = serialize._typed(text, str,
+                            "an exact scalar must be a string").strip()
+    if not text:
+        raise InputError("empty scalar string")
+    chunks = re.split(r"(?=[+-])(?![^(]*\))", text.replace(" ", ""))
+    total = Cyc.of(0, order)
+    parsed_any = False
+    for chunk in chunks:
+        if not chunk:
+            continue
+        m = serialize._TERM_RE.match(chunk)
+        if not m or (m.group(2) is None and "w" not in chunk):
+            if re.fullmatch(r"[+-]?\d+(/\d+)?", chunk):
+                total = total + Cyc.of(serialize._fraction(chunk), order)
+                parsed_any = True
+                continue
+            raise InputError(f"cannot parse scalar term {chunk!r}")
+        sign = -1 if m.group(1) == "-" else 1
+        coeff = serialize._fraction(m.group(2)) if m.group(2) else F(1)
+        if "w" in chunk:
+            power = int(m.group(3)) if m.group(3) else 1
+            if order < 2:
+                raise InputError("cyclotomic generator in a rational context")
+            total = total + Cyc.root_of_unity(order, power) * (sign * coeff)
+        else:
+            total = total + Cyc.of(sign * coeff, order)
+        parsed_any = True
+    if not parsed_any:
+        raise InputError(f"cannot parse scalar {text!r}")
+    return total
+
+
+def _parsed(parse, text, order):
+    try:
+        value = parse(text, order)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value.order, str(value)
+
+
+_SCALAR_PIECES = ("0", "1", "7", "12", "/", "2/3", "w", "w^2", "w^5", "+",
+                  "-", "*", "^", "(", ")", "x", ".", " ")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.text(alphabet="0123456789+-/*w^()x. ", max_size=12),
+                 st.lists(st.sampled_from(_SCALAR_PIECES),
+                          max_size=8).map("".join)),
+       st.sampled_from((1, 2, 4)))
+def test_parse_scalar_matches_the_reference(text, order):
+    assert _parsed(serialize.parse_scalar, text, order) == \
+        _parsed(_parse_scalar_reference, text, order)
 
 
 def test_qpoly_round_trip():
@@ -364,6 +423,12 @@ def _tuple_with_terms(terms):
     ("validate", _with(A2_INSTANCE, lambda0=[1, 1]), None),
     ("verify", A2_INSTANCE, {"polys": 5}),
     ("verify", A2_INSTANCE, _tuple_with_terms(["1"])),
+    # a JSON string iterates like an array, but is none
+    ("verify", _with(A2_INSTANCE, lambda0="11"), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, points="12",
+                     site_weights=[["0", "0"], ["0", "0"]]), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, points=["1"], site_weights=["00"]),
+     A2_TUPLE),
 ])
 def test_cli_scalars_and_containers_keep_their_json_types(
         docs, capsys, command, instance, tuple_):
