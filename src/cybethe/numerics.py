@@ -257,7 +257,7 @@ def grad_check(inst, point, h=None, tol=DEFAULT_TOL):
             "per_root": per_root}
 
 
-def eigenvalues_numeric(inst, point, tol=DEFAULT_TOL):
+def eigenvalues_numeric(inst, point):
     """E^(i) of the cyclotomic picture evaluated in floating point.
 
     The root sum runs over all extended roots directly (the double sum

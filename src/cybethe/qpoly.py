@@ -28,9 +28,12 @@ is converted once: exponents are scaled to integers by the common exponent
 denominator D, and coefficients become integer vectors in Q(zeta_L), L the
 lcm of the two operands' orders, over one common denominator per operand
 (plain ints when deg Phi_L = 1), read straight from each `Cyc`'s own
-numerators and denominator.  The product is an integer convolution,
-reduced modulo Phi_L once per output term; `Cyc` objects are built only for
-the result, from ints, and each has order L.
+numerators and denominator.  One kernel, `_sum_of_products`, sums signed
+products of such layouts as an integer convolution over one common
+denominator, reduced modulo Phi_L once per output term; `Cyc` objects are
+built only for the result, from ints, and each has order L.  A product is
+its one-pair case, and `wronskian_table` builds each minor with one call
+over all of its pairs, so no partial sum is ever a QPoly.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
 behind every generation step: it finds Y with Wr(f, Y) = W by one
@@ -198,8 +201,10 @@ class QPoly:
             return self.scale(other)
         if not (self.terms and other.terms):
             return QPoly.zero()
-        return _int_product(self, other,
-                            lcm(self.field_order(), other.field_order()))
+        L = lcm(self.field_order(), other.field_order())
+        D = lcm(self.denom, other.denom)
+        return _sum_of_products(
+            [(1, _int_layout(self, L, D), _int_layout(other, L, D))], L, D)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -364,30 +369,36 @@ def _int_layout(p, L, D):
                  for k, c in zip(exps, cs)]
 
 
-def _int_product(f, g, L):
-    """f * g for nonzero f, g, L the lcm of their field orders: integer
-    convolution, one reduction per output term; `__init__` drops the terms
-    that cancel and sorts the rest."""
-    D = lcm(f.denom, g.denom)
-    fden, fl = _int_layout(f, L, D)
-    gden, gl = _int_layout(g, L, D)
-    den = fden * gden
+def _sum_of_products(pairs, L, D):
+    """The sum of sign * f * g over the (sign, f, g) in pairs, f and g
+    `_int_layout`s at order L and exponent denominator D: one integer
+    convolution over one common denominator, one reduction per output term
+    and one QPoly, whose `__init__` drops the terms that cancel and sorts
+    the rest."""
+    den = lcm(*(fden * gden for _, (fden, _), (gden, _) in pairs))
     acc = {}
     if L <= 2:
-        for k1, a in fl:
-            for k2, b in gl:
-                acc[k1 + k2] = acc.get(k1 + k2, 0) + a * b
+        for sign, (fden, fl), (gden, gl) in pairs:
+            m = sign * (den // (fden * gden))
+            for k1, a in fl:
+                a *= m
+                for k2, b in gl:
+                    acc[k1 + k2] = acc.get(k1 + k2, 0) + a * b
         return QPoly({_exp_of(k, D): _cyc(L, (s,), den)
                       for k, s in acc.items()})
     width = 2 * (len(cyclotomic_polynomial(L)) - 1) - 1
-    for k1, a in fl:
-        for k2, b in gl:
-            s = acc.get(k1 + k2)
-            if s is None:
-                s = acc[k1 + k2] = [0] * width
-            for i, x in a:
-                for j, y in b:
-                    s[i + j] += x * y
+    for sign, (fden, fl), (gden, gl) in pairs:
+        m = sign * (den // (fden * gden))
+        for k1, a in fl:
+            if m != 1:
+                a = [(i, x * m) for i, x in a]
+            for k2, b in gl:
+                s = acc.get(k1 + k2)
+                if s is None:
+                    s = acc[k1 + k2] = [0] * width
+                for i, x in a:
+                    for j, y in b:
+                        s[i + j] += x * y
     return QPoly({_exp_of(k, D): _cyc(L, _reduce_mod_phi(s, L), den)
                   for k, s in acc.items()})
 
@@ -593,24 +604,45 @@ def wronskian_table(fs):
 
     Expanding along the last derivative row, Wr(S) is the sum over i in S
     of (-1)^#{j in S : j > i} f_i^(|S|-1) Wr(S - {i}), so each minor is
-    built once, bottom-up: n (2^(n-1) - 1) products for n functions.
+    built once, bottom-up: n (2^(n-1) - 1) products for n functions.  Each
+    Wr(S), |S| >= 2, is one `_sum_of_products` call over its nonzero
+    pairs, and each derivative and minor is laid out once per field order.
+
+    Wr(S) is built in Q(zeta_L), L the lcm of the field orders of S, which
+    is the order the sum of `__mul__` products gives, by induction on |S|:
+    a nonzero Wr(S - {i}) has order lcm over S - {i}, so every pair used
+    has order L in its product, and a sum of order-L terms stays order L.
     """
     fs = list(fs)
     derivs = [[f] for f in fs]
     for row in derivs:
         for _ in fs[1:]:
             row.append(row[-1].derivative())
+    orders = [f.field_order() for f in fs]
+    D = lcm(*(f.denom for f in fs))
+    layouts = {}  # (id, L) -> layout; derivs and table keep every id alive
+
+    def layout(p, L):
+        key = id(p), L
+        if key not in layouts:
+            layouts[key] = _int_layout(p, L, D)
+        return layouts[key]
+
     table = [QPoly.one()]
     for mask in range(1, 1 << len(fs)):
         members = [i for i in range(len(fs)) if mask >> i & 1]
         size = len(members)
-        acc = QPoly.zero()
+        if size == 1:
+            table.append(fs[members[0]])
+            continue
+        L = lcm(*(orders[i] for i in members))
+        pairs = []
         for pos, i in enumerate(members):
             f, minor = derivs[i][size - 1], table[mask ^ (1 << i)]
             if f and minor:
-                term = f * minor if size > 1 else f
-                acc = acc + (term if (size - pos) % 2 else -term)
-        table.append(acc)
+                pairs.append((1 if (size - pos) % 2 else -1,
+                              layout(f, L), layout(minor, L)))
+        table.append(_sum_of_products(pairs, L, D))
     return table
 
 

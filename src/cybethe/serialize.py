@@ -134,16 +134,21 @@ def cartan_doc(c):
 
 
 def cartan_from_doc(doc):
+    doc = _typed(doc, (str, dict), "cartan must be a string or an object")
     if isinstance(doc, str):
         return CartanData.series(doc[:1], _int_text(doc[1:], "series rank"))
     if "series" in doc:
-        return CartanData.series(doc["series"],
-                                 _int(_field(doc, "rank"), "rank"))
-    rows = [[_int(x, "Cartan matrix entry") for x in row]
-            for row in _field(doc, "matrix")]
+        return CartanData.series(
+            _typed(doc["series"], str, "series must be a string"),
+            _int(_field(doc, "rank"), "rank"))
+    rows = [[_int(x, "Cartan matrix entry") for x in _typed(
+                row, list, "a Cartan matrix row must be an array")]
+            for row in _typed(_field(doc, "matrix"), list,
+                              "matrix must be an array")]
     d = doc.get("d")
     return CartanData.from_matrix(
-        rows, None if d is None else [_int(x, "symmetrizer") for x in d])
+        rows, None if d is None else [_int(x, "symmetrizer") for x in _typed(
+            d, list, "d must be an array")])
 
 
 def perm_from_doc(doc, n):

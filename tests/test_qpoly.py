@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 
@@ -279,17 +280,18 @@ def _wr_outcome(w):
 
 def test_wronskian_table_matches_cofactor_reference():
     """Every subset Wronskian of the table, and `wronskian`, agree with the
-    cofactor expansion in values and coefficient orders, both when the
-    family lies in one field Q(zeta_M), M in {1, 3, 4}, and when its
-    members take their own fields.  Families mix in a zero, a constant and
-    a repeated member (Wr = 0)."""
+    cofactor expansion in values, coefficient orders, key order and text,
+    both when the family lies in one field Q(zeta_M), M in {1, 3, 4} and
+    then M in {1, 2, 3, 4, 8}, and when its members take their own fields.
+    Families mix in a zero, a constant and a repeated member (Wr = 0)."""
     rng = random.Random(1503)
     seen = {"zero": 0, "constant": 0, "repeat": 0, "mixed": 0, 5: 0}
-    for case in range(240):
+    for case in range(480):
         n = case % 5 + 1
         mixed = case % 3 == 2
-        M = rng.choice((1, 3, 4))
-        fs = [_ode_rand_poly(rng, rng.choice((1, 3, 4)) if mixed else M, 3, 6)
+        orders = (1, 3, 4) if case < 240 else (1, 2, 3, 4, 8)
+        M = rng.choice(orders)
+        fs = [_ode_rand_poly(rng, rng.choice(orders) if mixed else M, 3, 6)
               for _ in range(n)]
         special = rng.choice(("zero", "constant", "repeat", None))
         if special and n > 1:
@@ -304,14 +306,50 @@ def test_wronskian_table_matches_cofactor_reference():
         assert len(table) == 1 << n and table[0] == QPoly.one()
         for mask in range(1, 1 << n):
             subset = [f for i, f in enumerate(fs) if mask >> i & 1]
-            want = _wr_outcome(_cofactor_wronskian(subset))
+            ref = _cofactor_wronskian(subset)
+            want = _wr_outcome(ref)
             assert _wr_outcome(table[mask]) == want, (fs, mask)
+            assert [(type(e), e) for e in table[mask].terms] == \
+                [(type(e), e) for e in ref.terms], (fs, mask)
+            assert str(table[mask]) == str(ref), (fs, mask)
         assert _wr_outcome(wronskian(fs)) == want, fs
         if special == "repeat" and n > 1:
             assert wronskian(fs).is_zero()
     assert min(seen.values()) >= 30, seen
     with pytest.raises(ValueError):
         wronskian([])
+
+
+def test_wronskian_table_builds_no_qpoly_product_or_sum(monkeypatch):
+    """A table of 5 functions over Q, Q(zeta_2) and Q(zeta_8) runs no
+    `QPoly.__mul__` or `QPoly.__add__` (as a sum of `__mul__` products it
+    makes all 75 products of 5 functions), and lays out each derivative
+    and minor at most once per field order."""
+    rng = random.Random(37)
+    fs = [_ode_rand_poly(rng, M, 3, 6) for M in (1, 2, 8, 2, 1)]
+    want = wronskian_table(fs)
+    calls, laid, kept = Counter(), Counter(), []
+
+    def counted(name, method):
+        def wrapper(*args):
+            calls[name] += 1
+            return method(*args)
+        return wrapper
+
+    def layout(p, L, D):
+        kept.append(p)  # no id is reused while the table is built
+        laid[id(p), L] += 1
+        return int_layout(p, L, D)
+
+    int_layout = qpoly._int_layout
+    monkeypatch.setattr(QPoly, "__mul__", counted("mul", QPoly.__mul__))
+    monkeypatch.setattr(QPoly, "__add__", counted("add", QPoly.__add__))
+    monkeypatch.setattr(qpoly, "_int_layout", layout)
+    table = wronskian_table(fs)
+    assert calls == {}
+    assert {L for _, L in laid} == {1, 2, 8}
+    assert max(laid.values()) == 1, laid
+    assert [str(w) for w in table] == [str(w) for w in want]
 
 
 def test_substitute_and_negate():

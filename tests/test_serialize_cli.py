@@ -429,6 +429,12 @@ def _tuple_with_terms(terms):
                      site_weights=[["0", "0"], ["0", "0"]]), A2_TUPLE),
     ("verify", _with(A2_INSTANCE, points=["1"], site_weights=["00"]),
      A2_TUPLE),
+    # so do the cartan entry, its series, its matrix rows and d
+    ("verify", _with(A2_INSTANCE, cartan=5), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, cartan={"matrix": [5, 6]}), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, cartan={"series": 5, "rank": 2}), A2_TUPLE),
+    ("verify", _with(A2_INSTANCE, cartan={"matrix": [[2, -1], [-1, 2]],
+                                          "d": 5}), A2_TUPLE),
 ])
 def test_cli_scalars_and_containers_keep_their_json_types(
         docs, capsys, command, instance, tuple_):
