@@ -92,6 +92,8 @@ class CartanData:
     @staticmethod
     def from_matrix(rows, d=None):
         a = tuple(tuple(int(x) for x in row) for row in rows)
+        if any(len(row) != len(a) for row in a):
+            raise InputError(f"Cartan matrix {a} is not square")
         if d is None:
             d = _symmetrizers(a)
             if d is None:

@@ -1,39 +1,35 @@
 """Exact quasi-polynomial algebra.
 
 A quasi-polynomial is a finite sum of terms c * x^e with exact cyclotomic
-coefficients c and exponents e in (1/D)Z.  Each exponent key of `terms`
-has one canonical form, set by `_exp`: a plain int when e is integral,
-else a Fraction with denominator > 1.  An int and an equal Fraction hash
-and compare equal, so lookups may use either.  Negative exponents are
-allowed in intermediate (Laurent) values; `is_quasi` reports whether all
-exponents are nonnegative.  Division, gcd and squarefree tests work
-through the substitution x = s^D, which turns everything into ordinary
-dense polynomials over the coefficient field.  A QPoly keeps its own dense
-forms: the first gcd or squarefree test over D builds the form for D, and
-later ones read it.
+coefficients c and exponents e in (1/D)Z; negative exponents are allowed
+in intermediate (Laurent) values, and `is_quasi` reports whether all are
+nonnegative.
 
-`terms` lists its exponents in ascending order.  `__init__` is the one
-place that sets this order: it walks the keys sorted, so every
-constructor, sum and product inherits it, and `low_exponent` and `degree`
-are the first and last keys.
+A QPoly is stored as FLINT's fmpq_poly stores a rational polynomial (Hart,
+ICMS 2010), lifted to quasi-polynomials: its field order L, its exponent
+denominator D, one common denominator, ascending int exponents k (each
+standing for x^(k/D)) and one int numerator per term, a tuple of
+deg Phi_L ints when deg Phi_L > 1.  The form is canonical (least D, no
+factor shared by the denominator and every numerator entry, no zero
+term), so sums, products, derivatives, substitutions, dense forms and
+exact division all run on ints.  A `Cyc` is built only when a coefficient
+is read: `coeff`, `leading_coeff`, the ascending `terms` view (an
+exponent is an int when integral, else a Fraction) and `str`.
 
-Every coefficient of a QPoly lies in one field Q(zeta_M): `__init__`
-promotes the nonzero coefficients to the lcm of their orders, and
-`field_order` is that M.  M records how the poly was computed, not the
-smallest field of its value: a product of polys over Q(zeta_4) and
-Q(zeta_3) lies in Q(zeta_12) even when its value is rational.
+L records how the poly was computed, not the smallest field of its
+value: a product over Q(zeta_4) and Q(zeta_3) lies in Q(zeta_12) even
+when its value is rational.  Sums and products work at the lcm of the
+operands' orders, except that a sum whose terms all come from one
+operand keeps that operand's order, as a sum of `Cyc`s does; zero has
+order 1.  One kernel, `_sum_of_products`, sums signed products as one
+integer convolution over one common denominator, reduced modulo Phi_L
+once per output term: a product is its one-pair case, and
+`wronskian_table` builds each minor with one call over all of its pairs.
 
-Products use an integer layout, as FLINT's fmpq_poly does.  Each operand
-is converted once: exponents are scaled to integers by the common exponent
-denominator D, and coefficients become integer vectors in Q(zeta_L), L the
-lcm of the two operands' orders, over one common denominator per operand
-(plain ints when deg Phi_L = 1), read straight from each `Cyc`'s own
-numerators and denominator.  One kernel, `_sum_of_products`, sums signed
-products of such layouts as an integer convolution over one common
-denominator, reduced modulo Phi_L once per output term; `Cyc` objects are
-built only for the result, from ints, and each has order L.  A product is
-its one-pair case, and `wronskian_table` builds each minor with one call
-over all of its pairs, so no partial sum is ever a QPoly.
+Division, gcd and squarefree tests work through the substitution x = s^D,
+which turns everything into dense polynomials over the coefficient field.
+The Euclidean fallback of the gcd runs on `Cyc` entries, whose field
+orders follow each remainder.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
 behind every generation step: it finds Y with Wr(f, Y) = W by one
@@ -43,67 +39,104 @@ one zero pivot belongs to the kernel direction Y = f, whose coefficient
 is set to zero.
 """
 
+from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache
-from itertools import count
-from math import lcm
-from operator import itemgetter
+from functools import lru_cache, reduce
+from itertools import chain, count
+from math import gcd, lcm
+from operator import mul, sub
 
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
-from .scalars import (ZERO, Cyc, _cyc, _reduce_mod_phi,
-                      cyclotomic_polynomial)
+from .scalars import (ONE, ZERO, Cyc, _cyc, _phi_deg, _poly_mul,
+                      _reduce_mod_phi, cyclotomic_polynomial)
 
 
-def _exp(e):
-    """The canonical exponent key of e: an int when e is integral, else a
-    Fraction (denominator > 1).  Both compare and hash as the number e."""
-    if type(e) is int:
-        return e
-    e = e if isinstance(e, Fraction) else Fraction(e)
-    return e.numerator if e.denominator == 1 else e
-
-
-def _exp_of(k, D):
-    """The canonical exponent key of k / D for ints k and D > 0."""
+def _exponent(k, D):
+    """The number k / D: an int when integral, else a Fraction."""
     return k // D if k % D == 0 else Fraction(k, D)
+
+
+def _nonzero(n):
+    """True iff the numerator n, an int or a tuple of ints, is nonzero."""
+    return any(n) if type(n) is tuple else n != 0
+
+
+def _times_int(n, m):
+    return n * m if type(n) is int else tuple([x * m for x in n])
+
+
+def _mul(a, b, L):
+    """The product of two numerators over Q(zeta_L)."""
+    if L <= 2:
+        return a * b
+    if not any(b[1:]):
+        return tuple([x * b[0] for x in a])
+    return _reduce_mod_phi(_poly_mul(a, b), L)
+
+
+def _lift_nums(nums, M, L):
+    """Numerators over Q(zeta_M) as numerators over Q(zeta_L), M | L, by
+    w_M -> w_L^(L/M)."""
+    if M == L or L <= 2:
+        return nums
+    pad = (0,) * (L // M - 1)  # w_M^j = w_L^(j L/M)
+    return [_reduce_mod_phi([y for x in (n if M > 2 else (n,))
+                             for y in (x, *pad)], L) for n in nums]
+
+
+def _num(c, L):
+    """(numerator, den) of the Cyc c in Q(zeta_L)."""
+    c = c.promote(L)
+    return c.num[0] if L <= 2 else c.num, c.den
+
+
+def _qp(L, D, den, ks, nums):
+    """The QPoly sum (nums[i] / den) x^(ks[i] / D) over Q(zeta_L), for
+    ascending ks and nonzero nums, brought to canonical form."""
+    if not ks:
+        return _ZERO
+    g, h = gcd(D, *ks), gcd(den, *(nums if L <= 2 else chain(*nums)))
+    h = -h if den < 0 else h
+    p = object.__new__(QPoly)
+    p.L, p.D, p.den = L, D // g, den // h
+    p.ks = ks if g == 1 else [k // g for k in ks]
+    p.nums = nums if h == 1 else [n // h if L <= 2 else tuple(
+        [x // h for x in n]) for n in nums]
+    return p
 
 
 class QPoly:
     """Immutable quasi-polynomial with ascending exponents and exact
-    coefficients in one field."""
+    coefficients in one field, stored as ints (see the module docstring).
+    The lists `ks` and `nums` are never changed after construction."""
 
-    __slots__ = ("terms", "forms")
+    __slots__ = ("L", "D", "den", "ks", "nums")
 
     def __init__(self, terms):
-        clean = {}
-        order, mixed = 0, False
-        for e, c in sorted(terms.items(), key=itemgetter(0)):
-            if not isinstance(c, Cyc):
-                c = Cyc.of(c)
-            if not c.is_zero():
-                clean[_exp(e)] = c
-                if c.order != order:
-                    mixed = order != 0
-                    order = c.order
-        if mixed:
-            L = lcm(*(c.order for c in clean.values()))
-            clean = {e: c.promote(L) for e, c in clean.items()}
-        self.terms = clean
+        """From a mapping {exponent: coefficient}; zero coefficients are
+        dropped."""
+        items = sorted((Fraction(e), Cyc.of(c)) for e, c in terms.items() if c)
+        L = self.L = lcm(*(c.order for _, c in items))
+        D = self.D = lcm(*(e.denominator for e, _ in items))
+        cs = [_num(c, L) for _, c in items]
+        den = self.den = lcm(*(d for _, d in cs))
+        self.ks = [e.numerator * (D // e.denominator) for e, _ in items]
+        self.nums = [_times_int(n, den // d) for n, d in cs]
 
     # construction -----------------------------------------------------
 
     @staticmethod
     def zero():
-        return QPoly({})
+        return _ZERO
 
     @staticmethod
     def one():
-        return QPoly({0: 1})
+        return _ONE
 
     @staticmethod
     def x_power(e, coeff=1):
-        return QPoly({_exp(e): coeff})
+        return QPoly({e: coeff})
 
     @staticmethod
     def constant(c):
@@ -114,83 +147,94 @@ class QPoly:
         """Ordinary polynomial from a low-to-high coefficient list."""
         return QPoly(dict(enumerate(coeffs)))
 
+    def _lift(self, L, D):
+        """(ks, nums) of self at field order L and exponent denominator D."""
+        if D == self.D and L == self.L:
+            return self.ks, self.nums
+        ks = self.ks if D == self.D else [k * (D // self.D) for k in self.ks]
+        return ks, _lift_nums(self.nums, self.L, L)
+
     # structure --------------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.ks
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.ks)
+
+    def _coeff_at(self, i):
+        n = self.nums[i]
+        return _cyc(self.L, n if self.L > 2 else (n,), self.den)
+
+    @property
+    def terms(self):
+        """{exponent: Cyc} in ascending exponent order, built on each read."""
+        return {_exponent(k, self.D): self._coeff_at(i)
+                for i, k in enumerate(self.ks)}
 
     @property
     def degree(self):
         """Maximal exponent; None for the zero quasi-polynomial."""
-        return next(reversed(self.terms), None)
+        return _exponent(self.ks[-1], self.D) if self.ks else None
 
     @property
     def low_exponent(self):
-        return next(iter(self.terms), None)
+        return _exponent(self.ks[0], self.D) if self.ks else None
 
     @property
     def denom(self):
         """Minimal common exponent denominator of the support."""
-        if not self.terms:
-            return 1
-        return lcm(*(e.denominator for e in self.terms))
+        return self.D
 
     def coeff(self, e):
-        return self.terms.get(e, ZERO)
+        e = e if isinstance(e, (int, Fraction)) else Fraction(e)
+        k, r = divmod(e.numerator * self.D, e.denominator)
+        i = bisect_left(self.ks, k)
+        if r == 0 and i < len(self.ks) and self.ks[i] == k:
+            return self._coeff_at(i)
+        return ZERO
 
     def leading_coeff(self):
-        if not self.terms:
+        if not self.ks:
             raise ValueError("zero quasi-polynomial has no leading coefficient")
-        return self.terms[self.degree]
+        return self._coeff_at(-1)
 
     def is_quasi(self):
         """True iff all exponents are >= 0."""
-        return not self.terms or self.low_exponent >= 0
+        return not self.ks or self.ks[0] >= 0
 
     def is_polynomial(self):
-        return all(e >= 0 and e.denominator == 1 for e in self.terms)
+        return self.D == 1 and self.is_quasi()
 
     def field_order(self):
-        """The order M of the one field Q(zeta_M) of the coefficients."""
-        for c in self.terms.values():
-            return c.order
-        return 1
+        """The order L of the one field Q(zeta_L) of the coefficients."""
+        return self.L
 
     def exponent_classes(self):
         """Support split by exponent residue mod 1: {residue: QPoly}."""
         parts = {}
-        for e, c in self.terms.items():
-            parts.setdefault(e - e.__floor__(), {})[e] = c
-        return {r: QPoly(t) for r, t in sorted(parts.items())}
+        for i, k in enumerate(self.ks):
+            parts.setdefault(k % self.D, []).append(i)
+        return {_exponent(r, self.D): _qp(
+            self.L, self.D, self.den, [self.ks[i] for i in idx],
+            [self.nums[i] for i in idx]) for r, idx in sorted(parts.items())}
 
     def is_monomial(self):
-        return len(self.terms) == 1
+        return len(self.ks) == 1
 
     # arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, QPoly):
             other = QPoly.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return QPoly(out)
+        return _add(self, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly({e: -c for e, c in self.terms.items()})
+        return _qp(self.L, self.D, -self.den, self.ks, self.nums)
 
     def __sub__(self, other):
-        if not isinstance(other, QPoly):
-            other = QPoly.constant(other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -199,33 +243,23 @@ class QPoly:
     def __mul__(self, other):
         if not isinstance(other, QPoly):
             return self.scale(other)
-        if not (self.terms and other.terms):
-            return QPoly.zero()
-        L = lcm(self.field_order(), other.field_order())
-        D = lcm(self.denom, other.denom)
-        return _sum_of_products(
-            [(1, _int_layout(self, L, D), _int_layout(other, L, D))], L, D)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        if not (self.ks and other.ks):
+            return _ZERO
+        return _sum_of_products([(1, self, other)], lcm(self.L, other.L))
 
     def scale(self, c):
         c = c if isinstance(c, Cyc) else Cyc.of(c)
-        if c.is_zero():
-            return QPoly.zero()
-        return QPoly({e: v * c for e, v in self.terms.items()})
+        return _scaled(self, [c] * len(self.ks)) if c else _ZERO
+
+    __rmul__ = scale
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a quasi-polynomial")
-        out = QPoly.one()
-        base = self
+        out, base = _ONE, self
         while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
+            out, n = out * base if n & 1 else out, n >> 1
+            base = base * base if n else base
         return out
 
     def __eq__(self, other):
@@ -233,36 +267,36 @@ class QPoly:
             other = QPoly.constant(other)
         elif not isinstance(other, QPoly):
             return NotImplemented
-        if set(self.terms) != set(other.terms):
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
+        if self.L == other.L:
+            return (self.D, self.den, self.ks, self.nums) == \
+                (other.D, other.den, other.ks, other.nums)
+        return self.ks == other.ks and (self - other).is_zero()
 
     def __hash__(self):
-        # a constant compares equal to its coefficient, so it hashes as one
-        if not self.terms or set(self.terms) == {0}:
+        # a constant compares equal to its coefficient, so it hashes as one;
+        # the hash of a Cyc does not change under promotion
+        if not self.ks or self.ks == [0]:
             return hash(self.coeff(0))
-        return hash(frozenset(self.terms.items()))
+        return hash(tuple(self.terms.items()))
 
     # calculus and evaluation -------------------------------------------
 
     def derivative(self):
-        return QPoly({e - 1: c * e for e, c in self.terms.items() if e != 0})
+        D, pick = self.D, [i for i, k in enumerate(self.ks) if k]
+        return _qp(self.L, D, self.den * D, [self.ks[i] - D for i in pick],
+                   [_times_int(self.nums[i], self.ks[i]) for i in pick])
 
     def eval_at(self, point):
         """Evaluate at an exact scalar; requires integer exponents >= 0."""
         if not self.is_polynomial():
             raise BranchUndefined("evaluation needs integer exponents >= 0")
         point = point if isinstance(point, Cyc) else Cyc.of(point)
-        acc = ZERO
-        for e, c in self.terms.items():
-            acc = acc + c * point ** int(e)
-        return acc
+        return sum((c * point ** e for e, c in self.terms.items()), ZERO)
 
     def monic(self):
         if self.is_zero():
             return self
-        lead = self.leading_coeff()
-        return self.scale(lead.inverse())
+        return self.scale(self.leading_coeff().inverse())
 
     def substitute_scale(self, s):
         """f(s*x) for an exact scalar s.
@@ -271,13 +305,13 @@ class QPoly:
         s = -1 is defined, through the fixed branch of `negate_argument`.
         """
         s = s if isinstance(s, Cyc) else Cyc.of(s)
-        if any(e.denominator != 1 for e in self.terms):
+        if self.D != 1:
             if s == Cyc.of(-1):
                 return self.negate_argument()
             raise BranchUndefined(
                 "substitute_scale with fractional exponents is only fixed "
                 "for s = -1 (branch (-1)^m = e^(i pi m))")
-        return QPoly({e: c * s ** int(e) for e, c in self.terms.items()})
+        return _scaled(self, [s ** k for k in self.ks])
 
     def negate_argument(self):
         """f(-x) with the branch (-1)^m = e^(i pi m) for m in (1/2)Z.
@@ -285,52 +319,42 @@ class QPoly:
         For half-integer exponents this adjoins i = zeta_4, promoting the
         coefficient field to Q(zeta_lcm(order, 4)).
         """
-        out = {}
-        for e, c in self.terms.items():
-            if e.denominator == 1:
-                out[e] = c if int(e) % 2 == 0 else -c
-            elif e.denominator == 2:
-                # (-1)^(k + 1/2) = i * (-1)^k
-                i_unit = Cyc.root_of_unity(4, 1)
-                half = e - Fraction(1, 2)
-                sign = i_unit if int(half) % 2 == 0 else -i_unit
-                out[e] = c * sign
-            else:
+        D, i_unit = self.D, Cyc.root_of_unity(4)
+        for k in self.ks:
+            if D // gcd(k, D) > 2:
                 raise BranchUndefined(
-                    f"no branch fixed for exponent denominator {e.denominator}")
-        return QPoly(out)
+                    f"no branch fixed for exponent denominator "
+                    f"{D // gcd(k, D)}")
+        # x^(k/2) for odd k: (-1)^(k // 2 + 1/2) = i * (-1)^(k // 2)
+        return _scaled(self, [(i_unit if k % D else ONE) * (
+            1 - 2 * (k // D % 2)) for k in self.ks])
 
     # dense view through x = s^D ----------------------------------------
 
-    def _dense(self, D=None):
-        """(offset, coeff list) with f = x^offset * sum coeffs[k] s^k, s = x^(1/D)."""
-        if self.is_zero():
-            return 0, []
-        D = D or self.denom
-        low = self.low_exponent
-        size = int((self.degree - low) * D) + 1
-        coeffs = [ZERO] * size
-        for e, c in self.terms.items():
-            coeffs[int((e - low) * D)] = c
-        return low, coeffs
-
-    def _dense_kept(self, D):
-        """`_dense(D)`, built on the first call for D and kept in `forms`."""
-        try:
-            forms = self.forms
-        except AttributeError:
-            forms = self.forms = {}
-        if D not in forms:
-            forms[D] = self._dense(D)
-        return forms[D]
+    def _dense(self, D=None, L=None):
+        """(low, (L, den, nums)) with f = x^low * sum (nums[j] / den) s^j,
+        s = x^(1/D): the numerators over Q(zeta_L), zeros in the gaps."""
+        D, L = D or self.D, L or self.L
+        if not self.ks:
+            return 0, (L, 1, [])
+        ks, nums = self._lift(L, D)
+        out = [0 if L <= 2 else (0,) * _phi_deg(L)] * (ks[-1] - ks[0] + 1)
+        for k, n in zip(ks, nums):
+            out[k - ks[0]] = n
+        return _exponent(ks[0], D), (L, self.den, out)
 
     @staticmethod
-    def _from_dense(low, coeffs, D):
+    def _from_dense(low, dense, D):
+        """The QPoly x^low * sum (nums[j] / den) s^j, s = x^(1/D), of a
+        dense form (L, den, nums)."""
+        L, den, nums = dense
         base = low.numerator * (D // low.denominator)
-        return QPoly({_exp_of(base + k, D): c for k, c in enumerate(coeffs)})
+        pick = [j for j, n in enumerate(nums) if _nonzero(n)]
+        return _qp(L, D, den, [base + j for j in pick],
+                   [nums[j] for j in pick])
 
     def __str__(self):
-        if not self.terms:
+        if not self.ks:
             return "0"
         bits = []
         for e, c in reversed(self.terms.items()):
@@ -352,46 +376,62 @@ class QPoly:
         return f"QPoly({self})"
 
 
-def _int_layout(p, L, D):
-    """(den, [(k, v)]) with p = sum (v / den) x^(k / D): v is an int when
-    deg Phi_L = 1, else the nonzero (index, int) entries of the coefficient
-    in Q(zeta_L)."""
-    cs = list(p.terms.values())
-    if L > 2 and p.field_order() != L:
-        cs = [c.promote(L) for c in cs]
-    den = lcm(*(c.den for c in cs))
-    exps = [e.numerator * (D // e.denominator) for e in p.terms]
-    if L <= 2:
-        return den, [(k, c.num[0] * (den // c.den))
-                     for k, c in zip(exps, cs)]
-    return den, [(k, [(j, x * (den // c.den))
-                      for j, x in enumerate(c.num) if x])
-                 for k, c in zip(exps, cs)]
+_ZERO = QPoly({})
+_ONE = QPoly({0: 1})
 
 
-def _sum_of_products(pairs, L, D):
-    """The sum of sign * f * g over the (sign, f, g) in pairs, f and g
-    `_int_layout`s at order L and exponent denominator D: one integer
-    convolution over one common denominator, one reduction per output term
-    and one QPoly, whose `__init__` drops the terms that cancel and sorts
-    the rest."""
-    den = lcm(*(fden * gden for _, (fden, _), (gden, _) in pairs))
-    acc = {}
-    if L <= 2:
-        for sign, (fden, fl), (gden, gl) in pairs:
-            m = sign * (den // (fden * gden))
-            for k1, a in fl:
+def _add(f, g):
+    """f + g at the lcm of the two field orders; a sum whose terms all come
+    from one side keeps that side's order, as a sum of Cycs does."""
+    if not (f.ks and g.ks):
+        return f or g
+    total = _sum_of_products([(1, f, _ONE), (1, g, _ONE)], lcm(f.L, g.L))
+    if f.L == g.L:
+        return total
+    D = lcm(total.D, f.D, g.D)
+    ks = set(total._lift(total.L, D)[0])
+    for p, q in ((f, g), (g, f)):
+        pk = p._lift(p.L, D)[0]
+        if ks.isdisjoint(q._lift(q.L, D)[0]):
+            keep = [i for i, k in enumerate(pk) if k in ks]
+            return _qp(p.L, D, p.den, [pk[i] for i in keep],
+                       [p.nums[i] for i in keep])
+    return total
+
+
+def _scaled(p, cs):
+    """The sum of c_i t_i over the terms t_i of p and nonzero Cycs c_i, at
+    the lcm of their orders."""
+    L = lcm(p.L, *(c.order for c in cs))
+    cs = [_num(c, L) for c in cs]
+    den = lcm(*(d for _, d in cs))
+    return _qp(L, p.D, p.den * den, p.ks, [
+        _times_int(_mul(n, b, L), den // d)
+        for n, (b, d) in zip(_lift_nums(p.nums, p.L, L), cs)])
+
+
+def _sum_of_products(pairs, L):
+    """The sum of sign * f * g over the (sign, f, g) in pairs, nonzero
+    QPolys of orders dividing L: one integer convolution over one common
+    denominator, one reduction modulo Phi_L per output term and one
+    QPoly."""
+    D = lcm(*[p.D for _, f, g in pairs for p in (f, g)])
+    den = lcm(*[f.den * g.den for _, f, g in pairs])
+    acc, width = {}, 2 * _phi_deg(L) - 1
+    for sign, f, g in pairs:
+        m = sign * (den // (f.den * g.den))
+        (fk, fn), (gk, gn) = f._lift(L, D), g._lift(L, D)
+        if L <= 2:
+            gl = list(zip(gk, gn))
+            for k1, a in zip(fk, fn):
                 a *= m
                 for k2, b in gl:
                     acc[k1 + k2] = acc.get(k1 + k2, 0) + a * b
-        return QPoly({_exp_of(k, D): _cyc(L, (s,), den)
-                      for k, s in acc.items()})
-    width = 2 * (len(cyclotomic_polynomial(L)) - 1) - 1
-    for sign, (fden, fl), (gden, gl) in pairs:
-        m = sign * (den // (fden * gden))
-        for k1, a in fl:
-            if m != 1:
-                a = [(i, x * m) for i, x in a]
+            continue
+        gl = [(k2, [(j, y) for j, y in enumerate(b) if y])
+              for k2, b in zip(gk, gn)]
+        for k1, a in zip(fk, fn):
+            a = [(i, x * m) for i, x in enumerate(a) if x]
             for k2, b in gl:
                 s = acc.get(k1 + k2)
                 if s is None:
@@ -399,48 +439,59 @@ def _sum_of_products(pairs, L, D):
                 for i, x in a:
                     for j, y in b:
                         s[i + j] += x * y
-    return QPoly({_exp_of(k, D): _cyc(L, _reduce_mod_phi(s, L), den)
-                  for k, s in acc.items()})
+    if L > 2:
+        acc = {k: _reduce_mod_phi(s, L) for k, s in acc.items()}
+    ks = sorted([k for k, n in acc.items() if _nonzero(n)])
+    return _qp(L, D, den, ks, [acc[k] for k in ks])
 
 
 def proportional(f, g):
     """True iff f = k*g for some nonzero scalar k (zero ~ zero)."""
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    if set(f.terms) != set(g.terms):
-        return False
-    e0 = next(iter(f.terms))
-    k = f.terms[e0] / g.terms[e0]
-    return all(f.terms[e] == k * g.terms[e] for e in f.terms)
+    if not (f.ks and g.ks):
+        return not (f.ks or g.ks)
+    return f.scale(g.leading_coeff()) == g.scale(f.leading_coeff())
 
 
 # --- dense helpers over the scalar field -------------------------------
 
-def _dense_divmod(num, den):
-    num = list(num)
-    dn = len(den) - 1
-    while den and den[-1].is_zero():
-        den = den[:-1]
-        dn -= 1
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv_lead = den[-1].inverse()
-    q = [ZERO] * max(0, len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + dn] * inv_lead
-        if not c.is_zero():
-            q[k] = c
-            for j, d in enumerate(den):
-                num[k + j] = num[k + j] - c * d
-    while num and num[-1].is_zero():
-        num.pop()
-    return q, num
+def _exact_quotient(num, den, L):
+    """(q, s) with s * num = q * den, s a positive int, for dense numerator
+    lists over Q(zeta_L) whose last entries are nonzero, by long division
+    on ints; None when a remainder is left.  With lead * inv = t for the
+    last entry lead of den, each step scales the remainder by t."""
+    inv, t = _num(_cyc(L, den[-1] if L > 2 else (den[-1],), 1).inverse(), L)
+    r, q, s = list(num), [], 1
+    while len(r) >= len(den):
+        c = _mul(r.pop(), inv, L)
+        if _nonzero(c):
+            if t != 1:
+                r = [_times_int(x, t) for x in r]
+                q, s = [_times_int(x, t) for x in q], s * t
+            k = len(r) - len(den) + 1
+            for j, d in enumerate(den[:-1]):
+                p = _mul(c, d, L)
+                r[k + j] = r[k + j] - p if L <= 2 else tuple(
+                    map(sub, r[k + j], p))
+        q.append(c)
+    return None if any(map(_nonzero, r)) else (q[::-1], s)
 
 
 def _dense_gcd(a, b):
-    """Monic gcd of dense lists whose last entries are nonzero."""
+    """Monic gcd, as a list of Cycs, of dense forms (L, den, nums) whose
+    last entries are nonzero: the Euclidean algorithm on Cyc entries, ZERO
+    at the gaps, so that each entry's field order follows its remainder."""
+    a, b = [[_cyc(L, (n,) if L <= 2 else n, den) if _nonzero(n) else ZERO
+             for n in nums] for L, den, nums in (a, b)]
     while b:
-        a, b = b, _dense_divmod(a, b)[1]
+        num, dn, inv_lead = list(a), len(b) - 1, b[-1].inverse()
+        for k in range(len(num) - len(b), -1, -1):
+            c = num[k + dn] * inv_lead
+            if not c.is_zero():
+                for j, d in enumerate(b):
+                    num[k + j] = num[k + j] - c * d
+        while num and num[-1].is_zero():
+            num.pop()
+        a, b = b, num
     inv = a[-1].inverse()
     return [c * inv for c in a]
 
@@ -495,18 +546,18 @@ def _cert_field(L):
             return p, tuple(pow(r, j, p) for j in range(L))
 
 
-def _image(coeffs, L, p, powers):
-    """Images in F_p of Q(zeta_L) coefficients; None if p divides a
-    denominator.  An order-m coefficient sum (n_k / den) w^k maps to
-    sum n_k r^(k L/m) / den."""
-    out = []
-    for c in coeffs:
-        if c.den % p == 0:
-            return None
-        step = L // c.order
-        acc = sum(x * powers[k * step] for k, x in enumerate(c.num) if x)
-        out.append(acc * pow(c.den, -1, p) % p)
-    return out
+def _image(dense, L, p, powers):
+    """Images in F_p of the entries of a dense form (M, den, nums), M | L;
+    None if p divides den.  An order-M numerator sum n_k w^k maps to
+    sum n_k r^(k L/M) / den."""
+    M, den, nums = dense
+    if den % p == 0:
+        return None
+    inv = pow(den, -1, p)
+    if M <= 2:
+        return [n * inv % p for n in nums]
+    return [sum(x * powers[k * L // M] for k, x in enumerate(n) if x) * inv % p
+            for n in nums]
 
 
 def _fp_coprime(a, b, p):
@@ -529,22 +580,16 @@ def _fp_coprime(a, b, p):
 
 
 def _certified_coprime(fc, gc=None):
-    """True when one prime proves the dense lists fc, gc coprime over
+    """True when one prime proves the dense forms fc, gc coprime over
     Q(zeta_L); gc defaults to the derivative of fc.  False proves nothing."""
-    L = lcm(*(c.order for c in fc), *(c.order for c in gc or ()))
+    L = lcm(fc[0], gc[0] if gc else 1)
     p, powers = _cert_field(L)
     a = _image(fc, L, p, powers)
     if a is None or not a[-1]:
         return False
-    if gc is None:
-        b = [k * x % p for k, x in enumerate(a)][1:]
-    else:
-        b = _image(gc, L, p, powers)
-        if b is None:
-            return False
-    if not b[-1]:
-        return False
-    return _fp_coprime(a, b, p)
+    b = [k * x % p for k, x in enumerate(a)][1:] if gc is None else \
+        _image(gc, L, p, powers)
+    return b is not None and b[-1] != 0 and _fp_coprime(a, b, p)
 
 
 # --- public operations --------------------------------------------------
@@ -559,44 +604,39 @@ def divide_exact(f, g):
     if g.is_zero():
         raise ZeroDivisionError("division by the zero quasi-polynomial")
     if f.is_zero():
-        return QPoly.zero()
-    D = lcm(f.denom, g.denom)
-    flow, fc = f._dense(D)
-    glow, gc = g._dense(D)
-    q, r = _dense_divmod(fc, gc)
-    if r:
+        return _ZERO
+    L, D = lcm(f.L, g.L), lcm(f.D, g.D)
+    flow, (_, fden, fc) = f._dense(D, L)
+    glow, (_, gden, gc) = g._dense(D, L)
+    q, s = _exact_quotient(fc, gc, L) or (None, 0)
+    if q is None:
         raise InexactDivision(f"({f}) is not divisible by ({g})")
-    return QPoly._from_dense(flow - glow, q, D)
+    return QPoly._from_dense(
+        flow - glow, (L, s * fden, [_times_int(x, gden) for x in q]), D)
 
 
 def qgcd(f, g):
     """Monic gcd computed after the substitution x = s^D."""
-    if f.is_zero():
-        return g.monic() if g else QPoly.one()
-    if g.is_zero():
-        return f.monic()
-    D = lcm(f.denom, g.denom)
-    flow, fc = f._dense_kept(D)
-    glow, gc = g._dense_kept(D)
-    # common pure power of x
-    shared = min(flow, glow)
-    lowpow = QPoly.x_power(shared) if shared else QPoly.one()
+    if not (f and g):
+        return (f or g or _ONE).monic()
+    D = lcm(f.D, g.D)
+    (flow, fc), (glow, gc) = f._dense(D), g._dense(D)
+    shared = min(flow, glow)  # common pure power of x
+    lowpow = QPoly.x_power(shared) if shared else _ONE
     if _certified_coprime(fc, gc):
         return lowpow
     core = _dense_gcd(fc, gc)
-    return (QPoly._from_dense(0, core, D) * lowpow).monic()
+    return (QPoly({Fraction(k, D): c for k, c in enumerate(core)})
+            * lowpow).monic()
 
 
 def is_squarefree(f):
     """Squarefree test via gcd(f, f') on the dense representative."""
     if f.is_zero():
         return False
-    _, fc = f._dense_kept(f.denom)
-    if len(fc) <= 1 or _certified_coprime(fc):
-        return True
-    dfc = [fc[k] * k for k in range(1, len(fc))]
-    g = _dense_gcd(fc, dfc)
-    return len(g) == 1
+    L, den, nums = fc = f._dense()[1]
+    return len(nums) <= 1 or _certified_coprime(fc) or len(_dense_gcd(
+        fc, (L, den, [_times_int(n, k) for k, n in enumerate(nums)][1:]))) == 1
 
 
 def wronskian_table(fs):
@@ -606,7 +646,7 @@ def wronskian_table(fs):
     of (-1)^#{j in S : j > i} f_i^(|S|-1) Wr(S - {i}), so each minor is
     built once, bottom-up: n (2^(n-1) - 1) products for n functions.  Each
     Wr(S), |S| >= 2, is one `_sum_of_products` call over its nonzero
-    pairs, and each derivative and minor is laid out once per field order.
+    pairs.
 
     Wr(S) is built in Q(zeta_L), L the lcm of the field orders of S, which
     is the order the sum of `__mul__` products gives, by induction on |S|:
@@ -618,31 +658,15 @@ def wronskian_table(fs):
     for row in derivs:
         for _ in fs[1:]:
             row.append(row[-1].derivative())
-    orders = [f.field_order() for f in fs]
-    D = lcm(*(f.denom for f in fs))
-    layouts = {}  # (id, L) -> layout; derivs and table keep every id alive
-
-    def layout(p, L):
-        key = id(p), L
-        if key not in layouts:
-            layouts[key] = _int_layout(p, L, D)
-        return layouts[key]
-
-    table = [QPoly.one()]
+    table = [_ONE]
     for mask in range(1, 1 << len(fs)):
         members = [i for i in range(len(fs)) if mask >> i & 1]
         size = len(members)
-        if size == 1:
-            table.append(fs[members[0]])
-            continue
-        L = lcm(*(orders[i] for i in members))
-        pairs = []
-        for pos, i in enumerate(members):
-            f, minor = derivs[i][size - 1], table[mask ^ (1 << i)]
-            if f and minor:
-                pairs.append((1 if (size - pos) % 2 else -1,
-                              layout(f, L), layout(minor, L)))
-        table.append(_sum_of_products(pairs, L, D))
+        pairs = [((-1) ** (size - pos + 1), derivs[i][size - 1],
+                  table[mask ^ (1 << i)]) for pos, i in enumerate(members)]
+        table.append(fs[members[0]] if size == 1 else _sum_of_products(
+            [t for t in pairs if t[1].ks and t[2].ks],
+            lcm(*[fs[i].L for i in members])))
     return table
 
 
@@ -656,11 +680,7 @@ def wronskian(fs):
 
 def divided_wronskian(fs, divisors):
     """Wr(fs) divided exactly by the product of `divisors`."""
-    w = wronskian(fs)
-    den = QPoly.one()
-    for d in divisors:
-        den = den * d
-    return divide_exact(w, den)
+    return divide_exact(wronskian(fs), reduce(mul, divisors, _ONE))
 
 
 def wronskian_ode_solve(f, w_target, norm):
@@ -689,40 +709,43 @@ def wronskian_ode_solve(f, w_target, norm):
     """
     if f.is_zero():
         raise NoSolution("kernel function f must be nonzero")
-    kind, pin = norm[0], _exp(norm[1])
+    kind, pin = norm[0], Fraction(norm[1])
     if w_target.is_zero():
-        return QPoly.zero(), f
+        return _ZERO, f
 
-    D = lcm(f.denom, w_target.denom, pin.denominator)
-    d = f.degree
-    hi = max(w_target.degree - d + 1, d)
+    # exponents as ints over the common denominator D
+    D = lcm(f.D, w_target.D, pin.denominator)
+    fterms = list(zip(f._lift(f.L, D)[0], f.terms.values()))
+    w = dict(zip(w_target._lift(w_target.L, D)[0], w_target.terms.values()))
+    d, P = fterms[-1][0], pin.numerator * (D // pin.denominator)
+    hi = max(max(w) - d + D, d)
     if kind == "coeff_zero":
-        if f.low_exponent < 0:
+        if fterms[0][0] < 0:
             raise ValueError("the coeff_zero rule needs f without negative "
                              "exponents")
-        support = [_exp_of(k, D) for k in range(int(hi * D) + 1)]
+        support = range(hi + 1)
     elif kind == "holomorphic_at_zero":
-        f_classes = {e - e.__floor__() for e in f.terms}
-        if (pin - pin.__floor__()) in f_classes:
+        if P % D in {k % D for k, _ in fterms}:
             raise AmbiguousNormalization(
                 "holomorphic normalization needs a pinned exponent class "
                 "disjoint from the support of f")
-        support = [pin + k for k in range(int(max(hi, pin) - pin) + 1)]
+        support = range(P, max(hi, P) + 1, D)
     else:
         raise ValueError(f"unknown normalization rule {kind!r}")
 
-    fd = f.terms[d]
+    # D times the equation for x^((d + e - D) / D)
+    fd_inv = fterms[-1][1].inverse()
     y = {}
     for e in reversed(support):
         if e == d:
             continue  # y_d = 0: the kernel direction Y = f
-        acc = w_target.coeff(d + e - 1)
-        for a, ca in f.terms.items():
+        acc = w.get(d + e - D, ZERO) * D
+        for a, ca in fterms:
             known = y.get(d + e - a)
             if known is not None:
                 acc = acc - ca * (d + e - 2 * a) * known
-        y[e] = acc / (fd * (e - d))
-    particular = QPoly(y)
+        y[e] = acc * fd_inv / (e - d)
+    particular = QPoly({Fraction(e, D): c for e, c in y.items()})
     if f * particular.derivative() - f.derivative() * particular != w_target:
         raise NoSolution("Wr(f, Y) = W has no quasi-polynomial solution")
 
@@ -731,8 +754,7 @@ def wronskian_ode_solve(f, w_target, norm):
         if fpin.is_zero():
             raise AmbiguousNormalization(
                 f"f has zero coefficient at x^{pin}; cannot pin there")
-        c = particular.coeff(pin) / fpin
-        particular = particular - f.scale(c)
+        particular = particular - f.scale(particular.coeff(pin) / fpin)
     return particular, f
 
 

@@ -109,13 +109,22 @@ def qpoly_doc(p):
     return {"denom": d, "terms": terms}
 
 
+# The largest (degree - low exponent) * denom of a quasi-polynomial read
+# from a document: gcds and divisions lay out one dense entry per step.
+MAX_DENSE_SPAN = 1 << 16
+
+
 def qpoly_from_doc(doc, order=1):
     d = _int(_field(doc, "denom"), "denom")
     if d == 0:
         raise InputError("denom must be nonzero")
     terms = _typed(_field(doc, "terms"), dict, "terms must be an object")
-    return QPoly({Fraction(_int_text(k, "exponent key"), d):
-                  parse_scalar(v, order) for k, v in terms.items()})
+    p = QPoly({Fraction(_int_text(k, "exponent key"), d):
+               parse_scalar(v, order) for k, v in terms.items()})
+    if p and (p.degree - p.low_exponent) * p.denom > MAX_DENSE_SPAN:
+        raise InputError(f"quasi-polynomial has (degree - low exponent) * "
+                         f"denom over the limit of {MAX_DENSE_SPAN}")
+    return p
 
 
 # --- weights and cartan data ----------------------------------------------

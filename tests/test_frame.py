@@ -323,25 +323,3 @@ def test_genericity_with_mixed_exponent_denominators(a3):
         witnesses.add(is_generic(inst, y)[1])
     assert {"y_0 shares a root with y_1", "y_1 shares a root with y_2",
             None} <= witnesses
-
-
-def test_genericity_builds_each_dense_form_once(a3, monkeypatch):
-    built = []
-    dense = QPoly._dense
-
-    def counted(self, D=None):
-        built.append(D)
-        return dense(self, D)
-
-    monkeypatch.setattr(QPoly, "_dense", counted)
-    inst, _ = a3
-    y = BetheTuple([poly(1, 1), poly(2, 0, 1), poly(-1, 1)])
-    assert is_generic(inst, y) == (True, None)
-    # y_0, y_1, y_2 and T_0, T_1, T_2, each over D = 1
-    assert built == [1] * 6
-    built.clear()
-    y = [QPoly({F(1, 2): 1, F(0): 3}), poly(2, 0, 1), poly(-1, 1)]
-    assert is_generic(inst, y) == (True, None)
-    # y_0 and T_0 over D = 2, y_1 over D = 2 (the pair {0, 1}) and D = 1,
-    # y_2, T_1 and T_2 over D = 1
-    assert sorted(built) == [1, 1, 1, 1, 2, 2, 2]

@@ -399,33 +399,3 @@ def test_explore_serializes_each_member_once(a3, monkeypatch):
                                [F(1), F(2), F(-1)])
     assert len(members) > len(graph.nodes) - 1
     assert len(calls) == len(members) + 1
-
-
-def test_population_builds_each_frame_dense_form_once(monkeypatch):
-    # the A4 instance and samples of the populate_a4 benchmark workload
-    inst = ProblemInstance(cartan=CartanData.series("A", 4),
-                           aut=DiagramAut((3, 2, 1, 0)),
-                           omega=Cyc.root_of_unity(2), points=(),
-                           site_weights=(),
-                           lambda0=Weight([0, F(1, 2), F(1, 2), 0]))
-    values = [Cyc.of(c, 2) for c in (1, 2, F(-1, 2))]
-    frames, built = [], []
-    frame_polys, dense = genengine.frame_polys, QPoly._dense
-
-    def recorded(inst):
-        t = frame_polys(inst)
-        frames.extend(t.values())
-        return t
-
-    def counted(self, D=None):
-        if any(self is t for t in frames):
-            built.append(D)
-        return dense(self, D)
-
-    monkeypatch.setattr(genengine, "frame_polys", recorded)
-    monkeypatch.setattr(QPoly, "_dense", counted)
-    graph = explore_population(inst, orbit_data(inst.cartan, inst.aut),
-                               BetheTuple.trivial(4), 2, values)
-    assert len(graph.nodes) == 40 and len(frames) == 4
-    # T_0 .. T_3, each over D = 1, once for the whole BFS
-    assert built == [1] * 4

@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 
 from conftest import poly
-from cybethe import linalg, qpoly
+from cybethe import linalg, qpoly, scalars
 from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
                             InexactDivision, NoSolution)
 from cybethe.qpoly import (QPoly, RatQP, divide_exact, divided_wronskian,
@@ -323,12 +323,12 @@ def test_wronskian_table_matches_cofactor_reference():
 def test_wronskian_table_builds_no_qpoly_product_or_sum(monkeypatch):
     """A table of 5 functions over Q, Q(zeta_2) and Q(zeta_8) runs no
     `QPoly.__mul__` or `QPoly.__add__` (as a sum of `__mul__` products it
-    makes all 75 products of 5 functions), and lays out each derivative
-    and minor at most once per field order."""
+    makes all 75 products of 5 functions), and builds no Cyc: derivatives
+    and minors go from stored ints to stored ints."""
     rng = random.Random(37)
     fs = [_ode_rand_poly(rng, M, 3, 6) for M in (1, 2, 8, 2, 1)]
     want = wronskian_table(fs)
-    calls, laid, kept = Counter(), Counter(), []
+    calls = Counter()
 
     def counted(name, method):
         def wrapper(*args):
@@ -336,19 +336,14 @@ def test_wronskian_table_builds_no_qpoly_product_or_sum(monkeypatch):
             return method(*args)
         return wrapper
 
-    def layout(p, L, D):
-        kept.append(p)  # no id is reused while the table is built
-        laid[id(p), L] += 1
-        return int_layout(p, L, D)
-
-    int_layout = qpoly._int_layout
     monkeypatch.setattr(QPoly, "__mul__", counted("mul", QPoly.__mul__))
     monkeypatch.setattr(QPoly, "__add__", counted("add", QPoly.__add__))
-    monkeypatch.setattr(qpoly, "_int_layout", layout)
+    for module in (scalars, qpoly):
+        monkeypatch.setattr(module, "_cyc", counted("cyc", scalars._cyc))
+    monkeypatch.setattr(Cyc, "__init__", counted("cyc", Cyc.__init__))
     table = wronskian_table(fs)
     assert calls == {}
-    assert {L for _, L in laid} == {1, 2, 8}
-    assert max(laid.values()) == 1, laid
+    assert {w.field_order() for w in table} == {1, 2, 8}
     assert [str(w) for w in table] == [str(w) for w in want]
 
 
@@ -443,7 +438,8 @@ def test_certificate_image_is_ring_map_across_orders():
               Cyc.root_of_unity(12, 7) - 3, Cyc.of(F(-3, 2))]
 
     def img(c):
-        return qpoly._image([c], L, p, powers)[0]
+        num = c.num[0] if c.order <= 2 else c.num
+        return qpoly._image((c.order, c.den, [num]), L, p, powers)[0]
 
     for a in values:
         assert img(a.promote(L)) == img(a)

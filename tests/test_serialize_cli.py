@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -435,6 +436,9 @@ def _tuple_with_terms(terms):
     ("verify", _with(A2_INSTANCE, cartan={"series": 5, "rank": 2}), A2_TUPLE),
     ("verify", _with(A2_INSTANCE, cartan={"matrix": [[2, -1], [-1, 2]],
                                           "d": 5}), A2_TUPLE),
+    # and a ragged matrix
+    ("verify", _with(A2_INSTANCE, cartan={"matrix": [[2], [-1, 2]]}),
+     A2_TUPLE),
 ])
 def test_cli_scalars_and_containers_keep_their_json_types(
         docs, capsys, command, instance, tuple_):
@@ -448,6 +452,37 @@ def test_cli_scalars_and_containers_keep_their_json_types(
         argv += ["--tuple", str(tup)]
     assert cli.main(argv) == 2
     assert _error_record(capsys)["kind"] == "InputError"
+
+
+def test_cli_refuses_a_poly_too_wide_for_its_dense_form(docs, capsys):
+    # x^(10^9) would make a dense form of 10^9 + 1 entries: the document
+    # layer refuses it before any quasi-polynomial is built
+    _, _, tmp_path = docs
+    inst, tup = tmp_path / "a2.json", tmp_path / "wide.json"
+    inst.write_text(json.dumps(A2_INSTANCE))
+    tup.write_text(json.dumps(_tuple_with_terms({"0": "-1",
+                                                 "1000000000": "1"})))
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify", "--instance", str(inst),
+                         "--tuple", str(tup)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 24
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError"
+    assert str(serialize.MAX_DENSE_SPAN) in error["message"]
+    # the span counts steps of 1/denom; the limit itself is accepted
+    limit = serialize.MAX_DENSE_SPAN
+    assert serialize.qpoly_from_doc(
+        {"denom": 1, "terms": {"0": "-1", str(limit): "1"}}).degree == limit
+    with pytest.raises(InputError, match=str(limit)):
+        serialize.qpoly_from_doc(
+            {"denom": 2, "terms": {"1": "1", str(limit + 2): "1"}})
+    # a zero coefficient adds no dense entry
+    assert serialize.qpoly_from_doc(
+        {"denom": 1, "terms": {"0": "1", "1000000000": "0"}}) == 1
 
 
 @pytest.mark.parametrize("extra", [
