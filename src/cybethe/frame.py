@@ -24,12 +24,16 @@ ever leaving the coefficient field.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from math import lcm
+from operator import mul
 
 from .cartan import (CartanData, DiagramAut, Weight, inner_product,
                      sigma_on_weight, weight_orbit)
 from .errors import (InexactDivision, InputError, NegativeExponent, NotGeneric,
                      UnsupportedType)
-from .qpoly import QPoly, divide_exact, is_squarefree, proportional, qgcd
+from .qpoly import (QPoly, _sum_of_products, divide_exact, is_squarefree,
+                    proportional, qgcd)
 from .scalars import Cyc
 
 
@@ -182,16 +186,16 @@ def is_generic(inst, y, t=None):
 
 
 def interaction_product(inst, y, i, t=None):
-    """P = T_i prod_{j != i} y_j^{-<alpha_j, alpha_i^vee>} (a polynomial)."""
+    """P = T_i prod_{j != i} y_j^{-<alpha_j, alpha_i^vee>} (a polynomial).
+
+    T_i is monic, so it is the constant one when its degree is 0, and then
+    the product starts from its first y_j factor."""
     t = t or frame_polys(inst)
-    acc = t[i]
-    for j, yj in enumerate(y):
-        if j == i:
-            continue
-        power = -inst.cartan.a[i][j]
-        if power:
-            acc = acc * yj ** power
-    return acc
+    a = inst.cartan.a[i]
+    factors = [yj ** -a[j] for j, yj in enumerate(y) if j != i and a[j]]
+    if t[i].degree or not factors:
+        factors.insert(0, t[i])
+    return reduce(mul, factors)
 
 
 def is_critical_exact(inst, y, mode="extended", t=None, lambda0_override=None):
@@ -210,18 +214,18 @@ def is_critical_exact(inst, y, mode="extended", t=None, lambda0_override=None):
     ok, witness = is_generic(inst, y, t=t)
     if not ok:
         raise NotGeneric(witness)
-    report = {}
-    overall = True
+    report, overall, x = {}, True, QPoly.x_power(1)
     for i, yi in enumerate(y):
         if yi.degree == 0:
             report[i] = {"divides": True, "witness": None}
             continue
         gamma = inst.gamma(i) if lambda0_override is None \
             else lambda0_override[i]
-        p = interaction_product(inst, y, i, t=t)
-        x = QPoly.x_power(1)
-        expr = (p.scale(gamma) + x * p.derivative()) * yi.derivative() \
-            - x * p * yi.derivative().derivative()
+        p, dy = interaction_product(inst, y, i, t=t), yi.derivative()
+        # (gamma P + x P') y' - x P y'' as one sum of products
+        expr = _sum_of_products([c for c in (
+            (gamma, p, dy), (1, x * p.derivative(), dy),
+            (-1, x * p, dy.derivative())) if all(c)], lcm(p.L, yi.L))
         if expr.is_zero():
             report[i] = {"divides": True, "witness": None}
             continue

@@ -92,9 +92,7 @@ def elementary_generate_L1(inst, y, i, c, t=None):
 
 def _transport(poly, omega, k):
     """omega^(k deg) * poly(omega^-k x) for a nonzero ordinary polynomial."""
-    deg = poly.degree
-    return QPoly({e: c * omega ** (int(k * (deg - e)))
-                  for e, c in poly.terms.items()})
+    return poly.substitute_scale(omega ** -k).scale(omega ** (k * poly.degree))
 
 
 def _family(inst, fold, y, i, t):
@@ -136,8 +134,7 @@ def _family(inst, fold, y, i, t):
     # supported on gamma + 1 + Z>=0, so y_i_1 is an ordinary polynomial
     lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
                                     ("holomorphic_at_zero", gamma + 1))
-    y_i_1 = QPoly({e - (gamma + 1): v
-                   for e, v in lifted.terms.items()}).monic()
+    y_i_1 = (QPoly.x_power(-(gamma + 1)) * lifted).monic()
     ibar = inst.aut(i)
     rhs = _rhs_l1(inst, _replaced(y, i, y_i_1), ibar, t)
     base2, _ = wronskian_ode_solve(y[ibar], QPoly.x_power(1 + gamma) * rhs,
@@ -301,6 +298,8 @@ def explore_population(inst, fold, seed, depth, samples):
         for node in frontier:
             for i in fold.reps:
                 *_, member = _family(inst, fold, node.tuple_, i, t)
+                reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
+                                           node.lambda_inf)
                 misses = 0
                 for c in samples:
                     try:
@@ -321,21 +320,18 @@ def explore_population(inst, fold, seed, depth, samples):
                         parent=node.node_id, step=step, lambda_inf=linf,
                         flags={"generic": True, "cyclotomic": True,
                                "critical": True,
-                               "edge": _edge(inst, fold, node, linf, i)})
+                               "edge": _edge(node, linf, reflected)})
                     graph.add(new, key)
                     next_frontier.append(new)
         frontier = next_frontier
     return graph
 
 
-def _edge(inst, fold, parent, linf, i):
-    """The weight-at-infinity dichotomy along an edge in direction i."""
-    reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
-                               parent.lambda_inf)
-    if linf == parent.lambda_inf:
-        return "unchanged"
-    if linf == reflected:
-        return "reflected"
+def _edge(parent, linf, reflected):
+    """The weight-at-infinity dichotomy along an edge whose direction
+    reflects the parent's weight at infinity to `reflected`."""
+    if linf in (parent.lambda_inf, reflected):
+        return "unchanged" if linf == parent.lambda_inf else "reflected"
     raise InternalInvariantError(
         f"weight at infinity {linf} is neither the parent's "
         f"{parent.lambda_inf} nor its folded reflection {reflected}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .cartan import Weight, inner_product, weight_orbit
 from .errors import (BranchCollision, DivisionNearZero, IllConditioned,
-                     NoConvergence, SingularJacobian)
+                     InputError, NoConvergence, SingularJacobian)
 from .frame import extended_sites
 
 
@@ -31,6 +31,12 @@ class Tolerances:
 
 
 DEFAULT_TOL = Tolerances()
+
+# The largest component degree n that `embed` (so `check-numeric`) accepts:
+# the Aberth iteration builds n x n complex arrays, and `grad_check`
+# evaluates the master function 4n times, each over all pairs of roots.
+# One component of degree 64 takes about 1 s on one x86_64 core.
+MAX_DEGREE = 64
 
 
 @dataclass(frozen=True)
@@ -82,7 +88,11 @@ def _aberth_roots(coeffs):
 
 
 def embed(y, tol=DEFAULT_TOL):
-    """Numerically extract all roots of each component, with colours."""
+    """Numerically extract all roots of each component, with colours.  A
+    component of degree over `MAX_DEGREE` is an InputError, raised before
+    any array is built."""
+    if max(y.degrees(), default=0) > MAX_DEGREE:
+        raise InputError(f"check-numeric limits degrees to {MAX_DEGREE}")
     roots = []
     colours = []
     for i, p in enumerate(y):

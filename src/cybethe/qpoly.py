@@ -21,10 +21,14 @@ value: a product over Q(zeta_4) and Q(zeta_3) lies in Q(zeta_12) even
 when its value is rational.  Sums and products work at the lcm of the
 operands' orders, except that a sum whose terms all come from one
 operand keeps that operand's order, as a sum of `Cyc`s does; zero has
-order 1.  One kernel, `_sum_of_products`, sums signed products as one
-integer convolution over one common denominator, reduced modulo Phi_L
-once per output term: a product is its one-pair case, and
-`wronskian_table` builds each minor with one call over all of its pairs.
+order 1.  One kernel, `_sum_of_products`, sums products with int or
+Fraction multipliers as one integer convolution over one common
+denominator, reduced modulo Phi_L once per output term: a product is its
+one-pair case, `wronskian_table` builds each minor with one call over all
+of its pairs, and `frame.is_critical_exact` builds each colour's residue
+expression with one call.  A product with a monomial c x^e (so a `scale`)
+and an exact division by one skip the kernel: an exponent shift and one
+numerator product per term.
 
 Division, gcd and squarefree tests work through the substitution x = s^D,
 which turns everything into dense polynomials over the coefficient field.
@@ -136,7 +140,7 @@ class QPoly:
 
     @staticmethod
     def x_power(e, coeff=1):
-        return QPoly({e: coeff})
+        return _monomial(Cyc.of(coeff), Fraction(e))
 
     @staticmethod
     def constant(c):
@@ -245,22 +249,24 @@ class QPoly:
             return self.scale(other)
         if not (self.ks and other.ks):
             return _ZERO
-        return _sum_of_products([(1, self, other)], lcm(self.L, other.L))
+        L = lcm(self.L, other.L)
+        if len(self.ks) == 1 or len(other.ks) == 1:
+            return _by_monomial(self, other, L)
+        return _sum_of_products([(1, self, other)], L)
 
     def scale(self, c):
-        c = c if isinstance(c, Cyc) else Cyc.of(c)
-        return _scaled(self, [c] * len(self.ks)) if c else _ZERO
+        m = _monomial(c if isinstance(c, Cyc) else Cyc.of(c), 0)
+        return _by_monomial(self, m, lcm(self.L, m.L)) if m and self else _ZERO
 
     __rmul__ = scale
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a quasi-polynomial")
-        out, base = _ONE, self
-        while n:
-            out, n = out * base if n & 1 else out, n >> 1
-            base = base * base if n else base
-        return out
+        if n < 2:
+            return self if n else _ONE
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other):
         if isinstance(other, (Cyc, int, Fraction)):
@@ -311,7 +317,12 @@ class QPoly:
             raise BranchUndefined(
                 "substitute_scale with fractional exponents is only fixed "
                 "for s = -1 (branch (-1)^m = e^(i pi m))")
-        return _scaled(self, [s ** k for k in self.ks])
+        # s^k from one running product over the gaps between exponents
+        cs, steps = [s ** k for k in self.ks[:1]], {1: s}
+        for gap in map(sub, self.ks[1:], self.ks):
+            cs.append(cs[-1] * (steps.get(gap) or steps.setdefault(
+                gap, s ** gap)))
+        return _scaled(self, cs)
 
     def negate_argument(self):
         """f(-x) with the branch (-1)^m = e^(i pi m) for m in (1/2)Z.
@@ -410,16 +421,34 @@ def _scaled(p, cs):
         for n, (b, d) in zip(_lift_nums(p.nums, p.L, L), cs)])
 
 
+def _monomial(c, e):
+    """The QPoly c x^e of a Cyc c and a rational e, at the order of c."""
+    if not c:
+        return _ZERO
+    n, d = _num(c, c.order)
+    return _qp(c.order, e.denominator, d, [e.numerator], [n])
+
+
+def _by_monomial(f, g, L):
+    """f * g over Q(zeta_L) for nonzero f and g, one of them a monomial:
+    an exponent shift and one numerator product per term."""
+    f, m = (f, g) if len(g.ks) == 1 else (g, f)
+    D = lcm(f.D, m.D)
+    (fk, fn), ((k,), (c,)) = f._lift(L, D), m._lift(L, D)
+    return _qp(L, D, f.den * m.den, [j + k for j in fk],
+               [_mul(n, c, L) for n in fn])
+
+
 def _sum_of_products(pairs, L):
-    """The sum of sign * f * g over the (sign, f, g) in pairs, nonzero
-    QPolys of orders dividing L: one integer convolution over one common
-    denominator, one reduction modulo Phi_L per output term and one
-    QPoly."""
+    """The sum of c * f * g over the (c, f, g) in pairs, c a nonzero int or
+    Fraction and f, g nonzero QPolys of orders dividing L: one integer
+    convolution over one common denominator, one reduction modulo Phi_L
+    per output term and one QPoly."""
     D = lcm(*[p.D for _, f, g in pairs for p in (f, g)])
-    den = lcm(*[f.den * g.den for _, f, g in pairs])
+    den = lcm(*[f.den * g.den * c.denominator for c, f, g in pairs])
     acc, width = {}, 2 * _phi_deg(L) - 1
-    for sign, f, g in pairs:
-        m = sign * (den // (f.den * g.den))
+    for c, f, g in pairs:
+        m = c.numerator * (den // (f.den * g.den * c.denominator))
         (fk, fn), (gk, gn) = f._lift(L, D), g._lift(L, D)
         if L <= 2:
             gl = list(zip(gk, gn))
@@ -606,6 +635,9 @@ def divide_exact(f, g):
     if f.is_zero():
         return _ZERO
     L, D = lcm(f.L, g.L), lcm(f.D, g.D)
+    if g.is_monomial():  # always exact: f times c^-1 x^-e
+        return _by_monomial(
+            f, _monomial(g.leading_coeff().inverse(), -g.degree), L)
     flow, (_, fden, fc) = f._dense(D, L)
     glow, (_, gden, gc) = g._dense(D, L)
     q, s = _exact_quotient(fc, gc, L) or (None, 0)
@@ -622,7 +654,7 @@ def qgcd(f, g):
     D = lcm(f.D, g.D)
     (flow, fc), (glow, gc) = f._dense(D), g._dense(D)
     shared = min(flow, glow)  # common pure power of x
-    lowpow = QPoly.x_power(shared) if shared else _ONE
+    lowpow = QPoly.x_power(shared)
     if _certified_coprime(fc, gc):
         return lowpow
     core = _dense_gcd(fc, gc)
@@ -658,15 +690,25 @@ def wronskian_table(fs):
     for row in derivs:
         for _ in fs[1:]:
             row.append(row[-1].derivative())
-    table = [_ONE]
+    table, lifted = [_ONE], {}
+
+    def at(p, L):
+        """p over Q(zeta_L), lifted once per table: derivs and table keep
+        every p alive, so its id is a key."""
+        if p.L == L or L <= 2:  # Q(zeta_2) = Q needs no lift
+            return p
+        if (id(p), L) not in lifted:
+            lifted[id(p), L] = _qp(L, p.D, p.den, p.ks,
+                                   _lift_nums(p.nums, p.L, L))
+        return lifted[id(p), L]
+
     for mask in range(1, 1 << len(fs)):
         members = [i for i in range(len(fs)) if mask >> i & 1]
-        size = len(members)
-        pairs = [((-1) ** (size - pos + 1), derivs[i][size - 1],
-                  table[mask ^ (1 << i)]) for pos, i in enumerate(members)]
-        table.append(fs[members[0]] if size == 1 else _sum_of_products(
-            [t for t in pairs if t[1].ks and t[2].ks],
-            lcm(*[fs[i].L for i in members])))
+        size, L = len(members), lcm(*[fs[i].L for i in members])
+        table.append(fs[members[0]] if size == 1 else _sum_of_products([(
+            (-1) ** (size - pos + 1), at(derivs[i][size - 1], L),
+            at(table[mask ^ (1 << i)], L)) for pos, i in enumerate(members)
+            if derivs[i][size - 1].ks and table[mask ^ (1 << i)].ks], L))
     return table
 
 

@@ -347,15 +347,10 @@ class Cyc:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        out = Cyc.of(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        if n < 2:
+            return self if n else Cyc.of(1, self.order)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -4,16 +4,20 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import poly
+from cybethe import serialize
 from cybethe.cartan import (CartanData, DiagramAut, Weight, orbit_data,
-                            sigma_on_weight)
-from cybethe.errors import InputError, NotGeneric
+                            shifted_reflect, sigma_on_weight)
+from cybethe.errors import InexactDivision, InputError, NotGeneric
 from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
                            canonical_lambda0, eigenvalues, frame_polys,
-                           hl_identity_check, is_critical_exact,
-                           is_cyclotomic_tuple, is_generic, t_tilde,
-                           validate_lambda0, weight_at_infinity)
-from cybethe.qpoly import QPoly, proportional
+                           hl_identity_check, interaction_product,
+                           is_critical_exact, is_cyclotomic_tuple,
+                           is_generic, t_tilde, validate_lambda0,
+                           weight_at_infinity)
+from cybethe.genengine import cyclotomic_generate_L2, explore_population
+from cybethe.qpoly import QPoly, divide_exact, proportional
 from cybethe.scalars import Cyc
+from test_catalog_pins import A4_DOC, D4_DOC, SAMPLES
 
 
 def n1_instance(lambda1=(1, 0), z=1, lambda0=(F(1, 2), F(1, 2))):
@@ -86,6 +90,66 @@ def test_criticality_witness(a2, a2_tuple):
         assert ok3
     with pytest.raises(NotGeneric):
         is_critical_exact(inst, BetheTuple([poly(-1, 1), poly(-1, 1)]))
+
+
+def _four_product_report(inst, y, t, lambda0_override=None):
+    """(divides, witness) per colour, with the residue expression built as
+    four products, two sums and a scale."""
+    report = {}
+    for i, yi in enumerate(y):
+        if yi.degree == 0:
+            report[i] = (True, None)
+            continue
+        gamma = inst.gamma(i) if lambda0_override is None \
+            else lambda0_override[i]
+        p = interaction_product(inst, y, i, t=t)
+        x = QPoly.x_power(1)
+        expr = (p.scale(gamma) + x * p.derivative()) * yi.derivative() \
+            - x * p * yi.derivative().derivative()
+        try:
+            report[i] = (True, divide_exact(expr, yi) if expr else None)
+        except InexactDivision:
+            report[i] = (False, None)
+    return report
+
+
+def test_fused_residue_matches_the_four_product_expression():
+    cases = []
+    for doc in (A4_DOC, D4_DOC):
+        inst = serialize.instance_from_doc(doc)
+        graph = explore_population(
+            inst, orbit_data(inst.cartan, inst.aut),
+            BetheTuple.trivial(inst.cartan.n), 2,
+            [serialize.parse_scalar(s, inst.M) for s in SAMPLES])
+        cases += [(inst, node.tuple_, None) for node in graph.nodes]
+    # with a marked point T_i is not one; the L = 2 step-1 tuple solves the
+    # equations of the shifted weight at the origin and not the others
+    inst = n1_instance(lambda1=(1, 1))
+    fold = orbit_data(inst.cartan, inst.aut)
+    graph = explore_population(inst, fold, BetheTuple.trivial(2), 2,
+                               [F(1), F(2), F(-1, 2)])
+    cases += [(inst, node.tuple_, None) for node in graph.nodes]
+    _, step = cyclotomic_generate_L2(inst, fold, BetheTuple.trivial(2), 0,
+                                     F(1))
+    step1 = BetheTuple.monic_of([dict(step.intermediates)["y_i_step1"],
+                                 QPoly.one()])
+    shifted = shifted_reflect(inst.cartan, 0, inst.lambda0)
+    cases += [(inst, step1, shifted), (inst, step1, None)]
+    assert len(cases) > 80
+    verdicts = set()
+    for inst, y, override in cases:
+        t = frame_polys(inst)
+        _, report = is_critical_exact(inst, y, t=t, lambda0_override=override)
+        want = _four_product_report(inst, y, t, override)
+        for i, (divides, witness) in want.items():
+            got = report[i]["witness"]
+            assert report[i]["divides"] == divides
+            assert (got is None) == (witness is None)
+            if witness is not None:
+                assert got == witness and str(got) == str(witness)
+                assert got.field_order() == witness.field_order()
+            verdicts.add(divides)
+    assert verdicts == {True, False}
 
 
 def test_modes_agree_on_population(a2, a2_tuple):

@@ -347,6 +347,41 @@ def test_wronskian_table_builds_no_qpoly_product_or_sum(monkeypatch):
     assert [str(w) for w in table] == [str(w) for w in want]
 
 
+def test_wronskian_table_lifts_each_operand_once_per_order(monkeypatch):
+    """Over Q, Q(zeta_2) and Q(zeta_8), each derivative and each minor is
+    lifted to a field order at most once per table, and the table equals
+    the expansion along the last derivative row as a sum of products."""
+    rng = random.Random(37)
+    fs = [_ode_rand_poly(rng, M, 3, 6) for M in (1, 2, 8, 2, 1)]
+    derivs = [[f] for f in fs]
+    for row in derivs:
+        for _ in fs[1:]:
+            row.append(row[-1].derivative())
+    want = [QPoly.one()]
+    for mask in range(1, 1 << len(fs)):
+        members = [i for i in range(len(fs)) if mask >> i & 1]
+        acc = QPoly.zero()
+        for pos, i in enumerate(members):
+            term = derivs[i][len(members) - 1] * want[mask ^ (1 << i)]
+            acc = acc + (term if (len(members) - pos) % 2 else -term)
+        want.append(acc)
+    lifts = []
+    lift = qpoly._lift_nums
+
+    def recorded(nums, M, L):
+        if M != L and L > 2:
+            lifts.append((id(nums), L))
+        return lift(nums, M, L)
+
+    monkeypatch.setattr(qpoly, "_lift_nums", recorded)
+    table = wronskian_table(fs)
+    assert lifts and len(set(lifts)) == len(lifts)
+    assert {w.field_order() for w in table} == {1, 2, 8}
+    assert [(str(w), w.field_order()) for w in table] == \
+        [(str(w), w.field_order()) for w in want]
+    assert table == want
+
+
 def test_substitute_and_negate():
     x = QPoly.x_power(1)
     assert x.substitute_scale(-1) == -x
@@ -555,7 +590,8 @@ def test_power_squares_only_while_bits_remain(value, monkeypatch):
         return mul(a, b)
 
     monkeypatch.setattr(cls, "__mul__", counted)
-    for n, products in ((1, 1), (2, 2), (3, 3)):
+    # from the first factor: no product by one
+    for n, products in ((0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3)):
         calls.clear()
         value ** n
         assert len(calls) == products, n

@@ -3,11 +3,16 @@
 `RefQPoly` is the earlier dict-of-Cyc quasi-polynomial: exponent keys as
 ints or Fractions, one `Cyc` per term, and every operation built from Cyc
 arithmetic.  Each operation of `QPoly` must agree with it in value, field
-order, term order, key types, text and document bytes.
+order, term order, key types, text and document bytes.  Products with a
+monomial and divisions by one must also agree with the general
+convolution kernel and with long division, the paths they took before
+they became exponent shifts.
 """
 
 from fractions import Fraction as F
 from math import lcm
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -403,6 +408,79 @@ def test_every_operation_matches_the_dict_of_cyc_reference(fg, ht, c, pin):
                      ("holomorphic_at_zero", F(pin, 6))):
             assert run(wronskian_ode_solve, h, w, norm) == \
                 run(ref_ode_solve, rh, rw, norm), norm
+
+
+def kernel_product(f, g):
+    """f * g on the general convolution kernel."""
+    if f.is_zero() or g.is_zero():
+        return QPoly.zero()
+    return qpoly._sum_of_products([(1, f, g)], lcm(f.L, g.L))
+
+
+def long_divide(f, g):
+    """f / g by long division on the dense forms over Q(zeta_L)."""
+    if f.is_zero():
+        return QPoly.zero()
+    L, D = lcm(f.L, g.L), lcm(f.D, g.D)
+    flow, (_, fden, fc) = f._dense(D, L)
+    glow, (_, gden, gc) = g._dense(D, L)
+    q, s = qpoly._exact_quotient(fc, gc, L) or (None, 0)
+    if q is None:
+        raise InexactDivision(f"({f}) is not divisible by ({g})")
+    return QPoly._from_dense(flow - glow, (L, s * fden, [
+        qpoly._times_int(x, gden) for x in q]), D)
+
+
+@st.composite
+def monomials(draw):
+    """c x^e, e in (1/D)Z for D in {1, 2, 3}, c rational (of order 1 or
+    promoted) or not."""
+    e = F(draw(st.integers(-3, 6)), draw(st.sampled_from((1, 2, 3))))
+    c = draw(st.one_of(
+        st.sampled_from([F(1), F(-1), F(3), F(-2, 3)]).map(Cyc.of),
+        st.sampled_from([F(1), F(5, 7)]).flatmap(
+            lambda q: st.sampled_from(ORDERS).map(lambda M: Cyc.of(q, M))),
+        cycs().filter(bool)))
+    return {e: c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts(), monomials())
+def test_monomial_paths_match_the_kernel_and_long_division(ft, mt):
+    (f, rf), (m, rm) = both(ft), both(mt)
+    product = run(lambda a, b: a * b, rf, rm)
+    assert run(lambda a, b: a * b, f, m) == run(kernel_product, f, m) \
+        == product
+    assert run(lambda a, b: a * b, m, f) == run(kernel_product, m, f) \
+        == product
+    fm = f * m
+    assert run(divide_exact, fm, m) == run(long_divide, fm, m) == \
+        run(ref_divide_exact, rf * rm, rm)
+    assert divide_exact(fm, m) == f
+    assert run(divide_exact, f, m) == run(long_divide, f, m) == \
+        run(ref_divide_exact, rf, rm)
+
+
+def test_substitute_scale_takes_powers_over_the_gaps(monkeypatch):
+    # a running product one exponent at a time would make 2^16 products
+    w = Cyc.root_of_unity(3)
+    f = QPoly({2 ** 16: 1, 0: 1})
+    calls = Counter()
+    mul = Cyc.__mul__
+
+    def counted(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    out = f.substitute_scale(w)
+    assert calls["mul"] <= 20
+    monkeypatch.undo()
+    assert out == QPoly({2 ** 16: w, 0: 1}) and out.field_order() == 3
+    sparse = QPoly({-2: 1, 1: 3, 4: w, 7: F(1, 2), 9: 1})
+    s = w * 2 - 1
+    assert sparse.substitute_scale(s) == QPoly(
+        {e: c * s ** e for e, c in sparse.terms.items()})
 
 
 def test_equal_values_in_other_layouts_compare_and_hash_equal():

@@ -485,6 +485,35 @@ def test_cli_refuses_a_poly_too_wide_for_its_dense_form(docs, capsys):
         {"denom": 1, "terms": {"0": "1", "1000000000": "0"}}) == 1
 
 
+def test_check_numeric_refuses_a_degree_over_its_limit(docs, capsys):
+    # the Aberth iteration would build n x n complex arrays, and the
+    # gradient check evaluates the master function 4n times: the refusal
+    # comes before numpy builds any array
+    from cybethe import numerics  # numpy's import is not the request's
+    _, _, tmp_path = docs
+    inst, tup = tmp_path / "a2.json", tmp_path / "high.json"
+    inst.write_text(json.dumps(A2_INSTANCE))
+    limit = numerics.MAX_DEGREE
+    args = ["check-numeric", "--instance", str(inst), "--tuple", str(tup)]
+    tup.write_text(json.dumps(_tuple_with_terms({"0": "-2",
+                                                 str(limit + 1): "1"})))
+    tracemalloc.start()
+    try:
+        code = cli.main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 19
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError" and str(limit) in error["message"]
+    # the limit itself is accepted: the check runs and reports
+    tup.write_text(json.dumps(_tuple_with_terms({"0": "-2",
+                                                 str(limit): "1"})))
+    assert cli.main(args) in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["per_root"]) == limit + 3
+
+
 @pytest.mark.parametrize("extra", [
     ["generate", "--direction", "0", "--c", "1"],
     ["generate", "--direction", "2", "--c", "1"],
