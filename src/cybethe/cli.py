@@ -19,10 +19,6 @@ from .frame import (canonical_lambda0, eigenvalues, is_critical_exact,
                     is_cyclotomic_tuple, validate_lambda0,
                     weight_at_infinity)
 from .genengine import cyclotomic_generate, explore_population
-from .typea import (apply_flow, beta, cyclotomic_population,
-                    flow_vs_generation, frame_conditions_check, gram_matrix,
-                    is_cyclotomically_self_dual, isotropy_check, kernel_basis,
-                    witt_basis)
 
 
 def _load_json(path):
@@ -135,6 +131,11 @@ def cmd_populate(args):
 
 
 def cmd_typea_analyze(args):
+    # typea is imported here, as numerics is below, so that only the two
+    # typea commands pay for it
+    from .typea import (beta, cyclotomic_population, frame_conditions_check,
+                        gram_matrix, is_cyclotomically_self_dual,
+                        isotropy_check, kernel_basis, witt_basis)
     inst = _instance(args)
     y = _tuple(args, inst)
     space, flag = kernel_basis(inst, y)
@@ -172,6 +173,7 @@ def cmd_typea_analyze(args):
 
 
 def cmd_typea_flow(args):
+    from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis
     inst = _instance(args)
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)

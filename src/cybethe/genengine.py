@@ -90,9 +90,13 @@ def elementary_generate_L1(inst, y, i, c, t=None):
     return out, base, ok
 
 
-def _transport(poly, omega, k):
-    """omega^(k deg) * poly(omega^-k x) for a nonzero ordinary polynomial."""
-    return poly.substitute_scale(omega ** -k).scale(omega ** (k * poly.degree))
+def _transport(poly, omega, M, k):
+    """omega^(k deg) * poly(omega^-k x) for a nonzero ordinary polynomial and
+    omega of order M; omega^-k is taken as omega^(M-k), with no inverse."""
+    if k == 0:
+        return poly.promote(omega.order)
+    return poly.substitute_scale(omega ** (M - k)).scale(
+        omega ** (k * poly.degree % M))
 
 
 def _family(inst, fold, y, i, t):
@@ -110,7 +114,9 @@ def _family(inst, fold, y, i, t):
     m_i = fold.orbit_len[i]
     if fold.linking[i] == 1:
         base = _l1_base(inst, y, i, t)
-        if m_i > 1 and _transport(base, inst.omega, 1) != \
+        if not base.is_polynomial():
+            raise InputError("tuple components must be ordinary polynomials")
+        if m_i > 1 and _transport(base, inst.omega, inst.M, 1) != \
                 _l1_base(inst, y, inst.aut(i), t):
             raise InternalInvariantError(
                 "transported L1 component disagrees with an independent solve")
@@ -121,7 +127,8 @@ def _family(inst, fold, y, i, t):
                 raise ExceptionalParameter(c, "generated component vanishes")
             polys = list(y)
             for k in range(m_i):
-                polys[inst.aut.power(i, k)] = _transport(moved, inst.omega, k)
+                polys[inst.aut.power(i, k)] = _transport(
+                    moved, inst.omega, inst.M, k)
             return BetheTuple.monic_of(polys), GenerationStep(
                 direction=i, c=c, kind="L1")
         return i, base, y[i], member

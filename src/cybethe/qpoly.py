@@ -158,6 +158,13 @@ class QPoly:
         ks = self.ks if D == self.D else [k * (D // self.D) for k in self.ks]
         return ks, _lift_nums(self.nums, self.L, L)
 
+    def promote(self, M):
+        """The same value over Q(zeta_L), L = lcm(self.L, M)."""
+        L = lcm(self.L, M)
+        if L == self.L or not self.ks:
+            return self
+        return _qp(L, self.D, self.den, *self._lift(L, self.D))
+
     # structure --------------------------------------------------------
 
     def is_zero(self):
@@ -261,6 +268,8 @@ class QPoly:
     __rmul__ = scale
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError(f"quasi-polynomial to the non-integer power {n}")
         if n < 0:
             raise ValueError("negative power of a quasi-polynomial")
         if n < 2:
@@ -860,8 +869,3 @@ class RatQP:
 
     def __repr__(self):
         return f"RatQP(({self.num}) / ({self.den}))"
-
-
-def log_derivative(p):
-    """f'/f as a reduced rational quasi-polynomial."""
-    return RatQP(p.derivative(), p)

@@ -345,6 +345,8 @@ class Cyc:
         return Cyc.of(other, self.order) / self
 
     def __pow__(self, n):
+        if not isinstance(n, int):
+            raise TypeError(f"cyclotomic scalar to the non-integer power {n}")
         if n < 0:
             return self.inverse() ** (-n)
         if n < 2:

@@ -5,13 +5,15 @@ flag flows realizing cyclotomic generation.
 
 Everything is exact.  The bilinear form is B(u, v) = (u, v(-x)) computed
 by expanding v(-x) in the dual basis W_k = Wr+(u_1, ..., ^u_k, ..., u_(R+1));
-orthogonal complements, memberships and ranks all go through exact row
-reduction, never numeric rank.
+the special basis, orthogonal complements, memberships and ranks all go
+through the one exact row reduction `linalg._rref`, never numeric rank.
+A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from . import linalg
 from .cartan import Weight, dominant_shifted_rep
@@ -24,7 +26,7 @@ from .frame import (BetheTuple, big_lambda, frame_polys, is_critical_exact,
 from .genengine import _checked, _family, _representative
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
-from .scalars import Cyc
+from .scalars import Cyc, _cyc, _reduce_mod_phi
 
 
 # --- frame data -----------------------------------------------------------
@@ -238,32 +240,23 @@ def kernel_basis(inst, y):
 def special_basis_from(frame, vectors):
     """Reduce any basis to the canonical special one: decomposable,
     deg u_k = d_k, monic, fully reduced (no u_k carries another's leading
-    exponent), ascending degrees."""
-    pieces = []
-    for v in vectors:
-        for part in v.exponent_classes().values():
-            pieces.append(part)
-    by_degree = {}
-    for piece in sorted(pieces, key=lambda q: q.degree):
-        cur = piece
-        while not cur.is_zero():
-            e = cur.degree
-            if e not in by_degree:
-                by_degree[e] = cur.monic()
-                break
-            cur = cur - by_degree[e].scale(cur.leading_coeff())
-    degrees = sorted(by_degree)
-    if len(degrees) != len(frame.d) or tuple(degrees) != frame.d:
+    exponent), ascending degrees.
+
+    That is the reduced row echelon form of the coefficient matrix of the
+    exponent-class pieces of the vectors, exponents descending: the pivot
+    columns are the degrees, each pivot of 1 makes its row monic, and the
+    reduction clears every other row at a pivot column.
+    """
+    pieces = [part for v in vectors for part in v.exponent_classes().values()]
+    exps = _support(pieces)[::-1]
+    rows, pivots = linalg._rref([[p.coeff(e) for e in exps] for p in pieces],
+                                len(exps))
+    degrees = [exps[c] for c in reversed(pivots)]
+    if tuple(degrees) != frame.d:
         raise NoSpecialBasis(
             f"realized degrees {degrees} do not match exponents {frame.d}")
-    for e in degrees:
-        for lower in degrees:
-            if lower >= e:
-                break
-            c = by_degree[e].coeff(lower)
-            if not c.is_zero():
-                by_degree[e] = by_degree[e] - by_degree[lower].scale(c)
-    return tuple(by_degree[e] for e in degrees)
+    return tuple(QPoly(dict(zip(exps, row)))
+                 for row in reversed(rows[:len(pivots)]))
 
 
 def special_basis(space):
@@ -274,8 +267,7 @@ def special_basis(space):
 
 
 def _support(polys):
-    exps = sorted({e for p in polys for e in p.terms})
-    return exps
+    return sorted({e for p in polys for e in p.terms})
 
 
 def in_span(target, polys):
@@ -371,12 +363,18 @@ def bform(space, u, v):
     cu, cv = _span_coefficients([u, v], basis)
     if cu is None or cv is None:
         raise InputError("bform arguments must lie in the space")
-    g = gram_matrix(space, basis)
-    acc = Cyc.of(0)
-    for i, a in enumerate(cu):
-        for j, b in enumerate(cv):
-            acc = acc + Cyc.of(1) * a * g[i][j] * b
-    return acc
+    return _form(cu, gram_matrix(space, basis), cv)
+
+
+def _form(u, g, v):
+    """sum_ab u_a G_ab v_b over the nonzero coordinates of u and v."""
+    return sum((x * g[a][b] * y for a, x in enumerate(u) if x
+                for b, y in enumerate(v) if y), Cyc.of(0))
+
+
+def _combine(coeffs, polys):
+    """sum_j c_j p_j over the nonzero c_j."""
+    return sum((p.scale(c) for c, p in zip(coeffs, polys) if c), QPoly.zero())
 
 
 # --- flags -------------------------------------------------------------------
@@ -493,14 +491,7 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
             for i in range(size)]
 
     def entry(i, j):
-        acc = Cyc.of(0)
-        for a in range(size):
-            if vecs[i][a].is_zero():
-                continue
-            for b in range(size):
-                if not vecs[j][b].is_zero():
-                    acc = acc + vecs[i][a] * g[a][b] * vecs[j][b]
-        return acc
+        return _form(vecs[i], g, vecs[j])
 
     for k in range(size):
         for j in range(size - 1, size - 1 - k, -1):
@@ -514,12 +505,7 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
             factor = val / piv
             vecs[k] = [x - factor * y for x, y in zip(vecs[k], vecs[pivot_row])]
 
-    vectors = []
-    for row in vecs:
-        acc = QPoly.zero()
-        for c, b in zip(row, basis):
-            acc = acc + b.scale(c)
-        vectors.append(acc)
+    vectors = [_combine(row, basis) for row in vecs]
 
     # B(vectors[i], vectors[j]) is the congruence entry(i, j): the
     # rescaling reads it instead of rebuilding the Gram matrix, and only
@@ -573,36 +559,45 @@ def _cyclotomic_sqrt(value):
 
 
 def rational_sqrt(q):
-    """Exact sqrt of a rational as a cyclotomic scalar (Gauss sums)."""
+    """Exact sqrt of a rational as a cyclotomic scalar, from one Gauss sum.
+
+    Write |q| = s^2 m / den^2 with m squarefree.  The Kronecker character
+    chi_D of D = m (m = 1 mod 4) or D = 4m sums to sum_k chi_D(k) zeta_D^k
+    = sqrt(D) (Ireland & Rosen, ch. 6), built as one integer vector over
+    Q(zeta_D).  The root lies in Q(zeta_N), N = m when m is odd and every
+    prime factor of m is 1 mod 4, else N = 4m, and gains zeta_4 for q < 0.
+    """
     q = Fraction(q)
     if q == 0:
         return Cyc.of(0)
-    out = Cyc.of(1)
-    if q < 0:
-        out = Cyc.root_of_unity(4, 1)
-        q = -q
-    m = q.numerator * q.denominator
-    out = out / q.denominator
-    for p, e in _factor(m):
-        out = out * Cyc.of(p ** (e // 2))
-        if e % 2:
-            out = out * _prime_sqrt(p)
-    return out
+    s, primes = 1, []
+    for p, e in _factor(abs(q.numerator) * q.denominator):
+        s *= p ** (e // 2)
+        primes += [p] * (e % 2)
+    m = prod(primes)
+    big = m if m % 4 == 1 else 4 * m
+    # chi_D(k) is the Jacobi symbol (D/k) at odd k, and chi_D has period D
+    gauss = _cyc(big, _reduce_mod_phi([_jacobi(big, k if k % 2 else k + big)
+                                       for k in range(big)], big),
+                 1 if big == m else 2)
+    root = gauss.promote(m if all(p % 4 == 1 for p in primes) else 4 * m)
+    root = root * Fraction(s, q.denominator)
+    return root * Cyc.root_of_unity(4) if q < 0 else root
 
 
-def _prime_sqrt(p):
-    if p == 2:
-        z8 = Cyc.root_of_unity(8, 1)
-        return z8 + z8 ** 7
-    gauss = Cyc.of(0)
-    for k in range(1, p):
-        legendre = pow(k, (p - 1) // 2, p)
-        sign = 1 if legendre == 1 else -1
-        gauss = gauss + Cyc.root_of_unity(p, k) * sign
-    if p % 4 == 1:
-        return gauss
-    # gauss = i sqrt(p) for p = 3 mod 4
-    return gauss * Cyc.root_of_unity(4, -1)
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0, and 0 for even n."""
+    a, t = a % n, n % 2
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
 
 
 def _factor(n):
@@ -727,13 +722,7 @@ def apply_flow(space, witt, generator, c):
         for i in range(size):
             for j in range(size):
                 exp[i][j] = exp[i][j] + coeff * power[i][j]
-    new_vectors = []
-    for i in range(size):
-        acc = QPoly.zero()
-        for j in range(size):
-            if not exp[i][j].is_zero():
-                acc = acc + witt.vectors[j].scale(exp[i][j])
-        new_vectors.append(acc)
+    new_vectors = [_combine(row, witt.vectors) for row in exp]
     g_new = gram_matrix(space, new_vectors)
     if g_new != [list(r) for r in witt.gram]:
         raise InternalInvariantError(

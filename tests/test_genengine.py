@@ -399,3 +399,27 @@ def test_explore_serializes_each_member_once(a3, monkeypatch):
                                [F(1), F(2), F(-1)])
     assert len(members) > len(graph.nodes) - 1
     assert len(calls) == len(members) + 1
+
+
+def test_transport_takes_no_inverse(monkeypatch):
+    """omega^(k deg) * p(omega^-k x) from omega^(M-k): the same value,
+    field order and string as from omega ** -k, with no Cyc.inverse; k = 0
+    only promotes p to omega's order."""
+    from cybethe.scalars import primitive_root
+    cases = []
+    for M, power in ((2, 1), (3, 1), (3, 2), (4, 3), (6, 5), (8, 3)):
+        omega = primitive_root(M, power)
+        for p in (poly(1, 2, 0, 3), poly(F(1, 2), 0, 1) * QPoly.x_power(
+                2, Cyc.root_of_unity(3)), QPoly.x_power(5, F(-2, 7))):
+            for k in range(M):
+                want = p.substitute_scale(omega ** -k).scale(
+                    omega ** (k * p.degree))
+                cases.append((p, omega, M, k, want))
+
+    def no_inverse(self):
+        raise AssertionError("inverse called")
+    monkeypatch.setattr(Cyc, "inverse", no_inverse)
+    for p, omega, M, k, want in cases:
+        got = genengine._transport(p, omega, M, k)
+        assert (got, got.field_order(), str(got)) == \
+            (want, want.field_order(), str(want)), (p, M, k)

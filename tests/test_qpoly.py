@@ -10,7 +10,7 @@ from cybethe import linalg, qpoly, scalars
 from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
                             InexactDivision, NoSolution)
 from cybethe.qpoly import (QPoly, RatQP, divide_exact, divided_wronskian,
-                           is_squarefree, log_derivative, proportional, qgcd,
+                           is_squarefree, proportional, qgcd,
                            wronskian, wronskian_ode_solve, wronskian_table)
 from cybethe.scalars import Cyc, cyclotomic_polynomial
 
@@ -417,8 +417,6 @@ def test_negate_is_ring_hom():
 def test_ratqp():
     f = RatQP(poly(-1, 0, 1), poly(-1, 1))   # (x^2-1)/(x-1) = x+1
     assert f == RatQP(poly(1, 1))
-    ld = log_derivative(poly(0, 1) * poly(0, 1))
-    assert ld == RatQP(poly(2), poly(0, 1))
     d = RatQP(poly(0, 1)).derivative()
     assert d == RatQP(poly(1))
 

@@ -398,3 +398,14 @@ def test_division_by_zero_raises():
     # a negative denominator is moved into the numerators
     x = _cyc(4, (2, -4), -6)
     assert (x.num, x.den) == ((-1, 2), 3) and x == Cyc(4, (F(-1, 3), F(2, 3)))
+
+
+def test_power_refuses_a_non_integer_exponent():
+    # an exponent 3/2 once gave -1 for (-1) ** (3/2) and x + 1 for
+    # (x + 1) ** (3/2); 7/2 escaped as an unrelated TypeError
+    for base in (Cyc.of(-1), Cyc.root_of_unity(8), QPoly.from_coeffs([1, 1])):
+        for n in (F(3, 2), F(7, 2), F(2), 2.0):
+            with pytest.raises(TypeError, match="non-integer power"):
+                base ** n
+    assert Cyc.of(-1) ** 3 == -1
+    assert QPoly.from_coeffs([1, 1]) ** 2 == QPoly.from_coeffs([1, 2, 1])

@@ -362,11 +362,12 @@ def test_cli_usage_error_record(docs, capsys):
 def test_cli_import_leaves_numpy_unloaded():
     src = str(Path(cybethe.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, cybethe.cli; print('numpy' in sys.modules)"
+    code = ("import sys, cybethe.cli; "
+            "print('numpy' in sys.modules, 'cybethe.typea' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 def _with(doc, drop=(), **changes):
@@ -626,3 +627,35 @@ def test_cli_tuple_length_must_be_the_rank(tmp_path, capsys, command, polys):
     error = _error_record(capsys)
     assert error["kind"] == "InputError"
     assert f"has {len(polys)} components" in error["message"]
+
+
+# A3 with the flip, omega = -1, one marked point and a half-odd origin
+# weight: the L1 family of the trivial tuple solves to a quasi-polynomial
+# (2/7*x^(7/2) - 2/3*x^(3/2) for the first site weight, 2/3*x^(3/2) for
+# the second), which no tuple component may be
+_A3_POINT = {
+    "cartan": {"series": "A", "rank": 3},
+    "sigma": "(1 3)",
+    "M": 2,
+    "omega": "-1",
+    "points": ["1"],
+    "lambda0": ["1/2", "0", "1/2"],
+}
+
+
+@pytest.mark.parametrize("site_weight", [["1", "0", "1"], ["0", "2", "0"]])
+@pytest.mark.parametrize("command", [
+    ["populate", "--depth", "2", "--samples", "1,2,-1/2"],
+    ["generate", "--direction", "1", "--c", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_l1_family_off_the_polynomials_is_an_input_error(
+        tmp_path, capsys, command, site_weight):
+    inst, tup = tmp_path / "a3.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps({**_A3_POINT, "site_weights": [site_weight]}))
+    tup.write_text(json.dumps({"polys": [_ONE] * 3}))
+    argv = command + ["--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(argv) == 2
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError"
+    assert error["message"] == \
+        "tuple components must be ordinary polynomials"

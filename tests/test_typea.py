@@ -700,3 +700,130 @@ def test_dual_basis_matrix_is_reduced_once(a2, a2_tuple, monkeypatch):
     bform(space, space.basis[0], space.basis[1])
     # one reduction each, bform's two targets and its Gram matrix included
     assert calls == [3, 3, 3, 3]
+
+
+def _prime_sqrt_reference(p):
+    """sqrt(p) as one Gauss sum per prime, the construction `rational_sqrt`
+    replaced: zeta_8 + zeta_8^7 for p = 2, else sum_k (k|p) zeta_p^k, which
+    is i sqrt(p) for p = 3 mod 4."""
+    if p == 2:
+        z8 = Cyc.root_of_unity(8, 1)
+        return z8 + z8 ** 7
+    gauss = Cyc.of(0)
+    for k in range(1, p):
+        sign = 1 if pow(k, (p - 1) // 2, p) == 1 else -1
+        gauss = gauss + Cyc.root_of_unity(p, k) * sign
+    return gauss if p % 4 == 1 else gauss * Cyc.root_of_unity(4, -1)
+
+
+def _rational_sqrt_reference(q):
+    """The per-prime product: zeta_4 for q < 0, 1/den, then p^(e//2) and
+    one Gauss sum per prime p^e of num * den with e odd."""
+    from cybethe.typea import _factor
+    q = F(q)
+    if q == 0:
+        return Cyc.of(0)
+    out = Cyc.of(1)
+    if q < 0:
+        out, q = Cyc.root_of_unity(4, 1), -q
+    out = out / q.denominator
+    for p, e in _factor(q.numerator * q.denominator):
+        out = out * Cyc.of(p ** (e // 2))
+        if e % 2:
+            out = out * _prime_sqrt_reference(p)
+    return out
+
+
+def _squarefree(m):
+    return all(m % (p * p) for p in range(2, int(m ** 0.5) + 1))
+
+
+def test_rational_sqrt_matches_the_per_prime_product():
+    qs = [F(m) for m in range(1, 201) if _squarefree(m)]
+    qs += [F(m * s * s, den) for m, s, den in (
+        (1, 3, 1), (2, 2, 1), (3, 5, 2), (5, 1, 9), (6, 2, 7), (7, 3, 4),
+        (10, 1, 3), (13, 2, 5), (15, 7, 12), (21, 1, 8), (30, 4, 25))]
+    qs += [-q for q in qs[::7]] + [F(-1), F(-4, 9), F(-2, 3), F(799)]
+    for q in qs:
+        got, want = rational_sqrt(q), _rational_sqrt_reference(q)
+        assert (got, got.order, str(got)) == (want, want.order, str(want)), q
+        assert got * got == q
+
+
+def _special_basis_reference(vectors):
+    """The leading-term elimination `special_basis_from` replaced: pieces
+    in ascending degree, each reduced at its leading exponent against the
+    pivots so far, then back-substitution at every lower pivot exponent.
+    Returns the basis, in ascending degree, without the degree check."""
+    pieces = sorted((part for v in vectors
+                     for part in v.exponent_classes().values()),
+                    key=lambda q: q.degree)
+    by_degree = {}
+    for cur in pieces:
+        while not cur.is_zero():
+            e = cur.degree
+            if e not in by_degree:
+                by_degree[e] = cur.monic()
+                break
+            cur = cur - by_degree[e].scale(cur.leading_coeff())
+    degrees = sorted(by_degree)
+    for e in degrees:
+        for lower in degrees:
+            if lower >= e:
+                break
+            c = by_degree[e].coeff(lower)
+            if not c.is_zero():
+                by_degree[e] = by_degree[e] - by_degree[lower].scale(c)
+    return tuple(by_degree[e] for e in degrees)
+
+
+def _random_cyc(rng, order):
+    from cybethe.scalars import _phi_deg
+    if rng.random() < 0.3:
+        return Cyc.of(F(rng.randint(-4, 4), rng.randint(1, 3)), order)
+    return Cyc(order, [F(rng.randint(-3, 3), rng.randint(1, 3))
+                       for _ in range(_phi_deg(order))])
+
+
+def _random_mixed_basis(rng, orders):
+    """Vectors over Q(zeta_L), one L per vector, each with terms in both
+    exponent classes Z and 1/2 + Z."""
+    return [QPoly({e: _random_cyc(rng, order) for e in rng.sample(
+        [F(k, 2) for k in range(10)], rng.randint(1, 4))}) for order in orders]
+
+
+def test_special_basis_matches_the_leading_term_elimination():
+    from types import SimpleNamespace
+    rng = random.Random(16)
+    for trial in range(160):
+        order = (1, 3, 4, 8)[trial % 4]
+        vectors = _random_mixed_basis(rng, [order] * rng.randint(1, 4))
+        want = _special_basis_reference(vectors)
+        frame = SimpleNamespace(d=tuple(u.degree for u in want))
+        got = special_basis_from(frame, vectors)
+        assert [(u, u.field_order(), str(u)) for u in got] == \
+            [(u, u.field_order(), str(u)) for u in want], (trial, vectors)
+    # across vectors of different orders the values agree as well; the
+    # order each vector records follows its own computation (the module
+    # docstring of qpoly), which a reduction and an elimination walk
+    # differently
+    for trial in range(80):
+        vectors = _random_mixed_basis(
+            rng, [rng.choice((1, 3, 4, 8)) for _ in range(rng.randint(2, 4))])
+        want = _special_basis_reference(vectors)
+        frame = SimpleNamespace(d=tuple(u.degree for u in want))
+        assert special_basis_from(frame, vectors) == want, (trial, vectors)
+
+
+def test_no_special_basis(a2, a2_tuple):
+    from cybethe.errors import NoSpecialBasis
+    space, _ = a2_space(a2, a2_tuple)
+    u = space.basis
+    with pytest.raises(NoSpecialBasis, match="realized degrees"):
+        special_basis_from(space.frame, u[:2])
+    with pytest.raises(NoSpecialBasis):
+        special_basis_from(space.frame, (u[0], u[1], u[2] * QPoly.x_power(1)))
+    report = frame_conditions_check(QPSpace(frame=space.frame, basis=u[:2]))
+    assert report["clause_i"]["ok"] is False
+    assert "do not match exponents" in report["clause_i"]["reason"]
+    assert report["ok"] is False
