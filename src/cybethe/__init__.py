@@ -5,21 +5,48 @@ cyclotomic Bethe equations: diagram folding, Wronskian-based generation of
 new critical points, the type-A theory of cyclotomically self-dual
 quasi-polynomial spaces with Witt bases and isotropic flags, and a
 floating-point cross-checker for residuals and master-function gradients.
+
+The exports below load their module on first access (PEP 562), so that
+`import cybethe` and each CLI command import only what they use.
 """
 
-from .cartan import (CartanData, DiagramAut, FoldedData, Weight,
-                     dominant_shifted_rep, folded_reflect, inner_product,
-                     orbit_data, shifted_reflect, sigma_on_weight)
-from .frame import (BetheTuple, ProblemInstance, canonical_lambda0,
-                    eigenvalues, frame_polys, hl_identity_check,
-                    is_critical_exact, is_cyclotomic_tuple, is_generic,
-                    validate_lambda0, weight_at_infinity)
-from .genengine import (cyclotomic_generate, cyclotomic_generate_L1,
-                        cyclotomic_generate_L2, elementary_generate_L1,
-                        explore_population)
-from .qpoly import (QPoly, divide_exact, divided_wronskian, proportional,
-                    qgcd, wronskian, wronskian_ode_solve, wronskian_table)
-from .scalars import Cyc
+from importlib import import_module
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# exported name -> the submodule that defines it
+_EXPORTS = {
+    **dict.fromkeys(("CartanData", "DiagramAut", "FoldedData", "Weight",
+                     "dominant_shifted_rep", "folded_reflect",
+                     "inner_product", "orbit_data", "shifted_reflect",
+                     "sigma_on_weight"), "cartan"),
+    **dict.fromkeys(("BetheTuple", "ProblemInstance", "canonical_lambda0",
+                     "eigenvalues", "frame_polys", "hl_identity_check",
+                     "is_critical_exact", "is_cyclotomic_tuple",
+                     "is_generic", "validate_lambda0",
+                     "weight_at_infinity"), "frame"),
+    **dict.fromkeys(("cyclotomic_generate", "cyclotomic_generate_L1",
+                     "cyclotomic_generate_L2", "elementary_generate_L1",
+                     "explore_population"), "genengine"),
+    **dict.fromkeys(("QPoly", "divide_exact", "divided_wronskian",
+                     "proportional", "qgcd", "wronskian",
+                     "wronskian_ode_solve", "wronskian_table"), "qpoly"),
+    "Cyc": "scalars",
+}
+_SUBMODULES = ("cartan", "errors", "frame", "genengine", "linalg", "qpoly",
+               "scalars", "serialize")
+
+__all__ = sorted([*_EXPORTS, *_SUBMODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return import_module("." + name, __name__)
+    if name in _EXPORTS:
+        return getattr(import_module("." + _EXPORTS[name], __name__), name)
+    # any other name raises, so `from cybethe import cli` still finds the
+    # submodule through the import system
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -17,6 +17,19 @@ from .errors import (InputError, LinkingViolation, NonRegular, NonTerminating,
 
 _REFLECTION_CAP = 10 ** 6  # guards dominant-reduction on non-finite inputs
 
+# The largest rank of Cartan data: the weight form inverts a dense
+# rank x rank matrix of rationals, and a series tag such as "A5" builds its
+# matrix from the rank alone, so a larger rank is an InputError, raised
+# before anything of that size is built.
+MAX_RANK = 64
+
+
+def check_rank(rank):
+    """rank, or an InputError when it is outside 1..MAX_RANK."""
+    if not 1 <= rank <= MAX_RANK:
+        raise InputError(f"rank {rank} is outside 1..{MAX_RANK}")
+    return rank
+
 
 def _symmetrizers(a):
     """Coprime positive integers d with diag(d) a symmetric, or None."""
@@ -91,6 +104,7 @@ class CartanData:
 
     @staticmethod
     def from_matrix(rows, d=None):
+        check_rank(len(rows))
         a = tuple(tuple(int(x) for x in row) for row in rows)
         if any(len(row) != len(a) for row in a):
             raise InputError(f"Cartan matrix {a} is not square")
@@ -103,8 +117,9 @@ class CartanData:
     @staticmethod
     def series(name, rank):
         """Named series; only type A is needed in this artifact."""
-        if name.upper() != "A" or rank < 1:
+        if name.upper() != "A":
             raise InputError(f"unsupported series {name}_{rank}")
+        check_rank(rank)
         a = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
               for j in range(rank)] for i in range(rank)]
         return CartanData.from_matrix(a, d=[1] * rank)

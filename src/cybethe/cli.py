@@ -15,10 +15,10 @@ from . import serialize
 from .cartan import orbit_data
 from .errors import (CybetheError, InputError, InternalInvariantError,
                      NotGeneric)
-from .frame import (canonical_lambda0, eigenvalues, is_critical_exact,
-                    is_cyclotomic_tuple, validate_lambda0,
-                    weight_at_infinity)
-from .genengine import cyclotomic_generate, explore_population
+
+# Each command imports the modules it runs beyond `serialize` and `cartan`
+# once its inputs are read, so that a request compiles and loads only
+# those, and a request refused for its input skips them.
 
 
 def _load_json(path):
@@ -79,6 +79,7 @@ def cmd_fold(args):
 
 def cmd_validate(args):
     inst = _instance(args)
+    from .frame import validate_lambda0
     fold = orbit_data(inst.cartan, inst.aut)
     ok, violations = validate_lambda0(inst, fold, typea_p=args.p)
     _emit({"ok": ok, "violations": violations}, args.out)
@@ -88,6 +89,8 @@ def cmd_validate(args):
 def cmd_verify(args):
     inst = _instance(args)
     y = _tuple(args, inst)
+    from .frame import (is_critical_exact, is_cyclotomic_tuple,
+                        weight_at_infinity)
     try:
         report = {"generic": True, "witness": None,
                   "critical": is_critical_exact(inst, y)[0]}
@@ -106,6 +109,8 @@ def cmd_generate(args):
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
     c = serialize.parse_scalar(args.c, inst.M)
+    from .frame import weight_at_infinity
+    from .genengine import cyclotomic_generate
     out, step = cyclotomic_generate(inst, fold, y, args.direction - 1, c)
     doc = {
         "tuple": serialize.tuple_doc(out),
@@ -125,19 +130,18 @@ def cmd_populate(args):
     seed = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
     samples = _parse_samples(args.samples, inst.M)
+    from .genengine import explore_population
     graph = explore_population(inst, fold, seed, args.depth, samples)
     _emit(serialize.catalog_doc(graph), args.out)
     return 0
 
 
 def cmd_typea_analyze(args):
-    # typea is imported here, as numerics is below, so that only the two
-    # typea commands pay for it
+    inst = _instance(args)
+    y = _tuple(args, inst)
     from .typea import (beta, cyclotomic_population, frame_conditions_check,
                         gram_matrix, is_cyclotomically_self_dual,
                         isotropy_check, kernel_basis, witt_basis)
-    inst = _instance(args)
-    y = _tuple(args, inst)
     space, flag = kernel_basis(inst, y)
     report = frame_conditions_check(space)
     self_dual = is_cyclotomically_self_dual(space)
@@ -173,11 +177,11 @@ def cmd_typea_analyze(args):
 
 
 def cmd_typea_flow(args):
-    from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis
     inst = _instance(args)
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
     params = _parse_samples(args.c, inst.M)
+    from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis
     if args.generator == "X":
         res = flow_vs_generation(inst, fold, y, args.k, params)
         doc = {"generator": f"X_{args.k}",
@@ -203,6 +207,7 @@ def cmd_typea_flow(args):
 def cmd_eigenvalues(args):
     inst = _instance(args)
     y = _tuple(args, inst)
+    from .frame import eigenvalues
     res = eigenvalues(inst, y)
     doc = {
         "cyclotomic": [serialize.scalar_str(e) for e in res["cyclotomic"]],
@@ -216,16 +221,16 @@ def cmd_eigenvalues(args):
 
 
 def cmd_lambda0(args):
+    from .frame import canonical_lambda0
     weight = canonical_lambda0(args.rank, args.M)
     _emit({"lambda0": serialize.weight_doc(weight)}, args.out)
     return 0
 
 
 def cmd_check_numeric(args):
-    # numpy is imported here so that only this command pays for it
-    from .numerics import Tolerances, embed, grad_check, residuals
     inst = _instance(args)
     y = _tuple(args, inst)
+    from .numerics import Tolerances, embed, grad_check, residuals
     overrides = {}
     if args.h:
         overrides["fd_step"] = args.h

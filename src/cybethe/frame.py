@@ -28,8 +28,8 @@ from functools import reduce
 from math import lcm
 from operator import mul
 
-from .cartan import (CartanData, DiagramAut, Weight, inner_product,
-                     sigma_on_weight, weight_orbit)
+from .cartan import (CartanData, DiagramAut, Weight, check_rank,
+                     inner_product, sigma_on_weight, weight_orbit)
 from .errors import (InexactDivision, InputError, NegativeExponent, NotGeneric,
                      UnsupportedType)
 from .qpoly import (QPoly, _sum_of_products, divide_exact, is_squarefree,
@@ -282,17 +282,12 @@ def validate_lambda0(inst, fold, typea_p=None):
     lam0 = inst.lambda0
     if sigma_on_weight(inst.aut, lam0) != lam0:
         violations.append("lambda0 is not sigma-invariant")
-    M = inst.M
     for i in range(inst.cartan.n):
         v = lam0[i]
         if fold.linking[i] == 1:
-            if not (v.denominator == 1 and v >= 0):
-                violations.append(
-                    f"node {i}: L=1 needs <L0,a^vee> in Z>=0, got {v}")
-            elif (int(v) + 1) % (M // fold.orbit_len[i]) != 0:
-                violations.append(
-                    f"node {i}: L=1 needs <L0,a^vee>+1 = 0 mod "
-                    f"{M // fold.orbit_len[i]}, got {v}")
+            violation = l1_violation(inst, fold, i)
+            if violation:
+                violations.append(violation)
         else:
             if v.denominator != 2:
                 violations.append(
@@ -303,6 +298,18 @@ def validate_lambda0(inst, fold, typea_p=None):
     if typea_p is not None:
         violations.extend(_typea_lambda0_violations(inst, typea_p))
     return (not violations), violations
+
+
+def l1_violation(inst, fold, i):
+    """The breach of the L = 1 rule on <L0, a_i^vee> at node i, or None."""
+    v = inst.lambda0[i]
+    if not (v.denominator == 1 and v >= 0):
+        return f"node {i}: L=1 needs <L0,a^vee> in Z>=0, got {v}"
+    modulus = inst.M // fold.orbit_len[i]
+    if (int(v) + 1) % modulus != 0:
+        return (f"node {i}: L=1 needs <L0,a^vee>+1 = 0 mod {modulus}, "
+                f"got {v}")
+    return None
 
 
 def _typea_lambda0_violations(inst, p):
@@ -445,8 +452,7 @@ def canonical_lambda0(rank, M=2):
     J[k][n-1-k] = (-1)^k, so sigma(X)[a][b] = -(-1)^(a+b) X[n-1-b][n-1-a].
     For M = 1 the sum is empty and the weight is zero.
     """
-    if rank < 1:
-        raise InputError(f"type A needs rank >= 1, got {rank}")
+    check_rank(rank)
     if M == 1:
         return Weight.zero(rank)
     if M != 2:

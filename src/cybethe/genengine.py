@@ -32,7 +32,7 @@ from .errors import (ExceptionalParameter, InputError,
                      UnsupportedType)
 from .frame import (BetheTuple, frame_polys, interaction_product,
                     is_critical_exact, is_cyclotomic_tuple, is_generic,
-                    weight_at_infinity)
+                    l1_violation, weight_at_infinity)
 from .qpoly import QPoly, wronskian_ode_solve
 from .scalars import Cyc
 from .serialize import tuple_doc_json
@@ -116,6 +116,10 @@ def _family(inst, fold, y, i, t):
         base = _l1_base(inst, y, i, t)
         if not base.is_polynomial():
             raise InputError("tuple components must be ordinary polynomials")
+        # off this rule the members need not be cyclotomic
+        violation = l1_violation(inst, fold, i)
+        if violation:
+            raise InputError(violation)
         if m_i > 1 and _transport(base, inst.omega, inst.M, 1) != \
                 _l1_base(inst, y, inst.aut(i), t):
             raise InternalInvariantError(

@@ -7,11 +7,14 @@ differences of its real part.  Differentiating Re(Phi) with respect to the
 real and imaginary parts of each root recovers the holomorphic derivative
 through the Cauchy-Riemann equations while staying on a single-valued
 function (Re log = log |.|), so logarithm branches never enter.
+
+Everything runs on Python complex numbers (`cmath`, `math`): degrees are
+at most `MAX_DEGREE`, and the Newton systems have one unknown per root.
 """
 
+import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .cartan import Weight, inner_product, weight_orbit
 from .errors import (BranchCollision, DivisionNearZero, IllConditioned,
@@ -33,9 +36,9 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 # The largest component degree n that `embed` (so `check-numeric`) accepts:
-# the Aberth iteration builds n x n complex arrays, and `grad_check`
-# evaluates the master function 4n times, each over all pairs of roots.
-# One component of degree 64 takes about 1 s on one x86_64 core.
+# each Aberth step sums over all n^2 pairs of root estimates, and
+# `grad_check` evaluates the master function 4n times, each over all pairs
+# of roots.  One component of degree 64 takes about 1 s on one x86_64 core.
 MAX_DEGREE = 64
 
 
@@ -54,37 +57,72 @@ def _poly_complex_coeffs(p):
     return out
 
 
+def _horner(coeffs, z):
+    """Value at z of the polynomial given by low-to-high coefficients."""
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def _newton_step(c, dc, z):
+    """p(z) / p'(z), or 0 where p'(z) = 0."""
+    dv = _horner(dc, z)
+    return _horner(c, z) / dv if dv != 0 else 0j
+
+
 def _aberth_roots(coeffs):
     """All roots of the polynomial given by low-to-high coefficients."""
     deg = len(coeffs) - 1
     if deg == 0:
         return []
-    c = np.array(coeffs, dtype=complex)
-    c = c / c[-1]
-    poly = np.polynomial.Polynomial(c)
-    dpoly = poly.deriv()
-    radius = 1.0 + max(abs(x) for x in c[:-1]) if deg else 1.0
+    c = [x / coeffs[-1] for x in coeffs]
+    dc = [k * c[k] for k in range(1, deg + 1)]
+    radius = 1.0 + max(abs(x) for x in c[:-1])
     # deterministic initialization on a scaled circle, irrational offset
-    ks = np.arange(deg)
-    z = radius * np.exp(2j * np.pi * (ks + 0.354) / deg)
+    z = [radius * cmath.exp(2j * math.pi * (k + 0.354) / deg)
+         for k in range(deg)]
     for _ in range(200):
-        pv = poly(z)
-        dv = dpoly(z)
-        newton = np.where(dv != 0, pv / np.where(dv == 0, 1, dv), 0)
-        pair = z[:, None] - z[None, :]
-        np.fill_diagonal(pair, np.inf)
-        repulse = np.sum(1.0 / pair, axis=1)
-        denom = 1.0 - newton * repulse
-        step = np.where(denom != 0, newton / np.where(denom == 0, 1, denom),
-                        newton)
-        z = z - step
-        if np.max(np.abs(step)) < 1e-14:
+        steps = []
+        for i, zi in enumerate(z):
+            newton = _newton_step(c, dc, zi)
+            try:
+                repulse = sum(1 / (zi - zj) for j, zj in enumerate(z)
+                              if j != i)
+            except ZeroDivisionError:
+                raise IllConditioned("two root estimates coincide") from None
+            denom = 1 - newton * repulse
+            steps.append(newton / denom if denom != 0 else newton)
+        z = [zi - s for zi, s in zip(z, steps)]
+        if max(abs(s) for s in steps) < 1e-14:
             break
     # one Newton polish pass
     for _ in range(3):
-        dv = dpoly(z)
-        z = z - np.where(dv != 0, poly(z) / np.where(dv == 0, 1, dv), 0)
-    return list(z)
+        z = [zi - _newton_step(c, dc, zi) for zi in z]
+    return z
+
+
+def _solve(a, b):
+    """x with a x = b, by Gaussian elimination with partial pivoting; a
+    zero pivot is a SingularJacobian."""
+    n = len(b)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        if rows[p][k] == 0:
+            raise SingularJacobian("singular Jacobian")
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            f = row[k] / pivot[k]
+            for j in range(k, n + 1):
+                row[j] -= f * pivot[j]
+    x = [0j] * n
+    for k in reversed(range(n)):
+        row = rows[k]
+        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) \
+            / row[k]
+    return x
 
 
 def embed(y, tol=DEFAULT_TOL):
@@ -99,7 +137,7 @@ def embed(y, tol=DEFAULT_TOL):
         coeffs = _poly_complex_coeffs(p)
         scale = max(abs(c) for c in coeffs)
         for z in _aberth_roots(coeffs):
-            val = sum(c * z ** k for k, c in enumerate(coeffs))
+            val = _horner(coeffs, z)
             if abs(val) > tol.root_residual * max(scale, 1.0):
                 raise IllConditioned(
                     f"root of y_{i} has residual {abs(val):.3e}")
@@ -155,7 +193,7 @@ def residual_norm(inst, point, tol=DEFAULT_TOL):
 def _jacobian(inst, point):
     m = len(point.roots)
     sites = _site_data(inst)
-    jac = np.zeros((m, m), dtype=complex)
+    jac = [[0j] * m for _ in range(m)]
     for j, (tj, cj) in enumerate(zip(point.roots, point.colours)):
         diag = 0j
         for z, lam in sites:
@@ -165,32 +203,29 @@ def _jacobian(inst, point):
                 continue
             val = _ip_alpha_alpha(inst, cj, ci) / (tj - ti) ** 2
             diag += val
-            jac[j, i] = -val
-        jac[j, j] = diag
+            jac[j][i] = -val
+        jac[j][j] = diag
     return jac
 
 
 def newton_refine(inst, point, iters=None, tol=DEFAULT_TOL):
     """Damped Newton iteration on the residual system."""
     iters = iters if iters is not None else tol.newton_iters
-    z = np.array(point.roots, dtype=complex)
     colours = point.colours
-    cur = FloatPoint(roots=tuple(z), colours=colours)
+    cur = FloatPoint(roots=tuple(complex(t) for t in point.roots),
+                     colours=colours)
     norm = residual_norm(inst, cur, tol)
     for _ in range(iters):
         if norm < tol.newton_tol:
             return cur, norm
-        res = np.array(residuals(inst, cur, tol))
-        jac = _jacobian(inst, cur)
-        try:
-            step = np.linalg.solve(jac, res)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc))
-        if not np.all(np.isfinite(step)):
+        step = _solve(_jacobian(inst, cur), residuals(inst, cur, tol))
+        if not all(cmath.isfinite(s) for s in step):
             raise SingularJacobian("non-finite Newton step")
         damp = 1.0
         for _ in range(30):
-            trial = FloatPoint(roots=tuple(z - damp * step), colours=colours)
+            trial = FloatPoint(
+                roots=tuple(t - damp * s for t, s in zip(cur.roots, step)),
+                colours=colours)
             try:
                 trial_norm = residual_norm(inst, trial, tol)
             except DivisionNearZero:
@@ -201,9 +236,7 @@ def newton_refine(inst, point, iters=None, tol=DEFAULT_TOL):
             damp /= 2
         else:
             raise NoConvergence(f"no descent direction, norm {norm:.3e}")
-        z = z - damp * step
-        cur = FloatPoint(roots=tuple(z), colours=colours)
-        norm = trial_norm
+        cur, norm = trial, trial_norm
     if norm < tol.newton_tol:
         return cur, norm
     raise NoConvergence(f"residual {norm:.3e} after {iters} iterations")
@@ -221,18 +254,18 @@ def master_value_real(inst, roots, colours, tol=DEFAULT_TOL):
             if abs(d) < tol.branch_min:
                 raise BranchCollision("marked points collide")
             total += float(inner_product(inst.cartan, la, lb)) \
-                * np.log(abs(d))
+                * math.log(abs(d))
     for j, (tj, cj) in enumerate(zip(roots, colours)):
         for z, lam in sites:
             d = tj - z
             if abs(d) < tol.branch_min:
                 raise BranchCollision("log argument near zero")
-            total -= _ip_weight_alpha(inst, lam, cj) * np.log(abs(d))
+            total -= _ip_weight_alpha(inst, lam, cj) * math.log(abs(d))
         for i in range(j + 1, len(roots)):
             d = tj - roots[i]
             if abs(d) < tol.branch_min:
                 raise BranchCollision("log argument near zero")
-            total += _ip_alpha_alpha(inst, cj, colours[i]) * np.log(abs(d))
+            total += _ip_alpha_alpha(inst, cj, colours[i]) * math.log(abs(d))
     return total
 
 

@@ -13,12 +13,15 @@ prints differently: i is "w" in Q(zeta_4) and "w^3" in Q(zeta_12).
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
-from .cartan import CartanData, DiagramAut, Weight
+from .cartan import CartanData, DiagramAut, Weight, check_rank
 from .errors import InputError
-from .qpoly import QPoly
 from .scalars import Cyc
+
+# `qpoly` and `frame` are imported where a document first needs them, so
+# that `fold` loads neither.
 
 
 # --- scalars -------------------------------------------------------------
@@ -119,6 +122,7 @@ def qpoly_from_doc(doc, order=1):
     if d == 0:
         raise InputError("denom must be nonzero")
     terms = _typed(_field(doc, "terms"), dict, "terms must be an object")
+    from .qpoly import QPoly
     p = QPoly({Fraction(_int_text(k, "exponent key"), d):
                parse_scalar(v, order) for k, v in terms.items()})
     if p and (p.degree - p.low_exponent) * p.denom > MAX_DENSE_SPAN:
@@ -133,31 +137,45 @@ def weight_doc(w):
     return [str(p) for p in w.pairings]
 
 
-def weight_from_doc(doc):
-    return Weight([_fraction(p) for p in
-                   _typed(doc, list, "a weight must be an array")])
+def weight_from_doc(doc, rank=None):
+    """The Weight of an array of pairings; with `rank` given, an array of
+    another length is an InputError."""
+    pairings = _typed(doc, list, "a weight must be an array")
+    if rank is not None and len(pairings) != rank:
+        raise InputError(f"a weight has {len(pairings)} pairings, but the "
+                         f"rank is {rank}")
+    return Weight([_fraction(p) for p in pairings])
 
 
 def cartan_doc(c):
     return {"matrix": [list(row) for row in c.a], "d": list(c.d)}
 
 
-def cartan_from_doc(doc):
+def _cartan_reader(doc):
+    """(rank, build) of a cartan entry: its rank, checked against
+    `cartan.MAX_RANK` before anything of that size exists, and the call
+    that builds its CartanData."""
     doc = _typed(doc, (str, dict), "cartan must be a string or an object")
     if isinstance(doc, str):
-        return CartanData.series(doc[:1], _int_text(doc[1:], "series rank"))
-    if "series" in doc:
-        return CartanData.series(
-            _typed(doc["series"], str, "series must be a string"),
-            _int(_field(doc, "rank"), "rank"))
-    rows = [[_int(x, "Cartan matrix entry") for x in _typed(
-                row, list, "a Cartan matrix row must be an array")]
-            for row in _typed(_field(doc, "matrix"), list,
-                              "matrix must be an array")]
-    d = doc.get("d")
-    return CartanData.from_matrix(
-        rows, None if d is None else [_int(x, "symmetrizer") for x in _typed(
-            d, list, "d must be an array")])
+        name, rank = doc[:1], _int_text(doc[1:], "series rank")
+    elif "series" in doc:
+        name = _typed(doc["series"], str, "series must be a string")
+        rank = _int(_field(doc, "rank"), "rank")
+    else:
+        matrix = _typed(_field(doc, "matrix"), list, "matrix must be an array")
+        rank = check_rank(len(matrix))
+        rows = [[_int(x, "Cartan matrix entry") for x in _typed(
+                    row, list, "a Cartan matrix row must be an array")]
+                for row in matrix]
+        d = doc.get("d")
+        d = None if d is None else [_int(x, "symmetrizer") for x in _typed(
+            d, list, "d must be an array")]
+        return rank, partial(CartanData.from_matrix, rows, d)
+    return check_rank(rank), partial(CartanData.series, name, rank)
+
+
+def cartan_from_doc(doc):
+    return _cartan_reader(doc)[1]()
 
 
 def perm_from_doc(doc, n):
@@ -213,9 +231,15 @@ def instance_doc(inst):
 
 
 def instance_from_doc(doc):
-    from .frame import ProblemInstance
-    cartan = cartan_from_doc(_field(doc, "cartan"))
-    aut = perm_from_doc(_field(doc, "sigma"), cartan.n)
+    # sigma and the weights are checked against the rank before the Cartan
+    # matrix is built
+    rank, build_cartan = _cartan_reader(_field(doc, "cartan"))
+    aut = perm_from_doc(_field(doc, "sigma"), rank)
+    site_weights = tuple(weight_from_doc(w, rank) for w in _typed(
+        doc.get("site_weights", []), list, "site_weights must be an array"))
+    lambda0 = weight_from_doc(doc["lambda0"], rank) if "lambda0" in doc \
+        else Weight.zero(rank)
+    cartan = build_cartan()
     M = _int(doc.get("M", aut.order), "M")
     if M != aut.order:
         raise InputError(f"declared M = {M} but sigma has order {aut.order}")
@@ -226,10 +250,7 @@ def instance_from_doc(doc):
         omega = Cyc.root_of_unity(M, omega_power)
     points = tuple(parse_scalar(z, M) for z in _typed(
         doc.get("points", []), list, "points must be an array"))
-    site_weights = tuple(weight_from_doc(w) for w in _typed(
-        doc.get("site_weights", []), list, "site_weights must be an array"))
-    lambda0 = weight_from_doc(doc["lambda0"]) if "lambda0" in doc \
-        else Weight.zero(cartan.n)
+    from .frame import ProblemInstance
     return ProblemInstance(cartan=cartan, aut=aut, omega=omega,
                            points=points, site_weights=site_weights,
                            lambda0=lambda0)
@@ -242,10 +263,10 @@ def tuple_doc(y):
 
 
 def tuple_from_doc(doc, order=1):
+    polys = [qpoly_from_doc(p, order) for p in _typed(
+        _field(doc, "polys"), (list, tuple), "polys must be an array")]
     from .frame import BetheTuple
-    polys = _field(doc, "polys")
-    return BetheTuple([qpoly_from_doc(p, order) for p in
-                       _typed(polys, (list, tuple), "polys must be an array")])
+    return BetheTuple(polys)
 
 
 def tuple_doc_json(y):

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cybethe.cartan import (CartanData, DiagramAut, Weight,
+from cybethe.cartan import (MAX_RANK, CartanData, DiagramAut, Weight,
                             dominant_shifted_rep, folded_reflect,
                             inner_product, orbit_data, shifted_reflect,
                             sigma_on_weight, weight_orbit)
@@ -192,3 +192,17 @@ def test_symmetrizers_bc():
     for i in range(2):
         for j in range(2):
             assert c.d[i] * c.a[i][j] == c.d[j] * c.a[j][i]
+
+
+def test_rank_limit():
+    limit = MAX_RANK
+    assert CartanData.series("A", limit).n == limit
+    for rank in (limit + 1, 10 ** 30, 0):
+        with pytest.raises(InputError, match=str(limit)):
+            CartanData.series("A", rank)
+    identity = [[2 if i == j else 0 for j in range(limit + 1)]
+                for i in range(limit + 1)]
+    with pytest.raises(InputError, match=str(limit)):
+        CartanData.from_matrix(identity)
+    assert CartanData.from_matrix([row[:limit] for row in identity[:limit]]) \
+        .n == limit

@@ -1,12 +1,13 @@
+import cmath
 import random
 
-import numpy as np
 import pytest
 
 from fractions import Fraction as F
 
 from conftest import poly
-from cybethe.errors import DivisionNearZero, NoConvergence
+from cybethe import numerics
+from cybethe.errors import DivisionNearZero, NoConvergence, SingularJacobian
 from cybethe.frame import BetheTuple, eigenvalues
 from cybethe.numerics import (FloatPoint, embed,
                               eigenvalues_numeric, grad_check, newton_refine,
@@ -21,9 +22,18 @@ def test_embed_cube_roots(a2_tuple):
     assert len(pt.roots) == 6
     got = sorted((z for z, c in zip(pt.roots, pt.colours) if c == 0),
                  key=lambda z: (round(z.real, 8), round(z.imag, 8)))
-    want = sorted((np.exp(2j * np.pi * k / 3) for k in range(3)),
+    want = sorted((cmath.exp(2j * cmath.pi * k / 3) for k in range(3)),
                   key=lambda z: (round(z.real, 8), round(z.imag, 8)))
     assert all(abs(a - b) < 1e-10 for a, b in zip(got, want))
+
+
+def test_embed_matches_numpy_roots(a2_tuple):
+    np = pytest.importorskip("numpy")
+    pt = embed(a2_tuple)
+    for i, p in enumerate(a2_tuple):
+        got = [z for z, c in zip(pt.roots, pt.colours) if c == i]
+        coeffs = numerics._poly_complex_coeffs(p)
+        assert _match(got, np.roots(coeffs[::-1])) < 1e-12
 
 
 def test_embed_trivial_and_pair():
@@ -119,3 +129,90 @@ def test_numeric_eigenvalues_match_exact():
     numeric = eigenvalues_numeric(inst, embed(y))
     for ev_exact, ev_num in zip(exact["cyclotomic"], numeric):
         assert abs(complex(ev_exact) - ev_num) < 1e-8
+
+
+def _coeffs_of_roots(roots):
+    """Low-to-high coefficients of prod (x - r)."""
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0j] + coeffs, coeffs + [0j])]
+    return coeffs
+
+
+def _match(got, want):
+    """max over got of the distance to the nearest unused root of want."""
+    want = list(want)
+    worst = 0.0
+    for z in got:
+        k = min(range(len(want)), key=lambda j: abs(want[j] - z))
+        worst = max(worst, abs(want.pop(k) - z))
+    return worst
+
+
+def test_aberth_roots_match_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(5)
+    for deg in range(1, numerics.MAX_DEGREE + 1):
+        coeffs = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                  for _ in range(deg)] + [complex(rng.uniform(.5, 2))]
+        got = numerics._aberth_roots(coeffs)
+        assert len(got) == deg
+        assert _match(got, np.roots(coeffs[::-1])) < 1e-10, deg
+
+
+def test_aberth_roots_match_numpy_on_clustered_roots():
+    np = pytest.importorskip("numpy")
+    clusters = []
+    for pairs in (1, 2, 4, 8, 16):
+        # pairs of roots 1e-4 apart around the unit circle
+        centres = [cmath.exp(2j * cmath.pi * (k + .3) / pairs)
+                   for k in range(pairs)]
+        clusters.append([r for a in centres for r in (a, a * (1 + 1e-4j))])
+    # three roots 1e-3 apart, and two far from them
+    clusters.append([.5 + 1e-3 * cmath.exp(2j * cmath.pi * k / 3)
+                     for k in range(3)] + [-1, 2j])
+    for roots in clusters:
+        coeffs = _coeffs_of_roots(roots)
+        got = numerics._aberth_roots(coeffs)
+        assert _match(got, np.roots(coeffs[::-1])) < 1e-10, len(roots)
+
+
+def test_aberth_roots_of_a_high_binomial():
+    roots = numerics._aberth_roots([-2] + [0] * 63 + [1])
+    want = [2 ** (1 / 64) * cmath.exp(2j * cmath.pi * k / 64)
+            for k in range(64)]
+    assert _match(roots, want) < 1e-12
+
+
+def test_solve_matches_numpy():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(8)
+    for n in (1, 2, 5, 12):
+        a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+             for _ in range(n)]
+        b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+        got = numerics._solve(a, b)
+        want = np.linalg.solve(np.array(a), np.array(b))
+        assert max(abs(x - y) for x, y in zip(got, want)) < 1e-10, n
+    # a zero leading entry needs the row exchange
+    assert numerics._solve([[0j, 1], [2, 0j]], [3, 4]) == [2, 3]
+
+
+def test_solve_refuses_a_singular_jacobian():
+    np = pytest.importorskip("numpy")
+    singular = [[1 + 1j, 2 - 1j, 0j], [2 + 2j, 4 - 2j, 0j], [1j, 1, 3]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array(singular), np.ones(3))
+    with pytest.raises(SingularJacobian):
+        numerics._solve(singular, [1, 1, 1])
+    with pytest.raises(SingularJacobian):
+        numerics._solve([[0j]], [1])
+
+
+def test_newton_refine_raises_on_a_singular_jacobian(a2, monkeypatch):
+    inst, _ = a2
+    start = FloatPoint(roots=(0.7 + 0.2j, -1.3 + 0.9j), colours=(0, 1))
+    monkeypatch.setattr(numerics, "_jacobian",
+                        lambda inst, point: [[1, 1], [1, 1]])
+    with pytest.raises(SingularJacobian):
+        newton_refine(inst, start)

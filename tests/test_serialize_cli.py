@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import poly
 import cybethe
-from cybethe import cli, serialize
+from cybethe import cartan, cli, serialize
 from cybethe.errors import InputError
 from cybethe.frame import BetheTuple
 from cybethe.qpoly import QPoly
@@ -359,15 +359,57 @@ def test_cli_usage_error_record(docs, capsys):
         assert _error_record(capsys)["kind"] == "InputError"
 
 
-def test_cli_import_leaves_numpy_unloaded():
+_IMPORT_SURFACE = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m == "numpy" or m.startswith(("numpy.", "cybethe.")))
+
+import cybethe
+report = {"import cybethe": loaded()}
+import cybethe.cli
+report["import cybethe.cli"] = loaded()
+io_args = ["--instance", "instance.json", "--tuple", "tuple.json"]
+for name, argv in (
+        ("fold", ["fold", "--cartan", "A4", "--sigma", "(1 4)(2 3)"]),
+        ("lambda0", ["lambda0", "--rank", "3"]),
+        ("refused", ["generate", *io_args, "--direction", "1", "--c", "1/x"]),
+        ("validate", ["validate", "--instance", "instance.json", "--p", "1"]),
+        ("verify", ["verify", *io_args]),
+        ("generate", ["generate", *io_args, "--direction", "1", "--c", "1"]),
+        ("populate", ["populate", *io_args, "--samples", "1"]),
+        ("typea analyze", ["typea", "analyze", *io_args]),
+        ("typea flow", ["typea", "flow", *io_args, "--c", "1"]),
+        ("eigenvalues", ["eigenvalues", *io_args]),
+        ("check-numeric", ["check-numeric", *io_args])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cybethe.cli.main(argv)
+    report[name] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_leaves_numpy_unloaded(docs):
+    # each command loads the modules it runs, and none of them numpy
+    _, _, tmp_path = docs
     src = str(Path(cybethe.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, cybethe.cli; "
-            "print('numpy' in sys.modules, 'cybethe.typea' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SURFACE], env=env,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    report = json.loads(proc.stdout)
+    assert report.pop("import cybethe") == []
+    assert "cybethe.typea" not in report.pop("import cybethe.cli")
+    for command, (code, modules) in report.items():
+        assert code == (2 if command == "refused" else 0), command
+        assert not any(m.split(".")[0] == "numpy" for m in modules), command
+    for command in ("fold", "lambda0", "refused"):
+        modules = report[command][1]
+        assert "cybethe.genengine" not in modules, command
+        assert "cybethe.typea" not in modules, command
+    assert "cybethe.qpoly" not in report["fold"][1]
 
 
 def _with(doc, drop=(), **changes):
@@ -515,6 +557,62 @@ def test_check_numeric_refuses_a_degree_over_its_limit(docs, capsys):
     assert len(report["per_root"]) == limit + 3
 
 
+def _rank_instance(rank, lambda0_length=None):
+    n = rank if lambda0_length is None else lambda0_length
+    return {"cartan": {"series": "A", "rank": rank}, "sigma": "()", "M": 1,
+            "omega": "1", "points": [], "site_weights": [],
+            "lambda0": ["0"] * n}
+
+
+def test_cli_refuses_a_rank_over_its_limit(tmp_path, capsys):
+    # a series tag builds a rank x rank matrix from the rank alone: the
+    # refusal comes before it exists
+    limit = cartan.MAX_RANK
+    inst = tmp_path / "instance.json"
+    for rank in (limit + 1, 10 ** 30):
+        for argv in (["validate", "--instance", str(inst)],
+                     ["fold", "--cartan", f"A{rank}", "--sigma", "()"],
+                     ["lambda0", "--rank", str(rank)]):
+            inst.write_text(json.dumps(_rank_instance(rank, 2)))
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and peak < 1 << 19, argv
+            error = _error_record(capsys)
+            assert error["kind"] == "InputError", argv
+            assert str(limit) in error["message"], argv
+    # the limit itself is accepted
+    inst.write_text(json.dumps(_rank_instance(limit)))
+    assert cli.main(["validate", "--instance", str(inst)]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert cli.main(["lambda0", "--rank", str(limit)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["lambda0"]) == limit
+
+
+@pytest.mark.parametrize("changes", [
+    {"lambda0": ["0"] * 2},
+    {"points": ["1"], "site_weights": [["0"] * 3]},
+    {"sigma": [1, 2, 3]},
+    {"sigma": "[1, 2, 3]"},
+])
+def test_cli_checks_lengths_against_the_rank_before_the_matrix(
+        tmp_path, capsys, monkeypatch, changes):
+    def refuse(*args):
+        raise AssertionError("the Cartan matrix was built")
+
+    monkeypatch.setattr(cartan.CartanData, "series", staticmethod(refuse))
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps({**_rank_instance(cartan.MAX_RANK),
+                                **changes}))
+    assert cli.main(["validate", "--instance", str(inst)]) == 2
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError"
+    assert str(cartan.MAX_RANK) in error["message"]
+
+
 @pytest.mark.parametrize("extra", [
     ["generate", "--direction", "0", "--c", "1"],
     ["generate", "--direction", "2", "--c", "1"],
@@ -659,3 +757,21 @@ def test_cli_l1_family_off_the_polynomials_is_an_input_error(
     assert error["kind"] == "InputError"
     assert error["message"] == \
         "tuple components must be ordinary polynomials"
+
+
+@pytest.mark.parametrize("site_weight", [["1", "0", "1"], ["0", "2", "0"]])
+def test_cli_l1_direction_off_the_lambda0_rule_is_an_input_error(
+        tmp_path, capsys, site_weight):
+    # node 2 has L = 1, and <L0, a_2^vee> + 1 = 1 is odd: its family loses
+    # cyclotomic symmetry, so generation refuses the direction, as
+    # `validate` refuses the instance
+    inst, tup = tmp_path / "a3.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps({**_A3_POINT, "site_weights": [site_weight]}))
+    tup.write_text(json.dumps({"polys": [_ONE] * 3}))
+    rule = "node 1: L=1 needs <L0,a^vee>+1 = 0 mod 2, got 0"
+    assert cli.main(["validate", "--instance", str(inst)]) == 1
+    assert rule in json.loads(capsys.readouterr().out)["violations"]
+    assert cli.main(["generate", "--instance", str(inst), "--tuple", str(tup),
+                     "--direction", "2", "--c", "1"]) == 2
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError" and error["message"] == rule

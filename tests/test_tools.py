@@ -1,6 +1,9 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,3 +17,21 @@ def test_src_lines_totals_the_modules():
     assert label == "total" and int(total) > 0
     assert int(total) == sum(int(count) for count, _ in modules)
     assert any(path.endswith("qpoly.py") for _, path in modules)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # numpy and the other test oracles stay out of the library
+    for path in sorted((ROOT / "src" / "cybethe").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, \
+                    (path.name, name)
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project.get("dependencies", []) == []
