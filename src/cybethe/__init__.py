@@ -14,14 +14,14 @@ from importlib import import_module
 
 # exported name -> the submodule that defines it
 _EXPORTS = {
-    **dict.fromkeys(("CartanData", "DiagramAut", "FoldedData", "Weight",
+    **dict.fromkeys(("CartanData", "DiagramAut", "FoldedData",
+                     "ProblemInstance", "Weight", "canonical_lambda0",
                      "dominant_shifted_rep", "folded_reflect",
                      "inner_product", "orbit_data", "shifted_reflect",
                      "sigma_on_weight"), "cartan"),
-    **dict.fromkeys(("BetheTuple", "ProblemInstance", "canonical_lambda0",
-                     "eigenvalues", "frame_polys", "hl_identity_check",
-                     "is_critical_exact", "is_cyclotomic_tuple",
-                     "is_generic", "validate_lambda0",
+    **dict.fromkeys(("BetheTuple", "eigenvalues", "frame_polys",
+                     "hl_identity_check", "is_critical_exact",
+                     "is_cyclotomic_tuple", "is_generic", "validate_lambda0",
                      "weight_at_infinity"), "frame"),
     **dict.fromkeys(("cyclotomic_generate", "cyclotomic_generate_L1",
                      "cyclotomic_generate_L2", "elementary_generate_L1",

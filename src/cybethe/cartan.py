@@ -1,19 +1,19 @@
 """Generalized Cartan matrices, weights, shifted Weyl actions, diagram
-automorphisms, the linking condition, and folded Cartan data.
+automorphisms, the linking condition, folded Cartan data, problem
+instances and the canonical type-A weight at the origin.
 
 Node indices are 0-based internally; the JSON/CLI layer converts from the
 1-based convention used in input files.  Weights are stored purely by
 their coroot pairings <lambda, alpha_i^vee>.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
 from . import linalg
 from .errors import (InputError, LinkingViolation, NonRegular, NonTerminating,
-                     SingularCartan)
+                     SingularCartan, UnsupportedType)
 
 _REFLECTION_CAP = 10 ** 6  # guards dominant-reduction on non-finite inputs
 
@@ -29,6 +29,27 @@ def check_rank(rank):
     if not 1 <= rank <= MAX_RANK:
         raise InputError(f"rank {rank} is outside 1..{MAX_RANK}")
     return rank
+
+
+class Record:
+    """Value equality, hashing and a repr over the attributes named in
+    `_fields`: the base of the package's plain record classes."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._fields) + ")"
 
 
 def _symmetrizers(a):
@@ -63,14 +84,15 @@ def _symmetrizers(a):
     return tuple(x // g for x in ints)
 
 
-@dataclass(frozen=True)
-class CartanData:
+class CartanData(Record):
     """Symmetrizable generalized Cartan matrix with symmetrizers d."""
 
-    a: tuple
-    d: tuple
+    # no __slots__: `weight_gram` caches in the instance __dict__
+    _fields = ("a", "d")
 
-    def __post_init__(self):
+    def __init__(self, a, d):
+        self.a = a
+        self.d = d
         n = len(self.a)
         for i in range(n):
             if len(self.a[i]) != n:
@@ -135,16 +157,15 @@ class CartanData:
         return CartanData.from_matrix(a)
 
 
-@dataclass(frozen=True)
-class DiagramAut:
+class DiagramAut(Record):
     """Permutation of the nodes preserving the Cartan matrix."""
 
-    perm: tuple  # images, 0-based
+    __slots__ = _fields = ("perm",)  # images, 0-based
 
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
+    def __init__(self, perm):
+        if sorted(perm) != list(range(len(perm))):
             raise InputError("not a permutation")
+        self.perm = perm
 
     @property
     def order(self):
@@ -251,15 +272,17 @@ class Weight:
         return Weight([cartan.a[i][j] for i in range(cartan.n)])
 
 
-@dataclass(frozen=True)
-class FoldedData:
+class FoldedData(Record):
     """Orbit data and the folded Cartan matrix A^sigma on representatives."""
 
-    reps: tuple          # chosen orbit representatives, ascending
-    orbit_len: tuple     # M_i for every node i
-    linking: tuple       # L_i for every node i
-    a_fold: CartanData
-    orbits: tuple        # full orbits, one per representative
+    __slots__ = _fields = ("reps", "orbit_len", "linking", "a_fold", "orbits")
+
+    def __init__(self, reps, orbit_len, linking, a_fold, orbits):
+        self.reps = reps            # chosen orbit representatives, ascending
+        self.orbit_len = orbit_len  # M_i for every node i
+        self.linking = linking      # L_i for every node i
+        self.a_fold = a_fold        # CartanData
+        self.orbits = orbits        # full orbits, one per representative
 
 
 def orbit_data(cartan, aut):
@@ -379,3 +402,93 @@ def inner_product(cartan, lam, mu):
     n = cartan.n
     return sum(Fraction(lam[i]) * gram[i][j] * Fraction(mu[j])
                for i in range(n) for j in range(n))
+
+
+# --- problem instances and the canonical weight at the origin --------------
+
+
+class ProblemInstance(Record):
+    __slots__ = _fields = ("cartan", "aut", "omega", "points",
+                           "site_weights", "lambda0")
+
+    def __init__(self, cartan, aut, omega, points, site_weights, lambda0):
+        aut.validate_for(cartan)
+        M = aut.order
+        if omega ** M != 1:
+            raise InputError("omega^M != 1")
+        for k in range(1, M):
+            if omega ** k == 1:
+                raise InputError("omega is not a primitive M-th root")
+        if len(points) != len(site_weights):
+            raise InputError("points and site weights differ in length")
+        for z in points:
+            if z.is_zero():
+                raise InputError("marked points must be nonzero")
+        for s, lam in enumerate(site_weights):
+            if len(lam) != cartan.n:
+                raise InputError("weight length mismatch")
+            if not lam.is_dominant_integral():
+                raise InputError(f"site weight {s} is not dominant integral")
+        for i, zi in enumerate(points):
+            for j, zj in enumerate(points):
+                if i < j:
+                    for k in range(M):
+                        if zi == omega ** k * zj:
+                            raise InputError(
+                                f"omega-orbits of z_{i} and z_{j} meet")
+        if len(lambda0) != cartan.n:
+            raise InputError("lambda0 length mismatch")
+        if sigma_on_weight(aut, lambda0) != lambda0:
+            raise InputError("lambda0 is not sigma-invariant")
+        self.cartan = cartan
+        self.aut = aut
+        self.omega = omega
+        self.points = points              # nonzero Cyc scalars z_s
+        self.site_weights = site_weights  # a dominant integral Weight each
+        self.lambda0 = lambda0
+
+    @property
+    def M(self):
+        return self.aut.order
+
+    @property
+    def n_points(self):
+        return len(self.points)
+
+    def gamma(self, i):
+        """<Lambda_0, alpha_i^vee>."""
+        return self.lambda0[i]
+
+
+def canonical_lambda0(rank, M=2):
+    """L0(a_j^vee) = tr_n(sigma^-1 ad_{a_j^vee}) / (1 - omega) for type A.
+
+    The involution is realized on sl_{rank+1} as sigma(X) = -J X^T J^{-1}
+    with J the anti-diagonal unit matrix with alternating signs,
+    J[k][n-1-k] = (-1)^k, so sigma(X)[a][b] = -(-1)^(a+b) X[n-1-b][n-1-a].
+    For M = 1 the sum is empty and the weight is zero.
+    """
+    check_rank(rank)
+    if M == 1:
+        return Weight.zero(rank)
+    if M != 2:
+        raise UnsupportedType("canonical lambda0 implemented for M in {1, 2}")
+    size = rank + 1
+    pairings = []
+    for j in range(rank):
+        h = [[Fraction(0)] * size for _ in range(size)]
+        # alpha_j^vee = [E_j, F_j] = E_jj - E_(j+1)(j+1)
+        h[j][j] = Fraction(1)
+        h[j + 1][j + 1] = Fraction(-1)
+        total = Fraction(0)
+        for a in range(size):
+            for b in range(a + 1, size):
+                # ad_h E_ab = (h_a - h_b) E_ab
+                factor = h[a][a] - h[b][b]
+                if not factor:
+                    continue
+                # sigma(E_ab)[a][b] = -(-1)^(a+b) iff a + b = n - 1, else 0
+                if a + b == size - 1:
+                    total -= factor * (-1) ** (a + b)
+        pairings.append(total / 2)  # 1 - omega = 2 for omega = -1
+    return Weight(pairings)

@@ -12,13 +12,15 @@ import json
 import sys
 
 from . import serialize
-from .cartan import orbit_data
+from .cartan import canonical_lambda0, orbit_data
 from .errors import (CybetheError, InputError, InternalInvariantError,
                      NotGeneric)
 
 # Each command imports the modules it runs beyond `serialize` and `cartan`
 # once its inputs are read, so that a request compiles and loads only
-# those, and a request refused for its input skips them.
+# those, and a request refused for its input skips them.  Scalar options
+# are read right after the instance, whose field they need, and before the
+# tuple, whose reading loads `qpoly` and `frame`.
 
 
 def _load_json(path):
@@ -106,9 +108,9 @@ def cmd_verify(args):
 
 def cmd_generate(args):
     inst = _instance(args)
+    c = serialize.parse_scalar(args.c, inst.M)
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
-    c = serialize.parse_scalar(args.c, inst.M)
     from .frame import weight_at_infinity
     from .genengine import cyclotomic_generate
     out, step = cyclotomic_generate(inst, fold, y, args.direction - 1, c)
@@ -127,9 +129,9 @@ def cmd_generate(args):
 
 def cmd_populate(args):
     inst = _instance(args)
+    samples = _parse_samples(args.samples, inst.M)
     seed = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
-    samples = _parse_samples(args.samples, inst.M)
     from .genengine import explore_population
     graph = explore_population(inst, fold, seed, args.depth, samples)
     _emit(serialize.catalog_doc(graph), args.out)
@@ -178,9 +180,9 @@ def cmd_typea_analyze(args):
 
 def cmd_typea_flow(args):
     inst = _instance(args)
+    params = _parse_samples(args.c, inst.M)
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
-    params = _parse_samples(args.c, inst.M)
     from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis
     if args.generator == "X":
         res = flow_vs_generation(inst, fold, y, args.k, params)
@@ -221,7 +223,6 @@ def cmd_eigenvalues(args):
 
 
 def cmd_lambda0(args):
-    from .frame import canonical_lambda0
     weight = canonical_lambda0(args.rank, args.M)
     _emit({"lambda0": serialize.weight_doc(weight)}, args.out)
     return 0
@@ -238,9 +239,13 @@ def cmd_check_numeric(args):
         overrides["root_residual"] = args.tol
     tol = Tolerances(**overrides)
     point = embed(y, tol)
-    per_root = residuals(inst, point, tol) if point.roots else []
+    try:
+        per_root = residuals(inst, point, tol) if point.roots else []
+        grad = grad_check(inst, point, tol=tol)
+    except OverflowError:
+        raise InputError("a point or weight of the instance is too large "
+                         "for a float") from None
     norm = max((abs(r) for r in per_root), default=0.0)
-    grad = grad_check(inst, point, tol=tol)
     doc = {
         "max_residual": norm,
         "per_root": [{"root": [z.real, z.imag], "colour": c + 1,

@@ -1,17 +1,17 @@
-"""Problem instances and the exact verification layer.
+"""Bethe tuples and the exact verification layer.
 
-A ProblemInstance fixes the Cartan data, a diagram automorphism sigma of
-order M with a declared primitive root omega, marked points z_s with
-dominant integral weights, and the sigma-invariant weight at the origin.
-On top of that this module provides:
+A ProblemInstance (defined in `cartan`, and importable from here) fixes
+the Cartan data, a diagram automorphism sigma of order M with a declared
+primitive root omega, marked points z_s with dominant integral weights,
+and the sigma-invariant weight at the origin.  On top of that this module
+provides:
 
   * the frame polynomials T_i and T~_i,
   * exact genericity, cyclotomy and criticality tests for tuples,
   * weight-at-infinity bookkeeping,
   * validation of the conditions on the weight at the origin,
   * exact Gaudin eigenvalues for both the cyclotomic and the extended
-    pictures, and the equality between them,
-  * the canonical weight at the origin for type A involutions.
+    pictures, and the equality between them.
 
 Criticality is tested by residue divisibility: with gamma = <L0, a_i^vee>
 and P = T_i prod_{j != i} y_j^{-<alpha_j, alpha_i^vee>}, the tuple is
@@ -22,71 +22,18 @@ of y_i, i.e. the Bethe equations hold at all roots simultaneously, without
 ever leaving the coefficient field.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm
 from operator import mul
 
-from .cartan import (CartanData, DiagramAut, Weight, check_rank,
-                     inner_product, sigma_on_weight, weight_orbit)
-from .errors import (InexactDivision, InputError, NegativeExponent, NotGeneric,
-                     UnsupportedType)
+from .cartan import Weight, inner_product, sigma_on_weight, weight_orbit
+# defined in `cartan`, so that reading an instance loads no `frame`
+from .cartan import ProblemInstance, canonical_lambda0  # noqa: F401
+from .errors import InexactDivision, InputError, NegativeExponent, NotGeneric
 from .qpoly import (QPoly, _sum_of_products, divide_exact, is_squarefree,
                     proportional, qgcd)
 from .scalars import Cyc
-
-
-@dataclass(frozen=True)
-class ProblemInstance:
-    cartan: CartanData
-    aut: DiagramAut
-    omega: Cyc
-    points: tuple          # nonzero Cyc scalars z_s
-    site_weights: tuple    # dominant integral Weight per point
-    lambda0: Weight
-
-    def __post_init__(self):
-        self.aut.validate_for(self.cartan)
-        M = self.aut.order
-        if self.omega ** M != 1:
-            raise InputError("omega^M != 1")
-        for k in range(1, M):
-            if self.omega ** k == 1:
-                raise InputError("omega is not a primitive M-th root")
-        if len(self.points) != len(self.site_weights):
-            raise InputError("points and site weights differ in length")
-        for z in self.points:
-            if z.is_zero():
-                raise InputError("marked points must be nonzero")
-        for s, lam in enumerate(self.site_weights):
-            if len(lam) != self.cartan.n:
-                raise InputError("weight length mismatch")
-            if not lam.is_dominant_integral():
-                raise InputError(f"site weight {s} is not dominant integral")
-        for i, zi in enumerate(self.points):
-            for j, zj in enumerate(self.points):
-                if i < j:
-                    for k in range(M):
-                        if zi == self.omega ** k * zj:
-                            raise InputError(
-                                f"omega-orbits of z_{i} and z_{j} meet")
-        if len(self.lambda0) != self.cartan.n:
-            raise InputError("lambda0 length mismatch")
-        if sigma_on_weight(self.aut, self.lambda0) != self.lambda0:
-            raise InputError("lambda0 is not sigma-invariant")
-
-    @property
-    def M(self):
-        return self.aut.order
-
-    @property
-    def n_points(self):
-        return len(self.points)
-
-    def gamma(self, i):
-        """<Lambda_0, alpha_i^vee>."""
-        return self.lambda0[i]
 
 
 class BetheTuple:
@@ -439,43 +386,6 @@ def eigenvalues(inst, y, check_critical=True):
             pos += 1
     return {"cyclotomic": cyc, "extended": ext, "match": match,
             "origin_zero": origin_zero, "not_critical": warn_not_critical}
-
-
-# --- canonical weight at the origin (type A, M = 2) ----------------------
-
-
-def canonical_lambda0(rank, M=2):
-    """L0(a_j^vee) = tr_n(sigma^-1 ad_{a_j^vee}) / (1 - omega) for type A.
-
-    The involution is realized on sl_{rank+1} as sigma(X) = -J X^T J^{-1}
-    with J the anti-diagonal unit matrix with alternating signs,
-    J[k][n-1-k] = (-1)^k, so sigma(X)[a][b] = -(-1)^(a+b) X[n-1-b][n-1-a].
-    For M = 1 the sum is empty and the weight is zero.
-    """
-    check_rank(rank)
-    if M == 1:
-        return Weight.zero(rank)
-    if M != 2:
-        raise UnsupportedType("canonical lambda0 implemented for M in {1, 2}")
-    size = rank + 1
-    pairings = []
-    for j in range(rank):
-        h = [[Fraction(0)] * size for _ in range(size)]
-        # alpha_j^vee = [E_j, F_j] = E_jj - E_(j+1)(j+1)
-        h[j][j] = Fraction(1)
-        h[j + 1][j + 1] = Fraction(-1)
-        total = Fraction(0)
-        for a in range(size):
-            for b in range(a + 1, size):
-                # ad_h E_ab = (h_a - h_b) E_ab
-                factor = h[a][a] - h[b][b]
-                if not factor:
-                    continue
-                # sigma(E_ab)[a][b] = -(-1)^(a+b) iff a + b = n - 1, else 0
-                if a + b == size - 1:
-                    total -= factor * (-1) ** (a + b)
-        pairings.append(total / 2)  # 1 - omega = 2 for omega = -1
-    return Weight(pairings)
 
 
 def hl_identity_check(cartan, aut, omega, lam):

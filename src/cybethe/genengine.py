@@ -24,9 +24,7 @@ after deduplication, gets one proof (criticality with its genericity
 precondition, then cyclotomy) and the weight-at-infinity dichotomy.
 """
 
-from dataclasses import dataclass, field
-
-from .cartan import Weight, folded_reflect
+from .cartan import Record, folded_reflect
 from .errors import (ExceptionalParameter, InputError,
                      InternalInvariantError, NotGeneric, SeedInvalid,
                      UnsupportedType)
@@ -38,12 +36,14 @@ from .scalars import Cyc
 from .serialize import tuple_doc_json
 
 
-@dataclass(frozen=True)
-class GenerationStep:
-    direction: int          # orbit representative
-    c: Cyc
-    kind: str               # "L1" or "L2"
-    intermediates: tuple = ()   # (name, QPoly) pairs for L2
+class GenerationStep(Record):
+    __slots__ = _fields = ("direction", "c", "kind", "intermediates")
+
+    def __init__(self, direction, c, kind, intermediates=()):
+        self.direction = direction  # orbit representative
+        self.c = c                  # a Cyc
+        self.kind = kind            # "L1" or "L2"
+        self.intermediates = intermediates  # (name, QPoly) pairs for L2
 
 
 def _rhs_l1(inst, y, i, t):
@@ -239,14 +239,18 @@ def generation_family(inst, fold, y, i, t=None):
     return _family(inst, fold, y, i, t or frame_polys(inst))[:3]
 
 
-@dataclass
-class PopulationNode:
-    node_id: int
-    tuple_: BetheTuple
-    parent: int | None
-    step: GenerationStep | None
-    lambda_inf: Weight
-    flags: dict = field(default_factory=dict)
+class PopulationNode(Record):
+    __slots__ = _fields = ("node_id", "tuple_", "parent", "step",
+                           "lambda_inf", "flags")
+
+    def __init__(self, node_id, tuple_, parent, step, lambda_inf,
+                 flags=None):
+        self.node_id = node_id
+        self.tuple_ = tuple_
+        self.parent = parent    # an int, or None at the seed
+        self.step = step        # a GenerationStep, or None at the seed
+        self.lambda_inf = lambda_inf
+        self.flags = {} if flags is None else flags
 
 
 class PopulationGraph:

@@ -14,23 +14,27 @@ at most `MAX_DEGREE`, and the Newton systems have one unknown per root.
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .cartan import Weight, inner_product, weight_orbit
+from .cartan import Record, Weight, inner_product, weight_orbit
 from .errors import (BranchCollision, DivisionNearZero, IllConditioned,
                      InputError, NoConvergence, SingularJacobian)
 from .frame import extended_sites
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    root_residual: float = 1e-8
-    pair_min: float = 1e-12
-    branch_min: float = 1e-10
-    fd_step: float = 1e-5
-    fd_tol: float = 1e-6
-    newton_tol: float = 1e-10
-    newton_iters: int = 50
+class Tolerances(Record):
+    __slots__ = _fields = ("root_residual", "pair_min", "branch_min",
+                           "fd_step", "fd_tol", "newton_tol", "newton_iters")
+
+    def __init__(self, root_residual=1e-8, pair_min=1e-12, branch_min=1e-10,
+                 fd_step=1e-5, fd_tol=1e-6, newton_tol=1e-10,
+                 newton_iters=50):
+        self.root_residual = root_residual
+        self.pair_min = pair_min
+        self.branch_min = branch_min
+        self.fd_step = fd_step
+        self.fd_tol = fd_tol
+        self.newton_tol = newton_tol
+        self.newton_iters = newton_iters
 
 
 DEFAULT_TOL = Tolerances()
@@ -42,10 +46,12 @@ DEFAULT_TOL = Tolerances()
 MAX_DEGREE = 64
 
 
-@dataclass(frozen=True)
-class FloatPoint:
-    roots: tuple      # complex Bethe roots
-    colours: tuple    # node index per root
+class FloatPoint(Record):
+    __slots__ = _fields = ("roots", "colours")
+
+    def __init__(self, roots, colours):
+        self.roots = roots      # complex Bethe roots
+        self.colours = colours  # node index per root
 
 
 def _poly_complex_coeffs(p):
@@ -128,13 +134,17 @@ def _solve(a, b):
 def embed(y, tol=DEFAULT_TOL):
     """Numerically extract all roots of each component, with colours.  A
     component of degree over `MAX_DEGREE` is an InputError, raised before
-    any array is built."""
+    any array is built, and so is a coefficient out of the float range."""
     if max(y.degrees(), default=0) > MAX_DEGREE:
         raise InputError(f"check-numeric limits degrees to {MAX_DEGREE}")
     roots = []
     colours = []
     for i, p in enumerate(y):
-        coeffs = _poly_complex_coeffs(p)
+        try:
+            coeffs = _poly_complex_coeffs(p)
+        except OverflowError:
+            raise InputError(f"a coefficient of y_{i} is too large for a "
+                             f"float") from None
         scale = max(abs(c) for c in coeffs)
         for z in _aberth_roots(coeffs):
             val = _horner(coeffs, z)

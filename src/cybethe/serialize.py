@@ -16,12 +16,13 @@ from fractions import Fraction
 from functools import partial
 from math import lcm
 
-from .cartan import CartanData, DiagramAut, Weight, check_rank
+from .cartan import (CartanData, DiagramAut, ProblemInstance, Weight,
+                     check_rank)
 from .errors import InputError
 from .scalars import Cyc
 
 # `qpoly` and `frame` are imported where a document first needs them, so
-# that `fold` loads neither.
+# that `fold`, `lambda0` and reading an instance load neither.
 
 
 # --- scalars -------------------------------------------------------------
@@ -250,7 +251,6 @@ def instance_from_doc(doc):
         omega = Cyc.root_of_unity(M, omega_power)
     points = tuple(parse_scalar(z, M) for z in _typed(
         doc.get("points", []), list, "points must be an array"))
-    from .frame import ProblemInstance
     return ProblemInstance(cartan=cartan, aut=aut, omega=omega,
                            points=points, site_weights=site_weights,
                            lambda0=lambda0)

@@ -10,20 +10,18 @@ through the one exact row reduction `linalg._rref`, never numeric rank.
 A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
 
 from . import linalg
-from .cartan import Weight, dominant_shifted_rep
+from .cartan import Record, dominant_shifted_rep
 from .errors import (InexactDivision, InputError, InternalInvariantError,
                      NoSpecialBasis, NotDecomposable, NotGeneric,
                      NotInRootCone, NotIsotropic, NotSelfDual,
                      UnsupportedType)
 from .frame import (BetheTuple, big_lambda, frame_polys, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
-from .genengine import _checked, _family, _representative
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
 from .scalars import Cyc, _cyc, _reduce_mod_phi
@@ -32,32 +30,50 @@ from .scalars import Cyc, _cyc, _reduce_mod_phi
 # --- frame data -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TypeAFrame:
-    r: int                  # rank R; spaces have dimension R+1
-    p: int
-    ttilde: tuple           # T~_1 .. T~_R
-    lam: Weight             # Lambda = L0 + sum_s (Lambda_s + sigma Lambda_s)
-    lam_inf_tilde: Weight   # dominant weight at infinity
-    d: tuple                # exponents, strictly ascending Fractions
-    ddag: tuple             # dual exponents, strictly descending
+class TypeAFrame(Record):
+    __slots__ = _fields = ("r", "p", "ttilde", "lam", "lam_inf_tilde", "d",
+                           "ddag")
+
+    def __init__(self, r, p, ttilde, lam, lam_inf_tilde, d, ddag):
+        self.r = r              # rank R; spaces have dimension R+1
+        self.p = p
+        self.ttilde = ttilde    # T~_1 .. T~_R
+        self.lam = lam  # Lambda = L0 + sum_s (Lambda_s + sigma Lambda_s)
+        self.lam_inf_tilde = lam_inf_tilde  # dominant weight at infinity
+        self.d = d              # exponents, strictly ascending Fractions
+        self.ddag = ddag        # dual exponents, strictly descending
 
 
-@dataclass(frozen=True)
-class QPSpace:
-    frame: TypeAFrame
-    basis: tuple            # special basis, degrees = frame.d
+class QPSpace(Record):
+    __slots__ = _fields = ("frame", "basis")
+
+    def __init__(self, frame, basis):
+        self.frame = frame
+        self.basis = basis      # special basis, degrees = frame.d
 
 
-@dataclass(frozen=True)
-class Flag:
-    space: QPSpace
-    adjusted: tuple         # ordered basis; F_k = span(adjusted[:k])
+class Flag(Record):
+    __slots__ = _fields = ("space", "adjusted")
+
+    def __init__(self, space, adjusted):
+        self.space = space
+        self.adjusted = adjusted    # ordered basis; F_k = span(adjusted[:k])
+
+
+# The largest rank the type-A pipeline accepts: the Wronskian table of the
+# R+1 basis vectors has 2^(R+1) minors, so its time doubles with each rank.
+# `typea analyze` of the trivial tuple takes about 1.5 s at rank 12 and
+# 6.4 s at rank 14 on one x86_64 core.
+MAX_TYPEA_RANK = 12
 
 
 def require_type_a(inst):
-    """Validate the instance is type A with the (possibly trivial) flip."""
+    """Validate the instance is type A with the (possibly trivial) flip,
+    of rank at most `MAX_TYPEA_RANK`."""
     r = inst.cartan.n
+    if r > MAX_TYPEA_RANK:
+        raise InputError(f"type-A theory limits the rank to "
+                         f"{MAX_TYPEA_RANK}, got {r}")
     expected = tuple(tuple(2 if i == j else (-1 if abs(i - j) == 1 else 0)
                            for j in range(r)) for i in range(r))
     if inst.cartan.a != expected:
@@ -347,13 +363,10 @@ def gram_matrix(space, basis):
     if any(coeffs is None for coeffs in cmat):
         raise NotSelfDual(
             "basis vector image under x -> -x leaves the dual space")
-    gram = [[None] * size for _ in range(size)]
+    gram = []
     for i in range(size):
-        sign = Cyc.of(1) if i % 2 == 0 else Cyc.of(-1)
-        for j in range(size):
-            entry = cmat[j][i]
-            entry = entry if isinstance(entry, Cyc) else Cyc.of(entry)
-            gram[i][j] = entry * sign * const
+        signed = const if i % 2 == 0 else -const
+        gram.append([signed * cmat[j][i] for j in range(size)])
     return gram
 
 
@@ -451,13 +464,17 @@ def isotropy_check(space, adjusted, gram=None):
 # --- Witt bases --------------------------------------------------------------
 
 
-@dataclass
-class WittBasis:
-    vectors: tuple
-    gram: tuple            # full Gram matrix of `vectors`
-    constants: tuple       # B(r_k, r_(R+2-k)), k = 1..R+1 (1-based)
-    middle_constant: Cyc | None
-    middle_index: int | None
+class WittBasis(Record):
+    __slots__ = _fields = ("vectors", "gram", "constants", "middle_constant",
+                           "middle_index")
+
+    def __init__(self, vectors, gram, constants, middle_constant,
+                 middle_index):
+        self.vectors = vectors
+        self.gram = gram            # full Gram matrix of `vectors`
+        self.constants = constants  # B(r_k, r_(R+2-k)), k = 1..R+1 (1-based)
+        self.middle_constant = middle_constant  # a Cyc, or None
+        self.middle_index = middle_index        # an int, or None
 
 
 def _b_pattern(p, size):
@@ -892,6 +909,7 @@ def flow_vs_generation(inst, fold, seed, k, params):
     computed in closed form from one family slope, reported, and the match
     is then verified exactly at every requested parameter.
     """
+    from .genengine import _checked, _family, _representative
     space, flag = kernel_basis(inst, seed)
     witt = witt_basis(space, adjusted=flag.adjusted)
     rho = None

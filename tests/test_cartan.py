@@ -206,3 +206,117 @@ def test_rank_limit():
         CartanData.from_matrix(identity)
     assert CartanData.from_matrix([row[:limit] for row in identity[:limit]]) \
         .n == limit
+
+
+def _records():
+    """name -> a call that builds a record from fresh but equal fields."""
+    from conftest import poly
+    from cybethe import cartan, frame, genengine, numerics, typea
+    from cybethe.scalars import Cyc
+
+    def a2():
+        return cartan.ProblemInstance(
+            cartan=CartanData.series("A", 2), aut=DiagramAut((1, 0)),
+            omega=Cyc.of(-1), points=(), site_weights=(),
+            lambda0=Weight([F(1, 2), F(1, 2)]))
+
+    def space_and_flag():
+        seed = frame.BetheTuple([poly(-1, 0, 0, 1), poly(1, 0, 0, 1)])
+        return typea.kernel_basis(a2(), seed)
+
+    def witt():
+        space, flag = space_and_flag()
+        return typea.witt_basis(space, adjusted=flag.adjusted)
+
+    return {
+        "CartanData": lambda: CartanData(a=((2, -1), (-1, 2)), d=(1, 1)),
+        "DiagramAut": lambda: DiagramAut((1, 0)),
+        "FoldedData": lambda: orbit_data(CartanData.series("A", 4),
+                                         DiagramAut((3, 2, 1, 0))),
+        "ProblemInstance": a2,
+        "GenerationStep": lambda: genengine.GenerationStep(
+            direction=0, c=Cyc.of(F(1, 3)), kind="L1"),
+        "PopulationNode": lambda: genengine.PopulationNode(
+            node_id=1, tuple_=frame.BetheTuple([poly(1)] * 2), parent=0,
+            step=None, lambda_inf=Weight([1, 0])),
+        "Tolerances": lambda: numerics.Tolerances(fd_step=1e-4),
+        "FloatPoint": lambda: numerics.FloatPoint(roots=(1j, -1j),
+                                                  colours=(0, 1)),
+        "TypeAFrame": lambda: space_and_flag()[0].frame,
+        "QPSpace": lambda: space_and_flag()[0],
+        "Flag": lambda: space_and_flag()[1],
+        "WittBasis": witt,
+    }
+
+
+# the classes that were frozen, and so hashable, before they became plain
+_HASHED = ("CartanData", "DiagramAut", "FoldedData", "ProblemInstance",
+           "GenerationStep", "Tolerances", "FloatPoint", "TypeAFrame",
+           "QPSpace", "Flag")
+
+
+@pytest.mark.parametrize("name", sorted(_records()))
+def test_records_compare_by_value(name):
+    build = _records()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name and a is not b
+    assert not hasattr(type(a), "__dataclass_fields__")
+    assert a == b and not a != b
+    if name in _HASHED:
+        assert hash(a) == hash(b)
+    assert repr(a).startswith(name + "(")
+
+
+def test_records_keep_their_keywords_defaults_and_names():
+    import cybethe
+    from cybethe import cartan, frame, numerics
+    from cybethe.genengine import PopulationNode
+    records = _records()
+    assert numerics.Tolerances() == numerics.DEFAULT_TOL
+    assert numerics.Tolerances().fd_step == 1e-5
+    assert records["Tolerances"]() != numerics.Tolerances()
+    assert records["GenerationStep"]().intermediates == ()
+    node = PopulationNode(0, "y", None, None, Weight([0]))
+    assert (node.node_id, node.tuple_, node.parent, node.flags) \
+        == (0, "y", None, {})
+    assert node != PopulationNode(0, "y", None, None, Weight([1]))
+    assert len(records["WittBasis"]().vectors) == 3
+    # the instance and the canonical weight live in `cartan`
+    assert frame.ProblemInstance is cartan.ProblemInstance \
+        is cybethe.ProblemInstance
+    assert frame.canonical_lambda0 is cartan.canonical_lambda0 \
+        is cybethe.canonical_lambda0
+    # CartanData caches its weight form in its instance __dict__
+    c = records["CartanData"]()
+    assert c.weight_gram is c.weight_gram and "weight_gram" in vars(c)
+    assert c == records["CartanData"]()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CartanData(a=((2, 1), (1, 2)), d=(1, 1)),
+     r"off-diagonal a\[0\]\[1\] > 0"),
+    (lambda: CartanData(a=((2, -1), (-1, 2)), d=(1, 2)),
+     r"diag\(d\) a is not symmetric"),
+    (lambda: CartanData(a=((2, -1),), d=(1,)), "must be square"),
+    (lambda: DiagramAut((0, 0)), "not a permutation"),
+    (lambda: _instance(omega=1), "omega is not a primitive M-th root"),
+    (lambda: _instance(lambda0=Weight([1, 0])),
+     "lambda0 is not sigma-invariant"),
+    (lambda: _instance(points=(0,), site_weights=(Weight([0, 0]),)),
+     "marked points must be nonzero"),
+])
+def test_records_refuse_bad_fields(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
+
+
+def _instance(**changes):
+    from cybethe.cartan import ProblemInstance
+    from cybethe.scalars import Cyc
+    fields = dict(cartan=CartanData.series("A", 2), aut=DiagramAut((1, 0)),
+                  omega=-1, points=(), site_weights=(),
+                  lambda0=Weight([F(1, 2), F(1, 2)]))
+    fields.update(changes)
+    fields["omega"] = Cyc.of(fields["omega"])
+    fields["points"] = tuple(Cyc.of(z) for z in fields["points"])
+    return ProblemInstance(**fields)

@@ -364,22 +364,29 @@ import contextlib, io, json, sys
 
 def loaded():
     return sorted(m for m in sys.modules
-                  if m == "numpy" or m.startswith(("numpy.", "cybethe.")))
+                  if m in ("numpy", "dataclasses", "inspect")
+                  or m.startswith(("numpy.", "cybethe.")))
 
 import cybethe
 report = {"import cybethe": loaded()}
 import cybethe.cli
 report["import cybethe.cli"] = loaded()
 io_args = ["--instance", "instance.json", "--tuple", "tuple.json"]
+# the modules of one process accumulate: the commands that read no tuple
+# come first, and `typea analyze` before the commands that generate
 for name, argv in (
         ("fold", ["fold", "--cartan", "A4", "--sigma", "(1 4)(2 3)"]),
         ("lambda0", ["lambda0", "--rank", "3"]),
         ("refused", ["generate", *io_args, "--direction", "1", "--c", "1/x"]),
+        ("refused 1/0",
+         ["generate", *io_args, "--direction", "1", "--c", "1/0"]),
+        ("missing file",
+         ["verify", "--instance", "instance.json", "--tuple", "absent.json"]),
         ("validate", ["validate", "--instance", "instance.json", "--p", "1"]),
         ("verify", ["verify", *io_args]),
+        ("typea analyze", ["typea", "analyze", *io_args]),
         ("generate", ["generate", *io_args, "--direction", "1", "--c", "1"]),
         ("populate", ["populate", *io_args, "--samples", "1"]),
-        ("typea analyze", ["typea", "analyze", *io_args]),
         ("typea flow", ["typea", "flow", *io_args, "--c", "1"]),
         ("eigenvalues", ["eigenvalues", *io_args]),
         ("check-numeric", ["check-numeric", *io_args])):
@@ -389,9 +396,13 @@ for name, argv in (
 print(json.dumps(report))
 """
 
+_REFUSED = ("refused", "refused 1/0", "missing file")
+
 
 def test_cli_import_leaves_numpy_unloaded(docs):
-    # each command loads the modules it runs, and none of them numpy
+    # each command loads the modules it runs: none of them numpy or
+    # dataclasses (with its inspect), and a request refused for its input
+    # before the tuple loads no quasi-polynomial
     _, _, tmp_path = docs
     src = str(Path(cybethe.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -403,13 +414,14 @@ def test_cli_import_leaves_numpy_unloaded(docs):
     assert report.pop("import cybethe") == []
     assert "cybethe.typea" not in report.pop("import cybethe.cli")
     for command, (code, modules) in report.items():
-        assert code == (2 if command == "refused" else 0), command
-        assert not any(m.split(".")[0] == "numpy" for m in modules), command
-    for command in ("fold", "lambda0", "refused"):
+        assert code == (2 if command in _REFUSED else 0), command
+        assert not any(m.split(".")[0] in ("numpy", "dataclasses", "inspect")
+                       for m in modules), command
+    for command in ("fold", "lambda0", *_REFUSED):
         modules = report[command][1]
-        assert "cybethe.genengine" not in modules, command
-        assert "cybethe.typea" not in modules, command
-    assert "cybethe.qpoly" not in report["fold"][1]
+        for module in ("genengine", "typea", "qpoly", "frame"):
+            assert "cybethe." + module not in modules, command
+    assert "cybethe.genengine" not in report["typea analyze"][1]
 
 
 def _with(doc, drop=(), **changes):
@@ -590,6 +602,57 @@ def test_cli_refuses_a_rank_over_its_limit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert cli.main(["lambda0", "--rank", str(limit)]) == 0
     assert len(json.loads(capsys.readouterr().out)["lambda0"]) == limit
+
+
+def test_cli_typea_refuses_a_rank_over_its_limit(tmp_path, capsys,
+                                                monkeypatch):
+    # the Wronskian table of the R+1 basis vectors has 2^(R+1) minors: the
+    # refusal comes before any table is built
+    from cybethe import typea
+    limit = typea.MAX_TYPEA_RANK
+    inst, tup = tmp_path / "instance.json", tmp_path / "tuple.json"
+    io_args = ["--instance", str(inst), "--tuple", str(tup)]
+
+    def write(rank):
+        inst.write_text(json.dumps(_rank_instance(rank)))
+        tup.write_text(json.dumps({"polys": [_ONE] * rank}))
+
+    def no_table(fs):
+        raise AssertionError("a Wronskian table was built")
+
+    write(limit + 1)
+    with monkeypatch.context() as patch:
+        patch.setattr(typea, "wronskian_table", no_table)
+        for command in (["typea", "analyze"], ["typea", "flow"]):
+            assert cli.main(command + io_args) == 2, command
+            error = _error_record(capsys)
+            assert error["kind"] == "InputError", command
+            assert str(limit) in error["message"], command
+    # the limit itself is analysed and reported
+    write(limit)
+    assert cli.main(["typea", "analyze"] + io_args) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["frame_report"]["ok"] is True and report["self_dual"]
+    assert len(report["basis"]) == limit + 1
+
+
+def test_cli_check_numeric_refuses_a_value_out_of_the_float_range(
+        docs, capsys):
+    # the README tuple with "-1" followed by 400 zeros, then a marked point
+    # of that size: each is an input error, not an OverflowError
+    inst, tup, tmp_path = docs
+    huge = "1" + "0" * 400
+    big_tuple, big_point = tmp_path / "big.json", tmp_path / "point.json"
+    big_tuple.write_text(json.dumps(_tuple_with_terms({"0": "-" + huge,
+                                                       "3": "1"})))
+    big_point.write_text(json.dumps(_with(
+        A2_INSTANCE, points=[huge], site_weights=[["1", "1"]])))
+    for instance, tuple_, what in ((inst, big_tuple, "y_0"),
+                                   (big_point, tup, "point")):
+        assert cli.main(["check-numeric", "--instance", str(instance),
+                         "--tuple", str(tuple_)]) == 2
+        error = _error_record(capsys)
+        assert error["kind"] == "InputError" and what in error["message"]
 
 
 @pytest.mark.parametrize("changes", [

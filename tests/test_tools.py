@@ -20,7 +20,8 @@ def test_src_lines_totals_the_modules():
 
 
 def test_the_package_imports_only_the_standard_library():
-    # numpy and the other test oracles stay out of the library
+    # numpy and the other test oracles stay out of the library, and so does
+    # `dataclasses`, whose import of `inspect` each CLI request would pay
     for path in sorted((ROOT / "src" / "cybethe").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -32,6 +33,21 @@ def test_the_package_imports_only_the_standard_library():
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, \
                     (path.name, name)
+                assert name != "dataclasses", path.name
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert project.get("dependencies", []) == []
+
+
+def test_cli_wall_runs_one_round():
+    cli_wall = ROOT / "tools" / "cli_wall.py"
+    src = str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, str(cli_wall), src, src, "--rounds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.startswith("1 rounds")
+    names = [row[:14].strip() for row in rows]
+    assert names[:2] == ["fold", "validate"] and "missing tuple" in names
+    assert not any("DIFFERS" in row for row in rows)
