@@ -32,8 +32,14 @@ numerator product per term.
 
 Division, gcd and squarefree tests work through the substitution x = s^D,
 which turns everything into dense polynomials over the coefficient field.
-The Euclidean fallback of the gcd runs on `Cyc` entries, whose field
-orders follow each remainder.
+A gcd with a monomial (a nonzero constant, say) is x^min(low exponents)
+at once.  The Euclidean fallback of the gcd runs on `Cyc` entries, whose
+field orders follow each remainder.
+
+f(s x) for a root of unity s of order r reads s^k as s^(k mod r) from one
+cached table of its powers, keyed on the exact layout (order, num, den)
+of s, never on the `Cyc`: -1 of order 4 equals and hashes as -1 of order
+1, but its powers keep order 4.  Other s take a running product.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
 behind every generation step: it finds Y with Wr(f, Y) = W by one
@@ -52,7 +58,7 @@ from operator import mul, sub
 
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
-from .scalars import (ONE, ZERO, Cyc, _cyc, _phi_deg, _poly_mul,
+from .scalars import (ONE, ZERO, Cyc, _cyc, _phi_deg, _product,
                       _reduce_mod_phi, cyclotomic_polynomial)
 
 
@@ -76,7 +82,7 @@ def _mul(a, b, L):
         return a * b
     if not any(b[1:]):
         return tuple([x * b[0] for x in a])
-    return _reduce_mod_phi(_poly_mul(a, b), L)
+    return _product(a, b, L)
 
 
 def _lift_nums(nums, M, L):
@@ -309,8 +315,11 @@ class QPoly:
         return sum((c * point ** e for e, c in self.terms.items()), ZERO)
 
     def monic(self):
-        if self.is_zero():
+        if not self.ks:
             return self
+        n, den = self.nums[-1], self.den
+        if (n == den) if self.L <= 2 else (n[0] == den and not any(n[1:])):
+            return self  # the leading coefficient is already 1
         return self.scale(self.leading_coeff().inverse())
 
     def substitute_scale(self, s):
@@ -326,6 +335,9 @@ class QPoly:
             raise BranchUndefined(
                 "substitute_scale with fractional exponents is only fixed "
                 "for s = -1 (branch (-1)^m = e^(i pi m))")
+        powers = _root_powers(s.order, s.num, s.den)
+        if powers:
+            return _scaled(self, [powers[k % len(powers)] for k in self.ks])
         # s^k from one running product over the gaps between exponents
         cs, steps = [s ** k for k in self.ks[:1]], {1: s}
         for gap in map(sub, self.ks[1:], self.ks):
@@ -417,6 +429,22 @@ def _add(f, g):
             return _qp(p.L, D, p.den, [pk[i] for i in keep],
                        [p.nums[i] for i in keep])
     return total
+
+
+@lru_cache(maxsize=64)
+def _root_powers(order, num, den):
+    """(1, s, ..., s^(r-1)) when s = sum(num[k] w^k) / den in Q(zeta_order)
+    is a root of unity of order r, else None.  Keyed on the exact layout,
+    never on the Cyc: Cyc(4, -1) == Cyc(1, -1), but their powers keep
+    orders 4 and 1.  A root of unity has den 1, and its order divides
+    lcm(2, order), so one power tests it."""
+    s = _cyc(order, num, 1)
+    if den != 1 or s ** lcm(2, order) != 1:
+        return None
+    powers = [Cyc.of(1, order), s]
+    while powers[-1].num != powers[0].num:
+        powers.append(powers[-1] * s)
+    return tuple(powers[:-1])
 
 
 def _scaled(p, cs):
@@ -657,9 +685,13 @@ def divide_exact(f, g):
 
 
 def qgcd(f, g):
-    """Monic gcd computed after the substitution x = s^D."""
+    """Monic gcd computed after the substitution x = s^D.  A monomial
+    operand shares only x^min(low exponents) with the other, which is
+    returned at once, as the certificate would prove it."""
     if not (f and g):
         return (f or g or _ONE).monic()
+    if len(f.ks) == 1 or len(g.ks) == 1:  # a monomial shares only x^low
+        return QPoly.x_power(min(f.low_exponent, g.low_exponent))
     D = lcm(f.D, g.D)
     (flow, fc), (glow, gc) = f._dense(D), g._dense(D)
     shared = min(flow, glow)  # common pure power of x

@@ -8,7 +8,9 @@ arithmetic runs on ints: sums go over a common denominator, products
 convolve the numerators and multiply the denominators, and a product is
 reduced modulo Phi_M through a cached table of w^k mod Phi_M.  For M in
 {1, 2} the representative has length one, so arithmetic collapses to one
-rational sum or product.  `vec` gives the coefficients as Fractions for
+rational sum or product.  The degree-2 fields M in {3, 4, 6} (Q(zeta_6) =
+Q(zeta_3), but the two orders stay apart) reduce in closed form, by
+w^2 = -1 - w, -1 and w - 1: a product is four int products and no table.  `vec` gives the coefficients as Fractions for
 output and tests.  Scalars of different orders are promoted to the lcm
 order on demand; the promotion w_M -> w_L^(L/M) is the standard embedding
 Q(zeta_M) -> Q(zeta_L).
@@ -104,6 +106,8 @@ def _reduce_mod_phi(coeffs, M):
     d = _phi_deg(M)
     if len(coeffs) <= d:
         return tuple(coeffs) + (0,) * (d - len(coeffs))
+    if len(coeffs) == 3 and d == 2:  # a product of two entries
+        return _fold_w2(*coeffs, M)
     out = list(coeffs[:d])
     for c, row in zip(coeffs[d:], _rows(M, len(coeffs) - 1)):
         if c:
@@ -143,6 +147,21 @@ def _poly_mul(a, b):
             for j, y in nz:
                 out[i + j] += x * y
     return out
+
+
+def _fold_w2(a0, a1, a2, M):
+    """a0 + a1 w + a2 w^2 in a degree-2 field, M in {3, 4, 6}, where
+    w^2 = -1 - w, -1 and w - 1."""
+    return a0 - a2, a1 - a2 if M == 3 else a1 + a2 if M == 6 else a1
+
+
+def _product(a, b, M):
+    """The product of two numerator tuples over Q(zeta_M), reduced modulo
+    Phi_M; in closed form for the degree-2 fields."""
+    if len(a) == 2:
+        (a0, a1), (b0, b1) = a, b
+        return _fold_w2(a0 * b0, a0 * b1 + a1 * b0, a1 * b1, M)
+    return _reduce_mod_phi(_poly_mul(a, b), M)
 
 
 def _cyc(order, num, den):
@@ -297,8 +316,7 @@ class Cyc:
         if len(b.num) == 1:
             y = b.num[0]
             return _cyc(a.order, tuple([x * y for x in a.num]), a.den * b.den)
-        return _cyc(a.order, _reduce_mod_phi(_poly_mul(a.num, b.num), a.order),
-                    a.den * b.den)
+        return _cyc(a.order, _product(a.num, b.num, a.order), a.den * b.den)
 
     __rmul__ = __mul__
 

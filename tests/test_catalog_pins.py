@@ -13,10 +13,11 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
-from cybethe import cli, serialize
+from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
-from cybethe.frame import BetheTuple
+from cybethe.frame import BetheTuple, is_cyclotomic_tuple
 from cybethe.genengine import explore_population
+from cybethe.qpoly import QPoly, proportional
 
 ROOT = Path(__file__).resolve().parents[1]
 A4_CATALOG = ROOT / "perfbench" / "data" / "a4_depth2_catalog.json"
@@ -40,12 +41,15 @@ D4_DOC = {
 }
 
 
-def _catalog(inst, depth):
+def _graph(inst, depth):
     fold = orbit_data(inst.cartan, inst.aut)
     values = [serialize.parse_scalar(s, inst.M) for s in SAMPLES]
-    graph = explore_population(inst, fold, BetheTuple.trivial(inst.cartan.n),
-                               depth, values)
-    return serialize.dumps(serialize.catalog_doc(graph))
+    return explore_population(inst, fold, BetheTuple.trivial(inst.cartan.n),
+                              depth, values)
+
+
+def _catalog(inst, depth):
+    return serialize.dumps(serialize.catalog_doc(_graph(inst, depth)))
 
 
 def _sha256(text):
@@ -68,6 +72,49 @@ def test_d4_depth2_digest():
     inst = serialize.instance_from_doc(D4_DOC)
     assert _sha256(_catalog(inst, 2)) == \
         "c8b82643122a4021261574da8c4e35d402d0e9e781d00252aacf9625cd59e32c"
+
+
+def _proportional_form(inst, y):
+    """The cyclotomy test as it was: two scales and an equality per j."""
+    return all(proportional(y[inst.aut(j)].substitute_scale(inst.omega),
+                            y[j]) for j in range(len(y)))
+
+
+def test_cyclotomy_test_matches_the_proportional_form(a3):
+    # every node of the three pinned populations, the node with one
+    # coefficient perturbed, and its components scaled off monic
+    outcomes = []
+    for inst, depth in ((serialize.instance_from_doc(A4_DOC), 2),
+                        (a3[0], 3), (serialize.instance_from_doc(D4_DOC), 2)):
+        w = inst.omega
+        for node in _graph(inst, depth).nodes:
+            y = list(node.tuple_.polys)
+            cases = [y, [p.scale(w ** j + 2) for j, p in enumerate(y)]]
+            for j, p in enumerate(y):
+                if p.degree:
+                    for bump in (QPoly.one(), QPoly.x_power(p.degree - 1, w)):
+                        cases.append(y[:j] + [p + bump] + y[j + 1:])
+            for case in cases:
+                got = is_cyclotomic_tuple(inst, case)
+                assert got == _proportional_form(inst, case)
+                outcomes.append(got)
+    assert outcomes.count(True) > 300 and outcomes.count(False) > 300
+
+
+def test_genericity_runs_no_certificate_on_a_constant(monkeypatch):
+    # T_i = 1 without marked points, and the neighbours of the first
+    # generated nodes are constant: their gcds need no prime
+    seen = []
+    certify = qpoly._certified_coprime
+
+    def counted(fc, gc=None):
+        seen.append(min(len(fc[2]), len(gc[2]) if gc else 2))
+        return certify(fc, gc)
+
+    monkeypatch.setattr(qpoly, "_certified_coprime", counted)
+    inst = serialize.instance_from_doc(D4_DOC)
+    assert len(_graph(inst, 2).nodes) > 20
+    assert len(seen) > 100 and min(seen) > 1
 
 
 # A4 has no Y or Z block (p = 2, R = 4), so those flows pin the error path

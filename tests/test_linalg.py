@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from cybethe import linalg
-from cybethe.scalars import Cyc
+from cybethe.scalars import Cyc, cyclotomic_polynomial
 
 
 def _random_matrix(rng, rows, cols, rank=None):
@@ -147,3 +147,66 @@ def test_solve_many_matches_one_solve_per_right_hand_side():
             outcomes[x is None] += 1
     assert min(outcomes.values()) >= 10, outcomes
     assert linalg.solve_many([[F(1)]], []) == []
+
+
+def _rref_with_every_product(rows, cols):
+    """The reduction as it was before zero entries were skipped: a product
+    (and a difference) on every entry of each row it updates."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m))
+                      if not linalg._is_zero(m[i][c])), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c] if not isinstance(m[r][c], Cyc) else \
+            m[r][c].inverse()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and not linalg._is_zero(m[i][c]):
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _entry(x):
+    """Type, value, field order and text of a matrix entry."""
+    if isinstance(x, Cyc):
+        return Cyc, x.order, x.num, x.den, str(x)
+    return type(x), x, str(x)
+
+
+def test_rref_skipping_zero_entries_keeps_every_value_order_and_text():
+    rng = random.Random(13)
+    orders = (1, 2, 3, 4, 8)
+    kept = 0
+    for case in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        extra = rng.randint(0, 2)
+
+        def entry():
+            roll = rng.random()
+            if roll < 0.45:  # zeros of every order, and rational zeros
+                return rng.choice([F(0), *(Cyc.of(0, M) for M in orders)])
+            if roll < 0.55:
+                return F(rng.randint(-3, 3), rng.randint(1, 3))
+            M = rng.choice(orders)
+            return Cyc(M, [F(rng.randint(-2, 2), rng.randint(1, 2))
+                           for _ in cyclotomic_polynomial(M)[1:]])
+        matrix = [[entry() for _ in range(cols + extra)]
+                  for _ in range(rows)]
+        if case % 3 == 0:  # a dependent row
+            k = rng.choice(orders)
+            matrix.append([x * Cyc.root_of_unity(k) for x in matrix[0]])
+        got, pivots = linalg._rref(matrix, cols)
+        want, want_pivots = _rref_with_every_product(matrix, cols)
+        assert pivots == want_pivots
+        assert [[_entry(x) for x in row] for row in got] == \
+            [[_entry(x) for x in row] for row in want]
+        kept += sum(1 for row in want for x in row if not x)
+    assert kept > 500

@@ -483,6 +483,103 @@ def test_substitute_scale_takes_powers_over_the_gaps(monkeypatch):
         {e: c * s ** e for e, c in sparse.terms.items()})
 
 
+def running_product_scale(p, s):
+    """f(s x) with s^k from a running product over the exponent gaps, the
+    path `substitute_scale` took for every s before roots of unity read a
+    table of their powers."""
+    cs, steps = [s ** k for k in p.ks[:1]], {1: s}
+    for gap in (b - a for a, b in zip(p.ks, p.ks[1:])):
+        cs.append(cs[-1] * (steps.get(gap) or steps.setdefault(
+            gap, s ** gap)))
+    return qpoly._scaled(p, cs)
+
+
+ROOTS = [Cyc.of(1), Cyc.of(-1), Cyc.of(-1, 2), Cyc.of(-1, 4), Cyc.of(1, 8)] + [
+    Cyc.root_of_unity(M, k) * sign for M in (3, 4, 6, 8, 12)
+    for k in range(M) for sign in (1, -1)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ROOTS), term_dicts(top=30))
+def test_substitute_scale_by_a_root_of_unity_reads_its_power_table(s, terms):
+    p = QPoly({e.numerator: c for e, c in terms.items()})  # integer support
+    assert run(lambda a: a.substitute_scale(s), p) == \
+        run(running_product_scale, p, s)
+    assert run(lambda a: a.substitute_scale(s), p) == \
+        run(lambda a: a.substitute_scale(s), RefQPoly(p.terms))
+
+
+def test_powers_of_a_root_of_unity_are_keyed_on_its_layout(monkeypatch):
+    # -1 held at orders 1, 2 and 4 compares and hashes alike, but each
+    # keeps its own order in f(-x)
+    f = QPoly({0: 1, 1: 1, 5: F(1, 2)})
+    for order in (1, 2, 4, 1):
+        out = f.substitute_scale(Cyc.of(-1, order))
+        assert out.field_order() == order and str(out) == "-1/2*x^5 - x + 1"
+    # the table is built once per root: later calls make no Cyc products
+    w = Cyc.root_of_unity(12, 7)
+    f.substitute_scale(w)
+    calls = Counter()
+    mul = Cyc.__mul__
+
+    def counted(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Cyc, "__mul__", counted)
+    out = f.substitute_scale(w)
+    assert calls["mul"] == 0
+    monkeypatch.undo()
+    assert out == running_product_scale(f, w)
+    # not a root of unity: the running product, as before
+    for s in (Cyc.of(2), Cyc.of(F(1, 2), 3), Cyc.root_of_unity(3) + 1 + 1):
+        assert run(lambda a: a.substitute_scale(s), f) == \
+            run(running_product_scale, f, s)
+
+
+@st.composite
+def constants(draw):
+    """A nonzero constant, or a nonzero monomial off x^0."""
+    c = draw(cycs().filter(bool))
+    e = draw(st.sampled_from([0, 0, F(-2), F(1, 2), F(-1, 3), F(5)]))
+    return {e: c}
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_dicts(), constants())
+def test_gcd_with_a_monomial_is_the_shared_power_of_x(ft, ct):
+    (f, rf), (c, rc) = both(ft), both(ct)
+    assert run(qgcd, f, c) == run(ref_qgcd, rf, rc)
+    assert run(qgcd, c, f) == run(ref_qgcd, rc, rf)
+    assert run(qgcd, c, c) == run(ref_qgcd, rc, rc)
+
+
+def test_gcd_with_a_constant_runs_no_certificate(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("certificate run on a monomial operand")
+    monkeypatch.setattr(qpoly, "_certified_coprime", refuse)
+    f = QPoly({-2: 1, F(1, 2): Cyc.root_of_unity(3), 4: 3})
+    assert qgcd(f, QPoly.constant(Cyc.of(F(2, 3), 4))) == QPoly.x_power(-2)
+    assert qgcd(QPoly.constant(7), f).field_order() == 1
+    assert qgcd(QPoly({1: 1, 2: 1}), QPoly.x_power(F(1, 2), 5)) == \
+        QPoly.x_power(F(1, 2))
+    assert qgcd(QPoly({1: 1, 2: 1}), QPoly.one()) == QPoly.one()
+
+
+def test_monic_keeps_a_poly_whose_leading_coefficient_is_one():
+    w = Cyc.root_of_unity(8)
+    for p in (QPoly({0: F(1, 2), 3: 1}), QPoly({F(1, 3): w, 2: Cyc.of(1, 8)}),
+              QPoly.one(), QPoly({0: 3, 1: Cyc.of(1, 4)})):
+        assert p.monic() is p
+        assert run(lambda a: a.monic(), p) == \
+            run(lambda a: a.monic(), RefQPoly(p.terms))
+    for p in (QPoly({0: 1, 3: 2}), QPoly({0: 1, 1: w}),
+              QPoly({0: 1, 2: F(1, 2)}), QPoly({0: 1, 2: Cyc.of(-1, 3)})):
+        assert p.monic() is not p and p.monic().leading_coeff() == 1
+        assert run(lambda a: a.monic(), p) == \
+            run(lambda a: a.monic(), RefQPoly(p.terms))
+
+
 def test_equal_values_in_other_layouts_compare_and_hash_equal():
     i4, i12 = Cyc.root_of_unity(4), Cyc.root_of_unity(12, 3)
     at4 = QPoly({F(1, 2): i4, 2: Cyc.of(F(-3, 5), 4)})

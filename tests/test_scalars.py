@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cybethe.qpoly import QPoly
+from cybethe import scalars
 from cybethe.scalars import (Cyc, _cyc, _traces, cyclotomic_polynomial,
                              primitive_root)
 from cybethe.errors import InputError
@@ -409,3 +410,45 @@ def test_power_refuses_a_non_integer_exponent():
                 base ** n
     assert Cyc.of(-1) ** 3 == -1
     assert QPoly.from_coeffs([1, 1]) ** 2 == QPoly.from_coeffs([1, 2, 1])
+
+
+def _generic_reduce(coeffs, M):
+    """Reduction modulo Phi_M through the table of w^k mod Phi_M, the path
+    every order took before the degree-2 fields had a closed form."""
+    d = len(cyclotomic_polynomial(M)) - 1
+    out = list(coeffs[:d]) + [0] * (d - len(coeffs))
+    for c, row in zip(coeffs[d:], scalars._rows(M, len(coeffs) - 1)):
+        for j, x in row:
+            out[j] += c * x
+    return tuple(out)
+
+
+BIG = st.one_of(st.integers(-9, 9), st.integers(-2 ** 200, 2 ** 200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(M=st.sampled_from((3, 4, 6)), a=st.tuples(BIG, BIG),
+       b=st.tuples(BIG, BIG), top=BIG)
+def test_degree_two_fields_multiply_in_closed_form(M, a, b, top):
+    want = _generic_reduce(scalars._poly_mul(a, b), M)
+    assert scalars._product(a, b, M) == want
+    assert scalars._reduce_mod_phi(scalars._poly_mul(a, b), M) == want
+    assert scalars._reduce_mod_phi([*a, top], M) == \
+        _generic_reduce([*a, top], M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.sampled_from((3, 4, 6)), a=st.tuples(BIG, BIG),
+       b=st.tuples(BIG, BIG), dens=st.tuples(st.integers(1, 10 ** 30),
+                                             st.integers(1, 10 ** 30)))
+def test_degree_two_products_and_inverses_match_the_reference(M, a, b, dens):
+    x, y = _cyc(M, a, dens[0]), _cyc(M, b, dens[1])
+    old_x, old_y = _FracCyc(M, x.vec), _FracCyc(M, y.vec)
+    _same(x * y, old_x * old_y)
+    _same(y * x, old_y * old_x)
+    _same(x * x, old_x * old_x)
+    if x:
+        _same(x.inverse(), old_x.inverse())
+        one = x * x.inverse()
+        assert (one.order, one.num, one.den) == (M, (1, 0), 1)
+        _same(y / x, old_y / old_x)

@@ -262,6 +262,27 @@ def test_cli_typea_flow(docs, capsys):
     assert doc["rho"] == "27/2"
 
 
+@pytest.mark.parametrize("generator", ["X", "Y", "Z"])
+@pytest.mark.parametrize("c", ["--c=,", "--c=", "--c= "])
+def test_cli_typea_flow_refuses_an_empty_parameter_list(docs, capsys,
+                                                        generator, c):
+    # the X flow returned rho = None and crashed printing it; Y and Z
+    # printed an empty list
+    inst, tup, _ = docs
+    rc = cli.main(["typea", "flow", "--instance", inst, "--tuple", tup,
+                   "--k", "1", "--generator", generator, c])
+    assert rc == 2
+    err = _error_record(capsys)
+    assert err == {"kind": "InputError",
+                   "message": "flow needs at least one sample parameter"}
+    rc = cli.main(["populate", "--instance", inst, "--tuple", tup,
+                   "--depth", "1", "--samples", c[4:]])
+    assert rc == 2
+    assert _error_record(capsys) == {
+        "kind": "InputError",
+        "message": "population needs at least one sample parameter"}
+
+
 def test_cli_eigenvalues(docs, capsys):
     inst, tup, _ = docs
     rc = cli.main(["eigenvalues", "--instance", inst, "--tuple", tup])

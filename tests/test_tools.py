@@ -1,4 +1,5 @@
 import ast
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -51,3 +52,33 @@ def test_cli_wall_runs_one_round():
     names = [row[:14].strip() for row in rows]
     assert names[:2] == ["fold", "validate"] and "missing tuple" in names
     assert not any("DIFFERS" in row for row in rows)
+
+
+def rep_calls(old, new):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "rep_calls.py"), str(old),
+         str(new), "--workload", "populate_d4", "--size", "smoke"],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_rep_calls_compares_one_smoke_rep(tmp_path):
+    src = ROOT / "src"
+    out = rep_calls(src, src)
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.splitlines()
+    assert header.startswith("populate_d4 smoke, seed 0, one warm rep: ")
+    assert "calls (+0.0%)" in header
+    assert rows[-1].startswith("keep digest same: ")
+    # a tree whose catalog bytes differ: one more call, and exit 1
+    shutil.copytree(src / "cybethe", tmp_path / "cybethe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    serialize = tmp_path / "cybethe" / "serialize.py"
+    serialize.write_text(serialize.read_text().replace(
+        'separators=(",", ":"))', 'separators=(",", ":")).strip() + " "'))
+    out = rep_calls(src, tmp_path)
+    assert out.returncode == 1, out.stderr
+    (row,) = [r for r in out.stdout.splitlines() if "'strip'" in r]
+    old, new, change, name = row.split(maxsplit=3)
+    assert (old, name) == ("0", "~:<method 'strip' of 'str' objects>")
+    assert int(new) == int(change) > 0
+    assert out.stdout.splitlines()[-1].startswith("keep digest DIFFERS: ")
