@@ -52,13 +52,9 @@ def _tuple(args, inst):
     return y
 
 
-def _parse_samples(text, order, what):
-    """The comma-separated scalars of `text`; none is an input error."""
-    out = [serialize.parse_scalar(chunk, order)
-           for chunk in text.split(",") if chunk.strip()]
-    if not out:
-        raise InputError(f"{what} needs at least one sample parameter")
-    return out
+def _parse_samples(text, order):
+    return [serialize.parse_scalar(chunk, order)
+            for chunk in text.split(",") if chunk.strip()]
 
 
 def cmd_fold(args):
@@ -133,7 +129,7 @@ def cmd_generate(args):
 
 def cmd_populate(args):
     inst = _instance(args)
-    samples = _parse_samples(args.samples, inst.M, "population")
+    samples = _parse_samples(args.samples, inst.M)
     seed = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
     from .genengine import explore_population
@@ -184,7 +180,9 @@ def cmd_typea_analyze(args):
 
 def cmd_typea_flow(args):
     inst = _instance(args)
-    params = _parse_samples(args.c, inst.M, "flow")
+    params = _parse_samples(args.c, inst.M)
+    if not params:  # every generator sweeps the list
+        raise InputError("flow needs at least one sample parameter")
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
     from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis

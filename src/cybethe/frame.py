@@ -32,7 +32,7 @@ from .cartan import Weight, inner_product, sigma_on_weight, weight_orbit
 from .cartan import ProblemInstance, canonical_lambda0  # noqa: F401
 from .errors import InexactDivision, InputError, NegativeExponent, NotGeneric
 from .qpoly import (QPoly, _sum_of_products, divide_exact, is_squarefree,
-                    qgcd)
+                    proportional, qgcd)
 from .scalars import Cyc
 
 
@@ -186,11 +186,10 @@ def is_critical_exact(inst, y, mode="extended", t=None, lambda0_override=None):
 
 
 def is_cyclotomic_tuple(inst, y):
-    """y_{sigma j}(omega x) proportional to y_j(x) for all j: equal to the
-    monic y_j scaled by the leading coefficient of y_{sigma j}(omega x)."""
-    for j, yj in enumerate(y):
+    """y_{sigma j}(omega x) proportional to y_j(x) for all j."""
+    for j in range(len(y)):
         scaled = y[inst.aut(j)].substitute_scale(inst.omega)
-        if scaled != yj.monic().scale(scaled.leading_coeff()):
+        if not proportional(scaled, y[j]):
             return False
     return True
 

@@ -512,10 +512,11 @@ def _sum_of_products(pairs, L):
 
 
 def proportional(f, g):
-    """True iff f = k*g for some nonzero scalar k (zero ~ zero)."""
+    """True iff f = k*g for some nonzero scalar k (zero ~ zero), that is
+    f = lc(f) * monic(g): one scale and an equality."""
     if not (f.ks and g.ks):
         return not (f.ks or g.ks)
-    return f.scale(g.leading_coeff()) == g.scale(f.leading_coeff())
+    return f == g.monic().scale(f.leading_coeff())
 
 
 # --- dense helpers over the scalar field -------------------------------

@@ -8,12 +8,13 @@ arithmetic runs on ints: sums go over a common denominator, products
 convolve the numerators and multiply the denominators, and a product is
 reduced modulo Phi_M through a cached table of w^k mod Phi_M.  For M in
 {1, 2} the representative has length one, so arithmetic collapses to one
-rational sum or product.  The degree-2 fields M in {3, 4, 6} (Q(zeta_6) =
-Q(zeta_3), but the two orders stay apart) reduce in closed form, by
-w^2 = -1 - w, -1 and w - 1: a product is four int products and no table.  `vec` gives the coefficients as Fractions for
-output and tests.  Scalars of different orders are promoted to the lcm
-order on demand; the promotion w_M -> w_L^(L/M) is the standard embedding
-Q(zeta_M) -> Q(zeta_L).
+rational sum or product.  The degree-2 fields M in {3, 4, 6} (Q(zeta_6)
+= Q(zeta_3), but the two orders stay apart) reduce in closed form, by
+w^2 = -1 - w, -1 and w - 1: a product is four int products and no table.
+`vec` gives the coefficients as Fractions for output and tests.  Scalars
+of different orders are promoted to the lcm order on demand; the
+promotion w_M -> w_L^(L/M) is the standard embedding Q(zeta_M) ->
+Q(zeta_L).
 
 All values are immutable.
 """
