@@ -254,12 +254,12 @@ class PopulationNode(Record):
 
 
 class PopulationGraph:
-    """BFS nodes indexed by canonical tuple, and `skipped`: one (node id,
-    direction as in GenerationStep, c, reason) per exceptional sample."""
+    """BFS nodes indexed by canonical tuple, with `keys[i]` the serialized
+    tuple of `nodes[i]`, and `skipped`: one (node id, direction as in
+    GenerationStep, c, reason) per exceptional sample."""
 
     def __init__(self):
-        self.nodes = []
-        self.skipped = []
+        self.nodes, self.keys, self.skipped = [], [], []
         self._index = {}
 
     def find(self, key):
@@ -269,6 +269,7 @@ class PopulationGraph:
         """Index `node` under `key`, the canonical serialized tuple."""
         self._index[key] = node.node_id
         self.nodes.append(node)
+        self.keys.append(key)
 
     def __len__(self):
         return len(self.nodes)

@@ -46,7 +46,8 @@ behind every generation step: it finds Y with Wr(f, Y) = W by one
 back-substitution sweep down the exponents of Y, never by integrating
 rational functions.  The equations are triangular in the exponents; the
 one zero pivot belongs to the kernel direction Y = f, whose coefficient
-is set to zero.
+is set to zero.  An exponent that no term of W and no coefficient of Y
+already solved reaches is structurally zero and takes no `Cyc` work.
 """
 
 from bisect import bisect_left
@@ -821,13 +822,13 @@ def wronskian_ode_solve(f, w_target, norm):
     fd_inv = fterms[-1][1].inverse()
     y = {}
     for e in reversed(support):
-        if e == d:
-            continue  # y_d = 0: the kernel direction Y = f
+        known = [(ca * (d + e - 2 * a), y[d + e - a]) for a, ca in fterms
+                 if d + e - a in y]
+        if e == d or not known and d + e - D not in w:
+            continue  # y_d = 0 (the kernel direction Y = f), or nothing lands
         acc = w.get(d + e - D, ZERO) * D
-        for a, ca in fterms:
-            known = y.get(d + e - a)
-            if known is not None:
-                acc = acc - ca * (d + e - 2 * a) * known
+        for m, yk in known:
+            acc = acc - m * yk
         y[e] = acc * fd_inv / (e - d)
     particular = QPoly({Fraction(e, D): c for e, c in y.items()})
     if f * particular.derivative() - f.derivative() * particular != w_target:

@@ -188,6 +188,29 @@ def _qstr(n, d):
     return str(n) if d == 1 else f"{n}/{d}"
 
 
+def _text(num, den):
+    """str of the Cyc sum(num[k] w^k) / den, den > 0, whether or not num
+    and den share a factor."""
+    if not any(num[1:]):
+        return _qstr(num[0], den)
+    parts = []
+    for k in range(len(num) - 1, -1, -1):
+        x = num[k]
+        if not x:
+            continue
+        c = _qstr(abs(x), den)
+        if k == 0:
+            term = c
+        else:
+            mon = "w" if k == 1 else f"w^{k}"
+            term = mon if c == "1" else f"{c}*{mon}"
+        if not parts:
+            parts.append(term if x > 0 else "-" + term)
+        else:
+            parts.append(("+ " if x > 0 else "- ") + term)
+    return " ".join(parts)
+
+
 class Cyc:
     """Element of Q(zeta_M), M = self.order: sum(num[k] w^k) / den.
 
@@ -397,24 +420,7 @@ class Cyc:
                    for k, x in enumerate(self.num))
 
     def __str__(self):
-        if self.is_rational():
-            return _qstr(self.num[0], self.den)
-        parts = []
-        for k in range(len(self.num) - 1, -1, -1):
-            x = self.num[k]
-            if not x:
-                continue
-            c = _qstr(abs(x), self.den)
-            if k == 0:
-                term = c
-            else:
-                mon = "w" if k == 1 else f"w^{k}"
-                term = mon if c == "1" else f"{c}*{mon}"
-            if not parts:
-                parts.append(term if x > 0 else "-" + term)
-            else:
-                parts.append(("+ " if x > 0 else "- ") + term)
-        return " ".join(parts)
+        return _text(self.num, self.den)
 
     def __repr__(self):
         return f"Cyc({self.order}, {self})"

@@ -19,7 +19,7 @@ from math import lcm
 from .cartan import (CartanData, DiagramAut, ProblemInstance, Weight,
                      check_rank)
 from .errors import InputError
-from .scalars import Cyc
+from .scalars import Cyc, _text
 
 # `qpoly` and `frame` are imported where a document first needs them, so
 # that `fold`, `lambda0` and reading an instance load neither.
@@ -107,10 +107,11 @@ def parse_scalar(text, order=1):
 # --- quasi-polynomials ---------------------------------------------------
 
 def qpoly_doc(p):
-    """{"denom": D, "terms": {"e*D": scalar string}} with sorted keys."""
-    d = p.denom
-    terms = {str(int(e * d)): scalar_str(c) for e, c in p.terms.items()}
-    return {"denom": d, "terms": terms}
+    """{"denom": D, "terms": {"e*D": scalar string}} with sorted keys,
+    written from the integer layout of p without building a `Cyc`."""
+    nums = p.nums if p.L > 2 else [(n,) for n in p.nums]
+    return {"denom": p.D, "terms": {
+        str(k): _text(n, p.den) for k, n in zip(p.ks, nums)}}
 
 
 # The largest (degree - low exponent) * denom of a quasi-polynomial read
@@ -276,15 +277,16 @@ def tuple_doc_json(y):
 # --- population catalogs ----------------------------------------------------
 
 def catalog_doc(graph):
+    """Each node's "tuple" is read back from the key the BFS serialized."""
     nodes = []
-    for node in graph.nodes:
+    for node, key in zip(graph.nodes, graph.keys):
         entry = {
             "id": node.node_id,
             "parent": node.parent,
             "direction": None if node.step is None
             else node.step.direction + 1,
             "c": None if node.step is None else scalar_str(node.step.c),
-            "tuple": tuple_doc(node.tuple_),
+            "tuple": json.loads(key),
             "lambda_infinity": weight_doc(node.lambda_inf),
             "flags": dict(sorted(node.flags.items())),
         }

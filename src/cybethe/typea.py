@@ -8,6 +8,14 @@ by expanding v(-x) in the dual basis W_k = Wr+(u_1, ..., ^u_k, ..., u_(R+1));
 the special basis, orthogonal complements, memberships and ranks all go
 through the one exact row reduction `linalg._rref`, never numeric rank.
 A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
+
+Every divided Wronskian Wr+ is an entry of one `wronskian_table` divided by
+a D_k of the frame's divisor chain, which each `TypeAFrame` builds once.
+Within one call, readers of the same basis share one table: `apply_flow`
+reads its Gram check and beta from the table of the image basis.  A table
+is never shared between a check and the value it checks: the Gram check
+is compared with `witt.gram`, which came from another basis's table, and
+the check in `kernel_basis` builds its own table.
 """
 
 from fractions import Fraction
@@ -24,15 +32,15 @@ from .frame import (BetheTuple, big_lambda, frame_polys, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
-from .scalars import Cyc, _cyc, _reduce_mod_phi
+from .scalars import ZERO, Cyc, _cyc, _reduce_mod_phi
 
 
 # --- frame data -----------------------------------------------------------
 
 
 class TypeAFrame(Record):
-    __slots__ = _fields = ("r", "p", "ttilde", "lam", "lam_inf_tilde", "d",
-                           "ddag")
+    _fields = ("r", "p", "ttilde", "lam", "lam_inf_tilde", "d", "ddag")
+    __slots__ = _fields + ("divisors",)
 
     def __init__(self, r, p, ttilde, lam, lam_inf_tilde, d, ddag):
         self.r = r              # rank R; spaces have dimension R+1
@@ -42,6 +50,8 @@ class TypeAFrame(Record):
         self.lam_inf_tilde = lam_inf_tilde  # dominant weight at infinity
         self.d = d              # exponents, strictly ascending Fractions
         self.ddag = ddag        # dual exponents, strictly descending
+        # D_0 .. D_(R+1) of `_divisors`: derived, so not a field
+        self.divisors = _divisors(ttilde)
 
 
 class QPSpace(Record):
@@ -161,26 +171,23 @@ def build_frame(inst, y):
 # --- divided Wronskians ----------------------------------------------------
 
 
-def _divisors(frame, n):
-    """[D_0, ..., D_n], D_k = T~_1^(k-1) T~_2^(k-2) ... T~_(k-1): Wr+ of k
-    functions is their Wronskian over D_k.  Built once per `_wr_plus`, as
-    D_k = D_(k-1) T~_1 ... T~_(k-1)."""
+def _divisors(ttilde):
+    """(D_0, ..., D_(R+1)) of T~_1 .. T~_R, D_k = T~_1^(k-1) T~_2^(k-2) ...
+    T~_(k-1): Wr+ of k functions is their Wronskian over D_k.  Built once
+    per `TypeAFrame`, as D_k = D_(k-1) T~_1 ... T~_(k-1)."""
     out, step = [QPoly.one(), QPoly.one()], QPoly.one()
-    for t in frame.ttilde[:n - 1]:
+    for t in ttilde:
         step = step * t
         out.append(out[-1] * step)
-    return out[:n + 1]
+    return tuple(out)
 
 
 def _wr_plus(frame, fs):
     """mask -> Wr+ of the subset of fs with bit i for f_i: the entry of one
-    `wronskian_table` of fs divided exactly by D_|S| of one `_divisors`."""
-    table = wronskian_table(fs)
-    divisors = _divisors(frame, len(fs))
-
-    def wr_plus(mask):
-        return divide_exact(table[mask], divisors[mask.bit_count()])
-    return wr_plus
+    `wronskian_table` of fs divided exactly by D_|S| of `frame.divisors`.
+    One table per basis within a call, read by every mask the call needs."""
+    table, divisors = wronskian_table(fs), frame.divisors
+    return lambda mask: divide_exact(table[mask], divisors[mask.bit_count()])
 
 
 def divided_wr(frame, fs):
@@ -295,14 +302,16 @@ def _span_coefficients(targets, polys):
     """`in_span` of each target, from one row reduction of the coefficient
     matrix of polys with a right-hand side per target.  A target with a
     term where every poly vanishes lies outside the span and takes no
-    column; the others meet the same rows as alone."""
-    exps = _support(polys)
-    known = set(exps)
-    inside = [k for k, t in enumerate(targets) if known.issuperset(t.terms)]
-    matrix = [[p.coeff(e) for p in polys] for e in exps]
+    column; the others meet the same rows as alone.  Each poly's `terms`
+    is read once."""
+    cols, rhs = [p.terms for p in polys], [t.terms for t in targets]
+    known = {e for col in cols for e in col}
+    exps = sorted(known)
+    inside = [k for k, t in enumerate(rhs) if known.issuperset(t)]
+    matrix = [[col.get(e, ZERO) for col in cols] for e in exps]
     out = [None] * len(targets)
     solved = linalg.solve_many(
-        matrix, [[targets[k].coeff(e) for e in exps] for k in inside])
+        matrix, [[rhs[k].get(e, ZERO) for e in exps] for k in inside])
     for k, coeffs in zip(inside, solved):
         out[k] = coeffs
     return out
@@ -355,19 +364,21 @@ def gram_matrix(space, basis):
     Expands u_j(-x) = sum_k C_jk W_k; then B(u_i, u_j) equals
     C_ji (-1)^i Wr+(u_1..u_(R+1)) (0-based i).
     """
+    return _gram(basis, _wr_plus(space.frame, basis))
+
+
+def _gram(basis, wr_plus):
+    """`gram_matrix` of basis from `_wr_plus` of basis."""
     size = len(basis)
-    wr_plus = _wr_plus(space.frame, basis)
     w = _dual(wr_plus, size)
     const = _constant(wr_plus, size)
     cmat = _span_coefficients([u.negate_argument() for u in basis], w)
     if any(coeffs is None for coeffs in cmat):
         raise NotSelfDual(
             "basis vector image under x -> -x leaves the dual space")
-    gram = []
-    for i in range(size):
-        signed = const if i % 2 == 0 else -const
-        gram.append([signed * cmat[j][i] for j in range(size)])
-    return gram
+    signed = (const, -const)
+    return [[signed[i % 2] * cmat[j][i] for j in range(size)]
+            for i in range(size)]
 
 
 def bform(space, u, v):
@@ -396,7 +407,11 @@ def _combine(coeffs, polys):
 def beta(space, adjusted):
     """The tuple y_k = Wr+(u_1..u_k), k = 1..R, monic-normalized."""
     r = space.frame.r
-    wr_plus = _wr_plus(space.frame, adjusted[:r])
+    return _beta(_wr_plus(space.frame, adjusted[:r]), r)
+
+
+def _beta(wr_plus, r):
+    """`beta` from `_wr_plus` of a basis whose first r vectors it reads."""
     return [wr_plus((1 << k) - 1).monic() for k in range(1, r + 1)]
 
 
@@ -718,7 +733,8 @@ def apply_flow(space, witt, generator, c):
     """Apply exp(c * generator) to the Witt flag; returns (flag, tuple).
 
     The new flag is asserted isotropic and the Gram matrix asserted
-    unchanged (the transformation lies in the B-preserving group).
+    unchanged (the transformation lies in the B-preserving group).  The
+    check and beta read one table of the image basis.
     """
     kind, k = generator
     c = c if isinstance(c, Cyc) else Cyc.of(c)
@@ -740,14 +756,15 @@ def apply_flow(space, witt, generator, c):
             for j in range(size):
                 exp[i][j] = exp[i][j] + coeff * power[i][j]
     new_vectors = [_combine(row, witt.vectors) for row in exp]
-    g_new = gram_matrix(space, new_vectors)
+    wr_plus = _wr_plus(space.frame, new_vectors)
+    g_new = _gram(new_vectors, wr_plus)
     if g_new != [list(r) for r in witt.gram]:
         raise InternalInvariantError(
             f"flow {kind}_{k} does not preserve the bilinear form")
     if not isotropy_check(space, new_vectors, gram=g_new):
         raise InternalInvariantError("flow output flag is not isotropic")
-    flag = Flag(space=space, adjusted=tuple(new_vectors))
-    return flag, beta(space, flag.adjusted)
+    return Flag(space=space, adjusted=tuple(new_vectors)), _beta(
+        wr_plus, size - 1)
 
 
 def _mat_mul_c(a, b):

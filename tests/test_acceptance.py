@@ -353,3 +353,48 @@ def test_criterion_10_l2_intermediate(a2, a2_tuple):
     report(10, "L = 2 intermediate satisfies the shifted Bethe equations; "
                "mirrored-order generation matches under x -> -x, c -> -c, "
                "exact")
+
+
+def test_criterion_11_ramified_typea_pipeline():
+    # A_2 with one marked point 1 of site weight (1, 0): the type-A
+    # pipeline on its depth-2 population, with the beta outputs and the
+    # flow images at c = 1/3 pinned by digests recorded before the flows
+    # and beta shared one Wronskian table
+    import hashlib
+    from cybethe import serialize
+    inst = serialize.instance_from_doc({
+        "cartan": "A2", "sigma": "(1 2)", "omega": "-1", "points": ["1"],
+        "site_weights": [["1", "0"]], "lambda0": ["1/2", "1/2"]})
+    graph = explore_population(inst, orbit_data(inst.cartan, inst.aut),
+                               BetheTuple.trivial(2), 2,
+                               [F(1), F(2), F(-1, 2)])
+    c = Cyc.of(F(1, 3))
+    betas, images = [], []
+    for node in graph.nodes:
+        space, flag = kernel_basis(inst, node.tuple_)
+        assert frame_conditions_check(space)["ok"]
+        assert is_cyclotomically_self_dual(space)
+        witt = witt_basis(space, adjusted=flag.adjusted,
+                          quadratic_extension=True)
+        tup = beta(space, flag.adjusted)
+        assert BetheTuple.monic_of(tup) == node.tuple_
+        flows = [apply_flow(space, witt, gen, c)[1]
+                 for gen in available_generators(space)]
+        for image in flows:
+            y = BetheTuple.monic_of(image)
+            assert is_critical_exact(inst, y)[0] and \
+                is_cyclotomic_tuple(inst, y)
+        betas.append(serialize.tuple_doc(tup))
+        images.append([serialize.tuple_doc(image) for image in flows])
+
+    def digest(doc):
+        return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()
+
+    assert len(graph.nodes) == 13 and sum(map(len, images)) == 13
+    assert digest(betas) == \
+        "c32caedb481ac19578b85ba6e560af080c106aa07cc28834ace29d2546bad3f2"
+    assert digest(images) == \
+        "81234cb982ad2962cd56a59a67e197e93d645468101fd9ae1edb0291a365ec28"
+    report(11, "frame clauses, self-duality, beta round trip and critical "
+               "flow images on the 13 nodes of a ramified A_2 population, "
+               "with pinned beta and flow-image digests")

@@ -347,11 +347,20 @@ def both(terms):
     return QPoly(terms), RefQPoly(terms)
 
 
+def _terms_doc(p):
+    """`serialize.qpoly_doc` as it was, written from the `terms` view: the
+    reference for the document of a `RefQPoly`, which has no int layout."""
+    d = p.denom
+    return {"denom": d, "terms": {str(int(e * d)): str(c)
+                                  for e, c in p.terms.items()}}
+
+
 def outcome(p):
     """Value, order, keys with their types, Cyc fields, text and bytes."""
+    doc = qpoly_doc(p) if isinstance(p, QPoly) else _terms_doc(p)
     return (p.field_order(), [(type(e), e) for e in p.terms],
             [(c.order, c.num, c.den) for c in p.terms.values()],
-            str(p), dumps(qpoly_doc(p)))
+            str(p), dumps(doc))
 
 
 def run(op, *args):

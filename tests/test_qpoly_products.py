@@ -239,3 +239,133 @@ def test_every_operation_keeps_one_coefficient_field(ft, gt, ht):
             pass
     for p in results:
         assert _one_field(p), p.terms
+
+
+def _full_sweep_ode_solve(f, w_target, norm):
+    """`wronskian_ode_solve` as it was before it skipped the structurally
+    zero steps: one `Cyc` step at every exponent of the support."""
+    if f.is_zero():
+        raise NoSolution("kernel function f must be nonzero")
+    kind, pin = norm[0], F(norm[1])
+    if w_target.is_zero():
+        return QPoly.zero(), f
+    D = lcm(f.D, w_target.D, pin.denominator)
+    fterms = list(zip(f._lift(f.L, D)[0], f.terms.values()))
+    w = dict(zip(w_target._lift(w_target.L, D)[0], w_target.terms.values()))
+    d, P = fterms[-1][0], pin.numerator * (D // pin.denominator)
+    hi = max(max(w) - d + D, d)
+    if kind == "coeff_zero":
+        if fterms[0][0] < 0:
+            raise ValueError("the coeff_zero rule needs f without negative "
+                             "exponents")
+        support = range(hi + 1)
+    else:
+        if P % D in {k % D for k, _ in fterms}:
+            raise AmbiguousNormalization("pinned class meets f")
+        support = range(P, max(hi, P) + 1, D)
+    fd_inv = fterms[-1][1].inverse()
+    y = {}
+    for e in reversed(support):
+        if e == d:
+            continue
+        acc = w.get(d + e - D, Cyc.of(0)) * D
+        for a, ca in fterms:
+            known = y.get(d + e - a)
+            if known is not None:
+                acc = acc - ca * (d + e - 2 * a) * known
+        y[e] = acc * fd_inv / (e - d)
+    particular = QPoly({F(e, D): c for e, c in y.items()})
+    if f * particular.derivative() - f.derivative() * particular != w_target:
+        raise NoSolution("Wr(f, Y) = W has no quasi-polynomial solution")
+    if kind == "coeff_zero":
+        fpin = f.coeff(pin)
+        if fpin.is_zero():
+            raise AmbiguousNormalization("f vanishes at the pin")
+        particular = particular - f.scale(particular.coeff(pin) / fpin)
+    return particular, f
+
+
+def _sweep_outcome(solve, f, w, norm):
+    """The error type, or Y's terms with each value and order, and str(Y)."""
+    try:
+        y, hom = solve(f, w, norm)
+    except (NoSolution, AmbiguousNormalization, ValueError) as exc:
+        return type(exc).__name__
+    assert hom is f
+    return [(e, c.order, c.vec) for e, c in y.terms.items()], str(y)
+
+
+@st.composite
+def sparse_qpolys(draw, denom, order, low=0):
+    """One to three terms over Q(zeta_order), spread over (1/denom)Z."""
+    exps = draw(st.lists(st.integers(low, 24), min_size=1, max_size=3,
+                         unique=True))
+    return QPoly({F(k, denom): draw(cycs(order, nonzero=True))
+                  for k in exps})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from((1, 2, 3, 6)),
+       st.sampled_from(("solvable", "inconsistent", "ambiguous")),
+       st.sampled_from(("coeff_zero", "holomorphic_at_zero")))
+def test_ode_sweep_skips_only_structurally_zero_steps(data, denom, case,
+                                                       kind):
+    # sparse f and W over orders {1, 2, 3, 4, 8}: most steps of the full
+    # sweep land on no term, and the two sweeps must agree on the value,
+    # order and text of Y, or on the error
+    orders = st.sampled_from((1, 2, 3, 4, 8))
+    low = 0 if kind == "coeff_zero" else data.draw(st.sampled_from((0, -2)))
+    f = data.draw(sparse_qpolys(denom, data.draw(orders), low))
+    g = data.draw(sparse_qpolys(denom, data.draw(orders)))
+    w = wronskian([f, g])
+    if case == "inconsistent":
+        w = w + data.draw(sparse_qpolys(denom, data.draw(orders)))
+    f_classes = {e - e.__floor__() for e in f.terms}
+    if case == "ambiguous" and kind == "coeff_zero":
+        # a pin where f vanishes
+        pin = data.draw(st.sampled_from(sorted(
+            {F(k, denom) for k in range(-2 * denom, 30)} - set(f.terms))))
+    elif case == "ambiguous":
+        # a class that meets f
+        pin = data.draw(st.sampled_from(sorted(f.terms))) + \
+            data.draw(st.integers(-1, 2))
+    elif kind == "coeff_zero":
+        pin = data.draw(st.sampled_from(sorted(f.terms)))
+    else:
+        # the class of a term of g where f has none, pinned at or below it
+        free = [e for e in g.terms if e - e.__floor__() not in f_classes]
+        free = free or [F(k, 6) for k in range(6) if F(k, 6) not in f_classes]
+        pin = data.draw(st.sampled_from(sorted(free))) - \
+            data.draw(st.integers(0, 2))
+    norm = (kind, pin)
+    want = _sweep_outcome(_full_sweep_ode_solve, f, w, norm)
+    assert _sweep_outcome(wronskian_ode_solve, f, w, norm) == want
+    if w.is_zero():
+        assert want[1] == "0"
+    elif case == "ambiguous":
+        assert want == "AmbiguousNormalization"
+    elif case == "solvable" and kind == "coeff_zero":
+        assert not isinstance(want, str)
+
+
+def test_ode_sweep_cases_reach_every_outcome():
+    # the property above meets solutions and both errors on both rules
+    seen = set()
+    for denom, kind, g, extra, pin in (
+            (1, "coeff_zero", QPoly.x_power(7, 2), None, 0),
+            (2, "coeff_zero", QPoly.x_power(F(9, 2)), QPoly.x_power(1), 0),
+            (3, "coeff_zero", QPoly.x_power(5), None, F(1, 3)),
+            (6, "holomorphic_at_zero", QPoly.x_power(F(13, 6)), None,
+             F(1, 6)),
+            (2, "holomorphic_at_zero", QPoly.x_power(F(5, 2)),
+             QPoly.x_power(F(1, 2)), F(1, 2)),
+            (1, "holomorphic_at_zero", QPoly.x_power(3), None, 1)):
+        f = QPoly({0: Cyc.root_of_unity(8), 4: Cyc.of(-3)})
+        w = wronskian([f, g]) + (extra or QPoly.zero())
+        outcome = _sweep_outcome(wronskian_ode_solve, f, w, (kind, pin))
+        assert outcome == _sweep_outcome(_full_sweep_ode_solve, f, w,
+                                         (kind, pin))
+        seen.add((kind, outcome if isinstance(outcome, str) else "solved"))
+    assert seen == {(k, o) for k in ("coeff_zero", "holomorphic_at_zero")
+                    for o in ("solved", "NoSolution",
+                              "AmbiguousNormalization")}

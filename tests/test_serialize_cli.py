@@ -127,6 +127,46 @@ def test_tuple_round_trip_byte_stable():
     assert serialize.tuple_doc_json(reparsed) == blob
 
 
+def _terms_doc(p):
+    """`qpoly_doc` as it was, from the `terms` view and Fraction keys."""
+    d = p.denom
+    return {"denom": d, "terms": {str(int(e * d)): serialize.scalar_str(c)
+                                  for e, c in p.terms.items()}}
+
+
+def test_qpoly_doc_writes_the_int_layout_as_the_terms_view(monkeypatch):
+    # orders 1 .. 12 with shared factors in the numerators, Laurent and
+    # fractional exponents, and a term whose numerator shares a factor
+    # with the common denominator but not with the other terms
+    w3, i = Cyc.root_of_unity(3), Cyc.root_of_unity(4)
+    polys = [QPoly.zero(), QPoly.one(), poly(-1, 0, 0, 1),
+             QPoly({F(-3, 2): F(2, 3), F(1, 2): F(-4, 9), F(5): 6}),
+             QPoly({0: w3 * 2 + 4, F(1, 3): -w3 / 6, 2: Cyc.of(-1, 3)}),
+             QPoly({F(1, 2): i, F(3): Cyc.of(F(-2, 5))}),
+             QPoly({1: Cyc.root_of_unity(8, 3) * F(3, 4) + 1,
+                    7: Cyc.root_of_unity(12, 5) - 2})]
+    want = [_terms_doc(p) for p in polys]
+    monkeypatch.setattr(QPoly, "terms", property(
+        lambda self: pytest.fail("qpoly_doc read the terms view")))
+    assert [serialize.qpoly_doc(p) for p in polys] == want
+    assert [serialize.dumps(serialize.qpoly_doc(p)) for p in polys] == \
+        [serialize.dumps(doc) for doc in want]
+
+
+def test_catalog_doc_reads_each_tuple_from_its_bfs_key(a3, monkeypatch):
+    from cybethe.genengine import explore_population
+    inst, fold = a3
+    graph = explore_population(inst, fold, BetheTuple.trivial(3), 2,
+                               [F(1), F(2)])
+    want = [serialize.tuple_doc(node.tuple_) for node in graph.nodes]
+    assert graph.keys == [serialize.dumps(doc) for doc in want]
+    monkeypatch.setattr(serialize, "tuple_doc", lambda y: pytest.fail(
+        "catalog_doc serialized a tuple again"))
+    doc = serialize.catalog_doc(graph)
+    assert [entry["tuple"] for entry in doc["nodes"]] == want
+    assert len(want) == 19
+
+
 def test_instance_round_trip():
     inst = serialize.instance_from_doc(A2_INSTANCE)
     doc = serialize.instance_doc(inst)

@@ -82,3 +82,23 @@ def test_rep_calls_compares_one_smoke_rep(tmp_path):
     assert (old, name) == ("0", "~:<method 'strip' of 'str' objects>")
     assert int(new) == int(change) > 0
     assert out.stdout.splitlines()[-1].startswith("keep digest DIFFERS: ")
+
+
+def test_rep_calls_counts_named_functions_moved_or_not():
+    src = ROOT / "src"
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "rep_calls.py"), str(src),
+         str(src), "--workload", "populate_d4", "--size", "smoke",
+         "--count", "serialize.py:tuple_doc", "--count", "no such name"],
+        capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    first = lines.index("counts of functions matching "
+                        "'serialize.py:tuple_doc':")
+    assert lines[first + 3] == "counts of functions matching 'no such name':"
+    rows = [line.split() for line in lines[first + 1:first + 3]]
+    # tuple_doc and tuple_doc_json did not move, and are printed anyway
+    assert [name for *_, name in rows] == [
+        "cybethe/serialize.py:tuple_doc", "cybethe/serialize.py:tuple_doc_json"]
+    assert all(old == new and int(old) > 0 for old, new, _ in rows)
+    assert lines[first + 4].startswith("keep digest same: ")

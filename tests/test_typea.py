@@ -1,10 +1,14 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from conftest import poly
-from cybethe.cartan import Weight
+from cybethe import serialize
+from cybethe.cartan import Weight, orbit_data
 from cybethe.errors import NotInRootCone, NotIsotropic
 from cybethe.frame import (BetheTuple, is_critical_exact,
                            is_cyclotomic_tuple)
@@ -21,6 +25,12 @@ from cybethe.typea import (QPSpace, apply_flow, available_generators,
                            kernel_basis, rational_sqrt, _cyclotomic_sqrt,
                            special_basis_from, normalized_witt_basis,
                            witt_basis, wr_constant, in_span)
+
+
+A4_CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
+    "a4_depth2_catalog.json"
+A4_DOC = {"cartan": {"series": "A", "rank": 4}, "sigma": "(1 4)(2 3)",
+          "M": 2, "omega": "-1", "lambda0": ["0", "1/2", "1/2", "0"]}
 
 
 def a2_space(a2, a2_tuple):
@@ -595,33 +605,114 @@ def test_flow_vs_generation_solves_one_family(a2, a2_tuple, params,
     assert len(calls) == 4
 
 
+def _ramified_a4(site_weight):
+    """A4, sigma = (1 4)(2 3), omega = -1, lambda0 = (0, 1/2, 1/2, 0) and
+    one marked point 1: T~_i is no monomial, so every Wr+ divides by a
+    general divisor."""
+    return serialize.instance_from_doc({
+        "cartan": "A4", "sigma": "(1 4)(2 3)", "omega": "-1",
+        "points": ["1"], "site_weights": [site_weight],
+        "lambda0": ["0", "1/2", "1/2", "0"]})
+
+
+# node count, sha256 of the beta outputs and sha256 of the flow images at
+# c = 1/3 of the depth-2 population, samples {1, 2, -1/2}, recorded before
+# the flows and beta shared one Wronskian table and the frame held D_k
+RAMIFIED_PINS = {
+    ("1", "0", "0", "1"): (
+        43, "3f78e8afdf777b178dfc3a621baa7d20f7c6d89525e3c3271731d9149df494dc",
+        "6e0fda801826253391cc075412bdb80cd4f0e68fbd2b210ff5368e4dad724fe1"),
+    ("0", "1", "1", "0"): (
+        40, "bdc85bca2e899c2937688abeb6ea93fded20d56ae0704e91d78d002e1ec49b0b",
+        "e7dd87ca1e720af6d00261422ef372db3771d14a49069b7072cd82daca297220"),
+}
+
+
+@pytest.fixture(scope="module")
+def ramified():
+    """(instance, [(space, flag, Witt basis) per node]) of each pin."""
+    out = {}
+    for weight in RAMIFIED_PINS:
+        inst = _ramified_a4(list(weight))
+        graph = explore_population(
+            inst, orbit_data(inst.cartan, inst.aut), BetheTuple.trivial(4),
+            2, [F(1), F(2), F(-1, 2)])
+        nodes = []
+        for node in graph.nodes:
+            space, flag = kernel_basis(inst, node.tuple_)
+            nodes.append((space, flag, witt_basis(
+                space, adjusted=flag.adjusted, quadratic_extension=True)))
+        out[weight] = inst, nodes
+    return out
+
+
+def _sha256(doc):
+    return hashlib.sha256(serialize.dumps(doc).encode()).hexdigest()
+
+
+def test_ramified_a4_beta_and_flow_image_pins(ramified, monkeypatch):
+    from cybethe import typea
+    general = []
+    divide = typea.divide_exact
+
+    def counted(f, g):
+        general.append(not g.is_monomial())
+        return divide(f, g)
+
+    monkeypatch.setattr(typea, "divide_exact", counted)
+    c = Cyc.of(F(1, 3))
+    for weight, (count, beta_pin, image_pin) in RAMIFIED_PINS.items():
+        _, nodes = ramified[weight]
+        betas, images = [], []
+        for space, flag, witt in nodes:
+            betas.append(serialize.tuple_doc(beta(space, flag.adjusted)))
+            images.append([serialize.tuple_doc(
+                apply_flow(space, witt, gen, c)[1])
+                for gen in available_generators(space)])
+        assert len(nodes) == count, weight
+        assert _sha256(betas) == beta_pin, weight
+        assert _sha256(images) == image_pin, weight
+    # the pins read Wr+ through general divisions, not only monomial ones
+    assert general.count(True) > 1000 and general.count(False) > 100
+
+
 def test_divisors_match_the_product_rule():
-    from types import SimpleNamespace
-    from cybethe.typea import _divisors
+    from cybethe.typea import _divisors, build_frame
     ttilde = (poly(1, 1), QPoly({F(1, 2): 2, F(0): -1}), poly(-3, 0, 1),
               QPoly({F(-1, 2): Cyc.root_of_unity(4), F(1): 1}))
-    divisors = _divisors(SimpleNamespace(ttilde=ttilde), 5)
-    assert len(divisors) == 6
-    for k, got in enumerate(divisors):
-        want = QPoly.one()
-        for j in range(k - 1):
-            want = want * ttilde[j] ** (k - 1 - j)
-        assert got == want, k
+    assert len(_divisors(ttilde)) == 6
+    # and the chain a frame with a marked point holds
+    frame = build_frame(_ramified_a4(["1", "0", "0", "1"]),
+                        BetheTuple.trivial(4))
+    assert not all(t.is_monomial() for t in frame.ttilde)
+    for tt, divisors in ((ttilde, _divisors(ttilde)),
+                         (frame.ttilde, frame.divisors)):
+        assert len(divisors) == len(tt) + 2
+        for k, got in enumerate(divisors):
+            want = QPoly.one()
+            for j in range(k - 1):
+                want = want * tt[j] ** (k - 1 - j)
+            assert got == want, k
 
 
-def test_each_table_reader_builds_its_divisors_once(a2, a2_tuple,
-                                                    monkeypatch):
+def test_divisors_are_built_once_per_frame_and_never_by_a_reader(
+        a2, a2_tuple, monkeypatch):
     from cybethe import typea
     inst, _ = a2
     space, flag = kernel_basis(inst, a2_tuple)
-    calls = []
-    build = typea._divisors
+    calls, frames = [], []
+    build, build_frame = typea._divisors, typea.build_frame
 
-    def counted(frame, n):
-        calls.append(n)
-        return build(frame, n)
+    def counted(ttilde):
+        calls.append(len(ttilde))
+        return build(ttilde)
+
+    def counted_frame(*args):
+        frames.append(1)
+        return build_frame(*args)
 
     monkeypatch.setattr(typea, "_divisors", counted)
+    monkeypatch.setattr(typea, "build_frame", counted_frame)
     basis = list(space.basis)
     readers = {"frame_conditions_check": lambda: frame_conditions_check(space),
                "dual_basis": lambda: dual_basis(space),
@@ -631,8 +722,61 @@ def test_each_table_reader_builds_its_divisors_once(a2, a2_tuple,
                "kernel_basis": lambda: kernel_basis(inst, a2_tuple)}
     for name, read in readers.items():
         calls.clear()
+        frames.clear()
         read()
-        assert calls == [2 if name in ("beta", "kernel_basis") else 3], name
+        # kernel_basis builds one frame, and the frame its divisor chain
+        assert calls == [2] * len(frames), name
+        assert len(frames) == (name == "kernel_basis"), name
+    # the chain is derived data: equality, hash and repr ignore it
+    frame = space.frame
+    twin = typea.TypeAFrame(*(getattr(frame, f) for f in frame._fields))
+    assert twin == frame and hash(twin) == hash(frame)
+    assert repr(twin) == repr(frame) and "divisors" not in repr(frame)
+    assert twin.divisors == frame.divisors
+
+
+def _flow_beta_cases(inst_nodes, monkeypatch):
+    """For each node and generator: the number of Wronskian tables
+    `apply_flow` builds, its tuple and `beta` of its flag."""
+    from cybethe import typea
+    tables = []
+    table = typea.wronskian_table
+
+    def counted(fs):
+        tables.append(1)
+        return table(fs)
+
+    c = Cyc.of(F(1, 3))
+    for space, flag, witt in inst_nodes:
+        for gen in available_generators(space):
+            with monkeypatch.context() as patch:
+                patch.setattr(typea, "wronskian_table", counted)
+                tables.clear()
+                out_flag, tup = apply_flow(space, witt, gen, c)
+                built = len(tables)
+            yield built, tup, beta(space, out_flag.adjusted)
+
+
+def test_apply_flow_builds_one_table_whose_prefixes_are_beta(ramified,
+                                                             monkeypatch):
+    inst = serialize.instance_from_doc(A4_DOC)
+    catalog = json.loads(A4_CATALOG.read_text())
+    nodes = []
+    for node in catalog["nodes"]:
+        space, flag = kernel_basis(
+            inst, serialize.tuple_from_doc(node["tuple"], inst.M))
+        nodes.append((space, flag, witt_basis(
+            space, adjusted=flag.adjusted, quadratic_extension=True)))
+    for _, ramified_nodes in ramified.values():
+        nodes += ramified_nodes
+    flows = 0
+    for built, tup, want in _flow_beta_cases(nodes, monkeypatch):
+        assert built == 1
+        assert tup == want
+        assert [(p.field_order(), str(p)) for p in tup] == \
+            [(p.field_order(), str(p)) for p in want]
+        flows += 1
+    assert flows == 2 * len(nodes) > 200
 
 
 def _in_span_alone(target, polys):

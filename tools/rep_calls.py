@@ -1,6 +1,7 @@
 """Call counts of one warm workload rep under cProfile, for two source trees.
 
     python tools/rep_calls.py OLD_SRC NEW_SRC --workload W [--size smoke|full]
+                              [--count NAME ...]
 
 OLD_SRC and NEW_SRC are directories holding a `cybethe` package, such as
 the `src` of two checkouts.  For each tree a fresh process puts the tree
@@ -13,6 +14,10 @@ counts moved most.  A function is named by its path inside the tree (or
 its standard-library path) and its name, so the same function matches
 across trees whose line numbers differ.  Exits 1 when the two reps' keep
 digests (the catalog or flow-image hashes the benchmark pins) differ.
+
+`--count NAME` (repeatable) also prints both trees' counts of every
+function whose name contains NAME, moved or not, so counts named in
+advance come from one command.
 
 Call counts repeat exactly from run to run, where the time of one rep
 spreads widely on a shared machine, so they size each mechanism of a
@@ -76,6 +81,9 @@ def main(argv=None):
     parser.add_argument("new", type=Path)
     parser.add_argument("--workload", required=True, choices=IN_PROCESS)
     parser.add_argument("--size", choices=("smoke", "full"), default="full")
+    parser.add_argument("--count", action="append", default=[],
+                        metavar="NAME", help="also print the counts of "
+                        "every function whose name contains NAME")
     args = parser.parse_args(argv)
     for src in (args.old, args.new):
         if not (src / "cybethe" / "__init__.py").is_file():
@@ -94,6 +102,11 @@ def main(argv=None):
         if delta:
             print(f"{old['calls'].get(name, 0):9d} "
                   f"{new['calls'].get(name, 0):9d} {delta:+9d}  {name}")
+    for pattern in args.count:
+        print(f"counts of functions matching {pattern!r}:")
+        for name in sorted(n for n in names if pattern in n):
+            print(f"{old['calls'].get(name, 0):9d} "
+                  f"{new['calls'].get(name, 0):9d}  {name}")
     same = old["digest"] == new["digest"]
     print(f"keep digest {'same' if same else 'DIFFERS'}: "
           f"{old['digest'][:16]} -> {new['digest'][:16]}")
