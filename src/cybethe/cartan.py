@@ -407,9 +407,26 @@ def inner_product(cartan, lam, mu):
 # --- problem instances and the canonical weight at the origin --------------
 
 
+def _orbit_reps(a, aut):
+    """((i, (j, ...)), ...) in ascending i: the least node i of each
+    sigma-orbit of nodes, with each j > i such that a_ij != 0 and (i, j) is
+    the lexicographically least member of the sigma-orbit of the edge {i, j}.
+    The first node of a least edge is the least of its orbit."""
+    def least(*nodes):
+        images, cur = [], tuple(sorted(nodes))
+        while cur not in images:
+            images.append(cur)
+            cur = tuple(sorted(aut(v) for v in cur))
+        return min(images)
+    n = len(a)
+    return tuple((i, tuple(j for j in range(i + 1, n)
+                           if a[i][j] and least(i, j) == (i, j)))
+                 for i in range(n) if least(i) == (i,))
+
+
 class ProblemInstance(Record):
-    __slots__ = _fields = ("cartan", "aut", "omega", "points",
-                           "site_weights", "lambda0")
+    _fields = ("cartan", "aut", "omega", "points", "site_weights", "lambda0")
+    __slots__ = _fields + ("orbit_reps",)
 
     def __init__(self, cartan, aut, omega, points, site_weights, lambda0):
         aut.validate_for(cartan)
@@ -446,6 +463,8 @@ class ProblemInstance(Record):
         self.points = points              # nonzero Cyc scalars z_s
         self.site_weights = site_weights  # a dominant integral Weight each
         self.lambda0 = lambda0
+        # `_orbit_reps` of the nodes and edges: derived, so not a field
+        self.orbit_reps = _orbit_reps(cartan.a, aut)
 
     @property
     def M(self):

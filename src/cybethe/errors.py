@@ -69,6 +69,10 @@ class NotGeneric(CybetheError):
     pass
 
 
+class NotCyclotomic(CybetheError):
+    pass
+
+
 class UnsupportedType(CybetheError):
     pass
 

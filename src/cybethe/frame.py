@@ -20,6 +20,21 @@ That polynomial identity is exactly the statement that the logarithmic
 derivative of x^gamma T_i (x - t)^2 prod y_j^... vanishes at every root t
 of y_i, i.e. the Bethe equations hold at all roots simultaneously, without
 ever leaving the coefficient field.
+
+The cyclotomic Bethe equations are the extended ones at the orbit
+representatives.  A ProblemInstance has M = |sigma|, omega a primitive
+M-th root, sigma preserving A and a sigma-invariant L0, and `frame_polys`
+builds T_i from the omega-orbits of the points, so T_{sigma i}(omega x) =
+e T_i(x) and, for a cyclotomic tuple (y_{sigma i}(omega x) = c y_i(x)),
+P_{sigma i}(omega x) = k P_i(x) for constants e, k.  The residue R_i =
+(gamma P + x P') y_i' - x P y_i'' then satisfies R_{sigma i}(omega x) =
+(k c / omega) R_i(x), so y_{sigma i} | R_{sigma i} iff y_i | R_i.  The roots
+of y_{sigma i} and T_{sigma i} are omega times those of y_i and T_i, and
+sigma maps edges of A to edges, so squarefreeness, a root at 0, a root
+shared with T_i and a root shared with y_j (a_ij != 0) each hold at every
+member of a sigma-orbit of nodes or edges when they hold at one.
+`is_critical_exact(mode="cyclotomic")` therefore proves a cyclotomic tuple
+at `ProblemInstance.orbit_reps` only.
 """
 
 from fractions import Fraction
@@ -30,7 +45,8 @@ from operator import mul
 from .cartan import Weight, inner_product, sigma_on_weight, weight_orbit
 # defined in `cartan`, so that reading an instance loads no `frame`
 from .cartan import ProblemInstance, canonical_lambda0  # noqa: F401
-from .errors import InexactDivision, InputError, NegativeExponent, NotGeneric
+from .errors import (InexactDivision, InputError, NegativeExponent,
+                     NotCyclotomic, NotGeneric)
 from .qpoly import (QPoly, _sum_of_products, divide_exact, is_squarefree,
                     proportional, qgcd)
 from .scalars import Cyc
@@ -107,14 +123,21 @@ def t_tilde(inst, i, t=None):
     return QPoly.x_power(inst.gamma(i)) * base
 
 
-def is_generic(inst, y, t=None):
+def is_generic(inst, y, t=None, reps=None):
     """Genericity of the tuple with respect to the frame polynomials.
 
     Returns (ok, witness); the witness names the first failing condition.
+    The loop runs over `reps`, pairs (i, js) in ascending i as in
+    `ProblemInstance.orbit_reps`: the conditions on y_i alone, then y_i
+    coprime to y_j for each j in js.  By default every node i comes with
+    each later neighbour j.
     """
     t = t or frame_polys(inst)
-    a = inst.cartan.a
-    for i, yi in enumerate(y):
+    if reps is None:
+        a, n = inst.cartan.a, len(y)
+        reps = [(i, [j for j in range(i + 1, n) if a[i][j]]) for i in range(n)]
+    for i, js in reps:
+        yi = y[i]
         if yi.degree == 0:
             continue
         if yi.coeff(0).is_zero():
@@ -124,10 +147,10 @@ def is_generic(inst, y, t=None):
         g = qgcd(yi, t[i])
         if g.degree != 0:
             return False, f"y_{i} shares a root with T_{i}"
-        # j < i passed at step j (the zero pattern of a is symmetric), or
-        # y_j is a constant and shares no root
-        for j in range(i + 1, len(y)):
-            if a[i][j] != 0 and qgcd(yi, y[j]).degree != 0:
+        # each edge once, at its lesser node (the zero pattern of a is
+        # symmetric); an edge at a constant y_i shares no root
+        for j in js:
+            if qgcd(yi, y[j]).degree != 0:
                 return False, f"y_{i} shares a root with y_{j}"
     return True, None
 
@@ -148,41 +171,55 @@ def interaction_product(inst, y, i, t=None):
 def is_critical_exact(inst, y, mode="extended", t=None, lambda0_override=None):
     """Residue-divisibility criticality test.
 
-    Returns (ok, report) with a per-colour record {divides, witness}.
-    `mode` is informational: the cyclotomic equations are equivalent to the
-    extended ones on the same tuple, so both run the identical test.
-    `lambda0_override` substitutes a different weight at the origin in the
-    equations (used for the shifted equations satisfied by the L = 2
-    intermediate tuples); it need not be sigma-invariant.
+    Returns (ok, report) with a per-colour record {divides, witness}, and
+    raises NotGeneric naming the first failing genericity condition.
+    `mode="extended"` proves every colour.  `mode="cyclotomic"` raises
+    NotCyclotomic unless the tuple is cyclotomic, then proves the colours
+    and edges of `ProblemInstance.orbit_reps` only (see the module
+    docstring); its report holds those colours.  A failing condition's
+    representative fails too and comes no later in the loop, so the
+    NotGeneric witness is the extended mode's.
+    `lambda0_override` (extended mode only) substitutes a different weight
+    at the origin in the equations (used for the shifted equations
+    satisfied by the L = 2 intermediate tuples); it need not be
+    sigma-invariant.
     """
     if mode not in ("extended", "cyclotomic"):
         raise InputError(f"unknown mode {mode!r}")
+    if mode == "cyclotomic":
+        if lambda0_override is not None:
+            raise InputError("lambda0_override needs mode='extended'")
+        if not is_cyclotomic_tuple(inst, y):
+            raise NotCyclotomic("the tuple is not cyclotomic")
     t = t or frame_polys(inst)
-    ok, witness = is_generic(inst, y, t=t)
+    reps = inst.orbit_reps if mode == "cyclotomic" else None
+    ok, witness = is_generic(inst, y, t=t, reps=reps)
     if not ok:
         raise NotGeneric(witness)
-    report, overall, x = {}, True, QPoly.x_power(1)
-    for i, yi in enumerate(y):
-        if yi.degree == 0:
-            report[i] = {"divides": True, "witness": None}
-            continue
-        gamma = inst.gamma(i) if lambda0_override is None \
-            else lambda0_override[i]
-        p, dy = interaction_product(inst, y, i, t=t), yi.derivative()
-        # (gamma P + x P') y' - x P y'' as one sum of products
-        expr = _sum_of_products([c for c in (
-            (gamma, p, dy), (1, x * p.derivative(), dy),
-            (-1, x * p, dy.derivative())) if all(c)], lcm(p.L, yi.L))
-        if expr.is_zero():
-            report[i] = {"divides": True, "witness": None}
-            continue
-        try:
-            quotient = divide_exact(expr, yi)
-            report[i] = {"divides": True, "witness": quotient}
-        except InexactDivision:
-            report[i] = {"divides": False, "witness": None}
-        overall = overall and report[i]["divides"]
-    return overall, report
+    gamma = inst.lambda0 if lambda0_override is None else lambda0_override
+    colours = range(len(y)) if reps is None else [i for i, _ in reps]
+    report = {i: _residue(inst, y, i, gamma[i], t) for i in colours}
+    return all(r["divides"] for r in report.values()), report
+
+
+def _residue(inst, y, i, gamma, t):
+    """{divides, witness}: whether y_i divides (gamma P + x P') y_i' -
+    x P y_i'', with the quotient as the witness."""
+    yi = y[i]
+    if yi.degree == 0:
+        return {"divides": True, "witness": None}
+    p, dy = interaction_product(inst, y, i, t=t), yi.derivative()
+    x = QPoly.x_power(1)
+    # (gamma P + x P') y' - x P y'' as one sum of products
+    expr = _sum_of_products([c for c in (
+        (gamma, p, dy), (1, x * p.derivative(), dy),
+        (-1, x * p, dy.derivative())) if all(c)], lcm(p.L, yi.L))
+    if expr.is_zero():
+        return {"divides": True, "witness": None}
+    try:
+        return {"divides": True, "witness": divide_exact(expr, yi)}
+    except InexactDivision:
+        return {"divides": False, "witness": None}
 
 
 def is_cyclotomic_tuple(inst, y):
@@ -289,10 +326,13 @@ def _typea_lambda0_violations(inst, p):
 # --- eigenvalues ---------------------------------------------------------
 
 
-def _log_deriv_at(poly, point):
-    """y'(z)/y(z) as an exact scalar; the point must avoid the roots."""
+def _log_deriv_at(poly, point, pairing):
+    """y'(z)/y(z) as an exact scalar, for a term with coefficient
+    `pairing`; None at a root of y when the pairing is 0."""
     val = poly.eval_at(point)
     if val.is_zero():
+        if not pairing:
+            return None
         raise InputError("eigenvalue evaluation hits a Bethe root at a site")
     return poly.derivative().eval_at(point) / val
 
@@ -317,6 +357,12 @@ def eigenvalues(inst, y, check_critical=True):
     The match verdict asserts E~ at the site carrying sigma^k Lambda_s at
     omega^k z_s equals omega^-k E^(s), and that the origin eigenvalue is
     zero (for M > 1).
+
+    The colour-c term at a site of weight Lambda carries the factor
+    (Lambda, alpha_c), and f_c v_Lambda = 0 when <Lambda, alpha_c^vee> = 0:
+    no Bethe vector component lowers that site by alpha_c, so the term has
+    no pole at the site.  Genericity allows a root of y_c there (T_c has no
+    factor at it), and such a term is skipped rather than evaluated.
     """
     cartan = inst.cartan
     cartan.weight_gram  # SingularCartan up front, before any other work
@@ -348,10 +394,10 @@ def eigenvalues(inst, y, check_critical=True):
             if yc.degree == 0:
                 continue
             for s, cur_alpha in enumerate(weight_orbit(inst.aut, alpha[c])):
-                u = omega ** (-s) * zi
-                term = Cyc.of(ip(lam_i, cur_alpha)) * omega ** (-s) \
-                    * _log_deriv_at(yc, u)
-                acc = acc - term
+                pairing = ip(lam_i, cur_alpha)
+                ratio = _log_deriv_at(yc, omega ** (-s) * zi, pairing)
+                if ratio is not None:
+                    acc = acc - Cyc.of(pairing) * omega ** (-s) * ratio
         tail = Cyc.of(ip(lam_i, inst.lambda0))
         for s in range(1, M):
             tail = tail + Cyc.of(ip(lam_i, orbits[i][s])) / (1 - omega ** s)
@@ -369,7 +415,10 @@ def eigenvalues(inst, y, check_critical=True):
         for c, yc in enumerate(y):
             if yc.degree == 0:
                 continue
-            acc = acc - Cyc.of(ip(lam, alpha[c])) * _log_deriv_at(yc, z)
+            pairing = ip(lam, alpha[c])
+            ratio = _log_deriv_at(yc, z, pairing)
+            if ratio is not None:
+                acc = acc - Cyc.of(pairing) * ratio
         ext.append(acc)
 
     match = True

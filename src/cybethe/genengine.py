@@ -20,14 +20,15 @@ the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
 
 `explore_population` runs a bounded, deterministic BFS: one family per
 (node, direction), swept over the samples by arithmetic; each new tuple,
-after deduplication, gets one proof (criticality with its genericity
-precondition, then cyclotomy) and the weight-at-infinity dichotomy.
+after deduplication, gets one proof (`is_critical_exact` in its cyclotomic
+mode: cyclotomy, then genericity and criticality at the orbit
+representatives) and the weight-at-infinity dichotomy.
 """
 
 from .cartan import Record, folded_reflect
 from .errors import (ExceptionalParameter, InputError,
-                     InternalInvariantError, NotGeneric, SeedInvalid,
-                     UnsupportedType)
+                     InternalInvariantError, NotCyclotomic, NotGeneric,
+                     SeedInvalid, UnsupportedType)
 from .frame import (BetheTuple, frame_polys, interaction_product,
                     is_critical_exact, is_cyclotomic_tuple, is_generic,
                     l1_violation, weight_at_infinity)
@@ -176,17 +177,18 @@ def _replaced(y, j, p):
 
 
 def _checked(inst, out, c, kind, t):
-    """The one proof of a generated tuple: generic, critical, cyclotomic."""
+    """The one proof of a generated tuple: cyclotomic, then generic and
+    critical at the orbit representatives."""
     try:
-        critical, _ = is_critical_exact(inst, out, t=t)
+        critical, _ = is_critical_exact(inst, out, mode="cyclotomic", t=t)
     except NotGeneric as exc:
         raise ExceptionalParameter(c, str(exc)) from None
+    except NotCyclotomic:
+        raise InternalInvariantError(
+            f"{kind} generation lost cyclotomic symmetry") from None
     if not critical:
         raise InternalInvariantError(
             "generated node fails verification: not an exact critical point")
-    if not is_cyclotomic_tuple(inst, out):
-        raise InternalInvariantError(
-            f"{kind} generation lost cyclotomic symmetry")
 
 
 def _generate(inst, fold, y, i, c, t):

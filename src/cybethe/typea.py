@@ -19,6 +19,7 @@ the check in `kernel_basis` builds its own table.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import prod
 
@@ -185,9 +186,11 @@ def _divisors(ttilde):
 def _wr_plus(frame, fs):
     """mask -> Wr+ of the subset of fs with bit i for f_i: the entry of one
     `wronskian_table` of fs divided exactly by D_|S| of `frame.divisors`.
-    One table per basis within a call, read by every mask the call needs."""
+    One table per basis within a call, read by every mask the call needs,
+    and each mask divided at most once."""
     table, divisors = wronskian_table(fs), frame.divisors
-    return lambda mask: divide_exact(table[mask], divisors[mask.bit_count()])
+    return cache(lambda mask: divide_exact(table[mask],
+                                           divisors[mask.bit_count()]))
 
 
 def divided_wr(frame, fs):
@@ -869,19 +872,20 @@ def cyclotomic_population(inst, seed, sample_count=0, rng_seed=0):
     attempts = 0
     while len(members) < sample_count and attempts < 10 * sample_count + 10:
         attempts += 1
-        cur = witt
+        cur, tup = witt, None
         for kind, k in gens:
             c = rng.choice(pool)
             if c == 0:
                 continue
-            flag_new, _ = apply_flow(space, cur, (kind, k), c)
+            flag_new, tup = apply_flow(space, cur, (kind, k), c)
             # the flow preserves B, so the image basis is again Witt with
             # the same Gram data
             cur = WittBasis(vectors=flag_new.adjusted, gram=cur.gram,
                             constants=cur.constants,
                             middle_constant=cur.middle_constant,
                             middle_index=cur.middle_index)
-        tup = beta(space, cur.vectors)
+        if tup is None:  # no flow ran
+            tup = beta(space, cur.vectors)
         if not all(q.is_polynomial() for q in tup):
             continue
         y = BetheTuple.monic_of(tup)

@@ -13,10 +13,14 @@ import json
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
-from cybethe.frame import BetheTuple, is_cyclotomic_tuple
-from cybethe.genengine import explore_population
+from cybethe.errors import NotGeneric
+from cybethe.frame import (BetheTuple, eigenvalues, frame_polys,
+                           is_critical_exact, is_cyclotomic_tuple)
+from cybethe.genengine import _family, explore_population
 from cybethe.qpoly import QPoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,6 +43,77 @@ D4_DOC = {
     "omega": "w",
     "lambda0": ["0", "2", "0", "0"],
 }
+
+
+def _marked(doc, point, weight):
+    return {**doc, "points": [point], "site_weights": [weight]}
+
+
+D5_DOC = _marked({
+    "cartan": {"matrix": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0],
+                          [0, -1, 2, -1, -1], [0, 0, -1, 2, 0],
+                          [0, 0, -1, 0, 2]]},
+    "sigma": "(4 5)", "omega": "-1", "lambda0": ["1", "1", "1", "0", "0"],
+}, "1", ["1", "0", "0", "1", "1"])
+
+E6_DOC = _marked({
+    "cartan": {"matrix": [[2, 0, -1, 0, 0, 0], [0, 2, 0, -1, 0, 0],
+                          [-1, 0, 2, -1, 0, 0], [0, -1, -1, 2, -1, 0],
+                          [0, 0, 0, -1, 2, -1], [0, 0, 0, 0, -1, 2]]},
+    "sigma": "(1 6)(3 5)", "omega": "-1",
+    "lambda0": ["0", "1", "0", "1", "0", "0"],
+}, "1", ["1", "1", "0", "0", "0", "1"])
+
+# (instance doc, depth, nodes, sha256 of the catalog, sha256 of
+# `graph.skipped` as JSON), samples SAMPLES, all recorded before generated
+# nodes were proven at the orbit representatives only
+CATALOGS = {
+    "A4": (A4_DOC, 2, 40, "0f4c025d221b3b081c2c9282830add35"
+           "33533095fa10131c28c2c49b03f3dcf3", "7ada61906a0e5dceb3c73238b5ec6"
+           "bd012f5db9d76ed993b9c14c3fa356ef61c"),
+    "A3": ({"cartan": "A3", "sigma": "(1 3)", "omega": "-1",
+            "lambda0": ["0", "1", "0"]}, 3, 206, "246bc1c371a2aa67ab793a899cd"
+           "ff30436c657d251dfc951d0b1a0aa406211ee", "8c045766d1668922a0b78b37"
+           "23de2c5345d3afccda1a666229da2cc2e8b3b506"),
+    "D4": (D4_DOC, 2, 40, "c8b82643122a4021261574da8c4e35d402d0e9e781d00252a"
+           "acf9625cd59e32c", "7ada61906a0e5dceb3c73238b5ec6bd012f5db9d76ed993"
+           "b9c14c3fa356ef61c"),
+    "A4 (1, 0, 0, 1)": (_marked(A4_DOC, "1", ["1", "0", "0", "1"]), 2, 43,
+                        "a7a5712822c8c1f3ebf62a54c967a9479c4ef5c8fa25cee872"
+                        "0f192bca9d0543", "4f53cda18c2baa0c0354bb5f9a3ecbe5"
+                        "ed12ab4d8e11ba873c2f11161202b945"),
+    "A4 (0, 1, 1, 0)": (_marked(A4_DOC, "1", ["0", "1", "1", "0"]), 2, 40,
+                        "dab2e97cdd96ec789c25ba992079c866d1f6c6af57254818af"
+                        "2042f9cd59d8eb", "7ada61906a0e5dceb3c73238b5ec6bd0"
+                        "12f5db9d76ed993b9c14c3fa356ef61c"),
+    "D5": (D5_DOC, 2, 126, "2cff59de150e4ba9e901c02623532a708884756ed9e2338b"
+           "c197119097fa838b", "58684bcd710eda832eb7cef9206367c387775a309ee9d"
+           "c74a0cc387006e6b068"),
+    "E6": (E6_DOC, 2, 126, "b0638024df54f1a43e1165802ef666f346d9945472378d8f"
+           "438100e2ae63f2f8", "7c8aee53a5bf4e88f6e119c165d06b5c6dd1f7ec6e0ad"
+           "8badaba0c85adacb156"),
+    "A3^(1)": ({"cartan": {"matrix": [[2, -1, 0, -1], [-1, 2, -1, 0],
+                                      [0, -1, 2, -1], [-1, 0, -1, 2]]},
+                "sigma": "(2 4)", "omega": "-1",
+                "lambda0": ["1", "0", "1", "0"]}, 2, 77, "116721564cedc692a0"
+               "177cf4e0c6ec52a05db4ae5cf8c7b5480d2c457f32faa9", "472fb394c2"
+               "983ec92031ec1d39bf136bc92a5604afde3d46bba3cf2649208630"),
+    "A2^(1)": ({"cartan": {"matrix": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]},
+                "sigma": "(2 3)", "omega": "-1",
+                "lambda0": ["1", "1/2", "1/2"]}, 2, 42, "9793e76dcc80647dfb45"
+               "3b3d1db677b3f4ca55c47714f309ed03add0d8d14fc3", "62a1b195f35161"
+               "5b0c203c2b4e5f1bcbfeb745946cea37863c26cb919d122730"),
+}
+
+
+@pytest.fixture(scope="session")
+def catalogs():
+    """name -> (instance, BFS graph) of every population in CATALOGS."""
+    out = {}
+    for name, (doc, depth, *_) in CATALOGS.items():
+        inst = serialize.instance_from_doc(doc)
+        out[name] = inst, _graph(inst, depth)
+    return out
 
 
 def _graph(inst, depth):
@@ -72,6 +147,86 @@ def test_d4_depth2_digest():
     inst = serialize.instance_from_doc(D4_DOC)
     assert _sha256(_catalog(inst, 2)) == \
         "c8b82643122a4021261574da8c4e35d402d0e9e781d00252aacf9625cd59e32c"
+
+
+def test_catalog_and_skipped_digests(catalogs):
+    # finite, marked-point and affine populations; the skipped parameters
+    # keep their order and the first failing condition as their reason
+    for name, (_, _, count, catalog, skipped) in CATALOGS.items():
+        _, graph = catalogs[name]
+        assert len(graph.nodes) == count, name
+        assert _sha256(serialize.dumps(serialize.catalog_doc(graph))) == \
+            catalog, name
+        assert _sha256(json.dumps([
+            [node, i, serialize.scalar_str(c), reason]
+            for node, i, c, reason in graph.skipped])) == skipped, name
+    reasons = {reason for _, graph in catalogs.values()
+               for *_, reason in graph.skipped}
+    assert {"y_1 shares a root with y_2", "y_1 is not squarefree"} < reasons
+
+
+def _verdict(inst, y, mode):
+    """("not generic", witness), or the verdict with the report at the
+    orbit representatives."""
+    try:
+        ok, report = is_critical_exact(inst, y, mode=mode)
+    except NotGeneric as exc:
+        return "not generic", str(exc)
+    return ok, {i: report[i] for i, _ in inst.orbit_reps}
+
+
+def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):
+    # the same verdict and report on every node, and the same first witness
+    # on every member the BFS skipped as exceptional
+    outcomes = set()
+    for inst, graph in catalogs.values():
+        fold = orbit_data(inst.cartan, inst.aut)
+        t = frame_polys(inst)
+        members = [node.tuple_ for node in graph.nodes]
+        for node, i, c, _ in graph.skipped:
+            *_, member = _family(inst, fold, graph.nodes[node].tuple_, i, t)
+            members.append(member(c)[0])
+        for y in members:
+            want = _verdict(inst, y, "extended")
+            assert _verdict(inst, y, "cyclotomic") == want
+            outcomes.add(want[0])
+    assert outcomes == {True, "not generic"}
+
+
+def test_eigenvalues_match_on_every_d5_and_e6_node(catalogs):
+    # 20 D5 and 21 E6 nodes put a root of y_c on the site, in a colour c
+    # whose pairing with the site weight is 0
+    rooted = 0
+    for name in ("D5", "E6"):
+        inst, graph = catalogs[name]
+        (z,) = inst.points
+        for node in graph.nodes:
+            res = eigenvalues(inst, node.tuple_)
+            assert res["match"] and res["origin_zero"], (name, node.node_id)
+            assert not res["not_critical"]
+            rooted += any(p.eval_at(z).is_zero() for p in node.tuple_)
+    assert rooted == 41
+
+
+def test_eigenvalues_skip_a_root_on_a_site_of_pairing_zero(tmp_path, capsys):
+    instance, tuple_ = tmp_path / "instance.json", tmp_path / "tuple.json"
+    instance.write_text(json.dumps(D5_DOC))
+    y = BetheTuple([QPoly.one(), QPoly.from_coeffs([-1, 0, 1]),
+                    *[QPoly.one()] * 3])
+    tuple_.write_text(serialize.tuple_doc_json(y))
+    args = ["--instance", str(instance), "--tuple", str(tuple_)]
+    assert cli.main(["verify"] + args) == 0
+    capsys.readouterr()
+    assert cli.main(["eigenvalues"] + args) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cyclotomic"] == ["25/2"]
+    assert out["extended"] == ["0", "25/2", "-25/2"]
+    assert out["match"] and out["origin_zero"] and not out["not_critical"]
+    # a root on the site in colour 1, whose pairing with the site is 1
+    y = BetheTuple([QPoly.from_coeffs([-1, 1]), *y.polys[1:]])
+    tuple_.write_text(serialize.tuple_doc_json(y))
+    assert cli.main(["eigenvalues"] + args) == 2
+    assert "hits a Bethe root" in capsys.readouterr().out
 
 
 def _two_scale_proportional(f, g):
@@ -121,7 +276,7 @@ def test_genericity_runs_no_certificate_on_a_constant(monkeypatch):
 
     monkeypatch.setattr(qpoly, "_certified_coprime", counted)
     inst = serialize.instance_from_doc(D4_DOC)
-    assert len(_graph(inst, 2).nodes) > 20
+    assert len(_graph(inst, 3).nodes) > 20
     assert len(seen) > 100 and min(seen) > 1
 
 

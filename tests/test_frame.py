@@ -1,23 +1,28 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly
-from cybethe import serialize
+from cybethe import cartan, frame, serialize
 from cybethe.cartan import (CartanData, DiagramAut, Weight, orbit_data,
                             shifted_reflect, sigma_on_weight)
-from cybethe.errors import InexactDivision, InputError, NotGeneric
+from cybethe.errors import (InexactDivision, InputError, NotCyclotomic,
+                            NotGeneric)
 from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
                            canonical_lambda0, eigenvalues, frame_polys,
                            hl_identity_check, interaction_product,
                            is_critical_exact, is_cyclotomic_tuple,
                            is_generic, t_tilde, validate_lambda0,
                            weight_at_infinity)
-from cybethe.genengine import cyclotomic_generate_L2, explore_population
+from cybethe.genengine import (_checked, _transport, cyclotomic_generate_L2,
+                               explore_population)
 from cybethe.qpoly import QPoly, divide_exact, proportional
 from cybethe.scalars import Cyc
-from test_catalog_pins import A4_DOC, D4_DOC, SAMPLES
+from test_catalog_pins import A4_DOC, CATALOGS, D4_DOC, SAMPLES, _verdict
 
 
 def n1_instance(lambda1=(1, 0), z=1, lambda0=(F(1, 2), F(1, 2))):
@@ -157,6 +162,164 @@ def test_modes_agree_on_population(a2, a2_tuple):
     ext, _ = is_critical_exact(inst, a2_tuple, mode="extended")
     cyc, _ = is_critical_exact(inst, a2_tuple, mode="cyclotomic")
     assert ext == cyc
+
+
+def test_orbit_reps_are_derived_once_per_instance(monkeypatch):
+    a4, d4, affine = (serialize.instance_from_doc(CATALOGS[name][0])
+                      for name in ("A4", "D4", "A3^(1)"))
+    assert a4.orbit_reps == ((0, (1,)), (1, (2,)))
+    assert d4.orbit_reps == ((0, (1,)), (1, ()))
+    # {0, 1} and {0, 3} are one edge orbit, and so are {1, 2} and {2, 3}
+    assert affine.orbit_reps == ((0, (1,)), (1, (2,)), (2, ()))
+    # not a field: equality, hash and repr ignore it
+    other = serialize.instance_from_doc(A4_DOC)
+    other.orbit_reps = ()
+    assert other == a4 and hash(other) == hash(a4)
+    assert repr(other) == repr(a4) and "orbit_reps" not in repr(a4)
+
+    def recomputed(*args):
+        raise AssertionError("orbit_reps recomputed")
+    monkeypatch.setattr(cartan, "_orbit_reps", recomputed)
+    graph = explore_population(
+        d4, orbit_data(d4.cartan, d4.aut), BetheTuple.trivial(4), 2,
+        [serialize.parse_scalar(s, d4.M) for s in SAMPLES])
+    assert len(graph) == 40
+
+
+def test_cyclotomic_mode_refuses_what_it_does_not_prove(a2):
+    inst, _ = a2
+    with pytest.raises(InputError, match="extended"):
+        is_critical_exact(inst, BetheTuple.trivial(2), mode="cyclotomic",
+                          lambda0_override=inst.lambda0)
+    # generic and not critical, but not cyclotomic either: no verdict
+    y = BetheTuple([poly(-1, 1), poly(2, 1)])
+    assert is_critical_exact(inst, y)[0] is False
+    with pytest.raises(NotCyclotomic):
+        is_critical_exact(inst, y, mode="cyclotomic")
+    ok, report = is_critical_exact(inst, BetheTuple.trivial(2),
+                                   mode="cyclotomic")
+    assert ok and list(report) == [0]
+
+
+def _proof_calls(monkeypatch, y, prove):
+    """(name, colour) of each `divide_exact` and `is_squarefree` call of
+    prove(), the colour being the component of y divided or tested."""
+    calls = []
+    with monkeypatch.context() as patch:
+        for name in ("divide_exact", "is_squarefree"):
+            patch.setattr(frame, name, lambda *a, f=getattr(frame, name),
+                          n=name: calls.append(
+                              (n, [p is a[-1] for p in y].index(True)))
+                          or f(*a))
+        prove()
+    return sorted(calls)
+
+
+def test_checked_proves_each_orbit_representative_once(monkeypatch):
+    # A4 (orbits {1, 4}, {2, 3}) and D4 ({1, 3, 4}, {2}): the colours 1
+    # and 2 of 4, each tested squarefree once and divided once unless its
+    # residue is 0 (colour 2 of the D4 node)
+    for doc, divided in ((A4_DOC, [0, 1, 2, 3]), (D4_DOC, [0, 2, 3])):
+        inst = serialize.instance_from_doc(doc)
+        graph = explore_population(
+            inst, orbit_data(inst.cartan, inst.aut), BetheTuple.trivial(4),
+            2, [serialize.parse_scalar(s, inst.M) for s in SAMPLES])
+        y = next(node.tuple_ for node in graph.nodes
+                 if all(node.tuple_.degrees()))
+        full = _proof_calls(monkeypatch, y, lambda: is_critical_exact(inst, y))
+        assert full == [("divide_exact", i) for i in divided] + [
+            ("is_squarefree", i) for i in range(4)]
+        assert _proof_calls(monkeypatch, y, lambda: _checked(
+            inst, y, 1, "L1", None)) == [c for c in full if c[1] < 2]
+
+
+A4_MARKED_DOC = {**A4_DOC, "points": ["1"], "site_weights": [["1", "0", "0",
+                                                               "1"]]}
+SYMMETRIC = tuple(serialize.instance_from_doc(doc)
+                  for doc in (A4_DOC, D4_DOC, A4_MARKED_DOC))
+ROOTS = ("1", "-1", "2", "-2", "1/2", "w", "w+1", "2*w")
+
+
+@lru_cache(maxsize=None)
+def _critical_nodes(k):
+    inst = SYMMETRIC[k]
+    return tuple(node.tuple_ for node in explore_population(
+        inst, orbit_data(inst.cartan, inst.aut), BetheTuple.trivial(4), 1,
+        [serialize.parse_scalar(s, inst.M) for s in SAMPLES]).nodes)
+
+
+def _symmetric_tuple(inst, roots):
+    """y_r = prod_a (x^e - a) over roots[r] at each orbit representative r,
+    e = M / |orbit|, moved across the orbit as y_(sigma^k r) ~ y_r(w^-k x)."""
+    polys = [None] * inst.cartan.n
+    for r, values in roots.items():
+        orbit = [o for o in inst.aut.orbits() if r in o][0]
+        e = F(inst.M // len(orbit))
+        y = QPoly.one()
+        for a in values:
+            y = y * QPoly({e: 1, F(0): -a})
+        for k in range(len(orbit)):
+            polys[inst.aut.power(r, k)] = _transport(
+                y, inst.omega, inst.M, k).monic()
+    return BetheTuple(polys)
+
+
+@st.composite
+def _symmetric_cases(draw):
+    """(instance, kind, tuple): a sigma-symmetric tuple with a forced
+    repeated root, root at 0 or root shared along a representative edge,
+    a random one, a catalog node, or a tuple whose symmetry is broken."""
+    k = draw(st.integers(0, len(SYMMETRIC) - 1))
+    inst = SYMMETRIC[k]
+    kind = draw(st.sampled_from(("random", "repeated", "origin", "shared",
+                                 "critical", "broken")))
+    if kind == "critical":
+        return inst, kind, draw(st.sampled_from(_critical_nodes(k)))
+    values = st.sampled_from(ROOTS).map(
+        lambda text: serialize.parse_scalar(text, inst.M))
+    reps = dict(inst.orbit_reps)
+    roots = {r: draw(st.lists(values, max_size=2)) for r in reps}
+    i = draw(st.sampled_from(sorted(reps)))
+    if kind == "repeated":
+        roots[i] += [draw(values)] * 2
+    elif kind == "origin":
+        roots[i].append(Cyc.of(0))
+    elif kind == "shared":
+        i, j = draw(st.sampled_from([(i, j) for i, js in reps.items()
+                                     for j in js]))
+        rho = draw(values)
+        for node in (i, j):
+            # node = sigma^m r: the root rho of y_node is w^-m rho at y_r
+            r, m = next((r, m) for r in reps for m in range(inst.M)
+                        if inst.aut.power(r, m) == node)
+            size = len([o for o in inst.aut.orbits() if r in o][0])
+            roots[r].append((inst.omega ** (inst.M - m) * rho)
+                            ** (inst.M // size))
+    y = _symmetric_tuple(inst, roots)
+    if kind == "broken":
+        j = draw(st.integers(0, inst.cartan.n - 1))
+        polys = list(y)
+        polys[j] = polys[j] * QPoly({F(1): 1, F(0): -draw(values)})
+        y = BetheTuple(polys)
+    return inst, kind, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_cases())
+def test_cyclotomic_mode_agrees_with_the_extended_test(case):
+    inst, kind, y = case
+    if kind == "broken":
+        assert not is_cyclotomic_tuple(inst, y)
+        with pytest.raises(NotCyclotomic):
+            is_critical_exact(inst, y, mode="cyclotomic")
+        return
+    assert is_cyclotomic_tuple(inst, y)
+    want = _verdict(inst, y, "extended")
+    assert _verdict(inst, y, "cyclotomic") == want
+    if kind in ("repeated", "origin", "shared"):
+        assert want[0] == "not generic"
+    elif kind == "critical":
+        assert want[0] is True
 
 
 def test_cyclotomic_tuple(a2):

@@ -1,4 +1,7 @@
 import ast
+import cProfile
+import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -95,10 +98,35 @@ def test_rep_calls_counts_named_functions_moved_or_not():
     lines = out.stdout.splitlines()
     first = lines.index("counts of functions matching "
                         "'serialize.py:tuple_doc':")
-    assert lines[first + 3] == "counts of functions matching 'no such name':"
-    rows = [line.split() for line in lines[first + 1:first + 3]]
-    # tuple_doc and tuple_doc_json did not move, and are printed anyway
+    assert lines[first + 4] == "counts of functions matching 'no such name':"
+    rows = [line.split() for line in lines[first + 1:first + 4]]
+    # tuple_doc, its list comprehension and tuple_doc_json did not move,
+    # and are printed anyway
     assert [name for *_, name in rows] == [
-        "cybethe/serialize.py:tuple_doc", "cybethe/serialize.py:tuple_doc_json"]
+        "cybethe/serialize.py:tuple_doc",
+        "cybethe/serialize.py:tuple_doc.<locals>.<listcomp>",
+        "cybethe/serialize.py:tuple_doc_json"]
     assert all(old == new and int(old) > 0 for old, new, _ in rows)
-    assert lines[first + 4].startswith("keep digest same: ")
+    assert lines[first + 5].startswith("keep digest same: ")
+
+
+def test_rep_calls_counts_methods_of_one_name_apart():
+    spec = importlib.util.spec_from_file_location(
+        "rep_calls", ROOT / "tools" / "rep_calls.py")
+    rep_calls = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rep_calls)
+    from cybethe import qpoly
+    prefix = str(Path(qpoly.__file__).resolve().parents[1]) + os.sep
+    f = qpoly.QPoly.x_power(1)
+    got = []
+    for run in (lambda: f * f, lambda: qpoly.RatQP(f) * qpoly.RatQP(f)):
+        prof = cProfile.Profile()
+        prof.runcall(run)
+        counts = rep_calls.call_counts(prof, prefix)
+        got.append({name: count for name, count in counts.items()
+                    if name.endswith("__mul__")})
+    # the RatQP product multiplies QPoly numerators and denominators
+    assert got[0] == {"cybethe/qpoly.py:QPoly.__mul__": 1}
+    assert set(got[1]) == {"cybethe/qpoly.py:QPoly.__mul__",
+                           "cybethe/qpoly.py:RatQP.__mul__"}
+    assert got[1]["cybethe/qpoly.py:RatQP.__mul__"] == 1

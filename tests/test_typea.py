@@ -779,6 +779,47 @@ def test_apply_flow_builds_one_table_whose_prefixes_are_beta(ramified,
     assert flows == 2 * len(nodes) > 200
 
 
+def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
+    # the Gram check reads the R + 1 co-singleton masks and the full mask,
+    # beta the prefixes 1, 3, .., 2^R - 1, and 2^R - 1 is read by both
+    from cybethe import typea
+    inst = serialize.instance_from_doc(A4_DOC)
+    node = json.loads(A4_CATALOG.read_text())["nodes"][-1]
+    cases = [(a2[0], a2_tuple),
+             (inst, serialize.tuple_from_doc(node["tuple"], inst.M))]
+    divided = []
+    divide = typea.divide_exact
+    flows = 0
+    for inst, y in cases:
+        space, flag = kernel_basis(inst, y)
+        witt = witt_basis(space, adjusted=flag.adjusted)
+        for gen in available_generators(space):
+            with monkeypatch.context() as patch:
+                patch.setattr(typea, "divide_exact",
+                              lambda f, g: divided.append(1) or divide(f, g))
+                divided.clear()
+                apply_flow(space, witt, gen, Cyc.of(F(1, 3)))
+            assert len(divided) == 2 * space.frame.r + 1
+            flows += 1
+    assert flows > 2
+
+
+def test_cyclotomic_population_keeps_each_flow_tuple(a2, a2_tuple,
+                                                     monkeypatch):
+    # one generator, X_1: each sample applies one flow, or none when it
+    # draws c = 0 (the third here), and beta runs only then
+    from cybethe import typea
+    calls = []
+    for name in ("beta", "apply_flow"):
+        monkeypatch.setattr(typea, name, lambda *a, f=getattr(typea, name),
+                            n=name: calls.append(n) or f(*a))
+    inst, _ = a2
+    res = cyclotomic_population(inst, a2_tuple, sample_count=5)
+    assert len(res["members"]) == 5
+    assert calls == ["apply_flow", "apply_flow", "beta", "apply_flow",
+                     "apply_flow"]
+
+
 def _in_span_alone(target, polys):
     """Reference: `in_span` as written before `_span_coefficients`, one
     reduction over the support of polys and target together."""

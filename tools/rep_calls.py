@@ -11,9 +11,12 @@ seed 0, runs one rep to fill the caches and profiles one more rep.
 
 Prints the total call count of each tree and the 15 functions whose call
 counts moved most.  A function is named by its path inside the tree (or
-its standard-library path) and its name, so the same function matches
-across trees whose line numbers differ.  Exits 1 when the two reps' keep
-digests (the catalog or flow-image hashes the benchmark pins) differ.
+its standard-library path) and its qualified name, such as
+`cybethe/qpoly.py:QPoly.__mul__`, so the same function matches across
+trees whose line numbers differ and methods of one name in one module are
+counted apart.  A builtin is named `~:` and the profiler's text for it.
+Exits 1 when the two reps' keep digests (the catalog or flow-image hashes
+the benchmark pins) differ.
 
 `--count NAME` (repeatable) also prints both trees' counts of every
 function whose name contains NAME, moved or not, so counts named in
@@ -28,7 +31,6 @@ import argparse
 import cProfile
 import json
 import os
-import pstats
 import re
 import subprocess
 import sys
@@ -49,14 +51,24 @@ def profile_rep(src, workload, size):
     wl.rep(st)
     prof = cProfile.Profile()
     out = prof.runcall(wl.rep, st)
-    prefix = str(Path(src).resolve()) + os.sep
+    return {"calls": call_counts(prof, str(Path(src).resolve()) + os.sep),
+            "digest": wl.keep(out)}
+
+
+def call_counts(prof, prefix):
+    """{name: calls} of a finished profile, each code object named by its
+    file without `prefix` and its `co_qualname`."""
     calls = {}
-    for (path, _, func), (_, count, *_) in pstats.Stats(prof).stats.items():
-        # an object's address differs between processes
-        name = re.sub(r" at 0x[0-9a-f]+", "",
-                      f"{path.removeprefix(prefix)}:{func}")
-        calls[name] = calls.get(name, 0) + count
-    return {"calls": calls, "digest": wl.keep(out)}
+    for entry in prof.getstats():
+        code = entry.code
+        if isinstance(code, str):
+            # a builtin; an object's address differs between processes
+            name = "~:" + re.sub(r" at 0x[0-9a-f]+", "", code)
+        else:
+            path = code.co_filename.removeprefix(prefix)
+            name = f"{path}:{code.co_qualname}"
+        calls[name] = calls.get(name, 0) + entry.callcount
+    return calls
 
 
 def run_tree(src, workload, size):
