@@ -160,23 +160,15 @@ class CartanData(Record):
 class DiagramAut(Record):
     """Permutation of the nodes preserving the Cartan matrix."""
 
-    __slots__ = _fields = ("perm",)  # images, 0-based
+    _fields = ("perm",)  # images, 0-based
+    __slots__ = _fields + ("order",)
 
     def __init__(self, perm):
         if sorted(perm) != list(range(len(perm))):
             raise InputError("not a permutation")
         self.perm = perm
-
-    @property
-    def order(self):
-        seen = 1
-        for i in range(len(self.perm)):
-            length, j = 1, self.perm[i]
-            while j != i:
-                j = self.perm[j]
-                length += 1
-            seen = lcm(seen, length)
-        return seen
+        # the lcm of the cycle lengths: derived, so not a field
+        self.order = lcm(*map(len, self.orbits()))
 
     def __call__(self, i):
         return self.perm[i]
@@ -261,10 +253,6 @@ class Weight:
     @staticmethod
     def zero(n):
         return Weight([0] * n)
-
-    @staticmethod
-    def rho(n):
-        return Weight([1] * n)
 
     @staticmethod
     def simple_root(cartan, j):
@@ -469,10 +457,6 @@ class ProblemInstance(Record):
     @property
     def M(self):
         return self.aut.order
-
-    @property
-    def n_points(self):
-        return len(self.points)
 
     def gamma(self, i):
         """<Lambda_0, alpha_i^vee>."""

@@ -233,7 +233,7 @@ def cmd_lambda0(args):
 def cmd_check_numeric(args):
     inst = _instance(args)
     y = _tuple(args, inst)
-    from .numerics import Tolerances, embed, grad_check, residuals
+    from .numerics import FD_TOL, Tolerances, embed, grad_check, residuals
     overrides = {}
     if args.h:
         overrides["fd_step"] = args.h
@@ -242,7 +242,7 @@ def cmd_check_numeric(args):
     tol = Tolerances(**overrides)
     point = embed(y, tol)
     try:
-        per_root = residuals(inst, point, tol) if point.roots else []
+        per_root = residuals(inst, point) if point.roots else []
         grad = grad_check(inst, point, tol=tol)
     except OverflowError:
         raise InputError("a point or weight of the instance is too large "
@@ -258,7 +258,7 @@ def cmd_check_numeric(args):
         "max_gradient": grad["max_gradient"],
     }
     _emit(doc, args.out)
-    ok = norm < tol.root_residual and grad["max_mismatch"] < tol.fd_tol
+    ok = norm < tol.root_residual and grad["max_mismatch"] < FD_TOL
     return 0 if ok else 1
 
 

@@ -119,13 +119,5 @@ class DivisionNearZero(CybetheError):
     pass
 
 
-class SingularJacobian(CybetheError):
-    pass
-
-
-class NoConvergence(CybetheError):
-    pass
-
-
 class BranchCollision(CybetheError):
     pass

@@ -346,7 +346,7 @@ def extended_sites(inst):
     return sites
 
 
-def eigenvalues(inst, y, check_critical=True):
+def eigenvalues(inst, y):
     """Exact Gaudin eigenvalues in both pictures, plus the match verdict.
 
     E^(i) (cyclotomic picture, one per marked point) and E~ (extended
@@ -366,13 +366,11 @@ def eigenvalues(inst, y, check_critical=True):
     """
     cartan = inst.cartan
     cartan.weight_gram  # SingularCartan up front, before any other work
-    warn_not_critical = False
-    if check_critical:
-        try:
-            ok, _ = is_critical_exact(inst, y)
-            warn_not_critical = not ok
-        except NotGeneric:
-            warn_not_critical = True
+    try:
+        ok, _ = is_critical_exact(inst, y)
+        warn_not_critical = not ok
+    except NotGeneric:
+        warn_not_critical = True
 
     def ip(lam, mu):
         return inner_product(cartan, lam, mu)

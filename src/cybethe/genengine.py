@@ -200,17 +200,6 @@ def _generate(inst, fold, y, i, c, t):
     return out, step
 
 
-def cyclotomic_generate_L1(inst, fold, y, i, c, t=None):
-    """Cyclotomic generation at an L=1 orbit representative.
-
-    One solve at the representative, then transport across the orbit;
-    returns (BetheTuple, GenerationStep).
-    """
-    if _representative(fold, i) != 1:
-        raise InputError(f"node {i} has L = {fold.linking[i]}, expected 1")
-    return _generate(inst, fold, y, i, c, t)
-
-
 def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
     """Cyclotomic generation at an L=2 orbit representative.
 

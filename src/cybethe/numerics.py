@@ -9,7 +9,7 @@ through the Cauchy-Riemann equations while staying on a single-valued
 function (Re log = log |.|), so logarithm branches never enter.
 
 Everything runs on Python complex numbers (`cmath`, `math`): degrees are
-at most `MAX_DEGREE`, and the Newton systems have one unknown per root.
+at most `MAX_DEGREE`.
 """
 
 import cmath
@@ -17,27 +17,29 @@ import math
 
 from .cartan import Record, Weight, inner_product, weight_orbit
 from .errors import (BranchCollision, DivisionNearZero, IllConditioned,
-                     InputError, NoConvergence, SingularJacobian)
+                     InputError)
 from .frame import extended_sites
 
 
 class Tolerances(Record):
-    __slots__ = _fields = ("root_residual", "pair_min", "branch_min",
-                           "fd_step", "fd_tol", "newton_tol", "newton_iters")
+    """The two settings of `check-numeric`: the residual bound (`--tol`)
+    and the finite-difference step (`--h`)."""
 
-    def __init__(self, root_residual=1e-8, pair_min=1e-12, branch_min=1e-10,
-                 fd_step=1e-5, fd_tol=1e-6, newton_tol=1e-10,
-                 newton_iters=50):
+    __slots__ = _fields = ("root_residual", "fd_step")
+
+    def __init__(self, root_residual=1e-8, fd_step=1e-5):
         self.root_residual = root_residual
-        self.pair_min = pair_min
-        self.branch_min = branch_min
         self.fd_step = fd_step
-        self.fd_tol = fd_tol
-        self.newton_tol = newton_tol
-        self.newton_iters = newton_iters
 
 
 DEFAULT_TOL = Tolerances()
+
+# Two points closer than PAIR_MIN make a residual a DivisionNearZero, and
+# closer than BRANCH_MIN a logarithm of the master function a
+# BranchCollision; a gradient mismatch under FD_TOL passes.
+PAIR_MIN = 1e-12
+BRANCH_MIN = 1e-10
+FD_TOL = 1e-6
 
 # The largest component degree n that `embed` (so `check-numeric`) accepts:
 # each Aberth step sums over all n^2 pairs of root estimates, and
@@ -108,29 +110,6 @@ def _aberth_roots(coeffs):
     return z
 
 
-def _solve(a, b):
-    """x with a x = b, by Gaussian elimination with partial pivoting; a
-    zero pivot is a SingularJacobian."""
-    n = len(b)
-    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda r: abs(rows[r][k]))
-        if rows[p][k] == 0:
-            raise SingularJacobian("singular Jacobian")
-        rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for row in rows[k + 1:]:
-            f = row[k] / pivot[k]
-            for j in range(k, n + 1):
-                row[j] -= f * pivot[j]
-    x = [0j] * n
-    for k in reversed(range(n)):
-        row = rows[k]
-        x[k] = (row[n] - sum(row[j] * x[j] for j in range(k + 1, n))) \
-            / row[k]
-    return x
-
-
 def embed(y, tol=DEFAULT_TOL):
     """Numerically extract all roots of each component, with colours.  A
     component of degree over `MAX_DEGREE` is an InputError, raised before
@@ -170,7 +149,7 @@ def _ip_alpha_alpha(inst, i, j):
     return float(inst.cartan.d[i] * inst.cartan.a[i][j])
 
 
-def residuals(inst, point, tol=DEFAULT_TOL):
+def residuals(inst, point):
     """LHS of the extended Bethe equations at every root."""
     sites = _site_data(inst)
     out = []
@@ -178,7 +157,7 @@ def residuals(inst, point, tol=DEFAULT_TOL):
         acc = 0j
         for z, lam in sites:
             d = tj - z
-            if abs(d) < tol.pair_min:
+            if abs(d) < PAIR_MIN:
                 raise DivisionNearZero(
                     f"root {j} collides with a marked point")
             acc += _ip_weight_alpha(inst, lam, cj) / d
@@ -186,73 +165,22 @@ def residuals(inst, point, tol=DEFAULT_TOL):
             if i == j:
                 continue
             d = tj - ti
-            if abs(d) < tol.pair_min:
+            if abs(d) < PAIR_MIN:
                 raise DivisionNearZero(f"roots {i} and {j} collide")
             acc -= _ip_alpha_alpha(inst, cj, ci) / d
         out.append(acc)
     return out
 
 
-def residual_norm(inst, point, tol=DEFAULT_TOL):
-    """max_j |extended Bethe equation j| at the embedded roots."""
+def residual_norm(inst, point, tol=None):
+    """max_j |extended Bethe equation j| at the embedded roots.  `tol` is
+    accepted and unused: no tolerance of `Tolerances` enters a residual."""
     if not point.roots:
         return 0.0
-    return max(abs(r) for r in residuals(inst, point, tol))
+    return max(abs(r) for r in residuals(inst, point))
 
 
-def _jacobian(inst, point):
-    m = len(point.roots)
-    sites = _site_data(inst)
-    jac = [[0j] * m for _ in range(m)]
-    for j, (tj, cj) in enumerate(zip(point.roots, point.colours)):
-        diag = 0j
-        for z, lam in sites:
-            diag -= _ip_weight_alpha(inst, lam, cj) / (tj - z) ** 2
-        for i, (ti, ci) in enumerate(zip(point.roots, point.colours)):
-            if i == j:
-                continue
-            val = _ip_alpha_alpha(inst, cj, ci) / (tj - ti) ** 2
-            diag += val
-            jac[j][i] = -val
-        jac[j][j] = diag
-    return jac
-
-
-def newton_refine(inst, point, iters=None, tol=DEFAULT_TOL):
-    """Damped Newton iteration on the residual system."""
-    iters = iters if iters is not None else tol.newton_iters
-    colours = point.colours
-    cur = FloatPoint(roots=tuple(complex(t) for t in point.roots),
-                     colours=colours)
-    norm = residual_norm(inst, cur, tol)
-    for _ in range(iters):
-        if norm < tol.newton_tol:
-            return cur, norm
-        step = _solve(_jacobian(inst, cur), residuals(inst, cur, tol))
-        if not all(cmath.isfinite(s) for s in step):
-            raise SingularJacobian("non-finite Newton step")
-        damp = 1.0
-        for _ in range(30):
-            trial = FloatPoint(
-                roots=tuple(t - damp * s for t, s in zip(cur.roots, step)),
-                colours=colours)
-            try:
-                trial_norm = residual_norm(inst, trial, tol)
-            except DivisionNearZero:
-                damp /= 2
-                continue
-            if trial_norm < norm:
-                break
-            damp /= 2
-        else:
-            raise NoConvergence(f"no descent direction, norm {norm:.3e}")
-        cur, norm = trial, trial_norm
-    if norm < tol.newton_tol:
-        return cur, norm
-    raise NoConvergence(f"residual {norm:.3e} after {iters} iterations")
-
-
-def master_value_real(inst, roots, colours, tol=DEFAULT_TOL):
+def master_value_real(inst, roots, colours):
     """Re of the extended master function (single-valued via log |.|)."""
     sites = _site_data(inst)
     total = 0.0
@@ -261,41 +189,42 @@ def master_value_real(inst, roots, colours, tol=DEFAULT_TOL):
         for b in range(a + 1, len(sites)):
             zb, lb = sites[b]
             d = za - zb
-            if abs(d) < tol.branch_min:
+            if abs(d) < BRANCH_MIN:
                 raise BranchCollision("marked points collide")
             total += float(inner_product(inst.cartan, la, lb)) \
                 * math.log(abs(d))
     for j, (tj, cj) in enumerate(zip(roots, colours)):
         for z, lam in sites:
             d = tj - z
-            if abs(d) < tol.branch_min:
+            if abs(d) < BRANCH_MIN:
                 raise BranchCollision("log argument near zero")
             total -= _ip_weight_alpha(inst, lam, cj) * math.log(abs(d))
         for i in range(j + 1, len(roots)):
             d = tj - roots[i]
-            if abs(d) < tol.branch_min:
+            if abs(d) < BRANCH_MIN:
                 raise BranchCollision("log argument near zero")
             total += _ip_alpha_alpha(inst, cj, colours[i]) * math.log(abs(d))
     return total
 
 
-def grad_check(inst, point, h=None, tol=DEFAULT_TOL):
+def grad_check(inst, point, tol=DEFAULT_TOL):
     """Analytic gradient of the extended master function vs central finite
-    differences of its real part; reports the maximum mismatch and, for
-    critical points, the maximum analytic gradient magnitude."""
-    h = h if h is not None else tol.fd_step
+    differences of step `tol.fd_step` of its real part; reports the maximum
+    mismatch and, for critical points, the maximum analytic gradient
+    magnitude."""
+    h = tol.fd_step
     roots = list(point.roots)
     colours = point.colours
     if not roots:
         return {"max_mismatch": 0.0, "max_gradient": 0.0, "per_root": []}
-    analytic = residuals(inst, point, tol)
+    analytic = residuals(inst, point)
     per_root = []
     max_mismatch = 0.0
     for j in range(len(roots)):
         def value(shift):
             moved = list(roots)
             moved[j] = moved[j] + shift
-            return master_value_real(inst, moved, colours, tol)
+            return master_value_real(inst, moved, colours)
 
         da = (value(h) - value(-h)) / (2 * h)
         db = (value(1j * h) - value(-1j * h)) / (2 * h)

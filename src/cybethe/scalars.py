@@ -426,13 +426,5 @@ class Cyc:
         return f"Cyc({self.order}, {self})"
 
 
-
-def primitive_root(M, power=1):
-    """A declared primitive M-th root of unity omega = w^power."""
-    if M >= 1 and gcd(power, M) != 1:
-        raise InputError(f"w^{power} is not primitive of order {M}")
-    return Cyc.root_of_unity(M, power)
-
-
 ZERO = Cyc.of(0)
 ONE = Cyc.of(1)

@@ -149,10 +149,6 @@ def weight_from_doc(doc, rank=None):
     return Weight([_fraction(p) for p in pairings])
 
 
-def cartan_doc(c):
-    return {"matrix": [list(row) for row in c.a], "d": list(c.d)}
-
-
 def _cartan_reader(doc):
     """(rank, build) of a cartan entry: its rank, checked against
     `cartan.MAX_RANK` before anything of that size exists, and the call
@@ -214,23 +210,7 @@ def perm_from_doc(doc, n):
     return DiagramAut(tuple(images))
 
 
-def perm_doc(aut):
-    return [i + 1 for i in aut.perm]
-
-
 # --- instances -------------------------------------------------------------
-
-def instance_doc(inst):
-    return {
-        "cartan": cartan_doc(inst.cartan),
-        "sigma": perm_doc(inst.aut),
-        "M": inst.M,
-        "omega": scalar_str(inst.omega),
-        "points": [scalar_str(z) for z in inst.points],
-        "site_weights": [weight_doc(w) for w in inst.site_weights],
-        "lambda0": weight_doc(inst.lambda0),
-    }
-
 
 def instance_from_doc(doc):
     # sigma and the weights are checked against the rank before the Cartan

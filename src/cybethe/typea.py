@@ -128,10 +128,11 @@ def exponents(cartan, lam, lam_inf_tilde):
     """
     r = cartan.n
     diff = lam - lam_inf_tilde
-    rows = [[Fraction(x) for x in row] for row in cartan.a]
-    k_coeffs = linalg.solve(rows, list(diff.pairings))
-    if k_coeffs is None or any(
-            k < 0 or Fraction(k).denominator != 1 for k in k_coeffs):
+    # the root coefficients k = A^-1 diff, row i of A^-1 being row i of the
+    # cached weight form over d_i
+    k_coeffs = [sum(g * p for g, p in zip(row, diff)) / d
+                for row, d in zip(cartan.weight_gram, cartan.d)]
+    if any(k < 0 or k.denominator != 1 for k in k_coeffs):
         raise NotInRootCone(
             f"Lambda - Lambda~_inf = {diff} is not a Z>=0 root combination")
     d1 = sum(Fraction(r - k) * diff[k] for k in range(r)) / (r + 1)
@@ -191,11 +192,6 @@ def _wr_plus(frame, fs):
     table, divisors = wronskian_table(fs), frame.divisors
     return cache(lambda mask: divide_exact(table[mask],
                                            divisors[mask.bit_count()]))
-
-
-def divided_wr(frame, fs):
-    """Wr+(f_1..f_k) = Wr(f_1..f_k) / (T~_1^(k-1) T~_2^(k-2) ... T~_(k-1))."""
-    return _wr_plus(frame, fs)((1 << len(fs)) - 1)
 
 
 def fundamental_operator(frame, y):

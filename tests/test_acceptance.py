@@ -320,7 +320,7 @@ def test_criterion_09_numeric_crosscheck(a2, a3, a2_population,
         for node in graph.nodes:
             point = embed(node.tuple_)
             assert residual_norm(inst, point) < 1e-8
-            rep = grad_check(inst, point, h=1e-5)
+            rep = grad_check(inst, point)
             assert rep["max_mismatch"] < 1e-6
             checked += 1
     report(9, f"numeric residual < 1e-8 and FD-vs-analytic gradient "

@@ -55,6 +55,29 @@ def test_aut_validation():
         DiagramAut((1, 0, 2)).validate_for(cartan)  # breaks the matrix
 
 
+def test_diagram_aut_derives_its_order_once(a3, monkeypatch):
+    import math
+    from cybethe import cartan
+    from cybethe.frame import BetheTuple
+    from cybethe.genengine import explore_population
+    aut = DiagramAut((1, 2, 0, 4, 3))
+    assert aut.order == 6 and [aut.power(0, k) for k in (1, 2, 7)] == [1, 2, 1]
+    assert "order" not in DiagramAut._fields
+    assert aut == DiagramAut((1, 2, 0, 4, 3))
+    assert hash(aut) == hash(DiagramAut((1, 2, 0, 4, 3)))
+    assert repr(aut) == "DiagramAut(perm=(1, 2, 0, 4, 3))"
+    assert DiagramAut(()).order == DiagramAut.identity(3).order == 1
+    # a BFS reads sigma's order (through `power` and `M`) without the lcm
+    # of its cycle lengths
+    calls = []
+    monkeypatch.setattr(cartan, "lcm",
+                        lambda *a: calls.append(a) or math.lcm(*a))
+    inst, fold = a3
+    graph = explore_population(inst, fold, BetheTuple.trivial(3), 2,
+                               [F(1), F(2)])
+    assert len(graph.nodes) == 19 and calls == []
+
+
 D4 = CartanData.from_matrix([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                              [0, -1, 0, 2]])
 

@@ -400,7 +400,7 @@ def test_hl_identity(a2):
 
 def test_eigenvalues_trivial_weight():
     inst = n1_instance(lambda1=(0, 0), lambda0=(F(1, 2), F(1, 2)))
-    res = eigenvalues(inst, BetheTuple.trivial(2), check_critical=False)
+    res = eigenvalues(inst, BetheTuple.trivial(2))
     assert res["cyclotomic"][0] == Cyc.of(0)
 
 
@@ -408,7 +408,7 @@ def test_eigenvalues_hl_formula():
     # N = 1, m = 0, M = 2: E^(1) = ((L1, L0) + (L1, sL1)/2) / z1
     from cybethe.cartan import inner_product
     inst = n1_instance(lambda1=(1, 0), z=2)
-    res = eigenvalues(inst, BetheTuple.trivial(2), check_critical=False)
+    res = eigenvalues(inst, BetheTuple.trivial(2))
     lam = inst.site_weights[0]
     want = (inner_product(inst.cartan, lam, inst.lambda0)
             + inner_product(inst.cartan, lam,
@@ -475,7 +475,7 @@ def test_eigenvalues_reject_singular_cartan_up_front():
                            omega=Cyc.of(1), points=(), site_weights=(),
                            lambda0=Weight.zero(3))
     with pytest.raises(SingularCartan):
-        eigenvalues(inst, BetheTuple.trivial(3), check_critical=False)
+        eigenvalues(inst, BetheTuple.trivial(3))
 
 
 def _all_pairs_generic(inst, y):

@@ -10,9 +10,9 @@ from cybethe.errors import InputError, SeedInvalid
 from cybethe.frame import (BetheTuple, ProblemInstance, is_critical_exact,
                            is_cyclotomic_tuple, is_generic,
                            weight_at_infinity)
-from cybethe.genengine import (cyclotomic_generate, cyclotomic_generate_L1,
-                               cyclotomic_generate_L2, elementary_generate_L1,
-                               explore_population, generation_family)
+from cybethe.genengine import (cyclotomic_generate, cyclotomic_generate_L2,
+                               elementary_generate_L1, explore_population,
+                               generation_family)
 from cybethe.qpoly import QPoly, qgcd
 from cybethe.scalars import Cyc
 
@@ -34,7 +34,7 @@ def test_elementary_degree_formula(a3):
     # deg y^(i)(x;0) = deg y_i + <Lambda_inf, alpha_i^vee> + 1
     inst, fold = a3
     seed = BetheTuple.trivial(3)
-    y1, _ = cyclotomic_generate_L1(inst, fold, seed, 0, F(1))
+    y1, _ = cyclotomic_generate(inst, fold, seed, 0, F(1))
     for y in (seed, y1):
         linf = weight_at_infinity(inst, y)
         for i in range(3):
@@ -47,11 +47,11 @@ def test_elementary_degree_formula(a3):
 def test_cyclotomic_l1(a3):
     inst, fold = a3
     seed = BetheTuple.trivial(3)
-    out, step = cyclotomic_generate_L1(inst, fold, seed, 0, F(2))
+    out, step = cyclotomic_generate(inst, fold, seed, 0, F(2))
     assert out[0] == poly(2, 1) and out[2] == poly(-2, 1)
     assert out[1] == QPoly.one()
     assert step.kind == "L1"
-    out2, _ = cyclotomic_generate_L1(inst, fold, seed, 1, F(1))
+    out2, _ = cyclotomic_generate(inst, fold, seed, 1, F(1))
     assert out2[1] == poly(2, 0, 1)  # even polynomial, forced by cyclotomy
     for y in (out, out2):
         assert is_cyclotomic_tuple(inst, y)
@@ -405,10 +405,9 @@ def test_transport_takes_no_inverse(monkeypatch):
     """omega^(k deg) * p(omega^-k x) from omega^(M-k): the same value,
     field order and string as from omega ** -k, with no Cyc.inverse; k = 0
     only promotes p to omega's order."""
-    from cybethe.scalars import primitive_root
     cases = []
     for M, power in ((2, 1), (3, 1), (3, 2), (4, 3), (6, 5), (8, 3)):
-        omega = primitive_root(M, power)
+        omega = Cyc.root_of_unity(M, power)
         for p in (poly(1, 2, 0, 3), poly(F(1, 2), 0, 1) * QPoly.x_power(
                 2, Cyc.root_of_unity(3)), QPoly.x_power(5, F(-2, 7))):
             for k in range(M):

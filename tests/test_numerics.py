@@ -7,11 +7,9 @@ from fractions import Fraction as F
 
 from conftest import poly
 from cybethe import numerics
-from cybethe.errors import DivisionNearZero, NoConvergence, SingularJacobian
 from cybethe.frame import BetheTuple, eigenvalues
-from cybethe.numerics import (FloatPoint, embed,
-                              eigenvalues_numeric, grad_check, newton_refine,
-                              residual_norm)
+from cybethe.numerics import (FloatPoint, embed, eigenvalues_numeric,
+                              grad_check, residual_norm)
 from cybethe.cartan import CartanData, DiagramAut, Weight
 from cybethe.frame import ProblemInstance
 from cybethe.scalars import Cyc
@@ -62,34 +60,6 @@ def test_residual_sensitivity(a2, a2_tuple):
                     for z in pt.roots),
         colours=pt.colours)
     assert residual_norm(inst, moved) > 1e-4
-
-
-def test_newton_fixed_point(a2, a2_tuple):
-    inst, _ = a2
-    pt = embed(a2_tuple)
-    refined, norm = newton_refine(inst, pt)
-    assert norm < 1e-12
-    assert max(abs(a - b) for a, b in zip(refined.roots, pt.roots)) < 1e-12
-
-
-def test_newton_basin(a2, a2_tuple):
-    inst, _ = a2
-    pt = embed(a2_tuple)
-    rng = random.Random(7)
-    start = FloatPoint(
-        roots=tuple(z + 1e-3 * complex(rng.random() - .5, rng.random() - .5)
-                    for z in pt.roots),
-        colours=pt.colours)
-    refined, norm = newton_refine(inst, start)
-    assert norm < 1e-10
-
-
-def test_newton_divergence(a2):
-    inst, _ = a2
-    # a single far-away root of each colour has no nearby critical point
-    start = FloatPoint(roots=(37.0 + 11j, -54.0 + 3j), colours=(0, 1))
-    with pytest.raises((NoConvergence, DivisionNearZero)):
-        newton_refine(inst, start, iters=8)
 
 
 def test_grad_check_critical(a2, a2_tuple):
@@ -182,37 +152,3 @@ def test_aberth_roots_of_a_high_binomial():
     want = [2 ** (1 / 64) * cmath.exp(2j * cmath.pi * k / 64)
             for k in range(64)]
     assert _match(roots, want) < 1e-12
-
-
-def test_solve_matches_numpy():
-    np = pytest.importorskip("numpy")
-    rng = random.Random(8)
-    for n in (1, 2, 5, 12):
-        a = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-             for _ in range(n)]
-        b = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
-        got = numerics._solve(a, b)
-        want = np.linalg.solve(np.array(a), np.array(b))
-        assert max(abs(x - y) for x, y in zip(got, want)) < 1e-10, n
-    # a zero leading entry needs the row exchange
-    assert numerics._solve([[0j, 1], [2, 0j]], [3, 4]) == [2, 3]
-
-
-def test_solve_refuses_a_singular_jacobian():
-    np = pytest.importorskip("numpy")
-    singular = [[1 + 1j, 2 - 1j, 0j], [2 + 2j, 4 - 2j, 0j], [1j, 1, 3]]
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.solve(np.array(singular), np.ones(3))
-    with pytest.raises(SingularJacobian):
-        numerics._solve(singular, [1, 1, 1])
-    with pytest.raises(SingularJacobian):
-        numerics._solve([[0j]], [1])
-
-
-def test_newton_refine_raises_on_a_singular_jacobian(a2, monkeypatch):
-    inst, _ = a2
-    start = FloatPoint(roots=(0.7 + 0.2j, -1.3 + 0.9j), colours=(0, 1))
-    monkeypatch.setattr(numerics, "_jacobian",
-                        lambda inst, point: [[1, 1], [1, 1]])
-    with pytest.raises(SingularJacobian):
-        newton_refine(inst, start)

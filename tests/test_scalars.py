@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 
 from cybethe.qpoly import QPoly
 from cybethe import scalars
-from cybethe.scalars import (Cyc, _cyc, _traces, cyclotomic_polynomial,
-                             primitive_root)
-from cybethe.errors import InputError
+from cybethe.scalars import Cyc, _cyc, _traces, cyclotomic_polynomial
 from cybethe.serialize import parse_scalar, scalar_str
 
 ORDERS = (1, 2, 3, 4, 8, 12)
@@ -89,12 +87,6 @@ def test_hash_agrees_with_equality():
     assert p == q and hash(p) == hash(q)
     for c in (5, w3, Cyc.of(0)):
         assert QPoly.constant(c) == c and hash(QPoly.constant(c)) == hash(c)
-
-
-def test_primitivity_guard():
-    with pytest.raises(InputError):
-        primitive_root(4, 2)
-    assert primitive_root(4, 3) ** 2 == -1
 
 
 def test_power_negative():

@@ -167,16 +167,6 @@ def test_catalog_doc_reads_each_tuple_from_its_bfs_key(a3, monkeypatch):
     assert len(want) == 19
 
 
-def test_instance_round_trip():
-    inst = serialize.instance_from_doc(A2_INSTANCE)
-    doc = serialize.instance_doc(inst)
-    again = serialize.instance_from_doc(doc)
-    assert again.lambda0 == inst.lambda0
-    assert again.omega == inst.omega
-    assert serialize.dumps(serialize.instance_doc(again)) == \
-        serialize.dumps(doc)
-
-
 def test_perm_parsing():
     aut = serialize.perm_from_doc("(1 4)(2 3)", 4)
     assert aut.perm == (3, 2, 1, 0)

@@ -130,3 +130,65 @@ def test_rep_calls_counts_methods_of_one_name_apart():
     assert set(got[1]) == {"cybethe/qpoly.py:QPoly.__mul__",
                            "cybethe/qpoly.py:RatQP.__mul__"}
     assert got[1]["cybethe/qpoly.py:RatQP.__mul__"] == 1
+
+
+# What `tools/reach.py` reports: the definitions that no command and no
+# benchmark file reaches, each kept for the reason given.  Anything else it
+# reports is code to wire into a command or to delete.
+KEPT_UNREACHED = {
+    # paper checks for ROADMAP item 4: D(y) of a tuple annihilates the
+    # special basis of its population's space
+    "typea.fundamental_operator", "typea.apply_operator", "qpoly.RatQP",
+    # paper checks for ROADMAP item 6: the flag type in `typea analyze`,
+    # the normalized Witt basis, and the numeric eigenvalues of
+    # `check-numeric`
+    "typea.flag_type", "typea.eta_q", "typea._rank_of", "linalg.rank",
+    "errors.NotDecomposable", "typea.normalized_witt_basis",
+    "typea.wr_constant", "numerics.eigenvalues_numeric",
+    # test oracles
+    "frame.hl_identity_check", "genengine.elementary_generate_L1",
+    "genengine.cyclotomic_generate_L2", "genengine.generation_family",
+    "typea.bform", "typea.in_span",
+    # named by the benchmark's tracer
+    "linalg.nullspace", "qpoly.wronskian",
+    # the public form of `typea._wr_plus` at one mask
+    "qpoly.divided_wronskian",
+    # test-data builders
+    "qpoly.QPoly.from_coeffs", "cartan.CartanData.affine_a",
+    "cartan.DiagramAut.identity",
+}
+
+
+def reach(*args):
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "reach.py"), *map(str, args)],
+        capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+def test_reach_reports_only_the_kept_definitions():
+    assert set(reach()) == KEPT_UNREACHED
+
+
+def test_reach_follows_commands_and_benchmark_files(tmp_path):
+    src, bench = tmp_path / "src", tmp_path / "perfbench"
+    shutil.copytree(ROOT / "src" / "cybethe", src / "cybethe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    bench.mkdir()
+    # a new function that only a test calls is reported; so is the
+    # benchmark's oracle once no benchmark file uses it
+    typea = src / "cybethe" / "typea.py"
+    typea.write_text(typea.read_text() + "\n\ndef unread(space):\n"
+                     "    return kernel_basis(space)\n")
+    got = reach(src, bench)
+    assert "typea.unread" in got and "numerics.residual_norm" in got
+    assert "typea.kernel_basis" not in got
+    # a name that a benchmark file imports, or reads off a module, is a
+    # root; a string is not
+    (bench / "use.py").write_text(
+        "from cybethe.typea import unread\nfrom cybethe import numerics\n"
+        "unread(numerics.residual_norm)\nNAMES = ('bform',)\n")
+    got = reach(src, bench)
+    assert "typea.unread" not in got and "numerics.residual_norm" not in got
+    assert "typea.bform" in got

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import poly
-from cybethe import serialize
+from cybethe import qpoly, serialize
 from cybethe.cartan import Weight, orbit_data
 from cybethe.errors import NotInRootCone, NotIsotropic
 from cybethe.frame import (BetheTuple, is_critical_exact,
@@ -17,7 +17,7 @@ from cybethe.qpoly import QPoly, proportional
 from cybethe.scalars import Cyc
 from cybethe.typea import (QPSpace, apply_flow, available_generators,
                            beta, bform, big_lambda, cyclotomic_population,
-                           divided_wr, dual_basis, eta_q, exponents,
+                           dual_basis, eta_q, exponents,
                            flag_type, flow_vs_generation,
                            frame_conditions_check, fundamental_operator,
                            apply_operator, gram_matrix,
@@ -164,7 +164,8 @@ def test_dual_basis(a2, a2_tuple):
     for i in range(size):
         for j in range(size):
             rest = [space.basis[k] for k in range(size) if k != j]
-            val = divided_wr(space.frame, [space.basis[i]] + rest)
+            fs = [space.basis[i]] + rest
+            val = qpoly.divided_wronskian(fs, [space.frame.divisors[len(fs)]])
             if i == j:
                 assert not val.is_zero()
             else:
