@@ -414,7 +414,7 @@ def _orbit_reps(a, aut):
 
 class ProblemInstance(Record):
     _fields = ("cartan", "aut", "omega", "points", "site_weights", "lambda0")
-    __slots__ = _fields + ("orbit_reps",)
+    __slots__ = _fields + ("orbit_reps", "_frame_polys")
 
     def __init__(self, cartan, aut, omega, points, site_weights, lambda0):
         aut.validate_for(cartan)
@@ -453,6 +453,8 @@ class ProblemInstance(Record):
         self.lambda0 = lambda0
         # `_orbit_reps` of the nodes and edges: derived, so not a field
         self.orbit_reps = _orbit_reps(cartan.a, aut)
+        # T_1 .. T_n, built by `frame.frame_polys` on first use: derived
+        self._frame_polys = None
 
     @property
     def M(self):

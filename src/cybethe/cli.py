@@ -9,12 +9,13 @@ codes: 0 all requested checks pass, 1 a check failed, 2 input error,
 
 import argparse
 import json
+import math
 import sys
 
 from . import serialize
 from .cartan import canonical_lambda0, orbit_data
 from .errors import (CybetheError, InputError, InternalInvariantError,
-                     NotGeneric)
+                     NotGeneric, NotSelfDual)
 
 # Each command imports the modules it runs beyond `serialize` and `cartan`
 # once its inputs are read, so that a request compiles and loads only
@@ -142,11 +143,15 @@ def cmd_typea_analyze(args):
     inst = _instance(args)
     y = _tuple(args, inst)
     from .typea import (beta, cyclotomic_population, frame_conditions_check,
-                        gram_matrix, is_cyclotomically_self_dual,
-                        isotropy_check, kernel_basis, witt_basis)
+                        gram_matrix, isotropy_check, kernel_basis, witt_basis)
     space, flag = kernel_basis(inst, y)
     report = frame_conditions_check(space)
-    self_dual = is_cyclotomically_self_dual(space)
+    # self-duality and the B matrix of the special basis: one table
+    try:
+        g = gram_matrix(space, list(space.basis))
+    except NotSelfDual:
+        g = None
+    self_dual = g is not None
     doc = serialize.space_doc(space)
     doc["frame_report"] = _plain(report)
     doc["self_dual"] = self_dual
@@ -161,9 +166,7 @@ def cmd_typea_analyze(args):
             "gram": [[serialize.scalar_str(x) for x in row]
                      for row in wb.gram],
         }
-        doc["flag_isotropic"] = isotropy_check(
-            space, list(wb.vectors), gram=[list(r) for r in wb.gram])
-        g = gram_matrix(space, list(space.basis))
+        doc["flag_isotropic"] = isotropy_check(wb.gram)
         doc["b_matrix_special_basis"] = [
             [serialize.scalar_str(x) for x in row] for row in g]
     if args.members:
@@ -231,14 +234,17 @@ def cmd_lambda0(args):
 
 
 def cmd_check_numeric(args):
+    overrides = {}
+    for option, field in (("h", "fd_step"), ("tol", "root_residual")):
+        value = getattr(args, option)
+        if value is not None:
+            if not (math.isfinite(value) and value > 0):
+                raise InputError(f"--{option} must be a positive finite "
+                                 f"number, got {value}")
+            overrides[field] = value
     inst = _instance(args)
     y = _tuple(args, inst)
     from .numerics import FD_TOL, Tolerances, embed, grad_check, residuals
-    overrides = {}
-    if args.h:
-        overrides["fd_step"] = args.h
-    if args.tol:
-        overrides["root_residual"] = args.tol
     tol = Tolerances(**overrides)
     point = embed(y, tol)
     try:
@@ -373,9 +379,9 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--tuple", required=True)
     p.add_argument("--h", type=float, default=None,
-                   help="finite-difference step")
+                   help="finite-difference step (finite, > 0)")
     p.add_argument("--tol", type=float, default=None,
-                   help="override residual tolerance")
+                   help="override residual tolerance (finite, > 0)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_check_numeric)
 

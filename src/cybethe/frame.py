@@ -6,7 +6,10 @@ primitive root omega, marked points z_s with dominant integral weights,
 and the sigma-invariant weight at the origin.  On top of that this module
 provides:
 
-  * the frame polynomials T_i and T~_i,
+  * the frame polynomials T_i, which `frame_polys` builds once per
+    instance and keeps in a derived slot of the instance (not a field,
+    like `orbit_reps`), so that no function takes them as an argument,
+    and T~_i,
   * exact genericity, cyclotomy and criticality tests for tuples,
   * weight-at-infinity bookkeeping,
   * validation of the conditions on the weight at the origin,
@@ -98,9 +101,17 @@ class BetheTuple:
 
 
 def frame_polys(inst):
+    """(T_1, ..., T_n) of the instance, built on the first call and kept in
+    its derived slot, so that every caller reads the same tuple."""
+    if inst._frame_polys is None:
+        inst._frame_polys = _frame_polys(inst)
+    return inst._frame_polys
+
+
+def _frame_polys(inst):
     """T_i(x) = prod_s prod_k (x - omega^k z_s)^<sigma^k Lambda_s, alpha_i^vee>."""
     orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
-    out = {}
+    out = []
     for i in range(inst.cartan.n):
         acc = QPoly.one()
         for s, z in enumerate(inst.points):
@@ -113,17 +124,16 @@ def frame_polys(inst):
                     root = inst.omega ** k * z
                     factor = QPoly({Fraction(1): 1, Fraction(0): -root})
                     acc = acc * factor ** int(power)
-        out[i] = acc
-    return out
+        out.append(acc)
+    return tuple(out)
 
 
-def t_tilde(inst, i, t=None):
+def t_tilde(inst, i):
     """T~_i = x^<L0, alpha_i^vee> T_i; Laurent when the pairing is negative."""
-    base = (t or frame_polys(inst))[i]
-    return QPoly.x_power(inst.gamma(i)) * base
+    return QPoly.x_power(inst.gamma(i)) * frame_polys(inst)[i]
 
 
-def is_generic(inst, y, t=None, reps=None):
+def is_generic(inst, y, reps=None):
     """Genericity of the tuple with respect to the frame polynomials.
 
     Returns (ok, witness); the witness names the first failing condition.
@@ -132,7 +142,7 @@ def is_generic(inst, y, t=None, reps=None):
     coprime to y_j for each j in js.  By default every node i comes with
     each later neighbour j.
     """
-    t = t or frame_polys(inst)
+    t = frame_polys(inst)
     if reps is None:
         a, n = inst.cartan.a, len(y)
         reps = [(i, [j for j in range(i + 1, n) if a[i][j]]) for i in range(n)]
@@ -155,20 +165,20 @@ def is_generic(inst, y, t=None, reps=None):
     return True, None
 
 
-def interaction_product(inst, y, i, t=None):
+def interaction_product(inst, y, i):
     """P = T_i prod_{j != i} y_j^{-<alpha_j, alpha_i^vee>} (a polynomial).
 
     T_i is monic, so it is the constant one when its degree is 0, and then
     the product starts from its first y_j factor."""
-    t = t or frame_polys(inst)
+    t_i = frame_polys(inst)[i]
     a = inst.cartan.a[i]
     factors = [yj ** -a[j] for j, yj in enumerate(y) if j != i and a[j]]
-    if t[i].degree or not factors:
-        factors.insert(0, t[i])
+    if t_i.degree or not factors:
+        factors.insert(0, t_i)
     return reduce(mul, factors)
 
 
-def is_critical_exact(inst, y, mode="extended", t=None, lambda0_override=None):
+def is_critical_exact(inst, y, mode="extended", lambda0_override=None):
     """Residue-divisibility criticality test.
 
     Returns (ok, report) with a per-colour record {divides, witness}, and
@@ -191,24 +201,23 @@ def is_critical_exact(inst, y, mode="extended", t=None, lambda0_override=None):
             raise InputError("lambda0_override needs mode='extended'")
         if not is_cyclotomic_tuple(inst, y):
             raise NotCyclotomic("the tuple is not cyclotomic")
-    t = t or frame_polys(inst)
     reps = inst.orbit_reps if mode == "cyclotomic" else None
-    ok, witness = is_generic(inst, y, t=t, reps=reps)
+    ok, witness = is_generic(inst, y, reps=reps)
     if not ok:
         raise NotGeneric(witness)
     gamma = inst.lambda0 if lambda0_override is None else lambda0_override
     colours = range(len(y)) if reps is None else [i for i, _ in reps]
-    report = {i: _residue(inst, y, i, gamma[i], t) for i in colours}
+    report = {i: _residue(inst, y, i, gamma[i]) for i in colours}
     return all(r["divides"] for r in report.values()), report
 
 
-def _residue(inst, y, i, gamma, t):
+def _residue(inst, y, i, gamma):
     """{divides, witness}: whether y_i divides (gamma P + x P') y_i' -
     x P y_i'', with the quotient as the witness."""
     yi = y[i]
     if yi.degree == 0:
         return {"divides": True, "witness": None}
-    p, dy = interaction_product(inst, y, i, t=t), yi.derivative()
+    p, dy = interaction_product(inst, y, i), yi.derivative()
     x = QPoly.x_power(1)
     # (gamma P + x P') y' - x P y'' as one sum of products
     expr = _sum_of_products([c for c in (

@@ -29,9 +29,9 @@ from .cartan import Record, folded_reflect
 from .errors import (ExceptionalParameter, InputError,
                      InternalInvariantError, NotCyclotomic, NotGeneric,
                      SeedInvalid, UnsupportedType)
-from .frame import (BetheTuple, frame_polys, interaction_product,
-                    is_critical_exact, is_cyclotomic_tuple, is_generic,
-                    l1_violation, weight_at_infinity)
+from .frame import (BetheTuple, interaction_product, is_critical_exact,
+                    is_cyclotomic_tuple, is_generic, l1_violation,
+                    weight_at_infinity)
 from .qpoly import QPoly, wronskian_ode_solve
 from .scalars import Cyc
 from .serialize import tuple_doc_json
@@ -47,15 +47,15 @@ class GenerationStep(Record):
         self.intermediates = intermediates  # (name, QPoly) pairs for L2
 
 
-def _rhs_l1(inst, y, i, t):
+def _rhs_l1(inst, y, i):
     """x^<L0,a_i^vee> T_i prod_{j != i} y_j^{-a_ij}."""
-    return QPoly.x_power(inst.gamma(i)) * interaction_product(inst, y, i, t=t)
+    return QPoly.x_power(inst.gamma(i)) * interaction_product(inst, y, i)
 
 
-def _l1_base(inst, y, i, t):
+def _l1_base(inst, y, i):
     """Solution of Wr(y_i, Y) = _rhs_l1 pinned to a zero coefficient at
     x^deg y_i: the c-independent part of the family base + c y_i."""
-    base, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
+    base, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i),
                                   ("coeff_zero", y[i].degree))
     return base
 
@@ -68,7 +68,7 @@ def _representative(fold, i):
     return fold.linking[i]
 
 
-def elementary_generate_L1(inst, y, i, c, t=None):
+def elementary_generate_L1(inst, y, i, c):
     """One elementary generation step at node i (integral <L0, a_i^vee>).
 
     Returns (tuple, base, generic) where `base` is the pinned particular
@@ -76,18 +76,17 @@ def elementary_generate_L1(inst, y, i, c, t=None):
     monic(base + c*y_i), and `generic` flags whether the result passes the
     genericity test for this parameter value.
     """
-    t = t or frame_polys(inst)
     gamma = inst.gamma(i)
     if gamma.denominator != 1 or gamma < 0:
         raise InputError(f"elementary L1 step needs <L0,a_{i}^vee> in Z>=0")
-    base = _l1_base(inst, y, i, t)
+    base = _l1_base(inst, y, i)
     new = base + y[i].scale(c)
     if new.is_zero():
         raise ExceptionalParameter(c, f"component y_{i} degenerates to zero")
     polys = list(y)
     polys[i] = new.monic()
     out = BetheTuple(polys)
-    ok, _ = is_generic(inst, out, t=t)
+    ok, _ = is_generic(inst, out)
     return out, base, ok
 
 
@@ -100,7 +99,7 @@ def _transport(poly, omega, M, k):
         omega ** (k * poly.degree % M))
 
 
-def _family(inst, fold, y, i, t):
+def _family(inst, fold, y, i):
     """Every solve of the generation family at node i, made once.
 
     Returns (index, base, direction, member): the component at `index` of
@@ -114,7 +113,7 @@ def _family(inst, fold, y, i, t):
     """
     m_i = fold.orbit_len[i]
     if fold.linking[i] == 1:
-        base = _l1_base(inst, y, i, t)
+        base = _l1_base(inst, y, i)
         if not base.is_polynomial():
             raise InputError("tuple components must be ordinary polynomials")
         # off this rule the members need not be cyclotomic
@@ -122,7 +121,7 @@ def _family(inst, fold, y, i, t):
         if violation:
             raise InputError(violation)
         if m_i > 1 and _transport(base, inst.omega, inst.M, 1) != \
-                _l1_base(inst, y, inst.aut(i), t):
+                _l1_base(inst, y, inst.aut(i)):
             raise InternalInvariantError(
                 "transported L1 component disagrees with an independent solve")
 
@@ -144,16 +143,16 @@ def _family(inst, fold, y, i, t):
     if gamma.denominator != 2:
         raise InputError(f"<L0,a_{i}^vee> must be half-odd for an L=2 step")
     # supported on gamma + 1 + Z>=0, so y_i_1 is an ordinary polynomial
-    lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i, t),
+    lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i),
                                     ("holomorphic_at_zero", gamma + 1))
     y_i_1 = (QPoly.x_power(-(gamma + 1)) * lifted).monic()
     ibar = inst.aut(i)
-    rhs = _rhs_l1(inst, _replaced(y, i, y_i_1), ibar, t)
+    rhs = _rhs_l1(inst, _replaced(y, i, y_i_1), ibar)
     base2, _ = wronskian_ode_solve(y[ibar], QPoly.x_power(1 + gamma) * rhs,
                                    ("coeff_zero", y[ibar].degree))
     f = QPoly.x_power(gamma + 1) * y_i_1
     s0, s1 = (wronskian_ode_solve(
-        f, _rhs_l1(inst, _replaced(y, ibar, p), i, t),
+        f, _rhs_l1(inst, _replaced(y, ibar, p), i),
         ("holomorphic_at_zero", 0))[0] for p in (base2, y[ibar]))
 
     def member(c):
@@ -176,11 +175,11 @@ def _replaced(y, j, p):
     return polys
 
 
-def _checked(inst, out, c, kind, t):
+def _checked(inst, out, c, kind):
     """The one proof of a generated tuple: cyclotomic, then generic and
     critical at the orbit representatives."""
     try:
-        critical, _ = is_critical_exact(inst, out, mode="cyclotomic", t=t)
+        critical, _ = is_critical_exact(inst, out, mode="cyclotomic")
     except NotGeneric as exc:
         raise ExceptionalParameter(c, str(exc)) from None
     except NotCyclotomic:
@@ -191,16 +190,15 @@ def _checked(inst, out, c, kind, t):
             "generated node fails verification: not an exact critical point")
 
 
-def _generate(inst, fold, y, i, c, t):
-    t = t or frame_polys(inst)
+def _generate(inst, fold, y, i, c):
     c = c if isinstance(c, Cyc) else Cyc.of(c)
-    *_, member = _family(inst, fold, y, i, t)
+    *_, member = _family(inst, fold, y, i)
     out, step = member(c)
-    _checked(inst, out, c, step.kind, t)
+    _checked(inst, out, c, step.kind)
     return out, step
 
 
-def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
+def cyclotomic_generate_L2(inst, fold, y, i, c):
     """Cyclotomic generation at an L=2 orbit representative.
 
     Runs the three-step sequence (holomorphic solve, pinned solve + c*y,
@@ -209,15 +207,15 @@ def cyclotomic_generate_L2(inst, fold, y, i, c, t=None):
     """
     if fold.linking[i] != 2:
         raise InputError(f"node {i} has L = {fold.linking[i]}, expected 2")
-    return _generate(inst, fold, y, i, c, t)
+    return _generate(inst, fold, y, i, c)
 
 
-def cyclotomic_generate(inst, fold, y, i, c, t=None):
+def cyclotomic_generate(inst, fold, y, i, c):
     _representative(fold, i)
-    return _generate(inst, fold, y, i, c, t)
+    return _generate(inst, fold, y, i, c)
 
 
-def generation_family(inst, fold, y, i, t=None):
+def generation_family(inst, fold, y, i):
     """Linear structure of the generated family at the representative i.
 
     Returns (index, base, direction): before monic normalization the moved
@@ -227,7 +225,7 @@ def generation_family(inst, fold, y, i, t=None):
     whole step.
     """
     _representative(fold, i)
-    return _family(inst, fold, y, i, t or frame_polys(inst))[:3]
+    return _family(inst, fold, y, i)[:3]
 
 
 class PopulationNode(Record):
@@ -283,9 +281,8 @@ def explore_population(inst, fold, seed, depth, samples):
     samples = [s if isinstance(s, Cyc) else Cyc.of(s) for s in samples]
     if not samples:
         raise InputError("population needs at least one sample parameter")
-    t = frame_polys(inst)
     try:
-        crit, _ = is_critical_exact(inst, seed, t=t)
+        crit, _ = is_critical_exact(inst, seed)
     except NotGeneric as exc:
         raise SeedInvalid(f"seed not generic: {exc}") from None
     if not is_cyclotomic_tuple(inst, seed):
@@ -304,7 +301,7 @@ def explore_population(inst, fold, seed, depth, samples):
         next_frontier = []
         for node in frontier:
             for i in fold.reps:
-                *_, member = _family(inst, fold, node.tuple_, i, t)
+                *_, member = _family(inst, fold, node.tuple_, i)
                 reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                            node.lambda_inf)
                 misses = 0
@@ -314,7 +311,7 @@ def explore_population(inst, fold, seed, depth, samples):
                         key = tuple_doc_json(child)
                         if graph.find(key) is not None:
                             continue
-                        _checked(inst, child, c, step.kind, t)
+                        _checked(inst, child, c, step.kind)
                     except ExceptionalParameter as exc:
                         graph.skipped.append((node.node_id, i, c, exc.reason))
                         misses += 1

@@ -12,10 +12,19 @@ A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
 Every divided Wronskian Wr+ is an entry of one `wronskian_table` divided by
 a D_k of the frame's divisor chain, which each `TypeAFrame` builds once.
 Within one call, readers of the same basis share one table: `apply_flow`
-reads its Gram check and beta from the table of the image basis.  A table
-is never shared between a check and the value it checks: the Gram check
-is compared with `witt.gram`, which came from another basis's table, and
-the check in `kernel_basis` builds its own table.
+reads its Gram check and beta from the table of the image basis, and
+`typea analyze` reads self-duality and the B matrix of the special basis
+from one `gram_matrix` (`_gram` raises NotSelfDual before it reads the
+Wronskian constant).  A table is never shared between a check and the
+value it checks: the Gram check is compared with `witt.gram`, which came
+from another basis's table, and the checks in `kernel_basis` and
+`frame_conditions_check` build their own tables.
+
+A WittBasis is its vectors and their Gram matrix; its anti-diagonal
+`constants` are read off the matrix.  `apply_flow` returns the image
+basis as a WittBasis with the same Gram matrix, which its Gram check
+proves, together with beta of the image flag, so a chain of flows passes
+each image on as the next input.
 """
 
 from fractions import Fraction
@@ -29,7 +38,7 @@ from .errors import (InexactDivision, InputError, InternalInvariantError,
                      NoSpecialBasis, NotDecomposable, NotGeneric,
                      NotInRootCone, NotIsotropic, NotSelfDual,
                      UnsupportedType)
-from .frame import (BetheTuple, big_lambda, frame_polys, is_critical_exact,
+from .frame import (BetheTuple, big_lambda, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
@@ -119,7 +128,7 @@ def determine_p(inst):
 
 
 def exponents(cartan, lam, lam_inf_tilde):
-    """Exponents (d, ddag, d1) of a frame with data (Lambda, Lambda~_inf).
+    """Exponents (d, ddag) of a frame with data (Lambda, Lambda~_inf).
 
     d_1 = <Lambda - Lambda~_inf, sum_k (R+1-k) alpha_k^vee> / (R+1),
     d_k = d_1 + <Lambda~_inf + rho, alpha_1^vee + ... + alpha_(k-1)^vee>,
@@ -150,17 +159,16 @@ def exponents(cartan, lam, lam_inf_tilde):
         ddag[k] = acc
     if any(d[k] >= d[k + 1] for k in range(r)):
         raise InputError(f"exponents not strictly increasing: {d}")
-    return tuple(d), tuple(ddag), d1
+    return tuple(d), tuple(ddag)
 
 
 def build_frame(inst, y):
     """TypeAFrame for the kernel space of the tuple y."""
     r = require_type_a(inst)
-    t = frame_polys(inst)
-    ttilde = tuple(t_tilde(inst, i, t=t) for i in range(r))
+    ttilde = tuple(t_tilde(inst, i) for i in range(r))
     lam = big_lambda(inst)
     lam_inf, _ = dominant_shifted_rep(inst.cartan, weight_at_infinity(inst, y))
-    d, ddag, _ = exponents(inst.cartan, lam, lam_inf)
+    d, ddag = exponents(inst.cartan, lam, lam_inf)
     p = determine_p(inst)
     ints = [k for k in range(r + 1) if d[k].denominator == 1]
     if p > 0 and ints != list(range(p)) + list(range(r + 1 - p, r + 1)):
@@ -367,14 +375,15 @@ def gram_matrix(space, basis):
 
 
 def _gram(basis, wr_plus):
-    """`gram_matrix` of basis from `_wr_plus` of basis."""
+    """`gram_matrix` of basis from `_wr_plus` of basis.  NotSelfDual when
+    an image u(-x) leaves the dual space, found before the constant is read."""
     size = len(basis)
-    w = _dual(wr_plus, size)
-    const = _constant(wr_plus, size)
-    cmat = _span_coefficients([u.negate_argument() for u in basis], w)
+    cmat = _span_coefficients([u.negate_argument() for u in basis],
+                              _dual(wr_plus, size))
     if any(coeffs is None for coeffs in cmat):
         raise NotSelfDual(
             "basis vector image under x -> -x leaves the dual space")
+    const = _constant(wr_plus, size)
     signed = (const, -const)
     return [[signed[i % 2] * cmat[j][i] for j in range(size)]
             for i in range(size)]
@@ -463,32 +472,30 @@ def eta_q(space, sp_flag, o_flag, q):
     return Flag(space=space, adjusted=tuple(adjusted))
 
 
-def isotropy_check(space, adjusted, gram=None):
-    """F_k = F_(R+1-k)^perp, i.e. G[a][b] = 0 whenever a + b <= R - 1
-    (0-based indices)."""
-    g = gram if gram is not None else gram_matrix(space, list(adjusted))
-    size = len(adjusted)
-    for a in range(size):
-        for b in range(size):
-            if a + b <= size - 2 and not g[a][b].is_zero():
-                return False
-    return True
+def isotropy_check(gram):
+    """F_k = F_(R+1-k)^perp for the flag of a basis with Gram matrix `gram`,
+    i.e. G[a][b] = 0 whenever a + b <= R - 1 (0-based indices)."""
+    size = len(gram)
+    return all(gram[a][b].is_zero()
+               for a in range(size) for b in range(size - 1 - a))
 
 
 # --- Witt bases --------------------------------------------------------------
 
 
 class WittBasis(Record):
-    __slots__ = _fields = ("vectors", "gram", "constants", "middle_constant",
-                           "middle_index")
+    __slots__ = _fields = ("vectors", "gram")
 
-    def __init__(self, vectors, gram, constants, middle_constant,
-                 middle_index):
+    def __init__(self, vectors, gram):
         self.vectors = vectors
-        self.gram = gram            # full Gram matrix of `vectors`
-        self.constants = constants  # B(r_k, r_(R+2-k)), k = 1..R+1 (1-based)
-        self.middle_constant = middle_constant  # a Cyc, or None
-        self.middle_index = middle_index        # an int, or None
+        self.gram = gram    # full Gram matrix of `vectors`, anti-diagonal
+
+    @property
+    def constants(self):
+        """B(r_k, r_(R+2-k)), k = 1..R+1 (1-based): the anti-diagonal of
+        `gram`, whose middle entry is the middle vector's for odd R+1."""
+        size = len(self.gram)
+        return tuple(self.gram[k][size - 1 - k] for k in range(size))
 
 
 def _b_pattern(p, size):
@@ -515,7 +522,7 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
     basis = list(adjusted if adjusted is not None else space.basis)
     size = len(basis)
     g = gram_matrix(space, basis)
-    if not isotropy_check(space, basis, gram=g):
+    if not isotropy_check(g):
         raise NotIsotropic("witt_basis needs an isotropic flag basis: a Gram "
                            "entry below the anti-diagonal is nonzero")
     vecs = [[Cyc.of(1) if i == j else Cyc.of(0) for j in range(size)]
@@ -558,13 +565,8 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
             if a + b != size - 1 and not gram_final[a][b].is_zero():
                 raise InternalInvariantError(
                     f"Witt Gram not anti-diagonal at ({a},{b})")
-    constants = tuple(gram_final[k][size - 1 - k] for k in range(size))
     return WittBasis(vectors=tuple(vectors),
-                     gram=tuple(tuple(row) for row in gram_final),
-                     constants=constants,
-                     middle_constant=None if mid is None
-                     else gram_final[mid][mid],
-                     middle_index=mid)
+                     gram=tuple(tuple(row) for row in gram_final))
 
 
 def _cyclotomic_sqrt(value):
@@ -729,11 +731,13 @@ def flow_generator(space, witt, kind, k):
 
 
 def apply_flow(space, witt, generator, c):
-    """Apply exp(c * generator) to the Witt flag; returns (flag, tuple).
+    """Apply exp(c * generator) to the Witt flag; returns (image, tuple)
+    with the image a WittBasis and the tuple beta of its flag.
 
-    The new flag is asserted isotropic and the Gram matrix asserted
-    unchanged (the transformation lies in the B-preserving group).  The
-    check and beta read one table of the image basis.
+    The Gram matrix of the image is asserted equal to `witt.gram` (the
+    transformation lies in the B-preserving group) and isotropic, so the
+    image is again a Witt basis with `witt.gram`.  The check and beta
+    read one table of the image basis.
     """
     kind, k = generator
     c = c if isinstance(c, Cyc) else Cyc.of(c)
@@ -760,9 +764,9 @@ def apply_flow(space, witt, generator, c):
     if g_new != [list(r) for r in witt.gram]:
         raise InternalInvariantError(
             f"flow {kind}_{k} does not preserve the bilinear form")
-    if not isotropy_check(space, new_vectors, gram=g_new):
+    if not isotropy_check(g_new):
         raise InternalInvariantError("flow output flag is not isotropic")
-    return Flag(space=space, adjusted=tuple(new_vectors)), _beta(
+    return WittBasis(vectors=tuple(new_vectors), gram=witt.gram), _beta(
         wr_plus, size - 1)
 
 
@@ -873,13 +877,7 @@ def cyclotomic_population(inst, seed, sample_count=0, rng_seed=0):
             c = rng.choice(pool)
             if c == 0:
                 continue
-            flag_new, tup = apply_flow(space, cur, (kind, k), c)
-            # the flow preserves B, so the image basis is again Witt with
-            # the same Gram data
-            cur = WittBasis(vectors=flag_new.adjusted, gram=cur.gram,
-                            constants=cur.constants,
-                            middle_constant=cur.middle_constant,
-                            middle_index=cur.middle_index)
+            cur, tup = apply_flow(space, cur, (kind, k), c)
         if tup is None:  # no flow ran
             tup = beta(space, cur.vectors)
         if not all(q.is_polynomial() for q in tup):
@@ -941,12 +939,11 @@ def flow_vs_generation(inst, fold, seed, k, params):
             # X_k moves the orbit {k, R+1-k} (1-based), represented by k-1;
             # its generation family is solved once for every parameter
             _representative(fold, k - 1)
-            t = frame_polys(inst)
-            idx, base, dir_poly, member = _family(inst, fold, seed, k - 1, t)
+            idx, base, dir_poly, member = _family(inst, fold, seed, k - 1)
             rho = _calibrate_rho(flow_tuple[idx], base, dir_poly, c)
         gen_c = Cyc.of(1) / (rho * c)
         gen_tuple, step = member(gen_c)
-        _checked(inst, gen_tuple, gen_c, step.kind, t)
+        _checked(inst, gen_tuple, gen_c, step.kind)
         matches.append(flow_tuple == gen_tuple)
     return {"rho": rho, "all_match": all(matches), "matches": matches}
 

@@ -18,8 +18,8 @@ import pytest
 from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
 from cybethe.errors import NotGeneric
-from cybethe.frame import (BetheTuple, eigenvalues, frame_polys,
-                           is_critical_exact, is_cyclotomic_tuple)
+from cybethe.frame import (BetheTuple, eigenvalues, is_critical_exact,
+                           is_cyclotomic_tuple)
 from cybethe.genengine import _family, explore_population
 from cybethe.qpoly import QPoly
 
@@ -181,10 +181,9 @@ def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):
     outcomes = set()
     for inst, graph in catalogs.values():
         fold = orbit_data(inst.cartan, inst.aut)
-        t = frame_polys(inst)
         members = [node.tuple_ for node in graph.nodes]
         for node, i, c, _ in graph.skipped:
-            *_, member = _family(inst, fold, graph.nodes[node].tuple_, i, t)
+            *_, member = _family(inst, fold, graph.nodes[node].tuple_, i)
             members.append(member(c)[0])
         for y in members:
             want = _verdict(inst, y, "extended")

@@ -48,6 +48,38 @@ def test_frame_polys_n1():
     assert t[1] == poly(1, 1)
 
 
+def test_frame_polys_are_derived_once_per_instance(monkeypatch):
+    inst = serialize.instance_from_doc(A4_MARKED_DOC)
+    t = frame_polys(inst)
+    assert frame_polys(inst) is t and len(t) == 4
+    # not a field: equality, hash and repr ignore it
+    twin = serialize.instance_from_doc(A4_MARKED_DOC)
+    assert twin == inst and hash(twin) == hash(inst)
+    assert repr(twin) == repr(inst) and "frame_polys" not in repr(inst)
+    assert frame_polys(twin) == t
+    builds = []
+    build = frame._frame_polys
+    monkeypatch.setattr(frame, "_frame_polys",
+                        lambda i: builds.append(1) or build(i))
+    fresh = serialize.instance_from_doc(A4_MARKED_DOC)
+    graph = explore_population(
+        fresh, orbit_data(fresh.cartan, fresh.aut), BetheTuple.trivial(4), 2,
+        [serialize.parse_scalar(s, fresh.M) for s in SAMPLES])
+    assert len(graph) > 1 and len(builds) == 1
+
+
+def test_no_function_takes_frame_polynomials():
+    import importlib
+    import inspect
+    import pkgutil
+    import cybethe
+    for info in pkgutil.iter_modules(cybethe.__path__):
+        module = importlib.import_module("cybethe." + info.name)
+        for name, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                assert "t" not in inspect.signature(obj).parameters, name
+
+
 def test_t_symmetry():
     # T_{sigma j}(omega x) is proportional to T_j(x), with the exact factor
     # omega^<sum sigma^k Lambda_s, alpha_j^vee>
@@ -97,7 +129,7 @@ def test_criticality_witness(a2, a2_tuple):
         is_critical_exact(inst, BetheTuple([poly(-1, 1), poly(-1, 1)]))
 
 
-def _four_product_report(inst, y, t, lambda0_override=None):
+def _four_product_report(inst, y, lambda0_override=None):
     """(divides, witness) per colour, with the residue expression built as
     four products, two sums and a scale."""
     report = {}
@@ -107,7 +139,7 @@ def _four_product_report(inst, y, t, lambda0_override=None):
             continue
         gamma = inst.gamma(i) if lambda0_override is None \
             else lambda0_override[i]
-        p = interaction_product(inst, y, i, t=t)
+        p = interaction_product(inst, y, i)
         x = QPoly.x_power(1)
         expr = (p.scale(gamma) + x * p.derivative()) * yi.derivative() \
             - x * p * yi.derivative().derivative()
@@ -143,9 +175,8 @@ def test_fused_residue_matches_the_four_product_expression():
     assert len(cases) > 80
     verdicts = set()
     for inst, y, override in cases:
-        t = frame_polys(inst)
-        _, report = is_critical_exact(inst, y, t=t, lambda0_override=override)
-        want = _four_product_report(inst, y, t, override)
+        _, report = is_critical_exact(inst, y, lambda0_override=override)
+        want = _four_product_report(inst, y, override)
         for i, (divides, witness) in want.items():
             got = report[i]["witness"]
             assert report[i]["divides"] == divides
@@ -230,7 +261,7 @@ def test_checked_proves_each_orbit_representative_once(monkeypatch):
         assert full == [("divide_exact", i) for i in divided] + [
             ("is_squarefree", i) for i in range(4)]
         assert _proof_calls(monkeypatch, y, lambda: _checked(
-            inst, y, 1, "L1", None)) == [c for c in full if c[1] < 2]
+            inst, y, 1, "L1")) == [c for c in full if c[1] < 2]
 
 
 A4_MARKED_DOC = {**A4_DOC, "points": ["1"], "site_weights": [["1", "0", "0",

@@ -282,6 +282,23 @@ def test_cli_typea_analyze(docs):
     assert doc["flag_isotropic"] is True
 
 
+def test_cli_typea_analyze_reads_self_duality_off_the_b_matrix_table(
+        docs, monkeypatch):
+    # self-duality and the B matrix of the special basis share one table;
+    # the frame conditions, a check, build their own: 2 of the 6 tables
+    from cybethe import typea
+    inst, tup, tmp = docs
+    space, _ = typea.kernel_basis(serialize.instance_from_doc(A2_INSTANCE),
+                                  serialize.tuple_from_doc(A2_TUPLE, 2))
+    tables, table = [], typea.wronskian_table
+    monkeypatch.setattr(typea, "wronskian_table",
+                        lambda fs: tables.append(tuple(fs)) or table(fs))
+    assert cli.main(["typea", "analyze", "--instance", inst, "--tuple", tup,
+                     "--out", str(tmp / "an.json")]) == 0
+    assert len(tables) == 6
+    assert tables.count(space.basis) == 2
+
+
 def test_cli_typea_flow(docs, capsys):
     inst, tup, _ = docs
     rc = cli.main(["typea", "flow", "--instance", inst, "--tuple", tup,
@@ -335,6 +352,21 @@ def test_cli_check_numeric(docs, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["max_residual"] < 1e-8
     assert doc["gradient_mismatch"] < 1e-6
+
+
+@pytest.mark.parametrize("option", ["--h", "--tol"])
+@pytest.mark.parametrize("value", ["0", "=-1", "nan", "inf"])
+def test_cli_check_numeric_refuses_an_option_out_of_range(docs, capsys,
+                                                           option, value):
+    # 0 and nan used to fall back to the default or pass every check, and
+    # --tol=-1 failed as IllConditioned at the first root
+    inst, tup, _ = docs
+    args = [option + value] if value[0] == "=" else [option, value]
+    assert cli.main(["check-numeric", "--instance", inst, "--tuple", tup,
+                     *args]) == 2
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError"
+    assert error["message"].startswith(option + " must be")
 
 
 def test_cli_validate(docs, capsys):

@@ -47,13 +47,13 @@ def quasi_cyclotomic(tup):
 def test_exponents(a2, a2_tuple):
     inst, _ = a2
     lam = big_lambda(inst)
-    d, ddag, d1 = exponents(inst.cartan, lam, Weight([F(1, 2), F(1, 2)]))
-    assert d1 == 0
+    d, ddag = exponents(inst.cartan, lam, Weight([F(1, 2), F(1, 2)]))
+    assert d[0] == 0
     assert d == (F(0), F(3, 2), F(3))
     assert ddag == (F(3), F(3, 2), F(0))
     # Lambda~_inf = Lambda gives d_1 = 0
-    d2, _, d1b = exponents(inst.cartan, lam, lam)
-    assert d1b == 0
+    d2, _ = exponents(inst.cartan, lam, lam)
+    assert d2[0] == 0
     with pytest.raises(NotInRootCone):
         exponents(inst.cartan, lam, Weight([F(5, 2), F(5, 2)]))
 
@@ -65,7 +65,7 @@ def test_exponent_sum_identity(a2, a3):
         lam = big_lambda(inst)
         from cybethe.cartan import dominant_shifted_rep
         lam_inf, _ = dominant_shifted_rep(inst.cartan, inst.lambda0)
-        d, _, _ = exponents(inst.cartan, lam, lam_inf)
+        d, _ = exponents(inst.cartan, lam, lam_inf)
         lhs = sum(d) - F((r + 1) * r, 2)
         rhs = sum((r - k) * lam[k] for k in range(r))
         assert lhs == rhs
@@ -282,7 +282,28 @@ def test_witt_congruence_matches_gram(a2, a2_tuple):
 def test_witt_quadratic_extension(a2, a2_tuple):
     space, flag = a2_space(a2, a2_tuple)[0], None
     wb = witt_basis(space, quadratic_extension=True)
-    assert wb.middle_constant == Cyc.of(1)
+    assert wb.constants[len(wb.vectors) // 2] == Cyc.of(1)
+
+
+def test_witt_basis_is_its_vectors_and_gram(a2, a2_tuple):
+    # the constants are the anti-diagonal of the Gram matrix, and a flow
+    # image is a WittBasis with the input's Gram matrix
+    import inspect
+    from cybethe.typea import WittBasis
+    assert WittBasis._fields == ("vectors", "gram")
+    assert list(inspect.signature(isotropy_check).parameters) == ["gram"]
+    space, flag = a2_space(a2, a2_tuple)
+    wb = witt_basis(space, adjusted=flag.adjusted, quadratic_extension=True)
+    size = len(wb.vectors)
+    assert wb.constants == tuple(wb.gram[k][size - 1 - k]
+                                 for k in range(size))
+    for gen in available_generators(space):
+        image, tup = apply_flow(space, wb, gen, F(1, 3))
+        assert type(image) is WittBasis and image.gram is wb.gram
+        assert gram_matrix(space, list(image.vectors)) == \
+            [list(row) for row in wb.gram]
+        assert tup == beta(space, image.vectors)
+        assert isotropy_check(image.gram)
 
 
 def test_normalized_witt_identities(a2, a2_tuple):
@@ -365,14 +386,9 @@ def test_isotropy_iff_cyclotomic(a2, a2_tuple):
                 c = rng.choice(pool)
                 if c == 0:
                     continue
-                newflag, _ = apply_flow(space, cur, (kind, k), c)
-                basis = list(newflag.adjusted)
-                from cybethe.typea import WittBasis
-                cur = WittBasis(vectors=newflag.adjusted, gram=cur.gram,
-                                constants=cur.constants,
-                                middle_constant=cur.middle_constant,
-                                middle_index=cur.middle_index)
-        iso = isotropy_check(space, basis)
+                cur, _ = apply_flow(space, cur, (kind, k), c)
+                basis = list(cur.vectors)
+        iso = isotropy_check(gram_matrix(space, basis))
         cyc = quasi_cyclotomic(beta(space, basis))
         assert iso == cyc, (trial, iso, cyc)
         iso_count += iso
@@ -391,7 +407,7 @@ def test_isotropic_implies_decomposable(a2, a2_tuple):
 
 def test_smallcell_flag_isotropic(a2, a2_tuple):
     space, _ = a2_space(a2, a2_tuple)
-    assert isotropy_check(space, list(space.basis))
+    assert isotropy_check(gram_matrix(space, list(space.basis)))
     q = flag_type(space, list(space.basis))
     assert q == frozenset({1, 3})
 
@@ -738,7 +754,7 @@ def test_divisors_are_built_once_per_frame_and_never_by_a_reader(
 
 def _flow_beta_cases(inst_nodes, monkeypatch):
     """For each node and generator: the number of Wronskian tables
-    `apply_flow` builds, its tuple and `beta` of its flag."""
+    `apply_flow` builds, its tuple and `beta` of its image."""
     from cybethe import typea
     tables = []
     table = typea.wronskian_table
@@ -753,9 +769,9 @@ def _flow_beta_cases(inst_nodes, monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(typea, "wronskian_table", counted)
                 tables.clear()
-                out_flag, tup = apply_flow(space, witt, gen, c)
+                image, tup = apply_flow(space, witt, gen, c)
                 built = len(tables)
-            yield built, tup, beta(space, out_flag.adjusted)
+            yield built, tup, beta(space, image.vectors)
 
 
 def test_apply_flow_builds_one_table_whose_prefixes_are_beta(ramified,
