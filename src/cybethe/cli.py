@@ -170,7 +170,13 @@ def cmd_typea_analyze(args):
         doc["b_matrix_special_basis"] = [
             [serialize.scalar_str(x) for x in row] for row in g]
     if args.members:
-        pop = cyclotomic_population(inst, y, sample_count=args.members,
+        # members come from the Witt basis without quadratic extension;
+        # without a self-dual space the sampler has none, and refuses
+        if self_dual and args.quadratic_extension:
+            wb = witt_basis(space, adjusted=flag.adjusted)
+        pop = cyclotomic_population(inst, space, flag,
+                                    wb if self_dual else None,
+                                    sample_count=args.members,
                                     rng_seed=args.seed)
         doc["population"] = {
             "dims": pop["dims"],

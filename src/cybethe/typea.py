@@ -11,26 +11,34 @@ A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
 
 Every divided Wronskian Wr+ is an entry of one `wronskian_table` divided by
 a D_k of the frame's divisor chain, which each `TypeAFrame` builds once.
-Within one call, readers of the same basis share one table: `apply_flow`
-reads its Gram check and beta from the table of the image basis, and
+Within one call, readers of the same basis share one table, and
 `typea analyze` reads self-duality and the B matrix of the special basis
 from one `gram_matrix` (`_gram` raises NotSelfDual before it reads the
-Wronskian constant).  A table is never shared between a check and the
-value it checks: the Gram check is compared with `witt.gram`, which came
-from another basis's table, and the checks in `kernel_basis` and
-`frame_conditions_check` build their own tables.
+Wronskian constant).  `kernel_basis`, `frame_conditions_check` and
+`witt_basis` build their tables from their own vectors.
+
+A flow image v = E w, E = exp(cN), builds no table: its Wr+ are
+transported from the Witt basis's table by Cauchy-Binet (`_transport`).
+The Gram check still decides.  It expands the image vectors under
+x -> -x, built from E, in the image's dual basis and compares the result
+with `witt.gram` exactly.  The Wronskian is multilinear, so every
+transported entry equals the entry of a fresh table of the image vectors,
+in value and field order: a check read off it accepts and refuses the
+flows that the same check read off a fresh table does.
 
 A WittBasis is its vectors and their Gram matrix; its anti-diagonal
-`constants` are read off the matrix.  `apply_flow` returns the image
-basis as a WittBasis with the same Gram matrix, which its Gram check
-proves, together with beta of the image flag, so a chain of flows passes
-each image on as the next input.
+`constants` are read off the matrix, and the `_wr_plus` of its vectors is
+a derived slot.  `apply_flow` returns the image basis as a WittBasis with
+the same Gram matrix, which its Gram check proves, and its transported
+table, together with beta of the image flag, so a chain of flows passes
+each image on as the next input and never builds a table or divides by
+D_k.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 from . import linalg
 from .cartan import Record, dominant_shifted_rep
@@ -195,8 +203,8 @@ def _divisors(ttilde):
 def _wr_plus(frame, fs):
     """mask -> Wr+ of the subset of fs with bit i for f_i: the entry of one
     `wronskian_table` of fs divided exactly by D_|S| of `frame.divisors`.
-    One table per basis within a call, read by every mask the call needs,
-    and each mask divided at most once."""
+    One table per basis, read by every mask its readers need, and each
+    mask divided at most once; a Witt basis keeps its own for its flows."""
     table, divisors = wronskian_table(fs), frame.divisors
     return cache(lambda mask: divide_exact(table[mask],
                                            divisors[mask.bit_count()]))
@@ -484,11 +492,18 @@ def isotropy_check(gram):
 
 
 class WittBasis(Record):
-    __slots__ = _fields = ("vectors", "gram")
+    """Witt vectors and their Gram matrix.  The `_wr_plus` of the vectors
+    is derived, so not a field: `witt_basis` and `apply_flow` pass the one
+    their Gram check read, and `apply_flow` builds it, once, for a basis
+    made without one."""
 
-    def __init__(self, vectors, gram):
+    _fields = ("vectors", "gram")
+    __slots__ = _fields + ("wr_plus",)
+
+    def __init__(self, vectors, gram, wr_plus=None):
         self.vectors = vectors
         self.gram = gram    # full Gram matrix of `vectors`, anti-diagonal
+        self.wr_plus = wr_plus
 
     @property
     def constants(self):
@@ -547,7 +562,8 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
 
     # B(vectors[i], vectors[j]) is the congruence entry(i, j): the
     # rescaling reads it instead of rebuilding the Gram matrix, and only
-    # the final Gram matrix below is computed from scratch as the check
+    # the final Gram matrix below is computed from scratch as the check,
+    # from the table that the Witt basis keeps for its flows
     mid = (size - 1) // 2 if size % 2 == 1 else None
     if reduce_constants:
         target = _b_pattern(space.frame.p, size)
@@ -559,14 +575,16 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
             root = _cyclotomic_sqrt(entry(mid, mid))
             vectors[mid] = vectors[mid].scale(root.inverse())
 
-    gram_final = gram_matrix(space, vectors)
+    wr_plus = _wr_plus(space.frame, vectors)
+    gram_final = _gram(vectors, wr_plus)
     for a in range(size):
         for b in range(size):
             if a + b != size - 1 and not gram_final[a][b].is_zero():
                 raise InternalInvariantError(
                     f"Witt Gram not anti-diagonal at ({a},{b})")
     return WittBasis(vectors=tuple(vectors),
-                     gram=tuple(tuple(row) for row in gram_final))
+                     gram=tuple(tuple(row) for row in gram_final),
+                     wr_plus=wr_plus)
 
 
 def _cyclotomic_sqrt(value):
@@ -737,7 +755,9 @@ def apply_flow(space, witt, generator, c):
     The Gram matrix of the image is asserted equal to `witt.gram` (the
     transformation lies in the B-preserving group) and isotropic, so the
     image is again a Witt basis with `witt.gram`.  The check and beta
-    read one table of the image basis.
+    read the image's table, transported from the table of `witt` through
+    exp(cN) (`_transport`), which the image keeps for the next flow; a
+    `witt` without one builds it here, once.
     """
     kind, k = generator
     c = c if isinstance(c, Cyc) else Cyc.of(c)
@@ -759,15 +779,59 @@ def apply_flow(space, witt, generator, c):
             for j in range(size):
                 exp[i][j] = exp[i][j] + coeff * power[i][j]
     new_vectors = [_combine(row, witt.vectors) for row in exp]
-    wr_plus = _wr_plus(space.frame, new_vectors)
+    if witt.wr_plus is None:
+        witt.wr_plus = _wr_plus(space.frame, witt.vectors)
+    wr_plus = _transport(exp, witt.wr_plus, new_vectors, space.frame.divisors)
     g_new = _gram(new_vectors, wr_plus)
     if g_new != [list(r) for r in witt.gram]:
         raise InternalInvariantError(
             f"flow {kind}_{k} does not preserve the bilinear form")
     if not isotropy_check(g_new):
         raise InternalInvariantError("flow output flag is not isotropic")
-    return WittBasis(vectors=tuple(new_vectors), gram=witt.gram), _beta(
-        wr_plus, size - 1)
+    return WittBasis(vectors=tuple(new_vectors), gram=witt.gram,
+                     wr_plus=wr_plus), _beta(wr_plus, size - 1)
+
+
+def _transport(mat, wr_plus, vectors, divisors):
+    """`_wr_plus` of `vectors` v_i = sum_j mat[i][j] w_j from `_wr_plus` of
+    w, by Cauchy-Binet: Wr+(v_S) = sum_T det mat[S, T] Wr+(w_T) over
+    |T| = |S|, as the Wronskian is multilinear and D_|S| fixed.
+
+    The compound coefficients of S wedge those of S without its top row
+    with that row, bottom-up over masks as `wronskian_table` builds its
+    minors, keeping only the nonzero ones.  A mask whose expansion is
+    1 * w_S reads that entry unchanged; no table is built or divided.
+    Each entry is promoted to the field order a table of v divided by
+    D_|S| gives it, so it equals that entry in value, order and text."""
+    rows = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
+    orders = [v.field_order() for v in vectors]
+
+    @cache
+    def compound(mask):
+        # {T: det mat[S, T]}: w_T ^ w_j = (-1)^#{t in T : t > j} w_(T + j)
+        if not mask:
+            return {0: Cyc.of(1)}
+        top = mask.bit_length() - 1
+        out = {}
+        for t, coeff in compound(mask ^ (1 << top)).items():
+            for j, x in rows[top]:
+                if not t >> j & 1:
+                    term = x * coeff
+                    key = t | 1 << j
+                    out[key] = out.get(key, ZERO) + (
+                        -term if (t >> j).bit_count() % 2 else term)
+        return {t: c for t, c in out.items() if c}
+
+    @cache
+    def entry(mask):
+        terms = compound(mask)
+        if terms.keys() == {mask} and terms[mask] == 1:
+            out = wr_plus(mask)
+        else:
+            out = _combine(terms.values(), [wr_plus(t) for t in terms])
+        return out.promote(lcm(divisors[mask.bit_count()].field_order(), *(
+            order for i, order in enumerate(orders) if mask >> i & 1)))
+    return entry
 
 
 def _mat_mul_c(a, b):
@@ -848,22 +912,26 @@ def frame_conditions_check(space):
 # --- population description and sampling --------------------------------------
 
 
-def cyclotomic_population(inst, seed, sample_count=0, rng_seed=0):
-    """Kernel space of the seed, its self-duality certificate, component
-    dimensions, and optionally `sample_count` sampled population members.
+def cyclotomic_population(inst, space, flag, witt=None, sample_count=0,
+                          rng_seed=0):
+    """The Witt basis and component dimensions of the seed's kernel space
+    and flag (`kernel_basis`), and optionally `sample_count` sampled
+    population members.
 
-    Members come from B-preserving lower-triangular flows applied to the
-    Witt flag adapted to the seed; every emitted tuple is re-verified
-    (generic, cyclotomic, critical).
+    `witt` is the Witt basis of the flag without quadratic extension, when
+    the caller holds it; else the space is proven self-dual and the basis
+    built here.  Members come from B-preserving lower-triangular flows
+    applied to it; every emitted tuple is re-verified (generic,
+    cyclotomic, critical).
     """
     import random as _random
-    space, flag = kernel_basis(inst, seed)
-    if not is_cyclotomically_self_dual(space):
-        raise NotSelfDual("kernel space of the seed is not self-dual")
+    if witt is None:
+        if not is_cyclotomically_self_dual(space):
+            raise NotSelfDual("kernel space of the seed is not self-dual")
+        witt = witt_basis(space, adjusted=flag.adjusted)
     p = space.frame.p
     size = space.frame.r + 1
     dims = {"sp": 2 * p, "o": size - 2 * p}
-    witt = witt_basis(space, adjusted=flag.adjusted)
     members = []
     rng = _random.Random(rng_seed)
     pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
@@ -892,7 +960,7 @@ def cyclotomic_population(inst, seed, sample_count=0, rng_seed=0):
             raise InternalInvariantError(
                 "sampled population member fails verification")
         members.append(y)
-    return {"space": space, "flag": flag, "witt": witt, "dims": dims,
+    return {"witt": witt, "dims": dims,
             "components": f"FL_perp(Sp^{dims['sp']}) x FL_perp(O^{dims['o']})",
             "members": members}
 

@@ -299,6 +299,30 @@ def test_cli_typea_analyze_reads_self_duality_off_the_b_matrix_table(
     assert tables.count(space.basis) == 2
 
 
+@pytest.mark.parametrize("extra, witt_bases, tables", [
+    ([], 1, 7), (["--quadratic-extension"], 2, 9)])
+def test_cli_typea_analyze_samples_members_in_the_command_space(
+        docs, monkeypatch, extra, witt_bases, tables):
+    # --members reuses the command's kernel space, its self-duality
+    # verdict and, without quadratic extension, its Witt basis: the 6
+    # tables of the command, 2 for a Witt basis of the sampler's own, and
+    # 1 for beta of the sample that draws c = 0 and runs no flow
+    from cybethe import typea
+    inst, tup, tmp = docs
+    calls = []
+    for name in ("kernel_basis", "witt_basis", "is_cyclotomically_self_dual",
+                 "wronskian_table", "beta"):
+        monkeypatch.setattr(typea, name, lambda *a, f=getattr(typea, name),
+                            n=name, **k: calls.append(n) or f(*a, **k))
+    out = tmp / "members.json"
+    assert cli.main(["typea", "analyze", "--instance", inst, "--tuple", tup,
+                     "--members", "3", *extra, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["population"]["members"]) == 3
+    assert [calls.count(name) for name in (
+        "kernel_basis", "witt_basis", "is_cyclotomically_self_dual",
+        "wronskian_table", "beta")] == [1, witt_bases, 0, tables, 2]
+
+
 def test_cli_typea_flow(docs, capsys):
     inst, tup, _ = docs
     rc = cli.main(["typea", "flow", "--instance", inst, "--tuple", tup,

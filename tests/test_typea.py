@@ -504,14 +504,15 @@ def test_beta_injective_on_sampled_flags(a2, a2_tuple):
 
 def test_cyclotomic_population(a2, a2_tuple):
     inst, _ = a2
-    res = cyclotomic_population(inst, a2_tuple, sample_count=6, rng_seed=9)
+    space, flag = kernel_basis(inst, a2_tuple)
+    res = cyclotomic_population(inst, space, flag, sample_count=6,
+                                rng_seed=9)
     assert res["dims"] == {"sp": 2, "o": 1}
     assert len(res["members"]) == 6
     for y in res["members"]:
         ok, _ = is_critical_exact(inst, y)
         assert ok and is_cyclotomic_tuple(inst, y)
     # the identity element reproduces the seed
-    space, flag = res["space"], res["flag"]
     wb = res["witt"]
     tup = BetheTuple.monic_of(beta(space, wb.vectors))
     assert tup == a2_tuple
@@ -681,7 +682,12 @@ def test_ramified_a4_beta_and_flow_image_pins(ramified, monkeypatch):
     for weight, (count, beta_pin, image_pin) in RAMIFIED_PINS.items():
         _, nodes = ramified[weight]
         betas, images = [], []
-        for space, flag, witt in nodes:
+        for space, flag, _ in nodes:
+            # a fresh Witt basis: the flows divide entries of its table
+            # lazily, so the fixture's, shared by other tests, would make
+            # the count depend on their order
+            witt = witt_basis(space, adjusted=flag.adjusted,
+                              quadratic_extension=True)
             betas.append(serialize.tuple_doc(beta(space, flag.adjusted)))
             images.append([serialize.tuple_doc(
                 apply_flow(space, witt, gen, c)[1])
@@ -752,73 +758,196 @@ def test_divisors_are_built_once_per_frame_and_never_by_a_reader(
     assert twin.divisors == frame.divisors
 
 
-def _flow_beta_cases(inst_nodes, monkeypatch):
-    """For each node and generator: the number of Wronskian tables
-    `apply_flow` builds, its tuple and `beta` of its image."""
-    from cybethe import typea
-    tables = []
-    table = typea.wronskian_table
-
-    def counted(fs):
-        tables.append(1)
-        return table(fs)
-
-    c = Cyc.of(F(1, 3))
-    for space, flag, witt in inst_nodes:
-        for gen in available_generators(space):
-            with monkeypatch.context() as patch:
-                patch.setattr(typea, "wronskian_table", counted)
-                tables.clear()
-                image, tup = apply_flow(space, witt, gen, c)
-                built = len(tables)
-            yield built, tup, beta(space, image.vectors)
+def _flow_chains(space):
+    """Each generator alone at c = 1/3, and one chain of 3 flows through
+    the generators in turn."""
+    gens = available_generators(space)
+    chains = [[(gen, Cyc.of(F(1, 3)))] for gen in gens]
+    chains.append([(gens[i % len(gens)], Cyc.of(c))
+                   for i, c in enumerate((F(2), F(-1, 2), F(3)))])
+    return chains
 
 
-def test_apply_flow_builds_one_table_whose_prefixes_are_beta(ramified,
-                                                             monkeypatch):
+def _chain_images(space, witt, chain):
+    """(image, tuple) after each flow of the chain, from `witt` on."""
+    cur = witt
+    for gen, c in chain:
+        cur, tup = apply_flow(space, cur, gen, c)
+        yield cur, tup
+
+
+def _a4_catalog_nodes(quadratic_extension=True):
+    """(space, flag, Witt basis) of each node of the A4 catalog."""
     inst = serialize.instance_from_doc(A4_DOC)
-    catalog = json.loads(A4_CATALOG.read_text())
     nodes = []
-    for node in catalog["nodes"]:
+    for node in json.loads(A4_CATALOG.read_text())["nodes"]:
         space, flag = kernel_basis(
             inst, serialize.tuple_from_doc(node["tuple"], inst.M))
         nodes.append((space, flag, witt_basis(
-            space, adjusted=flag.adjusted, quadratic_extension=True)))
+            space, adjusted=flag.adjusted,
+            quadratic_extension=quadratic_extension)))
+    return nodes
+
+
+def test_apply_flow_builds_no_table_and_its_prefixes_are_beta(ramified,
+                                                             monkeypatch):
+    # an image's Wr+ are transported from the input's table, so neither a
+    # flow nor a chain of flows builds a Wronskian table, and the tuple is
+    # beta of the image in value, field order and text
+    from cybethe import typea
+    nodes = _a4_catalog_nodes()
     for _, ramified_nodes in ramified.values():
         nodes += ramified_nodes
+    tables, table = [], typea.wronskian_table
     flows = 0
-    for built, tup, want in _flow_beta_cases(nodes, monkeypatch):
-        assert built == 1
-        assert tup == want
-        assert [(p.field_order(), str(p)) for p in tup] == \
-            [(p.field_order(), str(p)) for p in want]
-        flows += 1
-    assert flows == 2 * len(nodes) > 200
+    for space, _, witt in nodes:
+        for chain in _flow_chains(space):
+            with monkeypatch.context() as patch:
+                patch.setattr(typea, "wronskian_table",
+                              lambda fs: tables.append(1) or table(fs))
+                images = list(_chain_images(space, witt, chain))
+            assert tables == []
+            for image, tup in images:
+                want = beta(space, image.vectors)
+                assert tup == want
+                assert [(p.field_order(), str(p)) for p in tup] == \
+                    [(p.field_order(), str(p)) for p in want]
+                flows += 1
+    assert flows == 5 * len(nodes) > 500
 
 
 def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
-    # the Gram check reads the R + 1 co-singleton masks and the full mask,
-    # beta the prefixes 1, 3, .., 2^R - 1, and 2^R - 1 is read by both
+    # a flow divides no entry of its own: the masks it reads are entries
+    # of the Witt basis's lazily divided table, so across that basis's
+    # Gram check and every flow and chain from it each mask is divided at
+    # most once, and once all are divided a flow divides nothing
     from cybethe import typea
     inst = serialize.instance_from_doc(A4_DOC)
     node = json.loads(A4_CATALOG.read_text())["nodes"][-1]
     cases = [(a2[0], a2_tuple),
              (inst, serialize.tuple_from_doc(node["tuple"], inst.M))]
-    divided = []
-    divide = typea.divide_exact
+    table, divide = typea.wronskian_table, typea.divide_exact
     flows = 0
     for inst, y in cases:
         space, flag = kernel_basis(inst, y)
-        witt = witt_basis(space, adjusted=flag.adjusted)
+        reads, divided, tables = [], [], []
+
+        class Read(list):
+            # `_wr_plus` reads table[mask] once per division of the mask
+            def __getitem__(self, mask):
+                reads.append((id(self), mask))
+                return list.__getitem__(self, mask)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(typea, "wronskian_table", lambda fs: tables.append(
+                Read(table(fs))) or tables[-1])
+            patch.setattr(typea, "divide_exact",
+                          lambda f, g: divided.append(1) or divide(f, g))
+            # the elimination's Gram matrix and the final check's, which
+            # the Witt basis keeps
+            witt = witt_basis(space, adjusted=flag.adjusted)
+            assert len(tables) == 2
+            del reads[:], divided[:]
+            for chain in _flow_chains(space):
+                for _ in _chain_images(space, witt, chain):
+                    flows += 1
+            assert len(tables) == 2 and len(divided) == len(reads)
+            assert {t for t, _ in reads} <= {id(tables[1])}
+            masks = [m for _, m in reads]
+            assert len(masks) == len(set(masks))
+            size = space.frame.r + 1
+            for mask in range(1 << size):
+                witt.wr_plus(mask)
+            del divided[:]
+            for chain in _flow_chains(space):
+                list(_chain_images(space, witt, chain))
+            assert divided == [] and len(tables) == 2
+    assert flows > 5
+
+
+def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified):
+    # Cauchy-Binet: every entry of an image's table equals the entry of a
+    # fresh table of the image vectors divided by D_k, in value, field
+    # order and text, along chains of 3 flows, with and without quadratic
+    # extension
+    from cybethe.typea import WittBasis
+    spaces = [a2_space(a2, a2_tuple), _a5_space()]
+    for inst, y in [(a3[0], BetheTuple.trivial(3)),
+                    (serialize.instance_from_doc({
+                        "cartan": "A4", "sigma": "(1 4)(2 3)",
+                        "omega": "-1", "lambda0": ["1/2", "0", "0", "1/2"]}),
+                     BetheTuple.trivial(4))]:
+        spaces.append(kernel_basis(inst, y))
+    cases = [(space, flag, witt_basis(space, adjusted=flag.adjusted,
+                                      quadratic_extension=qe))
+             for space, flag in spaces for qe in (False, True)]
+    cases += _a4_catalog_nodes(False) + _a4_catalog_nodes(True)
+    for _, nodes in ramified.values():
+        cases += nodes + [(space, flag, witt_basis(space,
+                                                   adjusted=flag.adjusted))
+                          for space, flag, _ in nodes]
+    kinds = set()
+    for space, _, witt in cases:
+        divisors = space.frame.divisors
+        for chain in _flow_chains(space):
+            kinds.update(kind for (kind, _), _ in chain)
+            for image, _ in _chain_images(space, witt, chain):
+                direct = qpoly.wronskian_table(image.vectors)
+                for mask in range(1, len(direct)):
+                    want = qpoly.divide_exact(direct[mask],
+                                              divisors[mask.bit_count()])
+                    got = image.wr_plus(mask)
+                    assert got == want
+                    assert (got.field_order(), str(got)) == \
+                        (want.field_order(), str(want))
+    assert kinds == {"X", "Y", "Z"} and len(cases) > 250
+    # the table is derived: equality, hash and repr ignore it
+    witt = cases[-1][2]
+    bare = WittBasis(vectors=witt.vectors, gram=witt.gram)
+    assert bare.wr_plus is None and witt.wr_plus is not None
+    assert bare == witt and hash(bare) == hash(witt)
+    assert repr(bare) == repr(witt) and "wr_plus" not in repr(witt)
+
+
+def test_gram_check_still_decides(monkeypatch):
+    # with the compensating entry of a coupling dropped, exp(cN) leaves
+    # the group that preserves B: the Gram check, read off the transported
+    # table, refuses exactly the flows it refuses off a fresh table of the
+    # image vectors, which is what the check read before transport
+    from cybethe import typea
+    from cybethe.errors import InternalInvariantError
+    generator = typea.flow_generator
+
+    def uncompensated(*args):
+        n_mat = generator(*args)
+        entries = [(i, j) for i, row in enumerate(n_mat)
+                   for j, x in enumerate(row) if x]
+        if len(entries) == 2:  # a coupling: keep r_a += c r_(a+1) only
+            i, j = entries[-1]
+            n_mat[i][j] = Cyc.of(0)
+        return n_mat
+
+    def fresh(mat, wr_plus, vectors, divisors):
+        table = qpoly.wronskian_table(vectors)
+        return lambda mask: qpoly.divide_exact(table[mask],
+                                               divisors[mask.bit_count()])
+
+    monkeypatch.setattr(typea, "flow_generator", uncompensated)
+    verdicts = {}
+    for space, _, witt in _a4_catalog_nodes(False)[:10]:
         for gen in available_generators(space):
-            with monkeypatch.context() as patch:
-                patch.setattr(typea, "divide_exact",
-                              lambda f, g: divided.append(1) or divide(f, g))
-                divided.clear()
-                apply_flow(space, witt, gen, Cyc.of(F(1, 3)))
-            assert len(divided) == 2 * space.frame.r + 1
-            flows += 1
-    assert flows > 2
+            for path in ("transported", "fresh"):
+                with monkeypatch.context() as patch:
+                    if path == "fresh":
+                        patch.setattr(typea, "_transport", fresh)
+                    try:
+                        apply_flow(space, witt, gen, Cyc.of(F(1, 3)))
+                        refused = False
+                    except InternalInvariantError:
+                        refused = True
+                verdicts.setdefault(path, []).append(refused)
+    assert verdicts["transported"] == verdicts["fresh"]
+    assert len(verdicts["fresh"]) == 20 and sum(verdicts["fresh"]) == 10
 
 
 def test_cyclotomic_population_keeps_each_flow_tuple(a2, a2_tuple,
@@ -831,7 +960,8 @@ def test_cyclotomic_population_keeps_each_flow_tuple(a2, a2_tuple,
         monkeypatch.setattr(typea, name, lambda *a, f=getattr(typea, name),
                             n=name: calls.append(n) or f(*a))
     inst, _ = a2
-    res = cyclotomic_population(inst, a2_tuple, sample_count=5)
+    res = cyclotomic_population(inst, *kernel_basis(inst, a2_tuple),
+                                sample_count=5)
     assert len(res["members"]) == 5
     assert calls == ["apply_flow", "apply_flow", "beta", "apply_flow",
                      "apply_flow"]
