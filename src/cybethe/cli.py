@@ -171,11 +171,12 @@ def cmd_typea_analyze(args):
             [serialize.scalar_str(x) for x in row] for row in g]
     if args.members:
         # members come from the Witt basis without quadratic extension;
-        # without a self-dual space the sampler has none, and refuses
-        if self_dual and args.quadratic_extension:
+        # a space that is not self-dual has none
+        if not self_dual:
+            raise NotSelfDual("kernel space of the seed is not self-dual")
+        if args.quadratic_extension:
             wb = witt_basis(space, adjusted=flag.adjusted)
-        pop = cyclotomic_population(inst, space, flag,
-                                    wb if self_dual else None,
+        pop = cyclotomic_population(inst, space, wb,
                                     sample_count=args.members,
                                     rng_seed=args.seed)
         doc["population"] = {

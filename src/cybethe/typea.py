@@ -14,17 +14,18 @@ a D_k of the frame's divisor chain, which each `TypeAFrame` builds once.
 Within one call, readers of the same basis share one table, and
 `typea analyze` reads self-duality and the B matrix of the special basis
 from one `gram_matrix` (`_gram` raises NotSelfDual before it reads the
-Wronskian constant).  `kernel_basis`, `frame_conditions_check` and
-`witt_basis` build their tables from their own vectors.
+Wronskian constant, so self-duality is decided there and nowhere else).
 
-A flow image v = E w, E = exp(cN), builds no table: its Wr+ are
-transported from the Witt basis's table by Cauchy-Binet (`_transport`).
-The Gram check still decides.  It expands the image vectors under
-x -> -x, built from E, in the image's dual basis and compares the result
-with `witt.gram` exactly.  The Wronskian is multilinear, so every
-transported entry equals the entry of a fresh table of the image vectors,
-in value and field order: a check read off it accepts and refuses the
-flows that the same check read off a fresh table does.
+A basis that type A derives from another, v = E w, builds no table: its
+Wr+ are transported from the table of w by Cauchy-Binet (`_transport`).
+The Witt basis takes its table from that of the flag basis it eliminates,
+and a flow image, E = exp(cN), from that of its Witt basis.  The Gram
+check still decides.  It expands the derived vectors under x -> -x, built
+from E, in their dual basis and compares the result with the expected
+Gram matrix exactly.  The Wronskian is multilinear, so every transported
+entry equals the entry of a fresh table of the derived vectors, in value
+and field order: a check read off it accepts and refuses what the same
+check read off a fresh table does.
 
 A WittBasis is its vectors and their Gram matrix; its anti-diagonal
 `constants` are read off the matrix, and the `_wr_plus` of its vectors is
@@ -297,10 +298,6 @@ def special_basis_from(frame, vectors):
                  for row in reversed(rows[:len(pivots)]))
 
 
-def special_basis(space):
-    return special_basis_from(space.frame, space.basis)
-
-
 # --- coefficient-vector helpers ----------------------------------------------
 
 
@@ -349,28 +346,9 @@ def _constant(wr_plus, n):
     return top.coeff(0)
 
 
-def dual_basis(space, basis=None, check_degrees=True):
-    """W_i = Wr+(u_1, ..., ^u_i, ..., u_(R+1))."""
-    fs = space.basis if basis is None else basis
-    out = _dual(_wr_plus(space.frame, fs), len(fs))
-    if check_degrees and basis is None:
-        for k, w in enumerate(out):
-            if w.degree != space.frame.ddag[k]:
-                raise InternalInvariantError(
-                    f"deg W_{k + 1} = {w.degree} != {space.frame.ddag[k]}")
-    return out
-
-
 def wr_constant(space, basis=None):
     fs = space.basis if basis is None else basis
     return _constant(_wr_plus(space.frame, fs), len(fs))
-
-
-def is_cyclotomically_self_dual(space):
-    """v in K iff v(-x) in K+ = span(W_1..W_(R+1)), checked on a basis."""
-    w = dual_basis(space, check_degrees=False)
-    images = [u.negate_argument() for u in space.basis]
-    return all(c is not None for c in _span_coefficients(images, w))
 
 
 def gram_matrix(space, basis):
@@ -384,7 +362,8 @@ def gram_matrix(space, basis):
 
 def _gram(basis, wr_plus):
     """`gram_matrix` of basis from `_wr_plus` of basis.  NotSelfDual when
-    an image u(-x) leaves the dual space, found before the constant is read."""
+    an image u(-x) leaves the dual space K+ = span(W_1..W_(R+1)), found
+    before the constant is read: the one test of cyclotomic self-duality."""
     size = len(basis)
     cmat = _span_coefficients([u.negate_argument() for u in basis],
                               _dual(wr_plus, size))
@@ -493,14 +472,13 @@ def isotropy_check(gram):
 
 class WittBasis(Record):
     """Witt vectors and their Gram matrix.  The `_wr_plus` of the vectors
-    is derived, so not a field: `witt_basis` and `apply_flow` pass the one
-    their Gram check read, and `apply_flow` builds it, once, for a basis
-    made without one."""
+    is derived, so not a field: `witt_basis` and `apply_flow` pass the
+    transported one that their Gram check read."""
 
     _fields = ("vectors", "gram")
     __slots__ = _fields + ("wr_plus",)
 
-    def __init__(self, vectors, gram, wr_plus=None):
+    def __init__(self, vectors, gram, wr_plus):
         self.vectors = vectors
         self.gram = gram    # full Gram matrix of `vectors`, anti-diagonal
         self.wr_plus = wr_plus
@@ -526,17 +504,23 @@ def _b_pattern(p, size):
     return out
 
 
-def witt_basis(space, adjusted=None, reduce_constants=True,
+def witt_basis(space, adjusted, reduce_constants=True,
                quadratic_extension=False):
     """Anti-diagonalize B on an isotropic flag basis by a lower-unipotent
     elimination, then optionally rescale paired vectors to the reduced
     pattern.  The middle vector (odd dimension) keeps its recorded
     constant unless quadratic-extension mode can realize the square root
     inside a cyclotomic field.
+
+    One table is built, of the flag basis, for its Gram matrix; the Witt
+    vectors are rows of the elimination matrix times that basis, so their
+    table is transported from it (`_transport`), and the final Gram check
+    reads it.
     """
-    basis = list(adjusted if adjusted is not None else space.basis)
+    basis = list(adjusted)
     size = len(basis)
-    g = gram_matrix(space, basis)
+    wr_basis = _wr_plus(space.frame, basis)
+    g = _gram(basis, wr_basis)
     if not isotropy_check(g):
         raise NotIsotropic("witt_basis needs an isotropic flag basis: a Gram "
                            "entry below the anti-diagonal is nonzero")
@@ -558,24 +542,24 @@ def witt_basis(space, adjusted=None, reduce_constants=True,
             factor = val / piv
             vecs[k] = [x - factor * y for x, y in zip(vecs[k], vecs[pivot_row])]
 
-    vectors = [_combine(row, basis) for row in vecs]
-
     # B(vectors[i], vectors[j]) is the congruence entry(i, j): the
     # rescaling reads it instead of rebuilding the Gram matrix, and only
-    # the final Gram matrix below is computed from scratch as the check,
-    # from the table that the Witt basis keeps for its flows
+    # the final Gram matrix below is computed from scratch as the check.
+    # It scales rows k < size // 2, then the middle row, in place: each
+    # entry it reads pairs a row not yet scaled with one it never scales
     mid = (size - 1) // 2 if size % 2 == 1 else None
     if reduce_constants:
         target = _b_pattern(space.frame.p, size)
         for k in range(size // 2):
-            cur = entry(k, size - 1 - k)
-            vectors[k] = vectors[k].scale(Cyc.of(target[k]) / cur)
+            scale = Cyc.of(target[k]) / entry(k, size - 1 - k)
+            vecs[k] = [x * scale for x in vecs[k]]
         # middle vector normalization needs a square root
         if mid is not None and quadratic_extension:
-            root = _cyclotomic_sqrt(entry(mid, mid))
-            vectors[mid] = vectors[mid].scale(root.inverse())
+            scale = _cyclotomic_sqrt(entry(mid, mid)).inverse()
+            vecs[mid] = [x * scale for x in vecs[mid]]
 
-    wr_plus = _wr_plus(space.frame, vectors)
+    vectors = [_combine(row, basis) for row in vecs]
+    wr_plus = _transport(vecs, wr_basis, vectors, space.frame.divisors)
     gram_final = _gram(vectors, wr_plus)
     for a in range(size):
         for b in range(size):
@@ -673,7 +657,7 @@ def normalized_witt_basis(space):
     product omitting k, then unipotent elimination.  Satisfies
     Wr+(r_1..r_(R+1)) = 1 exactly (quadratic extensions of the scalar
     field are taken as needed)."""
-    u = list(special_basis(space))
+    u = list(special_basis_from(space.frame, space.basis))
     d = space.frame.d
     size = len(u)
     const0 = Fraction(1)
@@ -756,8 +740,7 @@ def apply_flow(space, witt, generator, c):
     transformation lies in the B-preserving group) and isotropic, so the
     image is again a Witt basis with `witt.gram`.  The check and beta
     read the image's table, transported from the table of `witt` through
-    exp(cN) (`_transport`), which the image keeps for the next flow; a
-    `witt` without one builds it here, once.
+    exp(cN) (`_transport`), which the image keeps for the next flow.
     """
     kind, k = generator
     c = c if isinstance(c, Cyc) else Cyc.of(c)
@@ -779,8 +762,6 @@ def apply_flow(space, witt, generator, c):
             for j in range(size):
                 exp[i][j] = exp[i][j] + coeff * power[i][j]
     new_vectors = [_combine(row, witt.vectors) for row in exp]
-    if witt.wr_plus is None:
-        witt.wr_plus = _wr_plus(space.frame, witt.vectors)
     wr_plus = _transport(exp, witt.wr_plus, new_vectors, space.frame.divisors)
     g_new = _gram(new_vectors, wr_plus)
     if g_new != [list(r) for r in witt.gram]:
@@ -862,7 +843,7 @@ def frame_conditions_check(space):
     """
     report = {}
     try:
-        basis = special_basis(space)
+        basis = special_basis_from(space.frame, space.basis)
         report["clause_i"] = {"ok": True,
                               "degrees": [str(u.degree) for u in basis]}
     except NoSpecialBasis as exc:
@@ -912,23 +893,16 @@ def frame_conditions_check(space):
 # --- population description and sampling --------------------------------------
 
 
-def cyclotomic_population(inst, space, flag, witt=None, sample_count=0,
-                          rng_seed=0):
-    """The Witt basis and component dimensions of the seed's kernel space
-    and flag (`kernel_basis`), and optionally `sample_count` sampled
-    population members.
+def cyclotomic_population(inst, space, witt, sample_count=0, rng_seed=0):
+    """The component dimensions of the seed's kernel space (`kernel_basis`)
+    and optionally `sample_count` sampled population members.
 
-    `witt` is the Witt basis of the flag without quadratic extension, when
-    the caller holds it; else the space is proven self-dual and the basis
-    built here.  Members come from B-preserving lower-triangular flows
+    `witt` is the Witt basis of the seed's flag without quadratic
+    extension.  Members come from B-preserving lower-triangular flows
     applied to it; every emitted tuple is re-verified (generic,
     cyclotomic, critical).
     """
     import random as _random
-    if witt is None:
-        if not is_cyclotomically_self_dual(space):
-            raise NotSelfDual("kernel space of the seed is not self-dual")
-        witt = witt_basis(space, adjusted=flag.adjusted)
     p = space.frame.p
     size = space.frame.r + 1
     dims = {"sp": 2 * p, "o": size - 2 * p}
@@ -947,7 +921,7 @@ def cyclotomic_population(inst, space, flag, witt=None, sample_count=0,
                 continue
             cur, tup = apply_flow(space, cur, (kind, k), c)
         if tup is None:  # no flow ran
-            tup = beta(space, cur.vectors)
+            tup = _beta(cur.wr_plus, size - 1)
         if not all(q.is_polynomial() for q in tup):
             continue
         y = BetheTuple.monic_of(tup)
@@ -960,7 +934,7 @@ def cyclotomic_population(inst, space, flag, witt=None, sample_count=0,
             raise InternalInvariantError(
                 "sampled population member fails verification")
         members.append(y)
-    return {"witt": witt, "dims": dims,
+    return {"dims": dims,
             "components": f"FL_perp(Sp^{dims['sp']}) x FL_perp(O^{dims['o']})",
             "members": members}
 

@@ -285,7 +285,7 @@ def test_cli_typea_analyze(docs):
 def test_cli_typea_analyze_reads_self_duality_off_the_b_matrix_table(
         docs, monkeypatch):
     # self-duality and the B matrix of the special basis share one table;
-    # the frame conditions, a check, build their own: 2 of the 6 tables
+    # the frame conditions, a check, build their own: 2 of the 5 tables
     from cybethe import typea
     inst, tup, tmp = docs
     space, _ = typea.kernel_basis(serialize.instance_from_doc(A2_INSTANCE),
@@ -295,23 +295,23 @@ def test_cli_typea_analyze_reads_self_duality_off_the_b_matrix_table(
                         lambda fs: tables.append(tuple(fs)) or table(fs))
     assert cli.main(["typea", "analyze", "--instance", inst, "--tuple", tup,
                      "--out", str(tmp / "an.json")]) == 0
-    assert len(tables) == 6
+    assert len(tables) == 5
     assert tables.count(space.basis) == 2
 
 
 @pytest.mark.parametrize("extra, witt_bases, tables", [
-    ([], 1, 7), (["--quadratic-extension"], 2, 9)])
+    ([], 1, 5), (["--quadratic-extension"], 2, 6)],
+    ids=["plain", "quadratic_extension"])
 def test_cli_typea_analyze_samples_members_in_the_command_space(
         docs, monkeypatch, extra, witt_bases, tables):
     # --members reuses the command's kernel space, its self-duality
-    # verdict and, without quadratic extension, its Witt basis: the 6
-    # tables of the command, 2 for a Witt basis of the sampler's own, and
-    # 1 for beta of the sample that draws c = 0 and runs no flow
+    # verdict and, without quadratic extension, its Witt basis: the 5
+    # tables of the command, and 1 for a Witt basis of the sampler's own;
+    # the sample that draws c = 0 and runs no flow reads the Witt table
     from cybethe import typea
     inst, tup, tmp = docs
     calls = []
-    for name in ("kernel_basis", "witt_basis", "is_cyclotomically_self_dual",
-                 "wronskian_table", "beta"):
+    for name in ("kernel_basis", "witt_basis", "wronskian_table", "beta"):
         monkeypatch.setattr(typea, name, lambda *a, f=getattr(typea, name),
                             n=name, **k: calls.append(n) or f(*a, **k))
     out = tmp / "members.json"
@@ -319,8 +319,28 @@ def test_cli_typea_analyze_samples_members_in_the_command_space(
                      "--members", "3", *extra, "--out", str(out)]) == 0
     assert len(json.loads(out.read_text())["population"]["members"]) == 3
     assert [calls.count(name) for name in (
-        "kernel_basis", "witt_basis", "is_cyclotomically_self_dual",
-        "wronskian_table", "beta")] == [1, witt_bases, 0, tables, 2]
+        "kernel_basis", "witt_basis", "wronskian_table", "beta")] == \
+        [1, witt_bases, tables, 1]
+
+
+@pytest.mark.parametrize("extra", [[], ["--quadratic-extension"]])
+def test_cli_typea_analyze_refuses_members_of_a_space_not_self_dual(
+        tmp_path, capsys, extra):
+    # a marked point without the flip: the kernel space of the trivial
+    # tuple is not self-dual, so it has no Witt basis to sample from
+    inst, tup = tmp_path / "inst.json", tmp_path / "tup.json"
+    inst.write_text(json.dumps({
+        "cartan": "A2", "sigma": "()", "omega": "1", "points": ["1"],
+        "site_weights": [["1", "0"]], "lambda0": ["0", "0"]}))
+    tup.write_text(json.dumps(
+        {"polys": [{"denom": 1, "terms": {"0": "1"}}] * 2}))
+    args = ["typea", "analyze", "--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(args + extra) == 1
+    assert json.loads(capsys.readouterr().out)["self_dual"] is False
+    assert cli.main(args + ["--members", "2"] + extra) == 2
+    assert _error_record(capsys) == {
+        "kind": "NotSelfDual",
+        "message": "kernel space of the seed is not self-dual"}
 
 
 def test_cli_typea_flow(docs, capsys):

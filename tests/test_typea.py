@@ -9,7 +9,7 @@ import pytest
 from conftest import poly
 from cybethe import qpoly, serialize
 from cybethe.cartan import Weight, orbit_data
-from cybethe.errors import NotInRootCone, NotIsotropic
+from cybethe.errors import NotInRootCone, NotIsotropic, NotSelfDual
 from cybethe.frame import (BetheTuple, is_critical_exact,
                            is_cyclotomic_tuple)
 from cybethe.genengine import explore_population
@@ -17,11 +17,10 @@ from cybethe.qpoly import QPoly, proportional
 from cybethe.scalars import Cyc
 from cybethe.typea import (QPSpace, apply_flow, available_generators,
                            beta, bform, big_lambda, cyclotomic_population,
-                           dual_basis, eta_q, exponents,
+                           eta_q, exponents,
                            flag_type, flow_vs_generation,
                            frame_conditions_check, fundamental_operator,
-                           apply_operator, gram_matrix,
-                           is_cyclotomically_self_dual, isotropy_check,
+                           apply_operator, gram_matrix, isotropy_check,
                            kernel_basis, rational_sqrt, _cyclotomic_sqrt,
                            special_basis_from, normalized_witt_basis,
                            witt_basis, wr_constant, in_span)
@@ -36,6 +35,12 @@ A4_DOC = {"cartan": {"series": "A", "rank": 4}, "sigma": "(1 4)(2 3)",
 def a2_space(a2, a2_tuple):
     inst, _ = a2
     return kernel_basis(inst, a2_tuple)
+
+
+def dual_of(space, basis):
+    """W_i = Wr+(u_1, ..., ^u_i, ..., u_(R+1)) of a basis of the space."""
+    from cybethe import typea
+    return typea._dual(typea._wr_plus(space.frame, basis), len(basis))
 
 
 def quasi_cyclotomic(tup):
@@ -157,7 +162,7 @@ def test_special_basis_shuffled(a2, a2_tuple):
 
 def test_dual_basis(a2, a2_tuple):
     space, _ = a2_space(a2, a2_tuple)
-    w = dual_basis(space)
+    w = dual_of(space, space.basis)
     assert [q.degree for q in w] == list(space.frame.ddag)
     # pairing (u_i, W_j) = 0 for i != j, realized as Wr+(u_i, u_.., ^u_j, ..)
     size = len(space.basis)
@@ -176,13 +181,16 @@ def test_dual_basis(a2, a2_tuple):
 
 
 def test_self_duality(a2, a2_tuple):
+    # the Gram matrix is the one test: it refuses a space whose images
+    # under x -> -x leave the dual space
     space, _ = a2_space(a2, a2_tuple)
-    assert is_cyclotomically_self_dual(space)
+    assert len(gram_matrix(space, list(space.basis))) == 3
     # perturbed space: replace x^3 by x^3 + x
     bad = QPSpace(frame=space.frame,
                   basis=(space.basis[0], space.basis[1],
                          space.basis[2] + QPoly.x_power(1)))
-    assert not is_cyclotomically_self_dual(bad)
+    with pytest.raises(NotSelfDual):
+        gram_matrix(bad, list(bad.basis))
 
 
 def test_self_duality_forces_exponent_symmetry(a2, a2_tuple):
@@ -280,8 +288,8 @@ def test_witt_congruence_matches_gram(a2, a2_tuple):
 
 
 def test_witt_quadratic_extension(a2, a2_tuple):
-    space, flag = a2_space(a2, a2_tuple)[0], None
-    wb = witt_basis(space, quadratic_extension=True)
+    space, _ = a2_space(a2, a2_tuple)
+    wb = witt_basis(space, space.basis, quadratic_extension=True)
     assert wb.constants[len(wb.vectors) // 2] == Cyc.of(1)
 
 
@@ -439,7 +447,7 @@ def test_spanlem_chain(a2, a2_tuple):
     inst, _ = a2
     space, flag = kernel_basis(inst, a2_tuple)
     u = list(flag.adjusted)
-    w = dual_basis(space, basis=u)
+    w = dual_of(space, u)
     size = len(u)
     for k in range(1, size + 1):
         left = [v.negate_argument() for v in u[:k]]
@@ -505,15 +513,14 @@ def test_beta_injective_on_sampled_flags(a2, a2_tuple):
 def test_cyclotomic_population(a2, a2_tuple):
     inst, _ = a2
     space, flag = kernel_basis(inst, a2_tuple)
-    res = cyclotomic_population(inst, space, flag, sample_count=6,
-                                rng_seed=9)
+    wb = witt_basis(space, flag.adjusted)
+    res = cyclotomic_population(inst, space, wb, sample_count=6, rng_seed=9)
     assert res["dims"] == {"sp": 2, "o": 1}
     assert len(res["members"]) == 6
     for y in res["members"]:
         ok, _ = is_critical_exact(inst, y)
         assert ok and is_cyclotomic_tuple(inst, y)
     # the identity element reproduces the seed
-    wb = res["witt"]
     tup = BetheTuple.monic_of(beta(space, wb.vectors))
     assert tup == a2_tuple
 
@@ -597,7 +604,7 @@ def test_typea_pipeline_on_a3_population(a3):
         assert space.frame.p == 2
         report = frame_conditions_check(space)
         assert report["ok"], (node.tuple_, report)
-        assert is_cyclotomically_self_dual(space)
+        gram_matrix(space, list(space.basis))  # NotSelfDual otherwise
         tup = beta(space, flag.adjusted)
         assert all(a == b for a, b in zip(tup, node.tuple_))
 
@@ -680,15 +687,17 @@ def test_ramified_a4_beta_and_flow_image_pins(ramified, monkeypatch):
     monkeypatch.setattr(typea, "divide_exact", counted)
     c = Cyc.of(F(1, 3))
     for weight, (count, beta_pin, image_pin) in RAMIFIED_PINS.items():
-        _, nodes = ramified[weight]
+        inst, nodes = ramified[weight]
         betas, images = [], []
         for space, flag, _ in nodes:
-            # a fresh Witt basis: the flows divide entries of its table
-            # lazily, so the fixture's, shared by other tests, would make
-            # the count depend on their order
+            # a fresh kernel space and Witt basis: the flows divide entries
+            # of the flag basis's table lazily, so the fixture's, shared by
+            # other tests, would make the count depend on their order
+            tup = beta(space, flag.adjusted)
+            space, flag = kernel_basis(inst, BetheTuple.monic_of(tup))
             witt = witt_basis(space, adjusted=flag.adjusted,
                               quadratic_extension=True)
-            betas.append(serialize.tuple_doc(beta(space, flag.adjusted)))
+            betas.append(serialize.tuple_doc(tup))
             images.append([serialize.tuple_doc(
                 apply_flow(space, witt, gen, c)[1])
                 for gen in available_generators(space)])
@@ -738,7 +747,7 @@ def test_divisors_are_built_once_per_frame_and_never_by_a_reader(
     monkeypatch.setattr(typea, "build_frame", counted_frame)
     basis = list(space.basis)
     readers = {"frame_conditions_check": lambda: frame_conditions_check(space),
-               "dual_basis": lambda: dual_basis(space),
+               "dual_of": lambda: dual_of(space, basis),
                "wr_constant": lambda: wr_constant(space),
                "gram_matrix": lambda: gram_matrix(space, basis),
                "beta": lambda: beta(space, flag.adjusted),
@@ -817,10 +826,11 @@ def test_apply_flow_builds_no_table_and_its_prefixes_are_beta(ramified,
 
 
 def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
-    # a flow divides no entry of its own: the masks it reads are entries
-    # of the Witt basis's lazily divided table, so across that basis's
-    # Gram check and every flow and chain from it each mask is divided at
-    # most once, and once all are divided a flow divides nothing
+    # neither the Witt basis nor a flow divides an entry of its own: the
+    # masks they read are entries of the flag basis's lazily divided
+    # table, the one table built, so across the Witt basis's two Gram
+    # checks and every flow and chain from it each mask is divided at most
+    # once, and once all are divided a flow divides nothing
     from cybethe import typea
     inst = serialize.instance_from_doc(A4_DOC)
     node = json.loads(A4_CATALOG.read_text())["nodes"][-1]
@@ -843,16 +853,15 @@ def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
                 Read(table(fs))) or tables[-1])
             patch.setattr(typea, "divide_exact",
                           lambda f, g: divided.append(1) or divide(f, g))
-            # the elimination's Gram matrix and the final check's, which
-            # the Witt basis keeps
+            # the table of the flag basis, read by the elimination's Gram
+            # matrix and transported to the final check's
             witt = witt_basis(space, adjusted=flag.adjusted)
-            assert len(tables) == 2
-            del reads[:], divided[:]
+            assert len(tables) == 1
             for chain in _flow_chains(space):
                 for _ in _chain_images(space, witt, chain):
                     flows += 1
-            assert len(tables) == 2 and len(divided) == len(reads)
-            assert {t for t, _ in reads} <= {id(tables[1])}
+            assert len(tables) == 1 and len(divided) == len(reads)
+            assert {t for t, _ in reads} == {id(tables[0])}
             masks = [m for _, m in reads]
             assert len(masks) == len(set(masks))
             size = space.frame.r + 1
@@ -861,15 +870,29 @@ def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
             del divided[:]
             for chain in _flow_chains(space):
                 list(_chain_images(space, witt, chain))
-            assert divided == [] and len(tables) == 2
+            assert divided == [] and len(tables) == 1
     assert flows > 5
 
 
+def _assert_fresh_table(space, witt):
+    """Every entry of the table `witt` keeps equals the entry of a fresh
+    table of its vectors divided by D_k, in value, field order and text."""
+    divisors = space.frame.divisors
+    direct = qpoly.wronskian_table(witt.vectors)
+    for mask in range(1, len(direct)):
+        want = qpoly.divide_exact(direct[mask], divisors[mask.bit_count()])
+        got = witt.wr_plus(mask)
+        assert got == want
+        assert (got.field_order(), str(got)) == \
+            (want.field_order(), str(want))
+
+
 def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified):
-    # Cauchy-Binet: every entry of an image's table equals the entry of a
-    # fresh table of the image vectors divided by D_k, in value, field
-    # order and text, along chains of 3 flows, with and without quadratic
-    # extension
+    # Cauchy-Binet: every entry of a Witt basis's table, and of an image's,
+    # equals the entry of a fresh table of its vectors divided by D_k, in
+    # value, field order and text, along chains of 0 to 3 flows, with and
+    # without quadratic extension
+    from cybethe import typea
     from cybethe.typea import WittBasis
     spaces = [a2_space(a2, a2_tuple), _a5_space()]
     for inst, y in [(a3[0], BetheTuple.trivial(3)),
@@ -888,25 +911,26 @@ def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified):
                           for space, flag, _ in nodes]
     kinds = set()
     for space, _, witt in cases:
-        divisors = space.frame.divisors
+        _assert_fresh_table(space, witt)
         for chain in _flow_chains(space):
             kinds.update(kind for (kind, _), _ in chain)
             for image, _ in _chain_images(space, witt, chain):
-                direct = qpoly.wronskian_table(image.vectors)
-                for mask in range(1, len(direct)):
-                    want = qpoly.divide_exact(direct[mask],
-                                              divisors[mask.bit_count()])
-                    got = image.wr_plus(mask)
-                    assert got == want
-                    assert (got.field_order(), str(got)) == \
-                        (want.field_order(), str(want))
+                _assert_fresh_table(space, image)
     assert kinds == {"X", "Y", "Z"} and len(cases) > 250
     # the table is derived: equality, hash and repr ignore it
-    witt = cases[-1][2]
-    bare = WittBasis(vectors=witt.vectors, gram=witt.gram)
-    assert bare.wr_plus is None and witt.wr_plus is not None
+    space, _, witt = cases[-1]
+    bare = WittBasis(vectors=witt.vectors, gram=witt.gram,
+                     wr_plus=typea._wr_plus(space.frame, witt.vectors))
+    assert bare.wr_plus is not witt.wr_plus
     assert bare == witt and hash(bare) == hash(witt)
     assert repr(bare) == repr(witt) and "wr_plus" not in repr(witt)
+
+
+def _fresh_transport(mat, wr_plus, vectors, divisors):
+    """`typea._transport` replaced by a fresh table of the vectors."""
+    table = qpoly.wronskian_table(vectors)
+    return lambda mask: qpoly.divide_exact(table[mask],
+                                           divisors[mask.bit_count()])
 
 
 def test_gram_check_still_decides(monkeypatch):
@@ -927,11 +951,6 @@ def test_gram_check_still_decides(monkeypatch):
             n_mat[i][j] = Cyc.of(0)
         return n_mat
 
-    def fresh(mat, wr_plus, vectors, divisors):
-        table = qpoly.wronskian_table(vectors)
-        return lambda mask: qpoly.divide_exact(table[mask],
-                                               divisors[mask.bit_count()])
-
     monkeypatch.setattr(typea, "flow_generator", uncompensated)
     verdicts = {}
     for space, _, witt in _a4_catalog_nodes(False)[:10]:
@@ -939,7 +958,7 @@ def test_gram_check_still_decides(monkeypatch):
             for path in ("transported", "fresh"):
                 with monkeypatch.context() as patch:
                     if path == "fresh":
-                        patch.setattr(typea, "_transport", fresh)
+                        patch.setattr(typea, "_transport", _fresh_transport)
                     try:
                         apply_flow(space, witt, gen, Cyc.of(F(1, 3)))
                         refused = False
@@ -950,21 +969,72 @@ def test_gram_check_still_decides(monkeypatch):
     assert len(verdicts["fresh"]) == 20 and sum(verdicts["fresh"]) == 10
 
 
+def test_witt_gram_check_still_decides(monkeypatch):
+    # the flag basis sheared to u_k + u_(k-1) where both lie in one
+    # exponent class (one block of B: across blocks the elimination cannot
+    # work) spans the same flag but needs elimination steps.  The final
+    # Gram check of `witt_basis`, read off the transported table, accepts
+    # it, and refuses it on every node once the elimination reads each
+    # entry off the anti-diagonal as 0 and so takes no step, as the same
+    # check read off a fresh table of the Witt vectors does.  Skipping one
+    # step is not enough: B is symmetric or antisymmetric on each block,
+    # so the step at the transposed entry repairs it
+    from cybethe import typea
+    from cybethe.errors import InternalInvariantError
+    form = typea._form
+
+    verdicts = {}
+    for space, flag, _ in _a4_catalog_nodes(False)[:10]:
+        u = flag.adjusted
+        sheared = [u[0]] + [
+            u[k] + u[k - 1] if u[k].exponent_classes().keys() ==
+            u[k - 1].exponent_classes().keys() else u[k]
+            for k in range(1, len(u))]
+        for path in ("transported", "fresh"):
+            dropped = []
+
+            def blind(a, g, b):
+                # an elimination row is lower triangular: its last nonzero
+                # coordinate is its index
+                i, j = (max(k for k, x in enumerate(w) if x) for w in (a, b))
+                val = form(a, g, b)
+                if i + j == len(g) - 1 or val.is_zero():
+                    return val
+                dropped.append(val)
+                return Cyc.of(0)
+
+            with monkeypatch.context() as patch:
+                if path == "fresh":
+                    patch.setattr(typea, "_transport", _fresh_transport)
+                witt_basis(space, sheared)
+                patch.setattr(typea, "_form", blind)
+                with pytest.raises(InternalInvariantError) as err:
+                    witt_basis(space, sheared)
+            assert dropped
+            verdicts.setdefault(path, []).append(str(err.value))
+    assert verdicts["transported"] == verdicts["fresh"]
+    assert len(verdicts["fresh"]) == 10
+    assert all(v.startswith("Witt Gram not anti-diagonal")
+               for v in verdicts["fresh"])
+
+
 def test_cyclotomic_population_keeps_each_flow_tuple(a2, a2_tuple,
                                                      monkeypatch):
     # one generator, X_1: each sample applies one flow, or none when it
-    # draws c = 0 (the third here), and beta runs only then
+    # draws c = 0 (the third here), and then reads the Witt basis's table;
+    # the sampler builds no table
     from cybethe import typea
     calls = []
-    for name in ("beta", "apply_flow"):
+    for name in ("beta", "apply_flow", "wronskian_table"):
         monkeypatch.setattr(typea, name, lambda *a, f=getattr(typea, name),
                             n=name: calls.append(n) or f(*a))
     inst, _ = a2
-    res = cyclotomic_population(inst, *kernel_basis(inst, a2_tuple),
-                                sample_count=5)
+    space, flag = kernel_basis(inst, a2_tuple)
+    witt = witt_basis(space, flag.adjusted)
+    del calls[:]
+    res = cyclotomic_population(inst, space, witt, sample_count=5)
     assert len(res["members"]) == 5
-    assert calls == ["apply_flow", "apply_flow", "beta", "apply_flow",
-                     "apply_flow"]
+    assert calls == ["apply_flow"] * 4
 
 
 def _in_span_alone(target, polys):
@@ -990,7 +1060,7 @@ def test_span_coefficients_match_one_reduction_per_target(a2, a2_tuple):
     units = [Cyc.of(1), Cyc.root_of_unity(4), Cyc.root_of_unity(3, 2)]
     mixed = [poly(0, 1, 1), poly(0, 0, 1, 1).scale(units[1]),
              QPoly({F(1, 2): units[2], F(3): 1})]
-    cases = [(dual_basis(space, check_degrees=False),
+    cases = [(dual_of(space, space.basis),
               [u.negate_argument() for u in space.basis])
              for space, _ in (_a5_space(), kernel_basis(a2[0], a2_tuple))]
     cases.append((mixed, [poly(0, 1), poly(0, 1, 0, -1)]))
@@ -1027,7 +1097,12 @@ def test_dual_basis_matrix_is_reduced_once(a2, a2_tuple, monkeypatch):
         return reduce_(rows, cols)
 
     monkeypatch.setattr(linalg, "_rref", counted)
-    assert is_cyclotomically_self_dual(space)
+    # a refused space, as the perturbed one of `test_self_duality`
+    bad = QPSpace(frame=space.frame,
+                  basis=(space.basis[0], space.basis[1],
+                         space.basis[2] + QPoly.x_power(1)))
+    with pytest.raises(NotSelfDual):
+        gram_matrix(bad, list(bad.basis))
     gram_matrix(space, list(space.basis))
     bform(space, space.basis[0], space.basis[1])
     # one reduction each, bform's two targets and its Gram matrix included
