@@ -21,39 +21,60 @@ All values are immutable.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd, lcm, prod
 from operator import add, sub
 import cmath
 
 from .errors import InputError
 
 
-def _poly_divmod(num, den):
-    """Divide integer-coefficient polynomial lists (lowest degree first)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(num) - len(den), -1, -1):
-        q, r = divmod(num[k + len(den) - 1], den[-1])
-        assert r == 0
-        out[k] = q
-        for j, d in enumerate(den):
-            num[k + j] -= q * d
-    assert all(c == 0 for c in num[len(den) - 1:])
-    return out, num[:len(den) - 1]
+def _factor(n):
+    """The (prime, exponent) pairs of n >= 1, primes ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(M):
-    """Coefficients of Phi_M, lowest degree first, integer entries."""
+    """Coefficients of Phi_M, lowest degree first, integer entries.
+
+    Phi_M(w) = Phi_m(w^(M/m)) for m = rad M, the product of the primes of
+    M, and Phi_m = prod_(d | m) (w^d - 1)^mu(m/d) (Arnold & Monagan, Math.
+    Comp. 80, 2011).  The product runs on power series truncated at deg
+    Phi_m: a factor 1 - w^d is one shift-and-subtract, a divisor by it one
+    running sum at stride d, and the signs of the w^d - 1 cancel for m > 1.
+    """
     if M < 1:
         raise InputError(f"cyclotomic order must be >= 1, got {M}")
-    poly = [-1] + [0] * (M - 1) + [1]  # w^M - 1
-    for d in range(1, M):
-        if M % d == 0:
-            q, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not any(rem)
-            poly = q
-    return tuple(poly)
+    primes = [p for p, _ in _factor(M)]
+    m, deg = prod(primes), prod(p - 1 for p in primes)
+    series = [1] + [0] * deg
+    for k in range(len(primes) + 1):
+        for omitted in combinations(primes, k):
+            d = m // prod(omitted)    # mu(m/d) = (-1)^k
+            if k % 2:
+                for i in range(d, deg + 1):
+                    series[i] += series[i - d]
+            else:
+                for i in range(deg, d - 1, -1):
+                    series[i] -= series[i - d]
+    if m == 1:
+        series = [-c for c in series]    # Phi_1 = w - 1 = -(1 - w)
+    out = [0] * (deg * (M // m) + 1)
+    out[::M // m] = series
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ flag flows realizing cyclotomic generation.
 
 Everything is exact.  The bilinear form is B(u, v) = (u, v(-x)) computed
 by expanding v(-x) in the dual basis W_k = Wr+(u_1, ..., ^u_k, ..., u_(R+1));
-the special basis, orthogonal complements, memberships and ranks all go
+the special basis, orthogonal complements and memberships all go
 through the one exact row reduction `linalg._rref`, never numeric rank.
 A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
 
@@ -16,24 +16,25 @@ Within one call, readers of the same basis share one table, and
 from one `gram_matrix` (`_gram` raises NotSelfDual before it reads the
 Wronskian constant, so self-duality is decided there and nowhere else).
 
-A basis that type A derives from another, v = E w, builds no table: its
+A Witt basis belongs to a flag, not to the basis that spans it:
+`witt_basis` first adapts any basis of a decomposable flag to the
+exponent classes (`_adapt`), then builds the one table and the one Gram
+matrix that type A builds from polynomials per Witt basis.  B is
+bilinear, so a basis derived from another, v = E w, has the Gram matrix
+E Gram(w) E^T exactly: the Witt vectors are the elimination matrix times
+the adapted basis, and a flow image is E = exp(cN) times its Witt basis,
+and both take their Gram matrix, and check it, by this congruence.  Their
 Wr+ are transported from the table of w by Cauchy-Binet (`_transport`).
-The Witt basis takes its table from that of the flag basis it eliminates,
-and a flow image, E = exp(cN), from that of its Witt basis.  The Gram
-check still decides.  It expands the derived vectors under x -> -x, built
-from E, in their dual basis and compares the result with the expected
-Gram matrix exactly.  The Wronskian is multilinear, so every transported
-entry equals the entry of a fresh table of the derived vectors, in value
-and field order: a check read off it accepts and refuses what the same
-check read off a fresh table does.
+The Wronskian is multilinear, so every transported entry equals the entry
+of a fresh table of the derived vectors, in value and field order.
 
 A WittBasis is its vectors and their Gram matrix; its anti-diagonal
 `constants` are read off the matrix, and the `_wr_plus` of its vectors is
 a derived slot.  `apply_flow` returns the image basis as a WittBasis with
-the same Gram matrix, which its Gram check proves, and its transported
-table, together with beta of the image flag, so a chain of flows passes
-each image on as the next input and never builds a table or divides by
-D_k.
+the same Gram matrix, which its congruence check proves, and its
+transported table, together with beta of the image flag, so a chain of
+flows passes each image on as the next input and never builds a table, a
+Gram matrix from polynomials, or divides by D_k.
 """
 
 from fractions import Fraction
@@ -51,7 +52,7 @@ from .frame import (BetheTuple, big_lambda, is_critical_exact,
                     is_cyclotomic_tuple, t_tilde, weight_at_infinity)
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
-from .scalars import ZERO, Cyc, _cyc, _reduce_mod_phi
+from .scalars import ZERO, Cyc, _cyc, _factor, _reduce_mod_phi
 
 
 # --- frame data -----------------------------------------------------------
@@ -411,34 +412,32 @@ def _beta(wr_plus, r):
 
 
 def flag_type(space, adjusted):
-    """Type Q of a decomposable flag (1-based subset of {1..R+1})."""
-    p = space.frame.p
-    if p == 0:
+    """Type Q of a decomposable flag (1-based subset of {1..R+1}): the
+    steps k at which the integral part of F_k grows, read off the classes
+    of the adapted basis (`_adapt`)."""
+    if space.frame.p == 0:
         return frozenset()
-    size = len(adjusted)
-    q = set()
-    prev_int = prev_half = 0
-    for k in range(1, size + 1):
-        ints = [v.exponent_classes().get(Fraction(0), QPoly.zero())
-                for v in adjusted[:k]]
-        halves = [v.exponent_classes().get(Fraction(1, 2), QPoly.zero())
-                  for v in adjusted[:k]]
-        ri = _rank_of(ints)
-        rh = _rank_of(halves)
-        if ri + rh != k:
-            raise NotDecomposable(f"F_{k} is not a decomposable subspace")
-        if ri == prev_int + 1:
-            q.add(k)
-        prev_int, prev_half = ri, rh
-    return frozenset(q)
+    return frozenset(k for k, v in enumerate(_adapt(adjusted), 1)
+                     if Fraction(0) in v.exponent_classes())
 
 
-def _rank_of(polys):
-    polys = [p for p in polys if not p.is_zero()]
-    if not polys:
-        return 0
-    exps = _support(polys)
-    return linalg.rank([[p.coeff(e) for e in exps] for p in polys])
+def _adapt(adjusted):
+    """The basis of the same flag whose k-th vector is the part of u_k in
+    the one exponent class c_k where F_k grows.  In a decomposable flag
+    every other part of u_k lies in F_(k-1), so in the span of the earlier
+    adapted vectors of its class; NotDecomposable when not exactly one
+    part leaves that span."""
+    out, by_class = [], {}
+    for k, u in enumerate(adjusted, 1):
+        grows = [(c, part) for c, part in u.exponent_classes().items()
+                 if in_span(part, by_class.get(c, [])) is None]
+        if len(grows) != 1:
+            raise NotDecomposable(
+                f"F_{k} is not a decomposable subspace of dimension {k}")
+        c, part = grows[0]
+        by_class.setdefault(c, []).append(part)
+        out.append(part)
+    return out
 
 
 def eta_q(space, sp_flag, o_flag, q):
@@ -471,9 +470,10 @@ def isotropy_check(gram):
 
 
 class WittBasis(Record):
-    """Witt vectors and their Gram matrix.  The `_wr_plus` of the vectors
-    is derived, so not a field: `witt_basis` and `apply_flow` pass the
-    transported one that their Gram check read."""
+    """Witt vectors and their Gram matrix, taken by congruence from the
+    Gram matrix of the basis they derive from.  The `_wr_plus` of the
+    vectors is derived, so not a field: `witt_basis` and `apply_flow` pass
+    the one they transported, which beta and the next flow read."""
 
     _fields = ("vectors", "gram")
     __slots__ = _fields + ("wr_plus",)
@@ -512,12 +512,17 @@ def witt_basis(space, adjusted, reduce_constants=True,
     constant unless quadratic-extension mode can realize the square root
     inside a cyclotomic field.
 
-    One table is built, of the flag basis, for its Gram matrix; the Witt
-    vectors are rows of the elimination matrix times that basis, so their
-    table is transported from it (`_transport`), and the final Gram check
-    reads it.
+    `adjusted` may be any basis of a decomposable isotropic flag: it is
+    first adapted to the flag's exponent classes (`_adapt`, which raises
+    NotDecomposable), so that B is symmetric or antisymmetric on each
+    pair of vectors.  One table and one Gram matrix G are built, of the
+    adapted basis.  The Witt vectors are the rows V of the elimination
+    matrix times that basis, so their table is transported from it
+    (`_transport`) and their Gram matrix is the congruence V G V^T, which
+    the final check reads.  Each entry is promoted to the field order of
+    the vectors, which a Gram matrix built from them gives it.
     """
-    basis = list(adjusted)
+    basis = _adapt(adjusted)
     size = len(basis)
     wr_basis = _wr_plus(space.frame, basis)
     g = _gram(basis, wr_basis)
@@ -543,10 +548,9 @@ def witt_basis(space, adjusted, reduce_constants=True,
             vecs[k] = [x - factor * y for x, y in zip(vecs[k], vecs[pivot_row])]
 
     # B(vectors[i], vectors[j]) is the congruence entry(i, j): the
-    # rescaling reads it instead of rebuilding the Gram matrix, and only
-    # the final Gram matrix below is computed from scratch as the check.
-    # It scales rows k < size // 2, then the middle row, in place: each
-    # entry it reads pairs a row not yet scaled with one it never scales
+    # rescaling scales rows k < size // 2, then the middle row, in place:
+    # each entry it reads pairs a row not yet scaled with one it never
+    # scales
     mid = (size - 1) // 2 if size % 2 == 1 else None
     if reduce_constants:
         target = _b_pattern(space.frame.p, size)
@@ -559,16 +563,16 @@ def witt_basis(space, adjusted, reduce_constants=True,
             vecs[mid] = [x * scale for x in vecs[mid]]
 
     vectors = [_combine(row, basis) for row in vecs]
-    wr_plus = _transport(vecs, wr_basis, vectors, space.frame.divisors)
-    gram_final = _gram(vectors, wr_plus)
+    order = lcm(*(v.field_order() for v in vectors))
+    gram = tuple(tuple(x.promote(lcm(x.order, order)) for x in row)
+                 for row in _congruence(vecs, g))
     for a in range(size):
         for b in range(size):
-            if a + b != size - 1 and not gram_final[a][b].is_zero():
+            if a + b != size - 1 and not gram[a][b].is_zero():
                 raise InternalInvariantError(
                     f"Witt Gram not anti-diagonal at ({a},{b})")
-    return WittBasis(vectors=tuple(vectors),
-                     gram=tuple(tuple(row) for row in gram_final),
-                     wr_plus=wr_plus)
+    return WittBasis(vectors=tuple(vectors), gram=gram, wr_plus=_transport(
+        vecs, wr_basis, vectors, space.frame.divisors))
 
 
 def _cyclotomic_sqrt(value):
@@ -633,22 +637,6 @@ def _jacobi(a, n):
             t = -t
         a %= n
     return t if n == 1 else 0
-
-
-def _factor(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
 
 
 def normalized_witt_basis(space):
@@ -736,11 +724,13 @@ def apply_flow(space, witt, generator, c):
     """Apply exp(c * generator) to the Witt flag; returns (image, tuple)
     with the image a WittBasis and the tuple beta of its flag.
 
-    The Gram matrix of the image is asserted equal to `witt.gram` (the
-    transformation lies in the B-preserving group) and isotropic, so the
-    image is again a Witt basis with `witt.gram`.  The check and beta
-    read the image's table, transported from the table of `witt` through
-    exp(cN) (`_transport`), which the image keeps for the next flow.
+    The Gram matrix of the image, the congruence exp(cN) G exp(cN)^T of
+    G = `witt.gram`, is asserted equal to G (the transformation lies in
+    the B-preserving group) and isotropic, so the image is again a Witt
+    basis with `witt.gram`; no Gram matrix is built from polynomials.
+    Beta reads the image's table, transported from the table of `witt`
+    through exp(cN) (`_transport`), which the image keeps for the next
+    flow.
     """
     kind, k = generator
     c = c if isinstance(c, Cyc) else Cyc.of(c)
@@ -761,14 +751,14 @@ def apply_flow(space, witt, generator, c):
         for i in range(size):
             for j in range(size):
                 exp[i][j] = exp[i][j] + coeff * power[i][j]
-    new_vectors = [_combine(row, witt.vectors) for row in exp]
-    wr_plus = _transport(exp, witt.wr_plus, new_vectors, space.frame.divisors)
-    g_new = _gram(new_vectors, wr_plus)
+    g_new = _congruence(exp, witt.gram)
     if g_new != [list(r) for r in witt.gram]:
         raise InternalInvariantError(
             f"flow {kind}_{k} does not preserve the bilinear form")
     if not isotropy_check(g_new):
         raise InternalInvariantError("flow output flag is not isotropic")
+    new_vectors = [_combine(row, witt.vectors) for row in exp]
+    wr_plus = _transport(exp, witt.wr_plus, new_vectors, space.frame.divisors)
     return WittBasis(vectors=tuple(new_vectors), gram=witt.gram,
                      wr_plus=wr_plus), _beta(wr_plus, size - 1)
 
@@ -813,6 +803,12 @@ def _transport(mat, wr_plus, vectors, divisors):
         return out.promote(lcm(divisors[mask.bit_count()].field_order(), *(
             order for i, order in enumerate(orders) if mask >> i & 1)))
     return entry
+
+
+def _congruence(mat, g):
+    """mat G mat^T: the Gram matrix of v_i = sum_j mat[i][j] w_j from the
+    Gram matrix G of w, as B is bilinear."""
+    return _mat_mul_c(_mat_mul_c(mat, g), list(zip(*mat)))
 
 
 def _mat_mul_c(a, b):

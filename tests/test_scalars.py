@@ -35,6 +35,16 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomials_match_sympy():
+    # the Moebius product against sympy's as an oracle, including the
+    # orders of rad M < M and the largest field `rational_sqrt` reaches
+    sympy = pytest.importorskip("sympy")
+    for order in [*range(1, 400), 2310, 3196]:
+        want = sympy.cyclotomic_poly(order, polys=True).all_coeffs()
+        assert cyclotomic_polynomial(order) == tuple(map(int, want[::-1])), \
+            order
+
+
 def test_root_relations():
     i = Cyc.root_of_unity(4)
     assert i * i == -1

@@ -142,15 +142,14 @@ KEPT_UNREACHED = {
     # paper checks for ROADMAP item 6: the flag type in `typea analyze`,
     # the normalized Witt basis, and the numeric eigenvalues of
     # `check-numeric`
-    "typea.flag_type", "typea.eta_q", "typea._rank_of", "linalg.rank",
-    "errors.NotDecomposable", "typea.normalized_witt_basis",
+    "typea.flag_type", "typea.eta_q", "typea.normalized_witt_basis",
     "typea.wr_constant", "numerics.eigenvalues_numeric",
     # test oracles
     "frame.hl_identity_check", "genengine.elementary_generate_L1",
     "genengine.cyclotomic_generate_L2", "genengine.generation_family",
-    "typea.bform", "typea.in_span",
+    "typea.bform",
     # named by the benchmark's tracer
-    "linalg.nullspace", "qpoly.wronskian",
+    "linalg.nullspace", "linalg.rank", "qpoly.wronskian",
     # the public form of `typea._wr_plus` at one mask
     "qpoly.divided_wronskian",
     # test-data builders

@@ -1,10 +1,13 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import poly
 from cybethe import qpoly, serialize
@@ -785,16 +788,38 @@ def _chain_images(space, witt, chain):
         yield cur, tup
 
 
+def _a4_catalog_spaces():
+    """(space, flag) of each node of the A4 catalog."""
+    inst = serialize.instance_from_doc(A4_DOC)
+    return [kernel_basis(inst, serialize.tuple_from_doc(node["tuple"], inst.M))
+            for node in json.loads(A4_CATALOG.read_text())["nodes"]]
+
+
 def _a4_catalog_nodes(quadratic_extension=True):
     """(space, flag, Witt basis) of each node of the A4 catalog."""
-    inst = serialize.instance_from_doc(A4_DOC)
-    nodes = []
-    for node in json.loads(A4_CATALOG.read_text())["nodes"]:
-        space, flag = kernel_basis(
-            inst, serialize.tuple_from_doc(node["tuple"], inst.M))
-        nodes.append((space, flag, witt_basis(
-            space, adjusted=flag.adjusted,
-            quadratic_extension=quadratic_extension)))
+    return [(space, flag, witt_basis(space, adjusted=flag.adjusted,
+                                     quadratic_extension=quadratic_extension))
+            for space, flag in _a4_catalog_spaces()]
+
+
+@pytest.fixture(scope="module")
+def witt_cases(ramified):
+    """(space, flag, Witt basis) of each A4 catalog node and ramified pin
+    node, with and without quadratic extension."""
+    cases = _a4_catalog_nodes(False) + _a4_catalog_nodes(True)
+    for _, nodes in ramified.values():
+        cases += nodes + [(space, flag, witt_basis(space,
+                                                   adjusted=flag.adjusted))
+                          for space, flag, _ in nodes]
+    return cases
+
+
+@pytest.fixture(scope="module")
+def flag_nodes(ramified):
+    """(space, flag) of each A4 catalog node and ramified pin node."""
+    nodes = _a4_catalog_spaces()
+    for _, ramified_nodes in ramified.values():
+        nodes += [(space, flag) for space, flag, _ in ramified_nodes]
     return nodes
 
 
@@ -828,19 +853,21 @@ def test_apply_flow_builds_no_table_and_its_prefixes_are_beta(ramified,
 def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
     # neither the Witt basis nor a flow divides an entry of its own: the
     # masks they read are entries of the flag basis's lazily divided
-    # table, the one table built, so across the Witt basis's two Gram
-    # checks and every flow and chain from it each mask is divided at most
-    # once, and once all are divided a flow divides nothing
+    # table, the one table built, so across the Witt basis's one Gram
+    # matrix and every flow and chain from it each mask is divided at most
+    # once, and once all are divided a flow divides nothing.  The Witt
+    # basis builds one Gram matrix from polynomials, and a flow none
     from cybethe import typea
     inst = serialize.instance_from_doc(A4_DOC)
     node = json.loads(A4_CATALOG.read_text())["nodes"][-1]
     cases = [(a2[0], a2_tuple),
              (inst, serialize.tuple_from_doc(node["tuple"], inst.M))]
     table, divide = typea.wronskian_table, typea.divide_exact
+    gram = typea._gram
     flows = 0
     for inst, y in cases:
         space, flag = kernel_basis(inst, y)
-        reads, divided, tables = [], [], []
+        reads, divided, tables, grams = [], [], [], []
 
         class Read(list):
             # `_wr_plus` reads table[mask] once per division of the mask
@@ -853,13 +880,16 @@ def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
                 Read(table(fs))) or tables[-1])
             patch.setattr(typea, "divide_exact",
                           lambda f, g: divided.append(1) or divide(f, g))
+            patch.setattr(typea, "_gram",
+                          lambda *a: grams.append(1) or gram(*a))
             # the table of the flag basis, read by the elimination's Gram
-            # matrix and transported to the final check's
+            # matrix and transported to the Witt vectors
             witt = witt_basis(space, adjusted=flag.adjusted)
-            assert len(tables) == 1
+            assert len(tables) == 1 and len(grams) == 1
             for chain in _flow_chains(space):
                 for _ in _chain_images(space, witt, chain):
                     flows += 1
+            assert len(grams) == 1
             assert len(tables) == 1 and len(divided) == len(reads)
             assert {t for t, _ in reads} == {id(tables[0])}
             masks = [m for _, m in reads]
@@ -887,7 +917,8 @@ def _assert_fresh_table(space, witt):
             (want.field_order(), str(want))
 
 
-def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified):
+def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3,
+                                              witt_cases):
     # Cauchy-Binet: every entry of a Witt basis's table, and of an image's,
     # equals the entry of a fresh table of its vectors divided by D_k, in
     # value, field order and text, along chains of 0 to 3 flows, with and
@@ -904,11 +935,7 @@ def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified):
     cases = [(space, flag, witt_basis(space, adjusted=flag.adjusted,
                                       quadratic_extension=qe))
              for space, flag in spaces for qe in (False, True)]
-    cases += _a4_catalog_nodes(False) + _a4_catalog_nodes(True)
-    for _, nodes in ramified.values():
-        cases += nodes + [(space, flag, witt_basis(space,
-                                                   adjusted=flag.adjusted))
-                          for space, flag, _ in nodes]
+    cases += witt_cases
     kinds = set()
     for space, _, witt in cases:
         _assert_fresh_table(space, witt)
@@ -935,9 +962,9 @@ def _fresh_transport(mat, wr_plus, vectors, divisors):
 
 def test_gram_check_still_decides(monkeypatch):
     # with the compensating entry of a coupling dropped, exp(cN) leaves
-    # the group that preserves B: the Gram check, read off the transported
-    # table, refuses exactly the flows it refuses off a fresh table of the
-    # image vectors, which is what the check read before transport
+    # the group that preserves B: the Gram check, the congruence exp(cN) G
+    # exp(cN)^T, refuses half the flows.  It reads no table, so its
+    # verdicts are the same with the image's table transported or fresh
     from cybethe import typea
     from cybethe.errors import InternalInvariantError
     generator = typea.flow_generator
@@ -970,15 +997,17 @@ def test_gram_check_still_decides(monkeypatch):
 
 
 def test_witt_gram_check_still_decides(monkeypatch):
-    # the flag basis sheared to u_k + u_(k-1) where both lie in one
-    # exponent class (one block of B: across blocks the elimination cannot
-    # work) spans the same flag but needs elimination steps.  The final
-    # Gram check of `witt_basis`, read off the transported table, accepts
-    # it, and refuses it on every node once the elimination reads each
-    # entry off the anti-diagonal as 0 and so takes no step, as the same
-    # check read off a fresh table of the Witt vectors does.  Skipping one
-    # step is not enough: B is symmetric or antisymmetric on each block,
-    # so the step at the transposed entry repairs it
+    # the flag basis sheared to u_k + u_(k-1), within one exponent class
+    # only or at every k, spans the same flag but needs elimination steps:
+    # adapting the fully sheared basis to the exponent classes strips the
+    # parts that cross blocks of B and leaves the one sheared within them.
+    # The final Gram check of `witt_basis`, the congruence V G V^T on the
+    # adapted basis's Gram matrix, accepts both, and refuses both on every
+    # node once the elimination reads each entry off the anti-diagonal as
+    # 0 and so takes no step.  It reads no table, so a fresh table of the
+    # Witt vectors in place of the transported one changes no verdict.
+    # Skipping one step is not enough: B is symmetric or antisymmetric on
+    # each block, so the step at the transposed entry repairs it
     from cybethe import typea
     from cybethe.errors import InternalInvariantError
     form = typea._form
@@ -986,11 +1015,14 @@ def test_witt_gram_check_still_decides(monkeypatch):
     verdicts = {}
     for space, flag, _ in _a4_catalog_nodes(False)[:10]:
         u = flag.adjusted
-        sheared = [u[0]] + [
+        within = [u[0]] + [
             u[k] + u[k - 1] if u[k].exponent_classes().keys() ==
             u[k - 1].exponent_classes().keys() else u[k]
             for k in range(1, len(u))]
-        for path in ("transported", "fresh"):
+        across = _sheared(u)
+        assert across != within
+        for path, sheared in itertools.product(("transported", "fresh"),
+                                               (within, across)):
             dropped = []
 
             def blind(a, g, b):
@@ -1013,9 +1045,88 @@ def test_witt_gram_check_still_decides(monkeypatch):
             assert dropped
             verdicts.setdefault(path, []).append(str(err.value))
     assert verdicts["transported"] == verdicts["fresh"]
-    assert len(verdicts["fresh"]) == 10
+    assert len(verdicts["fresh"]) == 20
     assert all(v.startswith("Witt Gram not anti-diagonal")
                for v in verdicts["fresh"])
+
+
+def _gram_text(g):
+    return [[(x, x.order, str(x)) for x in row] for row in g]
+
+
+def test_witt_grams_equal_fresh_ones(witt_cases):
+    # a Witt basis's Gram matrix is a congruence of its adapted basis's,
+    # and an image keeps its input's: each equals a fresh `gram_matrix` of
+    # its vectors in value, field order and text, with and without
+    # quadratic extension, along single flows and chains of 3
+    grams = 0
+    for space, _, witt in witt_cases:
+        for image in [witt] + [image for chain in _flow_chains(space)
+                               for image, _ in _chain_images(space, witt,
+                                                             chain)]:
+            assert _gram_text(image.gram) == \
+                _gram_text(gram_matrix(space, list(image.vectors)))
+            grams += 1
+    assert grams == 6 * len(witt_cases)
+
+
+def _sheared(u):
+    """u_1, then u_k + u_(k-1) for k > 1: a basis of the same flag."""
+    return [u[0]] + [u[k] + u[k - 1] for k in range(1, len(u))]
+
+
+def test_witt_basis_of_a_sheared_flag_basis(flag_nodes):
+    # the shear crosses exponent classes, so blocks of B, on every node;
+    # the Witt basis of the sheared basis spans the flag of the same beta
+    for space, flag in flag_nodes:
+        u = flag.adjusted
+        assert any(u[k].exponent_classes().keys() !=
+                   u[k - 1].exponent_classes().keys()
+                   for k in range(1, len(u)))
+        witt = witt_basis(space, _sheared(u))
+        assert isotropy_check(witt.gram)
+        assert beta(space, witt.vectors) == beta(space, u)
+
+
+RATIONAL_ENTRIES = [F(0), F(1), F(-1), F(1, 2), F(-2), F(3)]
+GAUSSIAN_ENTRIES = RATIONAL_ENTRIES + [
+    Cyc.root_of_unity(4), Cyc.root_of_unity(4) * F(-1, 2),
+    Cyc.root_of_unity(4) + 1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_witt_basis_depends_only_on_the_flag(flag_nodes, data):
+    # a random lower-unitriangular change of the flag basis, over Q or
+    # Q(zeta_4), keeps the flag: its Witt basis has the reduced pattern
+    # on the anti-diagonal and zeros elsewhere, and beta is unchanged
+    from cybethe.typea import _b_pattern
+    space, flag = data.draw(st.sampled_from(flag_nodes))
+    pool = data.draw(st.sampled_from([RATIONAL_ENTRIES, GAUSSIAN_ENTRIES]))
+    u, size = flag.adjusted, len(flag.adjusted)
+    basis = [u[i] + sum((u[j].scale(c) for j, c in enumerate(data.draw(
+        st.lists(st.sampled_from(pool), min_size=i, max_size=i))) if c),
+        QPoly.zero()) for i in range(size)]
+    witt = witt_basis(space, basis, quadratic_extension=True)
+    pattern = _b_pattern(space.frame.p, size)
+    assert witt.gram == tuple(
+        tuple(Cyc.of(pattern[a]) if a + b == size - 1 else Cyc.of(0)
+              for b in range(size)) for a in range(size))
+    assert beta(space, witt.vectors) == beta(space, u)
+
+
+def test_witt_basis_refuses_a_flag_that_is_not_decomposable(flag_nodes):
+    # u_1 + u_3 (1-based) has parts in two exponent classes, and F_1 is
+    # its span: an input error (exit code 2), not a broken invariant
+    from cybethe.errors import InternalInvariantError, NotDecomposable
+    assert not issubclass(NotDecomposable, InternalInvariantError)
+    for space, flag in flag_nodes:
+        u = list(flag.adjusted)
+        assert len((u[0] + u[2]).exponent_classes()) == 2
+        mixed = [u[0] + u[2]] + u[1:]
+        for read in (witt_basis, flag_type):
+            with pytest.raises(NotDecomposable, match="F_1 is not"):
+                read(space, mixed)
 
 
 def test_cyclotomic_population_keeps_each_flow_tuple(a2, a2_tuple,
