@@ -146,9 +146,9 @@ def cmd_typea_analyze(args):
                         gram_matrix, isotropy_check, kernel_basis, witt_basis)
     space, flag = kernel_basis(inst, y)
     report = frame_conditions_check(space)
-    # self-duality and the B matrix of the special basis: one table
+    # self-duality and the B matrix of the special basis: one Gram matrix
     try:
-        g = gram_matrix(space, list(space.basis))
+        g = gram_matrix(space)
     except NotSelfDual:
         g = None
     self_dual = g is not None

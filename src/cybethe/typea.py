@@ -5,28 +5,32 @@ flag flows realizing cyclotomic generation.
 
 Everything is exact.  The bilinear form is B(u, v) = (u, v(-x)) computed
 by expanding v(-x) in the dual basis W_k = Wr+(u_1, ..., ^u_k, ..., u_(R+1));
-the special basis, orthogonal complements and memberships all go
-through the one exact row reduction `linalg._rref`, never numeric rank.
-A square root of a rational is one quadratic Gauss sum (`rational_sqrt`).
+the special basis, the dual-basis expansion and spans all go through the
+one exact row reduction `linalg._rref`, never numeric rank.  A square
+root of a rational is one quadratic Gauss sum (`rational_sqrt`).
 
 Every divided Wronskian Wr+ is an entry of one `wronskian_table` divided by
 a D_k of the frame's divisor chain, which each `TypeAFrame` builds once.
-Within one call, readers of the same basis share one table, and
-`typea analyze` reads self-duality and the B matrix of the special basis
-from one `gram_matrix` (`_gram` raises NotSelfDual before it reads the
-Wronskian constant, so self-duality is decided there and nowhere else).
+The flag basis, its adapted basis, the Witt basis and every flow image are
+bases of one space V = ker D(y), so a `QPSpace` holds the one table that
+type A builds, of its special basis u, and `gram_matrix` builds and keeps
+the one Gram matrix of V built from polynomials (`_gram` raises
+NotSelfDual before it reads the Wronskian constant, so self-duality is
+decided there and nowhere else).  Every other basis of V is read through
+its coordinates over u (`_coordinates`, which refuses a vector outside V
+with InputError).
 
-A Witt basis belongs to a flag, not to the basis that spans it:
-`witt_basis` first adapts any basis of a decomposable flag to the
-exponent classes (`_adapt`), then builds the one table and the one Gram
-matrix that type A builds from polynomials per Witt basis.  B is
-bilinear, so a basis derived from another, v = E w, has the Gram matrix
-E Gram(w) E^T exactly: the Witt vectors are the elimination matrix times
-the adapted basis, and a flow image is E = exp(cN) times its Witt basis,
-and both take their Gram matrix, and check it, by this congruence.  Their
-Wr+ are transported from the table of w by Cauchy-Binet (`_transport`).
-The Wronskian is multilinear, so every transported entry equals the entry
-of a fresh table of the derived vectors, in value and field order.
+B is bilinear, so vectors v = E u have the Gram matrix E Gram(u) E^T
+exactly, and the Wronskian is multilinear, so their Wr+ are transported
+from the table of u by Cauchy-Binet (`_transport`), each entry equal to
+the entry of a fresh table of v in value and field order.  `beta`,
+`bform` and the check of `kernel_basis` read V this way.  A Witt basis
+belongs to a flag, not to the basis that spans it: `witt_basis` adapts
+any basis of a decomposable flag to the exponent classes (`_adapt`) and
+eliminates on the congruence Gram matrix of the adapted basis; the Witt
+vectors are the elimination matrix times that basis, so their Gram matrix
+and table come through the product of the two matrices.  A flow image is
+exp(cN) times its Witt basis and takes both from it the same way.
 
 A WittBasis is its vectors and their Gram matrix; its anti-diagonal
 `constants` are read off the matrix, and the `_wr_plus` of its vectors is
@@ -75,11 +79,20 @@ class TypeAFrame(Record):
 
 
 class QPSpace(Record):
-    __slots__ = _fields = ("frame", "basis")
+    """A space with frame, read through its special basis: `wr_plus`, the
+    `_wr_plus` of the basis, and `gram`, its Gram matrix once
+    `gram_matrix` has built it, are the one table and the one Gram matrix
+    from polynomials that type A builds for the space.  Both are derived,
+    so not fields."""
+
+    _fields = ("frame", "basis")
+    __slots__ = _fields + ("wr_plus", "gram")
 
     def __init__(self, frame, basis):
         self.frame = frame
         self.basis = basis      # special basis, degrees = frame.d
+        self.wr_plus = _wr_plus(frame, basis)
+        self.gram = None
 
 
 class Flag(Record):
@@ -92,8 +105,9 @@ class Flag(Record):
 
 # The largest rank the type-A pipeline accepts: the Wronskian table of the
 # R+1 basis vectors has 2^(R+1) minors, so its time doubles with each rank.
-# `typea analyze` of the trivial tuple takes about 1.5 s at rank 12 and
-# 6.4 s at rank 14 on one x86_64 core.
+# `typea analyze` of the trivial tuple, one fresh process each on a 2-core
+# x86_64 machine, takes 0.15-0.19 s at rank 10, 0.45-0.53 s at rank 12
+# and 0.74-0.80 s at rank 13.
 MAX_TYPEA_RANK = 12
 
 
@@ -204,9 +218,9 @@ def _divisors(ttilde):
 
 def _wr_plus(frame, fs):
     """mask -> Wr+ of the subset of fs with bit i for f_i: the entry of one
-    `wronskian_table` of fs divided exactly by D_|S| of `frame.divisors`.
-    One table per basis, read by every mask its readers need, and each
-    mask divided at most once; a Witt basis keeps its own for its flows."""
+    `wronskian_table` of fs divided exactly by D_|S| of `frame.divisors`,
+    each mask divided at most once.  Built once per `QPSpace`, of its
+    special basis; every other basis is transported from it."""
     table, divisors = wronskian_table(fs), frame.divisors
     return cache(lambda mask: divide_exact(table[mask],
                                            divisors[mask.bit_count()]))
@@ -264,13 +278,12 @@ def kernel_basis(inst, y):
     adjusted = [y[0]]
     for k in range(1, r + 1):
         adjusted.append(component(0, k - 1).monic())
-    wr_plus = _wr_plus(frame, adjusted[:r])
+    space = QPSpace(frame=frame, basis=special_basis_from(frame, adjusted))
+    wr_plus = _wr_plus_of(space, adjusted[:r])
     for k in range(1, r + 1):
         if not proportional(wr_plus((1 << k) - 1), y[k - 1]):
             raise InternalInvariantError(
                 f"Wr+(u_1..u_{k}) is not proportional to y_{k}")
-    basis = special_basis_from(frame, adjusted)
-    space = QPSpace(frame=frame, basis=basis)
     return space, Flag(space=space, adjusted=tuple(adjusted))
 
 
@@ -347,18 +360,22 @@ def _constant(wr_plus, n):
     return top.coeff(0)
 
 
-def wr_constant(space, basis=None):
-    fs = space.basis if basis is None else basis
-    return _constant(_wr_plus(space.frame, fs), len(fs))
+def wr_constant(space):
+    """The constant Wr+(u_1..u_(R+1)) of the special basis."""
+    return _constant(space.wr_plus, len(space.basis))
 
 
-def gram_matrix(space, basis):
-    """G[i][j] = B(u_i, u_j) = (u_i, u_j(-x)) on the given basis.
+def gram_matrix(space):
+    """G[i][j] = B(u_i, u_j) = (u_i, u_j(-x)) on the special basis, built
+    once per space from its table and kept; NotSelfDual when the space is
+    not self-dual.
 
     Expands u_j(-x) = sum_k C_jk W_k; then B(u_i, u_j) equals
     C_ji (-1)^i Wr+(u_1..u_(R+1)) (0-based i).
     """
-    return _gram(basis, _wr_plus(space.frame, basis))
+    if space.gram is None:
+        space.gram = _gram(space.basis, space.wr_plus)
+    return space.gram
 
 
 def _gram(basis, wr_plus):
@@ -379,11 +396,8 @@ def _gram(basis, wr_plus):
 
 def bform(space, u, v):
     """B(u, v) for arbitrary vectors of the space."""
-    basis = list(space.basis)
-    cu, cv = _span_coefficients([u, v], basis)
-    if cu is None or cv is None:
-        raise InputError("bform arguments must lie in the space")
-    return _form(cu, gram_matrix(space, basis), cv)
+    cu, cv = _coordinates(space, [u, v])
+    return _form(cu, gram_matrix(space), cv)
 
 
 def _form(u, g, v):
@@ -397,13 +411,34 @@ def _combine(coeffs, polys):
     return sum((p.scale(c) for c, p in zip(coeffs, polys) if c), QPoly.zero())
 
 
+def _coordinates(space, vectors):
+    """The rows of coordinates of vectors over the special basis u.  Each
+    u_j has coefficient 1 at d_j and 0 at every other d_i, so the row of v
+    is its coefficients at d_1..d_(R+1), which the exact equality of v with
+    their combination proves; InputError when v is not in the space."""
+    rows = [[v.coeff(d) for d in space.frame.d] for v in vectors]
+    for v, row in zip(vectors, rows):
+        if _combine(row, space.basis) != v:
+            raise InputError(f"the vector {v} does not lie in the space")
+    return rows
+
+
+def _wr_plus_of(space, vectors):
+    """`_wr_plus` of vectors of the space, transported from the table of
+    its special basis through their coordinates."""
+    return _transport(_coordinates(space, vectors), space.wr_plus, vectors,
+                      space.frame.divisors)
+
+
 # --- flags -------------------------------------------------------------------
 
 
 def beta(space, adjusted):
-    """The tuple y_k = Wr+(u_1..u_k), k = 1..R, monic-normalized."""
+    """The tuple y_k = Wr+(u_1..u_k), k = 1..R, monic-normalized, for
+    vectors u of the space (InputError otherwise), read off the space's
+    table through their coordinates."""
     r = space.frame.r
-    return _beta(_wr_plus(space.frame, adjusted[:r]), r)
+    return _beta(_wr_plus_of(space, adjusted[:r]), r)
 
 
 def _beta(wr_plus, r):
@@ -471,7 +506,7 @@ def isotropy_check(gram):
 
 class WittBasis(Record):
     """Witt vectors and their Gram matrix, taken by congruence from the
-    Gram matrix of the basis they derive from.  The `_wr_plus` of the
+    Gram matrix of the space's special basis.  The `_wr_plus` of the
     vectors is derived, so not a field: `witt_basis` and `apply_flow` pass
     the one they transported, which beta and the next flow read."""
 
@@ -512,20 +547,23 @@ def witt_basis(space, adjusted, reduce_constants=True,
     constant unless quadratic-extension mode can realize the square root
     inside a cyclotomic field.
 
-    `adjusted` may be any basis of a decomposable isotropic flag: it is
-    first adapted to the flag's exponent classes (`_adapt`, which raises
-    NotDecomposable), so that B is symmetric or antisymmetric on each
-    pair of vectors.  One table and one Gram matrix G are built, of the
-    adapted basis.  The Witt vectors are the rows V of the elimination
-    matrix times that basis, so their table is transported from it
-    (`_transport`) and their Gram matrix is the congruence V G V^T, which
-    the final check reads.  Each entry is promoted to the field order of
-    the vectors, which a Gram matrix built from them gives it.
+    `adjusted` may be any basis of a decomposable isotropic flag of the
+    space: it is first adapted to the flag's exponent classes (`_adapt`,
+    which raises NotDecomposable), so that B is symmetric or antisymmetric
+    on each pair of vectors.  The adapted basis has coordinates C over the
+    special basis (`_coordinates`, InputError for a vector outside the
+    space), so its Gram matrix G is C Gram(u) C^T of the space's
+    `gram_matrix`.  The Witt vectors are the rows V of the elimination
+    matrix times the adapted basis, so their Gram matrix is the congruence
+    V G V^T, which the final check reads, and their table is transported
+    from the space's through V C (`_transport`); no table or Gram matrix
+    is built from polynomials.  Each Gram entry is promoted to the field
+    order of the vectors, which a Gram matrix built from them gives it.
     """
     basis = _adapt(adjusted)
     size = len(basis)
-    wr_basis = _wr_plus(space.frame, basis)
-    g = _gram(basis, wr_basis)
+    coords = _coordinates(space, basis)
+    g = _congruence(coords, gram_matrix(space))
     if not isotropy_check(g):
         raise NotIsotropic("witt_basis needs an isotropic flag basis: a Gram "
                            "entry below the anti-diagonal is nonzero")
@@ -572,7 +610,8 @@ def witt_basis(space, adjusted, reduce_constants=True,
                 raise InternalInvariantError(
                     f"Witt Gram not anti-diagonal at ({a},{b})")
     return WittBasis(vectors=tuple(vectors), gram=gram, wr_plus=_transport(
-        vecs, wr_basis, vectors, space.frame.divisors))
+        _mat_mul_c(vecs, coords), space.wr_plus, vectors,
+        space.frame.divisors))
 
 
 def _cyclotomic_sqrt(value):
@@ -645,7 +684,7 @@ def normalized_witt_basis(space):
     product omitting k, then unipotent elimination.  Satisfies
     Wr+(r_1..r_(R+1)) = 1 exactly (quadratic extensions of the scalar
     field are taken as needed)."""
-    u = list(special_basis_from(space.frame, space.basis))
+    u = space.basis
     d = space.frame.d
     size = len(u)
     const0 = Fraction(1)
@@ -661,7 +700,7 @@ def normalized_witt_basis(space):
                 if k not in (i, j):
                     dk *= d[i] - d[j]
         qs.append(u[k].scale(rational_sqrt(dk) / sc))
-    c0 = wr_constant(space, basis=qs)
+    c0 = _constant(_wr_plus_of(space, qs), size)
     if c0 == Cyc.of(-1):
         qs[0] = qs[0].scale(Cyc.of(-1))
     elif c0 != Cyc.of(1):
@@ -766,7 +805,9 @@ def apply_flow(space, witt, generator, c):
 def _transport(mat, wr_plus, vectors, divisors):
     """`_wr_plus` of `vectors` v_i = sum_j mat[i][j] w_j from `_wr_plus` of
     w, by Cauchy-Binet: Wr+(v_S) = sum_T det mat[S, T] Wr+(w_T) over
-    |T| = |S|, as the Wronskian is multilinear and D_|S| fixed.
+    |T| = |S|, as the Wronskian is multilinear and D_|S| fixed.  w is a
+    space's special basis, with rows of coordinates, or the Witt basis of
+    a flow, with the rows of exp(cN).
 
     The compound coefficients of S wedge those of S without its top row
     with that row, bottom-up over masks as `wronskian_table` builds its
@@ -844,18 +885,16 @@ def frame_conditions_check(space):
                               "degrees": [str(u.degree) for u in basis]}
     except NoSpecialBasis as exc:
         report["clause_i"] = {"ok": False, "reason": str(exc)}
-        basis = space.basis
     size = len(space.basis)
     ok_ii = True
     ok_iii = True
     detail_ii = []
     detail_iii = []
-    wr_plus = _wr_plus(space.frame, space.basis)
     for k in range(1, size + 1):
         quotients = []
         for subset in combinations(range(size), k):
             try:
-                q = wr_plus(sum(1 << i for i in subset))
+                q = space.wr_plus(sum(1 << i for i in subset))
             except InexactDivision as exc:
                 ok_ii = False
                 detail_ii.append(f"k={k} subset {subset}: {exc}")

@@ -41,3 +41,12 @@ def a3():
 def a2_tuple():
     """Seed critical tuple (x^3 - 1, x^3 + 1) of the A_2 instance."""
     return BetheTuple([poly(-1, 0, 0, 1), poly(1, 0, 0, 1)])
+
+
+def fresh_gram(space, vectors):
+    """The Gram matrix of vectors of the space built from polynomials: a
+    fresh table of the vectors and `_gram` of it, the reference for a Gram
+    matrix taken by congruence."""
+    from cybethe import typea
+    vectors = list(vectors)
+    return typea._gram(vectors, typea._wr_plus(space.frame, vectors))

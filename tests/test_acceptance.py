@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import poly
+from conftest import fresh_gram, poly
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
 from cybethe.errors import LinkingViolation
@@ -143,7 +143,7 @@ def test_criterion_04_typea_pipeline(a2, a3, a2_population, a3_population):
 
 
 def _check_b_symmetries(space):
-    g = gram_matrix(space, list(space.basis))
+    g = gram_matrix(space)
     p = space.frame.p
     size = space.frame.r + 1
     sp_idx = list(range(p)) + list(range(size - p, size))
@@ -190,7 +190,7 @@ def test_criterion_05_isotropy_iff_cyclotomy(a2, a2_tuple):
                 cur, _ = apply_flow(space, cur, (kind, k), c)
                 basis = list(cur.vectors)
         total += 1
-        iso = isotropy_check(gram_matrix(space, basis))
+        iso = isotropy_check(fresh_gram(space, basis))
         tup = beta(space, basis)
         cyc = all(proportional(tup[k].negate_argument(), tup[len(tup) - 1 - k])
                   for k in range(len(tup)))
@@ -368,7 +368,7 @@ def test_criterion_11_ramified_typea_pipeline():
     for node in graph.nodes:
         space, flag = kernel_basis(inst, node.tuple_)
         assert frame_conditions_check(space)["ok"]
-        gram_matrix(space, list(space.basis))  # NotSelfDual otherwise
+        gram_matrix(space)  # NotSelfDual otherwise
         witt = witt_basis(space, adjusted=flag.adjusted,
                           quadratic_extension=True)
         tup = beta(space, flag.adjusted)

@@ -284,8 +284,9 @@ def test_cli_typea_analyze(docs):
 
 def test_cli_typea_analyze_reads_self_duality_off_the_b_matrix_table(
         docs, monkeypatch):
-    # self-duality and the B matrix of the special basis share one table;
-    # the frame conditions, a check, build their own: 2 of the 5 tables
+    # the kernel space builds the one table, of its special basis: the
+    # frame conditions, self-duality, the B matrix, beta and the Witt
+    # basis all read it
     from cybethe import typea
     inst, tup, tmp = docs
     space, _ = typea.kernel_basis(serialize.instance_from_doc(A2_INSTANCE),
@@ -295,19 +296,19 @@ def test_cli_typea_analyze_reads_self_duality_off_the_b_matrix_table(
                         lambda fs: tables.append(tuple(fs)) or table(fs))
     assert cli.main(["typea", "analyze", "--instance", inst, "--tuple", tup,
                      "--out", str(tmp / "an.json")]) == 0
-    assert len(tables) == 5
-    assert tables.count(space.basis) == 2
+    assert tables == [space.basis]
 
 
 @pytest.mark.parametrize("extra, witt_bases, tables", [
-    ([], 1, 5), (["--quadratic-extension"], 2, 6)],
+    ([], 1, 1), (["--quadratic-extension"], 2, 1)],
     ids=["plain", "quadratic_extension"])
 def test_cli_typea_analyze_samples_members_in_the_command_space(
         docs, monkeypatch, extra, witt_bases, tables):
     # --members reuses the command's kernel space, its self-duality
-    # verdict and, without quadratic extension, its Witt basis: the 5
-    # tables of the command, and 1 for a Witt basis of the sampler's own;
-    # the sample that draws c = 0 and runs no flow reads the Witt table
+    # verdict and, without quadratic extension, its Witt basis: the one
+    # table of the space, which a Witt basis of the sampler's own reads
+    # too; the sample that draws c = 0 and runs no flow reads the Witt
+    # table
     from cybethe import typea
     inst, tup, tmp = docs
     calls = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly
+from conftest import fresh_gram, poly
 from cybethe import qpoly, serialize
 from cybethe.cartan import Weight, orbit_data
 from cybethe.errors import NotInRootCone, NotIsotropic, NotSelfDual
@@ -187,13 +187,13 @@ def test_self_duality(a2, a2_tuple):
     # the Gram matrix is the one test: it refuses a space whose images
     # under x -> -x leave the dual space
     space, _ = a2_space(a2, a2_tuple)
-    assert len(gram_matrix(space, list(space.basis))) == 3
+    assert len(gram_matrix(space)) == 3
     # perturbed space: replace x^3 by x^3 + x
     bad = QPSpace(frame=space.frame,
                   basis=(space.basis[0], space.basis[1],
                          space.basis[2] + QPoly.x_power(1)))
     with pytest.raises(NotSelfDual):
-        gram_matrix(bad, list(bad.basis))
+        gram_matrix(bad)
 
 
 def test_self_duality_forces_exponent_symmetry(a2, a2_tuple):
@@ -209,7 +209,7 @@ def test_self_duality_forces_exponent_symmetry(a2, a2_tuple):
 
 def test_bform_symmetries(a2, a2_tuple):
     space, _ = a2_space(a2, a2_tuple)
-    g = gram_matrix(space, list(space.basis))
+    g = gram_matrix(space)
     p = space.frame.p
     size = space.frame.r + 1
     sp_idx = list(range(p)) + list(range(size - p, size))
@@ -272,7 +272,7 @@ def test_witt_congruence_matches_gram(a2, a2_tuple):
     for space, flag in (_a5_space(), kernel_basis(a2[0], a2_tuple)):
         basis = list(flag.adjusted)
         size = len(basis)
-        g = gram_matrix(space, basis)
+        g = fresh_gram(space, basis)
         plain = witt_basis(space, adjusted=basis, reduce_constants=False)
         for wb in (plain, witt_basis(space, adjusted=basis,
                                      quadratic_extension=True)):
@@ -281,7 +281,7 @@ def test_witt_congruence_matches_gram(a2, a2_tuple):
                                 for a, va in enumerate(ci)
                                 for b, vb in enumerate(cj)), Cyc.of(0))
                            for cj in coeffs] for ci in coeffs]
-            assert congruence == gram_matrix(space, list(wb.vectors))
+            assert congruence == fresh_gram(space, wb.vectors)
             assert congruence == [list(row) for row in wb.gram]
         reduced = witt_basis(space, adjusted=basis)
         for k in range(size // 2):
@@ -311,7 +311,7 @@ def test_witt_basis_is_its_vectors_and_gram(a2, a2_tuple):
     for gen in available_generators(space):
         image, tup = apply_flow(space, wb, gen, F(1, 3))
         assert type(image) is WittBasis and image.gram is wb.gram
-        assert gram_matrix(space, list(image.vectors)) == \
+        assert fresh_gram(space, image.vectors) == \
             [list(row) for row in wb.gram]
         assert tup == beta(space, image.vectors)
         assert isotropy_check(image.gram)
@@ -320,11 +320,13 @@ def test_witt_basis_is_its_vectors_and_gram(a2, a2_tuple):
 def test_normalized_witt_identities(a2, a2_tuple):
     space, _ = a2_space(a2, a2_tuple)
     tw = normalized_witt_basis(space)
-    # Wr+ = 1 for the fully normalized basis
-    assert wr_constant(space, basis=list(tw.vectors)) == Cyc.of(1)
+    size = len(tw.vectors)
+    # Wr+ = 1 for the fully normalized basis, from a fresh table and the
+    # one it keeps
+    top = qpoly.divided_wronskian(tw.vectors, [space.frame.divisors[size]])
+    assert top == QPoly.one() and tw.wr_plus((1 << size) - 1) == top
     # B(r_k, r_(R+2-k)) = (-1)^(d_(R+2-k) + k + 1), with the fixed branch
     d = space.frame.d
-    size = len(tw.vectors)
     for k in range(size):
         partner = size - 1 - k
         expo = d[partner] + (k + 1) + 1
@@ -399,7 +401,7 @@ def test_isotropy_iff_cyclotomic(a2, a2_tuple):
                     continue
                 cur, _ = apply_flow(space, cur, (kind, k), c)
                 basis = list(cur.vectors)
-        iso = isotropy_check(gram_matrix(space, basis))
+        iso = isotropy_check(fresh_gram(space, basis))
         cyc = quasi_cyclotomic(beta(space, basis))
         assert iso == cyc, (trial, iso, cyc)
         iso_count += iso
@@ -418,7 +420,7 @@ def test_isotropic_implies_decomposable(a2, a2_tuple):
 
 def test_smallcell_flag_isotropic(a2, a2_tuple):
     space, _ = a2_space(a2, a2_tuple)
-    assert isotropy_check(gram_matrix(space, list(space.basis)))
+    assert isotropy_check(gram_matrix(space))
     q = flag_type(space, list(space.basis))
     assert q == frozenset({1, 3})
 
@@ -607,7 +609,7 @@ def test_typea_pipeline_on_a3_population(a3):
         assert space.frame.p == 2
         report = frame_conditions_check(space)
         assert report["ok"], (node.tuple_, report)
-        gram_matrix(space, list(space.basis))  # NotSelfDual otherwise
+        gram_matrix(space)  # NotSelfDual otherwise
         tup = beta(space, flag.adjusted)
         assert all(a == b for a, b in zip(tup, node.tuple_))
 
@@ -752,7 +754,7 @@ def test_divisors_are_built_once_per_frame_and_never_by_a_reader(
     readers = {"frame_conditions_check": lambda: frame_conditions_check(space),
                "dual_of": lambda: dual_of(space, basis),
                "wr_constant": lambda: wr_constant(space),
-               "gram_matrix": lambda: gram_matrix(space, basis),
+               "gram_matrix": lambda: gram_matrix(space),
                "beta": lambda: beta(space, flag.adjusted),
                "kernel_basis": lambda: kernel_basis(inst, a2_tuple)}
     for name, read in readers.items():
@@ -852,11 +854,13 @@ def test_apply_flow_builds_no_table_and_its_prefixes_are_beta(ramified,
 
 def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
     # neither the Witt basis nor a flow divides an entry of its own: the
-    # masks they read are entries of the flag basis's lazily divided
-    # table, the one table built, so across the Witt basis's one Gram
-    # matrix and every flow and chain from it each mask is divided at most
-    # once, and once all are divided a flow divides nothing.  The Witt
-    # basis builds one Gram matrix from polynomials, and a flow none
+    # masks they read are entries of the lazily divided table of the
+    # space's special basis, the one table built, so across the check of
+    # kernel_basis, the space's one Gram matrix, the Witt basis and every
+    # flow and chain from it each mask is divided at most once, and once
+    # all are divided a flow divides nothing.  Once the space and its
+    # Gram matrix exist, a Witt basis builds no table and no Gram matrix
+    # from polynomials, and a flow neither
     from cybethe import typea
     inst = serialize.instance_from_doc(A4_DOC)
     node = json.loads(A4_CATALOG.read_text())["nodes"][-1]
@@ -866,7 +870,6 @@ def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
     gram = typea._gram
     flows = 0
     for inst, y in cases:
-        space, flag = kernel_basis(inst, y)
         reads, divided, tables, grams = [], [], [], []
 
         class Read(list):
@@ -882,8 +885,13 @@ def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
                           lambda f, g: divided.append(1) or divide(f, g))
             patch.setattr(typea, "_gram",
                           lambda *a: grams.append(1) or gram(*a))
-            # the table of the flag basis, read by the elimination's Gram
-            # matrix and transported to the Witt vectors
+            # the table of the special basis, read by the check of
+            # kernel_basis and by the space's Gram matrix, which the first
+            # Witt basis builds, and transported to the Witt vectors
+            space, flag = kernel_basis(inst, y)
+            assert len(tables) == 1 and grams == []
+            witt_basis(space, adjusted=flag.adjusted)
+            assert len(tables) == 1 and len(grams) == 1
             witt = witt_basis(space, adjusted=flag.adjusted)
             assert len(tables) == 1 and len(grams) == 1
             for chain in _flow_chains(space):
@@ -917,21 +925,57 @@ def _assert_fresh_table(space, witt):
             (want.field_order(), str(want))
 
 
-def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3,
-                                              witt_cases):
+def _text_of(polys):
+    return [(p, p.field_order(), str(p)) for p in polys]
+
+
+def _assert_fresh_prefixes(inst, y, monkeypatch):
+    """The Wr+(u_1..u_k) that kernel_basis compares with y_k, and beta,
+    monic, equal the entries of a fresh table of the flag basis divided by
+    D_k, and wr_constant the constant of a fresh table of the special
+    basis, in value, field order and text."""
+    from cybethe import typea
+    compared = []
+    with monkeypatch.context() as patch:
+        patch.setattr(typea, "proportional",
+                      lambda f, g: compared.append(f) or proportional(f, g))
+        space, flag = kernel_basis(inst, y)
+    divisors, size = space.frame.divisors, space.frame.r + 1
+    direct = qpoly.wronskian_table(flag.adjusted)
+    want = [qpoly.divide_exact(direct[(1 << k) - 1], divisors[k])
+            for k in range(1, size)]
+    assert _text_of(compared) == _text_of(want)
+    assert _text_of(beta(space, flag.adjusted)) == \
+        _text_of([p.monic() for p in want])
+    top = qpoly.divide_exact(qpoly.wronskian_table(space.basis)[-1],
+                             divisors[size]).coeff(0)
+    got = wr_constant(space)
+    assert (got, got.order, str(got)) == (top, top.order, str(top))
+
+
+def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified,
+                                              witt_cases, monkeypatch):
     # Cauchy-Binet: every entry of a Witt basis's table, and of an image's,
     # equals the entry of a fresh table of its vectors divided by D_k, in
     # value, field order and text, along chains of 0 to 3 flows, with and
-    # without quadratic extension
+    # without quadratic extension; so do the prefix entries that beta and
+    # kernel_basis read, and the constant of wr_constant
     from cybethe import typea
     from cybethe.typea import WittBasis
-    spaces = [a2_space(a2, a2_tuple), _a5_space()]
-    for inst, y in [(a3[0], BetheTuple.trivial(3)),
-                    (serialize.instance_from_doc({
-                        "cartan": "A4", "sigma": "(1 4)(2 3)",
-                        "omega": "-1", "lambda0": ["1/2", "0", "0", "1/2"]}),
-                     BetheTuple.trivial(4))]:
-        spaces.append(kernel_basis(inst, y))
+    seeds = [(a2[0], a2_tuple), (a3[0], BetheTuple.trivial(3)),
+             (serialize.instance_from_doc({
+                 "cartan": "A4", "sigma": "(1 4)(2 3)", "omega": "-1",
+                 "lambda0": ["1/2", "0", "0", "1/2"]}), BetheTuple.trivial(4))]
+    spaces = [kernel_basis(inst, y) for inst, y in seeds] + [_a5_space()]
+    inst = serialize.instance_from_doc(A4_DOC)
+    seeds += [(inst, serialize.tuple_from_doc(node["tuple"], inst.M))
+              for node in json.loads(A4_CATALOG.read_text())["nodes"]]
+    for inst, nodes in ramified.values():
+        seeds += [(inst, BetheTuple.monic_of(beta(space, flag.adjusted)))
+                  for space, flag, _ in nodes]
+    for inst, y in seeds:
+        _assert_fresh_prefixes(inst, y, monkeypatch)
+    assert len(seeds) > 120
     cases = [(space, flag, witt_basis(space, adjusted=flag.adjusted,
                                       quadratic_extension=qe))
              for space, flag in spaces for qe in (False, True)]
@@ -1065,7 +1109,7 @@ def test_witt_grams_equal_fresh_ones(witt_cases):
                                for image, _ in _chain_images(space, witt,
                                                              chain)]:
             assert _gram_text(image.gram) == \
-                _gram_text(gram_matrix(space, list(image.vectors)))
+                _gram_text(fresh_gram(space, image.vectors))
             grams += 1
     assert grams == 6 * len(witt_cases)
 
@@ -1113,6 +1157,26 @@ def test_witt_basis_depends_only_on_the_flag(flag_nodes, data):
         tuple(Cyc.of(pattern[a]) if a + b == size - 1 else Cyc.of(0)
               for b in range(size)) for a in range(size))
     assert beta(space, witt.vectors) == beta(space, u)
+
+
+def test_vectors_outside_the_space_are_refused():
+    # u_1 + x^7 does not lie in the space of A4 catalog node 7: beta and
+    # witt_basis refuse it as an input error (exit code 2), as bform does,
+    # rather than read Wronskians of it or call the space not self-dual
+    from cybethe.errors import InputError
+    inst = serialize.instance_from_doc(A4_DOC)
+    node = json.loads(A4_CATALOG.read_text())["nodes"][7]
+    space, flag = kernel_basis(
+        inst, serialize.tuple_from_doc(node["tuple"], inst.M))
+    u = list(flag.adjusted)
+    outside = u[0] + QPoly.x_power(7)
+    for read in (beta, witt_basis):
+        with pytest.raises(InputError, match="does not lie in the space"):
+            read(space, [outside] + u[1:])
+    with pytest.raises(InputError, match="does not lie in the space"):
+        bform(space, u[1], outside)
+    # inside it, B of two flag vectors is their entry of a fresh Gram matrix
+    assert bform(space, u[0], u[-1]) == fresh_gram(space, u)[0][-1]
 
 
 def test_witt_basis_refuses_a_flag_that_is_not_decomposable(flag_nodes):
@@ -1213,11 +1277,12 @@ def test_dual_basis_matrix_is_reduced_once(a2, a2_tuple, monkeypatch):
                   basis=(space.basis[0], space.basis[1],
                          space.basis[2] + QPoly.x_power(1)))
     with pytest.raises(NotSelfDual):
-        gram_matrix(bad, list(bad.basis))
-    gram_matrix(space, list(space.basis))
+        gram_matrix(bad)
+    gram_matrix(space)
     bform(space, space.basis[0], space.basis[1])
-    # one reduction each, bform's two targets and its Gram matrix included
-    assert calls == [3, 3, 3, 3]
+    # one reduction per Gram matrix: bform reads the space's coordinates
+    # and its kept Gram matrix
+    assert calls == [3, 3]
 
 
 def _prime_sqrt_reference(p):
