@@ -23,9 +23,8 @@ _EXPORTS = {
                      "hl_identity_check", "is_critical_exact",
                      "is_cyclotomic_tuple", "is_generic", "validate_lambda0",
                      "weight_at_infinity"), "frame"),
-    **dict.fromkeys(("cyclotomic_generate", "cyclotomic_generate_L2",
-                     "elementary_generate_L1", "explore_population"),
-                    "genengine"),
+    **dict.fromkeys(("cyclotomic_generate", "elementary_generate_L1",
+                     "explore_population"), "genengine"),
     **dict.fromkeys(("QPoly", "divide_exact", "divided_wronskian",
                      "proportional", "qgcd", "wronskian",
                      "wronskian_ode_solve", "wronskian_table"), "qpoly"),

@@ -140,6 +140,8 @@ def cmd_populate(args):
 
 
 def cmd_typea_analyze(args):
+    if args.members < 0:
+        raise InputError(f"--members must be >= 0, got {args.members}")
     inst = _instance(args)
     y = _tuple(args, inst)
     from .typea import (beta, cyclotomic_population, frame_conditions_check,

@@ -18,11 +18,14 @@ Parameter convention: the emitted tuples are monic; the step-1 result is
 monic-normalized before it enters step 2, which makes the A_2 family from
 the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
 
-`explore_population` runs a bounded, deterministic BFS: one family per
-(node, direction), swept over the samples by arithmetic; each new tuple,
-after deduplication, gets one proof (`is_critical_exact` in its cyclotomic
-mode: cyclotomy, then genericity and criticality at the orbit
-representatives) and the weight-at-infinity dichotomy.
+`generation_family` makes every solve of the family at an orbit
+representative once and returns its members as arithmetic in c;
+`cyclotomic_generate` proves one member.  `explore_population` runs a
+bounded, deterministic BFS: one family per (node, direction), swept over
+the samples by arithmetic; each new tuple, after deduplication, gets one
+proof (`is_critical_exact` in its cyclotomic mode: cyclotomy, then
+genericity and criticality at the orbit representatives) and the
+weight-at-infinity dichotomy.
 """
 
 from .cartan import Record, folded_reflect
@@ -60,14 +63,6 @@ def _l1_base(inst, y, i):
     return base
 
 
-def _representative(fold, i):
-    """L_i of the orbit representative i; InputError for any other index."""
-    if i not in fold.reps:
-        raise InputError(
-            f"direction {i + 1} is not an orbit representative")
-    return fold.linking[i]
-
-
 def elementary_generate_L1(inst, y, i, c):
     """One elementary generation step at node i (integral <L0, a_i^vee>).
 
@@ -99,18 +94,26 @@ def _transport(poly, omega, M, k):
         omega ** (k * poly.degree % M))
 
 
-def _family(inst, fold, y, i):
-    """Every solve of the generation family at node i, made once.
+def generation_family(inst, fold, y, i):
+    """Every solve of the generation family at the orbit representative i,
+    made once; InputError for any other index.
 
     Returns (index, base, direction, member): the component at `index` of
     each member is base + c * direction before monic normalization, and
-    member(c) gives (BetheTuple, GenerationStep) by arithmetic alone.
+    member(c) gives (BetheTuple, GenerationStep) by arithmetic alone.  For
+    L = 1 (base, direction) is the pinned particular solution and y_i; for
+    L = 2 it is the middle-step pair at ibar, which fixes the
+    parameterization of the whole step.
+
     For L = 2, a_i,ibar = a_ibar,i = -1 makes the step-2 and step-3
     right-hand sides L = 1 ones with one component replaced, and step 3
     linear in y_ibar_2 = base2 + c y_ibar.  The step-3 pin at 0, in a class
     disjoint from the support of x^(gamma+1) y_i_1, makes its solution
     unique, so y_i_3 = s0 + c s1.
     """
+    if i not in fold.reps:
+        raise InputError(
+            f"direction {i + 1} is not an orbit representative")
     m_i = fold.orbit_len[i]
     if fold.linking[i] == 1:
         base = _l1_base(inst, y, i)
@@ -190,42 +193,14 @@ def _checked(inst, out, c, kind):
             "generated node fails verification: not an exact critical point")
 
 
-def _generate(inst, fold, y, i, c):
+def cyclotomic_generate(inst, fold, y, i, c):
+    """One cyclotomic generation step at the orbit representative i:
+    (BetheTuple, GenerationStep) of the family member at c, proven."""
     c = c if isinstance(c, Cyc) else Cyc.of(c)
-    *_, member = _family(inst, fold, y, i)
+    *_, member = generation_family(inst, fold, y, i)
     out, step = member(c)
     _checked(inst, out, c, step.kind)
     return out, step
-
-
-def cyclotomic_generate_L2(inst, fold, y, i, c):
-    """Cyclotomic generation at an L=2 orbit representative.
-
-    Runs the three-step sequence (holomorphic solve, pinned solve + c*y,
-    holomorphic solve) on the A_2 block {i, ibar} and assembles the new
-    tuple.  Only M_i = 2 occurs for finite and affine diagrams.
-    """
-    if fold.linking[i] != 2:
-        raise InputError(f"node {i} has L = {fold.linking[i]}, expected 2")
-    return _generate(inst, fold, y, i, c)
-
-
-def cyclotomic_generate(inst, fold, y, i, c):
-    _representative(fold, i)
-    return _generate(inst, fold, y, i, c)
-
-
-def generation_family(inst, fold, y, i):
-    """Linear structure of the generated family at the representative i.
-
-    Returns (index, base, direction): before monic normalization the moved
-    component at `index` is base + c * direction.  For L = 1 that is the
-    pinned particular solution and y_i; for L = 2 it is the middle-step
-    pair (the component at ibar), which fixes the parameterization of the
-    whole step.
-    """
-    _representative(fold, i)
-    return _family(inst, fold, y, i)[:3]
 
 
 class PopulationNode(Record):
@@ -301,7 +276,7 @@ def explore_population(inst, fold, seed, depth, samples):
         next_frontier = []
         for node in frontier:
             for i in fold.reps:
-                *_, member = _family(inst, fold, node.tuple_, i)
+                *_, member = generation_family(inst, fold, node.tuple_, i)
                 reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                            node.lambda_inf)
                 misses = 0

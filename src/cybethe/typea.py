@@ -360,11 +360,6 @@ def _constant(wr_plus, n):
     return top.coeff(0)
 
 
-def wr_constant(space):
-    """The constant Wr+(u_1..u_(R+1)) of the special basis."""
-    return _constant(space.wr_plus, len(space.basis))
-
-
 def gram_matrix(space):
     """G[i][j] = B(u_i, u_j) = (u_i, u_j(-x)) on the special basis, built
     once per space from its table and kept; NotSelfDual when the space is
@@ -475,24 +470,6 @@ def _adapt(adjusted):
     return out
 
 
-def eta_q(space, sp_flag, o_flag, q):
-    """Interleave flags of K_Sp and K_O into a flag of type Q."""
-    size = space.frame.r + 1
-    q = set(q)
-    if len(q) != 2 * space.frame.p:
-        raise InputError("Q must have exactly 2p elements")
-    adjusted = []
-    i_sp = i_o = 0
-    for k in range(1, size + 1):
-        if k in q:
-            adjusted.append(sp_flag[i_sp])
-            i_sp += 1
-        else:
-            adjusted.append(o_flag[i_o])
-            i_o += 1
-    return Flag(space=space, adjusted=tuple(adjusted))
-
-
 def isotropy_check(gram):
     """F_k = F_(R+1-k)^perp for the flag of a basis with Gram matrix `gram`,
     i.e. G[a][b] = 0 whenever a + b <= R - 1 (0-based indices)."""
@@ -539,13 +516,12 @@ def _b_pattern(p, size):
     return out
 
 
-def witt_basis(space, adjusted, reduce_constants=True,
-               quadratic_extension=False):
+def witt_basis(space, adjusted, quadratic_extension=False):
     """Anti-diagonalize B on an isotropic flag basis by a lower-unipotent
-    elimination, then optionally rescale paired vectors to the reduced
-    pattern.  The middle vector (odd dimension) keeps its recorded
-    constant unless quadratic-extension mode can realize the square root
-    inside a cyclotomic field.
+    elimination, then rescale paired vectors to the reduced pattern.  The
+    middle vector (odd dimension) keeps its recorded constant unless
+    quadratic-extension mode can realize the square root inside a
+    cyclotomic field.
 
     `adjusted` may be any basis of a decomposable isotropic flag of the
     space: it is first adapted to the flag's exponent classes (`_adapt`,
@@ -589,16 +565,15 @@ def witt_basis(space, adjusted, reduce_constants=True,
     # rescaling scales rows k < size // 2, then the middle row, in place:
     # each entry it reads pairs a row not yet scaled with one it never
     # scales
-    mid = (size - 1) // 2 if size % 2 == 1 else None
-    if reduce_constants:
-        target = _b_pattern(space.frame.p, size)
-        for k in range(size // 2):
-            scale = Cyc.of(target[k]) / entry(k, size - 1 - k)
-            vecs[k] = [x * scale for x in vecs[k]]
-        # middle vector normalization needs a square root
-        if mid is not None and quadratic_extension:
-            scale = _cyclotomic_sqrt(entry(mid, mid)).inverse()
-            vecs[mid] = [x * scale for x in vecs[mid]]
+    target = _b_pattern(space.frame.p, size)
+    for k in range(size // 2):
+        scale = Cyc.of(target[k]) / entry(k, size - 1 - k)
+        vecs[k] = [x * scale for x in vecs[k]]
+    # middle vector normalization needs a square root
+    if size % 2 == 1 and quadratic_extension:
+        mid = size // 2
+        scale = _cyclotomic_sqrt(entry(mid, mid)).inverse()
+        vecs[mid] = [x * scale for x in vecs[mid]]
 
     vectors = [_combine(row, basis) for row in vecs]
     order = lcm(*(v.field_order() for v in vectors))
@@ -676,37 +651,6 @@ def _jacobi(a, n):
             t = -t
         a %= n
     return t if n == 1 else 0
-
-
-def normalized_witt_basis(space):
-    """The fully normalized special Witt basis: u_k scaled by
-    sqrt(D_k)/sqrt(prod (d_i - d_j)) with D_k the exponent-difference
-    product omitting k, then unipotent elimination.  Satisfies
-    Wr+(r_1..r_(R+1)) = 1 exactly (quadratic extensions of the scalar
-    field are taken as needed)."""
-    u = space.basis
-    d = space.frame.d
-    size = len(u)
-    const0 = Fraction(1)
-    for i in range(size):
-        for j in range(i):
-            const0 *= d[i] - d[j]
-    sc = rational_sqrt(const0)
-    qs = []
-    for k in range(size):
-        dk = Fraction(1)
-        for i in range(size):
-            for j in range(i):
-                if k not in (i, j):
-                    dk *= d[i] - d[j]
-        qs.append(u[k].scale(rational_sqrt(dk) / sc))
-    c0 = _constant(_wr_plus_of(space, qs), size)
-    if c0 == Cyc.of(-1):
-        qs[0] = qs[0].scale(Cyc.of(-1))
-    elif c0 != Cyc.of(1):
-        raise InternalInvariantError(
-            f"normalized Wronskian constant is {c0}, expected a sign")
-    return witt_basis(space, adjusted=qs, reduce_constants=False)
 
 
 # --- flows -------------------------------------------------------------------
@@ -1001,7 +945,7 @@ def flow_vs_generation(inst, fold, seed, k, params):
     computed in closed form from one family slope, reported, and the match
     is then verified exactly at every requested parameter.
     """
-    from .genengine import _checked, _family, _representative
+    from .genengine import _checked, generation_family
     space, flag = kernel_basis(inst, seed)
     witt = witt_basis(space, adjusted=flag.adjusted)
     rho = None
@@ -1015,8 +959,8 @@ def flow_vs_generation(inst, fold, seed, k, params):
         if rho is None:
             # X_k moves the orbit {k, R+1-k} (1-based), represented by k-1;
             # its generation family is solved once for every parameter
-            _representative(fold, k - 1)
-            idx, base, dir_poly, member = _family(inst, fold, seed, k - 1)
+            idx, base, dir_poly, member = generation_family(
+                inst, fold, seed, k - 1)
             rho = _calibrate_rho(flow_tuple[idx], base, dir_poly, c)
         gen_c = Cyc.of(1) / (rho * c)
         gen_tuple, step = member(gen_c)

@@ -2,7 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from cybethe.cartan import CartanData, DiagramAut, Weight, orbit_data
+from cybethe.cartan import (CartanData, DiagramAut, FoldedData, Weight,
+                            orbit_data)
 from cybethe.frame import BetheTuple, ProblemInstance
 from cybethe.qpoly import QPoly
 from cybethe.scalars import Cyc
@@ -50,3 +51,12 @@ def fresh_gram(space, vectors):
     from cybethe import typea
     vectors = list(vectors)
     return typea._gram(vectors, typea._wr_plus(space.frame, vectors))
+
+
+def mirrored(fold):
+    """The fold that represents each orbit by its last node: at the A_2
+    block {i, ibar}, generation at ibar runs the L = 2 sequence in the
+    order (ibar, i, ibar)."""
+    fields = {name: getattr(fold, name) for name in fold._fields}
+    return FoldedData(**{**fields,
+                         "reps": tuple(orbit[-1] for orbit in fold.orbits)})

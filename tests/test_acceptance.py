@@ -10,22 +10,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fresh_gram, poly
+from conftest import fresh_gram, mirrored, poly
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
 from cybethe.errors import LinkingViolation
 from cybethe.frame import (BetheTuple, ProblemInstance, eigenvalues,
                            hl_identity_check, is_critical_exact,
                            is_cyclotomic_tuple, weight_at_infinity)
-from cybethe.genengine import (cyclotomic_generate, cyclotomic_generate_L2,
-                               explore_population)
+from cybethe.genengine import cyclotomic_generate, explore_population
 from cybethe.numerics import embed, grad_check, residual_norm
 from cybethe.qpoly import QPoly, proportional, wronskian
 from cybethe.scalars import Cyc
 from cybethe.typea import (apply_flow, available_generators, beta,
                            flow_vs_generation, frame_conditions_check,
                            gram_matrix, isotropy_check, kernel_basis,
-                           witt_basis, wr_constant)
+                           witt_basis)
 
 
 def report(n, text):
@@ -130,7 +129,8 @@ def test_criterion_04_typea_pipeline(a2, a3, a2_population, a3_population):
             for i in range(len(d)):
                 for j in range(i):
                     want *= d[i] - d[j]
-            assert wr_constant(space) == Cyc.of(want)
+            assert space.wr_plus((1 << len(d)) - 1) == \
+                QPoly.constant(Cyc.of(want))
             # the Gram matrix raises NotSelfDual unless self-dual
             _check_b_symmetries(space)
             # d_k + d_(R+2-k) constant
@@ -326,7 +326,8 @@ def test_criterion_10_l2_intermediate(a2, a2_tuple):
     inst, fold = a2
     # Prop nb: the intermediate satisfies the s_i . Lambda0 shifted
     # equations exactly (and fails the unshifted ones)
-    _, step = cyclotomic_generate_L2(inst, fold, a2_tuple, 0, F(1))
+    _, step = cyclotomic_generate(inst, fold, a2_tuple, 0, F(1))
+    assert step.kind == "L2"
     inter = dict(step.intermediates)
     intermediate = BetheTuple.monic_of([inter["y_i_step1"], a2_tuple[1]])
     shifted = shifted_reflect(inst.cartan, 0, inst.lambda0)
@@ -338,8 +339,8 @@ def test_criterion_10_l2_intermediate(a2, a2_tuple):
     # c -> -c
     seed = BetheTuple.trivial(2)
     for c in (F(1), F(2, 3), F(-1, 2)):
-        direct, _ = cyclotomic_generate_L2(inst, fold, seed, 0, c)
-        mirror, _ = cyclotomic_generate_L2(inst, fold, seed, 1, -c)
+        direct, _ = cyclotomic_generate(inst, fold, seed, 0, c)
+        mirror, _ = cyclotomic_generate(inst, mirrored(fold), seed, 1, -c)
         for j in range(2):
             jbar = inst.aut(j)
             got = mirror[j].negate_argument()

@@ -20,7 +20,7 @@ from cybethe.cartan import orbit_data
 from cybethe.errors import NotGeneric
 from cybethe.frame import (BetheTuple, eigenvalues, is_critical_exact,
                            is_cyclotomic_tuple)
-from cybethe.genengine import _family, explore_population
+from cybethe.genengine import explore_population, generation_family
 from cybethe.qpoly import QPoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -183,7 +183,8 @@ def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):
         fold = orbit_data(inst.cartan, inst.aut)
         members = [node.tuple_ for node in graph.nodes]
         for node, i, c, _ in graph.skipped:
-            *_, member = _family(inst, fold, graph.nodes[node].tuple_, i)
+            *_, member = generation_family(inst, fold,
+                                           graph.nodes[node].tuple_, i)
             members.append(member(c)[0])
         for y in members:
             want = _verdict(inst, y, "extended")

@@ -18,7 +18,7 @@ from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
                            is_critical_exact, is_cyclotomic_tuple,
                            is_generic, t_tilde, validate_lambda0,
                            weight_at_infinity)
-from cybethe.genengine import (_checked, _transport, cyclotomic_generate_L2,
+from cybethe.genengine import (_checked, _transport, cyclotomic_generate,
                                explore_population)
 from cybethe.qpoly import QPoly, divide_exact, proportional
 from cybethe.scalars import Cyc
@@ -166,8 +166,8 @@ def test_fused_residue_matches_the_four_product_expression():
     graph = explore_population(inst, fold, BetheTuple.trivial(2), 2,
                                [F(1), F(2), F(-1, 2)])
     cases += [(inst, node.tuple_, None) for node in graph.nodes]
-    _, step = cyclotomic_generate_L2(inst, fold, BetheTuple.trivial(2), 0,
-                                     F(1))
+    _, step = cyclotomic_generate(inst, fold, BetheTuple.trivial(2), 0, F(1))
+    assert step.kind == "L2"
     step1 = BetheTuple.monic_of([dict(step.intermediates)["y_i_step1"],
                                  QPoly.one()])
     shifted = shifted_reflect(inst.cartan, 0, inst.lambda0)
@@ -449,7 +449,6 @@ def test_eigenvalues_hl_formula():
 
 
 def test_eigenvalues_match_on_generated():
-    from cybethe.genengine import cyclotomic_generate
     inst = n1_instance(lambda1=(1, 1), z=1)
     fold = orbit_data(inst.cartan, inst.aut)
     seed = BetheTuple.trivial(2)

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import poly
+from conftest import mirrored, poly
 from cybethe import genengine
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
@@ -10,9 +10,8 @@ from cybethe.errors import InputError, SeedInvalid
 from cybethe.frame import (BetheTuple, ProblemInstance, is_critical_exact,
                            is_cyclotomic_tuple, is_generic,
                            weight_at_infinity)
-from cybethe.genengine import (cyclotomic_generate, cyclotomic_generate_L2,
-                               elementary_generate_L1, explore_population,
-                               generation_family)
+from cybethe.genengine import (cyclotomic_generate, elementary_generate_L1,
+                               explore_population, generation_family)
 from cybethe.qpoly import QPoly, qgcd
 from cybethe.scalars import Cyc
 
@@ -63,7 +62,8 @@ def test_cyclotomic_l2_family(a2):
     inst, fold = a2
     seed = BetheTuple.trivial(2)
     for c in (F(1, 3), F(1), F(-1, 2)):
-        out, step = cyclotomic_generate_L2(inst, fold, seed, 0, c)
+        out, step = cyclotomic_generate(inst, fold, seed, 0, c)
+        assert step.kind == "L2"
         assert out[0] == poly(-3 * c, 0, 0, 1)
         assert out[1] == poly(3 * c, 0, 0, 1)
         assert is_cyclotomic_tuple(inst, out)
@@ -80,11 +80,12 @@ def test_l2_degree_formulas(a2, a2_tuple):
     inst, fold = a2
     for y in (BetheTuple.trivial(2), a2_tuple):
         linf = weight_at_infinity(inst, y)
-        _, step = cyclotomic_generate_L2(inst, fold, y, 0, F(5))
+        _, step = cyclotomic_generate(inst, fold, y, 0, F(5))
+        assert step.kind == "L2"
         inter = dict(step.intermediates)
         want1 = y[0].degree + (linf[0] - inst.lambda0[0])
         assert inter["y_i_step1"].degree == want1
-        idx, base2, _ = generation_family(inst, fold, y, 0)
+        idx, base2, *_ = generation_family(inst, fold, y, 0)
         assert idx == 1
         want2 = y[1].degree + (linf[0] + 1) + (linf[1] + 1)
         assert base2.degree == want2
@@ -94,7 +95,8 @@ def test_fee_identity(a2, a2_tuple):
     # y^(i,ibar,i)_ibar(-x; c) = (-1)^deg * y^(i,ibar,i)_i(x; c)
     inst, fold = a2
     for seed in (BetheTuple.trivial(2), a2_tuple):
-        out, step = cyclotomic_generate_L2(inst, fold, seed, 0, F(2, 7))
+        out, step = cyclotomic_generate(inst, fold, seed, 0, F(2, 7))
+        assert step.kind == "L2"
         d = int(out[0].degree)
         lhs = out[1].negate_argument()
         rhs = out[0].scale((-1) ** d)
@@ -107,8 +109,9 @@ def test_flem1_mirror(a2):
     inst, fold = a2
     seed = BetheTuple.trivial(2)
     for c in (F(1), F(2, 3)):
-        direct, _ = cyclotomic_generate_L2(inst, fold, seed, 0, c)
-        mirror, _ = cyclotomic_generate_L2(inst, fold, seed, 1, -c)
+        direct, _ = cyclotomic_generate(inst, fold, seed, 0, c)
+        mirror, step = cyclotomic_generate(inst, mirrored(fold), seed, 1, -c)
+        assert (step.kind, step.direction) == ("L2", 1)
         for j in range(2):
             jbar = inst.aut(j)
             got = mirror[j].negate_argument()
@@ -122,7 +125,7 @@ def test_vil_coprimality(a2, a2_tuple):
     for seed, cs in ((BetheTuple.trivial(2), (F(1), F(1, 3), F(-2))),
                      (a2_tuple, (F(1), F(-2), F(1, 5)))):
         for c in cs:
-            out, _ = cyclotomic_generate_L2(inst, fold, seed, 0, c)
+            out, _ = cyclotomic_generate(inst, fold, seed, 0, c)
             g = qgcd(out[1], out[1].negate_argument())
             assert g.degree == 0
 
@@ -133,13 +136,13 @@ def test_exceptional_parameter_detected(a2, a2_tuple):
     from cybethe.errors import ExceptionalParameter
     inst, fold = a2
     with pytest.raises(ExceptionalParameter):
-        cyclotomic_generate_L2(inst, fold, a2_tuple, 0, F(1, 3))
+        cyclotomic_generate(inst, fold, a2_tuple, 0, F(1, 3))
 
 
 def test_nb_shifted_equations(a2, a2_tuple):
     # the L = 2 intermediate satisfies the s_i . L0 - shifted equations
     inst, fold = a2
-    _, step = cyclotomic_generate_L2(inst, fold, a2_tuple, 0, F(1))
+    _, step = cyclotomic_generate(inst, fold, a2_tuple, 0, F(1))
     inter = dict(step.intermediates)
     intermediate = BetheTuple.monic_of([inter["y_i_step1"], a2_tuple[1]])
     shifted = shifted_reflect(inst.cartan, 0, inst.lambda0)
@@ -163,8 +166,8 @@ def test_nb_shifted_equations_nontrivial():
                            lambda0=Weight([F(1, 2), F(1, 2)]))
     fold = orbit_data(cartan, aut)
     seed = BetheTuple.trivial(2)
-    idx, base, direction = generation_family(inst, fold, seed, 0)
-    _, step = cyclotomic_generate_L2(inst, fold, seed, 0, F(1))
+    idx, base, direction, _ = generation_family(inst, fold, seed, 0)
+    _, step = cyclotomic_generate(inst, fold, seed, 0, F(1))
     inter = dict(step.intermediates)
     y_step1 = inter["y_i_step1"]
     assert y_step1.degree == 2
@@ -184,7 +187,7 @@ def test_nblem2_multiplicity(a2, a3, a2_tuple):
     inst, fold = a2
     encountered = 0
     for seed in (BetheTuple.trivial(2), a2_tuple):
-        _, step = cyclotomic_generate_L2(inst, fold, seed, 0, F(1))
+        _, step = cyclotomic_generate(inst, fold, seed, 0, F(1))
         y_step1 = dict(step.intermediates)["y_i_step1"]
         g = qgcd(seed[1], y_step1)
         if g.degree and g.degree > 0:
@@ -362,7 +365,8 @@ def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
     for inst, seed, cs in cases:
         gamma = inst.gamma(0)
         for c in cs:
-            _, step = cyclotomic_generate_L2(inst, fold, seed, 0, c)
+            _, step = cyclotomic_generate(inst, fold, seed, 0, c)
+            assert step.kind == "L2"
             inter = dict(step.intermediates)
             f = QPoly.x_power(gamma + 1) * inter["y_i_step1"]
             rhs = QPoly.x_power(gamma) * interaction_product(
@@ -377,7 +381,8 @@ def test_explore_serializes_each_member_once(a3, monkeypatch):
     # duplicates among the members included
     from cybethe import genengine
     calls, members = [], []
-    tuple_doc_json, family = genengine.tuple_doc_json, genengine._family
+    tuple_doc_json = genengine.tuple_doc_json
+    family = genengine.generation_family
 
     def counted(y):
         calls.append(1)
@@ -393,7 +398,7 @@ def test_explore_serializes_each_member_once(a3, monkeypatch):
         return (*head, counted_member)
 
     monkeypatch.setattr(genengine, "tuple_doc_json", counted)
-    monkeypatch.setattr(genengine, "_family", counted_family)
+    monkeypatch.setattr(genengine, "generation_family", counted_family)
     inst, fold = a3
     graph = explore_population(inst, fold, BetheTuple.trivial(3), 2,
                                [F(1), F(2), F(-1)])

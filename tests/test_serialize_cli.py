@@ -344,6 +344,18 @@ def test_cli_typea_analyze_refuses_members_of_a_space_not_self_dual(
         "message": "kernel space of the seed is not self-dual"}
 
 
+def test_cli_typea_analyze_refuses_a_negative_member_count(docs, capsys):
+    # --members -1 printed a population with no members and exited 0; the
+    # count is refused before the instance is read
+    inst, tup, _ = docs
+    for path in (inst, "/does/not/exist"):
+        assert cli.main(["typea", "analyze", "--instance", path,
+                         "--tuple", tup, "--members", "-1"]) == 2
+        assert _error_record(capsys) == {
+            "kind": "InputError",
+            "message": "--members must be >= 0, got -1"}
+
+
 def test_cli_typea_flow(docs, capsys):
     inst, tup, _ = docs
     rc = cli.main(["typea", "flow", "--instance", inst, "--tuple", tup,

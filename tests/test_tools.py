@@ -23,6 +23,12 @@ def test_src_lines_totals_the_modules():
     assert any(path.endswith("qpoly.py") for _, path in modules)
 
 
+def test_every_exported_name_resolves():
+    import cybethe
+    for name in cybethe.__all__:
+        assert getattr(cybethe, name) is not None, name
+
+
 def test_the_package_imports_only_the_standard_library():
     # numpy and the other test oracles stay out of the library, and so does
     # `dataclasses`, whose import of `inspect` each CLI request would pay
@@ -136,22 +142,16 @@ def test_rep_calls_counts_methods_of_one_name_apart():
 # benchmark file reaches, each kept for the reason given.  Anything else it
 # reports is code to wire into a command or to delete.
 KEPT_UNREACHED = {
-    # paper checks for ROADMAP item 4: D(y) of a tuple annihilates the
-    # special basis of its population's space
+    # ROADMAP item 5: D(y) of a tuple annihilates the special basis of its
+    # population's space
     "typea.fundamental_operator", "typea.apply_operator", "qpoly.RatQP",
-    # paper checks for ROADMAP item 6: the flag type in `typea analyze`,
-    # the normalized Witt basis, and the numeric eigenvalues of
-    # `check-numeric`
-    "typea.flag_type", "typea.eta_q", "typea.normalized_witt_basis",
-    "typea.wr_constant", "numerics.eigenvalues_numeric",
-    # test oracles
-    "frame.hl_identity_check", "genengine.elementary_generate_L1",
-    "genengine.cyclotomic_generate_L2", "genengine.generation_family",
-    "typea.bform",
-    # named by the benchmark's tracer
+    # ROADMAP item 6: the flag type in `typea analyze`
+    "typea.flag_type",
+    # ROADMAP item 9: named by the benchmark's tracer
     "linalg.nullspace", "linalg.rank", "qpoly.wronskian",
-    # the public form of `typea._wr_plus` at one mask
-    "qpoly.divided_wronskian",
+    # oracles that tests compare the library against
+    "numerics.eigenvalues_numeric", "typea.bform", "qpoly.divided_wronskian",
+    "frame.hl_identity_check", "genengine.elementary_generate_L1",
     # test-data builders
     "qpoly.QPoly.from_coeffs", "cartan.CartanData.affine_a",
     "cartan.DiagramAut.identity",

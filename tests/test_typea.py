@@ -20,13 +20,11 @@ from cybethe.qpoly import QPoly, proportional
 from cybethe.scalars import Cyc
 from cybethe.typea import (QPSpace, apply_flow, available_generators,
                            beta, bform, big_lambda, cyclotomic_population,
-                           eta_q, exponents,
-                           flag_type, flow_vs_generation,
+                           exponents, flag_type, flow_vs_generation,
                            frame_conditions_check, fundamental_operator,
                            apply_operator, gram_matrix, isotropy_check,
                            kernel_basis, rational_sqrt, _cyclotomic_sqrt,
-                           special_basis_from, normalized_witt_basis,
-                           witt_basis, wr_constant, in_span)
+                           special_basis_from, witt_basis, in_span)
 
 
 A4_CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
@@ -105,7 +103,9 @@ def test_uwrlem_constant(a2, a2_tuple):
     for i in range(3):
         for j in range(i):
             want *= d[i] - d[j]
-    assert wr_constant(space) == Cyc.of(want)
+    # from the space's table and from a fresh divided Wronskian
+    assert space.wr_plus(0b111) == QPoly.constant(Cyc.of(want)) == \
+        qpoly.divided_wronskian(space.basis, [space.frame.divisors[3]])
 
 
 def test_fundamental_operator_kernel(a2, a2_tuple):
@@ -267,15 +267,15 @@ def _a5_space():
 def test_witt_congruence_matches_gram(a2, a2_tuple):
     # witt_basis rescales by values of the congruence V G V^T on the
     # initial Gram matrix; they must equal the Gram matrix rebuilt from
-    # the vectors, and the rescaled basis must be what rescaling by the
-    # rebuilt Gram matrix gives
+    # the vectors, whose paired constants are then the reduced pattern
+    from cybethe.typea import _b_pattern
     for space, flag in (_a5_space(), kernel_basis(a2[0], a2_tuple)):
         basis = list(flag.adjusted)
         size = len(basis)
         g = fresh_gram(space, basis)
-        plain = witt_basis(space, adjusted=basis, reduce_constants=False)
-        for wb in (plain, witt_basis(space, adjusted=basis,
-                                     quadratic_extension=True)):
+        target = _b_pattern(space.frame.p, size)
+        for qe in (False, True):
+            wb = witt_basis(space, adjusted=basis, quadratic_extension=qe)
             coeffs = [in_span(v, basis) for v in wb.vectors]
             congruence = [[sum((Cyc.of(1) * va * g[a][b] * vb
                                 for a, va in enumerate(ci)
@@ -283,11 +283,8 @@ def test_witt_congruence_matches_gram(a2, a2_tuple):
                            for cj in coeffs] for ci in coeffs]
             assert congruence == fresh_gram(space, wb.vectors)
             assert congruence == [list(row) for row in wb.gram]
-        reduced = witt_basis(space, adjusted=basis)
-        for k in range(size // 2):
-            cur = plain.gram[k][size - 1 - k]
-            assert reduced.vectors[k] == \
-                plain.vectors[k].scale(reduced.constants[k] / cur)
+            assert [wb.constants[k] for k in range(size // 2)] == \
+                [Cyc.of(target[k]) for k in range(size // 2)]
 
 
 def test_witt_quadratic_extension(a2, a2_tuple):
@@ -315,27 +312,6 @@ def test_witt_basis_is_its_vectors_and_gram(a2, a2_tuple):
             [list(row) for row in wb.gram]
         assert tup == beta(space, image.vectors)
         assert isotropy_check(image.gram)
-
-
-def test_normalized_witt_identities(a2, a2_tuple):
-    space, _ = a2_space(a2, a2_tuple)
-    tw = normalized_witt_basis(space)
-    size = len(tw.vectors)
-    # Wr+ = 1 for the fully normalized basis, from a fresh table and the
-    # one it keeps
-    top = qpoly.divided_wronskian(tw.vectors, [space.frame.divisors[size]])
-    assert top == QPoly.one() and tw.wr_plus((1 << size) - 1) == top
-    # B(r_k, r_(R+2-k)) = (-1)^(d_(R+2-k) + k + 1), with the fixed branch
-    d = space.frame.d
-    for k in range(size):
-        partner = size - 1 - k
-        expo = d[partner] + (k + 1) + 1
-        num = int(2 * expo)
-        want = Cyc.root_of_unity(4, num % 4)
-        assert tw.constants[k] == want, (k, tw.constants[k], want)
-    # every Witt basis is decomposable
-    for v in tw.vectors:
-        assert len(v.exponent_classes()) == 1
 
 
 def test_cyclotomic_sqrt_of_monomials_inverts_nothing(monkeypatch):
@@ -434,9 +410,12 @@ def test_qslem_parity(a2, a2_tuple):
     sp_vectors = [u[0], u[2]]
     o_vectors = [u[1]]
     for q_set in ({1, 3}, {1, 2}, {2, 3}):
-        fl = eta_q(space, sp_vectors, o_vectors, q_set)
-        assert flag_type(space, list(fl.adjusted)) == frozenset(q_set)
-        tup = beta(space, fl.adjusted)
+        # interleave the Sp and O vectors into a flag of type Q
+        sp, o = iter(sp_vectors), iter(o_vectors)
+        adjusted = [next(sp) if k in q_set else next(o)
+                    for k in range(1, len(u) + 1)]
+        assert flag_type(space, adjusted) == frozenset(q_set)
+        tup = beta(space, adjusted)
         sym_diff = (s_set - q_set) | (q_set - s_set)
         for k in range(1, space.frame.r + 1):
             parity = len(sym_diff & set(range(1, k + 1))) % 2
@@ -753,7 +732,6 @@ def test_divisors_are_built_once_per_frame_and_never_by_a_reader(
     basis = list(space.basis)
     readers = {"frame_conditions_check": lambda: frame_conditions_check(space),
                "dual_of": lambda: dual_of(space, basis),
-               "wr_constant": lambda: wr_constant(space),
                "gram_matrix": lambda: gram_matrix(space),
                "beta": lambda: beta(space, flag.adjusted),
                "kernel_basis": lambda: kernel_basis(inst, a2_tuple)}
@@ -932,8 +910,8 @@ def _text_of(polys):
 def _assert_fresh_prefixes(inst, y, monkeypatch):
     """The Wr+(u_1..u_k) that kernel_basis compares with y_k, and beta,
     monic, equal the entries of a fresh table of the flag basis divided by
-    D_k, and wr_constant the constant of a fresh table of the special
-    basis, in value, field order and text."""
+    D_k, and the constant Wr+ of the space's table that of a fresh table
+    of the special basis, in value, field order and text."""
     from cybethe import typea
     compared = []
     with monkeypatch.context() as patch:
@@ -948,8 +926,10 @@ def _assert_fresh_prefixes(inst, y, monkeypatch):
     assert _text_of(beta(space, flag.adjusted)) == \
         _text_of([p.monic() for p in want])
     top = qpoly.divide_exact(qpoly.wronskian_table(space.basis)[-1],
-                             divisors[size]).coeff(0)
-    got = wr_constant(space)
+                             divisors[size])
+    got = space.wr_plus((1 << size) - 1)
+    assert top.degree == 0 and _text_of([got]) == _text_of([top])
+    got, top = got.coeff(0), top.coeff(0)
     assert (got, got.order, str(got)) == (top, top.order, str(top))
 
 
@@ -959,7 +939,7 @@ def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified,
     # equals the entry of a fresh table of its vectors divided by D_k, in
     # value, field order and text, along chains of 0 to 3 flows, with and
     # without quadratic extension; so do the prefix entries that beta and
-    # kernel_basis read, and the constant of wr_constant
+    # kernel_basis read, and the constant Wr+ of the special basis
     from cybethe import typea
     from cybethe.typea import WittBasis
     seeds = [(a2[0], a2_tuple), (a3[0], BetheTuple.trivial(3)),
