@@ -37,7 +37,11 @@ sigma maps edges of A to edges, so squarefreeness, a root at 0, a root
 shared with T_i and a root shared with y_j (a_ij != 0) each hold at every
 member of a sigma-orbit of nodes or edges when they hold at one.
 `is_critical_exact(mode="cyclotomic")` therefore proves a cyclotomic tuple
-at `ProblemInstance.orbit_reps` only.
+at `ProblemInstance.orbit_reps` only.  `genengine._checked`, the proof of
+every generated tuple, runs the same passes but builds no residue at the
+representative its generation step moved, which that step's Wronskian
+equation implies; `verify`, `eigenvalues` and the seed check of
+`explore_population` build every residue.
 """
 
 from fractions import Fraction

@@ -23,18 +23,49 @@ representative once and returns its members as arithmetic in c;
 `cyclotomic_generate` proves one member.  `explore_population` runs a
 bounded, deterministic BFS: one family per (node, direction), swept over
 the samples by arithmetic; each new tuple, after deduplication, gets one
-proof (`is_critical_exact` in its cyclotomic mode: cyclotomy, then
-genericity and criticality at the orbit representatives) and the
-weight-at-infinity dichotomy.
+proof (`_checked`: cyclotomy, then genericity and criticality at the
+orbit representatives) and the weight-at-infinity dichotomy.
+
+Generation already proves part of what the proof would re-check, in two
+places, and neither is computed again:
+
+  * The moved residue.  Let g be the moved component at the step's
+    representative i.  It solves Wr(f, g) = W with W = x^gamma P, gamma
+    = <L0, a_i^vee> and P = `interaction_product` of the final tuple at
+    i, up to constant factors, which the residue test ignores.  For L = 1,
+    f is the parent's y_i, and P is the parent's since the orbit of i is
+    pairwise non-adjacent (L_i = 1).  For L = 2, f = x^(gamma+1) y_i_1
+    and g = s0 + c s1; the step-3 right-hand side is linear in y_ibar_2
+    (a_i,ibar = -1), so Wr(f, g) = W by bilinearity, with W built from
+    y_ibar_2 = base2 + c y_ibar.  Each solve checks its equation
+    exactly, and a derived L = 1 base (below) solves it by construction.
+    At a root t of g, f g' = W and, differentiating, f g'' = W'.  If t is
+    a simple root, t != 0 and P(t) != 0, then W(t) != 0, so g'(t) != 0
+    and g''/g' = W'/W = gamma/t + P'/P at t.  That is the vanishing at t
+    of (gamma P + x P') g' - x P g'', whose divisibility by g is
+    `frame._residue`.  The genericity pass, which still runs, proves all
+    three conditions at every root, so `_checked` divides no residue at
+    the representative of the step it is given.
+  * The L = 1 family along the incoming direction.  Let a node N be made
+    along the L = 1 direction i from its parent p, whose family there is
+    base_p + c y_i^p.  Then N_i = m / lam with m = base_p + c y_i^p and
+    lam = lc(m), and W_i(N) = W_i(p) = W since N differs from p only on
+    the pairwise non-adjacent orbit of i.  So Wr(N_i, Y0) = W for
+    Y0 = -lam y_i^p, the solutions are Y0 + span(N_i), and the pinned
+    base of N's family at i (zero coefficient at x^deg N_i, N_i monic)
+    is Y0 - [Y0]_(x^deg N_i) N_i.  `explore_population` takes it so
+    (`_incoming_base`), with no solve and no cross-check at sigma i: N
+    is cyclotomic, so the equation at sigma i is the transport of the one
+    at i, and so is its pinned solution.
 """
 
 from .cartan import Record, folded_reflect
 from .errors import (ExceptionalParameter, InputError,
-                     InternalInvariantError, NotCyclotomic, NotGeneric,
+                     InternalInvariantError, NotGeneric,
                      SeedInvalid, UnsupportedType)
-from .frame import (BetheTuple, interaction_product, is_critical_exact,
-                    is_cyclotomic_tuple, is_generic, l1_violation,
-                    weight_at_infinity)
+from .frame import (BetheTuple, _residue, interaction_product,
+                    is_critical_exact, is_cyclotomic_tuple, is_generic,
+                    l1_violation, weight_at_infinity)
 from .qpoly import QPoly, wronskian_ode_solve
 from .scalars import Cyc
 from .serialize import tuple_doc_json
@@ -103,7 +134,9 @@ def generation_family(inst, fold, y, i):
     member(c) gives (BetheTuple, GenerationStep) by arithmetic alone.  For
     L = 1 (base, direction) is the pinned particular solution and y_i; for
     L = 2 it is the middle-step pair at ibar, which fixes the
-    parameterization of the whole step.
+    parameterization of the whole step.  `explore_population` takes the
+    L = 1 family along a node's incoming direction from its parent's
+    (`_incoming_base`) and solves every other family here.
 
     For L = 2, a_i,ibar = a_ibar,i = -1 makes the step-2 and step-3
     right-hand sides L = 1 ones with one component replaced, and step 3
@@ -127,18 +160,7 @@ def generation_family(inst, fold, y, i):
                 _l1_base(inst, y, inst.aut(i)):
             raise InternalInvariantError(
                 "transported L1 component disagrees with an independent solve")
-
-        def member(c):
-            moved = base + y[i].scale(c)
-            if moved.is_zero():
-                raise ExceptionalParameter(c, "generated component vanishes")
-            polys = list(y)
-            for k in range(m_i):
-                polys[inst.aut.power(i, k)] = _transport(
-                    moved, inst.omega, inst.M, k)
-            return BetheTuple.monic_of(polys), GenerationStep(
-                direction=i, c=c, kind="L1")
-        return i, base, y[i], member
+        return _l1_family(inst, fold, y, i, base)
 
     if m_i != 2:
         raise UnsupportedType("L=2 generation implemented for orbit length 2")
@@ -172,23 +194,51 @@ def generation_family(inst, fold, y, i):
     return ibar, base2, y[ibar], member
 
 
+def _l1_family(inst, fold, y, i, base):
+    """The L = 1 family at i of `generation_family`, from its pinned base."""
+    def member(c):
+        moved = base + y[i].scale(c)
+        if moved.is_zero():
+            raise ExceptionalParameter(c, "generated component vanishes")
+        polys = list(y)
+        for k in range(fold.orbit_len[i]):
+            polys[inst.aut.power(i, k)] = _transport(
+                moved, inst.omega, inst.M, k)
+        return BetheTuple.monic_of(polys), GenerationStep(
+            direction=i, c=c, kind="L1")
+    return i, base, y[i], member
+
+
+def _incoming_base(parent_yi, parent_base, c, yi):
+    """The pinned L = 1 base at i of a node whose component yi was made from
+    the parent's family parent_base + c * parent_yi: Y0 - [Y0]_(x^deg yi)
+    yi with Y0 = -lc(parent_base + c * parent_yi) parent_yi (module
+    docstring)."""
+    y0 = parent_yi.scale(-(parent_base + parent_yi.scale(c)).leading_coeff())
+    return y0 - yi.scale(y0.coeff(yi.degree))
+
+
 def _replaced(y, j, p):
     polys = list(y)
     polys[j] = p
     return polys
 
 
-def _checked(inst, out, c, kind):
-    """The one proof of a generated tuple: cyclotomic, then generic and
-    critical at the orbit representatives."""
-    try:
-        critical, _ = is_critical_exact(inst, out, mode="cyclotomic")
-    except NotGeneric as exc:
-        raise ExceptionalParameter(c, str(exc)) from None
-    except NotCyclotomic:
+def _checked(inst, out, step):
+    """The one proof of a tuple that `step` generated: cyclotomic, then
+    generic at the orbit representatives, as `is_critical_exact` in its
+    cyclotomic mode, and critical at each representative but
+    `step.direction`, whose residue the step's Wronskian equation and the
+    genericity pass imply (module docstring).  ExceptionalParameter names
+    the first failing genericity condition."""
+    if not is_cyclotomic_tuple(inst, out):
         raise InternalInvariantError(
-            f"{kind} generation lost cyclotomic symmetry") from None
-    if not critical:
+            f"{step.kind} generation lost cyclotomic symmetry")
+    generic, witness = is_generic(inst, out, reps=inst.orbit_reps)
+    if not generic:
+        raise ExceptionalParameter(step.c, witness)
+    if not all(_residue(inst, out, i, inst.gamma(i))["divides"]
+               for i, _ in inst.orbit_reps if i != step.direction):
         raise InternalInvariantError(
             "generated node fails verification: not an exact critical point")
 
@@ -199,7 +249,7 @@ def cyclotomic_generate(inst, fold, y, i, c):
     c = c if isinstance(c, Cyc) else Cyc.of(c)
     *_, member = generation_family(inst, fold, y, i)
     out, step = member(c)
-    _checked(inst, out, c, step.kind)
+    _checked(inst, out, step)
     return out, step
 
 
@@ -246,10 +296,12 @@ RETRY_BUDGET = 4
 def explore_population(inst, fold, seed, depth, samples):
     """Bounded BFS over cyclotomic generation directions and parameters.
 
-    Each (node, direction) family is solved once and swept over the
-    samples.  After deduplication by the canonical serialized monic tuple,
-    a new member is proven and its weight at infinity checked against the
-    dichotomy: equal to the parent's or to its folded shifted reflection.
+    Each (node, direction) family is solved once, or along a node's
+    incoming L = 1 direction derived from its parent's (module docstring),
+    and swept over the samples.  After deduplication by the canonical
+    serialized monic tuple, a new member is proven and its weight at
+    infinity checked against the dichotomy: equal to the parent's or to
+    its folded shifted reflection.
     """
     if depth < 0:
         raise InputError(f"population depth must be >= 0, got {depth}")
@@ -271,12 +323,20 @@ def explore_population(inst, fold, seed, depth, samples):
                           flags={"generic": True, "cyclotomic": True,
                                  "critical": True})
     graph.add(root, tuple_doc_json(seed))
-    frontier = [root]
+    # (node, the base of the L = 1 family its parent made it from, or None)
+    frontier = [(root, None)]
     for _ in range(depth):
         next_frontier = []
-        for node in frontier:
+        for node, parent_base in frontier:
             for i in fold.reps:
-                *_, member = generation_family(inst, fold, node.tuple_, i)
+                if parent_base is not None and i == node.step.direction:
+                    _, base, _, member = _l1_family(
+                        inst, fold, node.tuple_, i, _incoming_base(
+                            graph.nodes[node.parent].tuple_[i], parent_base,
+                            node.step.c, node.tuple_[i]))
+                else:
+                    _, base, _, member = generation_family(
+                        inst, fold, node.tuple_, i)
                 reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                            node.lambda_inf)
                 misses = 0
@@ -286,7 +346,7 @@ def explore_population(inst, fold, seed, depth, samples):
                         key = tuple_doc_json(child)
                         if graph.find(key) is not None:
                             continue
-                        _checked(inst, child, c, step.kind)
+                        _checked(inst, child, step)
                     except ExceptionalParameter as exc:
                         graph.skipped.append((node.node_id, i, c, exc.reason))
                         misses += 1
@@ -301,7 +361,8 @@ def explore_population(inst, fold, seed, depth, samples):
                                "critical": True,
                                "edge": _edge(node, linf, reflected)})
                     graph.add(new, key)
-                    next_frontier.append(new)
+                    next_frontier.append(
+                        (new, base if step.kind == "L1" else None))
         frontier = next_frontier
     return graph
 

@@ -964,7 +964,7 @@ def flow_vs_generation(inst, fold, seed, k, params):
             rho = _calibrate_rho(flow_tuple[idx], base, dir_poly, c)
         gen_c = Cyc.of(1) / (rho * c)
         gen_tuple, step = member(gen_c)
-        _checked(inst, gen_tuple, gen_c, step.kind)
+        _checked(inst, gen_tuple, step)
         matches.append(flow_tuple == gen_tuple)
     return {"rho": rho, "all_match": all(matches), "matches": matches}
 

@@ -18,9 +18,10 @@ import pytest
 from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
 from cybethe.errors import NotGeneric
-from cybethe.frame import (BetheTuple, eigenvalues, is_critical_exact,
-                           is_cyclotomic_tuple)
-from cybethe.genengine import explore_population, generation_family
+from cybethe.frame import (BetheTuple, _residue, eigenvalues,
+                           is_critical_exact, is_cyclotomic_tuple)
+from cybethe.genengine import (_incoming_base, _l1_base, _transport,
+                               explore_population, generation_family)
 from cybethe.qpoly import QPoly
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +174,39 @@ def _verdict(inst, y, mode):
     except NotGeneric as exc:
         return "not generic", str(exc)
     return ok, {i: report[i] for i, _ in inst.orbit_reps}
+
+
+def _same(a, b):
+    return a == b and a.field_order() == b.field_order() and \
+        str(a) == str(b)
+
+
+def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
+    # on every generated node, what `_checked` and `explore_population`
+    # take from generation agrees with a fresh computation: the residue at
+    # the moved representative divides, and along an L = 1 direction the
+    # derived base is the solved one, and transports to the solve at
+    # sigma i
+    counts = {"L1": 0, "L2": 0, "transported": 0}
+    for inst, graph in catalogs.values():
+        fold = orbit_data(inst.cartan, inst.aut)
+        for node in graph.nodes[1:]:
+            y, step = node.tuple_, node.step
+            i = step.direction
+            assert _residue(inst, y, i, inst.gamma(i))["divides"]
+            counts[step.kind] += 1
+            if step.kind != "L1":
+                continue
+            parent = graph.nodes[node.parent].tuple_
+            derived = _incoming_base(
+                parent[i], generation_family(inst, fold, parent, i)[1],
+                step.c, y[i])
+            assert _same(derived, _l1_base(inst, y, i)), node.node_id
+            if fold.orbit_len[i] > 1:
+                assert _same(_transport(derived, inst.omega, inst.M, 1),
+                             _l1_base(inst, y, inst.aut(i))), node.node_id
+                counts["transported"] += 1
+    assert counts == {"L1": 647, "L2": 84, "transported": 299}
 
 
 def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):

@@ -246,10 +246,23 @@ def _proof_calls(monkeypatch, y, prove):
     return sorted(calls)
 
 
+def _residue_colours(monkeypatch, prove):
+    """The colour of each residue prove() builds, in call order: the
+    residue of colour i reads `interaction_product(inst, y, i)` once."""
+    colours = []
+    with monkeypatch.context() as patch:
+        patch.setattr(frame, "interaction_product",
+                      lambda inst, y, i, f=frame.interaction_product:
+                      colours.append(i) or f(inst, y, i))
+        prove()
+    return colours
+
+
 def test_checked_proves_each_orbit_representative_once(monkeypatch):
     # A4 (orbits {1, 4}, {2, 3}) and D4 ({1, 3, 4}, {2}): the colours 1
     # and 2 of 4, each tested squarefree once and divided once unless its
     # residue is 0 (colour 2 of the D4 node)
+    kinds = set()
     for doc, divided in ((A4_DOC, [0, 1, 2, 3]), (D4_DOC, [0, 2, 3])):
         inst = serialize.instance_from_doc(doc)
         graph = explore_population(
@@ -260,8 +273,25 @@ def test_checked_proves_each_orbit_representative_once(monkeypatch):
         full = _proof_calls(monkeypatch, y, lambda: is_critical_exact(inst, y))
         assert full == [("divide_exact", i) for i in divided] + [
             ("is_squarefree", i) for i in range(4)]
-        assert _proof_calls(monkeypatch, y, lambda: _checked(
-            inst, y, 1, "L1")) == [c for c in full if c[1] < 2]
+        # `_checked` given the node's own step: the representative that the
+        # step moved is still tested squarefree, but its residue is neither
+        # built nor divided; so on every generated node
+        for node in graph.nodes[1:]:
+            y, step = node.tuple_, node.step
+            full = _proof_calls(monkeypatch, y,
+                                lambda: is_critical_exact(inst, y))
+            checked = _proof_calls(monkeypatch, y,
+                                   lambda: _checked(inst, y, step))
+            assert checked == [c for c in full if c[1] < 2 and c != (
+                "divide_exact", step.direction)]
+            assert (("is_squarefree", step.direction) in checked) == \
+                bool(y[step.direction].degree)
+            assert _residue_colours(monkeypatch, lambda: _checked(
+                inst, y, step)) == [i for i in (0, 1)
+                                    if i != step.direction and y[i].degree]
+            kinds.add((doc["sigma"], step.kind, step.direction))
+    assert kinds == {("(1 4)(2 3)", "L1", 0), ("(1 4)(2 3)", "L2", 1),
+                     ("(1 3 4)", "L1", 0), ("(1 3 4)", "L1", 1)}
 
 
 A4_MARKED_DOC = {**A4_DOC, "points": ["1"], "site_weights": [["1", "0", "0",

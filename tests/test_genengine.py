@@ -350,6 +350,41 @@ def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
         assert len(calls) == solves, (kind, k)
 
 
+def test_bfs_takes_from_generation_what_it_proved(monkeypatch):
+    # D4 at depth 2 (orbits {1, 3, 4} and {2}, both L = 1): the seed is
+    # proven with all 4 residues and each generated node with one, at the
+    # representative its step did not move; a depth-1 node solves no family
+    # along the direction it came from (2 solves along {1, 3, 4}, with the
+    # cross-check at sigma 1, and 1 along {2})
+    from cybethe import frame, serialize
+    from test_catalog_pins import D4_DOC, SAMPLES
+    calls = {"_residue": 0, "wronskian_ode_solve": 0}
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    residue = counted("_residue", frame._residue)
+    monkeypatch.setattr(frame, "_residue", residue)
+    monkeypatch.setattr(genengine, "_residue", residue)
+    monkeypatch.setattr(genengine, "wronskian_ode_solve", counted(
+        "wronskian_ode_solve", genengine.wronskian_ode_solve))
+    inst = serialize.instance_from_doc(D4_DOC)
+    graph = explore_population(
+        inst, orbit_data(inst.cartan, inst.aut), BetheTuple.trivial(4), 2,
+        [serialize.parse_scalar(s, inst.M) for s in SAMPLES])
+    # one member fails genericity, so no residue of it is built
+    assert len(graph) == 40 and len(graph.skipped) == 1
+    assert [node.step.direction for node in graph.nodes
+            if node.parent == 0] == [0, 0, 0, 1, 1, 1]
+    # the seed's 3, then 1 for each node made along {1, 3, 4} and 2 for
+    # each made along {2} (21 when every family is solved)
+    assert calls == {"_residue": 4 + 39,
+                     "wronskian_ode_solve": 3 + 3 * 1 + 3 * 2}
+
+
 def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
     # Wr(x^(gamma+1) y_i_1, y_i_3) = x^gamma T_i y_ibar_2, the L = 1
     # right-hand side at i with y_ibar replaced by the middle-step component
@@ -378,27 +413,23 @@ def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
 
 def test_explore_serializes_each_member_once(a3, monkeypatch):
     # one canonical key per family member plus the root's, with the
-    # duplicates among the members included
+    # duplicates among the members included; a member is counted by its
+    # one GenerationStep, whether its family was solved or derived
     from cybethe import genengine
     calls, members = [], []
     tuple_doc_json = genengine.tuple_doc_json
-    family = genengine.generation_family
+    step = genengine.GenerationStep
 
     def counted(y):
         calls.append(1)
         return tuple_doc_json(y)
 
-    def counted_family(*args):
-        *head, member = family(*args)
-
-        def counted_member(c):
-            out = member(c)
-            members.append(1)
-            return out
-        return (*head, counted_member)
+    def counted_step(*args, **kwargs):
+        members.append(1)
+        return step(*args, **kwargs)
 
     monkeypatch.setattr(genengine, "tuple_doc_json", counted)
-    monkeypatch.setattr(genengine, "generation_family", counted_family)
+    monkeypatch.setattr(genengine, "GenerationStep", counted_step)
     inst, fold = a3
     graph = explore_population(inst, fold, BetheTuple.trivial(3), 2,
                                [F(1), F(2), F(-1)])
