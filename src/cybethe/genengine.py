@@ -12,7 +12,8 @@ survives:
   L_i = 2: the three-step sequence at the A_2 block (i, ibar = sigma i):
            a holomorphic solve for y_i^(i), a pinned-coefficient solve
            plus c y_ibar for the middle step, and a final holomorphic
-           step that is linear in c, solved as two c-independent pieces.
+           step that is linear in c: one solve for its c-independent
+           piece, and its c-coefficient read off step 1 (below).
 
 Parameter convention: the emitted tuples are monic; the step-1 result is
 monic-normalized before it enters step 2, which makes the A_2 family from
@@ -26,8 +27,8 @@ the samples by arithmetic; each new tuple, after deduplication, gets one
 proof (`_checked`: cyclotomy, then genericity and criticality at the
 orbit representatives) and the weight-at-infinity dichotomy.
 
-Generation already proves part of what the proof would re-check, in two
-places, and neither is computed again:
+Generation already knows part of what the proof or a fresh solve would
+compute, in three places, and none of it is computed again:
 
   * The moved residue.  Let g be the moved component at the step's
     representative i.  It solves Wr(f, g) = W with W = x^gamma P, gamma
@@ -38,7 +39,8 @@ places, and neither is computed again:
     and g = s0 + c s1; the step-3 right-hand side is linear in y_ibar_2
     (a_i,ibar = -1), so Wr(f, g) = W by bilinearity, with W built from
     y_ibar_2 = base2 + c y_ibar.  Each solve checks its equation
-    exactly, and a derived L = 1 base (below) solves it by construction.
+    exactly, and s1 and a reparametrized family (below) solve theirs by
+    construction.
     At a root t of g, f g' = W and, differentiating, f g'' = W'.  If t is
     a simple root, t != 0 and P(t) != 0, then W(t) != 0, so g'(t) != 0
     and g''/g' = W'/W = gamma/t + P'/P at t.  That is the vanishing at t
@@ -46,17 +48,37 @@ places, and neither is computed again:
     `frame._residue`.  The genericity pass, which still runs, proves all
     three conditions at every root, so `_checked` divides no residue at
     the representative of the step it is given.
-  * The L = 1 family along the incoming direction.  Let a node N be made
-    along the L = 1 direction i from its parent p, whose family there is
-    base_p + c y_i^p.  Then N_i = m / lam with m = base_p + c y_i^p and
-    lam = lc(m), and W_i(N) = W_i(p) = W since N differs from p only on
-    the pairwise non-adjacent orbit of i.  So Wr(N_i, Y0) = W for
-    Y0 = -lam y_i^p, the solutions are Y0 + span(N_i), and the pinned
-    base of N's family at i (zero coefficient at x^deg N_i, N_i monic)
-    is Y0 - [Y0]_(x^deg N_i) N_i.  `explore_population` takes it so
-    (`_incoming_base`), with no solve and no cross-check at sigma i: N
-    is cyclotomic, so the equation at sigma i is the transport of the one
-    at i, and so is its pinned solution.
+  * The c-coefficient of step 3.  Step 1 solves Wr(y_i, lifted) = W_i
+    with lifted = lc(lifted) f, so Wr(f, -lc(lifted) y_i) = W_i.  With the
+    middle-step component y_ibar, the step-3 equation is that one, so
+    s1 = -lc(lifted) y_i: its one solution in the class of x^0 (f lies in
+    the class gamma + 1).
+  * The family along the incoming direction: its parent's, reparametrized.
+    Let N be made at c along the representative i from the family of its
+    parent p, whose first pencil pair (base, d) is (base_p, y_i^p) for
+    L = 1 and (base2, y_ibar) for L = 2.  Let m = base + c d, lam = lc(m)
+    and t = [d]_(x^deg m); N's component there is m / lam.  N's equation
+    there, Wr(m / lam, Y) = W, has the right-hand side W = Wr(d, base) of
+    the pair's.  For L = 1, W_i(N) = W_i(p) since N differs from p only on
+    the pairwise non-adjacent orbit of i.  For L = 2, step 1 at N gives p's
+    y_i_1 back: N_i = y_i_3 / mu solves Wr(f, N_i) = (lam / mu)
+    x^gamma P_i(N), the step-3 right-hand side being linear in
+    y_ibar_2 = lam N_ibar, so -(mu / lam) f solves N's step-1 equation in
+    the class gamma + 1 of its pin; then step 2 at N has p's right-hand
+    side.  As Wr(m / lam, -lam d) = Wr(d, base), N's solutions are -lam d +
+    span(m / lam), and the one with a zero coefficient at x^deg m is
+    t m - lam d.  Step 3 at N is linear in the step-2 component with the
+    same f, so it maps p's (s0, s1) alike: N's pencil takes each pair
+    (b, e) of p's to (t g - lam e, g / lam) with g = b + c e
+    (`_reparametrized`).  So N's member at c' is p's at
+    c - lam^2 / (c' - kappa) with kappa = -lam t, up to scale, and at
+    c' = kappa it is p.  `explore_population` takes the family so, with
+    no solve and no cross-check at sigma i: N is cyclotomic, so the
+    equation at sigma i is the transport of the one at i, and so is its
+    pinned solution.  Its pencil, members and steps are the solved ones,
+    and so are the L = 2 intermediates in value: y_i_step1 is p's own
+    (monic), and y_ibar_step2 and y_i_step3 are those of the solved
+    pencil, not only proportional to them.
 """
 
 from .cartan import Record, folded_reflect
@@ -126,23 +148,34 @@ def _transport(poly, omega, M, k):
 
 
 def generation_family(inst, fold, y, i):
-    """Every solve of the generation family at the orbit representative i,
-    made once; InputError for any other index.
+    """The generation family at the orbit representative i, with every
+    solve made once; InputError for any other index.
 
     Returns (index, base, direction, member): the component at `index` of
     each member is base + c * direction before monic normalization, and
     member(c) gives (BetheTuple, GenerationStep) by arithmetic alone.  For
     L = 1 (base, direction) is the pinned particular solution and y_i; for
     L = 2 it is the middle-step pair at ibar, which fixes the
-    parameterization of the whole step.  `explore_population` takes the
-    L = 1 family along a node's incoming direction from its parent's
-    (`_incoming_base`) and solves every other family here.
+    parameterization of the whole step.  `explore_population` builds the
+    same members from the same pencil (`_pencil`, `_family`), except that
+    along a node's incoming direction it takes the pencil from its
+    parent's (`_reparametrized`) and solves nothing.
+    """
+    return _family(inst, fold, y, i, *_pencil(inst, fold, y, i))
+
+
+def _pencil(inst, fold, y, i):
+    """Every solve of the family at the orbit representative i: its pencil
+    (pairs, y_i_1).  Each pair (b, e) spans the members b + c e of one
+    moved component before monic normalization: (base, y_i) for L = 1,
+    with y_i_1 None; (base2, y_ibar) and (s0, s1) for L = 2.
 
     For L = 2, a_i,ibar = a_ibar,i = -1 makes the step-2 and step-3
     right-hand sides L = 1 ones with one component replaced, and step 3
     linear in y_ibar_2 = base2 + c y_ibar.  The step-3 pin at 0, in a class
     disjoint from the support of x^(gamma+1) y_i_1, makes its solution
-    unique, so y_i_3 = s0 + c s1.
+    unique, so y_i_3 = s0 + c s1, and s1 = -lc(lifted) y_i needs no solve
+    (module docstring).
     """
     if i not in fold.reps:
         raise InputError(
@@ -160,7 +193,7 @@ def generation_family(inst, fold, y, i):
                 _l1_base(inst, y, inst.aut(i)):
             raise InternalInvariantError(
                 "transported L1 component disagrees with an independent solve")
-        return _l1_family(inst, fold, y, i, base)
+        return ((base, y[i]),), None
 
     if m_i != 2:
         raise UnsupportedType("L=2 generation implemented for orbit length 2")
@@ -176,12 +209,34 @@ def generation_family(inst, fold, y, i):
     base2, _ = wronskian_ode_solve(y[ibar], QPoly.x_power(1 + gamma) * rhs,
                                    ("coeff_zero", y[ibar].degree))
     f = QPoly.x_power(gamma + 1) * y_i_1
-    s0, s1 = (wronskian_ode_solve(
-        f, _rhs_l1(inst, _replaced(y, ibar, p), i),
-        ("holomorphic_at_zero", 0))[0] for p in (base2, y[ibar]))
+    s0, _ = wronskian_ode_solve(f, _rhs_l1(inst, _replaced(y, ibar, base2), i),
+                                ("holomorphic_at_zero", 0))
+    return ((base2, y[ibar]), (s0, y[i].scale(-lifted.leading_coeff()))), \
+        y_i_1
+
+
+def _family(inst, fold, y, i, pairs, y_i_1):
+    """(index, base, direction, member) of `generation_family` at the
+    tuple y, from the family's pencil (`_pencil`)."""
+    (base, direction), *step3 = pairs
+    if y_i_1 is None:
+        def member(c):
+            moved = base + direction.scale(c)
+            if moved.is_zero():
+                raise ExceptionalParameter(c, "generated component vanishes")
+            polys = list(y)
+            for k in range(fold.orbit_len[i]):
+                polys[inst.aut.power(i, k)] = _transport(
+                    moved, inst.omega, inst.M, k)
+            return BetheTuple.monic_of(polys), GenerationStep(
+                direction=i, c=c, kind="L1")
+        return i, base, direction, member
+
+    ibar = inst.aut(i)
+    ((s0, s1),) = step3
 
     def member(c):
-        y_ibar_2 = base2 + y[ibar].scale(c)
+        y_ibar_2 = base + direction.scale(c)
         if y_ibar_2.is_zero():
             raise ExceptionalParameter(c, "middle step component vanishes")
         y_i_3 = s0 + s1.scale(c)
@@ -191,31 +246,22 @@ def generation_family(inst, fold, y, i):
             direction=i, c=c, kind="L2", intermediates=(
                 ("y_i_step1", y_i_1), ("y_ibar_step2", y_ibar_2),
                 ("y_i_step3", y_i_3)))
-    return ibar, base2, y[ibar], member
+    return ibar, base, direction, member
 
 
-def _l1_family(inst, fold, y, i, base):
-    """The L = 1 family at i of `generation_family`, from its pinned base."""
-    def member(c):
-        moved = base + y[i].scale(c)
-        if moved.is_zero():
-            raise ExceptionalParameter(c, "generated component vanishes")
-        polys = list(y)
-        for k in range(fold.orbit_len[i]):
-            polys[inst.aut.power(i, k)] = _transport(
-                moved, inst.omega, inst.M, k)
-        return BetheTuple.monic_of(polys), GenerationStep(
-            direction=i, c=c, kind="L1")
-    return i, base, y[i], member
-
-
-def _incoming_base(parent_yi, parent_base, c, yi):
-    """The pinned L = 1 base at i of a node whose component yi was made from
-    the parent's family parent_base + c * parent_yi: Y0 - [Y0]_(x^deg yi)
-    yi with Y0 = -lc(parent_base + c * parent_yi) parent_yi (module
-    docstring)."""
-    y0 = parent_yi.scale(-(parent_base + parent_yi.scale(c)).leading_coeff())
-    return y0 - yi.scale(y0.coeff(yi.degree))
+def _reparametrized(pencil, c):
+    """The pencil of the family along the direction a node came from, made
+    at c from the family of `pencil`: each pair (b, e) goes to
+    (t g - lam e, g / lam) with g = b + c e, where lam = lc(m) and t =
+    [direction]_(x^deg m) for the moved component m = base + c direction
+    (module docstring).  No solve."""
+    pairs, y_i_1 = pencil
+    moved = [(b + e.scale(c), e) for b, e in pairs]
+    m, direction = moved[0]
+    lam, t = m.leading_coeff(), direction.coeff(m.degree)
+    inv = lam.inverse()
+    return tuple((g.scale(t) - e.scale(lam), g.scale(inv))
+                 for g, e in moved), y_i_1
 
 
 def _replaced(y, j, p):
@@ -296,12 +342,13 @@ RETRY_BUDGET = 4
 def explore_population(inst, fold, seed, depth, samples):
     """Bounded BFS over cyclotomic generation directions and parameters.
 
-    Each (node, direction) family is solved once, or along a node's
-    incoming L = 1 direction derived from its parent's (module docstring),
-    and swept over the samples.  After deduplication by the canonical
-    serialized monic tuple, a new member is proven and its weight at
-    infinity checked against the dichotomy: equal to the parent's or to
-    its folded shifted reflection.
+    Each (node, direction) family is solved once, or, along the direction
+    a node came from, reparametrized from its parent's with no solve
+    (module docstring), and swept over the samples.  A node's step and
+    `graph.skipped` hold the sample itself, not its image on the parent's
+    family.  After deduplication by the canonical serialized monic tuple,
+    a new member is proven and its weight at infinity checked against the
+    dichotomy: equal to the parent's or to its folded shifted reflection.
     """
     if depth < 0:
         raise InputError(f"population depth must be >= 0, got {depth}")
@@ -323,20 +370,17 @@ def explore_population(inst, fold, seed, depth, samples):
                           flags={"generic": True, "cyclotomic": True,
                                  "critical": True})
     graph.add(root, tuple_doc_json(seed))
-    # (node, the base of the L = 1 family its parent made it from, or None)
+    # (node, the pencil of the family its parent made it from, or None)
     frontier = [(root, None)]
     for _ in range(depth):
         next_frontier = []
-        for node, parent_base in frontier:
+        for node, incoming in frontier:
             for i in fold.reps:
-                if parent_base is not None and i == node.step.direction:
-                    _, base, _, member = _l1_family(
-                        inst, fold, node.tuple_, i, _incoming_base(
-                            graph.nodes[node.parent].tuple_[i], parent_base,
-                            node.step.c, node.tuple_[i]))
+                if incoming is not None and i == node.step.direction:
+                    pencil = _reparametrized(incoming, node.step.c)
                 else:
-                    _, base, _, member = generation_family(
-                        inst, fold, node.tuple_, i)
+                    pencil = _pencil(inst, fold, node.tuple_, i)
+                *_, member = _family(inst, fold, node.tuple_, i, *pencil)
                 reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                            node.lambda_inf)
                 misses = 0
@@ -361,8 +405,7 @@ def explore_population(inst, fold, seed, depth, samples):
                                "critical": True,
                                "edge": _edge(node, linf, reflected)})
                     graph.add(new, key)
-                    next_frontier.append(
-                        (new, base if step.kind == "L1" else None))
+                    next_frontier.append((new, pencil))
         frontier = next_frontier
     return graph
 

@@ -20,9 +20,10 @@ from cybethe.cartan import orbit_data
 from cybethe.errors import NotGeneric
 from cybethe.frame import (BetheTuple, _residue, eigenvalues,
                            is_critical_exact, is_cyclotomic_tuple)
-from cybethe.genengine import (_incoming_base, _l1_base, _transport,
-                               explore_population, generation_family)
-from cybethe.qpoly import QPoly
+from cybethe.genengine import (_family, _l1_base, _pencil, _reparametrized,
+                               _rhs_l1, _transport, explore_population,
+                               generation_family)
+from cybethe.qpoly import QPoly, wronskian_ode_solve
 
 ROOT = Path(__file__).resolve().parents[1]
 A4_CATALOG = ROOT / "perfbench" / "data" / "a4_depth2_catalog.json"
@@ -184,29 +185,68 @@ def _same(a, b):
 def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
     # on every generated node, what `_checked` and `explore_population`
     # take from generation agrees with a fresh computation: the residue at
-    # the moved representative divides, and along an L = 1 direction the
-    # derived base is the solved one, and transports to the solve at
-    # sigma i
-    counts = {"L1": 0, "L2": 0, "transported": 0}
+    # the moved representative divides, and the family along the incoming
+    # direction, reparametrized from the parent's, is the solved one: the
+    # same base and direction, and at 6 samples the same members and steps,
+    # with intermediates equal in value and text; its member at kappa =
+    # -lc(m) [direction]_(x^deg m) is the parent, and along an L = 1 orbit
+    # its base transports to the solve at sigma i
+    counts = {"L1": 0, "L2": 0, "transported": 0, "members": 0}
     for inst, graph in catalogs.values():
         fold = orbit_data(inst.cartan, inst.aut)
+        samples = [serialize.parse_scalar(s, inst.M)
+                   for s in SAMPLES + ("0", "3", "1/3")]
         for node in graph.nodes[1:]:
             y, step = node.tuple_, node.step
             i = step.direction
             assert _residue(inst, y, i, inst.gamma(i))["divides"]
             counts[step.kind] += 1
-            if step.kind != "L1":
-                continue
             parent = graph.nodes[node.parent].tuple_
-            derived = _incoming_base(
-                parent[i], generation_family(inst, fold, parent, i)[1],
-                step.c, y[i])
-            assert _same(derived, _l1_base(inst, y, i)), node.node_id
-            if fold.orbit_len[i] > 1:
-                assert _same(_transport(derived, inst.omega, inst.M, 1),
+            pencil = _pencil(inst, fold, parent, i)
+            index, base, direction, member = _family(
+                inst, fold, y, i, *_reparametrized(pencil, step.c))
+            want_index, want_base, want_direction, solved = \
+                generation_family(inst, fold, y, i)
+            assert index == want_index
+            assert _same(base, want_base) and _same(direction, want_direction)
+            for c in samples:
+                (got, got_step), (want, want_step) = member(c), solved(c)
+                assert got_step == want_step, (node.node_id, c)
+                assert all(_same(a, b) for a, b in zip(got, want))
+                # y_i_step1 is the parent's, whose field order may be lower
+                assert [str(p) for _, p in got_step.intermediates] == \
+                    [str(p) for _, p in want_step.intermediates]
+                counts["members"] += 1
+            (p_base, p_direction), *_ = pencil[0]
+            m = p_base + p_direction.scale(step.c)
+            kappa = -m.leading_coeff() * p_direction.coeff(m.degree)
+            assert member(kappa)[0] == parent, node.node_id
+            if step.kind == "L1" and fold.orbit_len[i] > 1:
+                assert _same(_transport(base, inst.omega, inst.M, 1),
                              _l1_base(inst, y, inst.aut(i))), node.node_id
                 counts["transported"] += 1
-    assert counts == {"L1": 647, "L2": 84, "transported": 299}
+    assert counts == {"L1": 647, "L2": 84, "transported": 299,
+                      "members": 731 * 6}
+
+
+def test_l2_step3_direction_is_the_step1_identity(catalogs):
+    # Wr(f, -lc(lifted) y_i) = x^gamma P_i with f = lifted / lc(lifted):
+    # the c-coefficient s1 of step 3, whose right-hand side with the
+    # middle-step component y_ibar is step 1's, equals the holomorphic
+    # solve of its equation on every L = 2 family of the catalogs
+    families = 0
+    for inst, graph in catalogs.values():
+        fold = orbit_data(inst.cartan, inst.aut)
+        for i in (i for i in fold.reps if fold.linking[i] == 2):
+            for node in graph.nodes:
+                y = node.tuple_
+                (_, (_, s1)), y_i_1 = _pencil(inst, fold, y, i)
+                f = QPoly.x_power(inst.gamma(i) + 1) * y_i_1
+                solved, _ = wronskian_ode_solve(
+                    f, _rhs_l1(inst, y, i), ("holomorphic_at_zero", 0))
+                assert _same(s1, solved), node.node_id
+                families += 1
+    assert families == 165
 
 
 def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):

@@ -327,7 +327,7 @@ def _single_rep_instance(kind):
 
 
 @pytest.mark.parametrize("kind, solves", [
-    ("L1, m_i = 1", 1), ("L1, m_i = 2", 2), ("L2", 4)])
+    ("L1, m_i = 1", 1), ("L1, m_i = 2", 2), ("L2", 3)])
 def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
     # depth 1 from the trivial seed expands one (node, direction) pair, so
     # the number of solves is that of one family, whatever the samples
@@ -350,14 +350,11 @@ def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
         assert len(calls) == solves, (kind, k)
 
 
-def test_bfs_takes_from_generation_what_it_proved(monkeypatch):
-    # D4 at depth 2 (orbits {1, 3, 4} and {2}, both L = 1): the seed is
-    # proven with all 4 residues and each generated node with one, at the
-    # representative its step did not move; a depth-1 node solves no family
-    # along the direction it came from (2 solves along {1, 3, 4}, with the
-    # cross-check at sigma 1, and 1 along {2})
+def _counted_bfs(doc):
+    """The depth-2 BFS of a catalog instance from the trivial seed, with its
+    `_residue` and `wronskian_ode_solve` calls counted."""
     from cybethe import frame, serialize
-    from test_catalog_pins import D4_DOC, SAMPLES
+    from test_catalog_pins import SAMPLES
     calls = {"_residue": 0, "wronskian_ode_solve": 0}
 
     def counted(name, f):
@@ -367,14 +364,27 @@ def test_bfs_takes_from_generation_what_it_proved(monkeypatch):
         return call
 
     residue = counted("_residue", frame._residue)
-    monkeypatch.setattr(frame, "_residue", residue)
-    monkeypatch.setattr(genengine, "_residue", residue)
-    monkeypatch.setattr(genengine, "wronskian_ode_solve", counted(
-        "wronskian_ode_solve", genengine.wronskian_ode_solve))
-    inst = serialize.instance_from_doc(D4_DOC)
-    graph = explore_population(
-        inst, orbit_data(inst.cartan, inst.aut), BetheTuple.trivial(4), 2,
-        [serialize.parse_scalar(s, inst.M) for s in SAMPLES])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(frame, "_residue", residue)
+        monkeypatch.setattr(genengine, "_residue", residue)
+        monkeypatch.setattr(genengine, "wronskian_ode_solve", counted(
+            "wronskian_ode_solve", genengine.wronskian_ode_solve))
+        inst = serialize.instance_from_doc(doc)
+        graph = explore_population(
+            inst, orbit_data(inst.cartan, inst.aut),
+            BetheTuple.trivial(inst.cartan.n), 2,
+            [serialize.parse_scalar(s, inst.M) for s in SAMPLES])
+    return graph, calls
+
+
+def test_bfs_takes_from_generation_what_it_proved():
+    # D4 at depth 2 (orbits {1, 3, 4} and {2}, both L = 1): the seed is
+    # proven with all 4 residues and each generated node with one, at the
+    # representative its step did not move; a depth-1 node solves no family
+    # along the direction it came from (2 solves along {1, 3, 4}, with the
+    # cross-check at sigma 1, and 1 along {2})
+    from test_catalog_pins import A4_DOC, D4_DOC
+    graph, calls = _counted_bfs(D4_DOC)
     # one member fails genericity, so no residue of it is built
     assert len(graph) == 40 and len(graph.skipped) == 1
     assert [node.step.direction for node in graph.nodes
@@ -383,6 +393,16 @@ def test_bfs_takes_from_generation_what_it_proved(monkeypatch):
     # each made along {2} (21 when every family is solved)
     assert calls == {"_residue": 4 + 39,
                      "wronskian_ode_solve": 3 + 3 * 1 + 3 * 2}
+    # A4 at depth 2 (orbits {1, 4}, L = 1, and {2, 3}, L = 2): an L = 2
+    # family takes 3 solves, and a depth-1 node solves only the family
+    # along the direction it did not come from (36 when the L = 2 family
+    # along the incoming direction is solved, with 4 solves each)
+    graph, calls = _counted_bfs(A4_DOC)
+    assert len(graph) == 40 and len(graph.skipped) == 1
+    assert [node.step.direction for node in graph.nodes
+            if node.parent == 0] == [0, 0, 0, 1, 1, 1]
+    assert calls == {"_residue": 4 + 39,
+                     "wronskian_ode_solve": 2 + 3 + 3 * 3 + 3 * 2}
 
 
 def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
