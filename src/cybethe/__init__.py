@@ -21,8 +21,8 @@ _EXPORTS = {
                      "sigma_on_weight"), "cartan"),
     **dict.fromkeys(("BetheTuple", "eigenvalues", "frame_polys",
                      "hl_identity_check", "is_critical_exact",
-                     "is_cyclotomic_tuple", "is_generic", "validate_lambda0",
-                     "weight_at_infinity"), "frame"),
+                     "is_cyclotomic_tuple", "is_generic", "prove_cyclotomic",
+                     "validate_lambda0", "weight_at_infinity"), "frame"),
     **dict.fromkeys(("cyclotomic_generate", "elementary_generate_L1",
                      "explore_population"), "genengine"),
     **dict.fromkeys(("QPoly", "divide_exact", "divided_wronskian",

@@ -36,12 +36,12 @@ of y_{sigma i} and T_{sigma i} are omega times those of y_i and T_i, and
 sigma maps edges of A to edges, so squarefreeness, a root at 0, a root
 shared with T_i and a root shared with y_j (a_ij != 0) each hold at every
 member of a sigma-orbit of nodes or edges when they hold at one.
-`is_critical_exact(mode="cyclotomic")` therefore proves a cyclotomic tuple
-at `ProblemInstance.orbit_reps` only.  `genengine._checked`, the proof of
-every generated tuple, runs the same passes but builds no residue at the
-representative its generation step moved, which that step's Wronskian
-equation implies; `verify`, `eigenvalues` and the seed check of
-`explore_population` build every residue.
+`prove_cyclotomic` therefore proves a cyclotomic tuple at
+`ProblemInstance.orbit_reps` only; it is the one proof of the seed and of
+every generated tuple in `genengine`, and of every sampled type-A member.
+Given the representative a generation step moved, it builds no residue
+there, which that step's Wronskian equation implies.  `verify` and
+`eigenvalues` prove every colour (`is_critical_exact`).
 """
 
 from fractions import Fraction
@@ -182,36 +182,35 @@ def interaction_product(inst, y, i):
     return reduce(mul, factors)
 
 
-def is_critical_exact(inst, y, mode="extended", lambda0_override=None):
-    """Residue-divisibility criticality test.
+def is_critical_exact(inst, y):
+    """Residue-divisibility criticality test of the extended master
+    function, at every colour.
 
     Returns (ok, report) with a per-colour record {divides, witness}, and
     raises NotGeneric naming the first failing genericity condition.
-    `mode="extended"` proves every colour.  `mode="cyclotomic"` raises
-    NotCyclotomic unless the tuple is cyclotomic, then proves the colours
-    and edges of `ProblemInstance.orbit_reps` only (see the module
-    docstring); its report holds those colours.  A failing condition's
-    representative fails too and comes no later in the loop, so the
-    NotGeneric witness is the extended mode's.
-    `lambda0_override` (extended mode only) substitutes a different weight
-    at the origin in the equations (used for the shifted equations
-    satisfied by the L = 2 intermediate tuples); it need not be
-    sigma-invariant.
     """
-    if mode not in ("extended", "cyclotomic"):
-        raise InputError(f"unknown mode {mode!r}")
-    if mode == "cyclotomic":
-        if lambda0_override is not None:
-            raise InputError("lambda0_override needs mode='extended'")
-        if not is_cyclotomic_tuple(inst, y):
-            raise NotCyclotomic("the tuple is not cyclotomic")
-    reps = inst.orbit_reps if mode == "cyclotomic" else None
+    return _proof(inst, y, None, range(len(y)))
+
+
+def prove_cyclotomic(inst, y, moved=None):
+    """The proof of a cyclotomic critical point (module docstring):
+    NotCyclotomic unless the tuple is cyclotomic, then NotGeneric naming
+    the first failing condition at `ProblemInstance.orbit_reps`, which is
+    the first of `is_critical_exact`, then (ok, report) with a residue at
+    each representative but `moved`.
+    """
+    if not is_cyclotomic_tuple(inst, y):
+        raise NotCyclotomic("the tuple is not cyclotomic")
+    reps = inst.orbit_reps
+    return _proof(inst, y, reps, [i for i, _ in reps if i != moved])
+
+
+def _proof(inst, y, reps, colours):
+    """Genericity over `reps` (`is_generic`), then a residue per colour."""
     ok, witness = is_generic(inst, y, reps=reps)
     if not ok:
         raise NotGeneric(witness)
-    gamma = inst.lambda0 if lambda0_override is None else lambda0_override
-    colours = range(len(y)) if reps is None else [i for i, _ in reps]
-    report = {i: _residue(inst, y, i, gamma[i]) for i in colours}
+    report = {i: _residue(inst, y, i, inst.gamma(i)) for i in colours}
     return all(r["divides"] for r in report.values()), report
 
 

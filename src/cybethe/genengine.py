@@ -7,8 +7,9 @@ survives:
 
   L_i = 1: one solve at the representative, then symmetry transport
            y_{sigma^k i}(x) = omega^(k deg Y) Y(omega^-k x) across the
-           orbit; an assertion cross-checks one transported component
-           against an independent solve.
+           orbit.  The input is proven cyclotomic, so the equation at
+           sigma i is the transport of the one at i, and so is its
+           pinned solution: no second solve.
   L_i = 2: the three-step sequence at the A_2 block (i, ibar = sigma i):
            a holomorphic solve for y_i^(i), a pinned-coefficient solve
            plus c y_ibar for the middle step, and a final holomorphic
@@ -20,12 +21,15 @@ monic-normalized before it enters step 2, which makes the A_2 family from
 the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
 
 `generation_family` makes every solve of the family at an orbit
-representative once and returns its members as arithmetic in c;
-`cyclotomic_generate` proves one member.  `explore_population` runs a
-bounded, deterministic BFS: one family per (node, direction), swept over
-the samples by arithmetic; each new tuple, after deduplication, gets one
-proof (`_checked`: cyclotomy, then genericity and criticality at the
-orbit representatives) and the weight-at-infinity dichotomy.
+representative once and returns its members as arithmetic in c.
+`cyclotomic_generate` and `explore_population` prove their input once
+(`_seed_checked`, SeedInvalid).  `cyclotomic_generate` proves one
+member; `explore_population` runs a bounded, deterministic BFS: one
+family per (node, direction), swept over the samples by arithmetic; each
+new tuple, after deduplication, gets one proof (`_checked`) and the
+weight-at-infinity dichotomy.  Both proofs are `frame.prove_cyclotomic`:
+cyclotomy, then genericity and criticality at the orbit representatives;
+this module only maps its failures to errors.
 
 Generation already knows part of what the proof or a fresh solve would
 compute, in three places, and none of it is computed again:
@@ -73,9 +77,8 @@ compute, in three places, and none of it is computed again:
     (`_reparametrized`).  So N's member at c' is p's at
     c - lam^2 / (c' - kappa) with kappa = -lam t, up to scale, and at
     c' = kappa it is p.  `explore_population` takes the family so, with
-    no solve and no cross-check at sigma i: N is cyclotomic, so the
-    equation at sigma i is the transport of the one at i, and so is its
-    pinned solution.  Its pencil, members and steps are the solved ones,
+    no solve, and takes N's component m / lam itself as the new direction
+    of the first pair.  Its pencil, members and steps are the solved ones,
     and so are the L = 2 intermediates in value: y_i_step1 is p's own
     (monic), and y_ibar_step2 and y_i_step3 are those of the solved
     pencil, not only proportional to them.
@@ -83,11 +86,10 @@ compute, in three places, and none of it is computed again:
 
 from .cartan import Record, folded_reflect
 from .errors import (ExceptionalParameter, InputError,
-                     InternalInvariantError, NotGeneric,
+                     InternalInvariantError, NotCyclotomic, NotGeneric,
                      SeedInvalid, UnsupportedType)
-from .frame import (BetheTuple, _residue, interaction_product,
-                    is_critical_exact, is_cyclotomic_tuple, is_generic,
-                    l1_violation, weight_at_infinity)
+from .frame import (BetheTuple, interaction_product, is_generic,
+                    l1_violation, prove_cyclotomic, weight_at_infinity)
 from .qpoly import QPoly, wronskian_ode_solve
 from .scalars import Cyc
 from .serialize import tuple_doc_json
@@ -189,10 +191,6 @@ def _pencil(inst, fold, y, i):
         violation = l1_violation(inst, fold, i)
         if violation:
             raise InputError(violation)
-        if m_i > 1 and _transport(base, inst.omega, inst.M, 1) != \
-                _l1_base(inst, y, inst.aut(i)):
-            raise InternalInvariantError(
-                "transported L1 component disagrees with an independent solve")
         return ((base, y[i]),), None
 
     if m_i != 2:
@@ -249,19 +247,19 @@ def _family(inst, fold, y, i, pairs, y_i_1):
     return ibar, base, direction, member
 
 
-def _reparametrized(pencil, c):
+def _reparametrized(pencil, moved, c):
     """The pencil of the family along the direction a node came from, made
     at c from the family of `pencil`: each pair (b, e) goes to
     (t g - lam e, g / lam) with g = b + c e, where lam = lc(m) and t =
     [direction]_(x^deg m) for the moved component m = base + c direction
-    (module docstring).  No solve."""
+    (module docstring).  `moved` is the node's component m / lam, so an
+    L = 1 pencil takes no inverse.  No solve."""
     pairs, y_i_1 = pencil
-    moved = [(b + e.scale(c), e) for b, e in pairs]
-    m, direction = moved[0]
+    (m, direction), *step3 = [(b + e.scale(c), e) for b, e in pairs]
     lam, t = m.leading_coeff(), direction.coeff(m.degree)
-    inv = lam.inverse()
-    return tuple((g.scale(t) - e.scale(lam), g.scale(inv))
-                 for g, e in moved), y_i_1
+    return ((m.scale(t) - direction.scale(lam), moved),) + tuple(
+        (g.scale(t) - e.scale(lam), g.scale(lam.inverse()))
+        for g, e in step3), y_i_1
 
 
 def _replaced(y, j, p):
@@ -271,28 +269,42 @@ def _replaced(y, j, p):
 
 
 def _checked(inst, out, step):
-    """The one proof of a tuple that `step` generated: cyclotomic, then
-    generic at the orbit representatives, as `is_critical_exact` in its
-    cyclotomic mode, and critical at each representative but
-    `step.direction`, whose residue the step's Wronskian equation and the
-    genericity pass imply (module docstring).  ExceptionalParameter names
-    the first failing genericity condition."""
-    if not is_cyclotomic_tuple(inst, out):
+    """The one proof of a tuple that `step` generated
+    (`frame.prove_cyclotomic`), with no residue at `step.direction`, which
+    the step's Wronskian equation and the genericity pass imply (module
+    docstring).  ExceptionalParameter names the first failing genericity
+    condition."""
+    try:
+        critical, _ = prove_cyclotomic(inst, out, moved=step.direction)
+    except NotCyclotomic:
         raise InternalInvariantError(
-            f"{step.kind} generation lost cyclotomic symmetry")
-    generic, witness = is_generic(inst, out, reps=inst.orbit_reps)
-    if not generic:
-        raise ExceptionalParameter(step.c, witness)
-    if not all(_residue(inst, out, i, inst.gamma(i))["divides"]
-               for i, _ in inst.orbit_reps if i != step.direction):
+            f"{step.kind} generation lost cyclotomic symmetry") from None
+    except NotGeneric as exc:
+        raise ExceptionalParameter(step.c, str(exc)) from None
+    if not critical:
         raise InternalInvariantError(
             "generated node fails verification: not an exact critical point")
 
 
+def _seed_checked(inst, seed):
+    """SeedInvalid unless the seed is a cyclotomic critical point
+    (`frame.prove_cyclotomic`, every representative)."""
+    try:
+        critical, _ = prove_cyclotomic(inst, seed)
+    except NotCyclotomic:
+        raise SeedInvalid("seed is not cyclotomic") from None
+    except NotGeneric as exc:
+        raise SeedInvalid(f"seed not generic: {exc}") from None
+    if not critical:
+        raise SeedInvalid("seed is not an exact critical point")
+
+
 def cyclotomic_generate(inst, fold, y, i, c):
     """One cyclotomic generation step at the orbit representative i:
-    (BetheTuple, GenerationStep) of the family member at c, proven."""
+    (BetheTuple, GenerationStep) of the family member at c, proven.  y is
+    proven a cyclotomic critical point first (SeedInvalid)."""
     c = c if isinstance(c, Cyc) else Cyc.of(c)
+    _seed_checked(inst, y)
     *_, member = generation_family(inst, fold, y, i)
     out, step = member(c)
     _checked(inst, out, step)
@@ -355,14 +367,7 @@ def explore_population(inst, fold, seed, depth, samples):
     samples = [s if isinstance(s, Cyc) else Cyc.of(s) for s in samples]
     if not samples:
         raise InputError("population needs at least one sample parameter")
-    try:
-        crit, _ = is_critical_exact(inst, seed)
-    except NotGeneric as exc:
-        raise SeedInvalid(f"seed not generic: {exc}") from None
-    if not is_cyclotomic_tuple(inst, seed):
-        raise SeedInvalid("seed is not cyclotomic")
-    if not crit:
-        raise SeedInvalid("seed is not an exact critical point")
+    _seed_checked(inst, seed)
 
     graph = PopulationGraph()
     root = PopulationNode(node_id=0, tuple_=seed, parent=None, step=None,
@@ -370,17 +375,19 @@ def explore_population(inst, fold, seed, depth, samples):
                           flags={"generic": True, "cyclotomic": True,
                                  "critical": True})
     graph.add(root, tuple_doc_json(seed))
-    # (node, the pencil of the family its parent made it from, or None)
+    # (node, None, or the pencil of the family its parent made it from and
+    # the node's component at the family's index)
     frontier = [(root, None)]
     for _ in range(depth):
         next_frontier = []
         for node, incoming in frontier:
             for i in fold.reps:
                 if incoming is not None and i == node.step.direction:
-                    pencil = _reparametrized(incoming, node.step.c)
+                    pencil = _reparametrized(*incoming, node.step.c)
                 else:
                     pencil = _pencil(inst, fold, node.tuple_, i)
-                *_, member = _family(inst, fold, node.tuple_, i, *pencil)
+                index, *_, member = _family(inst, fold, node.tuple_, i,
+                                            *pencil)
                 reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
                                            node.lambda_inf)
                 misses = 0
@@ -405,7 +412,7 @@ def explore_population(inst, fold, seed, depth, samples):
                                "critical": True,
                                "edge": _edge(node, linf, reflected)})
                     graph.add(new, key)
-                    next_frontier.append((new, pencil))
+                    next_frontier.append((new, (pencil, child[index])))
         frontier = next_frontier
     return graph
 

@@ -49,11 +49,11 @@ from math import lcm, prod
 from . import linalg
 from .cartan import Record, dominant_shifted_rep
 from .errors import (InexactDivision, InputError, InternalInvariantError,
-                     NoSpecialBasis, NotDecomposable, NotGeneric,
-                     NotInRootCone, NotIsotropic, NotSelfDual,
+                     NoSpecialBasis, NotCyclotomic, NotDecomposable,
+                     NotGeneric, NotInRootCone, NotIsotropic, NotSelfDual,
                      UnsupportedType)
-from .frame import (BetheTuple, big_lambda, is_critical_exact,
-                    is_cyclotomic_tuple, t_tilde, weight_at_infinity)
+from .frame import (BetheTuple, big_lambda, prove_cyclotomic, t_tilde,
+                    weight_at_infinity)
 from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
 from .scalars import ZERO, Cyc, _cyc, _factor, _reduce_mod_phi
@@ -878,8 +878,8 @@ def cyclotomic_population(inst, space, witt, sample_count=0, rng_seed=0):
 
     `witt` is the Witt basis of the seed's flag without quadratic
     extension.  Members come from B-preserving lower-triangular flows
-    applied to it; every emitted tuple is re-verified (generic,
-    cyclotomic, critical).
+    applied to it; every emitted tuple is proven a cyclotomic critical
+    point (`frame.prove_cyclotomic`), and a non-generic one is dropped.
     """
     import random as _random
     p = space.frame.p
@@ -905,11 +905,12 @@ def cyclotomic_population(inst, space, witt, sample_count=0, rng_seed=0):
             continue
         y = BetheTuple.monic_of(tup)
         try:
-            crit, _ = is_critical_exact(inst, y)
+            crit, _ = prove_cyclotomic(inst, y)
         except NotGeneric:
             continue
-        cyc = is_cyclotomic_tuple(inst, y)
-        if not (crit and cyc):
+        except NotCyclotomic:
+            crit = False
+        if not crit:
             raise InternalInvariantError(
                 "sampled population member fails verification")
         members.append(y)

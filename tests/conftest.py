@@ -2,9 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from cybethe import frame
 from cybethe.cartan import (CartanData, DiagramAut, FoldedData, Weight,
                             orbit_data)
-from cybethe.frame import BetheTuple, ProblemInstance
+from cybethe.errors import NotGeneric
+from cybethe.frame import BetheTuple, ProblemInstance, is_generic
 from cybethe.qpoly import QPoly
 from cybethe.scalars import Cyc
 
@@ -42,6 +44,19 @@ def a3():
 def a2_tuple():
     """Seed critical tuple (x^3 - 1, x^3 + 1) of the A_2 instance."""
     return BetheTuple([poly(-1, 0, 0, 1), poly(1, 0, 0, 1)])
+
+
+def shifted_critical(inst, y, lambda0):
+    """`is_critical_exact` with `lambda0` as the weight at the origin in
+    the equations, which need not be sigma-invariant (the shifted
+    equations of the L = 2 intermediate tuples): NotGeneric, or (ok,
+    report) with the residue of every colour."""
+    ok, witness = is_generic(inst, y)
+    if not ok:
+        raise NotGeneric(witness)
+    report = {i: frame._residue(inst, y, i, lambda0[i])
+              for i in range(len(y))}
+    return all(r["divides"] for r in report.values()), report
 
 
 def fresh_gram(space, vectors):

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fresh_gram, mirrored, poly
+from conftest import fresh_gram, mirrored, poly, shifted_critical
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
 from cybethe.errors import LinkingViolation
@@ -331,7 +331,7 @@ def test_criterion_10_l2_intermediate(a2, a2_tuple):
     inter = dict(step.intermediates)
     intermediate = BetheTuple.monic_of([inter["y_i_step1"], a2_tuple[1]])
     shifted = shifted_reflect(inst.cartan, 0, inst.lambda0)
-    ok, _ = is_critical_exact(inst, intermediate, lambda0_override=shifted)
+    ok, _ = shifted_critical(inst, intermediate, shifted)
     assert ok
     ok_un, _ = is_critical_exact(inst, intermediate)
     assert not ok_un

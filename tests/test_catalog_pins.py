@@ -19,7 +19,8 @@ from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
 from cybethe.errors import NotGeneric
 from cybethe.frame import (BetheTuple, _residue, eigenvalues,
-                           is_critical_exact, is_cyclotomic_tuple)
+                           is_critical_exact, is_cyclotomic_tuple,
+                           prove_cyclotomic)
 from cybethe.genengine import (_family, _l1_base, _pencil, _reparametrized,
                                _rhs_l1, _transport, explore_population,
                                generation_family)
@@ -167,11 +168,11 @@ def test_catalog_and_skipped_digests(catalogs):
     assert {"y_1 shares a root with y_2", "y_1 is not squarefree"} < reasons
 
 
-def _verdict(inst, y, mode):
-    """("not generic", witness), or the verdict with the report at the
-    orbit representatives."""
+def _verdict(prove, inst, y):
+    """("not generic", witness), or the verdict of prove(inst, y) with the
+    report at the orbit representatives."""
     try:
-        ok, report = is_critical_exact(inst, y, mode=mode)
+        ok, report = prove(inst, y)
     except NotGeneric as exc:
         return "not generic", str(exc)
     return ok, {i: report[i] for i, _ in inst.orbit_reps}
@@ -203,10 +204,11 @@ def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
             counts[step.kind] += 1
             parent = graph.nodes[node.parent].tuple_
             pencil = _pencil(inst, fold, parent, i)
-            index, base, direction, member = _family(
-                inst, fold, y, i, *_reparametrized(pencil, step.c))
             want_index, want_base, want_direction, solved = \
                 generation_family(inst, fold, y, i)
+            index, base, direction, member = _family(
+                inst, fold, y, i,
+                *_reparametrized(pencil, y[want_index], step.c))
             assert index == want_index
             assert _same(base, want_base) and _same(direction, want_direction)
             for c in samples:
@@ -261,8 +263,8 @@ def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):
                                            graph.nodes[node].tuple_, i)
             members.append(member(c)[0])
         for y in members:
-            want = _verdict(inst, y, "extended")
-            assert _verdict(inst, y, "cyclotomic") == want
+            want = _verdict(is_critical_exact, inst, y)
+            assert _verdict(prove_cyclotomic, inst, y) == want
             outcomes.add(want[0])
     assert outcomes == {True, "not generic"}
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly
+from conftest import poly, shifted_critical
 from cybethe import cartan, frame, serialize
 from cybethe.cartan import (CartanData, DiagramAut, Weight, orbit_data,
                             shifted_reflect, sigma_on_weight)
@@ -16,8 +16,8 @@ from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
                            canonical_lambda0, eigenvalues, frame_polys,
                            hl_identity_check, interaction_product,
                            is_critical_exact, is_cyclotomic_tuple,
-                           is_generic, t_tilde, validate_lambda0,
-                           weight_at_infinity)
+                           is_generic, prove_cyclotomic, t_tilde,
+                           validate_lambda0, weight_at_infinity)
 from cybethe.genengine import (_checked, _transport, cyclotomic_generate,
                                explore_population)
 from cybethe.qpoly import QPoly, divide_exact, proportional
@@ -121,15 +121,15 @@ def test_criticality_witness(a2, a2_tuple):
     assert report[0]["witness"] == QPoly.x_power(2, F(9, 2))
     ok2, _ = is_critical_exact(inst, BetheTuple([poly(-1, 1), poly(1, 1)]))
     assert not ok2
-    # trivial tuple is vacuously critical, in both modes
-    for mode in ("extended", "cyclotomic"):
-        ok3, _ = is_critical_exact(inst, BetheTuple.trivial(2), mode=mode)
+    # trivial tuple is vacuously critical, in both proofs
+    for prove in (is_critical_exact, prove_cyclotomic):
+        ok3, _ = prove(inst, BetheTuple.trivial(2))
         assert ok3
     with pytest.raises(NotGeneric):
         is_critical_exact(inst, BetheTuple([poly(-1, 1), poly(-1, 1)]))
 
 
-def _four_product_report(inst, y, lambda0_override=None):
+def _four_product_report(inst, y, shifted=None):
     """(divides, witness) per colour, with the residue expression built as
     four products, two sums and a scale."""
     report = {}
@@ -137,8 +137,7 @@ def _four_product_report(inst, y, lambda0_override=None):
         if yi.degree == 0:
             report[i] = (True, None)
             continue
-        gamma = inst.gamma(i) if lambda0_override is None \
-            else lambda0_override[i]
+        gamma = inst.gamma(i) if shifted is None else shifted[i]
         p = interaction_product(inst, y, i)
         x = QPoly.x_power(1)
         expr = (p.scale(gamma) + x * p.derivative()) * yi.derivative() \
@@ -175,7 +174,8 @@ def test_fused_residue_matches_the_four_product_expression():
     assert len(cases) > 80
     verdicts = set()
     for inst, y, override in cases:
-        _, report = is_critical_exact(inst, y, lambda0_override=override)
+        _, report = is_critical_exact(inst, y) if override is None \
+            else shifted_critical(inst, y, override)
         want = _four_product_report(inst, y, override)
         for i, (divides, witness) in want.items():
             got = report[i]["witness"]
@@ -190,9 +190,9 @@ def test_fused_residue_matches_the_four_product_expression():
 
 def test_modes_agree_on_population(a2, a2_tuple):
     inst, _ = a2
-    ext, _ = is_critical_exact(inst, a2_tuple, mode="extended")
-    cyc, _ = is_critical_exact(inst, a2_tuple, mode="cyclotomic")
-    assert ext == cyc
+    ext, _ = is_critical_exact(inst, a2_tuple)
+    cyc, _ = prove_cyclotomic(inst, a2_tuple)
+    assert ext is cyc is True
 
 
 def test_orbit_reps_are_derived_once_per_instance(monkeypatch):
@@ -217,19 +217,22 @@ def test_orbit_reps_are_derived_once_per_instance(monkeypatch):
     assert len(graph) == 40
 
 
-def test_cyclotomic_mode_refuses_what_it_does_not_prove(a2):
+def test_cyclotomic_mode_refuses_what_it_does_not_prove(a2, a2_tuple):
     inst, _ = a2
-    with pytest.raises(InputError, match="extended"):
-        is_critical_exact(inst, BetheTuple.trivial(2), mode="cyclotomic",
-                          lambda0_override=inst.lambda0)
+    # the extended proof takes no mode and no other weight at the origin
+    for option in ("mode", "lambda0_override"):
+        with pytest.raises(TypeError):
+            is_critical_exact(inst, BetheTuple.trivial(2), **{option: None})
     # generic and not critical, but not cyclotomic either: no verdict
     y = BetheTuple([poly(-1, 1), poly(2, 1)])
     assert is_critical_exact(inst, y)[0] is False
     with pytest.raises(NotCyclotomic):
-        is_critical_exact(inst, y, mode="cyclotomic")
-    ok, report = is_critical_exact(inst, BetheTuple.trivial(2),
-                                   mode="cyclotomic")
+        prove_cyclotomic(inst, y)
+    ok, report = prove_cyclotomic(inst, BetheTuple.trivial(2))
     assert ok and list(report) == [0]
+    # no residue at the representative a generation step moved
+    ok, report = prove_cyclotomic(inst, a2_tuple, moved=0)
+    assert ok and report == {}
 
 
 def _proof_calls(monkeypatch, y, prove):
@@ -372,11 +375,11 @@ def test_cyclotomic_mode_agrees_with_the_extended_test(case):
     if kind == "broken":
         assert not is_cyclotomic_tuple(inst, y)
         with pytest.raises(NotCyclotomic):
-            is_critical_exact(inst, y, mode="cyclotomic")
+            prove_cyclotomic(inst, y)
         return
     assert is_cyclotomic_tuple(inst, y)
-    want = _verdict(inst, y, "extended")
-    assert _verdict(inst, y, "cyclotomic") == want
+    want = _verdict(is_critical_exact, inst, y)
+    assert _verdict(prove_cyclotomic, inst, y) == want
     if kind in ("repeated", "origin", "shared"):
         assert want[0] == "not generic"
     elif kind == "critical":

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import mirrored, poly
+from conftest import mirrored, poly, shifted_critical
 from cybethe import genengine
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
@@ -146,7 +146,7 @@ def test_nb_shifted_equations(a2, a2_tuple):
     inter = dict(step.intermediates)
     intermediate = BetheTuple.monic_of([inter["y_i_step1"], a2_tuple[1]])
     shifted = shifted_reflect(inst.cartan, 0, inst.lambda0)
-    ok, _ = is_critical_exact(inst, intermediate, lambda0_override=shifted)
+    ok, _ = shifted_critical(inst, intermediate, shifted)
     assert ok
     # and it fails against the unshifted weight (nontrivially)
     ok_unshifted, _ = is_critical_exact(inst, intermediate)
@@ -175,7 +175,7 @@ def test_nb_shifted_equations_nontrivial():
     ok_g, _ = is_generic(inst, intermediate)
     assert ok_g
     shifted = shifted_reflect(cartan, 0, inst.lambda0)
-    ok, _ = is_critical_exact(inst, intermediate, lambda0_override=shifted)
+    ok, _ = shifted_critical(inst, intermediate, shifted)
     assert ok
     ok_unshifted, _ = is_critical_exact(inst, intermediate)
     assert not ok_unshifted
@@ -327,10 +327,11 @@ def _single_rep_instance(kind):
 
 
 @pytest.mark.parametrize("kind, solves", [
-    ("L1, m_i = 1", 1), ("L1, m_i = 2", 2), ("L2", 3)])
+    ("L1, m_i = 1", 1), ("L1, m_i = 2", 1), ("L2", 3)])
 def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
     # depth 1 from the trivial seed expands one (node, direction) pair, so
-    # the number of solves is that of one family, whatever the samples
+    # the number of solves is that of one family, whatever the samples; an
+    # L = 1 family solves at its representative only, whatever its orbit
     from cybethe import genengine
     inst, fold = _single_rep_instance(kind)
     calls = []
@@ -366,7 +367,6 @@ def _counted_bfs(doc):
     residue = counted("_residue", frame._residue)
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(frame, "_residue", residue)
-        monkeypatch.setattr(genengine, "_residue", residue)
         monkeypatch.setattr(genengine, "wronskian_ode_solve", counted(
             "wronskian_ode_solve", genengine.wronskian_ode_solve))
         inst = serialize.instance_from_doc(doc)
@@ -379,30 +379,32 @@ def _counted_bfs(doc):
 
 def test_bfs_takes_from_generation_what_it_proved():
     # D4 at depth 2 (orbits {1, 3, 4} and {2}, both L = 1): the seed is
-    # proven with all 4 residues and each generated node with one, at the
-    # representative its step did not move; a depth-1 node solves no family
-    # along the direction it came from (2 solves along {1, 3, 4}, with the
-    # cross-check at sigma 1, and 1 along {2})
+    # proven with a residue at each of its 2 orbit representatives and each
+    # generated node with one, at the representative its step did not
+    # move; an L = 1 family takes 1 solve, and a depth-1 node solves no
+    # family along the direction it came from
     from test_catalog_pins import A4_DOC, D4_DOC
     graph, calls = _counted_bfs(D4_DOC)
     # one member fails genericity, so no residue of it is built
     assert len(graph) == 40 and len(graph.skipped) == 1
     assert [node.step.direction for node in graph.nodes
             if node.parent == 0] == [0, 0, 0, 1, 1, 1]
-    # the seed's 3, then 1 for each node made along {1, 3, 4} and 2 for
-    # each made along {2} (21 when every family is solved)
-    assert calls == {"_residue": 4 + 39,
-                     "wronskian_ode_solve": 3 + 3 * 1 + 3 * 2}
+    # the seed's 2, then 1 for each depth-1 node (12 when the family
+    # along {1, 3, 4} also solves at sigma 1, 21 when every family is
+    # solved; 43 residues when the seed is proven at every colour)
+    assert calls == {"_residue": 2 + 39,
+                     "wronskian_ode_solve": 2 + 3 * 1 + 3 * 1}
     # A4 at depth 2 (orbits {1, 4}, L = 1, and {2, 3}, L = 2): an L = 2
     # family takes 3 solves, and a depth-1 node solves only the family
-    # along the direction it did not come from (36 when the L = 2 family
-    # along the incoming direction is solved, with 4 solves each)
+    # along the direction it did not come from (20 when the L = 1 family
+    # also solves at sigma 1, 36 when the L = 2 family along the incoming
+    # direction is solved, with 4 solves each)
     graph, calls = _counted_bfs(A4_DOC)
     assert len(graph) == 40 and len(graph.skipped) == 1
     assert [node.step.direction for node in graph.nodes
             if node.parent == 0] == [0, 0, 0, 1, 1, 1]
-    assert calls == {"_residue": 4 + 39,
-                     "wronskian_ode_solve": 2 + 3 + 3 * 3 + 3 * 2}
+    assert calls == {"_residue": 2 + 39,
+                     "wronskian_ode_solve": 1 + 3 + 3 * 3 + 3 * 1}
 
 
 def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):
@@ -478,3 +480,30 @@ def test_transport_takes_no_inverse(monkeypatch):
         got = genengine._transport(p, omega, M, k)
         assert (got, got.field_order(), str(got)) == \
             (want, want.field_order(), str(want)), (p, M, k)
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_the_proof_catches_a_transport_that_breaks_symmetry(name,
+                                                            monkeypatch):
+    # an L = 1 family solves at its representative only and transports the
+    # solution across the orbit ({1, 4} of A4, {1, 3, 4} of D4): a wrong
+    # transport is caught by the one proof of every generated tuple
+    from cybethe import serialize
+    from cybethe.errors import InternalInvariantError
+    from test_catalog_pins import A4_DOC, D4_DOC
+    inst = serialize.instance_from_doc({"A4": A4_DOC, "D4": D4_DOC}[name])
+    fold = orbit_data(inst.cartan, inst.aut)
+    seed = BetheTuple.trivial(inst.cartan.n)
+    transport = genengine._transport
+
+    def perturbed(p, omega, M, k):
+        moved = transport(p, omega, M, k)
+        return moved * poly(-2, 1) if k else moved
+
+    monkeypatch.setattr(genengine, "_transport", perturbed)
+    with pytest.raises(InternalInvariantError,
+                       match="L1 generation lost cyclotomic symmetry"):
+        cyclotomic_generate(inst, fold, seed, 0, F(1))
+    with pytest.raises(InternalInvariantError,
+                       match="L1 generation lost cyclotomic symmetry"):
+        explore_population(inst, fold, seed, 1, [F(1)])

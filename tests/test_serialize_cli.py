@@ -978,3 +978,38 @@ def test_cli_l1_direction_off_the_lambda0_rule_is_an_input_error(
                      "--direction", "2", "--c", "1"]) == 2
     error = _error_record(capsys)
     assert error["kind"] == "InputError" and error["message"] == rule
+
+
+_A3_FLIP = {"cartan": {"series": "A", "rank": 3}, "sigma": "(1 3)", "M": 2,
+            "omega": "-1", "lambda0": ["0", "1", "0"]}
+
+
+def _linear(root):
+    return {"denom": 1, "terms": {"0": str(-root), "1": "1"}}
+
+
+@pytest.mark.parametrize("instance, polys, message", [
+    # generic and critical, but not cyclotomic (`verify` exits 1 on both)
+    ("D4", [_linear(1), _ONE, _ONE, _ONE], "seed is not cyclotomic"),
+    ("A3", [_linear(-1), _ONE, _ONE], "seed is not cyclotomic"),
+    # cyclotomic and generic, but not critical
+    ("A2", [_linear(1), _linear(-1)], "seed is not an exact critical point"),
+], ids=["D4", "A3", "A2"])
+def test_cli_generate_refuses_a_seed_as_populate_does(tmp_path, capsys,
+                                                      instance, polys,
+                                                      message):
+    from test_catalog_pins import D4_DOC
+    doc = {"D4": D4_DOC, "A3": _A3_FLIP, "A2": A2_INSTANCE}[instance]
+    inst, tup = tmp_path / "instance.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps(doc))
+    tup.write_text(json.dumps({"polys": polys}))
+    io = ["--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(["verify"] + io) == 1
+    capsys.readouterr()
+    commands = [["populate", "--depth", "1"]] + [
+        ["generate", "--direction", str(d), "--c", "1"]
+        for d in range(1, len(polys) + 1)]
+    for command in commands:
+        assert cli.main(command + io) == 2, command
+        assert _error_record(capsys) == {"kind": "SeedInvalid",
+                                         "message": message}, command
