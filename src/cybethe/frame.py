@@ -39,9 +39,21 @@ member of a sigma-orbit of nodes or edges when they hold at one.
 `prove_cyclotomic` therefore proves a cyclotomic tuple at
 `ProblemInstance.orbit_reps` only; it is the one proof of the seed and of
 every generated tuple in `genengine`, and of every sampled type-A member.
-Given the representative a generation step moved, it builds no residue
-there, which that step's Wronskian equation implies.  `verify` and
-`eigenvalues` prove every colour (`is_critical_exact`).
+
+Given the representative i that a generation step moved, it proves only
+what reads the sigma-orbit O of i: off O the tuple is its proven parent's
+(`prove_cyclotomic`).  The cyclotomy condition at j reads y_j and
+y_{sigma j}, both in O or both off it.  The conditions on y_r alone read
+y_r and T_r, and a coprimality condition reads the two ends of its edge;
+so at a representative r != i, and on an edge with no end in O, they read
+only the parent's components and hold as they held there.  Every skipped
+condition holds, so the first failing one of those tested, in the order
+of the full proof, is the first failing one of the full proof.  The
+residue at r reads y_r and, through P_r, the y_j adjacent to r; at a
+representative neither in O nor adjacent to it, it is the parent's and
+divides.  At i itself no residue is built: the step's Wronskian equation
+implies it (`genengine`).  `verify` and `eigenvalues` prove every colour
+(`is_critical_exact`).
 """
 
 from fractions import Fraction
@@ -71,7 +83,7 @@ class BetheTuple:
                 raise InputError("tuple components must be nonzero")
             if not y.is_polynomial():
                 raise InputError("tuple components must be ordinary polynomials")
-            if y.leading_coeff() != 1:
+            if not y.is_monic():
                 raise InputError("tuple components must be monic")
         self.polys = polys
 
@@ -164,9 +176,17 @@ def is_generic(inst, y, reps=None):
         # each edge once, at its lesser node (the zero pattern of a is
         # symmetric); an edge at a constant y_i shares no root
         for j in js:
-            if qgcd(yi, y[j]).degree != 0:
-                return False, f"y_{i} shares a root with y_{j}"
+            witness = _shared_root(y, i, j)
+            if witness:
+                return False, witness
     return True, None
+
+
+def _shared_root(y, i, j):
+    """The witness that y_i shares a root with y_j, or None."""
+    if y[i].degree and qgcd(y[i], y[j]).degree != 0:
+        return f"y_{i} shares a root with y_{j}"
+    return None
 
 
 def interaction_product(inst, y, i):
@@ -189,7 +209,10 @@ def is_critical_exact(inst, y):
     Returns (ok, report) with a per-colour record {divides, witness}, and
     raises NotGeneric naming the first failing genericity condition.
     """
-    return _proof(inst, y, None, range(len(y)))
+    ok, witness = is_generic(inst, y)
+    if not ok:
+        raise NotGeneric(witness)
+    return _residues(inst, y, range(len(y)))
 
 
 def prove_cyclotomic(inst, y, moved=None):
@@ -197,19 +220,38 @@ def prove_cyclotomic(inst, y, moved=None):
     NotCyclotomic unless the tuple is cyclotomic, then NotGeneric naming
     the first failing condition at `ProblemInstance.orbit_reps`, which is
     the first of `is_critical_exact`, then (ok, report) with a residue at
-    each representative but `moved`.
+    each representative.
+
+    `moved` is an orbit representative i, and then y must differ from a
+    proven cyclotomic critical point only on the sigma-orbit O of i, as
+    the member of a generation family in direction i does.  Only what
+    reads O is proven, since the rest held there and holds again: the
+    cyclotomy of each j in O; the conditions on y_i alone and, of the
+    edges of `orbit_reps`, those that touch O, in the order of the full
+    proof, so the first failing condition is its first; and a residue at
+    each other representative adjacent to O.  Without `moved`, O is every
+    node.
     """
-    if not is_cyclotomic_tuple(inst, y):
+    orbit = range(len(y)) if moved is None else {
+        inst.aut.power(moved, k) for k in range(inst.M)}
+    if not _cyclotomic_at(inst, y, orbit):
         raise NotCyclotomic("the tuple is not cyclotomic")
-    reps = inst.orbit_reps
-    return _proof(inst, y, reps, [i for i, _ in reps if i != moved])
+    for r, js in inst.orbit_reps:
+        if r in orbit:
+            witness = is_generic(inst, y, [(r, js)])[1]
+        else:
+            witness = next(filter(None, (_shared_root(y, r, j)
+                                         for j in js if j in orbit)), None)
+        if witness:
+            raise NotGeneric(witness)
+    # a_rr = 2: a representative in O reads O too
+    a = inst.cartan.a
+    return _residues(inst, y, [r for r, _ in inst.orbit_reps if r != moved
+                               and any(a[r][j] for j in orbit)])
 
 
-def _proof(inst, y, reps, colours):
-    """Genericity over `reps` (`is_generic`), then a residue per colour."""
-    ok, witness = is_generic(inst, y, reps=reps)
-    if not ok:
-        raise NotGeneric(witness)
+def _residues(inst, y, colours):
+    """(ok, report): a residue (`_residue`) per colour."""
     report = {i: _residue(inst, y, i, inst.gamma(i)) for i in colours}
     return all(r["divides"] for r in report.values()), report
 
@@ -236,7 +278,12 @@ def _residue(inst, y, i, gamma):
 
 def is_cyclotomic_tuple(inst, y):
     """y_{sigma j}(omega x) proportional to y_j(x) for all j."""
-    for j in range(len(y)):
+    return _cyclotomic_at(inst, y, range(len(y)))
+
+
+def _cyclotomic_at(inst, y, nodes):
+    """y_{sigma j}(omega x) proportional to y_j(x) for each j in `nodes`."""
+    for j in nodes:
         scaled = y[inst.aut(j)].substitute_scale(inst.omega)
         if not proportional(scaled, y[j]):
             return False

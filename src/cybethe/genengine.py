@@ -22,14 +22,21 @@ the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
 
 `generation_family` makes every solve of the family at an orbit
 representative once and returns its members as arithmetic in c.
-`cyclotomic_generate` and `explore_population` prove their input once
-(`_seed_checked`, SeedInvalid).  `cyclotomic_generate` proves one
-member; `explore_population` runs a bounded, deterministic BFS: one
-family per (node, direction), swept over the samples by arithmetic; each
-new tuple, after deduplication, gets one proof (`_checked`) and the
+`cyclotomic_generate`, `explore_population` and
+`typea.flow_vs_generation` prove their input once (`_seed_checked`,
+SeedInvalid).  `cyclotomic_generate` proves one member;
+`explore_population` runs a bounded, deterministic BFS: one family per
+(node, direction), swept over the samples by arithmetic; each new tuple,
+after deduplication, gets one proof (`_checked`) and the
 weight-at-infinity dichotomy.  Both proofs are `frame.prove_cyclotomic`:
 cyclotomy, then genericity and criticality at the orbit representatives;
-this module only maps its failures to errors.
+this module only maps its failures to errors.  A member differs from its
+proven parent only on the sigma-orbit of its direction, so `_checked`
+proves that orbit only (`frame`).  The weight at infinity Lambda -
+sum_j deg(y_j) alpha_j reads nothing of a tuple but its degrees, and the
+folded reflection of a direction reads nothing but the direction and
+the weight, so the BFS keeps one dict of each, by degree vector and by
+(direction, weight), and computes each value once.
 
 Generation already knows part of what the proof or a fresh solve would
 compute, in three places, and none of it is computed again:
@@ -269,11 +276,12 @@ def _replaced(y, j, p):
 
 
 def _checked(inst, out, step):
-    """The one proof of a tuple that `step` generated
-    (`frame.prove_cyclotomic`), with no residue at `step.direction`, which
-    the step's Wronskian equation and the genericity pass imply (module
-    docstring).  ExceptionalParameter names the first failing genericity
-    condition."""
+    """The one proof of a tuple that `step` generated from a proven
+    cyclotomic critical point (`frame.prove_cyclotomic`, moved =
+    `step.direction`): only the orbit the step moved, and no residue at
+    its representative, which the step's Wronskian equation and the
+    genericity pass imply (module docstring).  ExceptionalParameter names
+    the first failing genericity condition."""
     try:
         critical, _ = prove_cyclotomic(inst, out, moved=step.direction)
     except NotCyclotomic:
@@ -359,8 +367,11 @@ def explore_population(inst, fold, seed, depth, samples):
     (module docstring), and swept over the samples.  A node's step and
     `graph.skipped` hold the sample itself, not its image on the parent's
     family.  After deduplication by the canonical serialized monic tuple,
-    a new member is proven and its weight at infinity checked against the
-    dichotomy: equal to the parent's or to its folded shifted reflection.
+    a new member is proven on the orbit its step moved, and its weight at
+    infinity checked against the dichotomy: equal to the parent's or to
+    its folded shifted reflection.  Both weights come from two dicts that
+    live for one call, by degree vector and by (direction, parent's
+    weight), so each is computed once.
     """
     if depth < 0:
         raise InputError(f"population depth must be >= 0, got {depth}")
@@ -375,6 +386,8 @@ def explore_population(inst, fold, seed, depth, samples):
                           flags={"generic": True, "cyclotomic": True,
                                  "critical": True})
     graph.add(root, tuple_doc_json(seed))
+    # lambda_inf by degree vector, and folded_reflect by (i, lambda_inf)
+    weights, reflections = {seed.degrees(): root.lambda_inf}, {}
     # (node, None, or the pencil of the family its parent made it from and
     # the node's component at the family's index)
     frontier = [(root, None)]
@@ -388,8 +401,11 @@ def explore_population(inst, fold, seed, depth, samples):
                     pencil = _pencil(inst, fold, node.tuple_, i)
                 index, *_, member = _family(inst, fold, node.tuple_, i,
                                             *pencil)
-                reflected = folded_reflect(inst.cartan, inst.aut, fold, i,
-                                           node.lambda_inf)
+                key = (i, node.lambda_inf)
+                if key not in reflections:
+                    reflections[key] = folded_reflect(inst.cartan, inst.aut,
+                                                      fold, *key)
+                reflected = reflections[key]
                 misses = 0
                 for c in samples:
                     try:
@@ -404,7 +420,10 @@ def explore_population(inst, fold, seed, depth, samples):
                         if misses > RETRY_BUDGET:
                             break
                         continue
-                    linf = weight_at_infinity(inst, child)
+                    degrees = child.degrees()
+                    if degrees not in weights:
+                        weights[degrees] = weight_at_infinity(inst, child)
+                    linf = weights[degrees]
                     new = PopulationNode(
                         node_id=len(graph.nodes), tuple_=child,
                         parent=node.node_id, step=step, lambda_inf=linf,

@@ -315,12 +315,16 @@ class QPoly:
         point = point if isinstance(point, Cyc) else Cyc.of(point)
         return sum((c * point ** e for e, c in self.terms.items()), ZERO)
 
-    def monic(self):
+    def is_monic(self):
+        """True iff the leading coefficient is 1, read off the ints."""
         if not self.ks:
-            return self
+            return False
         n, den = self.nums[-1], self.den
-        if (n == den) if self.L <= 2 else (n[0] == den and not any(n[1:])):
-            return self  # the leading coefficient is already 1
+        return (n == den) if self.L <= 2 else (n[0] == den and not any(n[1:]))
+
+    def monic(self):
+        if not self.ks or self.is_monic():
+            return self
         return self.scale(self.leading_coeff().inverse())
 
     def substitute_scale(self, s):

@@ -944,9 +944,12 @@ def flow_vs_generation(inst, fold, seed, k, params):
     normalization freedom of the Witt basis (the anti-diagonal pattern
     fixes the products of paired scales but not their ratios).  rho is
     computed in closed form from one family slope, reported, and the match
-    is then verified exactly at every requested parameter.
+    is then verified exactly at every requested parameter.  The seed is
+    proven a cyclotomic critical point first (SeedInvalid), as each
+    generated member is proven only on the orbit it moved.
     """
-    from .genengine import _checked, generation_family
+    from .genengine import _checked, _seed_checked, generation_family
+    _seed_checked(inst, seed)
     space, flag = kernel_basis(inst, seed)
     witt = witt_basis(space, adjusted=flag.adjusted)
     rho = None

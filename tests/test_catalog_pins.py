@@ -17,13 +17,14 @@ import pytest
 
 from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
-from cybethe.errors import NotGeneric
+from cybethe.errors import (ExceptionalParameter, InternalInvariantError,
+                            NotGeneric)
 from cybethe.frame import (BetheTuple, _residue, eigenvalues,
                            is_critical_exact, is_cyclotomic_tuple,
                            prove_cyclotomic)
-from cybethe.genengine import (_family, _l1_base, _pencil, _reparametrized,
-                               _rhs_l1, _transport, explore_population,
-                               generation_family)
+from cybethe.genengine import (_checked, _family, _l1_base, _pencil,
+                               _reparametrized, _rhs_l1, _transport,
+                               explore_population, generation_family)
 from cybethe.qpoly import QPoly, wronskian_ode_solve
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -267,6 +268,59 @@ def test_proof_modes_agree_on_every_node_and_skipped_member(catalogs):
             assert _verdict(prove_cyclotomic, inst, y) == want
             outcomes.add(want[0])
     assert outcomes == {True, "not generic"}
+
+
+def _full_verdict(inst, y):
+    """The verdict of the full proof of a cyclotomic critical point:
+    cyclotomy at every colour, then `is_critical_exact`."""
+    if not is_cyclotomic_tuple(inst, y):
+        return "not cyclotomic"
+    try:
+        return is_critical_exact(inst, y)[0]
+    except NotGeneric as exc:
+        return "not generic", str(exc)
+
+
+def _checked_verdict(inst, y, step):
+    """The verdict of `_checked`, which proves only the moved orbit."""
+    try:
+        _checked(inst, y, step)
+    except ExceptionalParameter as exc:
+        return "not generic", exc.reason
+    except InternalInvariantError as exc:
+        return "not cyclotomic" if "symmetry" in str(exc) else False
+    return True
+
+
+def test_checked_agrees_with_the_full_proof(catalogs):
+    # `_checked` proves only what reads the moved orbit O; on every
+    # generated node and every member the BFS skipped as exceptional it
+    # gives the full proof's verdict and first failing condition, which is
+    # the skipped member's reason; on D5, E6 and A3^(1) some generated
+    # nodes have a representative neither in O nor adjacent to it, whose
+    # residue it does not build
+    outcomes, off = set(), {}
+    for name, (inst, graph) in catalogs.items():
+        fold = orbit_data(inst.cartan, inst.aut)
+        cases = [(node.tuple_, node.step, None) for node in graph.nodes[1:]]
+        for node, i, c, reason in graph.skipped:
+            *_, member = generation_family(inst, fold,
+                                           graph.nodes[node].tuple_, i)
+            cases.append((*member(c), reason))
+        for y, step, reason in cases:
+            want = _full_verdict(inst, y)
+            assert _checked_verdict(inst, y, step) == want, name
+            if reason is not None:
+                assert want == ("not generic", reason), name
+                continue
+            outcomes.add(want)
+            orbit = {inst.aut.power(step.direction, k)
+                     for k in range(inst.M)}
+            if any(not any(inst.cartan.a[r][j] for j in orbit)
+                   for r, _ in inst.orbit_reps if r != step.direction):
+                off[name] = off.get(name, 0) + 1
+    assert outcomes == {True}
+    assert off == {"D5": 125, "E6": 125, "A3^(1)": 49}
 
 
 # the populations of CATALOGS of finite type, where the paper states the

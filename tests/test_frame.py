@@ -276,22 +276,25 @@ def test_checked_proves_each_orbit_representative_once(monkeypatch):
         full = _proof_calls(monkeypatch, y, lambda: is_critical_exact(inst, y))
         assert full == [("divide_exact", i) for i in divided] + [
             ("is_squarefree", i) for i in range(4)]
-        # `_checked` given the node's own step: the representative that the
-        # step moved is still tested squarefree, but its residue is neither
-        # built nor divided; so on every generated node
+        # `_checked` given the node's own step proves only what reads the
+        # moved orbit O: the moved representative alone is tested
+        # squarefree, and a residue is built and divided only at the other
+        # representatives adjacent to O; so on every generated node
         for node in graph.nodes[1:]:
             y, step = node.tuple_, node.step
+            i = step.direction
+            orbit = {inst.aut.power(i, k) for k in range(inst.M)}
+            near = [r for r, _ in inst.orbit_reps if r != i and any(
+                inst.cartan.a[r][j] for j in orbit)]
             full = _proof_calls(monkeypatch, y,
                                 lambda: is_critical_exact(inst, y))
             checked = _proof_calls(monkeypatch, y,
                                    lambda: _checked(inst, y, step))
-            assert checked == [c for c in full if c[1] < 2 and c != (
-                "divide_exact", step.direction)]
-            assert (("is_squarefree", step.direction) in checked) == \
-                bool(y[step.direction].degree)
+            assert checked == [c for c in full if c == ("is_squarefree", i)
+                               or c[0] == "divide_exact" and c[1] in near]
+            assert (("is_squarefree", i) in checked) == bool(y[i].degree)
             assert _residue_colours(monkeypatch, lambda: _checked(
-                inst, y, step)) == [i for i in (0, 1)
-                                    if i != step.direction and y[i].degree]
+                inst, y, step)) == [r for r in near if y[r].degree]
             kinds.add((doc["sigma"], step.kind, step.direction))
     assert kinds == {("(1 4)(2 3)", "L1", 0), ("(1 4)(2 3)", "L2", 1),
                      ("(1 3 4)", "L1", 0), ("(1 3 4)", "L1", 1)}

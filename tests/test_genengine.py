@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mirrored, poly, shifted_critical
-from cybethe import genengine
+from cybethe import frame, genengine
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
 from cybethe.errors import InputError, SeedInvalid
@@ -351,12 +351,19 @@ def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
         assert len(calls) == solves, (kind, k)
 
 
+# (module, name) of each function `_counted_bfs` counts, patched where the
+# BFS and the proof read it
+COUNTED = [(frame, "_residue"), (genengine, "wronskian_ode_solve"),
+           (frame, "proportional"), (frame, "is_squarefree"),
+           (genengine, "folded_reflect")]
+
+
 def _counted_bfs(doc):
-    """The depth-2 BFS of a catalog instance from the trivial seed, with its
-    `_residue` and `wronskian_ode_solve` calls counted."""
-    from cybethe import frame, serialize
+    """The depth-2 BFS of a catalog instance from the trivial seed, with the
+    calls counted of each function named in `COUNTED`."""
+    from cybethe import serialize
     from test_catalog_pins import SAMPLES
-    calls = {"_residue": 0, "wronskian_ode_solve": 0}
+    calls = dict.fromkeys([name for _, name in COUNTED], 0)
 
     def counted(name, f):
         def call(*args):
@@ -364,11 +371,10 @@ def _counted_bfs(doc):
             return f(*args)
         return call
 
-    residue = counted("_residue", frame._residue)
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(frame, "_residue", residue)
-        monkeypatch.setattr(genengine, "wronskian_ode_solve", counted(
-            "wronskian_ode_solve", genengine.wronskian_ode_solve))
+        for module, name in COUNTED:
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
         inst = serialize.instance_from_doc(doc)
         graph = explore_population(
             inst, orbit_data(inst.cartan, inst.aut),
@@ -392,8 +398,18 @@ def test_bfs_takes_from_generation_what_it_proved():
     # the seed's 2, then 1 for each depth-1 node (12 when the family
     # along {1, 3, 4} also solves at sigma 1, 21 when every family is
     # solved; 43 residues when the seed is proven at every colour)
+    # the seed is tested cyclotomic at its 4 colours and each proven member
+    # on its moved orbit only: 19 members (one skipped) along {1, 3, 4} and
+    # 21 along {2} (164 when every member is tested at every colour); each
+    # member's moved representative is tested squarefree, unless it fails
+    # genericity first, as the skipped member does at the origin (57 when
+    # every representative is); and of the 7 nodes at depths 0 and 1, each
+    # with 2 directions, 6 distinct (direction, weight at infinity) pairs
+    # are reflected (14 when each (node, direction) reflects)
     assert calls == {"_residue": 2 + 39,
-                     "wronskian_ode_solve": 2 + 3 * 1 + 3 * 1}
+                     "wronskian_ode_solve": 2 + 3 * 1 + 3 * 1,
+                     "proportional": 4 + 3 * 19 + 21, "is_squarefree": 39,
+                     "folded_reflect": 6}
     # A4 at depth 2 (orbits {1, 4}, L = 1, and {2, 3}, L = 2): an L = 2
     # family takes 3 solves, and a depth-1 node solves only the family
     # along the direction it did not come from (20 when the L = 1 family
@@ -403,8 +419,14 @@ def test_bfs_takes_from_generation_what_it_proved():
     assert len(graph) == 40 and len(graph.skipped) == 1
     assert [node.step.direction for node in graph.nodes
             if node.parent == 0] == [0, 0, 0, 1, 1, 1]
+    # both orbits have 2 nodes: 2 cyclotomy tests per proven member (164
+    # when every colour is tested), and squarefree tests and reflections
+    # as for D4 (57 when every representative is tested, 14 when each
+    # (node, direction) reflects)
     assert calls == {"_residue": 2 + 39,
-                     "wronskian_ode_solve": 1 + 3 + 3 * 3 + 3 * 1}
+                     "wronskian_ode_solve": 1 + 3 + 3 * 3 + 3 * 1,
+                     "proportional": 4 + 2 * 40, "is_squarefree": 39,
+                     "folded_reflect": 6}
 
 
 def test_l2_step3_solves_its_wronskian_equation(a2, a2_tuple):

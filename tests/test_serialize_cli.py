@@ -1013,3 +1013,28 @@ def test_cli_generate_refuses_a_seed_as_populate_does(tmp_path, capsys,
         assert cli.main(command + io) == 2, command
         assert _error_record(capsys) == {"kind": "SeedInvalid",
                                          "message": message}, command
+
+
+@pytest.mark.parametrize("polys, message", [
+    # cyclotomic and generic, but not critical
+    ([_linear(1), _linear(-1)], "seed is not an exact critical point"),
+    # cyclotomic, but y_1 = y_2 = x^2 - 1
+    ([{"denom": 1, "terms": {"0": "-1", "2": "1"}}] * 2,
+     "seed not generic: y_0 shares a root with y_1"),
+], ids=["not critical", "not generic"])
+def test_cli_typea_flow_refuses_a_seed_as_generate_does(tmp_path, capsys,
+                                                        polys, message):
+    # the X flow proves each generation member it compares only on the
+    # moved orbit, which holds for the member of a proven seed; so it
+    # proves the seed first (before, the type-A kernel refused both seeds
+    # with NoSolution)
+    inst, tup = tmp_path / "instance.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps(A2_INSTANCE))
+    tup.write_text(json.dumps({"polys": polys}))
+    io = ["--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(["verify"] + io) == 1
+    capsys.readouterr()
+    assert cli.main(["typea", "flow", "--generator", "X", "--k", "1",
+                     "--c", "1"] + io) == 2
+    assert _error_record(capsys) == {"kind": "SeedInvalid",
+                                     "message": message}
