@@ -116,14 +116,13 @@ def cmd_generate(args):
     from .genengine import cyclotomic_generate
     out, step = cyclotomic_generate(inst, fold, y, args.direction - 1, c)
     doc = {
-        "tuple": serialize.tuple_doc(out),
+        "tuple": serialize.tuple_doc(out, inst.M),
         "direction": args.direction,
-        "c": serialize.scalar_str(step.c),
         "kind": step.kind,
         "lambda_infinity": serialize.weight_doc(weight_at_infinity(inst, out)),
-        "intermediates": {name: serialize.qpoly_doc(p)
-                          for name, p in step.intermediates},
     }
+    serialize.put(doc, "c", step.c, inst.M)
+    serialize.put(doc, "intermediates", dict(step.intermediates), inst.M)
     _emit(doc, args.out)
     return 0
 
@@ -144,8 +143,9 @@ def cmd_typea_analyze(args):
         raise InputError(f"--members must be >= 0, got {args.members}")
     inst = _instance(args)
     y = _tuple(args, inst)
-    from .typea import (beta, cyclotomic_population, frame_conditions_check,
-                        gram_matrix, isotropy_check, kernel_basis, witt_basis)
+    from .typea import (beta, cyclotomic_population, flag_type,
+                        frame_conditions_check, gram_matrix, isotropy_check,
+                        kernel_basis, witt_basis)
     space, flag = kernel_basis(inst, y)
     report = frame_conditions_check(space)
     # self-duality and the B matrix of the special basis: one Gram matrix
@@ -154,23 +154,18 @@ def cmd_typea_analyze(args):
     except NotSelfDual:
         g = None
     self_dual = g is not None
-    doc = serialize.space_doc(space)
+    doc = serialize.space_doc(space, inst.M)
     doc["frame_report"] = _plain(report)
     doc["self_dual"] = self_dual
-    doc["beta_roundtrip"] = [serialize.qpoly_doc(q)
-                             for q in beta(space, flag.adjusted)]
+    doc["flag_type"] = sorted(flag_type(space, flag.adjusted))
+    serialize.put(doc, "beta_roundtrip", beta(space, flag.adjusted), inst.M)
     if self_dual:
         wb = witt_basis(space, adjusted=flag.adjusted,
                         quadratic_extension=args.quadratic_extension)
-        doc["witt"] = {
-            "vectors": [serialize.qpoly_doc(v) for v in wb.vectors],
-            "constants": [serialize.scalar_str(c) for c in wb.constants],
-            "gram": [[serialize.scalar_str(x) for x in row]
-                     for row in wb.gram],
-        }
+        serialize.put(doc, "witt", {"vectors": wb.vectors, "gram": wb.gram,
+                                    "constants": wb.constants}, inst.M)
         doc["flag_isotropic"] = isotropy_check(wb.gram)
-        doc["b_matrix_special_basis"] = [
-            [serialize.scalar_str(x) for x in row] for row in g]
+        serialize.put(doc, "b_matrix_special_basis", g, inst.M)
     if args.members:
         # members come from the Witt basis without quadratic extension;
         # a space that is not self-dual has none
@@ -181,11 +176,8 @@ def cmd_typea_analyze(args):
         pop = cyclotomic_population(inst, space, wb,
                                     sample_count=args.members,
                                     rng_seed=args.seed)
-        doc["population"] = {
-            "dims": pop["dims"],
-            "components": pop["components"],
-            "members": [serialize.tuple_doc(m) for m in pop["members"]],
-        }
+        doc["population"] = {**pop, "members": [
+            serialize.tuple_doc(m, inst.M) for m in pop["members"]]}
     _emit(doc, args.out)
     return 0 if (report["ok"] and self_dual) else 1
 
@@ -200,22 +192,20 @@ def cmd_typea_flow(args):
     from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis
     if args.generator == "X":
         res = flow_vs_generation(inst, fold, y, args.k, params)
-        doc = {"generator": f"X_{args.k}",
-               "rho": serialize.scalar_str(res["rho"]),
-               "all_match": res["all_match"],
+        doc = {"generator": f"X_{args.k}", "all_match": res["all_match"],
                "matches": res["matches"]}
+        serialize.put(doc, "rho", res["rho"], inst.M)
         _emit(doc, args.out)
         return 0 if res["all_match"] else 1
     # Y/Z generators have no generation counterpart; apply and report
     space, flag = kernel_basis(inst, y)
     wb = witt_basis(space, adjusted=flag.adjusted)
-    doc = {"generator": f"{args.generator}_{args.k}", "tuples": []}
+    tuples = []
     for c in params:
         _, tup = apply_flow(space, wb, (args.generator, args.k), c)
-        doc["tuples"].append({
-            "c": serialize.scalar_str(c),
-            "tuple": [serialize.qpoly_doc(q.monic()) for q in tup],
-        })
+        tuples.append({"c": c, "tuple": [q.monic() for q in tup]})
+    doc = {"generator": f"{args.generator}_{args.k}"}
+    serialize.put(doc, "tuples", tuples, inst.M)
     _emit(doc, args.out)
     return 0
 
@@ -225,13 +215,9 @@ def cmd_eigenvalues(args):
     y = _tuple(args, inst)
     from .frame import eigenvalues
     res = eigenvalues(inst, y)
-    doc = {
-        "cyclotomic": [serialize.scalar_str(e) for e in res["cyclotomic"]],
-        "extended": [serialize.scalar_str(e) for e in res["extended"]],
-        "match": res["match"],
-        "origin_zero": res["origin_zero"],
-        "not_critical": res["not_critical"],
-    }
+    doc = {key: res[key] for key in ("match", "origin_zero", "not_critical")}
+    for key in ("cyclotomic", "extended"):
+        serialize.put(doc, key, res[key], inst.M)
     _emit(doc, args.out)
     return 0 if res["match"] and not res["not_critical"] else 1
 

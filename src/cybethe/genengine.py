@@ -149,11 +149,10 @@ def elementary_generate_L1(inst, y, i, c):
 
 def _transport(poly, omega, M, k):
     """omega^(k deg) * poly(omega^-k x) for a nonzero ordinary polynomial and
-    omega of order M; omega^-k is taken as omega^(M-k), with no inverse."""
-    if k == 0:
-        return poly.promote(omega.order)
-    return poly.substitute_scale(omega ** (M - k)).scale(
-        omega ** (k * poly.degree % M))
+    omega of order M; omega^-k is taken as omega^(M-k), with no inverse,
+    and k = 0 gives poly itself."""
+    return poly if k == 0 else poly.substitute_scale(
+        omega ** (M - k)).scale(omega ** (k * poly.degree % M))
 
 
 def generation_family(inst, fold, y, i):
@@ -335,12 +334,18 @@ class PopulationNode(Record):
 
 class PopulationGraph:
     """BFS nodes indexed by canonical tuple, with `keys[i]` the serialized
-    tuple of `nodes[i]`, and `skipped`: one (node id, direction as in
-    GenerationStep, c, reason) per exceptional sample."""
+    tuple of `nodes[i]`, `skipped`: one (node id, direction as in
+    GenerationStep, c, reason) per exceptional sample, and `order`, the
+    order M of the instance, which its documents are written for."""
 
-    def __init__(self):
-        self.nodes, self.keys, self.skipped = [], [], []
-        self._index = {}
+    def __init__(self, order):
+        self.nodes, self.skipped, self._index = [], [], {}
+        self.order = order
+
+    @property
+    def keys(self):
+        """The keys of the index, in the order their nodes were added."""
+        return list(self._index)
 
     def find(self, key):
         return self._index.get(key)
@@ -349,7 +354,6 @@ class PopulationGraph:
         """Index `node` under `key`, the canonical serialized tuple."""
         self._index[key] = node.node_id
         self.nodes.append(node)
-        self.keys.append(key)
 
     def __len__(self):
         return len(self.nodes)
@@ -380,12 +384,12 @@ def explore_population(inst, fold, seed, depth, samples):
         raise InputError("population needs at least one sample parameter")
     _seed_checked(inst, seed)
 
-    graph = PopulationGraph()
+    graph = PopulationGraph(inst.M)
     root = PopulationNode(node_id=0, tuple_=seed, parent=None, step=None,
                           lambda_inf=weight_at_infinity(inst, seed),
                           flags={"generic": True, "cyclotomic": True,
                                  "critical": True})
-    graph.add(root, tuple_doc_json(seed))
+    graph.add(root, tuple_doc_json(seed, inst.M))
     # lambda_inf by degree vector, and folded_reflect by (i, lambda_inf)
     weights, reflections = {seed.degrees(): root.lambda_inf}, {}
     # (node, None, or the pencil of the family its parent made it from and
@@ -410,7 +414,7 @@ def explore_population(inst, fold, seed, depth, samples):
                 for c in samples:
                     try:
                         child, step = member(c)
-                        key = tuple_doc_json(child)
+                        key = tuple_doc_json(child, inst.M)
                         if graph.find(key) is not None:
                             continue
                         _checked(inst, child, step)

@@ -3,31 +3,13 @@
 Entries may be ints, Fractions, or Cyc scalars; Gaussian elimination only
 uses field operations, so everything stays exact.  Every public function
 reads the pivots of one reduction, `_rref`.  A row operation skips the
-product at a zero entry of the pivot row and keeps the other entry, at
-the field order the product would have given it.
+product at a zero entry of the pivot row and keeps the other entry as it
+is.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .scalars import Cyc
-
-
-def _is_zero(x):
-    if isinstance(x, Cyc):
-        return x.is_zero()
-    return x == 0
-
-
-def _kept(x, *operands):
-    """x - f * y or x * y where y = 0 (operands (f, y) or (y,)), without
-    the product: x at the field order the result has, the lcm of the orders
-    of its Cyc operands, which later steps read.  Without a Cyc operand the
-    operation runs, for the numeric type it gives."""
-    orders = [v.order for v in (x, *operands) if isinstance(v, Cyc)]
-    if orders:
-        return Cyc.of(x, lcm(*orders))
-    return x - operands[0] * operands[1] if operands[1:] else x * operands[0]
 
 
 def _rref(rows, cols):
@@ -40,19 +22,17 @@ def _rref(rows, cols):
         r = len(pivots)
         if r == len(m):
             break
-        pivot = next((i for i in range(r, len(m)) if not _is_zero(m[i][c])),
-                     None)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
         inv = 1 / m[r][c] if not isinstance(m[r][c], Cyc) else m[r][c].inverse()
         # a zero entry of the pivot row is kept, not multiplied
-        m[r] = [x * inv if x else _kept(x, inv) for x in m[r]]
+        m[r] = [x * inv if x else x for x in m[r]]
         for i in range(len(m)):
-            if i != r and not _is_zero(m[i][c]):
+            if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [x - f * y if y else _kept(x, f, y)
-                        for x, y in zip(m[i], m[r])]
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
 
@@ -80,7 +60,7 @@ def solve_many(matrix, rhss):
                        for i, row in enumerate(matrix)], cols)
     out = []
     for k in range(cols, cols + len(rhss)):
-        if any(not _is_zero(row[k]) for row in m[len(pivots):]):
+        if any(row[k] for row in m[len(pivots):]):
             out.append(None)
             continue
         x = [Fraction(0)] * cols

@@ -19,16 +19,16 @@ exponent is an int when integral, else a Fraction) and `str`.
 L records how the poly was computed, not the smallest field of its
 value: a product over Q(zeta_4) and Q(zeta_3) lies in Q(zeta_12) even
 when its value is rational.  Sums and products work at the lcm of the
-operands' orders, except that a sum whose terms all come from one
-operand keeps that operand's order, as a sum of `Cyc`s does; zero has
-order 1.  One kernel, `_sum_of_products`, sums products with int or
-Fraction multipliers as one integer convolution over one common
-denominator, reduced modulo Phi_L once per output term: a product is its
-one-pair case, `wronskian_table` builds each minor with one call over all
-of its pairs, and `frame.is_critical_exact` builds each colour's residue
-expression with one call.  A product with a monomial c x^e (so a `scale`)
-and an exact division by one skip the kernel: an exponent shift and one
-numerator product per term.
+operands' orders, and zero has order 1.  Nothing reads L as the field of
+a value: equality compares values, and `serialize` writes each value in
+the least field that holds it.  One kernel, `_sum_of_products`, sums
+products with int or Fraction multipliers as one integer convolution
+over one common denominator, reduced modulo Phi_L once per output term:
+a product is its one-pair case, `wronskian_table` builds each minor with
+one call over all of its pairs, and `frame.is_critical_exact` builds each
+colour's residue expression with one call.  A product with a monomial
+c x^e (so a `scale`) and an exact division by one skip the kernel: an
+exponent shift and one numerator product per term.
 
 Division, gcd and squarefree tests work through the substitution x = s^D,
 which turns everything into dense polynomials over the coefficient field.
@@ -165,13 +165,6 @@ class QPoly:
         ks = self.ks if D == self.D else [k * (D // self.D) for k in self.ks]
         return ks, _lift_nums(self.nums, self.L, L)
 
-    def promote(self, M):
-        """The same value over Q(zeta_L), L = lcm(self.L, M)."""
-        L = lcm(self.L, M)
-        if L == self.L or not self.ks:
-            return self
-        return _qp(L, self.D, self.den, *self._lift(L, self.D))
-
     # structure --------------------------------------------------------
 
     def is_zero(self):
@@ -243,9 +236,13 @@ class QPoly:
     # arithmetic -------------------------------------------------------
 
     def __add__(self, other):
+        """The sum at the lcm of the two field orders."""
         if not isinstance(other, QPoly):
             other = QPoly.constant(other)
-        return _add(self, other)
+        if not (self.ks and other.ks):
+            return self or other
+        return _sum_of_products([(1, self, _ONE), (1, other, _ONE)],
+                                lcm(self.L, other.L))
 
     __radd__ = __add__
 
@@ -415,25 +412,6 @@ class QPoly:
 
 _ZERO = QPoly({})
 _ONE = QPoly({0: 1})
-
-
-def _add(f, g):
-    """f + g at the lcm of the two field orders; a sum whose terms all come
-    from one side keeps that side's order, as a sum of Cycs does."""
-    if not (f.ks and g.ks):
-        return f or g
-    total = _sum_of_products([(1, f, _ONE), (1, g, _ONE)], lcm(f.L, g.L))
-    if f.L == g.L:
-        return total
-    D = lcm(total.D, f.D, g.D)
-    ks = set(total._lift(total.L, D)[0])
-    for p, q in ((f, g), (g, f)):
-        pk = p._lift(p.L, D)[0]
-        if ks.isdisjoint(q._lift(q.L, D)[0]):
-            keep = [i for i, k in enumerate(pk) if k in ks]
-            return _qp(p.L, D, p.den, [pk[i] for i in keep],
-                       [p.nums[i] for i in keep])
-    return total
 
 
 @lru_cache(maxsize=64)

@@ -1,13 +1,19 @@
 """JSON document layer.
 
 All exact scalars travel as strings: rationals as "p/q", cyclotomic values
-in the field generator w as e.g. "2/3*w^2 - w + 1" (with the field order
-recorded once per document where it is not implied by the instance).
-Serialization is canonical within one field: exponent keys sorted
-numerically, dict keys emitted in a fixed order, and a scalar printed in
-the generator w of its own field Q(zeta_M), so equal values of the same
-field order produce identical bytes.  The same value in another field
-prints differently: i is "w" in Q(zeta_4) and "w^3" in Q(zeta_12).
+in the field generator w as e.g. "2/3*w^2 - w + 1".  A scalar is written by
+its value, never by the field its computation left it in: each section of
+a document (a tuple, a basis, a Witt block, a matrix, a list of
+eigenvalues) is written in Q(zeta_S), S = lcm(M, the conductors of its
+values), M the instance's order, where the conductor of a value is the
+least d with the value in Q(zeta_d) (so d != 2 mod 4).  Equal values
+therefore give equal bytes, however they were computed.  Where S != M the
+section records S: a tuple document in its own "field" key, which
+`tuple_from_doc` reads, and any other section (`put`) under its key in
+the document's "fields", such as "fields": {"witt": 8}.  A document whose
+values all lie in Q(zeta_M) has neither key.  Serialization is otherwise
+canonical: exponent keys sorted numerically and dict keys emitted in a
+fixed order.
 """
 
 import json
@@ -19,7 +25,7 @@ from math import lcm
 from .cartan import (CartanData, DiagramAut, ProblemInstance, Weight,
                      check_rank)
 from .errors import InputError
-from .scalars import Cyc, _text
+from .scalars import Cyc, _cyc, _factor, _reduce_mod_phi, _text
 
 # `qpoly` and `frame` are imported where a document first needs them, so
 # that `fold`, `lambda0` and reading an instance load neither.
@@ -73,10 +79,70 @@ def _field(doc, key):
         raise InputError(f"document has no {key!r} entry") from None
 
 
-def scalar_str(value):
-    if isinstance(value, Cyc):
-        return str(value)
-    return str(Fraction(value))
+# The largest field order that a tuple document may name: each scalar
+# there is read as deg Phi_field ints.
+MAX_FIELD_ORDER = 1 << 12
+
+
+def _lowered(L, num, p):
+    """The numerator over Q(zeta_e), e = L/p for a prime p, of the value
+    whose numerator over Q(zeta_L) is num (ints, as a Cyc holds them), or
+    None unless Q(zeta_e) holds the value.
+
+    When p | e, Phi_L(w) = Phi_e(w^p), so Q(zeta_e) is spanned by the w^k
+    with p | k.  Otherwise zeta_L = zeta_p^u zeta_e^v with u e + v p = 1
+    (mod L), so the value is sum_(j<p) A_j zeta_p^j with A_j in Q(zeta_e):
+    sum_(j<p-1) (A_j - A_(p-1)) zeta_p^j on a basis of Q(zeta_L) over
+    Q(zeta_e).  It lies in Q(zeta_e) iff A_j = A_(p-1) for 0 < j < p - 1,
+    and is then A_0 - A_(p-1).
+    """
+    e = L // p
+    if e % p == 0:
+        return None if any(num[k] for k in range(len(num)) if k % p) \
+            else num[::p]
+    u, v, parts = pow(e, -1, p), pow(p, -1, e), [[0] * e for _ in range(p)]
+    for k, x in enumerate(num):
+        parts[u * k % p][v * k % e] += x
+    low = [_reduce_mod_phi([x - y for x, y in zip(a, parts[-1])], e)
+           for a in parts[:-1]]
+    return None if any(map(any, low[1:])) else low[0]
+
+
+def _conductor(L, num):
+    """(f, the numerator over Q(zeta_f)) of the value whose numerator over
+    Q(zeta_L) is num, for the least f with the value in Q(zeta_f): L
+    lowered by one prime at a time while `_lowered` finds the value in the
+    smaller field.  The primes lower independently, since the Galois
+    group of Q(zeta_L) is the product of their parts."""
+    for p, _ in _factor(L):
+        while L % p == 0 and (low := _lowered(L, num, p)) is not None:
+            L, num = L // p, low
+    return L, num
+
+
+def _order(M, values):
+    """The order S = lcm(M, the conductors of values) that a section of
+    Cycs, QPolys and rationals is written at.  A value held at an order
+    that divides S adds nothing, so a section held in Q(zeta_M) is not
+    tested."""
+    S = M
+    for v in values:
+        L = v.order if isinstance(v, Cyc) else getattr(v, "L", 1)
+        if L > 2 and S % L:
+            S = lcm(S, *(_conductor(L, n)[0] for n in (
+                [v.num] if isinstance(v, Cyc) else v.nums)))
+    return S
+
+
+def scalar_str(value, order=None):
+    """The text of an exact scalar in the generator w of Q(zeta_order), an
+    order that holds the value; by default the value's conductor."""
+    value = Cyc.of(value)
+    S = order or _order(1, [value])
+    if S % value.order:  # held in a field above Q(zeta_S): lower it
+        f, num = _conductor(value.order, value.num)
+        value = _cyc(f, num, value.den)
+    return str(value.promote(S))
 
 
 def parse_scalar(text, order=1):
@@ -106,9 +172,16 @@ def parse_scalar(text, order=1):
 
 # --- quasi-polynomials ---------------------------------------------------
 
-def qpoly_doc(p):
-    """{"denom": D, "terms": {"e*D": scalar string}} with sorted keys,
-    written from the integer layout of p without building a `Cyc`."""
+def qpoly_doc(p, order=None):
+    """{"denom": D, "terms": {"e*D": scalar string}} with sorted keys, each
+    coefficient written as `scalar_str` writes it at `order`, by default
+    the least order that holds every coefficient; written from the
+    integer layout of p, without building a `Cyc`, when p is held at that
+    order or is rational."""
+    S = order or _order(1, [p])
+    if p.L > 2 and p.L != S:
+        return {"denom": p.D, "terms": {str(k): scalar_str(c, S) for k, c
+                                        in zip(p.ks, p.terms.values())}}
     nums = p.nums if p.L > 2 else [(n,) for n in p.nums]
     return {"denom": p.D, "terms": {
         str(k): _text(n, p.den) for k, n in zip(p.ks, nums)}}
@@ -239,53 +312,88 @@ def instance_from_doc(doc):
 
 # --- tuples ----------------------------------------------------------------
 
-def tuple_doc(y):
-    return {"polys": [qpoly_doc(p) for p in y]}
+def tuple_doc(y, M=1):
+    """{"polys": [...]} of the tuple y of an instance of order M, with
+    "field": S where its section order S is not M."""
+    S = _order(M, y)
+    field = {} if S == M else {"field": S}
+    return {"polys": [qpoly_doc(p, S) for p in y], **field}
 
 
 def tuple_from_doc(doc, order=1):
-    polys = [qpoly_from_doc(p, order) for p in _typed(
-        _field(doc, "polys"), (list, tuple), "polys must be an array")]
+    """The BetheTuple of a tuple document, its strings read in Q(zeta_S),
+    S = lcm(order, its "field"), a positive JSON integer up to
+    `MAX_FIELD_ORDER` (default 1)."""
+    polys = _typed(_field(doc, "polys"), (list, tuple),
+                   "polys must be an array")
+    field = doc.get("field", 1)
+    if type(field) is not int or not 0 < field <= MAX_FIELD_ORDER:
+        raise InputError(f"field must be an integer from 1 to "
+                         f"{MAX_FIELD_ORDER}, got {field!r}")
     from .frame import BetheTuple
-    return BetheTuple(polys)
+    return BetheTuple(qpoly_from_doc(p, lcm(order, field)) for p in polys)
 
 
-def tuple_doc_json(y):
-    return dumps(tuple_doc(y))
+def tuple_doc_json(y, M=1):
+    return dumps(tuple_doc(y, M))
+
+
+def put(doc, key, value, M):
+    """Set doc[key] to the section of value, a nest of lists, tuples and
+    dicts whose QPolys and exact scalars (Cyc, Fraction) are written at
+    the section order S (module docstring), and record S in
+    doc["fields"][key] where it is not M.  Other leaves, such as ints and
+    strings, are kept as they are."""
+    from .qpoly import QPoly
+
+    def walk(v, leaf):
+        if isinstance(v, (list, tuple)):
+            return [walk(x, leaf) for x in v]
+        if isinstance(v, dict):
+            return {k: walk(x, leaf) for k, x in v.items()}
+        return leaf(v) if isinstance(v, (Cyc, QPoly, Fraction)) else v
+    values = []
+    walk(value, values.append)
+    S = _order(M, values)
+    doc[key] = walk(value, lambda v: qpoly_doc(v, S) if isinstance(
+        v, QPoly) else scalar_str(v, S))
+    if S != M:
+        doc.setdefault("fields", {})[key] = S
 
 
 # --- population catalogs ----------------------------------------------------
 
 def catalog_doc(graph):
-    """Each node's "tuple" is read back from the key the BFS serialized."""
-    nodes = []
-    for node, key in zip(graph.nodes, graph.keys):
-        entry = {
-            "id": node.node_id,
-            "parent": node.parent,
-            "direction": None if node.step is None
-            else node.step.direction + 1,
-            "c": None if node.step is None else scalar_str(node.step.c),
-            "tuple": json.loads(key),
-            "lambda_infinity": weight_doc(node.lambda_inf),
-            "flags": dict(sorted(node.flags.items())),
-        }
-        nodes.append(entry)
-    return {"nodes": nodes}
+    """Each node's "tuple" is read back from the key the BFS serialized;
+    the "c" of every node form one section of the catalog, written for
+    the instance of order `graph.order`."""
+    doc = {}
+    put(doc, "c", [None if node.step is None else node.step.c
+                   for node in graph.nodes], graph.order)
+    doc["nodes"] = [{
+        "id": node.node_id,
+        "parent": node.parent,
+        "direction": None if node.step is None else node.step.direction + 1,
+        "c": c,
+        "tuple": json.loads(key),
+        "lambda_infinity": weight_doc(node.lambda_inf),
+        "flags": dict(sorted(node.flags.items())),
+    } for node, key, c in zip(graph.nodes, graph.keys, doc.pop("c"))]
+    return doc
 
 
 # --- spaces -----------------------------------------------------------------
 
-def space_doc(space):
-    order = 1
-    for u in space.basis:
-        order = lcm(order, u.field_order())
+def space_doc(space, M):
+    """The frame and special basis of a space of an instance of order M;
+    "field" is the order its basis is written at."""
+    S = _order(M, space.basis)
     return {
-        "field": order,
+        "field": S,
         "p": space.frame.p,
         "exponents": [str(d) for d in space.frame.d],
         "dual_exponents": [str(d) for d in space.frame.ddag],
-        "basis": [qpoly_doc(u) for u in space.basis],
+        "basis": [qpoly_doc(u, S) for u in space.basis],
     }
 
 

@@ -22,8 +22,8 @@ with InputError).
 
 B is bilinear, so vectors v = E u have the Gram matrix E Gram(u) E^T
 exactly, and the Wronskian is multilinear, so their Wr+ are transported
-from the table of u by Cauchy-Binet (`_transport`), each entry equal to
-the entry of a fresh table of v in value and field order.  `beta`,
+from the table of u by Cauchy-Binet (`_transport`), each entry equal in
+value to the entry of a fresh table of v.  `beta`,
 `bform` and the check of `kernel_basis` read V this way.  A Witt basis
 belongs to a flag, not to the basis that spans it: `witt_basis` adapts
 any basis of a decomposable flag to the exponent classes (`_adapt`) and
@@ -44,7 +44,6 @@ Gram matrix from polynomials, or divides by D_k.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm, prod
 
 from . import linalg
 from .cartan import Record, dominant_shifted_rep
@@ -421,8 +420,7 @@ def _coordinates(space, vectors):
 def _wr_plus_of(space, vectors):
     """`_wr_plus` of vectors of the space, transported from the table of
     its special basis through their coordinates."""
-    return _transport(_coordinates(space, vectors), space.wr_plus, vectors,
-                      space.frame.divisors)
+    return _transport(_coordinates(space, vectors), space.wr_plus)
 
 
 # --- flags -------------------------------------------------------------------
@@ -533,8 +531,7 @@ def witt_basis(space, adjusted, quadratic_extension=False):
     matrix times the adapted basis, so their Gram matrix is the congruence
     V G V^T, which the final check reads, and their table is transported
     from the space's through V C (`_transport`); no table or Gram matrix
-    is built from polynomials.  Each Gram entry is promoted to the field
-    order of the vectors, which a Gram matrix built from them gives it.
+    is built from polynomials.
     """
     basis = _adapt(adjusted)
     size = len(basis)
@@ -576,17 +573,14 @@ def witt_basis(space, adjusted, quadratic_extension=False):
         vecs[mid] = [x * scale for x in vecs[mid]]
 
     vectors = [_combine(row, basis) for row in vecs]
-    order = lcm(*(v.field_order() for v in vectors))
-    gram = tuple(tuple(x.promote(lcm(x.order, order)) for x in row)
-                 for row in _congruence(vecs, g))
+    gram = tuple(map(tuple, _congruence(vecs, g)))
     for a in range(size):
         for b in range(size):
             if a + b != size - 1 and not gram[a][b].is_zero():
                 raise InternalInvariantError(
                     f"Witt Gram not anti-diagonal at ({a},{b})")
     return WittBasis(vectors=tuple(vectors), gram=gram, wr_plus=_transport(
-        _mat_mul_c(vecs, coords), space.wr_plus, vectors,
-        space.frame.divisors))
+        _mat_mul_c(vecs, coords), space.wr_plus))
 
 
 def _cyclotomic_sqrt(value):
@@ -617,24 +611,20 @@ def rational_sqrt(q):
     Write |q| = s^2 m / den^2 with m squarefree.  The Kronecker character
     chi_D of D = m (m = 1 mod 4) or D = 4m sums to sum_k chi_D(k) zeta_D^k
     = sqrt(D) (Ireland & Rosen, ch. 6), built as one integer vector over
-    Q(zeta_D).  The root lies in Q(zeta_N), N = m when m is odd and every
-    prime factor of m is 1 mod 4, else N = 4m, and gains zeta_4 for q < 0.
+    Q(zeta_D), where the root stays; it gains zeta_4 for q < 0.
     """
     q = Fraction(q)
     if q == 0:
         return Cyc.of(0)
-    s, primes = 1, []
+    s, m = 1, 1
     for p, e in _factor(abs(q.numerator) * q.denominator):
-        s *= p ** (e // 2)
-        primes += [p] * (e % 2)
-    m = prod(primes)
+        s, m = s * p ** (e // 2), m * p ** (e % 2)
     big = m if m % 4 == 1 else 4 * m
     # chi_D(k) is the Jacobi symbol (D/k) at odd k, and chi_D has period D
     gauss = _cyc(big, _reduce_mod_phi([_jacobi(big, k if k % 2 else k + big)
                                        for k in range(big)], big),
                  1 if big == m else 2)
-    root = gauss.promote(m if all(p % 4 == 1 for p in primes) else 4 * m)
-    root = root * Fraction(s, q.denominator)
+    root = gauss * Fraction(s, q.denominator)
     return root * Cyc.root_of_unity(4) if q < 0 else root
 
 
@@ -741,12 +731,12 @@ def apply_flow(space, witt, generator, c):
     if not isotropy_check(g_new):
         raise InternalInvariantError("flow output flag is not isotropic")
     new_vectors = [_combine(row, witt.vectors) for row in exp]
-    wr_plus = _transport(exp, witt.wr_plus, new_vectors, space.frame.divisors)
+    wr_plus = _transport(exp, witt.wr_plus)
     return WittBasis(vectors=tuple(new_vectors), gram=witt.gram,
                      wr_plus=wr_plus), _beta(wr_plus, size - 1)
 
 
-def _transport(mat, wr_plus, vectors, divisors):
+def _transport(mat, wr_plus):
     """`_wr_plus` of `vectors` v_i = sum_j mat[i][j] w_j from `_wr_plus` of
     w, by Cauchy-Binet: Wr+(v_S) = sum_T det mat[S, T] Wr+(w_T) over
     |T| = |S|, as the Wronskian is multilinear and D_|S| fixed.  w is a
@@ -756,11 +746,8 @@ def _transport(mat, wr_plus, vectors, divisors):
     The compound coefficients of S wedge those of S without its top row
     with that row, bottom-up over masks as `wronskian_table` builds its
     minors, keeping only the nonzero ones.  A mask whose expansion is
-    1 * w_S reads that entry unchanged; no table is built or divided.
-    Each entry is promoted to the field order a table of v divided by
-    D_|S| gives it, so it equals that entry in value, order and text."""
+    1 * w_S reads that entry unchanged; no table is built or divided."""
     rows = [[(j, x) for j, x in enumerate(row) if x] for row in mat]
-    orders = [v.field_order() for v in vectors]
 
     @cache
     def compound(mask):
@@ -782,11 +769,8 @@ def _transport(mat, wr_plus, vectors, divisors):
     def entry(mask):
         terms = compound(mask)
         if terms.keys() == {mask} and terms[mask] == 1:
-            out = wr_plus(mask)
-        else:
-            out = _combine(terms.values(), [wr_plus(t) for t in terms])
-        return out.promote(lcm(divisors[mask.bit_count()].field_order(), *(
-            order for i, order in enumerate(orders) if mask >> i & 1)))
+            return wr_plus(mask)
+        return _combine(terms.values(), [wr_plus(t) for t in terms])
     return entry
 
 

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cybethe import frame
+from cybethe import frame, serialize
 from cybethe.cartan import (CartanData, DiagramAut, FoldedData, Weight,
                             orbit_data)
 from cybethe.errors import NotGeneric
@@ -57,6 +57,15 @@ def shifted_critical(inst, y, lambda0):
     report = {i: frame._residue(inst, y, i, lambda0[i])
               for i in range(len(y))}
     return all(r["divides"] for r in report.values()), report
+
+
+def written(value, M=1):
+    """The document of value as `serialize.put` writes it as a section of
+    an instance of order M: {"value": ...}, with "fields" where the
+    section's order is not M."""
+    doc = {}
+    serialize.put(doc, "value", value, M)
+    return doc
 
 
 def fresh_gram(space, vectors):

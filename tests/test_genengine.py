@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import mirrored, poly, shifted_critical
-from cybethe import frame, genengine
+from cybethe import frame, genengine, serialize
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
 from cybethe.errors import InputError, SeedInvalid
@@ -464,9 +464,9 @@ def test_explore_serializes_each_member_once(a3, monkeypatch):
     tuple_doc_json = genengine.tuple_doc_json
     step = genengine.GenerationStep
 
-    def counted(y):
+    def counted(y, M):
         calls.append(1)
-        return tuple_doc_json(y)
+        return tuple_doc_json(y, M)
 
     def counted_step(*args, **kwargs):
         members.append(1)
@@ -483,8 +483,8 @@ def test_explore_serializes_each_member_once(a3, monkeypatch):
 
 def test_transport_takes_no_inverse(monkeypatch):
     """omega^(k deg) * p(omega^-k x) from omega^(M-k): the same value,
-    field order and string as from omega ** -k, with no Cyc.inverse; k = 0
-    only promotes p to omega's order."""
+    and the same text in a tuple of an instance of order M, as from
+    omega ** -k, with no Cyc.inverse; k = 0 gives p itself."""
     cases = []
     for M, power in ((2, 1), (3, 1), (3, 2), (4, 3), (6, 5), (8, 3)):
         omega = Cyc.root_of_unity(M, power)
@@ -500,8 +500,9 @@ def test_transport_takes_no_inverse(monkeypatch):
     monkeypatch.setattr(Cyc, "inverse", no_inverse)
     for p, omega, M, k, want in cases:
         got = genengine._transport(p, omega, M, k)
-        assert (got, got.field_order(), str(got)) == \
-            (want, want.field_order(), str(want)), (p, M, k)
+        assert (got, serialize.tuple_doc([got], M)) == \
+            (want, serialize.tuple_doc([want], M)), (p, M, k)
+        assert k or got is p
 
 
 @pytest.mark.parametrize("name", ["A4", "D4"])

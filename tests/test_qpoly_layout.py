@@ -39,7 +39,8 @@ def _exp_of(k, D):
 
 class RefQPoly:
     """The dict-of-Cyc quasi-polynomial: one Cyc per term, all of the lcm
-    order of the nonzero coefficients."""
+    order of the nonzero coefficients, and a sum at the lcm order of its
+    operands."""
 
     def __init__(self, terms):
         clean = {}
@@ -74,9 +75,10 @@ class RefQPoly:
         return self.terms.get(e, ZERO)
 
     def __add__(self, other):
-        out = dict(self.terms)
+        L = lcm(self.field_order(), other.field_order())
+        out = {e: c.promote(L) for e, c in self.terms.items()}
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+            s = out.get(e, ZERO) + c.promote(L)
             if s.is_zero():
                 out.pop(e, None)
             else:
@@ -356,8 +358,9 @@ def _terms_doc(p):
 
 
 def outcome(p):
-    """Value, order, keys with their types, Cyc fields, text and bytes."""
-    doc = qpoly_doc(p) if isinstance(p, QPoly) else _terms_doc(p)
+    """Value, order, keys with their types, Cyc fields, text and bytes
+    written at that order."""
+    doc = qpoly_doc(p, p.L) if isinstance(p, QPoly) else _terms_doc(p)
     return (p.field_order(), [(type(e), e) for e in p.terms],
             [(c.order, c.num, c.den) for c in p.terms.values()],
             str(p), dumps(doc))
@@ -609,13 +612,16 @@ def test_equal_values_in_other_layouts_compare_and_hash_equal():
         assert len({p, QPoly(p.terms)}) == 1
 
 
-def test_a_sum_keeps_the_order_of_the_side_that_survives():
-    # as a Cyc sum does: the x term cancels at order 12, the x^2 term of
-    # f alone keeps order 4, and with a term of each side the sum is at 12
+def test_a_sum_is_held_at_the_lcm_order_and_written_by_its_value():
+    # the x term cancels at order 12, and the sum stays at order 12 with
+    # the x^2 term of f alone: its document is that of i x^2 at order 4
     f = QPoly({1: Cyc.of(1, 4), 2: Cyc.root_of_unity(4)})
     g = QPoly({1: Cyc.of(-1, 3)})
-    assert (f + g).field_order() == 4 and str(f + g) == "(w)*x^2"
-    assert (-f - g).field_order() == 4 and str(-f - g) == "(-w)*x^2"
+    i_x2 = QPoly({2: Cyc.root_of_unity(4)})
+    assert (f + g).field_order() == 12 and f + g == i_x2
+    assert qpoly_doc(f + g) == qpoly_doc(i_x2) == \
+        {"denom": 1, "terms": {"2": "w"}}
+    assert qpoly_doc(-f - g) == {"denom": 1, "terms": {"2": "-w"}}
     both_sides = f + g + QPoly({3: Cyc.root_of_unity(3)})
     assert both_sides.field_order() == 12
     assert (f - f).field_order() == 1 and (f - f).is_zero()

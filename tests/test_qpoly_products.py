@@ -135,7 +135,7 @@ def _canonical(p):
 def test_every_operation_keeps_exponent_keys_canonical(f, g, u, m, h):
     # exponents of f lie in [-3, 9]: these sums have disjoint supports
     below, above = QPoly({F(-7, 2): 1}), QPoly.x_power(F(21, 2), 2)
-    doc = qpoly_doc(f)
+    doc = qpoly_doc(f, f.field_order())
     doc["terms"] = dict(reversed(doc["terms"].items()))
     results = [f, g, f + g, f - g, -f, f * g, u * u, u * h, m * m, m * h,
                f + below, above + f, below + above,
@@ -173,12 +173,13 @@ def test_every_operation_keeps_exponent_keys_canonical(f, g, u, m, h):
 @settings(max_examples=150, deadline=None)
 @given(qpolys(mixed=False))
 def test_documents_round_trip_keys_and_order(p):
-    back = qpoly_from_doc(qpoly_doc(p), p.field_order())
+    back = qpoly_from_doc(qpoly_doc(p, p.field_order()), p.field_order())
     assert back == p
     assert list(back.terms) == sorted(p.terms)
     assert [type(e) for e in back.terms] == \
         [type(e) for e in sorted(p.terms)]
-    again = qpoly_from_doc(qpoly_doc(back), back.field_order())
+    again = qpoly_from_doc(qpoly_doc(back, back.field_order()),
+                           back.field_order())
     assert [(type(e), e) for e in again.terms] == \
         [(type(e), e) for e in back.terms]
 

@@ -149,7 +149,7 @@ def test_hash_follows_equality(a, b, mult):
 @settings(max_examples=100, deadline=None)
 @given(a=cycs())
 def test_scalar_string_round_trip(a):
-    back = parse_scalar(scalar_str(a), a.order)
+    back = parse_scalar(scalar_str(a, a.order), a.order)
     assert back == a and back.order == a.order
 
 

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -18,7 +20,7 @@ from cybethe import cartan, cli, serialize
 from cybethe.errors import InputError
 from cybethe.frame import BetheTuple
 from cybethe.qpoly import QPoly
-from cybethe.scalars import Cyc
+from cybethe.scalars import Cyc, cyclotomic_polynomial
 
 
 A2_INSTANCE = {
@@ -50,7 +52,7 @@ def test_scalar_round_trip():
     w = Cyc.root_of_unity(8)
     values = [Cyc.of(F(-7, 3)), w ** 2 * F(3, 2) - 1, w ** 3 + w, Cyc.of(0)]
     for v in values:
-        s = serialize.scalar_str(v)
+        s = serialize.scalar_str(v, 8)
         back = serialize.parse_scalar(s, 8)
         assert back == v, (s, back)
 
@@ -128,10 +130,11 @@ def test_tuple_round_trip_byte_stable():
 
 
 def _terms_doc(p):
-    """`qpoly_doc` as it was, from the `terms` view and Fraction keys."""
+    """`qpoly_doc` as it was, from the `terms` view and Fraction keys, at
+    the order p is held at."""
     d = p.denom
-    return {"denom": d, "terms": {str(int(e * d)): serialize.scalar_str(c)
-                                  for e, c in p.terms.items()}}
+    return {"denom": d, "terms": {str(int(e * d)): serialize.scalar_str(
+        c, p.field_order()) for e, c in p.terms.items()}}
 
 
 def test_qpoly_doc_writes_the_int_layout_as_the_terms_view(monkeypatch):
@@ -634,6 +637,9 @@ def _tuple_with_terms(terms):
     # and a ragged matrix
     ("verify", _with(A2_INSTANCE, cartan={"matrix": [[2], [-1, 2]]}),
      A2_TUPLE),
+    # a tuple's "field" is a JSON integer from 1 to MAX_FIELD_ORDER
+    *(("verify", A2_INSTANCE, _with(A2_TUPLE, field=field)) for field in (
+        0, -4, "4", 2.5, True, serialize.MAX_FIELD_ORDER + 1)),
 ])
 def test_cli_scalars_and_containers_keep_their_json_types(
         docs, capsys, command, instance, tuple_):
@@ -1038,3 +1044,224 @@ def test_cli_typea_flow_refuses_a_seed_as_generate_does(tmp_path, capsys,
                      "--c", "1"] + io) == 2
     assert _error_record(capsys) == {"kind": "SeedInvalid",
                                      "message": message}
+
+
+# --- every scalar written by its value ----------------------------------
+
+def test_a_value_is_written_alike_whatever_its_path():
+    # h = (f + g) - f, with f = i x over Q(zeta_4) and g = zeta_3, is held
+    # at order 12, where zeta_3 is w^2 - 1; it is written as g is, in the
+    # least field that holds it, or in Q(zeta_6) for an instance of order 6
+    f, g = QPoly({1: Cyc.root_of_unity(4)}), Cyc.root_of_unity(3)
+    h = (f + g) - f
+    assert h == g and h.field_order() == 12
+    assert serialize.scalar_str(h.coeff(0)) == serialize.scalar_str(g) == "w"
+    assert serialize.qpoly_doc(h) == serialize.qpoly_doc(
+        QPoly.constant(g)) == {"denom": 1, "terms": {"0": "w"}}
+    assert serialize.tuple_doc([h]) == serialize.tuple_doc(
+        [QPoly.constant(g)]) == {"field": 3, "polys": [serialize.qpoly_doc(h)]}
+    assert serialize.tuple_doc([h], 6) == {
+        "polys": [{"denom": 1, "terms": {"0": "w - 1"}}]}
+
+
+def _conductor_reference(value):
+    """The least d | L, d != 2 mod 4, with the value of order L in
+    Q(zeta_d): the first d whose power basis, promoted into Q(zeta_L),
+    spans the value, by one exact solve each."""
+    from cybethe import linalg
+    L = value.order
+    for d in (d for d in range(1, L + 1) if L % d == 0 and d % 4 != 2):
+        basis = [Cyc.root_of_unity(d, j).promote(L).vec
+                 for j in range(len(cyclotomic_polynomial(d)) - 1)]
+        if linalg.solve([list(row) for row in zip(*basis)],
+                        list(value.vec)) is not None:
+            return d
+
+
+def test_a_section_is_written_at_the_conductors_of_its_values():
+    # the conductor of a value is the least d with the value in Q(zeta_d),
+    # wherever the value is held; a section is written at the lcm of M and
+    # its conductors, recorded where that is not M
+    from cybethe.typea import rational_sqrt
+    rng = random.Random(34)
+    for _ in range(300):
+        L = rng.randint(1, 40)
+        d = rng.choice([d for d in range(1, L + 1) if L % d == 0])
+        value = Cyc(d, [F(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in cyclotomic_polynomial(d)[1:]])
+        if rng.random() < 0.3:
+            value = value * Cyc.root_of_unity(L, rng.randrange(L))
+        held = value.promote(L)
+        want = _conductor_reference(held)
+        assert serialize._order(1, [held]) == want, held
+        text = serialize.scalar_str(held)
+        assert serialize.parse_scalar(text, want) == value
+        assert text == serialize.scalar_str(value)
+    w = Cyc.root_of_unity
+    cases = [(Cyc.of(F(-2, 3), 12), 1), (w(12, 3), 4), (w(12, 4), 3),
+             (w(12), 12), (w(6), 3), (w(8) + w(8, 7), 8), (w(4, 2), 1),
+             (rational_sqrt(21).promote(84), 21), (rational_sqrt(-3), 3),
+             (rational_sqrt(2).promote(24) * w(3), 24),
+             (rational_sqrt(5).promote(20), 5)]
+    for value, conductor in cases:
+        for L in (value.order, 2 * value.order):
+            held = value.promote(L)
+            doc = {}
+            serialize.put(doc, "value", [held, Cyc.of(1, 2)], 2)
+            S = math.lcm(2, conductor)
+            assert doc.get("fields", {}).get("value", 2) == S, value
+            assert serialize.parse_scalar(doc["value"][0], S) == value
+            text = serialize.scalar_str(held)
+            assert text == serialize.scalar_str(value, conductor)
+            assert serialize.parse_scalar(text, conductor) == value
+
+
+def test_a_catalog_records_the_fields_of_its_parameters_and_tuples(a2):
+    # with the sample i on A2 (M = 2), the members leave Q: each tuple
+    # records its own field, and the parameters theirs once per catalog
+    from cybethe.genengine import explore_population
+    inst, fold = a2
+    i = Cyc.root_of_unity(4)
+    graph = explore_population(inst, fold, BetheTuple.trivial(2), 1,
+                               [i, F(1)])
+    doc = json.loads(serialize.dumps(serialize.catalog_doc(graph)))
+    assert doc["fields"] == {"c": 4}
+    fields = [entry["tuple"].get("field") for entry in doc["nodes"]]
+    assert fields == [None, 4, None]
+    for node, entry in zip(graph.nodes[1:], doc["nodes"][1:]):
+        assert serialize.parse_scalar(entry["c"], 4) == node.step.c
+        assert serialize.tuple_from_doc(entry["tuple"], inst.M) == \
+            node.tuple_
+
+
+def test_a_flow_tuple_reads_back_at_its_recorded_order(tmp_path, capsys):
+    # Z_1 on the trivial seed of A4 with lambda0 = (1/2, 0, 0, 1/2) writes
+    # a tuple over Q(zeta_4) and records its order; read back at it, that
+    # is a generic, critical and cyclotomic tuple (read at M = 2 it would
+    # have y_1 = (x - 4/35)^2)
+    inst, seed, tup = (tmp_path / name for name in ("i", "s", "t"))
+    inst.write_text(json.dumps(A4_HALVES))
+    seed.write_text(json.dumps({"polys": [{"denom": 1, "terms": {"0": "1"}}]
+                                * 4}))
+    assert cli.main(["typea", "flow", "--instance", str(inst), "--tuple",
+                     str(seed), "--generator", "Z", "--k", "1",
+                     "--c", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fields"] == {"tuples": 4}
+    tup.write_text(json.dumps({"polys": doc["tuples"][0]["tuple"],
+                               "field": doc["fields"]["tuples"]}))
+    assert cli.main(["verify", "--instance", str(inst), "--tuple",
+                     str(tup)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["generic"] and report["critical"] and report["cyclotomic"]
+
+
+A4_HALVES = {"cartan": {"series": "A", "rank": 4}, "sigma": "(1 4)(2 3)",
+             "M": 2, "omega": "-1", "lambda0": ["1/2", "0", "0", "1/2"]}
+
+
+def _reads_back(doc, value, order):
+    """True when doc, a section written at `order`, reads back as value: a
+    scalar string, a quasi-polynomial document, or a list or dict of
+    them; other leaves compare as they are."""
+    if isinstance(doc, str) and not isinstance(value, str):
+        return serialize.parse_scalar(doc, order) == value
+    if isinstance(doc, dict) and "terms" in doc:
+        return serialize.qpoly_from_doc(doc, order) == value
+    if isinstance(doc, dict):
+        return doc.keys() == value.keys() and all(
+            _reads_back(doc[k], value[k], order) for k in doc)
+    if isinstance(doc, list):
+        value = list(value)
+        return len(doc) == len(value) and all(
+            _reads_back(d, v, order) for d, v in zip(doc, value))
+    return doc == value
+
+
+def _sections(command, inst, y):
+    """{key: value} of the scalar sections that `command` writes, computed
+    in process as the command computes them; None for a command that
+    refuses its input."""
+    from cybethe.cartan import orbit_data
+    from cybethe.errors import CybetheError, NotSelfDual
+    from cybethe.frame import eigenvalues, weight_at_infinity
+    from cybethe.typea import (apply_flow, beta, cyclotomic_population,
+                               flow_vs_generation, gram_matrix, kernel_basis,
+                               witt_basis)
+    if command == ["verify"]:
+        return {"lambda_infinity": weight_at_infinity(inst, y).pairings}
+    if command == ["eigenvalues"]:
+        res = eigenvalues(inst, y)
+        return {"cyclotomic": res["cyclotomic"], "extended": res["extended"]}
+    space, flag = kernel_basis(inst, y)
+    if command[1] == "analyze":
+        out = {"basis": space.basis, "beta_roundtrip": beta(space,
+                                                             flag.adjusted)}
+        try:
+            out["b_matrix_special_basis"] = gram_matrix(space)
+        except NotSelfDual:
+            return out
+        wb = witt_basis(space, flag.adjusted,
+                        "--quadratic-extension" in command)
+        out["witt"] = {"vectors": wb.vectors, "constants": wb.constants,
+                       "gram": wb.gram}
+        if "--members" in command:
+            out["population"] = cyclotomic_population(
+                inst, space, witt_basis(space, flag.adjusted),
+                int(command[command.index("--members") + 1]))["members"]
+        return out
+    kind, cs = command[3], [serialize.parse_scalar(c, inst.M)
+                            for c in command[5].split(",")]
+    try:
+        if kind == "X":
+            return {"rho": flow_vs_generation(
+                inst, orbit_data(inst.cartan, inst.aut), y, 1, cs)["rho"]}
+        wb = witt_basis(space, flag.adjusted)
+        return {"tuples": [{"c": c, "tuple": [q.monic() for q in apply_flow(
+            space, wb, (kind, 1), c)[1]]} for c in cs]}
+    except CybetheError:
+        return None
+
+
+def test_every_scalar_reads_back_at_its_sections_order(tmp_path, capsys):
+    # every scalar string of a type-A output, parsed at the order its
+    # section records (M where it records none; a tuple document's own
+    # "field"; a space's "field" for its basis), is the value computed in
+    # process: the type-A commands on the README A2 tuple, also with
+    # --members 3, on A4 with lambda0 = (1/2, 0, 0, 1/2), whose Z flows
+    # leave Q, and on the 40 A4 catalog nodes
+    from test_catalog_pins import A4_CATALOG, A4_DOC, TYPEA_COMMANDS
+    trivial = {"polys": [{"denom": 1, "terms": {"0": "1"}}] * 4}
+    runs = [(A2_INSTANCE, A2_TUPLE, TYPEA_COMMANDS + (
+        ["typea", "analyze", "--members", "3"],
+        ["typea", "analyze", "--quadratic-extension", "--members", "3"])),
+        (A4_HALVES, trivial, TYPEA_COMMANDS + tuple(
+            ["typea", "flow", "--generator", g, "--c", "1,-1/2,2"]
+            for g in "YZ"))]
+    runs += [(A4_DOC, node["tuple"], TYPEA_COMMANDS)
+             for node in json.loads(A4_CATALOG.read_text())["nodes"]]
+    inst_path, tuple_path = tmp_path / "instance", tmp_path / "tuple"
+    read, orders = 0, set()
+    for instance, tuple_, commands in runs:
+        inst_path.write_text(json.dumps(instance))
+        tuple_path.write_text(json.dumps(tuple_))
+        inst = serialize.instance_from_doc(instance)
+        y = serialize.tuple_from_doc(tuple_, inst.M)
+        for command in commands:
+            cli.main(command + ["--instance", str(inst_path), "--tuple",
+                                str(tuple_path)])
+            doc = json.loads(capsys.readouterr().out)
+            sections = _sections(command, inst, y)
+            assert ("error" in doc) == (sections is None), command
+            for key, value in (sections or {}).items():
+                order = doc["field"] if key == "basis" else \
+                    doc.get("fields", {}).get(key, inst.M)
+                if key == "population":
+                    got = [serialize.tuple_from_doc(t, inst.M)
+                           for t in doc[key]["members"]]
+                    assert got == value and len(got) == 3
+                else:
+                    assert _reads_back(doc[key], value, order), (command, key)
+                orders.add(order)
+                read += 1
+    assert read > 500 and orders == {2, 4, 8}

@@ -145,8 +145,6 @@ KEPT_UNREACHED = {
     # ROADMAP item 5: D(y) of a tuple annihilates the special basis of its
     # population's space
     "typea.fundamental_operator", "typea.apply_operator", "qpoly.RatQP",
-    # ROADMAP item 6: the flag type in `typea analyze`
-    "typea.flag_type",
     # ROADMAP item 9: named by the benchmark's tracer
     "linalg.nullspace", "linalg.rank", "qpoly.wronskian",
     # oracles that tests compare the library against

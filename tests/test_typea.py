@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_gram, poly
+from conftest import fresh_gram, poly, written
 from cybethe import qpoly, serialize
 from cybethe.cartan import Weight, orbit_data
 from cybethe.errors import NotInRootCone, NotIsotropic, NotSelfDual
@@ -893,26 +893,26 @@ def test_apply_flow_divides_each_mask_once(a2, a2_tuple, monkeypatch):
 
 def _assert_fresh_table(space, witt):
     """Every entry of the table `witt` keeps equals the entry of a fresh
-    table of its vectors divided by D_k, in value, field order and text."""
+    table of its vectors divided by D_k, in value and in text as a section
+    of a document."""
     divisors = space.frame.divisors
     direct = qpoly.wronskian_table(witt.vectors)
-    for mask in range(1, len(direct)):
-        want = qpoly.divide_exact(direct[mask], divisors[mask.bit_count()])
-        got = witt.wr_plus(mask)
-        assert got == want
-        assert (got.field_order(), str(got)) == \
-            (want.field_order(), str(want))
+    want = [qpoly.divide_exact(direct[mask], divisors[mask.bit_count()])
+            for mask in range(1, len(direct))]
+    got = [witt.wr_plus(mask) for mask in range(1, len(direct))]
+    assert got == want and written(got) == written(want)
 
 
 def _text_of(polys):
-    return [(p, p.field_order(), str(p)) for p in polys]
+    polys = list(polys)
+    return polys, written(polys)
 
 
 def _assert_fresh_prefixes(inst, y, monkeypatch):
     """The Wr+(u_1..u_k) that kernel_basis compares with y_k, and beta,
     monic, equal the entries of a fresh table of the flag basis divided by
     D_k, and the constant Wr+ of the space's table that of a fresh table
-    of the special basis, in value, field order and text."""
+    of the special basis, in value and in text as a section."""
     from cybethe import typea
     compared = []
     with monkeypatch.context() as patch:
@@ -931,14 +931,14 @@ def _assert_fresh_prefixes(inst, y, monkeypatch):
     got = space.wr_plus((1 << size) - 1)
     assert top.degree == 0 and _text_of([got]) == _text_of([top])
     got, top = got.coeff(0), top.coeff(0)
-    assert (got, got.order, str(got)) == (top, top.order, str(top))
+    assert (got, written(got)) == (top, written(top))
 
 
 def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified,
                                               witt_cases, monkeypatch):
     # Cauchy-Binet: every entry of a Witt basis's table, and of an image's,
     # equals the entry of a fresh table of its vectors divided by D_k, in
-    # value, field order and text, along chains of 0 to 3 flows, with and
+    # value and in text as a section, along chains of 0 to 3 flows, with and
     # without quadratic extension; so do the prefix entries that beta and
     # kernel_basis read, and the constant Wr+ of the special basis
     from cybethe import typea
@@ -978,11 +978,17 @@ def test_transported_tables_equal_direct_ones(a2, a2_tuple, a3, ramified,
     assert repr(bare) == repr(witt) and "wr_plus" not in repr(witt)
 
 
-def _fresh_transport(mat, wr_plus, vectors, divisors):
-    """`typea._transport` replaced by a fresh table of the vectors."""
-    table = qpoly.wronskian_table(vectors)
-    return lambda mask: qpoly.divide_exact(table[mask],
-                                           divisors[mask.bit_count()])
+def _fresh_transport(space, basis):
+    """`typea._transport` from the table of `basis`, a basis of the space,
+    replaced by a fresh table of the vectors mat basis."""
+    from cybethe import typea
+
+    def transport(mat, wr_plus):
+        vectors = [typea._combine(row, basis) for row in mat]
+        table = qpoly.wronskian_table(vectors)
+        return lambda mask: qpoly.divide_exact(
+            table[mask], space.frame.divisors[mask.bit_count()])
+    return transport
 
 
 def test_gram_check_still_decides(monkeypatch):
@@ -1010,7 +1016,8 @@ def test_gram_check_still_decides(monkeypatch):
             for path in ("transported", "fresh"):
                 with monkeypatch.context() as patch:
                     if path == "fresh":
-                        patch.setattr(typea, "_transport", _fresh_transport)
+                        patch.setattr(typea, "_transport", _fresh_transport(
+                            space, witt.vectors))
                     try:
                         apply_flow(space, witt, gen, Cyc.of(F(1, 3)))
                         refused = False
@@ -1062,7 +1069,8 @@ def test_witt_gram_check_still_decides(monkeypatch):
 
             with monkeypatch.context() as patch:
                 if path == "fresh":
-                    patch.setattr(typea, "_transport", _fresh_transport)
+                    patch.setattr(typea, "_transport", _fresh_transport(
+                        space, space.basis))
                 witt_basis(space, sheared)
                 patch.setattr(typea, "_form", blind)
                 with pytest.raises(InternalInvariantError) as err:
@@ -1076,13 +1084,13 @@ def test_witt_gram_check_still_decides(monkeypatch):
 
 
 def _gram_text(g):
-    return [[(x, x.order, str(x)) for x in row] for row in g]
+    return [list(row) for row in g], written(g)
 
 
 def test_witt_grams_equal_fresh_ones(witt_cases):
     # a Witt basis's Gram matrix is a congruence of its adapted basis's,
     # and an image keeps its input's: each equals a fresh `gram_matrix` of
-    # its vectors in value, field order and text, with and without
+    # its vectors in value and in text as a section, with and without
     # quadratic extension, along single flows and chains of 3
     grams = 0
     for space, _, witt in witt_cases:
@@ -1310,7 +1318,7 @@ def test_rational_sqrt_matches_the_per_prime_product():
     qs += [-q for q in qs[::7]] + [F(-1), F(-4, 9), F(-2, 3), F(799)]
     for q in qs:
         got, want = rational_sqrt(q), _rational_sqrt_reference(q)
-        assert (got, got.order, str(got)) == (want, want.order, str(want)), q
+        assert (got, written(got)) == (want, written(want)), q
         assert got * got == q
 
 
