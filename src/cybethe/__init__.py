@@ -20,14 +20,14 @@ _EXPORTS = {
                      "inner_product", "orbit_data", "shifted_reflect",
                      "sigma_on_weight"), "cartan"),
     **dict.fromkeys(("BetheTuple", "eigenvalues", "frame_polys",
-                     "hl_identity_check", "is_critical_exact",
-                     "is_cyclotomic_tuple", "is_generic", "prove_cyclotomic",
-                     "validate_lambda0", "weight_at_infinity"), "frame"),
-    **dict.fromkeys(("cyclotomic_generate", "elementary_generate_L1",
-                     "explore_population"), "genengine"),
-    **dict.fromkeys(("QPoly", "divide_exact", "divided_wronskian",
-                     "proportional", "qgcd", "wronskian",
-                     "wronskian_ode_solve", "wronskian_table"), "qpoly"),
+                     "is_critical_exact", "is_cyclotomic_tuple",
+                     "is_generic", "prove_cyclotomic", "validate_lambda0",
+                     "weight_at_infinity"), "frame"),
+    **dict.fromkeys(("cyclotomic_generate", "explore_population"),
+                    "genengine"),
+    **dict.fromkeys(("QPoly", "divide_exact", "proportional", "qgcd",
+                     "wronskian", "wronskian_ode_solve", "wronskian_table"),
+                    "qpoly"),
     "Cyc": "scalars",
 }
 _SUBMODULES = ("cartan", "errors", "frame", "genengine", "linalg", "qpoly",

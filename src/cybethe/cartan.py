@@ -146,16 +146,6 @@ class CartanData(Record):
               for j in range(rank)] for i in range(rank)]
         return CartanData.from_matrix(a, d=[1] * rank)
 
-    @staticmethod
-    def affine_a(n):
-        """Affine A_n^(1) cycle on n+1 nodes (n >= 2), used in fold tests."""
-        if n < 2:
-            raise InputError("affine A_n^(1) here needs n >= 2")
-        size = n + 1
-        a = [[2 if i == j else (-1 if (i - j) % size in (1, size - 1) else 0)
-              for j in range(size)] for i in range(size)]
-        return CartanData.from_matrix(a)
-
 
 class DiagramAut(Record):
     """Permutation of the nodes preserving the Cartan matrix."""
@@ -189,10 +179,6 @@ class DiagramAut(Record):
                     raise InputError(
                         f"permutation does not preserve the Cartan matrix "
                         f"at ({i},{j})")
-
-    @staticmethod
-    def identity(n):
-        return DiagramAut(tuple(range(n)))
 
     def orbits(self):
         seen, out = set(), []

@@ -155,7 +155,7 @@ def cmd_typea_analyze(args):
         g = None
     self_dual = g is not None
     doc = serialize.space_doc(space, inst.M)
-    doc["frame_report"] = _plain(report)
+    doc["frame_report"] = report
     doc["self_dual"] = self_dual
     doc["flag_type"] = sorted(flag_type(space, flag.adjusted))
     serialize.put(doc, "beta_roundtrip", beta(space, flag.adjusted), inst.M)
@@ -261,16 +261,6 @@ def cmd_check_numeric(args):
     _emit(doc, args.out)
     ok = norm < tol.root_residual and grad["max_mismatch"] < FD_TOL
     return 0 if ok else 1
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (int, float, bool, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -491,15 +491,3 @@ def eigenvalues(inst, y):
             pos += 1
     return {"cyclotomic": cyc, "extended": ext, "match": match,
             "origin_zero": origin_zero, "not_critical": warn_not_critical}
-
-
-def hl_identity_check(cartan, aut, omega, lam):
-    """Exact check of sum_k (l, s^k l)/(1 - w^k) = (1/2) sum_k (l, s^k l)."""
-    orbit = weight_orbit(aut, lam)
-    lhs = Cyc.of(0)
-    rhs = Fraction(0)
-    for k in range(1, len(orbit)):
-        val = inner_product(cartan, lam, orbit[k])
-        lhs = lhs + Cyc.of(val) / (1 - omega ** k)
-        rhs += val
-    return lhs == Cyc.of(rhs / 2)

@@ -15,7 +15,7 @@ at most `MAX_DEGREE`.
 import cmath
 import math
 
-from .cartan import Record, Weight, inner_product, weight_orbit
+from .cartan import Record, Weight, inner_product
 from .errors import (BranchCollision, DivisionNearZero, IllConditioned,
                      InputError)
 from .frame import extended_sites
@@ -237,36 +237,3 @@ def grad_check(inst, point, tol=DEFAULT_TOL):
     return {"max_mismatch": max_mismatch,
             "max_gradient": max(abs(r) for r in analytic),
             "per_root": per_root}
-
-
-def eigenvalues_numeric(inst, point):
-    """E^(i) of the cyclotomic picture evaluated in floating point.
-
-    The root sum runs over all extended roots directly (the double sum
-    over fundamental roots and powers of omega enumerates exactly the
-    extended root multiset of a cyclotomic point).
-    """
-    M = inst.M
-    omega = complex(inst.omega)
-    orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
-    out = []
-    for i, zi_exact in enumerate(inst.points):
-        zi = complex(zi_exact)
-        lam_i = inst.site_weights[i]
-        acc = 0j
-        for jdx, zj_exact in enumerate(inst.points):
-            if jdx == i:
-                continue
-            zj = complex(zj_exact)
-            for s, lam_s in enumerate(orbits[jdx]):
-                acc += float(inner_product(inst.cartan, lam_i, lam_s)) \
-                    / (zi - omega ** s * zj)
-        for (tj, cj) in zip(point.roots, point.colours):
-            acc -= _ip_weight_alpha(inst, lam_i, cj) / (zi - tj)
-        tail = complex(float(inner_product(inst.cartan, lam_i, inst.lambda0)))
-        for s in range(1, M):
-            tail += float(inner_product(inst.cartan, lam_i, orbits[i][s])) \
-                / (1 - omega ** s)
-        acc += tail / zi
-        out.append(acc)
-    return out

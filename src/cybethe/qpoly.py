@@ -52,10 +52,10 @@ already solved reaches is structurally zero and takes no `Cyc` work.
 
 from bisect import bisect_left
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, count
 from math import gcd, lcm
-from operator import mul, sub
+from operator import sub
 
 from .errors import (AmbiguousNormalization, BranchUndefined, InexactDivision,
                      NoSolution)
@@ -152,11 +152,6 @@ class QPoly:
     @staticmethod
     def constant(c):
         return QPoly({0: c})
-
-    @staticmethod
-    def from_coeffs(coeffs):
-        """Ordinary polynomial from a low-to-high coefficient list."""
-        return QPoly(dict(enumerate(coeffs)))
 
     def _lift(self, L, D):
         """(ks, nums) of self at field order L and exponent denominator D."""
@@ -745,11 +740,6 @@ def wronskian(fs):
     return wronskian_table(fs)[-1]
 
 
-def divided_wronskian(fs, divisors):
-    """Wr(fs) divided exactly by the product of `divisors`."""
-    return divide_exact(wronskian(fs), reduce(mul, divisors, _ONE))
-
-
 def wronskian_ode_solve(f, w_target, norm):
     """Solve Wr(f, Y) = W for Y by one back-substitution sweep.
 
@@ -823,65 +813,3 @@ def wronskian_ode_solve(f, w_target, norm):
                 f"f has zero coefficient at x^{pin}; cannot pin there")
         particular = particular - f.scale(particular.coeff(pin) / fpin)
     return particular, f
-
-
-class RatQP:
-    """Reduced ratio of quasi-polynomials; just enough for operator work."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if den is None:
-            den = QPoly.one()
-        if den.is_zero():
-            raise ZeroDivisionError("rational quasi-polynomial with zero denominator")
-        if num.is_zero():
-            self.num, self.den = QPoly.zero(), QPoly.one()
-            return
-        g = qgcd(num, den)
-        if not (g.is_monomial() and g.degree == 0):
-            num = divide_exact(num, g)
-            den = divide_exact(den, g)
-        lead = den.leading_coeff()
-        self.num = num.scale(lead.inverse())
-        self.den = den.scale(lead.inverse())
-
-    @staticmethod
-    def of(p):
-        return p if isinstance(p, RatQP) else RatQP(p)
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = RatQP.of(other)
-        return RatQP(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
-
-    def __neg__(self):
-        return RatQP(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-RatQP.of(other))
-
-    def __mul__(self, other):
-        other = RatQP.of(other)
-        return RatQP(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other):
-        other = RatQP.of(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational quasi-polynomial")
-        return RatQP(self.num * other.den, self.den * other.num)
-
-    def derivative(self):
-        return RatQP(self.num.derivative() * self.den
-                     - self.num * self.den.derivative(),
-                     self.den * self.den)
-
-    def __eq__(self, other):
-        other = RatQP.of(other)
-        return self.num * other.den == other.num * self.den
-
-    def __repr__(self):
-        return f"RatQP(({self.num}) / ({self.den}))"

@@ -1,7 +1,6 @@
 """Type-A theory: quasi-polynomial spaces with frame, flags and the beta
-map, the fundamental differential operator, duality, cyclotomic
-self-duality, the bilinear form B, Witt bases, isotropic flags, and the
-flag flows realizing cyclotomic generation.
+map, duality, cyclotomic self-duality, the bilinear form B, Witt bases,
+isotropic flags, and the flag flows realizing cyclotomic generation.
 
 Everything is exact.  The bilinear form is B(u, v) = (u, v(-x)) computed
 by expanding v(-x) in the dual basis W_k = Wr+(u_1, ..., ^u_k, ..., u_(R+1));
@@ -24,7 +23,7 @@ B is bilinear, so vectors v = E u have the Gram matrix E Gram(u) E^T
 exactly, and the Wronskian is multilinear, so their Wr+ are transported
 from the table of u by Cauchy-Binet (`_transport`), each entry equal in
 value to the entry of a fresh table of v.  `beta`,
-`bform` and the check of `kernel_basis` read V this way.  A Witt basis
+`witt_basis` and the check of `kernel_basis` read V this way.  A Witt basis
 belongs to a flag, not to the basis that spans it: `witt_basis` adapts
 any basis of a decomposable flag to the exponent classes (`_adapt`) and
 eliminates on the congruence Gram matrix of the adapted basis; the Witt
@@ -53,7 +52,7 @@ from .errors import (InexactDivision, InputError, InternalInvariantError,
                      UnsupportedType)
 from .frame import (BetheTuple, big_lambda, prove_cyclotomic, t_tilde,
                     weight_at_infinity)
-from .qpoly import (QPoly, RatQP, divide_exact, proportional, qgcd,
+from .qpoly import (QPoly, divide_exact, proportional, qgcd,
                     wronskian_ode_solve, wronskian_table)
 from .scalars import ZERO, Cyc, _cyc, _factor, _reduce_mod_phi
 
@@ -225,31 +224,6 @@ def _wr_plus(frame, fs):
                                            divisors[mask.bit_count()]))
 
 
-def fundamental_operator(frame, y):
-    """Factorization data of the operator D(y): the R+1 logarithmic
-    derivative arguments g_i = y_(R+1-i) T~_1 ... T~_(R-i) / y_(R-i),
-    leftmost factor first (with y_0 = y_(R+1) = 1)."""
-    r = frame.r
-    args = []
-    for i in range(r + 1):
-        hi = QPoly.one() if i == 0 else y[r - i]
-        lo = QPoly.one() if i == r else y[r - i - 1]
-        acc = RatQP(hi)
-        for j in range(r - i):
-            acc = acc * RatQP(frame.ttilde[j])
-        acc = acc / RatQP(lo)
-        args.append(acc)
-    return args
-
-
-def apply_operator(args, u):
-    """Apply D = prod (d/dx - log' g_i) to u, right factor first."""
-    cur = RatQP(u)
-    for g in reversed(args):
-        cur = cur.derivative() - (g.derivative() / g) * cur
-    return cur
-
-
 # --- kernel space of a critical tuple ---------------------------------------
 
 
@@ -386,12 +360,6 @@ def _gram(basis, wr_plus):
     signed = (const, -const)
     return [[signed[i % 2] * cmat[j][i] for j in range(size)]
             for i in range(size)]
-
-
-def bform(space, u, v):
-    """B(u, v) for arbitrary vectors of the space."""
-    cu, cv = _coordinates(space, [u, v])
-    return _form(cu, gram_matrix(space), cv)
 
 
 def _form(u, g, v):

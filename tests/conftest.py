@@ -13,7 +13,20 @@ from cybethe.scalars import Cyc
 
 def poly(*coeffs):
     """Ordinary polynomial from low-to-high coefficients."""
-    return QPoly.from_coeffs(list(coeffs))
+    return QPoly(dict(enumerate(coeffs)))
+
+
+def affine_a(n):
+    """The Cartan data of the affine cycle A_n^(1) on n+1 nodes (n >= 2)."""
+    size = n + 1
+    return CartanData.from_matrix(
+        [[2 if i == j else (-1 if (i - j) % size in (1, size - 1) else 0)
+          for j in range(size)] for i in range(size)])
+
+
+def identity_aut(n):
+    """The identity automorphism of a diagram on n nodes."""
+    return DiagramAut(tuple(range(n)))
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import fresh_gram, mirrored, poly, shifted_critical
+from conftest import affine_a, fresh_gram, mirrored, poly, shifted_critical
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
 from cybethe.errors import LinkingViolation
 from cybethe.frame import (BetheTuple, ProblemInstance, eigenvalues,
-                           hl_identity_check, is_critical_exact,
-                           is_cyclotomic_tuple, weight_at_infinity)
+                           is_critical_exact, is_cyclotomic_tuple,
+                           weight_at_infinity)
 from cybethe.genengine import cyclotomic_generate, explore_population
 from cybethe.numerics import embed, grad_check, residual_norm
 from cybethe.qpoly import QPoly, proportional, wronskian
@@ -25,6 +25,7 @@ from cybethe.typea import (apply_flow, available_generators, beta,
                            flow_vs_generation, frame_conditions_check,
                            gram_matrix, isotropy_check, kernel_basis,
                            witt_basis)
+from oracles import hl_identity_check
 
 
 def report(n, text):
@@ -54,12 +55,12 @@ def test_criterion_01_folding_table():
     assert fold3.a_fold.a == ((2, -2), (-1, 2))
     n = 2
     with pytest.raises(LinkingViolation) as err:
-        orbit_data(CartanData.affine_a(n),
+        orbit_data(affine_a(n),
                    DiagramAut(tuple((i + 1) % (n + 1) for i in range(n + 1))))
     assert err.value.linking == 1 + n
     for n in (3, 4):
         with pytest.raises(LinkingViolation):
-            orbit_data(CartanData.affine_a(n),
+            orbit_data(affine_a(n),
                        DiagramAut(tuple((i + 1) % (n + 1)
                                         for i in range(n + 1))))
     report(1, "A_4 linking (1,2,2,1); A_3 fold [[2,-2],[-1,2]]; "
@@ -305,7 +306,7 @@ def test_criterion_08_identity_suites(a2):
 def _rand_poly(rng, max_deg, min_deg=0):
     deg = rng.randint(min_deg, max_deg)
     coeffs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)]
-    return QPoly.from_coeffs(coeffs)
+    return poly(*coeffs)
 
 
 def test_criterion_09_numeric_crosscheck(a2, a3, a2_population,

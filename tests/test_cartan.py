@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import affine_a, identity_aut
 from cybethe.cartan import (MAX_RANK, CartanData, DiagramAut, Weight,
                             dominant_shifted_rep, folded_reflect,
                             inner_product, orbit_data, shifted_reflect,
@@ -24,7 +25,7 @@ def test_folding_a3():
 
 def test_folding_identity():
     cartan = CartanData.series("A", 3)
-    fold = orbit_data(cartan, DiagramAut.identity(3))
+    fold = orbit_data(cartan, identity_aut(3))
     assert fold.a_fold.a == cartan.a
     assert fold.linking == (1, 1, 1)
     assert fold.orbit_len == (1, 1, 1)
@@ -32,7 +33,7 @@ def test_folding_identity():
 
 def test_folding_affine_rejected():
     for n in (2, 3, 4):
-        cartan = CartanData.affine_a(n)
+        cartan = affine_a(n)
         rotation = DiagramAut(tuple((i + 1) % (n + 1) for i in range(n + 1)))
         with pytest.raises(LinkingViolation) as err:
             orbit_data(cartan, rotation)
@@ -45,7 +46,7 @@ def test_folding_affine_rejected():
 
 def test_fold_of_fold_idempotent():
     fold = orbit_data(CartanData.series("A", 4), DiagramAut((3, 2, 1, 0)))
-    refold = orbit_data(fold.a_fold, DiagramAut.identity(2))
+    refold = orbit_data(fold.a_fold, identity_aut(2))
     assert refold.a_fold.a == fold.a_fold.a
 
 
@@ -66,7 +67,7 @@ def test_diagram_aut_derives_its_order_once(a3, monkeypatch):
     assert aut == DiagramAut((1, 2, 0, 4, 3))
     assert hash(aut) == hash(DiagramAut((1, 2, 0, 4, 3)))
     assert repr(aut) == "DiagramAut(perm=(1, 2, 0, 4, 3))"
-    assert DiagramAut(()).order == DiagramAut.identity(3).order == 1
+    assert DiagramAut(()).order == identity_aut(3).order == 1
     # a BFS reads sigma's order (through `power` and `M`) without the lcm
     # of its cycle lengths
     calls = []
@@ -103,7 +104,7 @@ def test_weight_orbit_lists_the_sigma_powers(cartan, aut):
 def test_sigma_on_weight():
     aut = DiagramAut((2, 1, 0))
     assert sigma_on_weight(aut, Weight([1, 2, 3])) == Weight([3, 2, 1])
-    assert sigma_on_weight(DiagramAut.identity(3), Weight([1, 2, 3])) \
+    assert sigma_on_weight(identity_aut(3), Weight([1, 2, 3])) \
         == Weight([1, 2, 3])
     fixed = Weight([5, 7, 5])
     assert sigma_on_weight(aut, fixed) == fixed
@@ -137,9 +138,9 @@ def test_folded_reflect_words(a3, a2):
     assert via_word == direct
     # sigma = id: folded_reflect is shifted_reflect
     cartan = inst3.cartan
-    fold_id = orbit_data(cartan, DiagramAut.identity(3))
+    fold_id = orbit_data(cartan, identity_aut(3))
     for i in range(3):
-        assert folded_reflect(cartan, DiagramAut.identity(3), fold_id, i, lam) \
+        assert folded_reflect(cartan, identity_aut(3), fold_id, i, lam) \
             == shifted_reflect(cartan, i, lam)
     # L = 2 word s_1 s_2 s_1 on A_2
     inst2, fold2 = a2

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import written
+from conftest import poly, written
 from cybethe import cli, qpoly, serialize
 from cybethe.cartan import orbit_data
 from cybethe.errors import (ExceptionalParameter, InternalInvariantError,
@@ -349,7 +349,7 @@ def test_eigenvalues_match_on_every_d5_and_e6_node(catalogs):
 def test_eigenvalues_skip_a_root_on_a_site_of_pairing_zero(tmp_path, capsys):
     instance, tuple_ = tmp_path / "instance.json", tmp_path / "tuple.json"
     instance.write_text(json.dumps(D5_DOC))
-    y = BetheTuple([QPoly.one(), QPoly.from_coeffs([-1, 0, 1]),
+    y = BetheTuple([QPoly.one(), poly(-1, 0, 1),
                     *[QPoly.one()] * 3])
     tuple_.write_text(serialize.tuple_doc_json(y))
     args = ["--instance", str(instance), "--tuple", str(tuple_)]
@@ -361,7 +361,7 @@ def test_eigenvalues_skip_a_root_on_a_site_of_pairing_zero(tmp_path, capsys):
     assert out["extended"] == ["0", "25/2", "-25/2"]
     assert out["match"] and out["origin_zero"] and not out["not_critical"]
     # a root on the site in colour 1, whose pairing with the site is 1
-    y = BetheTuple([QPoly.from_coeffs([-1, 1]), *y.polys[1:]])
+    y = BetheTuple([poly(-1, 1), *y.polys[1:]])
     tuple_.write_text(serialize.tuple_doc_json(y))
     assert cli.main(["eigenvalues"] + args) == 2
     assert "hits a Bethe root" in capsys.readouterr().out

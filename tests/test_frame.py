@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import poly, shifted_critical
+from conftest import affine_a, identity_aut, poly, shifted_critical
 from cybethe import cartan, frame, serialize
 from cybethe.cartan import (CartanData, DiagramAut, Weight, orbit_data,
                             shifted_reflect, sigma_on_weight)
@@ -14,14 +14,14 @@ from cybethe.errors import (InexactDivision, InputError, NotCyclotomic,
                             NotGeneric)
 from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
                            canonical_lambda0, eigenvalues, frame_polys,
-                           hl_identity_check, interaction_product,
-                           is_critical_exact, is_cyclotomic_tuple,
-                           is_generic, prove_cyclotomic, t_tilde,
-                           validate_lambda0, weight_at_infinity)
+                           interaction_product, is_critical_exact,
+                           is_cyclotomic_tuple, is_generic, prove_cyclotomic,
+                           t_tilde, validate_lambda0, weight_at_infinity)
 from cybethe.genengine import (_checked, _transport, cyclotomic_generate,
                                explore_population)
 from cybethe.qpoly import QPoly, divide_exact, proportional
 from cybethe.scalars import Cyc
+from oracles import hl_identity_check
 from test_catalog_pins import A4_DOC, CATALOGS, D4_DOC, SAMPLES, _verdict
 
 
@@ -461,7 +461,7 @@ def test_hl_identity(a2):
                       for _ in range(2)])
         assert hl_identity_check(inst.cartan, inst.aut, inst.omega, lam)
     # M = 1: both sides are empty sums
-    assert hl_identity_check(inst.cartan, DiagramAut.identity(2),
+    assert hl_identity_check(inst.cartan, identity_aut(2),
                              Cyc.of(1), Weight([1, 2]))
 
 
@@ -536,8 +536,8 @@ def test_eigenvalues_reject_singular_cartan_up_front():
     # affine A_2^(1) is singular; no marked points and the trivial tuple
     # leave no inner product to evaluate, yet the call must still fail
     from cybethe.errors import SingularCartan
-    cartan = CartanData.affine_a(2)
-    inst = ProblemInstance(cartan=cartan, aut=DiagramAut.identity(3),
+    cartan = affine_a(2)
+    inst = ProblemInstance(cartan=cartan, aut=identity_aut(3),
                            omega=Cyc.of(1), points=(), site_weights=(),
                            lambda0=Weight.zero(3))
     with pytest.raises(SingularCartan):

@@ -4,10 +4,11 @@ exact data (seeded, deterministic)."""
 import random
 from fractions import Fraction as F
 
+from conftest import poly
 from cybethe.cartan import CartanData, DiagramAut, Weight
-from cybethe.frame import hl_identity_check
 from cybethe.qpoly import QPoly, wronskian
 from cybethe.scalars import Cyc
+from oracles import hl_identity_check
 
 
 def rand_weight(rng, n):
@@ -18,7 +19,7 @@ def rand_weight(rng, n):
 def rand_poly(rng, max_deg, min_deg=0):
     deg = rng.randint(min_deg, max_deg)
     coeffs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.randint(1, 4)]
-    return QPoly.from_coeffs(coeffs)
+    return poly(*coeffs)
 
 
 def test_hl_m2():

@@ -8,11 +8,11 @@ from fractions import Fraction as F
 from conftest import poly
 from cybethe import numerics
 from cybethe.frame import BetheTuple, eigenvalues
-from cybethe.numerics import (FloatPoint, embed, eigenvalues_numeric,
-                              grad_check, residual_norm)
+from cybethe.numerics import FloatPoint, embed, grad_check, residual_norm
 from cybethe.cartan import CartanData, DiagramAut, Weight
 from cybethe.frame import ProblemInstance
 from cybethe.scalars import Cyc
+from oracles import eigenvalues_numeric
 
 
 def test_embed_cube_roots(a2_tuple):

@@ -9,10 +9,11 @@ from conftest import poly
 from cybethe import linalg, qpoly, scalars
 from cybethe.errors import (AmbiguousNormalization, BranchUndefined,
                             InexactDivision, NoSolution)
-from cybethe.qpoly import (QPoly, RatQP, divide_exact, divided_wronskian,
-                           is_squarefree, proportional, qgcd,
-                           wronskian, wronskian_ode_solve, wronskian_table)
+from cybethe.qpoly import (QPoly, divide_exact, is_squarefree, proportional,
+                           qgcd, wronskian, wronskian_ode_solve,
+                           wronskian_table)
 from cybethe.scalars import Cyc, cyclotomic_polynomial
+from oracles import RatQP, divided_wronskian
 
 
 def test_arithmetic_basics():
@@ -445,7 +446,7 @@ def _rand_poly(rng, M, deg):
     coeffs = [_rand_scalar(rng, M) for _ in range(deg + 1)]
     for k in (0, deg):
         coeffs[k] = coeffs[k] or Cyc.of(1, M)
-    return QPoly.from_coeffs(coeffs)
+    return poly(*coeffs)
 
 
 def test_certificate_prime_and_root():
@@ -524,9 +525,9 @@ def test_certificate_mixed_orders():
     z3, z6 = Cyc.root_of_unity(3), Cyc.root_of_unity(6)
     i, z8 = Cyc.root_of_unity(4), Cyc.root_of_unity(8)
     for _ in range(6):
-        f = QPoly.from_coeffs([z3 * rng.randint(1, 3), z6, 1, z3 - z6 + 2])
-        g = QPoly.from_coeffs([i + rng.randint(1, 3), z8 ** 3, F(1, 2), i])
-        h = QPoly.from_coeffs([z6 * F(rng.randint(1, 5), 2), z8, 1])
+        f = poly(z3 * rng.randint(1, 3), z6, 1, z3 - z6 + 2)
+        g = poly(i + rng.randint(1, 3), z8 ** 3, F(1, 2), i)
+        h = poly(z6 * F(rng.randint(1, 5), 2), z8, 1)
         assert qgcd(f, g).degree == _exact_gcd_degree(f, g) == 0
         built = qgcd(h * f, h * g)
         assert built.degree == _exact_gcd_degree(h * f, h * g) >= 2
@@ -562,7 +563,7 @@ def test_certificate_falls_back_when_the_prime_divides_input():
     # the same in Q(zeta_3): p3 * zeta_3 maps to 0
     p3, _ = qpoly._cert_field(3)
     z3 = Cyc.root_of_unity(3)
-    f = QPoly.from_coeffs([1, z3, z3 * p3])
+    f = poly(1, z3, z3 * p3)
     assert not qpoly._certified_coprime(_dense(f), _dense(line))
     assert qgcd(f, line).degree == 0
     assert qgcd(f * line, line).degree == 1

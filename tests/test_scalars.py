@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import poly
 from cybethe.qpoly import QPoly
 from cybethe import scalars
 from cybethe.scalars import Cyc, _cyc, _traces, cyclotomic_polynomial
@@ -406,12 +407,12 @@ def test_division_by_zero_raises():
 def test_power_refuses_a_non_integer_exponent():
     # an exponent 3/2 once gave -1 for (-1) ** (3/2) and x + 1 for
     # (x + 1) ** (3/2); 7/2 escaped as an unrelated TypeError
-    for base in (Cyc.of(-1), Cyc.root_of_unity(8), QPoly.from_coeffs([1, 1])):
+    for base in (Cyc.of(-1), Cyc.root_of_unity(8), poly(1, 1)):
         for n in (F(3, 2), F(7, 2), F(2), 2.0):
             with pytest.raises(TypeError, match="non-integer power"):
                 base ** n
     assert Cyc.of(-1) ** 3 == -1
-    assert QPoly.from_coeffs([1, 1]) ** 2 == QPoly.from_coeffs([1, 2, 1])
+    assert poly(1, 1) ** 2 == poly(1, 2, 1)
 
 
 def _generic_reduce(coeffs, M):

@@ -121,38 +121,42 @@ def test_rep_calls_counts_methods_of_one_name_apart():
         "rep_calls", ROOT / "tools" / "rep_calls.py")
     rep_calls = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(rep_calls)
-    from cybethe import qpoly
-    prefix = str(Path(qpoly.__file__).resolve().parents[1]) + os.sep
-    f = qpoly.QPoly.x_power(1)
+    from cybethe import cartan
+    from cybethe.scalars import Cyc
+    prefix = str(Path(cartan.__file__).resolve().parents[1]) + os.sep
+    a2, aut, omega = cartan.CartanData.series("A", 2), \
+        cartan.DiagramAut((1, 0)), Cyc.of(-1)
+    u, v = (cartan.ProblemInstance(a2, aut, omega, (), (),
+                                   cartan.Weight([1, 1])) for _ in range(2))
     got = []
-    for run in (lambda: f * f, lambda: qpoly.RatQP(f) * qpoly.RatQP(f)):
+    for run in (lambda: u.lambda0 == v.lambda0, lambda: u == v):
         prof = cProfile.Profile()
         prof.runcall(run)
         counts = rep_calls.call_counts(prof, prefix)
         got.append({name: count for name, count in counts.items()
-                    if name.endswith("__mul__")})
-    # the RatQP product multiplies QPoly numerators and denominators
-    assert got[0] == {"cybethe/qpoly.py:QPoly.__mul__": 1}
-    assert set(got[1]) == {"cybethe/qpoly.py:QPoly.__mul__",
-                           "cybethe/qpoly.py:RatQP.__mul__"}
-    assert got[1]["cybethe/qpoly.py:RatQP.__mul__"] == 1
+                    if name.startswith("cybethe/")
+                    and name.endswith("__eq__")})
+    # the Record comparison compares the instances' fields, of which only
+    # the weights at the origin are distinct objects
+    assert got[0] == {"cybethe/cartan.py:Weight.__eq__": 1}
+    assert set(got[1]) == {"cybethe/cartan.py:Weight.__eq__",
+                           "cybethe/cartan.py:Record.__eq__"}
+    assert got[1]["cybethe/cartan.py:Record.__eq__"] == 1
 
 
 # What `tools/reach.py` reports: the definitions that no command and no
 # benchmark file reaches, each kept for the reason given.  Anything else it
 # reports is code to wire into a command or to delete.
 KEPT_UNREACHED = {
-    # ROADMAP item 5: D(y) of a tuple annihilates the special basis of its
-    # population's space
-    "typea.fundamental_operator", "typea.apply_operator", "qpoly.RatQP",
-    # ROADMAP item 9: named by the benchmark's tracer
-    "linalg.nullspace", "linalg.rank", "qpoly.wronskian",
-    # oracles that tests compare the library against
-    "numerics.eigenvalues_numeric", "typea.bform", "qpoly.divided_wronskian",
-    "frame.hl_identity_check", "genengine.elementary_generate_L1",
-    # test-data builders
-    "qpoly.QPoly.from_coeffs", "cartan.CartanData.affine_a",
-    "cartan.DiagramAut.identity",
+    # the benchmark tracer's SPANNED wraps it by `getattr` (ROADMAP item 9)
+    "linalg.nullspace",
+    # the benchmark tracer's SPANNED wraps it by `getattr` (ROADMAP item 9)
+    "linalg.rank",
+    # the benchmark tracer's SPANNED wraps it by `getattr` (ROADMAP item 9)
+    "qpoly.wronskian",
+    # the only reader of `genengine.is_generic`, which the benchmark's smoke
+    # test asserts (ROADMAP item 9)
+    "genengine.elementary_generate_L1",
 }
 
 
@@ -166,6 +170,16 @@ def reach(*args):
 
 def test_reach_reports_only_the_kept_definitions():
     assert set(reach()) == KEPT_UNREACHED
+
+
+def test_no_export_is_unreached():
+    # a name the package exports is one that a command or the benchmark
+    # uses; `wronskian` is reached only through the benchmark's tracer
+    import cybethe
+    objs = [getattr(cybethe, name) for name in cybethe.__all__]
+    exported = {f"{obj.__module__.partition('.')[2]}.{obj.__qualname__}"
+                for obj in objs if not isinstance(obj, type(cybethe))}
+    assert exported & set(reach()) == {"qpoly.wronskian"}
 
 
 def test_reach_follows_commands_and_benchmark_files(tmp_path):
@@ -185,7 +199,7 @@ def test_reach_follows_commands_and_benchmark_files(tmp_path):
     # root; a string is not
     (bench / "use.py").write_text(
         "from cybethe.typea import unread\nfrom cybethe import numerics\n"
-        "unread(numerics.residual_norm)\nNAMES = ('bform',)\n")
+        "unread(numerics.residual_norm)\nNAMES = ('rank',)\n")
     got = reach(src, bench)
     assert "typea.unread" not in got and "numerics.residual_norm" not in got
-    assert "typea.bform" in got
+    assert "linalg.rank" in got

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_gram, poly, written
+from conftest import fresh_gram, identity_aut, poly, written
 from cybethe import qpoly, serialize
 from cybethe.cartan import Weight, orbit_data
 from cybethe.errors import NotInRootCone, NotIsotropic, NotSelfDual
@@ -19,12 +19,13 @@ from cybethe.genengine import explore_population
 from cybethe.qpoly import QPoly, proportional
 from cybethe.scalars import Cyc
 from cybethe.typea import (QPSpace, apply_flow, available_generators,
-                           beta, bform, big_lambda, cyclotomic_population,
+                           beta, big_lambda, cyclotomic_population,
                            exponents, flag_type, flow_vs_generation,
-                           frame_conditions_check, fundamental_operator,
-                           apply_operator, gram_matrix, isotropy_check,
+                           frame_conditions_check, gram_matrix, isotropy_check,
                            kernel_basis, rational_sqrt, _cyclotomic_sqrt,
                            special_basis_from, witt_basis, in_span)
+from oracles import (apply_operator, bform, divided_wronskian,
+                     fundamental_operator)
 
 
 A4_CATALOG = Path(__file__).resolve().parents[1] / "perfbench" / "data" / \
@@ -105,7 +106,7 @@ def test_uwrlem_constant(a2, a2_tuple):
             want *= d[i] - d[j]
     # from the space's table and from a fresh divided Wronskian
     assert space.wr_plus(0b111) == QPoly.constant(Cyc.of(want)) == \
-        qpoly.divided_wronskian(space.basis, [space.frame.divisors[3]])
+        divided_wronskian(space.basis, [space.frame.divisors[3]])
 
 
 def test_fundamental_operator_kernel(a2, a2_tuple):
@@ -120,10 +121,10 @@ def test_fundamental_operator_kernel(a2, a2_tuple):
 
 def test_fundamental_operator_r1():
     # R = 1: factors (d - log'(T~/y))(d - log' y); kernel contains y_1
-    from cybethe.cartan import CartanData, DiagramAut
+    from cybethe.cartan import CartanData
     from cybethe.frame import ProblemInstance
     cartan = CartanData.series("A", 1)
-    inst = ProblemInstance(cartan=cartan, aut=DiagramAut.identity(1),
+    inst = ProblemInstance(cartan=cartan, aut=identity_aut(1),
                            omega=Cyc.of(1), points=(Cyc.of(1),),
                            site_weights=(Weight([2]),), lambda0=Weight([0]))
     from cybethe.typea import build_frame
@@ -173,7 +174,7 @@ def test_dual_basis(a2, a2_tuple):
         for j in range(size):
             rest = [space.basis[k] for k in range(size) if k != j]
             fs = [space.basis[i]] + rest
-            val = qpoly.divided_wronskian(fs, [space.frame.divisors[len(fs)]])
+            val = divided_wronskian(fs, [space.frame.divisors[len(fs)]])
             if i == j:
                 assert not val.is_zero()
             else:
@@ -557,10 +558,10 @@ def test_z_flow_on_a4():
 def test_classical_limit_m1():
     # trivial automorphism: the engine reduces to the classical theory;
     # kernel recovery and frame conditions hold with p = 0
-    from cybethe.cartan import CartanData, DiagramAut, orbit_data
+    from cybethe.cartan import CartanData, orbit_data
     from cybethe.frame import ProblemInstance
     cartan = CartanData.series("A", 2)
-    ident = DiagramAut.identity(2)
+    ident = identity_aut(2)
     inst = ProblemInstance(cartan=cartan, aut=ident, omega=Cyc.of(1),
                            points=(Cyc.of(1),),
                            site_weights=(Weight([1, 1]),),

@@ -7,7 +7,7 @@ sorted order, each function, class and method that the graph does not
 reach from its roots: `cli.main`, the `cmd_*` handlers, the top-level code
 of every module (importing a module runs it), and every name of the
 package that the benchmark files BENCH/*.py use.  A definition is printed
-as `module.qualname`, such as `qpoly.QPoly.from_coeffs`; a method is
+as `module.qualname`, such as `qpoly.QPoly.derivative`; a method is
 printed only when its class is reached.
 
 Edges are by name:
