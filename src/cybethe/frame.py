@@ -61,7 +61,7 @@ from functools import reduce
 from math import lcm
 from operator import mul
 
-from .cartan import Weight, inner_product, sigma_on_weight, weight_orbit
+from .cartan import Weight, inner_product, weight_orbit
 # defined in `cartan`, so that reading an instance loads no `frame`
 from .cartan import ProblemInstance, canonical_lambda0  # noqa: F401
 from .errors import (InexactDivision, InputError, NegativeExponent,
@@ -316,27 +316,17 @@ def validate_lambda0(inst, fold, typea_p=None):
 
     For L_i = 1: <L0, a_i^vee> in Z>=0 and <L0, a_i^vee> + 1 = 0 mod M/M_i.
     For L_i = 2: <L0, a_i^vee> in Z + 1/2 with 2<L0, a_i^vee> + 1 >= 0
-    (the half-odd strengthening used by the L = 2 generation).
+    (the half-odd strengthening used by the L = 2 generation).  Generation
+    refuses a direction by the same rules (`l1_violation`, `l2_violation`).
     With `typea_p` given, also the type-A conditions for that p.
     Report-valued: returns (ok, [violations]).
     """
     violations = []
-    lam0 = inst.lambda0
-    if sigma_on_weight(inst.aut, lam0) != lam0:
-        violations.append("lambda0 is not sigma-invariant")
     for i in range(inst.cartan.n):
-        v = lam0[i]
-        if fold.linking[i] == 1:
-            violation = l1_violation(inst, fold, i)
-            if violation:
-                violations.append(violation)
-        else:
-            if v.denominator != 2:
-                violations.append(
-                    f"node {i}: L=2 needs a half-odd pairing, got {v}")
-            elif 2 * v + 1 < 0:
-                violations.append(
-                    f"node {i}: L=2 needs 2<L0,a^vee>+1 >= 0, got {v}")
+        violation = (l1_violation(inst, fold, i) if fold.linking[i] == 1
+                     else l2_violation(inst, i))
+        if violation:
+            violations.append(violation)
     if typea_p is not None:
         violations.extend(_typea_lambda0_violations(inst, typea_p))
     return (not violations), violations
@@ -351,6 +341,16 @@ def l1_violation(inst, fold, i):
     if (int(v) + 1) % modulus != 0:
         return (f"node {i}: L=1 needs <L0,a^vee>+1 = 0 mod {modulus}, "
                 f"got {v}")
+    return None
+
+
+def l2_violation(inst, i):
+    """The breach of the L = 2 rule on <L0, a_i^vee> at node i, or None."""
+    v = inst.lambda0[i]
+    if v.denominator != 2:
+        return f"node {i}: L=2 needs a half-odd pairing, got {v}"
+    if 2 * v + 1 < 0:
+        return f"node {i}: L=2 needs 2<L0,a^vee>+1 >= 0, got {v}"
     return None
 
 

@@ -16,6 +16,13 @@ survives:
            step that is linear in c: one solve for its c-independent
            piece, and its c-coefficient read off step 1 (below).
 
+A family is a list of moves (`_pencil`).  A move (j, b, e) gives node j
+the component b + c e before monic normalization: (i, base, y_i) for
+L = 1, and (ibar, base2, y_ibar) then (i, s0, s1), steps 2 and 3, for
+L = 2.  One member path (`_family`) writes each move at sigma^k j for
+k < orbit_len / L: across the whole orbit for L = 1, and at j alone for
+L = 2, whose orbit of length 2 is the block {i, ibar}.
+
 Parameter convention: the emitted tuples are monic; the step-1 result is
 monic-normalized before it enters step 2, which makes the A_2 family from
 the trivial tuple come out as exactly (x^3 - 3c, x^3 + 3c).
@@ -66,11 +73,11 @@ compute, in three places, and none of it is computed again:
     the class gamma + 1).
   * The family along the incoming direction: its parent's, reparametrized.
     Let N be made at c along the representative i from the family of its
-    parent p, whose first pencil pair (base, d) is (base_p, y_i^p) for
-    L = 1 and (base2, y_ibar) for L = 2.  Let m = base + c d, lam = lc(m)
-    and t = [d]_(x^deg m); N's component there is m / lam.  N's equation
+    parent p, whose first move (j, base, d) is (i, base_p, y_i^p) for L = 1
+    and (ibar, base2, y_ibar) for L = 2.  Let m = base + c d, lam = lc(m)
+    and t = [d]_(x^deg m); N's component at j is m / lam.  N's equation
     there, Wr(m / lam, Y) = W, has the right-hand side W = Wr(d, base) of
-    the pair's.  For L = 1, W_i(N) = W_i(p) since N differs from p only on
+    the move's.  For L = 1, W_i(N) = W_i(p) since N differs from p only on
     the pairwise non-adjacent orbit of i.  For L = 2, step 1 at N gives p's
     y_i_1 back: N_i = y_i_3 / mu solves Wr(f, N_i) = (lam / mu)
     x^gamma P_i(N), the step-3 right-hand side being linear in
@@ -79,16 +86,17 @@ compute, in three places, and none of it is computed again:
     side.  As Wr(m / lam, -lam d) = Wr(d, base), N's solutions are -lam d +
     span(m / lam), and the one with a zero coefficient at x^deg m is
     t m - lam d.  Step 3 at N is linear in the step-2 component with the
-    same f, so it maps p's (s0, s1) alike: N's pencil takes each pair
-    (b, e) of p's to (t g - lam e, g / lam) with g = b + c e
-    (`_reparametrized`).  So N's member at c' is p's at
-    c - lam^2 / (c' - kappa) with kappa = -lam t, up to scale, and at
-    c' = kappa it is p.  `explore_population` takes the family so, with
-    no solve, and takes N's component m / lam itself as the new direction
-    of the first pair.  Its pencil, members and steps are the solved ones,
-    and so are the L = 2 intermediates in value: y_i_step1 is p's own
-    (monic), and y_ibar_step2 and y_i_step3 are those of the solved
-    pencil, not only proportional to them.
+    same f, so it maps p's (s0, s1) alike: N's pencil takes each move
+    (j, b, e) of p's to (j, t g - lam e, g / lam) with g = b + c e
+    (`_reparametrized`).
+    So N's member at c' is p's at c - lam^2 / (c' - kappa) with
+    kappa = -lam t, up to scale, and at c' = kappa it is p.
+    `explore_population` takes the family so, with no solve, and takes N's
+    component m / lam at j itself as the new direction of the first move.
+    Its pencil, members and steps are the solved ones, and so are the L = 2
+    intermediates in value: y_i_step1 is p's own (monic), and y_ibar_step2
+    and y_i_step3 are those of the solved pencil, not only proportional to
+    them.
 """
 
 from .cartan import Record, folded_reflect
@@ -96,7 +104,8 @@ from .errors import (ExceptionalParameter, InputError,
                      InternalInvariantError, NotCyclotomic, NotGeneric,
                      SeedInvalid, UnsupportedType)
 from .frame import (BetheTuple, interaction_product, is_generic,
-                    l1_violation, prove_cyclotomic, weight_at_infinity)
+                    l1_violation, l2_violation, prove_cyclotomic,
+                    weight_at_infinity)
 from .qpoly import QPoly, wronskian_ode_solve
 from .scalars import Cyc
 from .serialize import tuple_doc_json
@@ -159,24 +168,26 @@ def generation_family(inst, fold, y, i):
     """The generation family at the orbit representative i, with every
     solve made once; InputError for any other index.
 
-    Returns (index, base, direction, member): the component at `index` of
-    each member is base + c * direction before monic normalization, and
-    member(c) gives (BetheTuple, GenerationStep) by arithmetic alone.  For
-    L = 1 (base, direction) is the pinned particular solution and y_i; for
-    L = 2 it is the middle-step pair at ibar, which fixes the
-    parameterization of the whole step.  `explore_population` builds the
-    same members from the same pencil (`_pencil`, `_family`), except that
-    along a node's incoming direction it takes the pencil from its
-    parent's (`_reparametrized`) and solves nothing.
+    Returns (index, base, direction, member): the family's first move
+    (`_pencil`) and `member`.  The component at `index` of each member is
+    base + c * direction before monic normalization, and member(c) gives
+    (BetheTuple, GenerationStep) by arithmetic alone.  For L = 1 (base,
+    direction) is the pinned particular solution and y_i; for L = 2 it is
+    the middle-step pair at ibar, which fixes the parameterization of the
+    whole step.  `explore_population` builds the same members from the
+    same pencil (`_family`), except that along a node's incoming direction
+    it takes the pencil from its parent's (`_reparametrized`) and solves
+    nothing.
     """
     return _family(inst, fold, y, i, *_pencil(inst, fold, y, i))
 
 
 def _pencil(inst, fold, y, i):
     """Every solve of the family at the orbit representative i: its pencil
-    (pairs, y_i_1).  Each pair (b, e) spans the members b + c e of one
-    moved component before monic normalization: (base, y_i) for L = 1,
-    with y_i_1 None; (base2, y_ibar) and (s0, s1) for L = 2.
+    (moves, y_i_1).  A move (j, b, e) gives node j the component b + c e
+    before monic normalization: ((i, base, y_i),) for L = 1, with y_i_1
+    None; ((ibar, base2, y_ibar), (i, s0, s1)) for L = 2.  The L = 2 rule
+    on <L0, a_i^vee> (`frame.l2_violation`) is checked before any solve.
 
     For L = 2, a_i,ibar = a_ibar,i = -1 makes the step-2 and step-3
     right-hand sides L = 1 ones with one component replaced, and step 3
@@ -188,7 +199,6 @@ def _pencil(inst, fold, y, i):
     if i not in fold.reps:
         raise InputError(
             f"direction {i + 1} is not an orbit representative")
-    m_i = fold.orbit_len[i]
     if fold.linking[i] == 1:
         base = _l1_base(inst, y, i)
         if not base.is_polynomial():
@@ -197,13 +207,14 @@ def _pencil(inst, fold, y, i):
         violation = l1_violation(inst, fold, i)
         if violation:
             raise InputError(violation)
-        return ((base, y[i]),), None
+        return ((i, base, y[i]),), None
 
-    if m_i != 2:
+    if fold.orbit_len[i] != 2:
         raise UnsupportedType("L=2 generation implemented for orbit length 2")
+    violation = l2_violation(inst, i)
+    if violation:
+        raise InputError(violation)
     gamma = inst.gamma(i)
-    if gamma.denominator != 2:
-        raise InputError(f"<L0,a_{i}^vee> must be half-odd for an L=2 step")
     # supported on gamma + 1 + Z>=0, so y_i_1 is an ordinary polynomial
     lifted, _ = wronskian_ode_solve(y[i], _rhs_l1(inst, y, i),
                                     ("holomorphic_at_zero", gamma + 1))
@@ -215,57 +226,54 @@ def _pencil(inst, fold, y, i):
     f = QPoly.x_power(gamma + 1) * y_i_1
     s0, _ = wronskian_ode_solve(f, _rhs_l1(inst, _replaced(y, ibar, base2), i),
                                 ("holomorphic_at_zero", 0))
-    return ((base2, y[ibar]), (s0, y[i].scale(-lifted.leading_coeff()))), \
-        y_i_1
+    return ((ibar, base2, y[ibar]),
+            (i, s0, y[i].scale(-lifted.leading_coeff()))), y_i_1
 
 
-def _family(inst, fold, y, i, pairs, y_i_1):
+# the names a step records for y_i_1 and its moved components, by L
+_INTERMEDIATES = {1: (), 2: ("y_i_step1", "y_ibar_step2", "y_i_step3")}
+
+
+def _family(inst, fold, y, i, moves, y_i_1):
     """(index, base, direction, member) of `generation_family` at the
-    tuple y, from the family's pencil (`_pencil`)."""
-    (base, direction), *step3 = pairs
-    if y_i_1 is None:
-        def member(c):
-            moved = base + direction.scale(c)
-            if moved.is_zero():
-                raise ExceptionalParameter(c, "generated component vanishes")
-            polys = list(y)
-            for k in range(fold.orbit_len[i]):
-                polys[inst.aut.power(i, k)] = _transport(
-                    moved, inst.omega, inst.M, k)
-            return BetheTuple.monic_of(polys), GenerationStep(
-                direction=i, c=c, kind="L1")
-        return i, base, direction, member
-
-    ibar = inst.aut(i)
-    ((s0, s1),) = step3
+    tuple y, from the family's pencil (`_pencil`).  Each move writes its
+    component at sigma^k j for k < orbit_len / L (module docstring)."""
+    span, omega, M = fold.orbit_len[i] // fold.linking[i], inst.omega, inst.M
+    writes = [(j, b, e, [(inst.aut.power(j, k), k) for k in range(1, span)])
+              for j, b, e in moves]
+    kind, names = f"L{fold.linking[i]}", _INTERMEDIATES[fold.linking[i]]
 
     def member(c):
-        y_ibar_2 = base + direction.scale(c)
-        if y_ibar_2.is_zero():
-            raise ExceptionalParameter(c, "middle step component vanishes")
-        y_i_3 = s0 + s1.scale(c)
-        polys = _replaced(y, ibar, y_ibar_2)
-        polys[i] = y_i_3
+        polys, moved = list(y), [y_i_1]
+        for j, b, e, orbit in writes:
+            g = b + e.scale(c)
+            if g.is_zero():
+                raise ExceptionalParameter(
+                    c, f"generated component y_{j} vanishes")
+            polys[j] = g
+            for jk, k in orbit:
+                polys[jk] = _transport(g, omega, M, k)
+            moved.append(g)
         return BetheTuple.monic_of(polys), GenerationStep(
-            direction=i, c=c, kind="L2", intermediates=(
-                ("y_i_step1", y_i_1), ("y_ibar_step2", y_ibar_2),
-                ("y_i_step3", y_i_3)))
-    return ibar, base, direction, member
+            direction=i, c=c, kind=kind,
+            intermediates=tuple(zip(names, moved)))
+    return (*moves[0], member)
 
 
-def _reparametrized(pencil, moved, c):
-    """The pencil of the family along the direction a node came from, made
-    at c from the family of `pencil`: each pair (b, e) goes to
-    (t g - lam e, g / lam) with g = b + c e, where lam = lc(m) and t =
-    [direction]_(x^deg m) for the moved component m = base + c direction
-    (module docstring).  `moved` is the node's component m / lam, so an
-    L = 1 pencil takes no inverse.  No solve."""
-    pairs, y_i_1 = pencil
-    (m, direction), *step3 = [(b + e.scale(c), e) for b, e in pairs]
+def _reparametrized(pencil, y, c):
+    """The pencil of the family along the direction the node y came from,
+    made at c from the family of `pencil`: each move (j, b, e) goes to
+    (j, t g - lam e, g / lam) with g = b + c e, where lam = lc(m) and t =
+    [direction]_(x^deg m) for the first move's component m = base + c
+    direction (module docstring).  The first move's new direction is y's
+    component m / lam at its node, so an L = 1 pencil takes no inverse.
+    No solve."""
+    moves, y_i_1 = pencil
+    (j, m, direction), *rest = [(j, b + e.scale(c), e) for j, b, e in moves]
     lam, t = m.leading_coeff(), direction.coeff(m.degree)
-    return ((m.scale(t) - direction.scale(lam), moved),) + tuple(
-        (g.scale(t) - e.scale(lam), g.scale(lam.inverse()))
-        for g, e in step3), y_i_1
+    return ((j, m.scale(t) - direction.scale(lam), y[j]),) + tuple(
+        (k, g.scale(t) - e.scale(lam), g.scale(lam.inverse()))
+        for k, g, e in rest), y_i_1
 
 
 def _replaced(y, j, p):
@@ -392,19 +400,18 @@ def explore_population(inst, fold, seed, depth, samples):
     graph.add(root, tuple_doc_json(seed, inst.M))
     # lambda_inf by degree vector, and folded_reflect by (i, lambda_inf)
     weights, reflections = {seed.degrees(): root.lambda_inf}, {}
-    # (node, None, or the pencil of the family its parent made it from and
-    # the node's component at the family's index)
+    # (node, None, or the pencil of the family its parent made it from)
     frontier = [(root, None)]
     for _ in range(depth):
         next_frontier = []
         for node, incoming in frontier:
             for i in fold.reps:
                 if incoming is not None and i == node.step.direction:
-                    pencil = _reparametrized(*incoming, node.step.c)
+                    pencil = _reparametrized(incoming, node.tuple_,
+                                            node.step.c)
                 else:
                     pencil = _pencil(inst, fold, node.tuple_, i)
-                index, *_, member = _family(inst, fold, node.tuple_, i,
-                                            *pencil)
+                *_, member = _family(inst, fold, node.tuple_, i, *pencil)
                 key = (i, node.lambda_inf)
                 if key not in reflections:
                     reflections[key] = folded_reflect(inst.cartan, inst.aut,
@@ -435,7 +442,7 @@ def explore_population(inst, fold, seed, depth, samples):
                                "critical": True,
                                "edge": _edge(node, linf, reflected)})
                     graph.add(new, key)
-                    next_frontier.append((new, (pencil, child[index])))
+                    next_frontier.append((new, pencil))
         frontier = next_frontier
     return graph
 

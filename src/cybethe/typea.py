@@ -621,8 +621,11 @@ def flow_generator(space, witt, kind, k):
     X_k (k = 1..p-1) couples (k, k+1) and (R+1-k, R+2-k); X_p sends
     r_p -> r_p + c r_(R+2-p).  Y_k / Z_k are the orthogonal-block
     analogues, with the compensating scale taken from the actual
-    anti-diagonal constants so that B is preserved exactly.
+    anti-diagonal constants so that B is preserved exactly.  InputError
+    for a generator outside `available_generators`.
     """
+    if (kind, k) not in available_generators(space):
+        raise InputError(f"{kind}_{k} is not a flow generator of this space")
     size = space.frame.r + 1
     p = space.frame.p
     n_mat = [[Cyc.of(0)] * size for _ in range(size)]
@@ -635,29 +638,12 @@ def flow_generator(space, witt, kind, k):
         n_mat[a][a + 1] = Cyc.of(1)
         n_mat[b][b + 1] = n_mat[b][b + 1] - s
 
-    if kind == "X":
-        if not 1 <= k <= p:
-            raise InputError(f"X_{k} out of range for p = {p}")
-        if k == p:
-            n_mat[p - 1][size - p] = Cyc.of(1)
-        else:
-            # on a reduced basis the compensating scale is +1, matching
-            # the two-entry substitution r_k + c r_(k+1),
-            # r_(R+1-k) + c r_(R+2-k)
-            couple(k - 1)
-    elif kind in ("Y", "Z"):
-        m0 = size - 2 * p
-        q_len = m0 // 2
-        if kind == "Y" and space.frame.r % 2 == 0:
-            raise InputError("Y generators live on odd rank (even O block)")
-        if kind == "Z" and space.frame.r % 2 == 1:
-            raise InputError("Z generators live on even rank (odd O block)")
-        limit = q_len - 1 if kind == "Y" else q_len
-        if not 1 <= k <= max(limit, 0):
-            raise InputError(f"{kind}_{k} out of range for this block")
-        couple(p + k - 1)
+    if (kind, k) == ("X", p):
+        n_mat[p - 1][size - p] = Cyc.of(1)
     else:
-        raise InputError(f"unknown flow generator kind {kind!r}")
+        # on a reduced basis the compensating scale of X_k is +1, matching
+        # the two-entry substitution r_k + c r_(k+1), r_(R+1-k) + c r_(R+2-k)
+        couple(k - 1 if kind == "X" else p + k - 1)
     return n_mat
 
 

@@ -6,7 +6,7 @@ from conftest import mirrored, poly, shifted_critical
 from cybethe import frame, genengine, serialize
 from cybethe.cartan import (CartanData, DiagramAut, Weight, folded_reflect,
                             orbit_data, shifted_reflect)
-from cybethe.errors import InputError, SeedInvalid
+from cybethe.errors import ExceptionalParameter, InputError, SeedInvalid
 from cybethe.frame import (BetheTuple, ProblemInstance, is_critical_exact,
                            is_cyclotomic_tuple, is_generic,
                            weight_at_infinity)
@@ -303,6 +303,25 @@ def test_generation_rejects_non_representatives(a2, a3, a2_tuple):
     inst, fold = a3
     with pytest.raises(InputError):
         cyclotomic_generate(inst, fold, BetheTuple.trivial(3), 2, F(1))
+
+
+@pytest.mark.parametrize("kind", ["L1", "L2"])
+def test_a_vanishing_move_is_an_exceptional_parameter(a2, a3, kind):
+    # hand-built pencils one of whose moves is zero at c = 1 (for L = 2
+    # the step-3 move, as (s, -s)): the member is an exceptional parameter
+    # naming the node, which the BFS skips, not an InputError
+    if kind == "L1":
+        (inst, fold), y = a3, BetheTuple.trivial(3)
+        moves, y_i_1 = ((0, poly(-1), QPoly.one()),), None
+    else:
+        (inst, fold), y = a2, BetheTuple.trivial(2)
+        (first, (j, s, _)), y_i_1 = genengine._pencil(inst, fold, y, 0)
+        moves = (first, (j, s, s.scale(-1)))
+    *_, member = genengine._family(inst, fold, y, 0, moves, y_i_1)
+    with pytest.raises(ExceptionalParameter) as exc:
+        member(Cyc.of(1))
+    assert exc.value.reason == "generated component y_0 vanishes"
+    assert member(Cyc.of(2))[1].kind == kind
 
 
 def _single_rep_instance(kind):

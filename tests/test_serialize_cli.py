@@ -986,6 +986,32 @@ def test_cli_l1_direction_off_the_lambda0_rule_is_an_input_error(
     assert error["kind"] == "InputError" and error["message"] == rule
 
 
+@pytest.mark.parametrize("pairing, rule", [
+    ("-3/2", "L=2 needs 2<L0,a^vee>+1 >= 0, got -3/2"),
+    ("-5/2", "L=2 needs 2<L0,a^vee>+1 >= 0, got -5/2"),
+    ("1", "L=2 needs a half-odd pairing, got 1"),
+])
+@pytest.mark.parametrize("command", [
+    ["populate", "--depth", "1", "--samples", "1,2,-1/2"],
+    ["generate", "--direction", "1", "--c", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_l2_direction_off_the_lambda0_rule_is_an_input_error(
+        tmp_path, capsys, command, pairing, rule):
+    # both nodes of the A2 flip have L = 2: generation refuses the
+    # direction before any solve, with the violation `validate` prints
+    inst, tup = tmp_path / "a2.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps({**A2_INSTANCE, "lambda0": [pairing] * 2}))
+    tup.write_text(json.dumps({"polys": [_ONE] * 2}))
+    assert cli.main(["validate", "--instance", str(inst)]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == [
+        f"node {i}: {rule}" for i in (0, 1)]
+    argv = command + ["--instance", str(inst), "--tuple", str(tup)]
+    assert cli.main(argv) == 2
+    error = _error_record(capsys)
+    assert error["kind"] == "InputError"
+    assert error["message"] == f"node 0: {rule}"
+
+
 _A3_FLIP = {"cartan": {"series": "A", "rank": 3}, "sigma": "(1 3)", "M": 2,
             "omega": "-1", "lambda0": ["0", "1", "0"]}
 

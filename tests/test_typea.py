@@ -555,6 +555,45 @@ def test_z_flow_on_a4():
         assert ok
 
 
+# A_R with the flip at p = 1: sigma, lambda0, the generators and the
+# refused X_0, Y on even rank, Z on odd rank and first index past each block
+FLOW_SPACES = {
+    "A2": ("(1 2)", ["1/2", "1/2"], [("X", 1)],
+           {("X", 0), ("X", 2), ("Y", 1), ("Z", 1)}),
+    "A4": ("(1 4)(2 3)", ["1/2", "0", "0", "1/2"], [("X", 1), ("Z", 1)],
+           {("X", 0), ("X", 2), ("Y", 1), ("Z", 2)}),
+    "A5": ("(1 5)(2 4)", ["1/2", "0", "0", "0", "1/2"], [("X", 1), ("Y", 1)],
+           {("X", 0), ("X", 2), ("Y", 2), ("Z", 1)}),
+}
+
+
+@pytest.mark.parametrize("name", FLOW_SPACES)
+def test_flow_generators_are_those_listed(tmp_path, capsys, name):
+    # `flow_generator` accepts every pair that `available_generators`
+    # lists, and `typea flow` refuses the others with one InputError
+    from cybethe import cli
+    sigma, lambda0, gens, refused = FLOW_SPACES[name]
+    doc = {"cartan": {"series": "A", "rank": len(lambda0)}, "sigma": sigma,
+           "M": 2, "omega": "-1", "lambda0": lambda0}
+    space, flag = kernel_basis(serialize.instance_from_doc(doc),
+                               BetheTuple.trivial(len(lambda0)))
+    assert space.frame.p == 1 and available_generators(space) == gens
+    wb = witt_basis(space, adjusted=flag.adjusted)
+    for gen in gens:
+        apply_flow(space, wb, gen, F(1, 2))
+    instance, tuple_ = tmp_path / "instance.json", tmp_path / "tuple.json"
+    instance.write_text(json.dumps(doc))
+    tuple_.write_text(json.dumps(
+        {"polys": [{"denom": 1, "terms": {"0": "1"}}] * len(lambda0)}))
+    for kind, k in sorted(refused):
+        assert cli.main(["typea", "flow", "--instance", str(instance),
+                         "--tuple", str(tuple_), "--generator", kind,
+                         "--k", str(k), "--c", "1"]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error == {"kind": "InputError", "message":
+                         f"{kind}_{k} is not a flow generator of this space"}
+
+
 def test_classical_limit_m1():
     # trivial automorphism: the engine reduces to the classical theory;
     # kernel recovery and frame conditions hold with p = 0
