@@ -189,7 +189,9 @@ def cmd_typea_flow(args):
         raise InputError("flow needs at least one sample parameter")
     y = _tuple(args, inst)
     fold = orbit_data(inst.cartan, inst.aut)
-    from .typea import apply_flow, flow_vs_generation, kernel_basis, witt_basis
+    from .typea import (apply_flow, determine_p, flow_vs_generation,
+                        kernel_basis, require_generator, require_type_a,
+                        witt_basis)
     if args.generator == "X":
         res = flow_vs_generation(inst, fold, y, args.k, params)
         doc = {"generator": f"X_{args.k}", "all_match": res["all_match"],
@@ -198,6 +200,8 @@ def cmd_typea_flow(args):
         _emit(doc, args.out)
         return 0 if res["all_match"] else 1
     # Y/Z generators have no generation counterpart; apply and report
+    require_generator(require_type_a(inst), determine_p(inst),
+                      args.generator, args.k)
     space, flag = kernel_basis(inst, y)
     wb = witt_basis(space, adjusted=flag.adjusted)
     tuples = []

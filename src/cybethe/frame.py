@@ -52,8 +52,22 @@ of the full proof, is the first failing one of the full proof.  The
 residue at r reads y_r and, through P_r, the y_j adjacent to r; at a
 representative neither in O nor adjacent to it, it is the parent's and
 divides.  At i itself no residue is built: the step's Wronskian equation
-implies it (`genengine`).  `verify` and `eigenvalues` prove every colour
-(`is_critical_exact`).
+implies it (`genengine`).
+
+Nor is a residue built at a representative r adjacent to O when O is
+pairwise non-adjacent (a_i,sigma^k i = 0), as after an L = 1 step.  Each
+j in O then has its new component y~_j solve Wr(y_j, y~_j) ~ x^gamma_j
+T_j prod_k y_k^-a_jk, at i by the step's solve and elsewhere on O by
+transport, and y_r divides that right-hand side, as a_jr < 0.  At a root
+t of y_r, y_j(t) != 0 by the parent's genericity and y~_j(t) != 0 by the
+child's edge (r, j), whose orbit touches O and is tested; so y~_j'/y~_j(t)
+= y_j'/y_j(t).  The Bethe equation at t reads each y_k only through
+y_k'/y_k(t), so it holds for the child as it held for the parent, and
+P~_r(t) != 0 follows from the same coprimality: y_r divides the child's
+residue at r.  After an L = 2 step these residues are still built: at r
+adjacent to i the step passes through y_i_1, and the argument would also
+need gcd(y_i_1, y_r) = 1, a certificate per family that is not made.
+`verify` and `eigenvalues` prove every colour (`is_critical_exact`).
 """
 
 from fractions import Fraction
@@ -228,9 +242,10 @@ def prove_cyclotomic(inst, y, moved=None):
     reads O is proven, since the rest held there and holds again: the
     cyclotomy of each j in O; the conditions on y_i alone and, of the
     edges of `orbit_reps`, those that touch O, in the order of the full
-    proof, so the first failing condition is its first; and a residue at
-    each other representative adjacent to O.  Without `moved`, O is every
-    node.
+    proof, so the first failing condition is its first; and, unless O is
+    pairwise non-adjacent (a_i,sigma^k i = 0, so the step was L = 1 and
+    its Wronskian equation implies them), a residue at each other
+    representative adjacent to O.  Without `moved`, O is every node.
     """
     orbit = range(len(y)) if moved is None else {
         inst.aut.power(moved, k) for k in range(inst.M)}
@@ -244,8 +259,13 @@ def prove_cyclotomic(inst, y, moved=None):
                                          for j in js if j in orbit)), None)
         if witness:
             raise NotGeneric(witness)
-    # a_rr = 2: a representative in O reads O too
     a = inst.cartan.a
+    if moved is not None and not any(a[moved][j] for j in orbit
+                                     if j != moved):
+        # O pairwise non-adjacent: an L = 1 step, whose equation implies
+        # every residue that reads O (module docstring)
+        return True, {}
+    # a_rr = 2: a representative in O reads O too
     return _residues(inst, y, [r for r, _ in inst.orbit_reps if r != moved
                                and any(a[r][j] for j in orbit)])
 

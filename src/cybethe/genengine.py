@@ -66,6 +66,19 @@ compute, in three places, and none of it is computed again:
     `frame._residue`.  The genericity pass, which still runs, proves all
     three conditions at every root, so `_checked` divides no residue at
     the representative of the step it is given.
+    After an L = 1 step it divides none at the representatives adjacent
+    to the moved orbit either: there the step's equation carries the
+    Bethe equation over from the parent (`frame`).  Both arguments rest
+    on each member solving its step's equation.  A solved pencil does,
+    since `wronskian_ode_solve` checks its equation exactly.  A
+    reparametrized one (below) solves it by construction, which no solve
+    checks, so `explore_population` checks Wr(y_i, base) = W exactly
+    once per reparametrized L = 1 family (`_l1_equation_checked`,
+    InternalInvariantError), and every member base + c y_i solves it, as
+    Wr(y_i, base + c y_i) = Wr(y_i, base).  After an L = 2 step the
+    residues adjacent to the block are still built: at r adjacent to i
+    the argument would also need gcd(y_i_1, y_r) = 1, one certificate per
+    family, not yet made.
   * The c-coefficient of step 3.  Step 1 solves Wr(y_i, lifted) = W_i
     with lifted = lc(lifted) f, so Wr(f, -lc(lifted) y_i) = W_i.  With the
     middle-step component y_ibar, the step-3 equation is that one, so
@@ -106,7 +119,7 @@ from .errors import (ExceptionalParameter, InputError,
 from .frame import (BetheTuple, interaction_product, is_generic,
                     l1_violation, l2_violation, prove_cyclotomic,
                     weight_at_infinity)
-from .qpoly import QPoly, wronskian_ode_solve
+from .qpoly import QPoly, wronskian, wronskian_ode_solve
 from .scalars import Cyc
 from .serialize import tuple_doc_json
 
@@ -276,6 +289,17 @@ def _reparametrized(pencil, y, c):
         for k, g, e in rest), y_i_1
 
 
+def _l1_equation_checked(inst, y, i, pencil):
+    """InternalInvariantError unless the first move (i, base, y_i) of a
+    reparametrized L = 1 pencil solves Wr(y_i, base) = `_rhs_l1` exactly.
+    Every member base + c y_i then solves it, as Wr(y_i, base + c y_i) =
+    Wr(y_i, base), and `_checked` builds no residue (module docstring)."""
+    ((_, base, direction),), _ = pencil
+    if wronskian([direction, base]) != _rhs_l1(inst, y, i):
+        raise InternalInvariantError(
+            "reparametrized L1 family does not solve its Wronskian equation")
+
+
 def _replaced(y, j, p):
     polys = list(y)
     polys[j] = p
@@ -286,9 +310,10 @@ def _checked(inst, out, step):
     """The one proof of a tuple that `step` generated from a proven
     cyclotomic critical point (`frame.prove_cyclotomic`, moved =
     `step.direction`): only the orbit the step moved, and no residue at
-    its representative, which the step's Wronskian equation and the
-    genericity pass imply (module docstring).  ExceptionalParameter names
-    the first failing genericity condition."""
+    its representative, nor after an L = 1 step at any representative,
+    which the step's Wronskian equation and the genericity pass imply
+    (module docstring).  ExceptionalParameter names the first failing
+    genericity condition."""
     try:
         critical, _ = prove_cyclotomic(inst, out, moved=step.direction)
     except NotCyclotomic:
@@ -375,8 +400,9 @@ def explore_population(inst, fold, seed, depth, samples):
     """Bounded BFS over cyclotomic generation directions and parameters.
 
     Each (node, direction) family is solved once, or, along the direction
-    a node came from, reparametrized from its parent's with no solve
-    (module docstring), and swept over the samples.  A node's step and
+    a node came from, reparametrized from its parent's with no solve and,
+    for L = 1, checked once against its Wronskian equation (module
+    docstring), and swept over the samples.  A node's step and
     `graph.skipped` hold the sample itself, not its image on the parent's
     family.  After deduplication by the canonical serialized monic tuple,
     a new member is proven on the orbit its step moved, and its weight at
@@ -409,6 +435,8 @@ def explore_population(inst, fold, seed, depth, samples):
                 if incoming is not None and i == node.step.direction:
                     pencil = _reparametrized(incoming, node.tuple_,
                                             node.step.c)
+                    if fold.linking[i] == 1:
+                        _l1_equation_checked(inst, node.tuple_, i, pencil)
                 else:
                     pencil = _pencil(inst, fold, node.tuple_, i)
                 *_, member = _family(inst, fold, node.tuple_, i, *pencil)

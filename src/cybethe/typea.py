@@ -624,8 +624,7 @@ def flow_generator(space, witt, kind, k):
     anti-diagonal constants so that B is preserved exactly.  InputError
     for a generator outside `available_generators`.
     """
-    if (kind, k) not in available_generators(space):
-        raise InputError(f"{kind}_{k} is not a flow generator of this space")
+    require_generator(space.frame.r, space.frame.p, kind, k)
     size = space.frame.r + 1
     p = space.frame.p
     n_mat = [[Cyc.of(0)] * size for _ in range(size)]
@@ -858,13 +857,28 @@ def cyclotomic_population(inst, space, witt, sample_count=0, rng_seed=0):
 
 
 def available_generators(space):
-    p = space.frame.p
-    size = space.frame.r + 1
+    """The flow generators (kind, k) of the space (`_generators`)."""
+    return _generators(space.frame.r, space.frame.p)
+
+
+def require_generator(r, p, kind, k):
+    """InputError unless (kind, k) is a flow generator of a frame of rank r
+    and integer p.  A frame reads both off its instance alone
+    (`require_type_a`, `determine_p`), so a command can refuse a generator
+    before it proves or builds anything."""
+    if (kind, k) not in _generators(r, p):
+        raise InputError(f"{kind}_{k} is not a flow generator of this space")
+
+
+def _generators(r, p):
+    """X_1 .. X_p, then the Y_k (odd r) or Z_k (even r) of the
+    orthogonal block, for a frame of rank r and integer p."""
+    size = r + 1
     gens = [("X", k) for k in range(1, p + 1)]
     m0 = size - 2 * p
     if m0 >= 2:
         q_len = m0 // 2
-        if space.frame.r % 2 == 1:
+        if r % 2 == 1:
             gens.extend(("Y", k) for k in range(1, q_len))
         else:
             gens.extend(("Z", k) for k in range(1, q_len + 1))
@@ -882,11 +896,13 @@ def flow_vs_generation(inst, fold, seed, k, params):
     normalization freedom of the Witt basis (the anti-diagonal pattern
     fixes the products of paired scales but not their ratios).  rho is
     computed in closed form from one family slope, reported, and the match
-    is then verified exactly at every requested parameter.  The seed is
-    proven a cyclotomic critical point first (SeedInvalid), as each
-    generated member is proven only on the orbit it moved.
+    is then verified exactly at every requested parameter.  X_k is
+    refused first unless the instance's frame has it (`require_generator`);
+    then the seed is proven a cyclotomic critical point (SeedInvalid), as
+    each generated member is proven only on the orbit it moved.
     """
     from .genengine import _checked, _seed_checked, generation_family
+    require_generator(require_type_a(inst), determine_p(inst), "X", k)
     _seed_checked(inst, seed)
     space, flag = kernel_basis(inst, seed)
     witt = witt_basis(space, adjusted=flag.adjusted)

@@ -188,7 +188,9 @@ def _same(a, b):
 def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
     # on every generated node, what `_checked` and `explore_population`
     # take from generation agrees with a fresh computation: the residue at
-    # the moved representative divides, and the family along the incoming
+    # the moved representative divides, and after an L = 1 step so does
+    # the residue at every representative adjacent to the moved orbit,
+    # which `_checked` no longer builds; the family along the incoming
     # direction, reparametrized from the parent's, is the solved one: the
     # same base and direction, and at 6 samples the same members and steps,
     # with intermediates equal in value and written alike; its member at
@@ -196,7 +198,8 @@ def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
     # L = 1 orbit its base transports to the solve at sigma i; every member
     # equals the node outside the sigma-orbits its moves touch, which is
     # what lets `_checked` prove the moved orbit only
-    counts = {"L1": 0, "L2": 0, "transported": 0, "members": 0}
+    counts = {"L1": 0, "L2": 0, "adjacent": 0, "transported": 0,
+              "members": 0}
     for inst, graph in catalogs.values():
         fold = orbit_data(inst.cartan, inst.aut)
         samples = [serialize.parse_scalar(s, inst.M)
@@ -206,6 +209,13 @@ def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
             i = step.direction
             assert _residue(inst, y, i, inst.gamma(i))["divides"]
             counts[step.kind] += 1
+            orbit = {inst.aut.power(i, k) for k in range(inst.M)}
+            adjacent = [r for r, _ in inst.orbit_reps if r not in orbit
+                        and any(inst.cartan.a[r][j] for j in orbit)]
+            for r in adjacent if step.kind == "L1" else ():
+                assert _residue(inst, y, r, inst.gamma(r))["divides"], \
+                    (node.node_id, r)
+                counts["adjacent"] += 1
             parent = graph.nodes[node.parent].tuple_
             pencil = _pencil(inst, fold, parent, i)
             want_index, want_base, want_direction, solved = \
@@ -235,8 +245,8 @@ def test_generation_implies_what_the_proof_and_the_bfs_skip(catalogs):
                 assert _same(_transport(base, inst.omega, inst.M, 1),
                              _l1_base(inst, y, inst.aut(i))), node.node_id
                 counts["transported"] += 1
-    assert counts == {"L1": 647, "L2": 84, "transported": 299,
-                      "members": 731 * 6}
+    assert counts == {"L1": 647, "L2": 84, "adjacent": 813,
+                      "transported": 299, "members": 731 * 6}
 
 
 def test_l2_step3_direction_is_the_step1_identity(catalogs):

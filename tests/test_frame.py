@@ -278,14 +278,16 @@ def test_checked_proves_each_orbit_representative_once(monkeypatch):
             ("is_squarefree", i) for i in range(4)]
         # `_checked` given the node's own step proves only what reads the
         # moved orbit O: the moved representative alone is tested
-        # squarefree, and a residue is built and divided only at the other
-        # representatives adjacent to O; so on every generated node
+        # squarefree, and a residue is built and divided only after an
+        # L = 2 step, at the other representatives adjacent to O; after an
+        # L = 1 step none is; so on every generated node
         for node in graph.nodes[1:]:
             y, step = node.tuple_, node.step
             i = step.direction
             orbit = {inst.aut.power(i, k) for k in range(inst.M)}
-            near = [r for r, _ in inst.orbit_reps if r != i and any(
-                inst.cartan.a[r][j] for j in orbit)]
+            near = [] if step.kind == "L1" else [
+                r for r, _ in inst.orbit_reps if r != i and any(
+                    inst.cartan.a[r][j] for j in orbit)]
             full = _proof_calls(monkeypatch, y,
                                 lambda: is_critical_exact(inst, y))
             checked = _proof_calls(monkeypatch, y,

@@ -373,8 +373,8 @@ def test_family_solved_once_for_all_samples(kind, solves, monkeypatch):
 # (module, name) of each function `_counted_bfs` counts, patched where the
 # BFS and the proof read it
 COUNTED = [(frame, "_residue"), (genengine, "wronskian_ode_solve"),
-           (frame, "proportional"), (frame, "is_squarefree"),
-           (genengine, "folded_reflect")]
+           (genengine, "wronskian"), (frame, "proportional"),
+           (frame, "is_squarefree"), (genengine, "folded_reflect")]
 
 
 def _counted_bfs(doc):
@@ -404,13 +404,13 @@ def _counted_bfs(doc):
 
 def test_bfs_takes_from_generation_what_it_proved():
     # D4 at depth 2 (orbits {1, 3, 4} and {2}, both L = 1): the seed is
-    # proven with a residue at each of its 2 orbit representatives and each
-    # generated node with one, at the representative its step did not
-    # move; an L = 1 family takes 1 solve, and a depth-1 node solves no
-    # family along the direction it came from
+    # proven with a residue at each of its 2 orbit representatives and no
+    # generated node with any, since every step is L = 1 (41 when each
+    # builds one at the representative its step did not move); an L = 1
+    # family takes 1 solve, and a depth-1 node solves no family along the
+    # direction it came from, but checks its equation with one Wronskian
     from test_catalog_pins import A4_DOC, D4_DOC
     graph, calls = _counted_bfs(D4_DOC)
-    # one member fails genericity, so no residue of it is built
     assert len(graph) == 40 and len(graph.skipped) == 1
     assert [node.step.direction for node in graph.nodes
             if node.parent == 0] == [0, 0, 0, 1, 1, 1]
@@ -425,25 +425,31 @@ def test_bfs_takes_from_generation_what_it_proved():
     # every representative is); and of the 7 nodes at depths 0 and 1, each
     # with 2 directions, 6 distinct (direction, weight at infinity) pairs
     # are reflected (14 when each (node, direction) reflects)
-    assert calls == {"_residue": 2 + 39,
+    assert calls == {"_residue": 2,
                      "wronskian_ode_solve": 2 + 3 * 1 + 3 * 1,
+                     "wronskian": 6,
                      "proportional": 4 + 3 * 19 + 21, "is_squarefree": 39,
                      "folded_reflect": 6}
     # A4 at depth 2 (orbits {1, 4}, L = 1, and {2, 3}, L = 2): an L = 2
     # family takes 3 solves, and a depth-1 node solves only the family
     # along the direction it did not come from (20 when the L = 1 family
     # also solves at sigma 1, 36 when the L = 2 family along the incoming
-    # direction is solved, with 4 solves each)
+    # direction is solved, with 4 solves each); the 3 nodes made along
+    # {1, 4} check the equation of the family they came from
     graph, calls = _counted_bfs(A4_DOC)
     assert len(graph) == 40 and len(graph.skipped) == 1
     assert [node.step.direction for node in graph.nodes
             if node.parent == 0] == [0, 0, 0, 1, 1, 1]
-    # both orbits have 2 nodes: 2 cyclotomy tests per proven member (164
-    # when every colour is tested), and squarefree tests and reflections
-    # as for D4 (57 when every representative is tested, 14 when each
-    # (node, direction) reflects)
-    assert calls == {"_residue": 2 + 39,
+    assert sum(node.step.kind == "L2" for node in graph.nodes[1:]) == 21
+    # a residue at the representative 1 adjacent to {2, 3} for each of the
+    # 21 L = 2 members and none for the 18 L = 1 members (41 when each
+    # builds one); both orbits have 2 nodes: 2 cyclotomy tests per proven
+    # member (164 when every colour is tested), and squarefree tests and
+    # reflections as for D4 (57 when every representative is tested, 14
+    # when each (node, direction) reflects)
+    assert calls == {"_residue": 2 + 21,
                      "wronskian_ode_solve": 1 + 3 + 3 * 3 + 3 * 1,
+                     "wronskian": 3,
                      "proportional": 4 + 2 * 40, "is_squarefree": 39,
                      "folded_reflect": 6}
 
@@ -549,3 +555,33 @@ def test_the_proof_catches_a_transport_that_breaks_symmetry(name,
     with pytest.raises(InternalInvariantError,
                        match="L1 generation lost cyclotomic symmetry"):
         explore_population(inst, fold, seed, 1, [F(1)])
+
+
+@pytest.mark.parametrize("name", ["A4", "D4"])
+def test_the_bfs_catches_a_reparametrized_family_off_its_equation(
+        name, monkeypatch):
+    # a node's family along the direction it came from is derived from its
+    # parent's, not solved, and after an L = 1 step `_checked` builds no
+    # residue: a wrong base is caught by the family's one equation check.
+    # Shifting the base of an L = 1 family by 1 keeps its members
+    # cyclotomic, so without that check the BFS raises nothing and emits
+    # 34 nodes where the solved families give 40
+    from cybethe import serialize
+    from cybethe.errors import InternalInvariantError
+    from test_catalog_pins import A4_DOC, D4_DOC, SAMPLES
+    inst = serialize.instance_from_doc({"A4": A4_DOC, "D4": D4_DOC}[name])
+    fold = orbit_data(inst.cartan, inst.aut)
+    reparametrized = genengine._reparametrized
+
+    def perturbed(pencil, y, c):
+        ((j, base, direction), *rest), y_i_1 = reparametrized(pencil, y, c)
+        if y_i_1 is None:
+            base = base + poly(1)
+        return ((j, base, direction), *rest), y_i_1
+
+    monkeypatch.setattr(genengine, "_reparametrized", perturbed)
+    with pytest.raises(InternalInvariantError,
+                       match="reparametrized L1 family does not solve"):
+        explore_population(inst, fold, BetheTuple.trivial(inst.cartan.n), 2,
+                           [serialize.parse_scalar(s, inst.M)
+                            for s in SAMPLES])

@@ -1072,6 +1072,27 @@ def test_cli_typea_flow_refuses_a_seed_as_generate_does(tmp_path, capsys,
                                      "message": message}
 
 
+@pytest.mark.parametrize("generator, k", [("X", 0), ("Y", 1)])
+def test_cli_typea_flow_refuses_a_generator_before_any_work(
+        tmp_path, capsys, monkeypatch, generator, k):
+    # on A4 with p = 2 the generators are X_1 and X_2: X_0 and Y_1 are
+    # refused with the message `flow_generator` gives, read off the
+    # instance before the seed is proven or any kernel space is built
+    from cybethe import typea
+    from test_catalog_pins import A4_DOC
+    monkeypatch.setattr(typea, "kernel_basis",
+                        lambda *a: pytest.fail("kernel_basis was called"))
+    inst, tup = tmp_path / "instance.json", tmp_path / "tuple.json"
+    inst.write_text(json.dumps(A4_DOC))
+    tup.write_text(json.dumps(serialize.tuple_doc(BetheTuple.trivial(4), 2)))
+    assert cli.main(["typea", "flow", "--generator", generator, "--k",
+                     str(k), "--c", "1", "--instance", str(inst),
+                     "--tuple", str(tup)]) == 2
+    assert _error_record(capsys) == {
+        "kind": "InputError",
+        "message": f"{generator}_{k} is not a flow generator of this space"}
+
+
 # --- every scalar written by its value ----------------------------------
 
 def test_a_value_is_written_alike_whatever_its_path():

@@ -152,8 +152,6 @@ KEPT_UNREACHED = {
     "linalg.nullspace",
     # the benchmark tracer's SPANNED wraps it by `getattr` (ROADMAP item 9)
     "linalg.rank",
-    # the benchmark tracer's SPANNED wraps it by `getattr` (ROADMAP item 9)
-    "qpoly.wronskian",
     # the only reader of `genengine.is_generic`, which the benchmark's smoke
     # test asserts (ROADMAP item 9)
     "genengine.elementary_generate_L1",
@@ -174,12 +172,12 @@ def test_reach_reports_only_the_kept_definitions():
 
 def test_no_export_is_unreached():
     # a name the package exports is one that a command or the benchmark
-    # uses; `wronskian` is reached only through the benchmark's tracer
+    # uses
     import cybethe
     objs = [getattr(cybethe, name) for name in cybethe.__all__]
     exported = {f"{obj.__module__.partition('.')[2]}.{obj.__qualname__}"
                 for obj in objs if not isinstance(obj, type(cybethe))}
-    assert exported & set(reach()) == {"qpoly.wronskian"}
+    assert exported & set(reach()) == set()
 
 
 def test_reach_follows_commands_and_benchmark_files(tmp_path):
