@@ -22,13 +22,14 @@ when its value is rational.  Sums and products work at the lcm of the
 operands' orders, and zero has order 1.  Nothing reads L as the field of
 a value: equality compares values, and `serialize` writes each value in
 the least field that holds it.  One kernel, `_sum_of_products`, sums
-products with int or Fraction multipliers as one integer convolution
-over one common denominator, reduced modulo Phi_L once per output term:
-a product is its one-pair case, `wronskian_table` builds each minor with
-one call over all of its pairs, and `frame.is_critical_exact` builds each
-colour's residue expression with one call.  A product with a monomial
-c x^e (so a `scale`) and an exact division by one skip the kernel: an
-exponent shift and one numerator product per term.
+products with int, Fraction or Cyc multipliers as one integer
+convolution over one common denominator, reduced modulo Phi_L once per
+output term: a product is its one-pair case, `wronskian_table` builds
+each minor with one call over all of its pairs, `frame.is_critical_exact`
+builds each colour's residue expression with one call, and
+`typea._combine` each linear combination sum c_j p_j with one call.  A
+product with a monomial c x^e (so a `scale`) and an exact division by one
+skip the kernel: an exponent shift and one numerator product per term.
 
 Division, gcd and squarefree tests work through the substitution x = s^D,
 which turns everything into dense polynomials over the coefficient field.
@@ -42,12 +43,17 @@ of s, never on the `Cyc`: -1 of order 4 equals and hashes as -1 of order
 1, but its powers keep order 4.  Other s take a running product.
 
 The Wronskian first-order solver `wronskian_ode_solve` is the primitive
-behind every generation step: it finds Y with Wr(f, Y) = W by one
-back-substitution sweep down the exponents of Y, never by integrating
-rational functions.  The equations are triangular in the exponents; the
-one zero pivot belongs to the kernel direction Y = f, whose coefficient
-is set to zero.  An exponent that no term of W and no coefficient of Y
-already solved reaches is structurally zero and takes no `Cyc` work.
+behind every generation step and every `typea.kernel_basis`: it finds Y
+with Wr(f, Y) = W by one back-substitution sweep down the exponents of
+Y, never by integrating rational functions.  The equations are
+triangular in the exponents; the one zero pivot belongs to the kernel
+direction Y = f, whose coefficient is set to zero.  The sweep runs on
+the numerators of f and W lifted once to one field order and exponent
+denominator, each coefficient of Y an int numerator over its own int
+denominator; f is monic (a non-monic f is first scaled to one), so each
+step divides by an int only.  An exponent that no term of W and no
+coefficient of Y already solved reaches is structurally zero and takes
+no work.  One kernel call checks the result exactly.
 """
 
 from bisect import bisect_left
@@ -83,6 +89,8 @@ def _mul(a, b, L):
         return a * b
     if not any(b[1:]):
         return tuple([x * b[0] for x in a])
+    if not any(a[1:]):
+        return tuple([x * a[0] for x in b])
     return _product(a, b, L)
 
 
@@ -91,6 +99,9 @@ def _lift_nums(nums, M, L):
     w_M -> w_L^(L/M)."""
     if M == L or L <= 2:
         return nums
+    if M <= 2:  # a rational n is n + 0 w + ...
+        pad = (0,) * (_phi_deg(L) - 1)
+        return [(n, *pad) for n in nums]
     pad = (0,) * (L // M - 1)  # w_M^j = w_L^(j L/M)
     return [_reduce_mod_phi([y for x in (n if M > 2 else (n,))
                              for y in (x, *pad)], L) for n in nums]
@@ -454,17 +465,32 @@ def _by_monomial(f, g, L):
                [_mul(n, c, L) for n in fn])
 
 
+def _multiplier(c, L):
+    """(numerator, denominator) of the Cyc c: an int numerator when c is
+    rational, else c's numerator tuple over Q(zeta_L)."""
+    if not any(c.num[1:]):
+        return c.num[0], c.den
+    return _lift_nums([c.num], c.order, L)[0], c.den
+
+
 def _sum_of_products(pairs, L):
-    """The sum of c * f * g over the (c, f, g) in pairs, c a nonzero int or
-    Fraction and f, g nonzero QPolys of orders dividing L: one integer
-    convolution over one common denominator, one reduction modulo Phi_L
-    per output term and one QPoly."""
+    """The sum of c * f * g over the (c, f, g) in pairs, c a nonzero int,
+    Fraction or Cyc and f, g nonzero QPolys, all of orders dividing L: one
+    integer convolution over one common denominator, one reduction modulo
+    Phi_L per output term and one QPoly.  An irrational Cyc c multiplies
+    the numerators of f once."""
     D = lcm(*[p.D for _, f, g in pairs for p in (f, g)])
-    den = lcm(*[f.den * g.den * c.denominator for c, f, g in pairs])
+    cs = [_multiplier(c, L) if type(c) is Cyc else
+          (c.numerator, c.denominator) for c, _, _ in pairs]
+    den = lcm(*[f.den * g.den * cd for (_, cd), (_, f, g) in zip(cs, pairs)])
     acc, width = {}, 2 * _phi_deg(L) - 1
-    for c, f, g in pairs:
-        m = c.numerator * (den // (f.den * g.den * c.denominator))
+    for (cn, cd), (_, f, g) in zip(cs, pairs):
+        m = den // (f.den * g.den * cd)
         (fk, fn), (gk, gn) = f._lift(L, D), g._lift(L, D)
+        if type(cn) is tuple:
+            fn = [_mul(a, cn, L) for a in fn]
+        else:
+            m *= cn
         if L <= 2:
             gl = list(zip(gk, gn))
             for k1, a in zip(fk, fn):
@@ -485,7 +511,9 @@ def _sum_of_products(pairs, L):
                         s[i + j] += x * y
     if L > 2:
         acc = {k: _reduce_mod_phi(s, L) for k, s in acc.items()}
-    ks = sorted([k for k, n in acc.items() if _nonzero(n)])
+        ks = sorted([k for k, n in acc.items() if any(n)])
+    else:
+        ks = sorted([k for k, n in acc.items() if n])
     return _qp(L, D, den, ks, [acc[k] for k in ks])
 
 
@@ -756,9 +784,18 @@ def wronskian_ode_solve(f, w_target, norm):
     Walking the support from the top down fixes one y_e per equation; this
     is (Y/f)' = W/f^2 read one coefficient at a time.  The one zero pivot,
     e = d, is the kernel direction Y = f, and there y_d = 0.  The exact
-    check f Y' - f' Y = W then proves every equation the sweep did not use.
-    The "coeff_zero" walk starts at x^0, so it needs f to be a
-    quasi-polynomial; the holomorphic class never meets the zero pivot.
+    check f Y' - f' Y = W, one `_sum_of_products` call, then proves every
+    equation the sweep did not use.  The "coeff_zero" walk starts at x^0,
+    so it needs f to be a quasi-polynomial; the holomorphic class never
+    meets the zero pivot.
+
+    The sweep runs on the int layout of f and W lifted once to their
+    common field order and exponent denominator: each y_e is an int
+    numerator (a tuple for deg Phi_L > 1) over its own int denominator.
+    For a monic f, f_d = 1, so each step divides only by the int e - d.
+    A non-monic f is solved as the monic f / f_d against W / f_d, one
+    exact scale of each; f is still returned as the kernel.  Only the
+    "coeff_zero" pin reads coefficients as `Cyc`s.
 
     Returns (particular, homogeneous) where homogeneous = f spans the
     kernel.  Raises NoSolution when no Y solves the equation and
@@ -772,17 +809,21 @@ def wronskian_ode_solve(f, w_target, norm):
 
     # exponents as ints over the common denominator D
     D = lcm(f.D, w_target.D, pin.denominator)
-    fterms = list(zip(f._lift(f.L, D)[0], f.terms.values()))
-    w = dict(zip(w_target._lift(w_target.L, D)[0], w_target.terms.values()))
-    d, P = fterms[-1][0], pin.numerator * (D // pin.denominator)
-    hi = max(max(w) - d + D, d)
+    g, w = f, w_target
+    if not f.is_monic():  # Wr(f / f_d, Y) = W / f_d
+        inv = f.leading_coeff().inverse()
+        g, w = f.scale(inv), w_target.scale(inv)
+    L = lcm(g.L, w.L)
+    (gk, gn), (wk, wn) = g._lift(L, D), w._lift(L, D)
+    d, P = gk[-1], pin.numerator * (D // pin.denominator)
+    hi = max(wk[-1] - d + D, d)
     if kind == "coeff_zero":
-        if fterms[0][0] < 0:
+        if gk[0] < 0:
             raise ValueError("the coeff_zero rule needs f without negative "
                              "exponents")
         support = range(hi + 1)
     elif kind == "holomorphic_at_zero":
-        if P % D in {k % D for k, _ in fterms}:
+        if P % D in {k % D for k in gk}:
             raise AmbiguousNormalization(
                 "holomorphic normalization needs a pinned exponent class "
                 "disjoint from the support of f")
@@ -790,20 +831,38 @@ def wronskian_ode_solve(f, w_target, norm):
     else:
         raise ValueError(f"unknown normalization rule {kind!r}")
 
-    # D times the equation for x^((d + e - D) / D)
-    fd_inv = fterms[-1][1].inverse()
+    # D times the equation for x^((d + e - D) / D), on numerators: f_a is
+    # gn_a / G, W's term wn / Wd and y_e is y[e] = (numerator, denominator)
+    G, Wd, wt = g.den, w.den, dict(zip(wk, wn))
+    lower = list(zip(gk[:-1], gn[:-1]))
+    zero = 0 if L <= 2 else (0,) * _phi_deg(L)
     y = {}
     for e in reversed(support):
-        known = [(ca * (d + e - 2 * a), y[d + e - a]) for a, ca in fterms
+        known = [(n, d + e - 2 * a, y[d + e - a]) for a, n in lower
                  if d + e - a in y]
-        if e == d or not known and d + e - D not in w:
+        t = wt.get(d + e - D)
+        if e == d or not known and t is None:
             continue  # y_d = 0 (the kernel direction Y = f), or nothing lands
-        acc = w.get(d + e - D, ZERO) * D
-        for m, yk in known:
-            acc = acc - m * yk
-        y[e] = acc * fd_inv / (e - d)
-    particular = QPoly({Fraction(e, D): c for e, c in y.items()})
-    if f * particular.derivative() - f.derivative() * particular != w_target:
+        q = lcm(Wd if t is not None else 1, *(G * s for _, _, (_, s) in known))
+        acc = zero if t is None else _times_int(t, D * (q // Wd))
+        for n, m, (yn, s) in known:
+            p = _times_int(_mul(n, yn, L), m * (q // (G * s)))
+            acc = acc - p if L <= 2 else tuple(map(sub, acc, p))
+        if _nonzero(acc):  # y_e = acc / (q (e - d)), reduced
+            q *= e - d
+            h = gcd(q, *(acc if L > 2 else (acc,)))
+            h = -h if q < 0 else h
+            y[e] = (acc // h if L <= 2 else tuple([x // h for x in acc]),
+                    q // h)
+    ks = sorted(y)
+    den = lcm(*(s for _, s in y.values()))
+    particular = _qp(L, D, den, ks, [_times_int(y[k][0], den // y[k][1])
+                                     for k in ks])
+    check = [(c, a, b) for c, a, b in ((1, f, particular.derivative()),
+                                       (-1, f.derivative(), particular))
+             if a and b]
+    if not check or _sum_of_products(
+            check, lcm(f.L, particular.L)) != w_target:
         raise NoSolution("Wr(f, Y) = W has no quasi-polynomial solution")
 
     if kind == "coeff_zero":

@@ -43,6 +43,7 @@ Gram matrix from polynomials, or divides by D_k.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 
 from . import linalg
 from .cartan import Record, dominant_shifted_rep
@@ -52,8 +53,8 @@ from .errors import (InexactDivision, InputError, InternalInvariantError,
                      UnsupportedType)
 from .frame import (BetheTuple, big_lambda, prove_cyclotomic, t_tilde,
                     weight_at_infinity)
-from .qpoly import (QPoly, divide_exact, proportional, qgcd,
-                    wronskian_ode_solve, wronskian_table)
+from .qpoly import (_ONE, QPoly, _sum_of_products, divide_exact,
+                    proportional, qgcd, wronskian_ode_solve, wronskian_table)
 from .scalars import ZERO, Cyc, _cyc, _factor, _reduce_mod_phi
 
 
@@ -369,8 +370,14 @@ def _form(u, g, v):
 
 
 def _combine(coeffs, polys):
-    """sum_j c_j p_j over the nonzero c_j."""
-    return sum((p.scale(c) for c, p in zip(coeffs, polys) if c), QPoly.zero())
+    """sum_j c_j p_j as one `_sum_of_products` call over the terms with
+    c_j and p_j nonzero, each c_j a `Cyc` multiplier of the pair (c_j, 1,
+    p_j).  The sum is in Q(zeta_L), L the lcm of the orders of those
+    terms' c_j and p_j; a zero sum is zero of order 1."""
+    pairs = [(c, _ONE, p) for c, p in zip(coeffs, polys)
+             if p.ks and any(c.num)]
+    return _sum_of_products(pairs, lcm(*[c.order for c, _, _ in pairs],
+                                       *[p.L for _, _, p in pairs]))
 
 
 def _coordinates(space, vectors):

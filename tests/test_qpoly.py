@@ -161,22 +161,25 @@ def _ode_outcome(solve, f, w, norm):
     return [(e, c.order, c.vec) for e, c in y.terms.items()], str(y)
 
 
-def _ode_rand_poly(rng, M, terms, top):
-    """Up to `terms` terms over Q(zeta_M) on exponents in (1/2)Z."""
+def _ode_rand_poly(rng, M, terms, top, denom=2):
+    """Up to `terms` terms over Q(zeta_M) on exponents in (1/denom)Z."""
     w = Cyc.root_of_unity(M)
     out = {}
     for _ in range(rng.randint(1, terms)):
         c = Cyc.of(F(rng.randint(-3, 3), rng.choice((1, 2))), M)
         if M > 1:
             c = c + w * F(rng.randint(-3, 3), rng.choice((1, 2)))
-        out[F(rng.randint(0, top), 2)] = c or Cyc.of(1, M)
+        out[F(rng.randint(0, top), denom)] = c or Cyc.of(1, M)
     return QPoly(out)
 
 
 def test_ode_solve_matches_dense_reference():
     """Same error, or the same terms, term order, coefficient orders and
     text, both for one field Q(zeta_M), M in {1, 3, 4}, per case and where
-    f, Y and the extra term of W each take their own field."""
+    f, Y and the extra term of W each take their own field.  Then the
+    same over orders {8, 12}, over exponent denominators 3 and 6 with f
+    and W of different D, and for an f whose leading coefficient is
+    irrational, which the sweep solves as monic."""
     rng = random.Random(2015)
     seen = {}
     for case in range(400):
@@ -199,6 +202,42 @@ def test_ode_solve_matches_dense_reference():
         seen[kind] = seen.get(kind, 0) + 1
     assert min(seen.get(k, 0) for k in ("solved", "NoSolution",
                                         "AmbiguousNormalization")) >= 40
+
+    rng, seen = random.Random(38), Counter()
+    for case in range(240):
+        group = ("orders", "denominators", "non-monic")[case % 3]
+        fields = [rng.choice((1, 3, 4, 8, 12) if group == "non-monic"
+                             else (8, 12)) for _ in range(3)]
+        # f, the second solution and the extra term of W on (1/D)Z
+        dens = rng.choice(((3, 6, 2), (6, 3, 3), (2, 3, 6), (3, 3, 6))) \
+            if group == "denominators" else (2, 2, 2)
+        f = _ode_rand_poly(rng, fields[0], 3, 6, dens[0])
+        if group == "non-monic":
+            lead = Cyc.root_of_unity(fields[0]) * F(rng.choice((2, -3)), 5) \
+                + rng.randint(-1, 1) if fields[0] > 2 else Cyc.of(F(-2, 3))
+            f = f.monic().scale(lead)
+            assert not f.is_monic()
+        w = wronskian([f, _ode_rand_poly(rng, fields[1], 3, 6, dens[1])])
+        if rng.random() < 0.3:
+            w = w + _ode_rand_poly(rng, fields[2], 1, 10, dens[2])
+        D = lcm(*dens)
+        if rng.random() < 0.5:
+            norm = ("coeff_zero", rng.choice([*f.terms,
+                                              F(rng.randint(0, 8), D)]))
+        else:
+            norm = ("holomorphic_at_zero", F(rng.randint(0, 2 * D), D))
+        want = _ode_outcome(_dense_ode_solve, f, w, norm)
+        assert _ode_outcome(wronskian_ode_solve, f, w, norm) == want, \
+            (f, w, norm)
+        seen[group, want if isinstance(want, str) else "solved"] += 1
+        if group == "denominators":
+            seen["different D"] += f.denom != w.denom
+        if group == "non-monic":
+            seen["irrational lead"] += not f.leading_coeff().is_rational()
+    assert min(seen[g, k] for g in ("orders", "denominators", "non-monic")
+               for k in ("solved", "NoSolution",
+                         "AmbiguousNormalization")) >= 10, seen
+    assert seen["different D"] >= 40 and seen["irrational lead"] >= 40, seen
 
 
 def test_ode_solve_keeps_the_field_of_f():

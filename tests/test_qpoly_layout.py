@@ -635,3 +635,33 @@ def test_stored_fields_are_canonical():
     q = QPoly({1: F(1, 2), 3: F(3, 2)})
     assert (q.L, q.D, q.ks, q.den, q.nums) == (1, 1, [1, 3], 2, [1, 3])
     assert (q + q).den == 1 and (q + q).nums == [1, 3]
+
+
+def test_the_solve_builds_a_cyc_only_to_pin(monkeypatch):
+    # on the committed A4 catalog the sweep and its exact check run on the
+    # int layout: the holomorphic rule of an L = 2 step builds no Cyc, and
+    # the coeff_zero rule of an L = 1 step builds only the pin's 4 (two
+    # coefficient reads, an inverse and a product)
+    import json
+    from cybethe import scalars, serialize
+    from cybethe.genengine import _rhs_l1
+    from test_catalog_pins import A4_CATALOG, A4_DOC
+    inst = serialize.instance_from_doc(A4_DOC)
+    build, built, counts = scalars._cyc, [], Counter()
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    for node in json.loads(A4_CATALOG.read_text())["nodes"]:
+        y = serialize.tuple_from_doc(node["tuple"], inst.M)
+        for i, norm in ((0, ("coeff_zero", y[0].degree)),
+                        (1, ("holomorphic_at_zero", inst.gamma(1) + 1))):
+            rhs = _rhs_l1(inst, y, i)
+            built.clear()
+            with monkeypatch.context() as patch:
+                for module in (scalars, qpoly):
+                    patch.setattr(module, "_cyc", counted)
+                wronskian_ode_solve(y[i], rhs, norm)
+            counts[norm[0], len(built)] += 1
+    assert counts == {("coeff_zero", 4): 40, ("holomorphic_at_zero", 0): 40}

@@ -93,6 +93,37 @@ def test_rep_calls_compares_one_smoke_rep(tmp_path):
     assert out.stdout.splitlines()[-1].startswith("keep digest DIFFERS: ")
 
 
+def test_rep_calls_prints_one_section_per_workload(tmp_path):
+    src = ROOT / "src"
+    shutil.copytree(src / "cybethe", tmp_path / "cybethe",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # a tree whose catalogs gain a key: the populate digests differ, the
+    # flow images of typea_a4 do not
+    serialize = tmp_path / "cybethe" / "serialize.py"
+    serialize.write_text(serialize.read_text().replace(
+        '    doc = {}\n    put(doc, "c"',
+        '    doc = {"x": 1}\n    put(doc, "c"'))
+
+    def sections(*workloads):
+        out = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "rep_calls.py"), str(src),
+             str(tmp_path), "--size", "smoke",
+             *(arg for w in workloads for arg in ("--workload", w))],
+            capture_output=True, text=True, timeout=300)
+        parts = [part.splitlines() for part in out.stdout.split("\n\n")]
+        return out.returncode, [(lines[0].split()[0], lines[-1].split(":")[0])
+                                for lines in parts]
+
+    # without --workload all three run
+    assert sections() == (1, [("populate_a4", "keep digest DIFFERS"),
+                              ("populate_d4", "keep digest DIFFERS"),
+                              ("typea_a4", "keep digest same")])
+    assert sections("typea_a4") == (0, [("typea_a4", "keep digest same")])
+    assert sections("typea_a4", "populate_d4", "typea_a4") == (
+        1, [("typea_a4", "keep digest same"),
+            ("populate_d4", "keep digest DIFFERS")])
+
+
 def test_rep_calls_counts_named_functions_moved_or_not():
     src = ROOT / "src"
     out = subprocess.run(

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -1439,3 +1440,56 @@ def test_no_special_basis(a2, a2_tuple):
     assert report["clause_i"]["ok"] is False
     assert "do not match exponents" in report["clause_i"]["reason"]
     assert report["ok"] is False
+
+
+def _sum_of_scales(coeffs, polys):
+    """Reference for `typea._combine`: one `scale` per nonzero c_j, the
+    scaled terms summed one by one from zero."""
+    return sum((p.scale(c) for c, p in zip(coeffs, polys) if c),
+               QPoly.zero())
+
+
+def test_combine_is_the_sum_of_scales():
+    # one kernel call gives the value, field order and text of the scales
+    # summed one by one, over orders {1, 2, 4, 8}, with zero coefficients,
+    # zero polys and terms that cancel to zero of order 1
+    from cybethe import typea
+    rng, seen = random.Random(38), Counter()
+
+    def draw_cyc(M):
+        if rng.random() < 0.15:
+            return Cyc.of(0, M)
+        return Cyc.of(F(rng.randint(-4, 4), rng.choice((1, 2, 3))), M) + \
+            Cyc.root_of_unity(M) * F(rng.randint(-3, 3), rng.choice((1, 5)))
+
+    def draw_poly(M):
+        if rng.random() < 0.15:
+            return QPoly.zero()
+        return QPoly({F(rng.randint(0, 6), rng.choice((1, 2))): draw_cyc(M)
+                      for _ in range(rng.randint(1, 4))})
+
+    def outcome(p):
+        return p, p.field_order(), str(p), [
+            (e, c.order, c.vec) for e, c in p.terms.items()]
+
+    for case in range(300):
+        n = rng.randint(0, 5)
+        coeffs = [draw_cyc(rng.choice((1, 2, 4, 8))) for _ in range(n)]
+        polys = [draw_poly(rng.choice((1, 2, 4, 8))) for _ in range(n)]
+        if case % 5 == 4:  # the last term cancels the others
+            total = _sum_of_scales(coeffs, polys)
+            coeffs.append(Cyc.of(-1, rng.choice((1, 2, 4, 8))))
+            polys.append(total)
+        want = _sum_of_scales(coeffs, polys)
+        assert outcome(typea._combine(coeffs, polys)) == outcome(want), \
+            (coeffs, polys)
+        seen["zero coefficient"] += any(not c for c in coeffs)
+        seen["zero poly"] += any(not p for p in polys)
+        seen["cancelled"] += not want and any(c and p for c, p in zip(
+            coeffs, polys))
+        seen["mixed orders"] += len({p.field_order() for p in polys if p}
+                                    | {c.order for c in coeffs if c}) > 1
+        seen["order 8"] += want.field_order() == 8
+    assert not typea._combine([], []) and \
+        typea._combine([], []).field_order() == 1
+    assert min(seen.values()) >= 30 and len(seen) == 5, seen

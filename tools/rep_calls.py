@@ -1,22 +1,24 @@
 """Call counts of one warm workload rep under cProfile, for two source trees.
 
-    python tools/rep_calls.py OLD_SRC NEW_SRC --workload W [--size smoke|full]
-                              [--count NAME ...]
+    python tools/rep_calls.py OLD_SRC NEW_SRC [--workload W ...]
+                              [--size smoke|full] [--count NAME ...]
 
 OLD_SRC and NEW_SRC are directories holding a `cybethe` package, such as
 the `src` of two checkouts.  For each tree a fresh process puts the tree
 first on sys.path, imports `perfbench/workloads.py` (read only), sets up
 the in-process workload W (`populate_a4`, `populate_d4` or `typea_a4`) at
 seed 0, runs one rep to fill the caches and profiles one more rep.
+`--workload` may be given more than once; without it all three run.
 
-Prints the total call count of each tree and the 15 functions whose call
-counts moved most.  A function is named by its path inside the tree (or
-its standard-library path) and its qualified name, such as
-`cybethe/qpoly.py:QPoly.__mul__`, so the same function matches across
-trees whose line numbers differ and methods of one name in one module are
-counted apart.  A builtin is named `~:` and the profiler's text for it.
-Exits 1 when the two reps' keep digests (the catalog or flow-image hashes
-the benchmark pins) differ.
+Prints one section per workload, separated by blank lines: the total call
+count of each tree and the 15 functions whose call counts moved most.  A
+function is named by its path inside the tree (or its standard-library
+path) and its qualified name, such as `cybethe/qpoly.py:QPoly.__mul__`,
+so the same function matches across trees whose line numbers differ and
+methods of one name in one module are counted apart.  A builtin is named
+`~:` and the profiler's text for it.  Exits 1 when the two reps' keep
+digests (the catalog or flow-image hashes the benchmark pins) differ on
+any workload.
 
 `--count NAME` (repeatable) also prints both trees' counts of every
 function whose name contains NAME, moved or not, so counts named in
@@ -91,7 +93,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--workload", required=True, choices=IN_PROCESS)
+    parser.add_argument("--workload", action="append", choices=IN_PROCESS,
+                        help="a workload to profile (repeatable); "
+                        "default: all three")
     parser.add_argument("--size", choices=("smoke", "full"), default="full")
     parser.add_argument("--count", action="append", default=[],
                         metavar="NAME", help="also print the counts of "
@@ -100,10 +104,21 @@ def main(argv=None):
     for src in (args.old, args.new):
         if not (src / "cybethe" / "__init__.py").is_file():
             parser.error(f"no cybethe package in {src}")
-    old, new = (run_tree(src, args.workload, args.size)
+    agree = []
+    for k, workload in enumerate(dict.fromkeys(args.workload or IN_PROCESS)):
+        if k:
+            print()
+        agree.append(compare(args, workload))
+    return 0 if all(agree) else 1
+
+
+def compare(args, workload):
+    """Print the section of one workload; True when the keep digests
+    agree."""
+    old, new = (run_tree(src, workload, args.size)
                 for src in (args.old, args.new))
     totals = [sum(tree["calls"].values()) for tree in (old, new)]
-    print(f"{args.workload} {args.size}, seed 0, one warm rep: "
+    print(f"{workload} {args.size}, seed 0, one warm rep: "
           f"{totals[0]} -> {totals[1]} calls "
           f"({100 * (totals[1] / totals[0] - 1):+.1f}%)")
     names = set(old["calls"]) | set(new["calls"])
@@ -122,7 +137,7 @@ def main(argv=None):
     same = old["digest"] == new["digest"]
     print(f"keep digest {'same' if same else 'DIFFERS'}: "
           f"{old['digest'][:16]} -> {new['digest'][:16]}")
-    return 0 if same else 1
+    return same
 
 
 if __name__ == "__main__":
