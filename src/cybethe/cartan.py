@@ -5,6 +5,12 @@ instances and the canonical type-A weight at the origin.
 Node indices are 0-based internally; the JSON/CLI layer converts from the
 1-based convention used in input files.  Weights are stored purely by
 their coroot pairings <lambda, alpha_i^vee>.
+
+A DiagramAut makes the sigma-cycle of each node once, as derived data.
+Everything the diagram folds into reads those cycles: sigma's powers and
+inverse, its orbits and order, the linking numbers and the folded Cartan
+matrix of `orbit_data`, the reflection words of `folded_reflect` and the
+orbit representatives of nodes and edges of a ProblemInstance.
 """
 
 from fractions import Fraction
@@ -148,29 +154,38 @@ class CartanData(Record):
 
 
 class DiagramAut(Record):
-    """Permutation of the nodes preserving the Cartan matrix."""
+    """Permutation of the nodes preserving the Cartan matrix.
+
+    The sigma-cycle (i, sigma i, sigma^2 i, ...) of each node and the
+    order of sigma, the lcm of the cycle lengths, are derived data, made
+    once here: `power`, `inverse`, `orbits` and the folding read the
+    cycles, so no other code walks sigma."""
 
     _fields = ("perm",)  # images, 0-based
-    __slots__ = _fields + ("order",)
+    __slots__ = _fields + ("cycles", "order")
 
     def __init__(self, perm):
         if sorted(perm) != list(range(len(perm))):
             raise InputError("not a permutation")
         self.perm = perm
-        # the lcm of the cycle lengths: derived, so not a field
+        cycles = []
+        for i in range(len(perm)):
+            cycle = [i]
+            while perm[cycle[-1]] != i:
+                cycle.append(perm[cycle[-1]])
+            cycles.append(tuple(cycle))
+        self.cycles = tuple(cycles)
         self.order = lcm(*map(len, self.orbits()))
 
     def __call__(self, i):
         return self.perm[i]
 
     def inverse(self, i):
-        return self.perm.index(i)
+        return self.cycles[i][-1]
 
     def power(self, i, k):
-        k %= self.order
-        for _ in range(k):
-            i = self.perm[i]
-        return i
+        cycle = self.cycles[i]
+        return cycle[k % len(cycle)]
 
     def validate_for(self, cartan):
         for i in range(cartan.n):
@@ -181,17 +196,9 @@ class DiagramAut(Record):
                         f"at ({i},{j})")
 
     def orbits(self):
-        seen, out = set(), []
-        for i in range(len(self.perm)):
-            if i in seen:
-                continue
-            orbit, j = [i], self.perm[i]
-            while j != i:
-                orbit.append(j)
-                j = self.perm[j]
-            seen.update(orbit)
-            out.append(tuple(orbit))
-        return out
+        """The cycles that start at their least node, in ascending order."""
+        return [cycle for i, cycle in enumerate(self.cycles)
+                if min(cycle) == i]
 
 
 class Weight:
@@ -216,13 +223,6 @@ class Weight:
 
     def __sub__(self, other):
         return Weight(a - b for a, b in zip(self.pairings, other.pairings))
-
-    def __neg__(self):
-        return Weight(-a for a in self.pairings)
-
-    def scale(self, k):
-        k = Fraction(k)
-        return Weight(a * k for a in self.pairings)
 
     def __eq__(self, other):
         return isinstance(other, Weight) and self.pairings == other.pairings
@@ -260,45 +260,25 @@ class FoldedData(Record):
 
 
 def orbit_data(cartan, aut):
-    """Fold the diagram; raises LinkingViolation when some L_i > 2."""
+    """Fold the diagram; raises LinkingViolation when some L_i > 2.
+
+    L_i = 1 - sum_j a_ji over the rest of i's sigma-cycle, and the folded
+    row of a representative i is L_i times the sum of the rows a_k over
+    the cycle of i."""
     aut.validate_for(cartan)
-    n = cartan.n
-    orbit_of = {}
-    orbits = []
-    for orbit in aut.orbits():
-        key = tuple(sorted(orbit))
-        orbits.append(key)
-        for i in orbit:
-            orbit_of[i] = key
-    orbits.sort()
-    reps = tuple(min(o) for o in orbits)
-
-    m_len = [len(orbit_of[i]) for i in range(n)]
-    linking = []
-    for i in range(n):
-        total = 0
-        j = aut(i)
-        seen = {i}
-        while j not in seen:
-            total += cartan.a[j][i]
-            seen.add(j)
-            j = aut(j)
-        linking.append(1 - total)
-    for i in range(n):
-        if linking[i] > 2:
-            raise LinkingViolation(i, linking[i])
-
-    a_fold_rows = []
-    for i in reps:
-        row = []
-        orbit_i = sorted(set(aut.power(i, k) for k in range(m_len[i])))
-        for j in reps:
-            row.append(linking[i] * sum(cartan.a[k][j] for k in orbit_i))
-        a_fold_rows.append(row)
-    a_fold = CartanData.from_matrix(a_fold_rows)
-    return FoldedData(reps=reps, orbit_len=tuple(m_len),
-                      linking=tuple(linking), a_fold=a_fold,
-                      orbits=tuple(tuple(sorted(o)) for o in orbits))
+    a, cycles = cartan.a, aut.cycles
+    linking = tuple(1 - sum(a[j][i] for j in cycle[1:])
+                    for i, cycle in enumerate(cycles))
+    for i, li in enumerate(linking):
+        if li > 2:
+            raise LinkingViolation(i, li)
+    orbits = tuple(tuple(sorted(cycle)) for cycle in aut.orbits())
+    reps = tuple(orbit[0] for orbit in orbits)
+    a_fold = CartanData.from_matrix(
+        [[linking[i] * sum(a[k][j] for k in cycles[i]) for j in reps]
+         for i in reps])
+    return FoldedData(reps=reps, orbit_len=tuple(map(len, cycles)),
+                      linking=linking, a_fold=a_fold, orbits=orbits)
 
 
 def sigma_on_weight(aut, weight):
@@ -324,16 +304,9 @@ def folded_reflect(cartan, aut, fold, i, weight):
     """Apply s_i^sigma in the shifted action via its reflection word."""
     if i not in fold.reps:
         raise InputError(f"{i} is not an orbit representative")
-    m = fold.orbit_len[i]
-    li = fold.linking[i]
-    chain = [aut.power(i, k) for k in range(m)]
-    if li == 1:
-        word = chain
-    else:
-        half = m // 2
-        first = chain[:half]
-        second = chain[half:]
-        word = first + second + first
+    chain = aut.cycles[i]
+    # L = 2: the first half of i's cycle, the second half, the first again
+    word = chain if fold.linking[i] == 1 else chain + chain[:len(chain) // 2]
     out = weight
     for node in reversed(word):
         out = shifted_reflect(cartan, node, out)
@@ -386,16 +359,14 @@ def _orbit_reps(a, aut):
     sigma-orbit of nodes, with each j > i such that a_ij != 0 and (i, j) is
     the lexicographically least member of the sigma-orbit of the edge {i, j}.
     The first node of a least edge is the least of its orbit."""
-    def least(*nodes):
-        images, cur = [], tuple(sorted(nodes))
-        while cur not in images:
-            images.append(cur)
-            cur = tuple(sorted(aut(v) for v in cur))
-        return min(images)
+    def least(i, j):
+        # (sigma^k i, sigma^k j) for k < |cycle of i| |cycle of j|
+        ci, cj = aut.cycles[i], aut.cycles[j]
+        return min(map(sorted, zip(ci * len(cj), cj * len(ci)))) == [i, j]
     n = len(a)
     return tuple((i, tuple(j for j in range(i + 1, n)
-                           if a[i][j] and least(i, j) == (i, j)))
-                 for i in range(n) if least(i) == (i,))
+                           if a[i][j] and least(i, j)))
+                 for i in range(n) if min(aut.cycles[i]) == i)
 
 
 class ProblemInstance(Record):
@@ -455,31 +426,19 @@ def canonical_lambda0(rank, M=2):
     """L0(a_j^vee) = tr_n(sigma^-1 ad_{a_j^vee}) / (1 - omega) for type A.
 
     The involution is realized on sl_{rank+1} as sigma(X) = -J X^T J^{-1}
-    with J the anti-diagonal unit matrix with alternating signs,
-    J[k][n-1-k] = (-1)^k, so sigma(X)[a][b] = -(-1)^(a+b) X[n-1-b][n-1-a].
-    For M = 1 the sum is empty and the weight is zero.
+    with J the anti-diagonal unit matrix with alternating signs, and the
+    trace leaves only the middle of the diagram: 1 at the middle node of
+    an odd rank, -1/2 at the two middle nodes of an even rank.  For M = 1
+    the sum is empty and the weight is zero.
     """
     check_rank(rank)
-    if M == 1:
-        return Weight.zero(rank)
-    if M != 2:
+    if M not in (1, 2):
         raise UnsupportedType("canonical lambda0 implemented for M in {1, 2}")
-    size = rank + 1
-    pairings = []
-    for j in range(rank):
-        h = [[Fraction(0)] * size for _ in range(size)]
-        # alpha_j^vee = [E_j, F_j] = E_jj - E_(j+1)(j+1)
-        h[j][j] = Fraction(1)
-        h[j + 1][j + 1] = Fraction(-1)
-        total = Fraction(0)
-        for a in range(size):
-            for b in range(a + 1, size):
-                # ad_h E_ab = (h_a - h_b) E_ab
-                factor = h[a][a] - h[b][b]
-                if not factor:
-                    continue
-                # sigma(E_ab)[a][b] = -(-1)^(a+b) iff a + b = n - 1, else 0
-                if a + b == size - 1:
-                    total -= factor * (-1) ** (a + b)
-        pairings.append(total / 2)  # 1 - omega = 2 for omega = -1
+    pairings = [0] * rank
+    if M == 2:
+        mid = rank // 2
+        if rank % 2:
+            pairings[mid] = 1
+        else:
+            pairings[mid - 1] = pairings[mid] = Fraction(-1, 2)
     return Weight(pairings)

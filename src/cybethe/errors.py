@@ -61,10 +61,6 @@ class BranchUndefined(CybetheError):
 
 
 # frame
-class NegativeExponent(CybetheError):
-    pass
-
-
 class NotGeneric(CybetheError):
     pass
 

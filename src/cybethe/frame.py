@@ -6,10 +6,14 @@ primitive root omega, marked points z_s with dominant integral weights,
 and the sigma-invariant weight at the origin.  On top of that this module
 provides:
 
-  * the frame polynomials T_i, which `frame_polys` builds once per
-    instance and keeps in a derived slot of the instance (not a field,
-    like `orbit_reps`), so that no function takes them as an argument,
-    and T~_i,
+  * the extended sites (`extended_sites`): the origin with L0, and
+    omega^k z_s with sigma^k Lambda_s, the one list that the frame
+    polynomials, Lambda and the eigenvalues read,
+  * the frame polynomials T_i, the product of (x - z)^<Lambda, a_i^vee>
+    over the extended sites off the origin, which `frame_polys` builds
+    once per instance and keeps in a derived slot of the instance (not a
+    field, like `orbit_reps`), so that no function takes them as an
+    argument, and T~_i,
   * exact genericity, cyclotomy and criticality tests for tuples,
   * weight-at-infinity bookkeeping,
   * validation of the conditions on the weight at the origin,
@@ -73,13 +77,12 @@ need gcd(y_i_1, y_r) = 1, a certificate per family that is not made.
 from fractions import Fraction
 from functools import reduce
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .cartan import Weight, inner_product, weight_orbit
 # defined in `cartan`, so that reading an instance loads no `frame`
 from .cartan import ProblemInstance, canonical_lambda0  # noqa: F401
-from .errors import (InexactDivision, InputError, NegativeExponent,
-                     NotCyclotomic, NotGeneric)
+from .errors import InexactDivision, InputError, NotCyclotomic, NotGeneric
 from .qpoly import (QPoly, _sum_of_products, divide_exact, is_squarefree,
                     proportional, qgcd)
 from .scalars import Cyc
@@ -139,23 +142,25 @@ def frame_polys(inst):
 
 
 def _frame_polys(inst):
-    """T_i(x) = prod_s prod_k (x - omega^k z_s)^<sigma^k Lambda_s, alpha_i^vee>."""
-    orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
-    out = []
-    for i in range(inst.cartan.n):
-        acc = QPoly.one()
-        for s, z in enumerate(inst.points):
-            for k, lam in enumerate(orbits[s]):
-                power = lam[i]
-                if power < 0 or power.denominator != 1:
-                    raise NegativeExponent(
-                        f"<sigma^{k} Lambda_{s}, alpha_{i}^vee> = {power}")
-                if power:
-                    root = inst.omega ** k * z
-                    factor = QPoly({Fraction(1): 1, Fraction(0): -root})
-                    acc = acc * factor ** int(power)
-        out.append(acc)
-    return tuple(out)
+    """T_i(x) = prod (x - z)^<Lambda, alpha_i^vee> over the extended sites
+    (z, Lambda) off the origin (`extended_sites`).  Each exponent
+    <sigma^k Lambda_s, alpha_i^vee> is a pairing of Lambda_s, as sigma^k
+    only permutes pairings, and `ProblemInstance` proves each Lambda_s
+    dominant integral."""
+    sites = extended_sites(inst)[1:]
+    return tuple(reduce(mul, (QPoly({Fraction(1): 1, Fraction(0): -z})
+                              ** int(lam[i]) for _, z, lam in sites if lam[i]),
+                        QPoly.one()) for i in range(inst.cartan.n))
+
+
+def extended_sites(inst):
+    """The extended configuration: [(index, z, weight)] with the origin
+    first, then omega^k z_s carrying sigma^k Lambda_s for each s and k < M."""
+    sites = [(0, Cyc.of(0), inst.lambda0)]
+    for z, lam in zip(inst.points, inst.site_weights):
+        for k, cur in enumerate(weight_orbit(inst.aut, lam)):
+            sites.append((len(sites), inst.omega ** k * z, cur))
+    return sites
 
 
 def t_tilde(inst, i):
@@ -247,8 +252,7 @@ def prove_cyclotomic(inst, y, moved=None):
     its Wronskian equation implies them), a residue at each other
     representative adjacent to O.  Without `moved`, O is every node.
     """
-    orbit = range(len(y)) if moved is None else {
-        inst.aut.power(moved, k) for k in range(inst.M)}
+    orbit = range(len(y)) if moved is None else set(inst.aut.cycles[moved])
     if not _cyclotomic_at(inst, y, orbit):
         raise NotCyclotomic("the tuple is not cyclotomic")
     for r, js in inst.orbit_reps:
@@ -311,14 +315,10 @@ def _cyclotomic_at(inst, y, nodes):
 
 
 def big_lambda(inst):
-    """Lambda = L0 + sum_s sum_(k<M) sigma^k Lambda_s, the weight at the
-    origin plus the weights of all extended sites (for the flip that is
-    L0 + sum_s (Lambda_s + sigma Lambda_s))."""
-    total = inst.lambda0
-    for lam in inst.site_weights:
-        for cur in weight_orbit(inst.aut, lam):
-            total = total + cur
-    return total
+    """Lambda = L0 + sum_s sum_(k<M) sigma^k Lambda_s, the sum of the
+    weights of all extended sites (`extended_sites`), the origin's L0
+    included (for the flip that is L0 + sum_s (Lambda_s + sigma Lambda_s))."""
+    return reduce(add, (lam for _, _, lam in extended_sites(inst)))
 
 
 def weight_at_infinity(inst, y):
@@ -416,15 +416,6 @@ def _log_deriv_at(poly, point, pairing):
     return poly.derivative().eval_at(point) / val
 
 
-def extended_sites(inst):
-    """The extended configuration: [(index, z, weight)] with the origin first."""
-    sites = [(0, Cyc.of(0), inst.lambda0)]
-    for z, lam in zip(inst.points, inst.site_weights):
-        for k, cur in enumerate(weight_orbit(inst.aut, lam)):
-            sites.append((len(sites), inst.omega ** k * z, cur))
-    return sites
-
-
 def eigenvalues(inst, y):
     """Exact Gaudin eigenvalues in both pictures, plus the match verdict.
 
@@ -456,17 +447,19 @@ def eigenvalues(inst, y):
 
     alpha = [Weight.simple_root(cartan, j) for j in range(cartan.n)]
     M, omega = inst.M, inst.omega
-    orbits = [weight_orbit(inst.aut, lam) for lam in inst.site_weights]
+    sites = extended_sites(inst)
+    # of_point[j]: the sites omega^k z_j, k < M, in the order of the list
+    of_point = [sites[1 + j * M:1 + (j + 1) * M]
+                for j in range(len(inst.points))]
 
     cyc = []
     for i, zi in enumerate(inst.points):
         lam_i = inst.site_weights[i]
         acc = Cyc.of(0)
-        for j, zj in enumerate(inst.points):
-            if j == i:
-                continue
-            for s, cur in enumerate(orbits[j]):
-                acc = acc + Cyc.of(ip(lam_i, cur)) / (zi - omega ** s * zj)
+        for j, group in enumerate(of_point):
+            if j != i:
+                for _, zj, lam in group:
+                    acc = acc + Cyc.of(ip(lam_i, lam)) / (zi - zj)
         for c, yc in enumerate(y):
             if yc.degree == 0:
                 continue
@@ -476,12 +469,11 @@ def eigenvalues(inst, y):
                 if ratio is not None:
                     acc = acc - Cyc.of(pairing) * omega ** (-s) * ratio
         tail = Cyc.of(ip(lam_i, inst.lambda0))
-        for s in range(1, M):
-            tail = tail + Cyc.of(ip(lam_i, orbits[i][s])) / (1 - omega ** s)
+        for s, (_, _, lam) in enumerate(of_point[i][1:], 1):
+            tail = tail + Cyc.of(ip(lam_i, lam)) / (1 - omega ** s)
         acc = acc + tail / zi
         cyc.append(acc)
 
-    sites = extended_sites(inst)
     ext = []
     for idx, z, lam in sites:
         acc = Cyc.of(0)

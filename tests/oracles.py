@@ -4,16 +4,22 @@ Each one computes a quantity of the paper by a route that no command
 takes: the operator D(y), whose kernel is the space of a type-A
 population (the library proves membership by the space itself), the
 bilinear form of any two vectors of a space, a divided Wronskian from a
-fresh Wronskian, the orbit-sum identity of the weight at the origin, and
-the eigenvalues in floating point.
+fresh Wronskian, the orbit-sum identity of the weight at the origin, the
+eigenvalues in floating point, the folding of a diagram by walks of sigma
+(the library reads each sigma-cycle, made once), and the canonical weight
+at the origin by its trace over root vectors (the library has the closed
+form).
 """
 
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import mul
 
 from cybethe import typea
-from cybethe.cartan import inner_product, weight_orbit
+from cybethe.cartan import (CartanData, FoldedData, Weight, inner_product,
+                            weight_orbit)
+from cybethe.errors import LinkingViolation
 from cybethe.numerics import _ip_weight_alpha
 from cybethe.qpoly import QPoly, divide_exact, qgcd, wronskian
 from cybethe.scalars import Cyc
@@ -161,3 +167,120 @@ def eigenvalues_numeric(inst, point):
         acc += tail / zi
         out.append(acc)
     return out
+
+
+# --- the folding by walks of sigma -----------------------------------------
+
+
+def walk_orbits(perm):
+    """The sigma-orbits of the nodes, each walked from its least node."""
+    seen, out = set(), []
+    for i in range(len(perm)):
+        if i in seen:
+            continue
+        orbit, j = [i], perm[i]
+        while j != i:
+            orbit.append(j)
+            j = perm[j]
+        seen.update(orbit)
+        out.append(tuple(orbit))
+    return out
+
+
+def walk_order(perm):
+    return lcm(*map(len, walk_orbits(perm)))
+
+
+def walk_power(perm, i, k):
+    """sigma^k i by k steps of sigma, k taken modulo the order."""
+    k %= walk_order(perm)
+    for _ in range(k):
+        i = perm[i]
+    return i
+
+
+def walk_inverse(perm, i):
+    return perm.index(i)
+
+
+def walk_orbit_data(cartan, perm):
+    """The FoldedData of `cartan.orbit_data`, each linking number summed
+    along a walk of sigma from its node."""
+    n = cartan.n
+    orbit_of = {}
+    orbits = []
+    for orbit in walk_orbits(perm):
+        key = tuple(sorted(orbit))
+        orbits.append(key)
+        for i in orbit:
+            orbit_of[i] = key
+    orbits.sort()
+    reps = tuple(min(o) for o in orbits)
+    m_len = [len(orbit_of[i]) for i in range(n)]
+    linking = []
+    for i in range(n):
+        total = 0
+        j = perm[i]
+        seen = {i}
+        while j not in seen:
+            total += cartan.a[j][i]
+            seen.add(j)
+            j = perm[j]
+        linking.append(1 - total)
+    for i in range(n):
+        if linking[i] > 2:
+            raise LinkingViolation(i, linking[i])
+    a_fold_rows = []
+    for i in reps:
+        orbit_i = sorted(set(walk_power(perm, i, k) for k in range(m_len[i])))
+        a_fold_rows.append([linking[i] * sum(cartan.a[k][j] for k in orbit_i)
+                            for j in reps])
+    return FoldedData(reps=reps, orbit_len=tuple(m_len),
+                      linking=tuple(linking),
+                      a_fold=CartanData.from_matrix(a_fold_rows),
+                      orbits=tuple(orbits))
+
+
+def walk_orbit_reps(a, perm):
+    """`ProblemInstance.orbit_reps`, each node and edge orbit walked as a
+    set of nodes under sigma until it repeats."""
+    def least(*nodes):
+        images, cur = [], tuple(sorted(nodes))
+        while cur not in images:
+            images.append(cur)
+            cur = tuple(sorted(perm[v] for v in cur))
+        return min(images)
+    n = len(a)
+    return tuple((i, tuple(j for j in range(i + 1, n)
+                           if a[i][j] and least(i, j) == (i, j)))
+                 for i in range(n) if least(i) == (i,))
+
+
+# --- the canonical weight at the origin by its trace ----------------------
+
+
+def traced_lambda0(rank):
+    """L0(a_j^vee) = tr(sigma^-1 ad_{a_j^vee}) / (1 - omega) at M = 2,
+    summed over the root vectors E_ab of sl_{rank+1}.
+
+    The involution is sigma(X) = -J X^T J^{-1} with J[k][n-1-k] = (-1)^k,
+    so sigma(X)[a][b] = -(-1)^(a+b) X[n-1-b][n-1-a]."""
+    size = rank + 1
+    pairings = []
+    for j in range(rank):
+        h = [[Fraction(0)] * size for _ in range(size)]
+        # alpha_j^vee = [E_j, F_j] = E_jj - E_(j+1)(j+1)
+        h[j][j] = Fraction(1)
+        h[j + 1][j + 1] = Fraction(-1)
+        total = Fraction(0)
+        for a in range(size):
+            for b in range(a + 1, size):
+                # ad_h E_ab = (h_a - h_b) E_ab
+                factor = h[a][a] - h[b][b]
+                if not factor:
+                    continue
+                # sigma(E_ab)[a][b] = -(-1)^(a+b) iff a + b = n - 1, else 0
+                if a + b == size - 1:
+                    total -= factor * (-1) ** (a + b)
+        pairings.append(total / 2)  # 1 - omega = 2 for omega = -1
+    return Weight(pairings)

@@ -3,9 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracles
 from conftest import affine_a, identity_aut
 from cybethe.cartan import (MAX_RANK, CartanData, DiagramAut, Weight,
-                            dominant_shifted_rep, folded_reflect,
+                            _orbit_reps, dominant_shifted_rep, folded_reflect,
                             inner_product, orbit_data, shifted_reflect,
                             sigma_on_weight, weight_orbit)
 from cybethe.errors import InputError, LinkingViolation, NonRegular
@@ -81,6 +82,49 @@ def test_diagram_aut_derives_its_order_once(a3, monkeypatch):
 
 D4 = CartanData.from_matrix([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                              [0, -1, 0, 2]])
+
+
+def _blocks(*cartans):
+    """The block-diagonal Cartan data of disjoint diagrams, in order."""
+    sizes = [c.n for c in cartans]
+    rows = []
+    for b, c in enumerate(cartans):
+        left, right = sum(sizes[:b]), sum(sizes[b + 1:])
+        rows.extend([0] * left + list(row) + [0] * right for row in c.a)
+    return CartanData.from_matrix(rows)
+
+
+@pytest.mark.parametrize("cartan, perm", [
+    (CartanData.series("A", 4), (3, 2, 1, 0)),   # flip (1 4)(2 3)
+    (CartanData.series("A", 3), (2, 1, 0)),      # flip (1 3)
+    (D4, (2, 1, 3, 0)),                          # triality (1 3 4)
+    # A2 + A2 with (1 3 2 4): one L = 2 orbit of length 4
+    (_blocks(*[CartanData.series("A", 2)] * 2), (2, 3, 1, 0)),
+    (CartanData.series("A", 3), (0, 1, 2)),      # identity
+    # a 3-cycle (D4 triality) beside a 2-cycle (A3 flip), on disjoint blocks
+    (_blocks(D4, CartanData.series("A", 3)), (2, 1, 3, 0, 6, 5, 4)),
+])
+def test_cycles_fold_as_the_walks_of_sigma(cartan, perm):
+    aut = DiagramAut(perm)
+    assert orbit_data(cartan, aut) == oracles.walk_orbit_data(cartan, perm)
+    assert aut.orbits() == oracles.walk_orbits(perm)
+    assert aut.order == oracles.walk_order(perm)
+    for i in range(len(perm)):
+        assert aut.inverse(i) == oracles.walk_inverse(perm, i)
+        for k in range(-aut.order, 2 * aut.order + 1):
+            assert aut.power(i, k) == oracles.walk_power(perm, i, k)
+    assert _orbit_reps(cartan.a, aut) == oracles.walk_orbit_reps(cartan.a,
+                                                                 perm)
+
+
+def test_cycles_raise_the_linking_violation_of_the_walks():
+    perm = (1, 2, 0)  # the rotation of A2^(1): L = 3 at every node
+    with pytest.raises(LinkingViolation) as want:
+        oracles.walk_orbit_data(affine_a(2), perm)
+    with pytest.raises(LinkingViolation) as got:
+        orbit_data(affine_a(2), DiagramAut(perm))
+    assert (got.value.node, got.value.linking) == \
+        (want.value.node, want.value.linking) == (0, 3)
 
 
 @pytest.mark.parametrize("cartan, aut", [

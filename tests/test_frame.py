@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import affine_a, identity_aut, poly, shifted_critical
 from cybethe import cartan, frame, serialize
-from cybethe.cartan import (CartanData, DiagramAut, Weight, orbit_data,
-                            shifted_reflect, sigma_on_weight)
+from cybethe.cartan import (MAX_RANK, CartanData, DiagramAut, Weight,
+                            orbit_data, shifted_reflect, sigma_on_weight)
 from cybethe.errors import (InexactDivision, InputError, NotCyclotomic,
-                            NotGeneric)
+                            NotGeneric, UnsupportedType)
 from cybethe.frame import (BetheTuple, ProblemInstance, big_lambda,
                            canonical_lambda0, eigenvalues, frame_polys,
                            interaction_product, is_critical_exact,
@@ -21,7 +21,7 @@ from cybethe.genengine import (_checked, _transport, cyclotomic_generate,
                                explore_population)
 from cybethe.qpoly import QPoly, divide_exact, proportional
 from cybethe.scalars import Cyc
-from oracles import hl_identity_check
+from oracles import hl_identity_check, traced_lambda0
 from test_catalog_pins import A4_DOC, CATALOGS, D4_DOC, SAMPLES, _verdict
 
 
@@ -453,6 +453,14 @@ def test_canonical_lambda0(a2, a3):
     for rank in (2, 3, 4, 5):
         lam = canonical_lambda0(rank)
         assert lam.pairings == tuple(reversed(lam.pairings))
+
+
+def test_canonical_lambda0_is_the_trace_over_root_vectors():
+    for rank in range(1, MAX_RANK + 1):
+        assert canonical_lambda0(rank) == traced_lambda0(rank)
+        assert canonical_lambda0(rank, 1) == Weight.zero(rank)
+    with pytest.raises(UnsupportedType):
+        canonical_lambda0(3, 3)
 
 
 def test_hl_identity(a2):

@@ -23,6 +23,25 @@ def test_src_lines_totals_the_modules():
     assert any(path.endswith("qpoly.py") for _, path in modules)
 
 
+def test_src_lines_compares_two_trees(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, files in ((old, {"kept.py": "x = 1\ny = 2\n",
+                               "gone.py": '"""doc"""\nz = 3\n'}),
+                        (new, {"kept.py": "x = 1\n# note\ny = 2\nw = 4\n",
+                               "pkg/added.py": "a = 1\n\nb = 2\n"})):
+        for name, text in files.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), str(old),
+         str(new)], capture_output=True, text=True, check=True)
+    assert [line.split() for line in out.stdout.splitlines()] == [
+        ["1", "-", "-1", "gone.py"],
+        ["2", "3", "+1", "kept.py"],
+        ["-", "2", "+2", str(Path("pkg") / "added.py")],
+        ["3", "5", "+2", "total"]]
+
+
 def test_every_exported_name_resolves():
     import cybethe
     for name in cybethe.__all__:
